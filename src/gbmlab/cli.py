@@ -84,7 +84,6 @@ class RunConfig:
     n_paths: int = 10_000
     n_steps: int = 256
     seed: int = 0
-    workers: int = 1
     output_dir: str = "runs"
 
     def __post_init__(self) -> None:
@@ -106,7 +105,7 @@ class RunConfig:
     def driver(self, name: str | None = None) -> DriverSpec:
         return preset_driver(name or self.preset, self.params)
 
-    def grid(self, driver: DriverSpec | None = None) -> Grid1D:
+    def grid(self) -> Grid1D:
         if self.x_min is None or self.x_max is None:
             base = Grid1D.default_for(self.x, self.T, self.gfunction(),
                                       nx=self.nx)
@@ -180,7 +179,9 @@ def _csv_floats(text: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _pick_form(grid: Grid1D, driver: DriverSpec, G: GFunction1D,
-               requested: str) -> PdeForm:
+               requested: str) -> PdeProblem:
+    """The problem in the requested form, or in the first form the driver
+    fits when ``requested`` is "auto"."""
     names = {"gheat": PdeForm.GHEAT,
              "regularized-bsde": PdeForm.REGULARIZED_BSDE,
              "markovian-fbsde": PdeForm.MARKOVIAN_FBSDE}
@@ -188,12 +189,10 @@ def _pick_form(grid: Grid1D, driver: DriverSpec, G: GFunction1D,
         if requested not in names:
             raise ConfigError(f"unknown form '{requested}'; choices: auto, "
                               f"{', '.join(names)}")
-        return names[requested]
-    for form in (PdeForm.GHEAT, PdeForm.REGULARIZED_BSDE,
-                 PdeForm.MARKOVIAN_FBSDE):
+        return PdeProblem(grid, driver, G, names[requested])
+    for form in names.values():
         try:
-            PdeProblem(grid, driver, G, form)
-            return form
+            return PdeProblem(grid, driver, G, form)
         except DomainError:
             continue
     raise DomainError("driver fits no PDE form")
@@ -204,6 +203,17 @@ def _regularized_G(cfg: RunConfig) -> GFunction1D:
     if G.degenerate:
         return regularize(G, cfg.eps_schedule[0])
     return G
+
+
+def _problem(cfg: RunConfig, G: GFunction1D) -> PdeProblem:
+    """The configured driver and grid under ``G``, in the requested form."""
+    return _pick_form(cfg.grid(), cfg.driver(), G, cfg.form)
+
+
+def _solve(cfg: RunConfig):
+    """(problem, solution) of the configured single-level PDE."""
+    problem = _problem(cfg, _regularized_G(cfg))
+    return problem, _pde.solve_terminal_pde(problem, safety=cfg.cfl_safety)
 
 
 def _prod(*stages):
@@ -283,32 +293,23 @@ def _run_doob(cfg: RunConfig):
 
 
 def _run_solve_pde(cfg: RunConfig):
-    G = _regularized_G(cfg)
-    driver = cfg.driver()
-    grid = cfg.grid(driver)
-    form = _pick_form(grid, driver, G, cfg.form)
-    sol = _pde.solve_terminal_pde(PdeProblem(grid, driver, G, form),
-                                  safety=cfg.cfl_safety)
+    problem, sol = _solve(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     _pde.export_solution_csv(sol, os.path.join(cfg.output_dir,
                                                "solution.csv"))
     u00 = sol.value(0.0, cfg.x)
+    form = problem.form.name.lower()
     values = dict(u_at_probe=u00, probe_x=cfg.x, dt=sol.dt, nt=sol.nt,
-                  form=form.name.lower())
-    line = f"u(0,{cfg.x:g})={u00:.6f} nt={sol.nt} form={form.name.lower()}"
+                  form=form)
+    line = f"u(0,{cfg.x:g})={u00:.6f} nt={sol.nt} form={form}"
     return values, {}, {}, line
 
 
 def _family(cfg: RunConfig) -> _gbsde.BsdeSolutionFamily:
-    G = cfg.gfunction()
-    driver = cfg.driver()
-    grid = cfg.grid(driver)
-    form = _pick_form(grid, driver, G, cfg.form)
-    if form is PdeForm.GHEAT:
-        form = PdeForm.REGULARIZED_BSDE
-    problem = BsdeProblem(grid, driver, G, form)
-    return _gbsde.solve_gbsde(problem, cfg.eps_schedule,
-                              safety=cfg.cfl_safety, workers=cfg.workers)
+    p = _problem(cfg, cfg.gfunction())
+    form = PdeForm.REGULARIZED_BSDE if p.form is PdeForm.GHEAT else p.form
+    return _gbsde.solve_gbsde(BsdeProblem(p.grid, p.driver, p.G, form),
+                              cfg.eps_schedule, safety=cfg.cfl_safety)
 
 
 def _run_gbsde(cfg: RunConfig):
@@ -351,12 +352,8 @@ def _run_curvature(cfg: RunConfig):
 
 
 def _sensitivity_common(cfg: RunConfig, kind: str):
-    G = _regularized_G(cfg)
-    driver = cfg.driver()
-    grid = cfg.grid(driver)
-    form = _pick_form(grid, driver, G, cfg.form)
-    sol = _pde.solve_terminal_pde(PdeProblem(grid, driver, G, form),
-                                  safety=cfg.cfl_safety)
+    problem, sol = _solve(cfg)
+    driver, G = problem.driver, problem.G
     d = _pde.derivatives(sol)
     n = int(round(cfg.t / sol.dt))
     j = int(np.argmin(np.abs(sol.xs - cfg.x)))
@@ -400,13 +397,10 @@ def _run_sensitivity_t(cfg: RunConfig):
 
 
 def _run_kink(cfg: RunConfig):
-    G = _regularized_G(cfg)
-    driver = cfg.driver()
-    grid = cfg.grid(driver)
-    form = _pick_form(grid, driver, G, cfg.form)
-    sol = _pde.solve_terminal_pde(PdeProblem(grid, driver, G, form),
-                                  safety=cfg.cfl_safety)
-    est = _scenario.estimate_dx(driver, cfg.t, cfg.x, G, sol, mc=cfg.mc())
+    problem, sol = _solve(cfg)
+    driver, grid = problem.driver, problem.grid
+    est = _scenario.estimate_dx(driver, cfg.t, cfg.x, problem.G, sol,
+                                mc=cfg.mc())
     gap = est.plus - est.minus
     se = est.se_plus + est.se_minus
     probe = np.linspace(grid.x_min, grid.x_max, 7)
@@ -434,14 +428,11 @@ def _run_semiconvexity(cfg: RunConfig):
     rows = []
     reports = []
     for factor in (1, 2):
-        grid_f = cfg.grid(driver)
-        grid_f = Grid1D(grid_f.x_min, grid_f.x_max,
-                        (grid_f.nx - 1) * factor + 1, grid_f.T)
-        form = _pick_form(grid_f, driver, G, cfg.form)
-        problem = PdeProblem(grid_f, driver, G, form)
+        problem = _pick_form(_gbsde._refine(cfg.grid(), factor), driver, G,
+                             cfg.form)
         rep = _gbsde.semiconvexity_scan(problem, safety=cfg.cfl_safety)
         reports.append(rep)
-        rows.append((grid_f.nx, rep.C, rep.min_second_diff,
+        rows.append((problem.grid.nx, rep.C, rep.min_second_diff,
                      rep.max_second_diff, rep.violations))
     c1, c2 = reports[0].C, reports[1].C
     floor = 1e-9
@@ -457,11 +448,7 @@ def _run_semiconvexity(cfg: RunConfig):
 
 
 def _run_dp_check(cfg: RunConfig):
-    G = _regularized_G(cfg)
-    driver = cfg.driver()
-    grid = cfg.grid(driver)
-    form = _pick_form(grid, driver, G, cfg.form)
-    problem = PdeProblem(grid, driver, G, form)
+    problem = _problem(cfg, _regularized_G(cfg))
     rep = _gbsde.dynamic_programming_check(problem, cfg.t1, cfg.t2,
                                            x0=cfg.x, steps=max(cfg.steps, 8),
                                            safety=cfg.cfl_safety)
@@ -491,11 +478,9 @@ def _run_counterexample(cfg: RunConfig):
 
 
 def _run_stability(cfg: RunConfig):
-    G = cfg.gfunction()
-    if G.degenerate:
-        G = regularize(G, cfg.eps_schedule[0])
+    G = _regularized_G(cfg)
     d1 = cfg.driver()
-    grid = cfg.grid(d1)
+    grid = cfg.grid()
     if cfg.preset_b is not None:
         d2 = cfg.driver(cfg.preset_b)
     elif cfg.shift is not None:
@@ -506,10 +491,8 @@ def _run_stability(cfg: RunConfig):
             phi=lambda xv, _p=phi1, _s=shift: np.asarray(_p(xv)) + _s)
     else:
         raise ConfigError("stability needs --preset-b or --shift")
-    form1 = _pick_form(grid, d1, G, cfg.form)
-    form2 = _pick_form(grid, d2, G, cfg.form)
-    p1 = PdeProblem(grid, d1, G, form1)
-    p2 = PdeProblem(grid, d2, G, form2)
+    p1 = _pick_form(grid, d1, G, cfg.form)
+    p2 = _pick_form(grid, d2, G, cfg.form)
     rep = _gbsde.stability_check(p1, p2, cfg.p, lattice_steps=cfg.steps * 8,
                                  safety=cfg.cfl_safety)
     values = dict(constants=[r[4] for r in rep.rows],
@@ -573,7 +556,6 @@ def _build_parser() -> _Parser:
                                            "markovian-fbsde"))
     common.add_argument("--n-paths", dest="n_paths", type=int)
     common.add_argument("--n-steps", dest="n_steps", type=int)
-    common.add_argument("--workers", type=int)
     common.add_argument("--dry-run", dest="dry_run", action="store_true",
                         help="validate configuration, compute nothing")
     common.add_argument("--assert", dest="assert_verdicts",

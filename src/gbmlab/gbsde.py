@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,14 +80,15 @@ def _sup_t0_delta(sol_a: PdeSolution, sol_b: PdeSolution) -> float:
     return float(np.max(np.abs(sol_a.u[0] - sol_b.u[0])))
 
 
-def solve_gbsde(problem: BsdeProblem, eps_schedule, *, safety: float = 0.9,
-                workers: int | None = None) -> BsdeSolutionFamily:
+def solve_gbsde(problem: BsdeProblem, eps_schedule, *,
+                safety: float = 0.9) -> BsdeSolutionFamily:
     """Solve one elliptic level per eps and extrapolate the limit.
 
-    All levels share one time grid (the step forced by the coarsest, most
-    diffusive level) so fields can be compared and extrapolated node by
-    node.  Requires a degenerate generator and a strictly decreasing
-    schedule with at least two levels.
+    All levels are stepped together on one time grid (the step forced by
+    the coarsest, most diffusive level, or the grid's pinned ``nt`` if that
+    is stable for every level) so fields can be compared and extrapolated
+    node by node.  Requires a degenerate generator and a strictly
+    decreasing schedule with at least two levels.
     """
     eps = tuple(float(e) for e in eps_schedule)
     if len(eps) < 2:
@@ -99,27 +99,13 @@ def solve_gbsde(problem: BsdeProblem, eps_schedule, *, safety: float = 0.9,
         raise DomainError("vanishing-viscosity family needs a degenerate "
                           "generator (sigma_low = 0)")
     gs = [regularize(problem.G, e) for e in eps]
-    bound = min(_pde.cfl_timestep(problem.grid, g, problem.driver, safety)
-                for g in gs)
-    nt = max(1, math.ceil(problem.grid.T / bound - 1e-12))
-    grid = problem.grid.with_nt(nt)
-
-    def solve_level(i: int) -> PdeSolution:
-        return _pde.solve_terminal_pde(
-            PdeProblem(grid, problem.driver, gs[i], problem.form),
-            safety=safety)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solutions = tuple(pool.map(solve_level, range(len(eps))))
-    else:
-        solutions = tuple(solve_level(i) for i in range(len(eps)))
-
+    solutions = _pde._solve_levels(problem.grid, problem.driver, gs,
+                                   problem.form, safety)
     e1, e2 = eps[-2], eps[-1]
     u1, u2 = solutions[-2].u, solutions[-1].u
     u0 = u2 + (u2 - u1) * (e2 / (e1 - e2))
     deltas = [_sup_t0_delta(a, b) for a, b in zip(solutions, solutions[1:])]
-    diagnostics = dict(deltas=deltas, nt=nt,
+    diagnostics = dict(deltas=deltas, nt=solutions[0].nt,
                        terminal_identical=bool(
                            np.array_equal(solutions[0].u[-1],
                                           solutions[-1].u[-1])))
@@ -346,11 +332,11 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
         fint = 0.0
         gint = 0.0
         xs = s2.xs
-        dfields = _pde.derivatives(s2)
+        ux = _pde._ux(s2.u, s2.dx)
         for n in range(s2.nt + 1):
             t = n * s2.dt
             y = s2.u[n]
-            z = dfields.ux[n]
+            z = ux[n]
             fhat = np.max(np.abs(
                 np.asarray(d1.f(t, xs, y), dtype=float)
                 - np.asarray(d2.f(t, xs, y), dtype=float)))

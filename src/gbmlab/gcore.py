@@ -120,6 +120,9 @@ class Grid1D:
     nt: int | None = None
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.T))):
+            raise DomainError(f"need finite x_min, x_max and T, got "
+                              f"[{self.x_min}, {self.x_max}], T={self.T}")
         if not self.x_min < self.x_max:
             raise DomainError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.nx < 3:
@@ -235,50 +238,67 @@ def _fd_x(fn: Callable, argindex: int) -> Callable:
     return deriv
 
 
-@dataclass(frozen=True)
+def _zero2(t, x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def _one2(t, x):
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
+def _zero3(t, x, y):
+    shape = np.broadcast(np.asarray(x, dtype=float), np.asarray(y, dtype=float)).shape
+    return np.zeros(shape)
+
+
+def _zero4(t, x, y, z):
+    shape = np.broadcast(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
+                         np.asarray(z, dtype=float)).shape
+    return np.zeros(shape)
+
+
+@dataclass(frozen=True, kw_only=True)
 class DriverSpec:
     """Coefficient bundle for the forward/backward equations.
 
     Signatures: ``b(t, x)``, ``h(t, x)``, ``sigma(t, x)``, ``f(t, x, y)``,
     ``g(t, x, y, z)``, ``phi(x)``; all must accept numpy arrays in the
-    non-time arguments.  First derivatives are required (finite-difference
-    fallbacks are installed when omitted); time and second derivatives are
-    optional.  Construction runs a sampled self-check: every analytic
-    derivative is compared against a central difference of its base at
-    relative tolerance 1e-4, and ``phi`` is checked against the declared
-    polynomial-growth Lipschitz envelope ``L1 * (1+|x|^m+|x'|^m) * |x-x'|``.
+    non-time arguments.  Only ``name`` and ``phi`` are required.  Every
+    other coefficient and each of its derivatives defaults to the shared
+    zero (``sigma`` to the shared one), whose terms the solver skips; a
+    coefficient set without its derivatives fails the self-check unless
+    they are passed as None (first derivatives then fall back to finite
+    differences, as an omitted ``phi_x`` does).  Construction runs a
+    sampled self-check: every analytic derivative is compared against a
+    central difference of its base at relative tolerance 1e-4, and ``phi``
+    is checked against the declared polynomial-growth Lipschitz envelope
+    ``L1 * (1+|x|^m+|x'|^m) * |x-x'|``.
     """
 
     name: str
-    b: Callable
-    h: Callable
-    sigma: Callable
-    f: Callable
-    g: Callable
+    b: Callable = _zero2
+    h: Callable = _zero2
+    sigma: Callable = _one2
+    f: Callable = _zero3
+    g: Callable = _zero4
     phi: Callable
-    b_x: Callable | None = None
-    h_x: Callable | None = None
-    sigma_x: Callable | None = None
+    b_x: Callable | None = _zero2
+    h_x: Callable | None = _zero2
+    sigma_x: Callable | None = _zero2
     phi_x: Callable | None = None
-    f_x: Callable | None = None
-    f_y: Callable | None = None
-    g_x: Callable | None = None
-    g_y: Callable | None = None
-    g_z: Callable | None = None
-    b_t: Callable | None = None
-    h_t: Callable | None = None
-    sigma_t: Callable | None = None
-    f_t: Callable | None = None
-    g_t: Callable | None = None
+    f_x: Callable | None = _zero3
+    f_y: Callable | None = _zero3
+    g_x: Callable | None = _zero4
+    g_y: Callable | None = _zero4
+    g_z: Callable | None = _zero4
+    b_t: Callable | None = _zero2
+    h_t: Callable | None = _zero2
+    sigma_t: Callable | None = _zero2
+    f_t: Callable | None = _zero3
+    g_t: Callable | None = _zero4
     phi_xx: Callable | None = None
-    b_xx: Callable | None = None
-    h_xx: Callable | None = None
-    sigma_xx: Callable | None = None
     L1: float = 1.0
     m: int = 1
-    L2: float | None = None
-    m1: int | None = None
-    L3: float | None = None
     phi_kinks: tuple = ()
     params: Mapping = field(default_factory=dict)
     check_box: tuple = (-3.0, 3.0)
@@ -287,7 +307,8 @@ class DriverSpec:
     def __post_init__(self) -> None:
         if self.L1 <= 0 or self.m < 1:
             raise DomainError("need L1 > 0 and integer m >= 1")
-        if len(inspect.signature(self.f).parameters) != 3:
+        if self.f is not _zero3 and \
+                len(inspect.signature(self.f).parameters) != 3:
             raise DomainError("f must have signature f(t, x, y); a z argument "
                               "is rejected (see counterexample_demo docs)")
         for nm, fn, argidx in (("b_x", self.b, 1), ("h_x", self.h, 1),
@@ -317,9 +338,15 @@ class DriverSpec:
         rng = np.random.default_rng(777)
         pts = self._sample_points(rng, 24)
         errs: list[str] = []
+        defaults = self.__dataclass_fields__
 
-        def check(nm: str, base: Callable, deriv: Callable | None, args, argidx: int):
+        def check(nm: str, base_nm: str, args, argidx: int):
+            base, deriv = getattr(self, base_nm), getattr(self, nm)
             if deriv is None or getattr(deriv, "_fd_backed", False):
+                return
+            # a default derivative of a default base is exact by construction
+            if base is defaults[base_nm].default and \
+                    deriv is defaults[nm].default:
                 return
             for row in pts:
                 call = [row[i] for i in args]
@@ -336,25 +363,22 @@ class DriverSpec:
                     break
 
         T, X, Y, Z = 0, 1, 2, 3
-        check("b_x", self.b, self.b_x, (T, X), 1)
-        check("h_x", self.h, self.h_x, (T, X), 1)
-        check("sigma_x", self.sigma, self.sigma_x, (T, X), 1)
-        check("phi_x", self.phi, self.phi_x, (X,), 0)
-        check("f_x", self.f, self.f_x, (T, X, Y), 1)
-        check("f_y", self.f, self.f_y, (T, X, Y), 2)
-        check("g_x", self.g, self.g_x, (T, X, Y, Z), 1)
-        check("g_y", self.g, self.g_y, (T, X, Y, Z), 2)
-        check("g_z", self.g, self.g_z, (T, X, Y, Z), 3)
-        check("b_t", self.b, self.b_t, (T, X), 0)
-        check("h_t", self.h, self.h_t, (T, X), 0)
-        check("sigma_t", self.sigma, self.sigma_t, (T, X), 0)
-        check("f_t", self.f, self.f_t, (T, X, Y), 0)
-        check("g_t", self.g, self.g_t, (T, X, Y, Z), 0)
+        check("b_x", "b", (T, X), 1)
+        check("h_x", "h", (T, X), 1)
+        check("sigma_x", "sigma", (T, X), 1)
+        check("phi_x", "phi", (X,), 0)
+        check("f_x", "f", (T, X, Y), 1)
+        check("f_y", "f", (T, X, Y), 2)
+        check("g_x", "g", (T, X, Y, Z), 1)
+        check("g_y", "g", (T, X, Y, Z), 2)
+        check("g_z", "g", (T, X, Y, Z), 3)
+        check("b_t", "b", (T, X), 0)
+        check("h_t", "h", (T, X), 0)
+        check("sigma_t", "sigma", (T, X), 0)
+        check("f_t", "f", (T, X, Y), 0)
+        check("g_t", "g", (T, X, Y, Z), 0)
         if self.phi_x is not None and not getattr(self.phi_x, "_fd_backed", False):
-            check("phi_xx", self.phi_x, self.phi_xx, (X,), 0)
-        check("b_xx", self.b_x, self.b_xx, (T, X), 1)
-        check("h_xx", self.h_x, self.h_xx, (T, X), 1)
-        check("sigma_xx", self.sigma_x, self.sigma_xx, (T, X), 1)
+            check("phi_xx", "phi_x", (X,), 0)
         if errs:
             raise DomainError(f"driver '{self.name}' failed its derivative "
                               f"self-check: " + "; ".join(errs))
@@ -378,25 +402,6 @@ class DriverSpec:
 # ---------------------------------------------------------------------------
 # preset catalog
 # ---------------------------------------------------------------------------
-
-def _zero2(t, x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def _one2(t, x):
-    return np.ones_like(np.asarray(x, dtype=float))
-
-
-def _zero3(t, x, y):
-    shape = np.broadcast(np.asarray(x, dtype=float), np.asarray(y, dtype=float)).shape
-    return np.zeros(shape)
-
-
-def _zero4(t, x, y, z):
-    shape = np.broadcast(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
-                         np.asarray(z, dtype=float)).shape
-    return np.zeros(shape)
-
 
 def _const4(c):
     def fn(t, x, y, z):
@@ -504,27 +509,14 @@ def preset_driver(name: str, params: Mapping | None = None) -> DriverSpec:
     singular weight exponent used by the moment-bound demo).
     """
     p = dict(params or {})
-    base = dict(b=_zero2, h=_zero2, sigma=_one2, f=_zero3, g=_zero4,
-                b_x=_zero2, h_x=_zero2, sigma_x=_zero2,
-                f_x=_zero3, f_y=_zero3, g_x=_zero4, g_y=_zero4, g_z=_zero4,
-                b_t=_zero2, h_t=_zero2, sigma_t=_zero2, f_t=_zero3, g_t=_zero4,
-                b_xx=_zero2, h_xx=_zero2, sigma_xx=_zero2)
-
-    if name == "zero":
-        phi, phi_x, phi_xx, kinks, L1, m = _payoff("zero", p)
-    elif name == "quadratic":
-        phi, phi_x, phi_xx, kinks, L1, m = _payoff("quadratic", p)
-    elif name == "abs":
-        phi, phi_x, phi_xx, kinks, L1, m = _payoff("abs", p)
-    elif name == "smooth-bump":
-        phi, phi_x, phi_xx, kinks, L1, m = _payoff("bump", p)
+    coeffs = {}
+    if name in ("zero", "quadratic", "abs", "smooth-bump"):
+        payoff = name
     elif name == "linear-h":
-        c = float(p.setdefault("c", 0.5))
-        phi, phi_x, phi_xx, kinks, L1, m = _payoff(p.get("phi", "quadratic"), p)
-        base["g"] = _const4(c)
+        coeffs["g"] = _const4(float(p.setdefault("c", 0.5)))
+        payoff = p.get("phi", "quadratic")
     elif name == "sine-gz":
         c = float(p.setdefault("c", 0.5))
-        phi, phi_x, phi_xx, kinks, L1, m = _payoff(p.get("phi", "bump"), p)
 
         def g(t, x, y, z):
             return c * np.sin(np.asarray(z, dtype=float)) \
@@ -534,19 +526,19 @@ def preset_driver(name: str, params: Mapping | None = None) -> DriverSpec:
             return c * np.cos(np.asarray(z, dtype=float)) \
                 + _zero4(t, x, y, z)
 
-        base["g"] = g
-        base["g_z"] = g_z
+        coeffs.update(g=g, g_z=g_z)
+        payoff = p.get("phi", "bump")
     elif name == "kinked":
-        phi, phi_x, phi_xx, kinks, L1, m = _payoff("abs", p)
-        base["sigma"] = _zero2
+        coeffs["sigma"] = _zero2
+        payoff = "abs"
     elif name == "counterexample-weight":
         p.setdefault("exponent", -0.2)
-        phi, phi_x, phi_xx, kinks, L1, m = _payoff("zero", p)
+        payoff = "zero"
     else:
         raise DomainError(f"unknown preset '{name}'; choose from {PRESET_NAMES}")
-
+    phi, phi_x, phi_xx, kinks, L1, m = _payoff(payoff, p)
     return DriverSpec(name=name, phi=phi, phi_x=phi_x, phi_xx=phi_xx,
-                      phi_kinks=kinks, L1=L1, m=m, params=p, **base)
+                      phi_kinks=kinks, L1=L1, m=m, params=p, **coeffs)
 
 
 def payoff_driver(phi: Callable, phi_x: Callable | None = None,
@@ -557,13 +549,8 @@ def payoff_driver(phi: Callable, phi_x: Callable | None = None,
     sig = _one2 if sigma_const == 1.0 else (
         lambda t, x, _c=float(sigma_const): np.full_like(
             np.asarray(x, dtype=float), _c))
-    return DriverSpec(name=name, b=_zero2, h=_zero2, sigma=sig,
-                      f=_zero3, g=_zero4, phi=phi, phi_x=phi_x, phi_xx=phi_xx,
-                      b_x=_zero2, h_x=_zero2, sigma_x=_zero2,
-                      f_x=_zero3, f_y=_zero3, g_x=_zero4, g_y=_zero4,
-                      g_z=_zero4, b_t=_zero2, h_t=_zero2, sigma_t=_zero2,
-                      f_t=_zero3, g_t=_zero4,
-                      phi_kinks=kinks, L1=L1, m=m)
+    return DriverSpec(name=name, sigma=sig, phi=phi, phi_x=phi_x,
+                      phi_xx=phi_xx, phi_kinks=kinks, L1=L1, m=m)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,9 @@ from . import pde as _pde
 
 _MAX_STATE_NODES = 250_000
 
+# the nonlinear heat equation's driver: every coefficient at its default
+_HEAT = DriverSpec(name="gheat", phi=np.zeros_like)
+
 
 # ---------------------------------------------------------------------------
 # lattice specification
@@ -66,6 +69,8 @@ class LatticeSpec:
     @classmethod
     def for_horizon(cls, T: float, steps: int, G: GFunction1D,
                     sigma_choices: tuple | None = None) -> "LatticeSpec":
+        if steps < 1:
+            raise DomainError(f"need steps >= 1, got {steps}")
         dt = T / steps
         dx = G.sigma_high * math.sqrt(dt)
         if sigma_choices is None:
@@ -225,21 +230,6 @@ def default_stage_grids(X: CylinderFunctional, G: GFunction1D, nx: int = 201,
     return tuple(grids)
 
 
-def _gheat_stack(G: GFunction1D, xs: np.ndarray, horizon: float,
-                 terminal: np.ndarray, safety: float) -> np.ndarray:
-    """Solve the nonlinear heat equation for a stack of terminal rows."""
-    dx = xs[1] - xs[0]
-    bound = safety * dx * dx / G.sigma_high ** 2
-    nt = max(1, math.ceil(horizon / bound - 1e-12))
-    dt = horizon / nt
-    u = np.array(terminal, dtype=float)
-    a = np.zeros_like(u)
-    for _ in range(nt):
-        a[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / (dx * dx)
-        u = u + dt * G.eval(a)
-    return u
-
-
 def _rows_at_zero(xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     j = int(np.searchsorted(xs, 0.0))
     if j < len(xs) and xs[j] == 0.0:
@@ -263,11 +253,15 @@ def _cylinder_recursion(X: CylinderFunctional, G: GFunction1D, grids,
                         tuple(g.nx for g in grids)), dtype=float)
     times = (0.0,) + tuple(X.times)
     for i in range(N, down_to, -1):
-        horizon = times[i] - times[i - 1]
-        xs = grids[i - 1].xs
-        flat = tab.reshape(-1, grids[i - 1].nx)
-        u0 = _gheat_stack(G, xs, horizon, flat, safety)
-        tab = _rows_at_zero(xs, u0).reshape(tab.shape[:-1])
+        # the stage horizon comes from X, the space mesh from the grid
+        g = grids[i - 1]
+        grid = Grid1D(g.x_min, g.x_max, g.nx, times[i] - times[i - 1])
+        rows = tab.reshape(-1, grid.nx)
+        nt, dt, _ = _pde._time_steps(grid, (G,), _HEAT, safety)
+        for _n, _a, rows in _pde._backward_steps(_HEAT, grid, (G,), nt, dt,
+                                                  rows):
+            pass  # only the level at the stage start is kept
+        tab = _rows_at_zero(grid.xs, rows).reshape(tab.shape[:-1])
     return tab
 
 

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .gcore import (DomainError, DriverSpec, GFunction1D, Grid1D,
-                    NumericalError)
+                    NumericalError, _one2, _zero2, _zero3, _zero4)
 
 
 class PdeForm(enum.Enum):
@@ -187,33 +187,14 @@ def _time_index(ts: np.ndarray, t: float) -> int:
 # solver
 # ---------------------------------------------------------------------------
 
-def _slice_fields(driver: DriverSpec, t: float, xs: np.ndarray,
-                  u: np.ndarray, dx: float):
-    """(a, d1) for one time slice: generator argument and the lagged slope."""
-    d2 = np.zeros_like(u)
-    d2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-    d1 = np.empty_like(u)
-    d1[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
-    d1[0] = (u[1] - u[0]) / dx
-    d1[-1] = (u[-1] - u[-2]) / dx
-    sig = np.asarray(driver.sigma(t, xs), dtype=float)
-    h = np.asarray(driver.h(t, xs), dtype=float)
-    a = sig * sig * d2 + 2.0 * h * d1 \
-        + 2.0 * np.asarray(driver.g(t, xs, u, sig * d1), dtype=float)
-    return a, d1
+def _time_steps(grid: Grid1D, Gs, driver: DriverSpec,
+                safety: float) -> tuple[int, float, float]:
+    """(nt, dt, bound): the grid's pinned ``nt`` if it satisfies the CFL
+    bound of every generator in ``Gs``, else the fewest steps that do.
 
-
-def solve_terminal_pde(problem: PdeProblem, *, safety: float = 0.9) -> PdeSolution:
-    """Backward explicit sweep from u(T, .) = phi to u(0, .).
-
-    Raises :class:`NumericalError` if the grid pins an ``nt`` above the CFL
-    bound, or if any slice turns non-finite (with the offending node and
-    time level in the message).
+    Raises :class:`NumericalError` if the pinned ``nt`` is too small.
     """
-    grid, driver, G = problem.grid, problem.driver, problem.G
-    xs = grid.xs
-    dx = grid.dx
-    bound = cfl_timestep(grid, G, driver, safety)
+    bound = min(cfl_timestep(grid, G, driver, safety) for G in Gs)
     nt_needed = max(1, math.ceil(grid.T / bound - 1e-12))
     if grid.nt is None:
         nt = nt_needed
@@ -223,61 +204,123 @@ def solve_terminal_pde(problem: PdeProblem, *, safety: float = 0.9) -> PdeSoluti
             raise NumericalError(
                 f"CFL violation: grid.nt={nt} gives dt={grid.T / nt:.6g} "
                 f"above the stable bound {bound:.6g} (needs nt >= {nt_needed})")
-    dt = grid.T / nt
+    return nt, grid.T / nt, bound
 
-    t_start = time.perf_counter()
-    u = np.empty((nt + 1, grid.nx))
-    a_field = np.empty_like(u)
-    u[nt] = np.asarray(driver.phi(xs), dtype=float)
-    if not np.all(np.isfinite(u[nt])):
-        j = int(np.argmin(np.isfinite(u[nt])))
-        raise NumericalError(f"terminal data non-finite at node {j} (x={xs[j]:.6g})")
 
+def _generator_arg(driver: DriverSpec, t: float, xs: np.ndarray, dx: float,
+                   u: np.ndarray) -> np.ndarray:
+    """sigma^2 d_xx u + 2 h d_x u + 2 g(t, x, u, sigma d_x u) for each row of
+    ``u[..., nx]``, with the lagged central slope d_x u; terms whose
+    coefficient is the shared zero are skipped."""
+    d2 = np.zeros_like(u)
+    d2[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / (dx * dx)
+    one = driver.sigma is _one2
+    sig = None if one else np.asarray(driver.sigma(t, xs), dtype=float)
+    a = d2 if one else sig * sig * d2
+    if driver.h is _zero2 and driver.g is _zero4:
+        return a
+    d1 = _ux(u, dx)
+    if driver.h is not _zero2:
+        a = a + 2.0 * np.asarray(driver.h(t, xs), dtype=float) * d1
+    if driver.g is not _zero4:
+        z = d1 if one else sig * d1
+        a = a + 2.0 * np.asarray(driver.g(t, xs, u, z), dtype=float)
+    return a
+
+
+def _backward_steps(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
+                    u: np.ndarray):
+    """Explicit monotone steps from stacked terminal rows ``u[rows, nx]``.
+
+    Row r is stepped under the generator ``Gs[r]`` (every row under
+    ``Gs[0]`` if only one is given); the rows share the driver and the time
+    grid.  Yields ``(n, a, u_n)`` for n = nt-1, ..., 0, where ``a`` is the
+    generator argument of the known level n+1 and ``u_n`` the new level;
+    the caller keeps what it needs.  Raises :class:`NumericalError` at the
+    first level that turns non-finite.
+    """
+    xs, dx = grid.xs, grid.dx
+    sh2 = np.array([[G.sigma_high ** 2] for G in Gs])
+    sl2 = np.array([[G.sigma_low ** 2] for G in Gs])
     for n in range(nt - 1, -1, -1):
         t_known = (n + 1) * dt
-        un = u[n + 1]
-        a, _ = _slice_fields(driver, t_known, xs, un, dx)
-        a_field[n + 1] = a
-        b = np.asarray(driver.b(t_known, xs), dtype=float)
-        if np.any(b):
-            fwd = np.empty_like(un)
-            fwd[:-1] = (un[1:] - un[:-1]) / dx
-            fwd[-1] = (un[-1] - un[-2]) / dx
-            bwd = np.empty_like(un)
-            bwd[1:] = (un[1:] - un[:-1]) / dx
-            bwd[0] = (un[1] - un[0]) / dx
-            drift = b * np.where(b > 0.0, fwd, bwd)
-        else:
-            drift = 0.0
-        unew = un + dt * (G.eval(a) + drift
-                          + np.asarray(driver.f(t_known, xs, un), dtype=float))
-        if not np.all(np.isfinite(unew)):
-            j = int(np.argmin(np.isfinite(unew)))
+        a = _generator_arg(driver, t_known, xs, dx, u)
+        rate = 0.5 * (sh2 * np.maximum(a, 0.0) - sl2 * np.maximum(-a, 0.0))
+        if driver.b is not _zero2:
+            b = np.asarray(driver.b(t_known, xs), dtype=float)
+            if np.any(b):  # upwind: one-sided slopes, copied at the ends
+                du = np.diff(u, axis=-1) / dx
+                fwd = np.concatenate([du, du[..., -1:]], axis=-1)
+                bwd = np.concatenate([du[..., :1], du], axis=-1)
+                rate = rate + b * np.where(b > 0.0, fwd, bwd)
+        if driver.f is not _zero3:
+            rate = rate + np.asarray(driver.f(t_known, xs, u), dtype=float)
+        u = u + dt * rate
+        finite = np.isfinite(u).all(axis=0)
+        if not np.all(finite):
+            j = int(np.argmin(finite))
             raise NumericalError(
                 f"solution turned non-finite at time level {n} "
                 f"(t={n * dt:.6g}), node {j} (x={xs[j]:.6g})")
-        u[n] = unew
-    a_field[0], _ = _slice_fields(driver, 0.0, xs, u[0], dx)
+        yield n, a, u
+
+
+def _solve_levels(grid: Grid1D, driver: DriverSpec, Gs, form: PdeForm,
+                  safety: float) -> tuple[PdeSolution, ...]:
+    """Dense solutions of one driver under each generator in ``Gs``, on one
+    shared time grid, as views of one stacked array."""
+    xs, dx = grid.xs, grid.dx
+    nt, dt, bound = _time_steps(grid, Gs, driver, safety)
+    t_start = time.perf_counter()
+    u = np.empty((len(Gs), nt + 1, grid.nx))
+    a_field = np.empty_like(u)
+    u[:, nt] = np.asarray(driver.phi(xs), dtype=float)
+    if not np.all(np.isfinite(u[0, nt])):
+        j = int(np.argmin(np.isfinite(u[0, nt])))
+        raise NumericalError(f"terminal data non-finite at node {j} (x={xs[j]:.6g})")
+    for n, a, un in _backward_steps(driver, grid, Gs, nt, dt, u[:, nt]):
+        a_field[:, n + 1] = a
+        u[:, n] = un
+    a_field[:, 0] = _generator_arg(driver, 0.0, xs, dx, u[:, 0])
 
     meta = dict(cfl_dt_bound=bound, dt=dt, nt=nt, safety=safety,
-                wall_time=time.perf_counter() - t_start,
-                max_abs_u=float(np.max(np.abs(u))))
-    return PdeSolution(u=u, a_field=a_field, grid=grid.with_nt(nt),
-                       driver=driver, G=G, form=problem.form,
-                       dx=dx, dt=dt, metadata=meta)
+                wall_time=time.perf_counter() - t_start)
+    grid = grid.with_nt(nt)
+    return tuple(PdeSolution(u=u[i], a_field=a_field[i], grid=grid,
+                             driver=driver, G=G, form=form, dx=dx, dt=dt,
+                             metadata=dict(meta,
+                                           max_abs_u=float(np.max(np.abs(u[i])))))
+                 for i, G in enumerate(Gs))
+
+
+def solve_terminal_pde(problem: PdeProblem, *, safety: float = 0.9) -> PdeSolution:
+    """Backward explicit sweep from u(T, .) = phi to u(0, .).
+
+    Raises :class:`NumericalError` if the grid pins an ``nt`` above the CFL
+    bound, or if any slice turns non-finite (with the offending node and
+    time level in the message).
+    """
+    return _solve_levels(problem.grid, problem.driver, (problem.G,),
+                         problem.form, safety)[0]
 
 
 # ---------------------------------------------------------------------------
 # derivative fields and the extremal control
 # ---------------------------------------------------------------------------
 
+def _ux(u: np.ndarray, dx: float) -> np.ndarray:
+    """Central d_x along the last axis, one-sided at the two boundaries."""
+    ux = np.empty_like(u)
+    ux[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
+    ux[..., 0] = (u[..., 1] - u[..., 0]) / dx
+    ux[..., -1] = (u[..., -1] - u[..., -2]) / dx
+    return ux
+
+
 def derivatives(sol: PdeSolution) -> DerivativeFields:
     """Central d_x and d_xx (one-sided at boundaries), forward d_t."""
     u, dx, dt = sol.u, sol.dx, sol.dt
-    ux = np.empty_like(u)
-    ux[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * dx)
-    ux[:, 0] = (u[:, 1] - u[:, 0]) / dx
-    ux[:, -1] = (u[:, -1] - u[:, -2]) / dx
+    ux = _ux(u, dx)
     uxx = np.empty_like(u)
     uxx[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / (dx * dx)
     uxx[:, 0] = (u[:, 2] - 2.0 * u[:, 1] + u[:, 0]) / (dx * dx)
@@ -310,8 +353,7 @@ class FieldInterpolator:
         self.sol = sol
         self.ts = sol.ts
         self.xs = sol.xs
-        d = derivatives(sol)
-        self.ux = d.ux
+        self.ux = _ux(sol.u, sol.dx)
 
     def _level(self, t: float) -> int:
         return _time_index(self.ts, t)

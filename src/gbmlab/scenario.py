@@ -209,6 +209,8 @@ def simulate_paths(control: VolatilityControl, n_paths: int, n_steps: int,
     horizon = T - t0
     if horizon <= 0:
         raise DomainError(f"need t0 < T, got t0={t0}, T={T}")
+    if n_steps < 1:
+        raise DomainError(f"need n_steps >= 1, got {n_steps}")
     dt = horizon / n_steps
     xi = path_normals(seed, n_paths, n_steps)
     sqdt = math.sqrt(dt)

@@ -188,8 +188,32 @@ def test_stability_needs_comparison_exits_one(tmp_path):
 
 
 def test_cfl_refusal_exits_two(tmp_path):
-    rc = _main(["solve-pde", "--nt", "10", "--output-dir", str(tmp_path)])
-    assert rc == 2
+    # a pinned nt below the CFL bound is refused, for one level and for the
+    # eps family alike
+    for argv in (["solve-pde", "--nt", "10"],
+                 ["gbsde", "--nt", "10", "--nx", "101"]):
+        rc = _main([*argv, "--output-dir", str(tmp_path / argv[0])])
+        assert rc == 2, argv[0]
+
+
+def test_infinite_horizon_exits_one(tmp_path):
+    assert _main(["gexpect", "--T", "inf", "--output-dir",
+                  str(tmp_path)]) == 1
+
+
+def test_zero_lattice_steps_exits_one(tmp_path):
+    assert _main(["doob", "--steps", "0", "--output-dir",
+                  str(tmp_path)]) == 1
+
+
+def test_zero_path_steps_exits_one(tmp_path):
+    assert _main(["sensitivity-x", "--n-steps", "0", "--n-paths", "10",
+                  "--nx", "51", "--output-dir", str(tmp_path)]) == 1
+
+
+def test_workers_flag_is_gone(tmp_path):
+    assert _main(["gbsde", "--workers", "2", "--output-dir",
+                  str(tmp_path)]) == 1
 
 
 def test_assert_maps_failed_verdict_to_exit_three(tmp_path):

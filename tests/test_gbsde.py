@@ -90,6 +90,30 @@ def test_family_diagnostics():
         assert sol.nt == fam.diagnostics["nt"]
 
 
+@pytest.mark.parametrize("preset", ["linear-h", "sine-gz"])
+def test_stacked_family_equals_single_level_solves(preset):
+    driver = preset_driver(preset)
+    grid = _grid(201)
+    fam = _family(driver, grid=grid)
+    # the levels are views of one stacked array, not copies
+    assert fam.solutions[0].u.base is fam.solutions[-1].u.base
+    pinned = grid.with_nt(fam.diagnostics["nt"])
+    for eps, sol in zip(SCHEDULE, fam.solutions):
+        single = solve_terminal_pde(PdeProblem(
+            pinned, driver, regularize(G01, eps), PdeForm.REGULARIZED_BSDE))
+        assert np.array_equal(sol.u, single.u)
+        assert np.array_equal(sol.a_field, single.a_field)
+
+
+def test_family_honours_a_stable_pinned_nt():
+    nt = _family(preset_driver("quadratic"), grid=_grid(101)).diagnostics["nt"]
+    fam = _family(preset_driver("quadratic"),
+                  grid=_grid(101).with_nt(nt + 7))
+    assert fam.diagnostics["nt"] == nt + 7
+    with pytest.raises(NumericalError):
+        _family(preset_driver("quadratic"), grid=_grid(101).with_nt(nt - 1))
+
+
 # ---- reconstruct_K ----
 
 def test_k_zero_under_extremal_control():

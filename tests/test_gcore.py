@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,14 @@ def test_derivative_self_check_rejects_mismatch():
     with pytest.raises(DomainError):
         payoff_driver(lambda x: np.asarray(x) ** 2,
                       lambda x: 3.0 * np.asarray(x), L1=5.0)
+
+
+def test_default_derivative_of_a_replaced_coefficient_is_checked():
+    # b is replaced but b_x keeps its zero default: the self-check must
+    # compare them rather than skip the pair
+    with pytest.raises(DomainError, match="b_x"):
+        dataclasses.replace(preset_driver("quadratic"),
+                            b=lambda t, x: 0.5 * np.asarray(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from gbmlab.gcore import (
     CylinderFunctional,
     DomainError,
+    DriverSpec,
     Grid1D,
     NumericalError,
     make_gfunction,
@@ -128,6 +129,18 @@ def test_solve_reports_nonfinite_terminal():
         name="blowup", L1=2.0, m=1)
     with pytest.raises(NumericalError, match="non-finite"):
         _gheat(bad)
+
+
+def test_bare_driver_solves_like_its_preset():
+    zero = preset_driver("zero")
+    quad = preset_driver("quadratic")
+    for preset, bare in (
+            (zero, DriverSpec(name="bare-zero", phi=zero.phi)),
+            (quad, DriverSpec(name="bare-quad", phi=quad.phi,
+                              phi_x=quad.phi_x))):
+        ref, sol = _gheat(preset, nx=101), _gheat(bare, nx=101)
+        assert np.array_equal(ref.u, sol.u)
+        assert np.array_equal(ref.a_field, sol.a_field)
 
 
 def test_gheat_form_rejects_nonzero_coefficients():
