@@ -289,7 +289,12 @@ class StabilityReport:
 
 
 def _refine(grid: Grid1D, factor: int) -> Grid1D:
-    return Grid1D(grid.x_min, grid.x_max, (grid.nx - 1) * factor + 1, grid.T)
+    """``factor`` times finer in x; a pinned ``nt`` grows by ``factor**2``,
+    as the explicit step's CFL bound shrinks with dx^2, so the solver
+    honours or refuses the pin on every refinement."""
+    nt = None if grid.nt is None else grid.nt * factor ** 2
+    return Grid1D(grid.x_min, grid.x_max, (grid.nx - 1) * factor + 1, grid.T,
+                  nt)
 
 
 def stability_check(problem1, problem2, p: float = 1.0, *,

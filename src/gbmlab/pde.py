@@ -25,6 +25,13 @@ from .gcore import (DomainError, DriverSpec, GFunction1D, Grid1D,
                     NumericalError, _one2, _zero2, _zero3, _zero4)
 
 
+# Largest dense storage (u and a_field, every time level) one solve may
+# allocate.  The biggest solve in the test suite and the benchmark (nx=1601
+# in ``stability``) needs about 0.36 GiB; a run that asks for more than this
+# exits with a NumericalError instead of meeting the OOM killer.
+DENSE_BYTES_MAX = 2 * 2 ** 30
+
+
 class PdeForm(enum.Enum):
     GHEAT = "gheat"
     REGULARIZED_BSDE = "regularized_bsde"
@@ -271,6 +278,12 @@ def _solve_levels(grid: Grid1D, driver: DriverSpec, Gs, form: PdeForm,
     shared time grid, as views of one stacked array."""
     xs, dx = grid.xs, grid.dx
     nt, dt, bound = _time_steps(grid, Gs, driver, safety)
+    dense = 2 * 8 * len(Gs) * (nt + 1) * grid.nx
+    if dense > DENSE_BYTES_MAX:
+        raise NumericalError(
+            f"dense solution needs {dense / 2 ** 30:.3g} GiB for nt={nt}, "
+            f"nx={grid.nx}, {len(Gs)} row(s); the limit is "
+            f"{DENSE_BYTES_MAX / 2 ** 30:.3g} GiB")
     t_start = time.perf_counter()
     u = np.empty((len(Gs), nt + 1, grid.nx))
     a_field = np.empty_like(u)
@@ -288,8 +301,7 @@ def _solve_levels(grid: Grid1D, driver: DriverSpec, Gs, form: PdeForm,
     grid = grid.with_nt(nt)
     return tuple(PdeSolution(u=u[i], a_field=a_field[i], grid=grid,
                              driver=driver, G=G, form=form, dx=dx, dt=dt,
-                             metadata=dict(meta,
-                                           max_abs_u=float(np.max(np.abs(u[i])))))
+                             metadata=dict(meta))
                  for i, G in enumerate(Gs))
 
 
@@ -346,6 +358,48 @@ def extremal_control(sol: PdeSolution, G: GFunction1D,
                         tie_tol=float(tie_tol))
 
 
+class GridPoints:
+    """Where points ``x`` fall on a uniform grid ``xs``, found once by index
+    arithmetic and shared by every field row sampled there.
+
+    ``sample(row)`` equals ``np.interp(x, xs, row)`` bit for bit: the slope
+    form ``slope[j] * (x - xs[j]) + row[j]`` between nodes, the node value
+    at a node, and the end values outside the grid.  ``nearest()`` is the
+    nearest node, clipped to the grid.
+    """
+
+    def __init__(self, xs: np.ndarray, x):
+        x = np.asarray(x, dtype=float)
+        self.shape = x.shape
+        x = x.ravel()
+        last = xs.size - 1
+        self.xs = xs
+        self.q = (x - xs[0]) / (xs[1] - xs[0])
+        # truncation is floor once q >= 0; fmax/fmin also send NaN to 0
+        j = np.fmin(np.fmax(self.q, 0.0), last - 1).astype(np.intp)
+        # rounding in q can put a point one cell off near a node
+        j -= x < xs[j]
+        j += x >= xs[j + 1]
+        np.clip(j, 0, last - 1, out=j)
+        left = xs[j]
+        beyond = x >= xs[last]
+        self.at = np.flatnonzero((x <= left) | beyond)
+        self.node = j[self.at] + beyond[self.at]
+        self.j = j
+        self.offset = x - left
+        self.offset[self.at] = 0.0
+
+    def sample(self, row: np.ndarray) -> np.ndarray:
+        slope = (row[1:] - row[:-1]) / (self.xs[1:] - self.xs[:-1])
+        out = slope.take(self.j) * self.offset + row.take(self.j)
+        out[self.at] = row[self.node]
+        return out.reshape(self.shape)[()]
+
+    def nearest(self) -> np.ndarray:
+        j = np.clip(np.rint(self.q), 0, self.xs.size - 1).astype(np.int64)
+        return j.reshape(self.shape)[()]
+
+
 class FieldInterpolator:
     """Left-endpoint-in-time, linear-in-x sampler of a solution's fields."""
 
@@ -355,17 +409,17 @@ class FieldInterpolator:
         self.xs = sol.xs
         self.ux = _ux(sol.u, sol.dx)
 
-    def _level(self, t: float) -> int:
+    def level(self, t: float) -> int:
         return _time_index(self.ts, t)
 
     def u_at(self, t: float, x):
-        return np.interp(x, self.xs, self.sol.u[self._level(t)])
+        return GridPoints(self.xs, x).sample(self.sol.u[self.level(t)])
 
     def z_at(self, t: float, x):
-        return np.interp(x, self.xs, self.ux[self._level(t)])
+        return GridPoints(self.xs, x).sample(self.ux[self.level(t)])
 
     def a_at(self, t: float, x):
-        return np.interp(x, self.xs, self.sol.a_field[self._level(t)])
+        return GridPoints(self.xs, x).sample(self.sol.a_field[self.level(t)])
 
 
 # ---------------------------------------------------------------------------

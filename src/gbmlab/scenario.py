@@ -7,22 +7,32 @@ measure is admissible by design and the only question (answered by
 function it is paired with.
 
 Randomness comes from counter-based Philox streams keyed by
-(seed, path index), so path i is the same no matter how many paths are
-drawn, so estimates are reproducible and extensible.  Means and standard
-errors use a deterministic pairwise reduction.
+(seed, path index): one Philox generator is re-keyed for each path, so
+path i is the same no matter how many paths are drawn or in what chunks,
+and estimates are reproducible and extensible.  Means and standard errors
+use a deterministic pairwise reduction.
+
+``estimate_dx`` and ``estimate_dt`` draw the normals once per estimate and
+walk the paths once per candidate control.  Each step finds every path's
+grid position once, reads u, u_x, the generator argument and the feedback
+volatility there, advances X, log Gamma, Xhat (and Xbar for the time
+derivative) as running per-path vectors, accumulates the estimator
+integrand and writes the K increment.  ``simulate_paths``, ``forward_sde``,
+``variational_paths`` and ``k_increments`` run the same step helpers over a
+whole bundle, one stochastic process per call.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gcore import DomainError, DriverSpec, GFunction1D, NumericalError
-from .pde import ControlField, FieldInterpolator, PdeSolution, extremal_control
+from .pde import (FieldInterpolator, GridPoints, PdeSolution, _time_index,
+                  extremal_control)
 
 
 # ---------------------------------------------------------------------------
@@ -40,10 +50,14 @@ def path_normals(seed: int, n_paths: int, n_steps: int,
         raise DomainError("need n_paths >= 1 and n_steps >= 1")
     out = np.empty((n_paths, n_steps))
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bg)
+    fresh = bg.state  # counter zero, buffer empty; only the key changes
+    key = fresh["state"]["key"]
     for i in range(n_paths):
-        bg = np.random.Philox(key=np.array([seed, path_offset + i],
-                                           dtype=np.uint64))
-        out[i] = np.random.Generator(bg).standard_normal(n_steps)
+        key[1] = path_offset + i
+        bg.state = fresh
+        gen.standard_normal(out=out[i])
     return out
 
 
@@ -142,12 +156,95 @@ class VolatilityControl:
         if self.kind is ControlKind.PIECEWISE:
             i = int(np.searchsorted(self.times, t + 1e-12, side="right") - 1)
             return np.full_like(x, self.values[max(i, 0)])
-        ts, xs = self.field_ts, self.field_xs
-        n = int(np.clip(np.searchsorted(ts, t + 1e-12, side="right") - 1,
-                        0, len(ts) - 1))
-        dx = xs[1] - xs[0]
-        j = np.clip(np.rint((x - xs[0]) / dx).astype(np.int64), 0, len(xs) - 1)
-        return self.field_sigma[n, j]
+        n = _time_index(self.field_ts, t)
+        return self.field_sigma[n, GridPoints(self.field_xs, x).nearest()]
+
+
+# ---------------------------------------------------------------------------
+# one step along the paths
+# ---------------------------------------------------------------------------
+
+def _step_size(t0: float, T: float, n_steps: int) -> float:
+    horizon = T - t0
+    if horizon <= 0:
+        raise DomainError(f"need t0 < T, got t0={t0}, T={T}")
+    if n_steps < 1:
+        raise DomainError(f"need n_steps >= 1, got {n_steps}")
+    return horizon / n_steps
+
+
+def _forward_step(driver: DriverSpec, t: float, x: np.ndarray, dt: float,
+                  dq, db) -> np.ndarray:
+    """Euler step dX = b dt + h dQV + sigma dB."""
+    return (x + np.asarray(driver.b(t, x), dtype=float) * dt
+            + np.asarray(driver.h(t, x), dtype=float) * dq
+            + np.asarray(driver.sigma(t, x), dtype=float) * db)
+
+
+def _check_forward(X: np.ndarray) -> None:
+    """Raise on the first path (row of ``X``, or entry of a state vector)
+    that is not finite."""
+    finite = np.isfinite(X)
+    if not finite.all():
+        i = int(np.argmin(finite.reshape(len(X), -1).all(axis=1)))
+        raise NumericalError(f"forward state turned non-finite on path {i}")
+
+
+def _opt(fn, *args):
+    return 0.0 if fn is None else np.asarray(fn(*args), dtype=float)
+
+
+class _Variations:
+    """Running per-path first-order variation processes.
+
+    Gamma uses the log-Euler form exp(sum f_y dt + (g_y - g_z^2/2) dQV +
+    g_z dB), so positivity is exact; Xhat is the flow derivative
+    (Xhat_t = 1); Xbar, the time-variation process (Xbar_t = 0), is kept
+    only when the horizon end ``t_end`` is given.  ``finite`` records
+    whether every value so far was finite.
+    """
+
+    def __init__(self, n_paths: int, t0: float, t_end: float | None):
+        self.logG = np.zeros(n_paths)
+        self.Gamma = np.ones(n_paths)
+        self.Xhat = np.ones(n_paths)
+        self.Xbar = None if t_end is None else np.zeros(n_paths)
+        self.t_end = t_end
+        self.horizon = None if t_end is None else t_end - t0
+        self.finite = True
+
+    def step(self, driver: DriverSpec, t: float, x, y, z, dt: float,
+             dq, db) -> None:
+        fy = np.asarray(driver.f_y(t, x, y), dtype=float)
+        gy = np.asarray(driver.g_y(t, x, y, z), dtype=float)
+        gz = np.asarray(driver.g_z(t, x, y, z), dtype=float)
+        self.logG = self.logG + fy * dt + (gy - 0.5 * gz * gz) * dq + gz * db
+        self.Gamma = np.exp(self.logG)
+        bx = np.asarray(driver.b_x(t, x), dtype=float)
+        hx = np.asarray(driver.h_x(t, x), dtype=float)
+        sx = np.asarray(driver.sigma_x(t, x), dtype=float)
+        if self.Xbar is not None:
+            horizon, xb = self.horizon, self.Xbar
+            tau = (self.t_end - t) / horizon
+            bv = np.asarray(driver.b(t, x), dtype=float)
+            hv = np.asarray(driver.h(t, x), dtype=float)
+            sv = np.asarray(driver.sigma(t, x), dtype=float)
+            self.Xbar = xb \
+                + (bx * xb + tau * _opt(driver.b_t, t, x)
+                   - bv / horizon) * dt \
+                + (hx * xb + tau * _opt(driver.h_t, t, x)
+                   - hv / horizon) * dq \
+                + (sx * xb + tau * _opt(driver.sigma_t, t, x)
+                   - sv / (2.0 * horizon)) * db
+            self.finite = self.finite and bool(np.isfinite(self.Xbar).all())
+        self.Xhat = self.Xhat * (1.0 + bx * dt + hx * dq + sx * db)
+        self.finite = (self.finite and bool(np.isfinite(self.Gamma).all())
+                       and bool(np.isfinite(self.Xhat).all()))
+
+
+def _k_step(G: GFunction1D, a, dq, dt: float):
+    """Increment 0.5 a dQV - G(a) dt of the martingale-defect process K."""
+    return 0.5 * a * dq - G.eval(a) * dt
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +303,7 @@ def simulate_paths(control: VolatilityControl, n_paths: int, n_steps: int,
     forward state is advanced jointly (requires ``driver``) and stored on the
     bundle.
     """
-    horizon = T - t0
-    if horizon <= 0:
-        raise DomainError(f"need t0 < T, got t0={t0}, T={T}")
-    if n_steps < 1:
-        raise DomainError(f"need n_steps >= 1, got {n_steps}")
-    dt = horizon / n_steps
+    dt = _step_size(t0, T, n_steps)
     xi = path_normals(seed, n_paths, n_steps)
     sqdt = math.sqrt(dt)
 
@@ -235,13 +327,8 @@ def simulate_paths(control: VolatilityControl, n_paths: int, n_steps: int,
         s = control.sigma_at(t, xk)
         sig[:, k] = s
         dB[:, k] = s * sqdt * xi[:, k]
-        dqv = s * s * dt
-        X[:, k + 1] = (xk + np.asarray(driver.b(t, xk), dtype=float) * dt
-                       + np.asarray(driver.h(t, xk), dtype=float) * dqv
-                       + np.asarray(driver.sigma(t, xk), dtype=float) * dB[:, k])
-    if not np.all(np.isfinite(X)):
-        i = int(np.argmin(np.isfinite(X).all(axis=1)))
-        raise NumericalError(f"forward state turned non-finite on path {i}")
+        X[:, k + 1] = _forward_step(driver, t, xk, dt, s * s * dt, dB[:, k])
+    _check_forward(X)
     return PathBundle(t0=t0, t_end=T, n_paths=n_paths, n_steps=n_steps,
                       dt=dt, dB=dB, sigma=sig, seed=int(seed),
                       control=control, x_paths=X, x0=float(x0))
@@ -260,15 +347,9 @@ def forward_sde(driver: DriverSpec, t: float, x: float,
     X[:, 0] = x
     dt = bundle.dt
     for k in range(n_steps):
-        tk = bundle.t0 + k * dt
-        xk = X[:, k]
-        X[:, k + 1] = (xk + np.asarray(driver.b(tk, xk), dtype=float) * dt
-                       + np.asarray(driver.h(tk, xk), dtype=float) * dqv[:, k]
-                       + np.asarray(driver.sigma(tk, xk), dtype=float)
-                       * bundle.dB[:, k])
-    if not np.all(np.isfinite(X)):
-        i = int(np.argmin(np.isfinite(X).all(axis=1)))
-        raise NumericalError(f"forward state turned non-finite on path {i}")
+        X[:, k + 1] = _forward_step(driver, bundle.t0 + k * dt, X[:, k], dt,
+                                    dqv[:, k], bundle.dB[:, k])
+    _check_forward(X)
     return X
 
 
@@ -291,64 +372,30 @@ def variational_paths(driver: DriverSpec, bundle: PathBundle, X: np.ndarray,
                       ) -> VariationalPaths:
     """Integrate the three first-order variation processes along paths.
 
-    Gamma uses the log-Euler form exp(sum f_y dt + (g_y - g_z^2/2) dQV +
-    g_z dB), so positivity is exact.  Y and Z along paths are read from
-    ``fields`` (value and slope of the associated PDE solution); drivers
-    whose f and g ignore (y, z) may pass ``fields=None``.
+    Y and Z along paths are read from ``fields`` (value and slope of the
+    associated PDE solution); drivers whose f and g ignore (y, z) may pass
+    ``fields=None``.
     """
     n_paths, n_steps = bundle.n_paths, bundle.n_steps
-    dt = bundle.dt
     dqv = np.broadcast_to(bundle.dQV, bundle.dB.shape)
-    horizon = bundle.t_end - bundle.t0
-    logG = np.zeros(n_paths)
+    var = _Variations(n_paths, bundle.t0, bundle.t_end)
     Gamma = np.empty((n_paths, n_steps + 1))
     Xhat = np.empty((n_paths, n_steps + 1))
     Xbar = np.empty((n_paths, n_steps + 1))
-    Gamma[:, 0] = 1.0
-    Xhat[:, 0] = 1.0
-    Xbar[:, 0] = 0.0
-
-    def opt(fn, *args):
-        if fn is None:
-            return 0.0
-        return np.asarray(fn(*args), dtype=float)
-
+    Gamma[:, 0], Xhat[:, 0], Xbar[:, 0] = var.Gamma, var.Xhat, var.Xbar
+    zeros = np.zeros(n_paths)
     for k in range(n_steps):
-        tk = bundle.t0 + k * dt
+        tk = bundle.t0 + k * bundle.dt
         xk = X[:, k]
+        yk = zk = zeros
         if fields is not None:
-            yk = fields.u_at(tk, xk)
-            zk = fields.z_at(tk, xk)
-        else:
-            yk = np.zeros(n_paths)
-            zk = np.zeros(n_paths)
-        db = bundle.dB[:, k]
-        dq = dqv[:, k]
-
-        fy = np.asarray(driver.f_y(tk, xk, yk), dtype=float)
-        gy = np.asarray(driver.g_y(tk, xk, yk, zk), dtype=float)
-        gz = np.asarray(driver.g_z(tk, xk, yk, zk), dtype=float)
-        logG = logG + fy * dt + (gy - 0.5 * gz * gz) * dq + gz * db
-        Gamma[:, k + 1] = np.exp(logG)
-
-        bx = np.asarray(driver.b_x(tk, xk), dtype=float)
-        hx = np.asarray(driver.h_x(tk, xk), dtype=float)
-        sx = np.asarray(driver.sigma_x(tk, xk), dtype=float)
-        Xhat[:, k + 1] = Xhat[:, k] * (1.0 + bx * dt + hx * dq + sx * db)
-
-        tau = (bundle.t_end - tk) / horizon
-        bv = np.asarray(driver.b(tk, xk), dtype=float)
-        hv = np.asarray(driver.h(tk, xk), dtype=float)
-        sv = np.asarray(driver.sigma(tk, xk), dtype=float)
-        Xbar[:, k + 1] = Xbar[:, k] \
-            + (bx * Xbar[:, k] + tau * opt(driver.b_t, tk, xk)
-               - bv / horizon) * dt \
-            + (hx * Xbar[:, k] + tau * opt(driver.h_t, tk, xk)
-               - hv / horizon) * dq \
-            + (sx * Xbar[:, k] + tau * opt(driver.sigma_t, tk, xk)
-               - sv / (2.0 * horizon)) * db
-    if not (np.all(np.isfinite(Gamma)) and np.all(np.isfinite(Xhat))
-            and np.all(np.isfinite(Xbar))):
+            n, pts = fields.level(tk), GridPoints(fields.xs, xk)
+            yk, zk = pts.sample(fields.sol.u[n]), pts.sample(fields.ux[n])
+        var.step(driver, tk, xk, yk, zk, bundle.dt, dqv[:, k],
+                 bundle.dB[:, k])
+        Gamma[:, k + 1], Xhat[:, k + 1], Xbar[:, k + 1] = \
+            var.Gamma, var.Xhat, var.Xbar
+    if not var.finite:
         raise NumericalError("variational process turned non-finite")
     return VariationalPaths(Gamma=Gamma, Xhat=Xhat, Xbar=Xbar)
 
@@ -361,14 +408,12 @@ def k_increments(fields: FieldInterpolator, G: GFunction1D,
                  bundle: PathBundle, X: np.ndarray) -> np.ndarray:
     """Per-step increments 0.5 a dQV - G(a) dt of the martingale-defect
     process K along simulated paths (a read from the solution's field)."""
-    n_steps = bundle.n_steps
     dqv = np.broadcast_to(bundle.dQV, bundle.dB.shape)
-    out = np.empty((bundle.n_paths, n_steps))
+    out = np.empty((bundle.n_paths, bundle.n_steps))
     dt = bundle.dt
-    for k in range(n_steps):
-        tk = bundle.t0 + k * dt
-        a = fields.a_at(tk, X[:, k])
-        out[:, k] = 0.5 * a * dqv[:, k] - G.eval(a) * dt
+    for k in range(bundle.n_steps):
+        a = fields.a_at(bundle.t0 + k * dt, X[:, k])
+        out[:, k] = _k_step(G, a, dqv[:, k], dt)
     return out
 
 
@@ -448,126 +493,84 @@ def _candidate_controls(sol: PdeSolution, G: GFunction1D) -> list:
     return controls
 
 
-def _per_step_weights(driver: DriverSpec, bundle: PathBundle, X: np.ndarray,
-                      fields: FieldInterpolator | None):
-    """(t_k, X_k, Y_k, Z_k) slices shared by both estimators."""
-    n_steps = bundle.n_steps
-    out = []
-    for k in range(n_steps):
-        tk = bundle.t0 + k * bundle.dt
-        xk = X[:, k]
-        if fields is not None:
-            yk = fields.u_at(tk, xk)
-            zk = fields.z_at(tk, xk)
-        else:
-            yk = np.zeros(bundle.n_paths)
-            zk = np.zeros(bundle.n_paths)
-        out.append((tk, xk, yk, zk))
-    return out
+def _feedback_pass(kind: str, driver: DriverSpec,
+                   control: VolatilityControl, fields: FieldInterpolator,
+                   G: GFunction1D, xi: np.ndarray, t0: float, x0: float):
+    """One walk over the paths driven by the normals ``xi`` under a feedback
+    control built from ``fields.sol`` (so it shares that grid).
 
-
-def estimate_dx(driver: DriverSpec, t: float, x: float, G: GFunction1D,
-                sol: PdeSolution, mc: dict | None = None
-                ) -> SensitivityEstimate:
-    """Monte Carlo one-sided space derivatives of the value function at
-    (t, x): E[phi'(X_T) Xhat_T Gamma_T + int f_x Xhat Gamma ds +
-    int g_x Xhat Gamma dQV] under extremal feedback controls (and the
-    tie-flipped variant); plus takes the max over controls, minus the min."""
-    mc = dict(mc or {})
-    n_paths = int(mc.get("n_paths", 10_000))
-    n_steps = int(mc.get("n_steps", 256))
-    seed = int(mc.get("seed", 0))
-    fields = FieldInterpolator(sol)
-    results = []
-    for control in _candidate_controls(sol, G):
-        bundle = simulate_paths(control, n_paths, n_steps, sol.grid.T, seed,
-                                driver=driver, t0=t, x0=x)
-        X = forward_sde(driver, t, x, bundle)
-        var = variational_paths(driver, bundle, X, fields)
-        dqv = np.broadcast_to(bundle.dQV, bundle.dB.shape)
-        acc = np.zeros(n_paths)
-        for k, (tk, xk, yk, zk) in enumerate(
-                _per_step_weights(driver, bundle, X, fields)):
-            w = var.Xhat[:, k] * var.Gamma[:, k]
-            acc += np.asarray(driver.f_x(tk, xk, yk), dtype=float) \
-                * w * bundle.dt
-            acc += np.asarray(driver.g_x(tk, xk, yk, zk), dtype=float) \
-                * w * dqv[:, k]
-        wT = var.Xhat[:, -1] * var.Gamma[:, -1]
-        vplus = _phi_sided(driver, X[:, -1], "plus") * wT + acc
-        vminus = _phi_sided(driver, X[:, -1], "minus") * wT + acc
-        mp, sp = mean_and_se(vplus)
-        mm, sm = mean_and_se(vminus)
-        kt = k_increments(fields, G, bundle, X).sum(axis=1)
-        kmean, kse = mean_and_se(kt)
-        scale = max(1.0, abs(sol.value(t, x)))
-        results.append(dict(label=control.label, plus=mp, se_plus=sp,
-                            minus=mm, se_minus=sm,
-                            residual=kmean / scale,
-                            residual_se=kse / scale,
-                            accepted=abs(kmean / scale)
-                            <= 3.0 * kse / scale + 1e-2))
-    best_p = max(results, key=lambda r: r["plus"])
-    best_m = min(results, key=lambda r: r["minus"])
-    return SensitivityEstimate(t=t, x=x, plus=best_p["plus"],
-                               minus=best_m["minus"],
-                               se_plus=best_p["se_plus"],
-                               se_minus=best_m["se_minus"],
-                               controls=tuple(results),
-                               any_control_accepted=any(r["accepted"]
-                                                        for r in results))
-
-
-def estimate_dt(driver: DriverSpec, t: float, x: float, G: GFunction1D,
-                sol: PdeSolution, mc: dict | None = None
-                ) -> SensitivityEstimate:
-    """Monte Carlo one-sided time derivatives at (t, x), 0 < t < T, via the
-    time-variation process Xbar and the quadratic-variation correction
-    g_z Z / (2 (T-t))."""
+    Returns (X_T, terminal weight, path integral, K_T) for the space
+    (``kind`` "x": weight Xhat Gamma) or time (``kind`` "t": weight
+    Xbar Gamma) derivative.  K_T sums the stored (n_paths, n_steps)
+    increments row by row, in the same order as ``k_increments``.
+    """
+    sol = fields.sol
     T = sol.grid.T
-    if not (0.0 < t < T):
-        raise DomainError(f"time sensitivity needs 0 < t < T, got t={t}")
+    n_paths, n_steps = xi.shape
+    dt = _step_size(t0, T, n_steps)
+    sqdt = math.sqrt(dt)
+    horizon = T - t0
+    x = np.full(n_paths, float(x0))
+    var = _Variations(n_paths, t0, T if kind == "t" else None)
+    acc = np.zeros(n_paths)
+    dk = np.empty((n_paths, n_steps))
+    for k in range(n_steps):
+        tk = t0 + k * dt
+        n, pts = fields.level(tk), GridPoints(fields.xs, x)
+        y, z, a = (pts.sample(sol.u[n]), pts.sample(fields.ux[n]),
+                   pts.sample(sol.a_field[n]))
+        s = control.field_sigma[n, pts.nearest()]
+        db = s * sqdt * xi[:, k]
+        dq = s * s * dt
+        gam = var.Gamma
+        if kind == "x":
+            w = var.Xhat * gam
+            acc += np.asarray(driver.f_x(tk, x, y), dtype=float) * w * dt
+            acc += np.asarray(driver.g_x(tk, x, y, z), dtype=float) * w * dq
+        else:
+            tau = (T - tk) / horizon
+            xb = var.Xbar
+            fterm = (np.asarray(driver.f_x(tk, x, y), dtype=float) * xb
+                     + tau * _opt(driver.f_t, tk, x, y)
+                     - np.asarray(driver.f(tk, x, y), dtype=float) / horizon)
+            gterm = (np.asarray(driver.g_z(tk, x, y, z), dtype=float) * z
+                     / (2.0 * horizon)
+                     + np.asarray(driver.g_x(tk, x, y, z), dtype=float) * xb
+                     + tau * _opt(driver.g_t, tk, x, y, z)
+                     - np.asarray(driver.g(tk, x, y, z), dtype=float)
+                     / horizon)
+            acc += fterm * gam * dt + gterm * gam * dq
+        dk[:, k] = _k_step(G, a, dq, dt)
+        var.step(driver, tk, x, y, z, dt, dq, db)
+        x = _forward_step(driver, tk, x, dt, dq, db)
+        _check_forward(x)
+    if not var.finite:
+        raise NumericalError("variational process turned non-finite")
+    weight = (var.Xhat if kind == "x" else var.Xbar) * var.Gamma
+    return x, weight, acc, dk.sum(axis=1)
+
+
+def _estimate(kind: str, driver: DriverSpec, t: float, x: float,
+              G: GFunction1D, sol: PdeSolution, mc: dict | None
+              ) -> SensitivityEstimate:
+    """One-sided derivative estimates over the candidate controls, which
+    share one seed and so one draw of the normals."""
     mc = dict(mc or {})
     n_paths = int(mc.get("n_paths", 10_000))
     n_steps = int(mc.get("n_steps", 256))
     seed = int(mc.get("seed", 0))
-    horizon = T - t
     fields = FieldInterpolator(sol)
+    controls = _candidate_controls(sol, G)
+    _step_size(t, sol.grid.T, n_steps)  # refuse a bad horizon before drawing
+    xi = path_normals(seed, n_paths, n_steps)
+    scale = max(1.0, abs(sol.value(t, x)))
     results = []
-    for control in _candidate_controls(sol, G):
-        bundle = simulate_paths(control, n_paths, n_steps, T, seed,
-                                driver=driver, t0=t, x0=x)
-        X = forward_sde(driver, t, x, bundle)
-        var = variational_paths(driver, bundle, X, fields)
-        dqv = np.broadcast_to(bundle.dQV, bundle.dB.shape)
-        acc = np.zeros(n_paths)
-        for k, (tk, xk, yk, zk) in enumerate(
-                _per_step_weights(driver, bundle, X, fields)):
-            tau = (T - tk) / horizon
-            gam = var.Gamma[:, k]
-            xb = var.Xbar[:, k]
-            ft = (np.asarray(driver.f_t(tk, xk, yk), dtype=float)
-                  if driver.f_t is not None else 0.0)
-            gt = (np.asarray(driver.g_t(tk, xk, yk, zk), dtype=float)
-                  if driver.g_t is not None else 0.0)
-            fterm = (np.asarray(driver.f_x(tk, xk, yk), dtype=float) * xb
-                     + tau * ft
-                     - np.asarray(driver.f(tk, xk, yk), dtype=float) / horizon)
-            gterm = (np.asarray(driver.g_z(tk, xk, yk, zk), dtype=float) * zk
-                     / (2.0 * horizon)
-                     + np.asarray(driver.g_x(tk, xk, yk, zk), dtype=float) * xb
-                     + tau * gt
-                     - np.asarray(driver.g(tk, xk, yk, zk), dtype=float)
-                     / horizon)
-            acc += fterm * gam * bundle.dt + gterm * gam * dqv[:, k]
-        wT = var.Xbar[:, -1] * var.Gamma[:, -1]
-        vplus = _phi_sided(driver, X[:, -1], "plus") * wT + acc
-        vminus = _phi_sided(driver, X[:, -1], "minus") * wT + acc
-        mp, sp = mean_and_se(vplus)
-        mm, sm = mean_and_se(vminus)
-        kt = k_increments(fields, G, bundle, X).sum(axis=1)
+    for control in controls:
+        xT, weight, acc, kt = _feedback_pass(kind, driver, control, fields, G,
+                                             xi, t, x)
+        mp, sp = mean_and_se(_phi_sided(driver, xT, "plus") * weight + acc)
+        mm, sm = mean_and_se(_phi_sided(driver, xT, "minus") * weight + acc)
         kmean, kse = mean_and_se(kt)
-        scale = max(1.0, abs(sol.value(t, x)))
         results.append(dict(label=control.label, plus=mp, se_plus=sp,
                             minus=mm, se_minus=sm,
                             residual=kmean / scale, residual_se=kse / scale,
@@ -582,6 +585,27 @@ def estimate_dt(driver: DriverSpec, t: float, x: float, G: GFunction1D,
                                controls=tuple(results),
                                any_control_accepted=any(r["accepted"]
                                                         for r in results))
+
+
+def estimate_dx(driver: DriverSpec, t: float, x: float, G: GFunction1D,
+                sol: PdeSolution, mc: dict | None = None
+                ) -> SensitivityEstimate:
+    """Monte Carlo one-sided space derivatives of the value function at
+    (t, x): E[phi'(X_T) Xhat_T Gamma_T + int f_x Xhat Gamma ds +
+    int g_x Xhat Gamma dQV] under extremal feedback controls (and the
+    tie-flipped variant); plus takes the max over controls, minus the min."""
+    return _estimate("x", driver, t, x, G, sol, mc)
+
+
+def estimate_dt(driver: DriverSpec, t: float, x: float, G: GFunction1D,
+                sol: PdeSolution, mc: dict | None = None
+                ) -> SensitivityEstimate:
+    """Monte Carlo one-sided time derivatives at (t, x), 0 < t < T, via the
+    time-variation process Xbar and the quadratic-variation correction
+    g_z Z / (2 (T-t))."""
+    if not (0.0 < t < sol.grid.T):
+        raise DomainError(f"time sensitivity needs 0 < t < T, got t={t}")
+    return _estimate("t", driver, t, x, G, sol, mc)
 
 
 def export_sensitivity_csv(path: str, rows: list[dict]) -> None:

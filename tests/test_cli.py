@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import gbmlab
 from gbmlab.cli import _main
 
 
@@ -188,12 +193,48 @@ def test_stability_needs_comparison_exits_one(tmp_path):
 
 
 def test_cfl_refusal_exits_two(tmp_path):
-    # a pinned nt below the CFL bound is refused, for one level and for the
-    # eps family alike
+    # a pinned nt below the CFL bound is refused, for one level, for the
+    # eps family and for the refined grids of semiconvexity and stability
     for argv in (["solve-pde", "--nt", "10"],
-                 ["gbsde", "--nt", "10", "--nx", "101"]):
+                 ["gbsde", "--nt", "10", "--nx", "101"],
+                 ["semiconvexity", "--nt", "10", "--nx", "51"],
+                 ["stability", "--shift", "0.1", "--nt", "10", "--nx", "51"]):
         rc = _main([*argv, "--output-dir", str(tmp_path / argv[0])])
         assert rc == 2, argv[0]
+
+
+def test_refined_grids_scale_a_stable_pinned_nt(tmp_path):
+    # nt=20 is stable at nx=51; the 2x and 4x refinements step at 80 and
+    # 320 levels, as dt must shrink with dx^2 (20 levels there is refused)
+    for argv in (["semiconvexity", "--nt", "20", "--nx", "51"],
+                 ["stability", "--shift", "0.1", "--nt", "20", "--nx", "51"]):
+        out = tmp_path / argv[0]
+        assert _main([*argv, "--output-dir", str(out)]) == 0, argv[0]
+        assert _summary(out)["parameters"]["nt"] == 20
+
+
+def test_dense_memory_guard_exits_two(tmp_path):
+    # CFL asks for about 4.06M time levels here, so the two dense arrays
+    # would need about 3.3 GB; the solver must refuse before allocating.
+    # The address-space cap keeps a missing guard from exhausting the
+    # machine: without the guard the child dies with a MemoryError.
+    script = textwrap.dedent(f"""
+        import resource, sys
+        cap = 3 * 2 ** 29  # 1.5 GiB of address space
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        from gbmlab.cli import _main
+        sys.exit(_main(["solve-pde", "--preset", "sine-gz", "--param",
+                        "c=1e6", "--nx", "51", "--output-dir",
+                        {str(tmp_path)!r}]))
+        """)
+    src = os.path.dirname(os.path.dirname(gbmlab.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
 
 
 def test_infinite_horizon_exits_one(tmp_path):

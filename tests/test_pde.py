@@ -21,6 +21,8 @@ from gbmlab.gcore import (
 )
 from gbmlab.gexpect import LatticeSpec, lattice_oracle
 from gbmlab.pde import (
+    FieldInterpolator,
+    GridPoints,
     PdeForm,
     PdeProblem,
     PdeSolution,
@@ -304,3 +306,59 @@ def test_export_solution_csv(tmp_path):
     cell = lines[1].split(",")[2]
     assert "e" in cell and len(cell.split("e")[0].replace("-", "")) == 14
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---- shared-index sampling ----
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def test_grid_points_sample_equals_np_interp_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for nx, lo, hi in ((3, -1.0, 1.0), (51, -8.2, 8.2), (401, -7.0, 9.3),
+                       (1601, 0.1, 0.35)):
+        xs = Grid1D(lo, hi, nx, 1.0).xs
+        rows = [rng.normal(size=nx) * 10.0 ** rng.uniform(-3, 3, size=nx),
+                np.where(rng.random(nx) < 0.3, -0.0, rng.normal(size=nx))]
+        pad = hi - lo
+        x = np.concatenate([
+            xs,                                     # every node
+            np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf),
+            [lo, hi, lo - 1e-300, hi + 1e-12, lo - pad, hi + pad,
+             -1e300, 1e300, -np.inf, np.inf, np.nan],   # ends and outside
+            rng.uniform(lo - 0.1 * pad, hi + 0.1 * pad, size=5000)])
+        pts = GridPoints(xs, x)
+        for row in rows:
+            assert _bits(pts.sample(row)) == _bits(np.interp(x, xs, row))
+        near = np.abs(x) < 1e6
+        j = np.clip(np.rint((x[near] - xs[0]) / (xs[1] - xs[0]))
+                    .astype(np.int64), 0, nx - 1)
+        assert np.array_equal(GridPoints(xs, x[near]).nearest(), j)
+        far = GridPoints(xs, [-1e300, 1e300, -np.inf, np.inf]).nearest()
+        assert far.tolist() == [0, nx - 1, 0, nx - 1]
+
+
+def test_grid_points_keep_the_shape_of_x():
+    xs = Grid1D(-1.0, 1.0, 11, 1.0).xs
+    row = xs ** 2
+    x = np.array([[0.05, -2.0], [0.3, 1.0]])
+    assert np.array_equal(GridPoints(xs, x).sample(row),
+                          np.interp(x, xs, row))
+    assert GridPoints(xs, 0.05).sample(row) == np.interp(0.05, xs, row)
+
+
+def test_field_interpolator_matches_np_interp():
+    G = regularize(G01, 0.2)
+    sol = solve_terminal_pde(PdeProblem(
+        Grid1D.default_for(0.0, 1.0, G, nx=101), preset_driver("sine-gz"), G,
+        PdeForm.REGULARIZED_BSDE))
+    fields = FieldInterpolator(sol)
+    x = np.random.default_rng(2).normal(scale=3.0, size=300)
+    for t in (0.0, 0.37, 1.0):
+        n = min(int(np.searchsorted(sol.ts, t + 1e-12, side="right")) - 1,
+                sol.nt)
+        for got, row in ((fields.u_at(t, x), sol.u[n]),
+                         (fields.z_at(t, x), fields.ux[n]),
+                         (fields.a_at(t, x), sol.a_field[n])):
+            assert _bits(got) == _bits(np.interp(x, sol.xs, row))

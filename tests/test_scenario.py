@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from gbmlab import scenario
 from gbmlab.gcore import (
     DomainError,
     Grid1D,
@@ -29,6 +30,7 @@ from gbmlab.scenario import (
     estimate_dx,
     export_sensitivity_csv,
     forward_sde,
+    k_increments,
     mean_and_se,
     pairwise_sum,
     path_normals,
@@ -68,6 +70,43 @@ def test_path_normals_split_stability():
     tail = path_normals(0, 60, 16, path_offset=40)
     assert np.array_equal(full[:40], head)
     assert np.array_equal(full[40:], tail)
+
+
+def _fresh_stream_normals(seed, n_paths, n_steps, path_offset=0):
+    # reference: a new Philox generator per path
+    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    return np.stack([
+        np.random.Generator(np.random.Philox(key=np.array(
+            [seed, path_offset + i], dtype=np.uint64))).standard_normal(n_steps)
+        for i in range(n_paths)])
+
+
+@pytest.mark.parametrize("offset", [0, 16384])
+def test_path_normals_equal_fresh_streams(offset):
+    for seed in (0, 7, -3):
+        ref = _fresh_stream_normals(seed, 37, 21, offset)
+        assert np.array_equal(path_normals(seed, 37, 21, offset), ref)
+        chunks = [path_normals(seed, stop - start, 21, offset + start)
+                  for start, stop in ((0, 5), (5, 6), (6, 37))]
+        assert np.array_equal(np.concatenate(chunks), ref)
+
+
+def test_path_normals_chunk_invariance_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 64 - 1),
+                      n_paths=st.integers(1, 24), n_steps=st.integers(1, 12),
+                      offset=st.integers(0, 2 ** 40), data=st.data())
+    def check(seed, n_paths, n_steps, offset, data):
+        cut = data.draw(st.integers(0, n_paths))
+        full = path_normals(seed, n_paths, n_steps, offset)
+        parts = [path_normals(seed, stop - start, n_steps, offset + start)
+                 for start, stop in ((0, cut), (cut, n_paths)) if stop > start]
+        assert np.array_equal(np.concatenate(parts), full)
+
+    check()
 
 
 def test_pairwise_sum_and_se():
@@ -265,6 +304,88 @@ def test_dx_pure_case_matches_pde_slope():
     d = derivatives(sol)
     j = int(np.argmin(np.abs(sol.xs - 0.5)))
     assert abs(est.plus - d.ux[0, j]) <= 3.0 * est.se_plus + 2e-2
+
+
+# ---------------------------------------------------------------------------
+# the one-pass estimators against whole-bundle passes
+# ---------------------------------------------------------------------------
+
+def _reference_estimate(kind, driver, t, x, G, sol, mc):
+    """Per-control results of the estimators composed from whole-bundle
+    passes: simulate_paths -> forward_sde -> variational_paths ->
+    k_increments, with Y and Z read by np.interp, one simulation per
+    control."""
+    n_paths, n_steps, seed = mc["n_paths"], mc["n_steps"], mc["seed"]
+    T = sol.grid.T
+    horizon = T - t
+    fields = FieldInterpolator(sol)
+    scale = max(1.0, abs(sol.value(t, x)))
+    results = []
+    for control in scenario._candidate_controls(sol, G):
+        bundle = simulate_paths(control, n_paths, n_steps, T, seed,
+                                driver=driver, t0=t, x0=x)
+        X = forward_sde(driver, t, x, bundle)
+        var = variational_paths(driver, bundle, X, fields)
+        dqv = np.broadcast_to(bundle.dQV, bundle.dB.shape)
+        acc = np.zeros(n_paths)
+        for k in range(n_steps):
+            tk = t + k * bundle.dt
+            xk = X[:, k]
+            n = min(max(int(np.searchsorted(sol.ts, tk + 1e-12,
+                                            side="right")) - 1, 0), sol.nt)
+            yk = np.interp(xk, sol.xs, sol.u[n])
+            zk = np.interp(xk, sol.xs, fields.ux[n])
+            if kind == "x":
+                w = var.Xhat[:, k] * var.Gamma[:, k]
+                acc += np.asarray(driver.f_x(tk, xk, yk)) * w * bundle.dt
+                acc += np.asarray(driver.g_x(tk, xk, yk, zk)) * w * dqv[:, k]
+            else:
+                tau = (T - tk) / horizon
+                gam, xb = var.Gamma[:, k], var.Xbar[:, k]
+                ft = 0.0 if driver.f_t is None else driver.f_t(tk, xk, yk)
+                gt = 0.0 if driver.g_t is None else driver.g_t(tk, xk, yk, zk)
+                fterm = (driver.f_x(tk, xk, yk) * xb + tau * ft
+                         - driver.f(tk, xk, yk) / horizon)
+                gterm = (driver.g_z(tk, xk, yk, zk) * zk / (2.0 * horizon)
+                         + driver.g_x(tk, xk, yk, zk) * xb + tau * gt
+                         - driver.g(tk, xk, yk, zk) / horizon)
+                acc += fterm * gam * bundle.dt + gterm * gam * dqv[:, k]
+        weight = (var.Xhat if kind == "x" else var.Xbar)[:, -1] \
+            * var.Gamma[:, -1]
+        mp, sp = mean_and_se(
+            scenario._phi_sided(driver, X[:, -1], "plus") * weight + acc)
+        mm, sm = mean_and_se(
+            scenario._phi_sided(driver, X[:, -1], "minus") * weight + acc)
+        kmean, kse = mean_and_se(
+            k_increments(fields, G, bundle, X).sum(axis=1))
+        results.append(dict(label=control.label, plus=mp, se_plus=sp,
+                            minus=mm, se_minus=sm, residual=kmean / scale,
+                            residual_se=kse / scale,
+                            accepted=abs(kmean / scale)
+                            <= 3.0 * kse / scale + 1e-2))
+    return results
+
+
+@pytest.mark.parametrize("preset, params, kind, t, x", [
+    ("smooth-bump", {"width": 2.0}, "x", 0.0, 0.5),
+    ("abs", {}, "x", 0.0, 0.0),
+    ("sine-gz", {}, "x", 0.25, 0.3),
+    ("sine-gz", {}, "t", 0.5, 0.0),
+])
+def test_one_pass_estimates_equal_whole_bundle_passes(preset, params, kind,
+                                                      t, x):
+    G = regularize(G01, 0.2)
+    driver = preset_driver(preset, params)
+    form = PdeForm.GHEAT if preset != "sine-gz" else PdeForm.REGULARIZED_BSDE
+    sol = _solve(driver, G=G, form=form, nx=201)
+    mc = dict(n_paths=400, n_steps=48, seed=5)
+    estimate = estimate_dx if kind == "x" else estimate_dt
+    est = estimate(driver, t, x, G, sol, mc=mc)
+    ref = _reference_estimate(kind, driver, t, x, G, sol, mc)
+    # every case ties somewhere, so the tie-flipped control runs too
+    assert len(est.controls) == len(ref) == 2
+    for got, want in zip(est.controls, ref):
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
