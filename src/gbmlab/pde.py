@@ -214,25 +214,62 @@ def _time_steps(grid: Grid1D, Gs, driver: DriverSpec,
     return nt, grid.T / nt, bound
 
 
+class _Work:
+    """Work buffers of the explicit step for rows of one shape, allocated
+    once and overwritten by every step."""
+
+    def __init__(self, shape):
+        self.a, self.d1, self.tmp, self.rate = (np.empty(shape)
+                                                for _ in range(4))
+        self.finite = np.empty(shape, dtype=bool)
+        self.slopes = np.empty(shape[:-1] + (shape[-1] + 1,))  # upwinding
+
+
 def _generator_arg(driver: DriverSpec, t: float, xs: np.ndarray, dx: float,
-                   u: np.ndarray) -> np.ndarray:
+                   u: np.ndarray, work: _Work) -> np.ndarray:
     """sigma^2 d_xx u + 2 h d_x u + 2 g(t, x, u, sigma d_x u) for each row of
-    ``u[..., nx]``, with the lagged central slope d_x u; terms whose
-    coefficient is the shared zero are skipped."""
-    d2 = np.zeros_like(u)
-    d2[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / (dx * dx)
+    ``u[..., nx]``, with the lagged central slope d_x u, computed into and
+    returned as ``work.a``; terms whose coefficient is the shared zero are
+    skipped."""
+    # the stencil runs along the flattened rows; the values it leaves at
+    # the row ends mix two rows and are overwritten by the zero closure
+    a, flat, inner = work.a, u.reshape(-1), work.a.reshape(-1)[1:-1]
+    np.multiply(2.0, flat[1:-1], out=inner)
+    np.subtract(flat[2:], inner, out=inner)
+    np.add(inner, flat[:-2], out=inner)
+    np.divide(inner, dx * dx, out=inner)
+    a[..., 0] = a[..., -1] = 0.0
     one = driver.sigma is _one2
-    sig = None if one else np.asarray(driver.sigma(t, xs), dtype=float)
-    a = d2 if one else sig * sig * d2
+    if not one:
+        sig = np.asarray(driver.sigma(t, xs), dtype=float)
+        np.multiply(sig * sig, a, out=a)
     if driver.h is _zero2 and driver.g is _zero4:
         return a
-    d1 = _ux(u, dx)
+    d1 = _ux(u, dx, out=work.d1)
     if driver.h is not _zero2:
-        a = a + 2.0 * np.asarray(driver.h(t, xs), dtype=float) * d1
+        np.multiply(2.0 * np.asarray(driver.h(t, xs), dtype=float), d1,
+                    out=work.tmp)
+        np.add(a, work.tmp, out=a)
     if driver.g is not _zero4:
-        z = d1 if one else sig * d1
-        a = a + 2.0 * np.asarray(driver.g(t, xs, u, z), dtype=float)
+        # the rate buffer is free until the step computes the rate
+        z = d1 if one else np.multiply(sig, d1, out=work.rate)
+        np.multiply(2.0, np.asarray(driver.g(t, xs, u, z), dtype=float),
+                    out=work.tmp)
+        np.add(a, work.tmp, out=a)
     return a
+
+
+def _upwind(u: np.ndarray, dx: float, b: np.ndarray, work: _Work) -> np.ndarray:
+    """One-sided slopes along the drift ``b`` into ``work.tmp``: forward
+    where b > 0, backward elsewhere, the end slopes copied at the ends."""
+    s, inner = work.slopes, work.slopes[..., 1:-1]
+    np.subtract(u[..., 1:], u[..., :-1], out=inner)
+    np.divide(inner, dx, out=inner)
+    s[..., 0] = s[..., 1]
+    s[..., -1] = s[..., -2]
+    np.copyto(work.tmp, s[..., :-1])
+    np.copyto(work.tmp, s[..., 1:], where=b > 0.0)
+    return work.tmp
 
 
 def _backward_steps(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
@@ -242,34 +279,59 @@ def _backward_steps(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
     Row r is stepped under the generator ``Gs[r]`` (every row under
     ``Gs[0]`` if only one is given); the rows share the driver and the time
     grid.  Yields ``(n, a, u_n)`` for n = nt-1, ..., 0, where ``a`` is the
-    generator argument of the known level n+1 and ``u_n`` the new level;
-    the caller keeps what it needs.  Raises :class:`NumericalError` at the
-    first level that turns non-finite.
+    generator argument of the known level n+1 and ``u_n`` the new level.
+    Raises :class:`NumericalError` at the first level that turns non-finite.
+
+    ``u`` is copied once and never written.  The step computes in work
+    buffers allocated once, so the yielded ``a`` and ``u_n`` are valid only
+    until the next step overwrites them: a caller that keeps a level copies
+    it.
     """
     xs, dx = grid.xs, grid.dx
     sh2 = np.array([[G.sigma_high ** 2] for G in Gs])
     sl2 = np.array([[G.sigma_low ** 2] for G in Gs])
+    u = np.array(u, dtype=float, order="C")
+    work = _Work(u.shape)
+    rate, tmp = work.rate, work.tmp
     for n in range(nt - 1, -1, -1):
         t_known = (n + 1) * dt
-        a = _generator_arg(driver, t_known, xs, dx, u)
-        rate = 0.5 * (sh2 * np.maximum(a, 0.0) - sl2 * np.maximum(-a, 0.0))
+        a = _generator_arg(driver, t_known, xs, dx, u, work)
+        # rate = 0.5 * (sh2 * max(a, 0) - sl2 * max(-a, 0))
+        np.maximum(a, 0.0, out=rate)
+        np.multiply(sh2, rate, out=rate)
+        np.negative(a, out=tmp)
+        np.maximum(tmp, 0.0, out=tmp)
+        np.multiply(sl2, tmp, out=tmp)
+        np.subtract(rate, tmp, out=rate)
+        np.multiply(0.5, rate, out=rate)
         if driver.b is not _zero2:
             b = np.asarray(driver.b(t_known, xs), dtype=float)
-            if np.any(b):  # upwind: one-sided slopes, copied at the ends
-                du = np.diff(u, axis=-1) / dx
-                fwd = np.concatenate([du, du[..., -1:]], axis=-1)
-                bwd = np.concatenate([du[..., :1], du], axis=-1)
-                rate = rate + b * np.where(b > 0.0, fwd, bwd)
+            if np.any(b):
+                np.multiply(b, _upwind(u, dx, b, work), out=tmp)
+                np.add(rate, tmp, out=rate)
         if driver.f is not _zero3:
-            rate = rate + np.asarray(driver.f(t_known, xs, u), dtype=float)
-        u = u + dt * rate
-        finite = np.isfinite(u).all(axis=0)
-        if not np.all(finite):
+            np.add(rate, np.asarray(driver.f(t_known, xs, u), dtype=float),
+                   out=rate)
+        np.multiply(dt, rate, out=rate)
+        np.add(u, rate, out=u)
+        if not np.isfinite(u, out=work.finite).all():
+            finite = work.finite.all(axis=0)
             j = int(np.argmin(finite))
             raise NumericalError(
                 f"solution turned non-finite at time level {n} "
                 f"(t={n * dt:.6g}), node {j} (x={xs[j]:.6g})")
         yield n, a, u
+
+
+def _terminal_data(driver: DriverSpec, xs: np.ndarray) -> np.ndarray:
+    """phi on the nodes; :class:`NumericalError` at the first non-finite
+    node."""
+    phi = np.empty(xs.shape)
+    phi[...] = np.asarray(driver.phi(xs), dtype=float)
+    if not np.all(np.isfinite(phi)):
+        j = int(np.argmin(np.isfinite(phi)))
+        raise NumericalError(f"terminal data non-finite at node {j} (x={xs[j]:.6g})")
+    return phi
 
 
 def _solve_levels(grid: Grid1D, driver: DriverSpec, Gs, form: PdeForm,
@@ -287,14 +349,12 @@ def _solve_levels(grid: Grid1D, driver: DriverSpec, Gs, form: PdeForm,
     t_start = time.perf_counter()
     u = np.empty((len(Gs), nt + 1, grid.nx))
     a_field = np.empty_like(u)
-    u[:, nt] = np.asarray(driver.phi(xs), dtype=float)
-    if not np.all(np.isfinite(u[0, nt])):
-        j = int(np.argmin(np.isfinite(u[0, nt])))
-        raise NumericalError(f"terminal data non-finite at node {j} (x={xs[j]:.6g})")
+    u[:, nt] = _terminal_data(driver, xs)
     for n, a, un in _backward_steps(driver, grid, Gs, nt, dt, u[:, nt]):
         a_field[:, n + 1] = a
         u[:, n] = un
-    a_field[:, 0] = _generator_arg(driver, 0.0, xs, dx, u[:, 0])
+    a_field[:, 0] = _generator_arg(driver, 0.0, xs, dx, u[:, 0],
+                                   _Work(u[:, 0].shape))
 
     meta = dict(cfl_dt_bound=bound, dt=dt, nt=nt, safety=safety,
                 wall_time=time.perf_counter() - t_start)
@@ -320,10 +380,15 @@ def solve_terminal_pde(problem: PdeProblem, *, safety: float = 0.9) -> PdeSoluti
 # derivative fields and the extremal control
 # ---------------------------------------------------------------------------
 
-def _ux(u: np.ndarray, dx: float) -> np.ndarray:
-    """Central d_x along the last axis, one-sided at the two boundaries."""
-    ux = np.empty_like(u)
-    ux[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
+def _ux(u: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Central d_x along the last axis, one-sided at the two boundaries
+    (into ``out``, C-contiguous, if given)."""
+    ux = np.empty_like(u, order="C") if out is None else out
+    # along the flattened rows, as in ``_generator_arg``: the row ends are
+    # overwritten below
+    flat, inner = u.reshape(-1), ux.reshape(-1)[1:-1]
+    np.subtract(flat[2:], flat[:-2], out=inner)
+    np.divide(inner, 2.0 * dx, out=inner)
     ux[..., 0] = (u[..., 1] - u[..., 0]) / dx
     ux[..., -1] = (u[..., -1] - u[..., -2]) / dx
     return ux
@@ -468,15 +533,33 @@ def fit_time_modulus(sol: PdeSolution, m: int | None = None,
 def export_solution_csv(sol: PdeSolution, path: str,
                         control: ControlField | None = None) -> None:
     """Write the dense solution as CSV rows (t, x, u, ux, uxx, a, sigma_star)
-    with 13 significant digits and a mandatory header."""
+    with 13 significant digits and a mandatory header.
+
+    Every cell reads ``format(v, ".12e")``.  One ``%`` per time level fills
+    a template of the level's rows: x is pre-formatted into it, t and
+    sigma_star go in as strings formatted once per distinct value (keyed by
+    the bit pattern, so -0.0 and NaN keep their own text), and the four
+    fields are formatted by ``%.12e``, which gives the same text.
+    """
     d = derivatives(sol)
     if control is None:
         control = extremal_control(sol, sol.G)
-    ts, xs = sol.ts, sol.xs
+    sigma = np.asarray(control.sigma_star, dtype=float)
+    bits, where = np.unique(sigma.view(np.int64), return_inverse=True)
+    sigma_text = np.array([format(v, ".12e")
+                           for v in bits.view(np.float64).tolist()],
+                          dtype=object)[where.reshape(sigma.shape)]
+    nx = sol.u.shape[1]
+    level = "".join(f"%s,{format(x, '.12e')},%.12e,%.12e,%.12e,%.12e,%s\n"
+                    for x in sol.xs.tolist())
+    cells = [None] * (6 * nx)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,x,u,ux,uxx,a,sigma_star\n")
-        for n in range(sol.u.shape[0]):
-            for j in range(sol.u.shape[1]):
-                fh.write(",".join(format(v, ".12e") for v in (
-                    ts[n], xs[j], sol.u[n, j], d.ux[n, j], d.uxx[n, j],
-                    sol.a_field[n, j], control.sigma_star[n, j])) + "\n")
+        for n, t in enumerate(sol.ts.tolist()):
+            cells[0::6] = [format(t, ".12e")] * nx
+            cells[1::6] = sol.u[n].tolist()
+            cells[2::6] = d.ux[n].tolist()
+            cells[3::6] = d.uxx[n].tolist()
+            cells[4::6] = sol.a_field[n].tolist()
+            cells[5::6] = sigma_text[n].tolist()
+            fh.write(level % tuple(cells))

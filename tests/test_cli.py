@@ -192,6 +192,14 @@ def test_stability_needs_comparison_exits_one(tmp_path):
     assert rc == 1
 
 
+def test_stability_exponent_below_one_or_infinite_exits_one(tmp_path):
+    # the constants need a finite p >= 1, the bound doob takes too
+    for p in ("inf", "0", "-1", "0.5", "nan"):
+        rc = _main(["stability", "--shift", "0.1", "--nx", "51", "--p", p,
+                    "--output-dir", str(tmp_path / p)])
+        assert rc == 1, p
+
+
 def test_cfl_refusal_exits_two(tmp_path):
     # a pinned nt below the CFL bound is refused, for one level, for the
     # eps family and for the refined grids of semiconvexity and stability

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gbmlab import gbsde
+from gbmlab import pde as _pde
 from gbmlab.gcore import (DomainError, Grid1D, make_gfunction, payoff_driver,
                           preset_driver, regularize)
 from gbmlab.pde import (FieldInterpolator, NumericalError, PdeForm,
@@ -328,6 +329,98 @@ def test_stability_rejects_mismatched_inputs():
                                 PdeForm.REGULARIZED_BSDE)
     with pytest.raises(DomainError):
         gbsde.stability_check(base, other_G, p=1.0)
+
+
+def _dense_stability_rows(problem1, problem2, p, refinements=3,
+                          lattice_steps=64, safety=0.9):
+    # two dense solves per level and the level-by-level f/g sums, as the
+    # reference for the streamed check
+    from gbmlab.gcore import CylinderFunctional
+    from gbmlab.gexpect import LatticeSpec, lattice_oracle
+    from gbmlab.pde import _ux
+    G, d1, d2 = problem1.G, problem1.driver, problem2.driver
+    g1 = problem1.grid
+    xc = 0.5 * (g1.x_min + g1.x_max)
+    rows = []
+    for level in range(refinements):
+        grid = gbsde._refine(g1, 2 ** level)
+        s1 = solve_terminal_pde(PdeProblem(grid, d1, G, problem1.form),
+                                safety=safety)
+        s2 = solve_terminal_pde(PdeProblem(grid, d2, G, problem2.form),
+                                safety=safety)
+        delta = float(np.max(np.abs(s1.u[0] - s2.u[0])))
+
+        def psi(bt):
+            x = xc + np.asarray(bt, dtype=float)
+            return np.abs(np.asarray(d1.phi(x), dtype=float)
+                          - np.asarray(d2.phi(x), dtype=float)) ** p
+        terminal = lattice_oracle(
+            CylinderFunctional((grid.T,), psi), G,
+            LatticeSpec.for_horizon(grid.T, lattice_steps, G))
+        fint = 0.0
+        gint = 0.0
+        xs = s2.xs
+        ux = _ux(s2.u, s2.dx)
+        for n in range(s2.nt + 1):
+            t = n * s2.dt
+            y = s2.u[n]
+            z = ux[n]
+            fhat = np.max(np.abs(
+                np.asarray(d1.f(t, xs, y), dtype=float)
+                - np.asarray(d2.f(t, xs, y), dtype=float)))
+            ghat = np.max(np.abs(
+                np.asarray(d1.g(t, xs, y, z), dtype=float)
+                - np.asarray(d2.g(t, xs, y, z), dtype=float)))
+            wt = s2.dt if n < s2.nt else 0.0
+            fint += fhat * wt
+            gint += ghat * wt * G.sigma_high ** 2
+        rhs = terminal + fint ** p + gint ** p
+        rows.append((grid.nx, delta, delta ** p, rhs,
+                     delta ** p / rhs if rhs > 0 else 0.0))
+    return rows
+
+
+def _fg_driver(name, f, g):
+    return dataclasses.replace(
+        preset_driver("smooth-bump"), name=name, f=f, g=g, f_x=None,
+        f_y=None, g_x=None, g_y=None, g_z=None)
+
+
+def _stability_pair(case):
+    grid = Grid1D(-6.0, 6.0, 41, 0.5)
+    Geps = regularize(G01, 0.1)
+    if case == "shift":
+        quad = preset_driver("quadratic")
+        shifted = dataclasses.replace(
+            quad, name="quad-shift",
+            phi=lambda x: np.asarray(x, dtype=float) ** 2 + 0.1)
+        pair, form = (quad, shifted), PdeForm.REGULARIZED_BSDE
+    elif case == "f-and-g":
+        pair = (_fg_driver("fg-1", lambda t, x, y: 0.3 * np.cos(x) - 0.2 * y,
+                           lambda t, x, y, z: 0.25 * np.sin(z)),
+                _fg_driver("fg-2", lambda t, x, y: 0.1 * np.sin(y),
+                           lambda t, x, y, z: 0.1 * z + 0.05 * y))
+        form = PdeForm.MARKOVIAN_FBSDE
+    else:  # two presets whose CFL steps differ
+        pair = (preset_driver("quadratic"),
+                preset_driver("sine-gz", {"c": 2.0}))
+        form = PdeForm.REGULARIZED_BSDE
+    return tuple(gbsde.BsdeProblem(grid, d, Geps, form) for d in pair)
+
+
+@pytest.mark.parametrize("case", ["shift", "f-and-g", "preset-b"])
+def test_streamed_stability_equals_dense_solves(case):
+    problem1, problem2 = _stability_pair(case)
+    if case == "preset-b":
+        nts = [_pde._time_steps(pr.grid, (pr.G,), pr.driver, 0.9)[0]
+               for pr in (problem1, problem2)]
+        assert nts[0] != nts[1]
+    for p in (1.0, 2.0):
+        report = gbsde.stability_check(problem1, problem2, p=p)
+        ref = _dense_stability_rows(problem1, problem2, p)
+        assert np.array(report.rows).tobytes() == np.array(ref).tobytes()
+        if case == "f-and-g":
+            assert all(r[3] > 1e-3 for r in ref)  # the f and g terms count
 
 
 # ---- dynamic programming check ----

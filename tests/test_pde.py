@@ -19,8 +19,11 @@ from gbmlab.gcore import (
     preset_driver,
     regularize,
 )
+from gbmlab import pde
+from gbmlab.gcore import _one2, _zero2, _zero3, _zero4
 from gbmlab.gexpect import LatticeSpec, lattice_oracle
 from gbmlab.pde import (
+    ControlField,
     FieldInterpolator,
     GridPoints,
     PdeForm,
@@ -362,3 +365,160 @@ def test_field_interpolator_matches_np_interp():
                          (fields.z_at(t, x), fields.ux[n]),
                          (fields.a_at(t, x), sol.a_field[n])):
             assert _bits(got) == _bits(np.interp(x, sol.xs, row))
+
+
+# ---- the work-buffer step against the allocating step ----
+
+def _reference_generator_arg(driver, t, xs, dx, u):
+    # the allocating expressions of the step, kept as the reference
+    d2 = np.zeros_like(u)
+    d2[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / (dx * dx)
+    one = driver.sigma is _one2
+    sig = None if one else np.asarray(driver.sigma(t, xs), dtype=float)
+    a = d2 if one else sig * sig * d2
+    if driver.h is _zero2 and driver.g is _zero4:
+        return a
+    d1 = np.empty_like(u)
+    d1[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
+    d1[..., 0] = (u[..., 1] - u[..., 0]) / dx
+    d1[..., -1] = (u[..., -1] - u[..., -2]) / dx
+    if driver.h is not _zero2:
+        a = a + 2.0 * np.asarray(driver.h(t, xs), dtype=float) * d1
+    if driver.g is not _zero4:
+        z = d1 if one else sig * d1
+        a = a + 2.0 * np.asarray(driver.g(t, xs, u, z), dtype=float)
+    return a
+
+
+def _reference_steps(driver, grid, Gs, nt, dt, u):
+    xs, dx = grid.xs, grid.dx
+    sh2 = np.array([[G.sigma_high ** 2] for G in Gs])
+    sl2 = np.array([[G.sigma_low ** 2] for G in Gs])
+    for n in range(nt - 1, -1, -1):
+        t_known = (n + 1) * dt
+        a = _reference_generator_arg(driver, t_known, xs, dx, u)
+        rate = 0.5 * (sh2 * np.maximum(a, 0.0) - sl2 * np.maximum(-a, 0.0))
+        if driver.b is not _zero2:
+            b = np.asarray(driver.b(t_known, xs), dtype=float)
+            if np.any(b):
+                du = np.diff(u, axis=-1) / dx
+                fwd = np.concatenate([du, du[..., -1:]], axis=-1)
+                bwd = np.concatenate([du[..., :1], du], axis=-1)
+                rate = rate + b * np.where(b > 0.0, fwd, bwd)
+        if driver.f is not _zero3:
+            rate = rate + np.asarray(driver.f(t_known, xs, u), dtype=float)
+        u = u + dt * rate
+        yield n, a, u
+
+
+def _x(x):
+    return np.asarray(x, dtype=float)
+
+
+_STEP_DRIVERS = {
+    # every coefficient set; b changes sign, so both upwind sides are used
+    "all": dict(b=lambda t, x: np.sin(_x(x)) - 0.2 * t,
+                h=lambda t, x: 0.3 * np.cos(_x(x)) + t,
+                sigma=lambda t, x: 1.0 + 0.25 * np.sin(_x(x)),
+                f=lambda t, x, y: 0.4 * np.sin(_x(y)) - 0.1 * _x(x),
+                g=lambda t, x, y, z: 0.5 * np.sin(_x(z)) + 0.1 * _x(y)),
+    # sigma alone scales d_xx (the early return without d_x)
+    "sigma-f": dict(sigma=lambda t, x: 0.5 + 0.1 * _x(x) ** 2,
+                    f=lambda t, x, y: -0.3 * _x(y)),
+    # g with the unit sigma (z is d_x u itself); g returns one row for all
+    "h-g": dict(h=lambda t, x: 0.2 * _x(x),
+                g=lambda t, x, y, z: 0.25 * np.cos(_x(x))),
+    # a constant drift: one upwind side only
+    "b": dict(b=lambda t, x: np.full_like(_x(x), -0.7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STEP_DRIVERS))
+def test_backward_steps_equal_the_allocating_step(name):
+    driver = DriverSpec(name=name, phi=np.cos, skip_self_check=True,
+                        **_STEP_DRIVERS[name])
+    grid = Grid1D(-3.0, 3.0, 61, 0.5)
+    Gs = (make_gfunction(0.0, 1.0), make_gfunction(0.5, 1.2),
+          make_gfunction(0.2, 0.8))
+    xs = grid.xs
+    stack = np.zeros((4, 3, grid.nx))
+    stack[1] = np.stack([np.cos(xs), 0.5 * np.sin(2.0 * xs), xs ** 2 / 9.0])
+    rows = stack[1]  # a strided view, as the dense solver passes
+    before = stack.tobytes()
+    got = pde._backward_steps(driver, grid, Gs, 40, 2e-4, rows)
+    ref = _reference_steps(driver, grid, Gs, 40, 2e-4, rows.copy())
+    levels = 0
+    for (n, a, un), (n_ref, a_ref, un_ref) in zip(got, ref, strict=True):
+        assert n == n_ref
+        assert a.tobytes() == a_ref.tobytes(), (name, n)
+        assert un.tobytes() == un_ref.tobytes(), (name, n)
+        levels += 1
+    assert levels == 40
+    assert stack.tobytes() == before
+
+
+def test_gheat_solve_with_zero_sigma_low_equals_the_allocating_step():
+    driver = _cos_driver()
+    grid = Grid1D.default_for(0.0, 1.0, G01, nx=101)
+    sol = _gheat(driver, grid=grid)
+    assert G01.sigma_low == 0.0
+    u = np.empty_like(sol.u)
+    a_field = np.empty_like(sol.u)
+    u[-1] = np.cos(grid.xs)
+    for n, a, un in _reference_steps(driver, grid, (G01,), sol.nt, sol.dt,
+                                     u[-1][None]):
+        a_field[n + 1] = a[0]
+        u[n] = un[0]
+    a_field[0] = _reference_generator_arg(driver, 0.0, grid.xs, grid.dx,
+                                          u[0])
+    assert sol.u.tobytes() == u.tobytes()
+    assert sol.a_field.tobytes() == a_field.tobytes()
+
+
+# ---- the level-at-a-time CSV writer against the cell-by-cell writer ----
+
+def _cell_by_cell_csv(sol, path, control=None):
+    # the cell-by-cell writer, kept as the reference
+    d = derivatives(sol)
+    if control is None:
+        control = extremal_control(sol, sol.G)
+    ts, xs = sol.ts, sol.xs
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t,x,u,ux,uxx,a,sigma_star\n")
+        for n in range(sol.u.shape[0]):
+            for j in range(sol.u.shape[1]):
+                fh.write(",".join(format(v, ".12e") for v in (
+                    ts[n], xs[j], sol.u[n, j], d.ux[n, j], d.uxx[n, j],
+                    sol.a_field[n, j], control.sigma_star[n, j])) + "\n")
+
+
+def test_export_equals_the_cell_by_cell_writer_on_edge_values(tmp_path):
+    grid = Grid1D(-3e-200, 3e-200, 7, 1e-149)  # three-digit exponents in x
+    edge = [-0.0, 0.0, 5e-324, -2.2e-310, np.inf, -np.inf, np.nan,
+            1e300, -1.5e-120, 1e-5, 123.456, -7.0]
+    rng = np.random.default_rng(5)
+    u = rng.choice(edge, size=(4, grid.nx))
+    a_field = rng.choice(edge, size=(4, grid.nx))
+    sol = PdeSolution(u=u, a_field=a_field, grid=grid.with_nt(3),
+                      driver=preset_driver("zero"), G=G01,
+                      form=PdeForm.GHEAT, dx=grid.dx, dt=grid.T / 3)
+    sigma = rng.choice([-0.0, 0.0, np.nan, -np.nan, 1.0, 5e-324, np.inf],
+                       size=u.shape)
+    control = ControlField(sigma_star=sigma, ambiguous=np.zeros(u.shape, bool),
+                           tie_tol=0.0)
+    with np.errstate(all="ignore"):
+        for ctl in (None, control):
+            got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+            export_solution_csv(sol, str(got), ctl)
+            _cell_by_cell_csv(sol, str(ref), ctl)
+            assert got.read_bytes() == ref.read_bytes()
+    text = got.read_text(encoding="utf-8")
+    assert "-0.000000000000e+00" in text and "nan" in text and "e-200" in text
+
+
+def test_export_equals_the_cell_by_cell_writer_on_a_solve(tmp_path):
+    sol = _gheat(_cos_driver(), nx=41)
+    got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+    export_solution_csv(sol, str(got))
+    _cell_by_cell_csv(sol, str(ref))
+    assert got.read_bytes() == ref.read_bytes()
