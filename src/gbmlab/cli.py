@@ -352,15 +352,16 @@ def _run_curvature(cfg: RunConfig):
 
 
 def _sensitivity_common(cfg: RunConfig, kind: str):
+    if not 0.0 <= cfg.t < cfg.T:
+        raise DomainError(f"need 0 <= t < T={cfg.T}, got t={cfg.t}")
     problem, sol = _solve(cfg)
     driver, G = problem.driver, problem.G
-    d = _pde.derivatives(sol)
     n = int(round(cfg.t / sol.dt))
     j = int(np.argmin(np.abs(sol.xs - cfg.x)))
     if kind == "x":
         est = _scenario.estimate_dx(driver, cfg.t, float(sol.xs[j]), G, sol,
                                     mc=cfg.mc())
-        oracle = float(d.ux[n][j])
+        oracle = float(_pde._ux(sol.u[n], sol.dx)[j])
     else:
         est = _scenario.estimate_dt(driver, cfg.t, float(sol.xs[j]), G, sol,
                                     mc=cfg.mc())

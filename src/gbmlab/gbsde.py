@@ -297,14 +297,14 @@ def _refine(grid: Grid1D, factor: int) -> Grid1D:
                   nt)
 
 
-def _streamed(problem: PdeProblem, safety: float):
-    """``(nt, dt, phi, steps)`` of one problem solved without dense
-    storage: ``steps`` is the solver's step generator from ``phi``."""
-    grid, driver, Gs = problem.grid, problem.driver, (problem.G,)
-    nt, dt, _ = _pde._time_steps(grid, Gs, driver, safety)
+def _streamed(problem: PdeProblem, nt: int, dt: float):
+    """``(phi, steps)`` of one problem solved in ``nt`` steps of ``dt``
+    without dense storage: ``steps`` is the solver's step generator from
+    ``phi``."""
+    grid, driver = problem.grid, problem.driver
     phi = _pde._terminal_data(driver, grid.xs)
-    return nt, dt, phi, _pde._backward_steps(driver, grid, Gs, nt, dt,
-                                             phi[None])
+    return phi, _pde._backward_steps(driver, grid, (problem.G,), nt, dt,
+                                     phi[None])
 
 
 def stability_check(problem1, problem2, p: float = 1.0, *,
@@ -334,15 +334,20 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
     same_f = d1.f is _zero3 and d2.f is _zero3
     same_g = d1.g is _zero4 and d2.g is _zero4
     xc = 0.5 * (g1.x_min + g1.x_max)
-    rows = []
+    # the time steps of every level, and with them the work budget of
+    # every solve, are settled before the first solve
+    levels = []
     for level in range(refinements):
         grid = _refine(g1, 2 ** level)
+        levels.append((grid, *(_pde._time_steps(grid, (G,), d, safety)[:2]
+                               for d in (d1, d2))))
+    rows = []
+    for grid, (nt1, dt1), (nt, dt) in levels:
         xs, dx = grid.xs, grid.dx
-        steps = _streamed(PdeProblem(grid, d1, G, problem1.form), safety)[3]
+        steps = _streamed(PdeProblem(grid, d1, G, problem1.form), nt1, dt1)[1]
         for _n, _a, u1 in steps:
             pass  # only u(0, .) is kept
-        nt, dt, phi, steps = _streamed(
-            PdeProblem(grid, d2, G, problem2.form), safety)
+        phi, steps = _streamed(PdeProblem(grid, d2, G, problem2.form), nt, dt)
         fhat = np.zeros(nt + 1)
         ghat = np.zeros(nt + 1)
 
@@ -482,6 +487,8 @@ def counterexample_demo(T: float, eps_list, mc: dict | None = None,
     simulating dW = dW~ + dt/eps; the singular time quadrature integrates
     the first cell exactly and uses midpoints after.
     """
+    if not (math.isfinite(T) and T > 0.0):
+        raise DomainError(f"need a finite T > 0, got {T}")
     q = -float(exponent)
     if not (0.0 < q < 0.5):
         raise DomainError(f"weight exponent must lie in (-0.5, 0), got {exponent}")
@@ -491,6 +498,7 @@ def counterexample_demo(T: float, eps_list, mc: dict | None = None,
     mc = dict(mc or {})
     n_paths = int(mc.get("n_paths", 100_000))
     n_steps = int(mc.get("n_steps", 256))
+    _scenario._check_path_counts(n_paths, n_steps)
     seed = int(mc.get("seed", 0))
     dt = T / n_steps
     w = ((np.arange(n_steps) + 0.5) * dt) ** (-q)

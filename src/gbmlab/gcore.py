@@ -148,6 +148,8 @@ class Grid1D:
                     pad: float = 1.0) -> "Grid1D":
         """Domain wide enough that boundary influence at (0, x0) is negligible
         (six standard deviations plus padding)."""
+        if not T > 0.0:  # before sqrt; NaN too
+            raise DomainError(f"need T > 0, got {T}")
         span = 6.0 * G.sigma_high * math.sqrt(T) + pad
         return cls(x0 - span, x0 + span, nx, T)
 

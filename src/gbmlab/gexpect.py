@@ -257,7 +257,8 @@ def _cylinder_recursion(X: CylinderFunctional, G: GFunction1D, grids,
         g = grids[i - 1]
         grid = Grid1D(g.x_min, g.x_max, g.nx, times[i] - times[i - 1])
         rows = tab.reshape(-1, grid.nx)
-        nt, dt, _ = _pde._time_steps(grid, (G,), _HEAT, safety)
+        nt, dt, _ = _pde._time_steps(grid, (G,), _HEAT, safety,
+                                     rows=rows.shape[0])
         for _n, _a, rows in _pde._backward_steps(_HEAT, grid, (G,), nt, dt,
                                                   rows):
             pass  # only the level at the stage start is kept

@@ -31,6 +31,12 @@ from .gcore import (DomainError, DriverSpec, GFunction1D, Grid1D,
 # exits with a NumericalError instead of meeting the OOM killer.
 DENSE_BYTES_MAX = 2 * 2 ** 30
 
+# Most node-steps (rows x nt x nx) one solve may take.  The biggest solve in
+# the test suite and the benchmark (a stage of ``cylinder --psi sum-sq``:
+# 401 rows, nt=809, nx=401) takes about 1.3e8; a run that asks for more
+# than this exits with a NumericalError before its first step.
+NODE_STEPS_MAX = 2 ** 31
+
 
 class PdeForm(enum.Enum):
     GHEAT = "gheat"
@@ -194,12 +200,14 @@ def _time_index(ts: np.ndarray, t: float) -> int:
 # solver
 # ---------------------------------------------------------------------------
 
-def _time_steps(grid: Grid1D, Gs, driver: DriverSpec,
-                safety: float) -> tuple[int, float, float]:
+def _time_steps(grid: Grid1D, Gs, driver: DriverSpec, safety: float,
+                rows: int | None = None) -> tuple[int, float, float]:
     """(nt, dt, bound): the grid's pinned ``nt`` if it satisfies the CFL
     bound of every generator in ``Gs``, else the fewest steps that do.
 
-    Raises :class:`NumericalError` if the pinned ``nt`` is too small.
+    Raises :class:`NumericalError` if the pinned ``nt`` is too small, or if
+    stepping ``rows`` rows (one per generator by default) would exceed
+    ``NODE_STEPS_MAX`` node-steps.
     """
     bound = min(cfl_timestep(grid, G, driver, safety) for G in Gs)
     nt_needed = max(1, math.ceil(grid.T / bound - 1e-12))
@@ -211,6 +219,12 @@ def _time_steps(grid: Grid1D, Gs, driver: DriverSpec,
             raise NumericalError(
                 f"CFL violation: grid.nt={nt} gives dt={grid.T / nt:.6g} "
                 f"above the stable bound {bound:.6g} (needs nt >= {nt_needed})")
+    rows = len(Gs) if rows is None else rows
+    work = rows * nt * grid.nx
+    if work > NODE_STEPS_MAX:
+        raise NumericalError(
+            f"solve needs {work:.3g} node-steps for nt={nt}, nx={grid.nx}, "
+            f"{rows} row(s); the limit is {NODE_STEPS_MAX:.3g}")
     return nt, grid.T / nt, bound
 
 

@@ -12,14 +12,24 @@ path i is the same no matter how many paths are drawn or in what chunks,
 and estimates are reproducible and extensible.  Means and standard errors
 use a deterministic pairwise reduction.
 
-``estimate_dx`` and ``estimate_dt`` draw the normals once per estimate and
-walk the paths once per candidate control.  Each step finds every path's
-grid position once, reads u, u_x, the generator argument and the feedback
-volatility there, advances X, log Gamma, Xhat (and Xbar for the time
-derivative) as running per-path vectors, accumulates the estimator
-integrand and writes the K increment.  ``simulate_paths``, ``forward_sde``,
-``variational_paths`` and ``k_increments`` run the same step helpers over a
-whole bundle, one stochastic process per call.
+``estimate_dx`` and ``estimate_dt`` draw the normals once per estimate,
+stored step by step, and walk the paths in one loop over the steps.  Each
+step finds every path's grid position once, reads u, u_x, the generator
+argument and the feedback volatility there, advances X, log Gamma, Xhat
+(and Xbar for the time derivative) as running per-path vectors,
+accumulates the estimator integrand and writes the K increment.
+
+The candidate controls share that walk.  The base feedback control walks
+every path.  The tie-flipped control differs from it only at some tied
+nodes, so a path follows the base path until it first stands nearest such
+a node; there it forks: its state (X, the variations, the integral and the
+K increments so far) moves to the flipped control's own walk, which steps
+only forked paths.  Every operation is elementwise in the path, so the
+flipped control's results are those of a walk over all paths, bit for bit.
+
+``simulate_paths``, ``forward_sde``, ``variational_paths`` and
+``k_increments`` run the same step helpers over a whole bundle, one
+stochastic process per call.
 """
 
 from __future__ import annotations
@@ -39,6 +49,15 @@ from .pde import (FieldInterpolator, GridPoints, PdeSolution, _time_index,
 # PRNG and reductions
 # ---------------------------------------------------------------------------
 
+# paths per block of the step-major (n_steps, n_paths) buffers
+_BLOCK = 1024
+
+
+def _check_path_counts(n_paths: int, n_steps: int) -> None:
+    if n_paths < 1 or n_steps < 1:
+        raise DomainError("need n_paths >= 1 and n_steps >= 1")
+
+
 def path_normals(seed: int, n_paths: int, n_steps: int,
                  path_offset: int = 0) -> np.ndarray:
     """Standard normals, one Philox stream per path keyed by (seed, i).
@@ -46,8 +65,7 @@ def path_normals(seed: int, n_paths: int, n_steps: int,
     ``path_offset`` shifts the path indices so a large run can be produced
     in chunks while staying bit-identical to the unchunked run.
     """
-    if n_paths < 1 or n_steps < 1:
-        raise DomainError("need n_paths >= 1 and n_steps >= 1")
+    _check_path_counts(n_paths, n_steps)
     out = np.empty((n_paths, n_steps))
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
     bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
@@ -59,6 +77,17 @@ def path_normals(seed: int, n_paths: int, n_steps: int,
         bg.state = fresh
         gen.standard_normal(out=out[i])
     return out
+
+
+def _normals_by_step(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
+    """``path_normals`` laid out step-major, ``xi[k, i]``, so that a step
+    reads one contiguous row; drawn in blocks of paths."""
+    _check_path_counts(n_paths, n_steps)
+    xi = np.empty((n_steps, n_paths))
+    for lo in range(0, n_paths, _BLOCK):
+        hi = min(lo + _BLOCK, n_paths)
+        xi[:, lo:hi] = path_normals(seed, hi - lo, n_steps, lo).T
+    return xi
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -166,7 +195,7 @@ class VolatilityControl:
 
 def _step_size(t0: float, T: float, n_steps: int) -> float:
     horizon = T - t0
-    if horizon <= 0:
+    if not horizon > 0:  # NaN too
         raise DomainError(f"need t0 < T, got t0={t0}, T={T}")
     if n_steps < 1:
         raise DomainError(f"need n_steps >= 1, got {n_steps}")
@@ -493,41 +522,66 @@ def _candidate_controls(sol: PdeSolution, G: GFunction1D) -> list:
     return controls
 
 
-def _feedback_pass(kind: str, driver: DriverSpec,
-                   control: VolatilityControl, fields: FieldInterpolator,
-                   G: GFunction1D, xi: np.ndarray, t0: float, x0: float):
-    """One walk over the paths driven by the normals ``xi`` under a feedback
-    control built from ``fields.sol`` (so it shares that grid).
+class _Walk:
+    """Paths ``idx`` of the bundle under one feedback control: X, the
+    variation processes and the running estimator integral ``acc``."""
 
-    Returns (X_T, terminal weight, path integral, K_T) for the space
-    (``kind`` "x": weight Xhat Gamma) or time (``kind`` "t": weight
-    Xbar Gamma) derivative.  K_T sums the stored (n_paths, n_steps)
-    increments row by row, in the same order as ``k_increments``.
-    """
-    sol = fields.sol
-    T = sol.grid.T
-    n_paths, n_steps = xi.shape
-    dt = _step_size(t0, T, n_steps)
-    sqdt = math.sqrt(dt)
-    horizon = T - t0
-    x = np.full(n_paths, float(x0))
-    var = _Variations(n_paths, t0, T if kind == "t" else None)
-    acc = np.zeros(n_paths)
-    dk = np.empty((n_paths, n_steps))
-    for k in range(n_steps):
-        tk = t0 + k * dt
-        n, pts = fields.level(tk), GridPoints(fields.xs, x)
+    def __init__(self, idx: np.ndarray, x0: float, t0: float,
+                 t_end: float | None):
+        self.idx = idx
+        self.x = np.full(idx.size, float(x0))
+        self.var = _Variations(idx.size, t0, t_end)
+        self.acc = np.zeros(idx.size)
+
+    def join(self, other: "_Walk", rows: np.ndarray) -> None:
+        """Append the paths at positions ``rows`` of ``other``, with their
+        whole state."""
+        for obj, src, names in ((self, other, ("idx", "x", "acc")),
+                                (self.var, other.var,
+                                 ("logG", "Gamma", "Xhat", "Xbar"))):
+            for name in names:
+                mine = getattr(obj, name)
+                if mine is not None:
+                    setattr(obj, name, np.concatenate(
+                        [mine, getattr(src, name)[rows]]))
+
+    def weight(self, kind: str) -> np.ndarray:
+        return (self.var.Xhat if kind == "x" else self.var.Xbar) \
+            * self.var.Gamma
+
+
+@dataclass(frozen=True)
+class _Pass:
+    """What the walks of one estimate share: the derivative (``kind`` "x"
+    or "t"), driver, generator, fields and time grid."""
+
+    kind: str
+    driver: DriverSpec
+    G: GFunction1D
+    fields: FieldInterpolator
+    t0: float
+    dt: float
+
+    def step(self, walk: _Walk, k: int, n: int, pts: GridPoints,
+             s: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """Advance ``walk`` over step k with volatility ``s`` and normals
+        ``xi`` per path (``n`` is the field level, ``pts`` where the paths
+        are).  Returns the step's K increments."""
+        driver, fields, x, var = self.driver, self.fields, walk.x, walk.var
+        sol, dt = fields.sol, self.dt
+        T, tk = sol.grid.T, self.t0 + k * dt
         y, z, a = (pts.sample(sol.u[n]), pts.sample(fields.ux[n]),
                    pts.sample(sol.a_field[n]))
-        s = control.field_sigma[n, pts.nearest()]
-        db = s * sqdt * xi[:, k]
+        db = s * math.sqrt(dt) * xi
         dq = s * s * dt
         gam = var.Gamma
-        if kind == "x":
+        if self.kind == "x":
             w = var.Xhat * gam
-            acc += np.asarray(driver.f_x(tk, x, y), dtype=float) * w * dt
-            acc += np.asarray(driver.g_x(tk, x, y, z), dtype=float) * w * dq
+            walk.acc += np.asarray(driver.f_x(tk, x, y), dtype=float) * w * dt
+            walk.acc += np.asarray(driver.g_x(tk, x, y, z),
+                                   dtype=float) * w * dq
         else:
+            horizon = T - self.t0
             tau = (T - tk) / horizon
             xb = var.Xbar
             fterm = (np.asarray(driver.f_x(tk, x, y), dtype=float) * xb
@@ -539,35 +593,137 @@ def _feedback_pass(kind: str, driver: DriverSpec,
                      + tau * _opt(driver.g_t, tk, x, y, z)
                      - np.asarray(driver.g(tk, x, y, z), dtype=float)
                      / horizon)
-            acc += fterm * gam * dt + gterm * gam * dq
-        dk[:, k] = _k_step(G, a, dq, dt)
+            walk.acc += fterm * gam * dt + gterm * gam * dq
+        dk = _k_step(self.G, a, dq, dt)
         var.step(driver, tk, x, y, z, dt, dq, db)
-        x = _forward_step(driver, tk, x, dt, dq, db)
-        _check_forward(x)
-    if not var.finite:
-        raise NumericalError("variational process turned non-finite")
-    weight = (var.Xhat if kind == "x" else var.Xbar) * var.Gamma
-    return x, weight, acc, dk.sum(axis=1)
+        walk.x = _forward_step(driver, tk, x, dt, dq, db)
+        return dk
+
+
+class _Fork:
+    """A candidate control that differs from the base control only at
+    some nodes.  A path leaves the base walk for this control's ``walk``
+    at the first step where its nearest node is one of them, and takes its
+    state along; until then the two controls give it the same path.
+    ``dk`` holds (k, K increments) for each step the fork walk took, over
+    a prefix of ``walk.idx``: positions are appended and never move."""
+
+    def __init__(self, control: VolatilityControl, base: VolatilityControl,
+                 walk: _Walk, n_paths: int):
+        self.control = control
+        self.differs = control.field_sigma != base.field_sigma
+        self.level_differs = self.differs.any(axis=1)
+        self.walk = walk
+        self.forked = np.zeros(n_paths, dtype=bool)
+        self.dk = []
+        self.error = None
+
+    def step(self, run: _Pass, base: _Walk, k: int, n: int,
+             nearest: np.ndarray, xi: np.ndarray) -> None:
+        """Fork the base paths whose nearest node ``nearest`` differs at
+        step k (taking their state from before the step), then advance the
+        fork walk with the step's normals ``xi`` (one per path of the
+        bundle).  A non-finite X stops the walk; its error waits until
+        the base walk has finished, as if the controls were walked one
+        after the other."""
+        if self.error is not None:
+            return
+        if self.level_differs[n]:
+            new = np.flatnonzero(self.differs[n, nearest] & ~self.forked)
+            if new.size:
+                self.forked[new] = True
+                self.walk.join(base, new)
+        walk = self.walk
+        if walk.idx.size == 0:
+            return
+        pts = GridPoints(run.fields.xs, walk.x)
+        s = self.control.field_sigma[n, pts.nearest()]
+        self.dk.append((k, run.step(walk, k, n, pts, s, xi[walk.idx])))
+        finite = np.isfinite(walk.x)
+        if not finite.all():
+            # the lowest path index among those that turned non-finite
+            self.error = NumericalError(
+                "forward state turned non-finite on path "
+                f"{int(walk.idx[~finite].min())}")
+
+    def finish(self) -> None:
+        if self.error is not None:
+            raise self.error
+        if not self.walk.var.finite:
+            raise NumericalError("variational process turned non-finite")
+
+
+def _k_totals(dk: np.ndarray, paths: np.ndarray | None = None,
+              tail=()) -> np.ndarray:
+    """K_T per path from the step-major increments ``dk[k, i]``.
+
+    Blocks of paths are copied to contiguous rows and summed with
+    ``.sum(axis=1)``, so every total is the row sum of the path-major
+    array, in numpy's pairwise order.  With ``paths`` (indices), the rows
+    of those paths, with (k, values) of ``tail`` written over a prefix of
+    them, as ``_Fork.dk`` is laid out.
+    """
+    n = dk.shape[1] if paths is None else paths.size
+    out = np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        cols = slice(lo, hi) if paths is None else paths[lo:hi]
+        rows = np.ascontiguousarray(dk[:, cols].T)
+        for k, values in tail:
+            top = min(hi, values.size)
+            if top > lo:
+                rows[:top - lo, k] = values[lo:top]
+        out[lo:hi] = rows.sum(axis=1)
+    return out
 
 
 def _estimate(kind: str, driver: DriverSpec, t: float, x: float,
               G: GFunction1D, sol: PdeSolution, mc: dict | None
               ) -> SensitivityEstimate:
     """One-sided derivative estimates over the candidate controls, which
-    share one seed and so one draw of the normals."""
+    share one seed and so one draw of the normals, in one loop over the
+    steps: the base control walks every path, and each other candidate
+    forks paths off that walk (``_Fork``)."""
     mc = dict(mc or {})
     n_paths = int(mc.get("n_paths", 10_000))
     n_steps = int(mc.get("n_steps", 256))
     seed = int(mc.get("seed", 0))
     fields = FieldInterpolator(sol)
     controls = _candidate_controls(sol, G)
-    _step_size(t, sol.grid.T, n_steps)  # refuse a bad horizon before drawing
-    xi = path_normals(seed, n_paths, n_steps)
+    # refuse a bad horizon before drawing
+    dt = _step_size(t, sol.grid.T, n_steps)
+    xi = _normals_by_step(seed, n_paths, n_steps)
+    run = _Pass(kind, driver, G, fields, t, dt)
+    t_end = sol.grid.T if kind == "t" else None
+    base = _Walk(np.arange(n_paths), x, t, t_end)
+    sigma = controls[0].field_sigma
+    forks = [_Fork(c, controls[0], _Walk(base.idx[:0], x, t, t_end), n_paths)
+             for c in controls[1:]]
+    dk = np.empty((n_steps, n_paths))
+    for k in range(n_steps):
+        n, pts = fields.level(t + k * dt), GridPoints(fields.xs, base.x)
+        nearest = pts.nearest()
+        for fork in forks:
+            fork.step(run, base, k, n, nearest, xi[k])
+        dk[k] = run.step(base, k, n, pts, sigma[n, nearest], xi[k])
+        _check_forward(base.x)
+    del xi  # the K totals' blocks need not stack on the normals' memory
+    if not base.var.finite:
+        raise NumericalError("variational process turned non-finite")
+    for fork in forks:
+        fork.finish()
+    kt = _k_totals(dk)
+    walks = [(base.x, base.weight(kind), base.acc, kt)]
+    for fork in forks:
+        xT, weight, acc, kt_f = (base.x.copy(), base.weight(kind),
+                                 base.acc.copy(), kt.copy())
+        w = fork.walk
+        xT[w.idx], weight[w.idx], acc[w.idx] = w.x, w.weight(kind), w.acc
+        kt_f[w.idx] = _k_totals(dk, w.idx, fork.dk)
+        walks.append((xT, weight, acc, kt_f))
     scale = max(1.0, abs(sol.value(t, x)))
     results = []
-    for control in controls:
-        xT, weight, acc, kt = _feedback_pass(kind, driver, control, fields, G,
-                                             xi, t, x)
+    for control, (xT, weight, acc, kt) in zip(controls, walks):
         mp, sp = mean_and_se(_phi_sided(driver, xT, "plus") * weight + acc)
         mm, sm = mean_and_se(_phi_sided(driver, xT, "minus") * weight + acc)
         kmean, kse = mean_and_se(kt)

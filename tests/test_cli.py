@@ -260,6 +260,50 @@ def test_zero_path_steps_exits_one(tmp_path):
                   "--nx", "51", "--output-dir", str(tmp_path)]) == 1
 
 
+def test_work_budget_exits_two(tmp_path):
+    # CFL asks for about 4.1M time levels at nx=51 here, and 16.5M at
+    # nx=201 on the last refinement (3.3e9 node-steps); stability streams
+    # its solves, so only the node-step budget, checked for every level
+    # before the first solve, can stop it promptly
+    script = textwrap.dedent(f"""
+        import sys
+        from gbmlab.cli import _main
+        sys.exit(_main(["stability", "--shift", "0.1", "--preset", "sine-gz",
+                        "--param", "c=1e6", "--nx", "51", "--output-dir",
+                        {str(tmp_path)!r}]))
+        """)
+    src = os.path.dirname(os.path.dirname(gbmlab.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+
+
+def test_path_time_outside_the_horizon_exits_one(tmp_path):
+    for argv in (["sensitivity-x", "--t", "nan"],
+                 ["sensitivity-t", "--t", "nan"],
+                 ["sensitivity-x", "--t", "-0.5"],
+                 ["kink", "--t", "nan"]):
+        rc = _main([*argv, "--n-paths", "10", "--nx", "51", "--output-dir",
+                    str(tmp_path / argv[0])])
+        assert rc == 1, argv
+
+
+def test_counterexample_bad_inputs_exit_one(tmp_path):
+    for argv in (["--n-paths", "0"], ["--n-paths", "-3"],
+                 ["--n-steps", "0"], ["--T", "-1"], ["--T", "nan"]):
+        assert _main(["counterexample", *argv, "--output-dir",
+                      str(tmp_path)]) == 1, argv
+
+
+def test_negative_horizon_exits_one(tmp_path):
+    assert _main(["gexpect", "--T", "-1", "--output-dir",
+                  str(tmp_path)]) == 1
+
+
 def test_workers_flag_is_gone(tmp_path):
     assert _main(["gbsde", "--workers", "2", "--output-dir",
                   str(tmp_path)]) == 1

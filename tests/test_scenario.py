@@ -388,6 +388,82 @@ def test_one_pass_estimates_equal_whole_bundle_passes(preset, params, kind,
         assert got == want
 
 
+def _first_fork_steps(driver, t, x, G, sol, mc):
+    """Per path, the first step at which the base feedback control's path
+    is nearest a node where the tie-flipped control differs (n_steps if
+    never), read off a whole-bundle simulation under the base control."""
+    base, flip = scenario._candidate_controls(sol, G)
+    differs = flip.field_sigma != base.field_sigma
+    n_paths, n_steps = mc["n_paths"], mc["n_steps"]
+    bundle = simulate_paths(base, n_paths, n_steps, sol.grid.T, mc["seed"],
+                            driver=driver, t0=t, x0=x)
+    xs = sol.xs
+    first = np.full(n_paths, n_steps)
+    for k in range(n_steps - 1, -1, -1):
+        tk = t + k * bundle.dt
+        n = min(max(int(np.searchsorted(sol.ts, tk + 1e-12,
+                                        side="right")) - 1, 0), sol.nt)
+        j = np.clip(np.rint((bundle.x_paths[:, k] - xs[0]) / (xs[1] - xs[0])),
+                    0, xs.size - 1).astype(np.intp)
+        first[differs[n, j]] = k
+    return first
+
+
+def _assert_estimates_equal_whole_bundle_passes(kind, driver, t, x, G, sol,
+                                                mc):
+    estimate = estimate_dx if kind == "x" else estimate_dt
+    est = estimate(driver, t, x, G, sol, mc=mc)
+    ref = _reference_estimate(kind, driver, t, x, G, sol, mc)
+    assert len(est.controls) == len(ref) == 2
+    for got, want in zip(est.controls, ref):
+        assert got == want
+
+
+FORK_MC = dict(n_paths=400, n_steps=48, seed=5)
+
+
+def test_paths_forked_at_the_first_step_equal_whole_bundle_passes():
+    # the generator argument is 0 on the boundary columns at every level,
+    # so a start on the first node is a tie for every path at step 0
+    G = regularize(G01, 0.2)
+    driver = preset_driver("smooth-bump", {"width": 2.0})
+    sol = _solve(driver, G=G, nx=201)
+    x = float(sol.xs[0])
+    assert np.all(_first_fork_steps(driver, 0.0, x, G, sol, FORK_MC) == 0)
+    _assert_estimates_equal_whole_bundle_passes("x", driver, 0.0, x, G, sol,
+                                                FORK_MC)
+
+
+@pytest.mark.parametrize("G", [regularize(G01, 0.2), make_gfunction(1.0, 1.0)],
+                         ids=["no-path-reaches-a-tie", "equal-bounds"])
+def test_unforked_paths_equal_whole_bundle_passes(G):
+    # equal volatility bounds: the tie-flipped field is the base field
+    driver = preset_driver("smooth-bump", {"width": 2.0})
+    sol = _solve(driver, G=G, nx=201)
+    first = _first_fork_steps(driver, 0.0, 0.5, G, sol, FORK_MC)
+    assert np.all(first == FORK_MC["n_steps"])
+    _assert_estimates_equal_whole_bundle_passes("x", driver, 0.0, 0.5, G,
+                                                sol, FORK_MC)
+
+
+@pytest.mark.parametrize("preset, G, kind, t, share", [
+    ("abs", G01, "x", 0.0, 0.5),
+    ("abs", G01, "t", 0.5, 0.5),
+    ("sine-gz", regularize(G01, 0.2), "x", 0.0, 0.05),
+], ids=["abs-x", "abs-t", "sine-gz-x"])
+def test_paths_forked_mid_run_equal_whole_bundle_passes(preset, G, kind, t,
+                                                        share):
+    # coarse solves tie away from the start late in the run; the abs
+    # paths' K increments vanish before the fork, the sine-gz ones do not
+    driver = preset_driver(preset)
+    form = PdeForm.GHEAT if preset == "abs" else PdeForm.REGULARIZED_BSDE
+    sol = _solve(driver, G=G, form=form, nx=41)
+    first = _first_fork_steps(driver, t, 0.0, G, sol, FORK_MC)
+    assert np.mean((first > 0) & (first < FORK_MC["n_steps"])) > share
+    _assert_estimates_equal_whole_bundle_passes(kind, driver, t, 0.0, G, sol,
+                                                FORK_MC)
+
+
 # ---------------------------------------------------------------------------
 # time sensitivity
 # ---------------------------------------------------------------------------
