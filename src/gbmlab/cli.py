@@ -305,20 +305,23 @@ def _run_solve_pde(cfg: RunConfig):
     return values, {}, {}, line
 
 
-def _family(cfg: RunConfig) -> _gbsde.BsdeSolutionFamily:
+def _family(cfg: RunConfig, *, curvature: bool = False
+            ) -> _gbsde.FamilyAtStart:
+    """The configured eps family at t = 0, streamed (no dense fields)."""
     p = _problem(cfg, cfg.gfunction())
     form = PdeForm.REGULARIZED_BSDE if p.form is PdeForm.GHEAT else p.form
-    return _gbsde.solve_gbsde(BsdeProblem(p.grid, p.driver, p.G, form),
-                              cfg.eps_schedule, safety=cfg.cfl_safety)
+    return _gbsde.stream_gbsde(BsdeProblem(p.grid, p.driver, p.G, form),
+                               cfg.eps_schedule, safety=cfg.cfl_safety,
+                               curvature=curvature)
 
 
 def _run_gbsde(cfg: RunConfig):
     fam = _family(cfg)
-    u0 = fam.u0_value(0.0, cfg.x)
-    deltas = fam.diagnostics["deltas"]
+    u0 = fam.u0_at(cfg.x)
+    deltas = fam.deltas
     rows = []
     for i, eps in enumerate(fam.eps_schedule):
-        rows.append((eps, fam.solutions[i].value(0.0, cfg.x),
+        rows.append((eps, fam.u_at(i, cfg.x),
                      deltas[i - 1] if i > 0 else float("nan")))
     decreasing = all(b <= a for a, b in zip(deltas, deltas[1:]))
     values = dict(u0_at_probe=u0, probe_x=cfg.x,
@@ -342,7 +345,7 @@ def _run_convergence(cfg: RunConfig):
 
 
 def _run_curvature(cfg: RunConfig):
-    fam = _family(cfg)
+    fam = _family(cfg, curvature=True)
     scan = _gbsde.second_derivative_scan(fam)
     values = dict(min_uxx=list(scan.min_uxx))
     verdicts = dict(bounded=bool(scan.bounded))

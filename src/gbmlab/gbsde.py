@@ -71,13 +71,82 @@ class BsdeSolutionFamily:
 
     def u0_value(self, t: float, x: float) -> float:
         sol = self.solutions[-1]
-        n = int(np.clip(np.searchsorted(sol.ts, t + 1e-12, side="right") - 1,
-                        0, sol.nt))
+        n = _pde._time_index(sol.ts, t)
         return float(np.interp(x, sol.xs, self.u0[n]))
 
+    @property
+    def deltas(self) -> tuple:
+        """sup_x |u_k - u_{k+1}|(0, .) over consecutive levels."""
+        return tuple(self.diagnostics["deltas"])
 
-def _sup_t0_delta(sol_a: PdeSolution, sol_b: PdeSolution) -> float:
-    return float(np.max(np.abs(sol_a.u[0] - sol_b.u[0])))
+    @property
+    def min_uxx(self) -> tuple:
+        """Per level, the minimum of d_xx u over the central third of the
+        nodes and over all time levels."""
+        return tuple(float(_central_uxx(sol.u, sol.dx).min())
+                     for sol in self.solutions)
+
+
+@dataclass(frozen=True)
+class FamilyAtStart:
+    """The eps family reduced while it is stepped (``stream_gbsde``).
+
+    ``u[k]`` is u_eps(0, .) of level k and ``u0`` the extrapolated limit at
+    t = 0; ``deltas`` and ``min_uxx`` mean what they mean on
+    :class:`BsdeSolutionFamily` (``min_uxx`` is None unless asked for).
+    """
+
+    problem: BsdeProblem
+    eps_schedule: tuple
+    u: np.ndarray
+    u0: np.ndarray
+    deltas: tuple
+    min_uxx: tuple | None
+    nt: int
+
+    def u_at(self, i: int, x: float) -> float:
+        """u of level ``i`` at (0, x), linear in x."""
+        return float(np.interp(x, self.problem.grid.xs, self.u[i]))
+
+    def u0_at(self, x: float) -> float:
+        """The extrapolated limit at (0, x), linear in x."""
+        return float(np.interp(x, self.problem.grid.xs, self.u0))
+
+
+def _eps_generators(problem: BsdeProblem, eps_schedule) -> tuple:
+    """(eps, generators): the schedule, checked, and one regularized
+    generator per level."""
+    eps = tuple(float(e) for e in eps_schedule)
+    if len(eps) < 2:
+        raise DomainError("need at least two eps levels")
+    if any(b >= a for a, b in zip(eps, eps[1:])):
+        raise DomainError(f"eps schedule must be strictly decreasing: {eps}")
+    if not problem.G.degenerate:
+        raise DomainError("vanishing-viscosity family needs a degenerate "
+                          "generator (sigma_low = 0)")
+    return eps, [regularize(problem.G, e) for e in eps]
+
+
+def _extrapolate(eps: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """First-order extrapolation to eps = 0 from the two finest levels."""
+    e1, e2 = eps[-2], eps[-1]
+    return u2 + (u2 - u1) * (e2 / (e1 - e2))
+
+
+def _start_deltas(rows) -> list:
+    """max |u_k - u_{k+1}| over consecutive rows of u(0, .)."""
+    return [float(np.max(np.abs(a - b))) for a, b in zip(rows, rows[1:])]
+
+
+def _central_uxx(u: np.ndarray, dx: float) -> np.ndarray:
+    """d_xx of ``u[..., nx]`` over the central third of the nodes, in the
+    expression order of ``pde.derivatives`` (no boundary node lies there
+    once nx >= 3)."""
+    nx = u.shape[-1]
+    lo = nx // 3
+    hi = max(lo + 1, nx - nx // 3)
+    return (u[..., lo + 1:hi + 1] - 2.0 * u[..., lo:hi]
+            + u[..., lo - 1:hi - 1]) / (dx * dx)
 
 
 def solve_gbsde(problem: BsdeProblem, eps_schedule, *,
@@ -89,22 +158,17 @@ def solve_gbsde(problem: BsdeProblem, eps_schedule, *,
     is stable for every level) so fields can be compared and extrapolated
     node by node.  Requires a degenerate generator and a strictly
     decreasing schedule with at least two levels.
+
+    The family is dense: u and the generator argument of every level at
+    every time level, each (levels, nt+1, nx), because ``reconstruct_K``
+    and ``FieldInterpolator`` read the fields along paths.  A caller that
+    needs only t = 0 and the per-level reductions uses ``stream_gbsde``.
     """
-    eps = tuple(float(e) for e in eps_schedule)
-    if len(eps) < 2:
-        raise DomainError("need at least two eps levels")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise DomainError(f"eps schedule must be strictly decreasing: {eps}")
-    if not problem.G.degenerate:
-        raise DomainError("vanishing-viscosity family needs a degenerate "
-                          "generator (sigma_low = 0)")
-    gs = [regularize(problem.G, e) for e in eps]
+    eps, gs = _eps_generators(problem, eps_schedule)
     solutions = _pde._solve_levels(problem.grid, problem.driver, gs,
                                    problem.form, safety)
-    e1, e2 = eps[-2], eps[-1]
-    u1, u2 = solutions[-2].u, solutions[-1].u
-    u0 = u2 + (u2 - u1) * (e2 / (e1 - e2))
-    deltas = [_sup_t0_delta(a, b) for a, b in zip(solutions, solutions[1:])]
+    u0 = _extrapolate(eps, solutions[-2].u, solutions[-1].u)
+    deltas = _start_deltas([sol.u[0] for sol in solutions])
     diagnostics = dict(deltas=deltas, nt=solutions[0].nt,
                        terminal_identical=bool(
                            np.array_equal(solutions[0].u[-1],
@@ -112,6 +176,35 @@ def solve_gbsde(problem: BsdeProblem, eps_schedule, *,
     return BsdeSolutionFamily(problem=problem, eps_schedule=eps,
                               solutions=solutions, u0=u0,
                               diagnostics=diagnostics)
+
+
+def stream_gbsde(problem: BsdeProblem, eps_schedule, *, safety: float = 0.9,
+                 curvature: bool = False) -> FamilyAtStart:
+    """The family of ``solve_gbsde`` at t = 0, without dense storage.
+
+    The levels are stepped on the same time grid, under the same checks
+    (schedule, pin-or-CFL rule, node-step budget, finiteness), but only
+    the last level is kept, plus, with ``curvature``, a running per-level
+    minimum of the central-third d_xx from phi on.  Memory is O(levels x
+    nx) instead of O(levels x nt x nx).  Every value equals the dense
+    family's bit for bit: the minima and maxima are exact and the
+    extrapolation is elementwise.
+    """
+    eps, gs = _eps_generators(problem, eps_schedule)
+    grid, driver = problem.grid, problem.driver
+    nt, dt, _ = _pde._time_steps(grid, gs, driver, safety)
+    phi = _pde._terminal_data(driver, grid.xs)
+    u = np.broadcast_to(phi, (len(gs), grid.nx))
+    mins = np.full(len(gs), _central_uxx(phi, grid.dx).min())
+    for _n, _a, u in _pde._backward_steps(driver, grid, gs, nt, dt, u):
+        if curvature:
+            np.minimum(mins, _central_uxx(u, grid.dx).min(axis=-1), out=mins)
+    u = u.copy()  # the step overwrites its level in place
+    return FamilyAtStart(problem=problem, eps_schedule=eps, u=u,
+                         u0=_extrapolate(eps, u[-2], u[-1]),
+                         deltas=tuple(_start_deltas(u)),
+                         min_uxx=tuple(mins.tolist()) if curvature else None,
+                         nt=nt)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +268,7 @@ class ConvergenceReport:
     any_violation: bool
 
 
-def convergence_report(family: BsdeSolutionFamily,
+def convergence_report(family: BsdeSolutionFamily | FamilyAtStart,
                        p: float = 1.0) -> ConvergenceReport:
     """Consecutive-level sup deltas at t=0 against |e-e'| + e^2 + e'^2.
 
@@ -186,8 +279,7 @@ def convergence_report(family: BsdeSolutionFamily,
     if len(eps) < 3:
         raise DomainError("convergence report needs >= 3 eps levels")
     rows = []
-    for k in range(len(eps) - 1):
-        delta = _sup_t0_delta(family.solutions[k], family.solutions[k + 1])
+    for k, delta in enumerate(family.deltas):
         bound = abs(eps[k] - eps[k + 1]) + eps[k] ** 2 + eps[k + 1] ** 2
         rows.append((eps[k], eps[k + 1], delta, bound, delta / bound))
     deltas = np.array([r[2] for r in rows])
@@ -213,7 +305,8 @@ class CurvatureScan:
     bounded: bool
 
 
-def second_derivative_scan(family: BsdeSolutionFamily) -> CurvatureScan:
+def second_derivative_scan(family: BsdeSolutionFamily | FamilyAtStart
+                           ) -> CurvatureScan:
     """Minimum of d_xx u_eps over the interior grid per level.
 
     Interior means the central third of the space nodes: the
@@ -223,13 +316,9 @@ def second_derivative_scan(family: BsdeSolutionFamily) -> CurvatureScan:
     The family passes when max |min| stays within a factor 2 of the
     coarsest level.
     """
-    mins = []
-    for sol in family.solutions:
-        nx = sol.xs.size
-        lo = nx // 3
-        hi = max(lo + 1, nx - nx // 3)
-        uxx = _pde.derivatives(sol).uxx[:, lo:hi]
-        mins.append(float(uxx.min()))
+    mins = family.min_uxx
+    if mins is None:
+        raise DomainError("family was streamed without the curvature minimum")
     ref = abs(mins[0])
     worst = max(abs(v) for v in mins)
     bounded = worst <= 2.0 * ref + 1e-12

@@ -31,11 +31,23 @@ from .gcore import (DomainError, DriverSpec, GFunction1D, Grid1D,
 # exits with a NumericalError instead of meeting the OOM killer.
 DENSE_BYTES_MAX = 2 * 2 ** 30
 
-# Most node-steps (rows x nt x nx) one solve may take.  The biggest solve in
-# the test suite and the benchmark (a stage of ``cylinder --psi sum-sq``:
-# 401 rows, nt=809, nx=401) takes about 1.3e8; a run that asks for more
-# than this exits with a NumericalError before its first step.
+# Most node-steps one solve may take, each step charged
+# max(rows x nx, STEP_NODES_MIN) nodes.  The biggest charge in the test
+# suite and the benchmark (a stage of ``cylinder --psi sum-sq``: 401 rows,
+# nt=809, nx=401) is about 1.3e8; a run that asks for more than this exits
+# with a NumericalError before its first step.
 NODE_STEPS_MAX = 2 ** 31
+
+# Fewest nodes one step is charged.  A step of ``_backward_steps`` costs
+# about c0 + c1 * (rows x nx): a least-squares fit of the best-of-3 per-step
+# time over rows 1, 4, 16 and nx 51 to 3201 (2-core Intel Xeon VM, numpy
+# 2.4) gave c0 = 18 us and c1 = 6.8 ns for ``quadratic`` and
+# ``smooth-bump``, c0 = 43 us and c1 = 15 ns for ``sine-gz``; c0 / c1 is
+# 2700 to 2900.  With a floor F >= c0 / c1 a charged node-step costs at most
+# c1 + c0 / F <= 2 c1, whatever the row width (25 ns for sine-gz at
+# F = 4096, so about 55 s for the whole budget), where counting nodes alone
+# lets one 51-node row cost 790 ns per node-step (28 min for the budget).
+STEP_NODES_MIN = 4096
 
 
 class PdeForm(enum.Enum):
@@ -120,9 +132,13 @@ def cfl_timestep(grid: Grid1D, G: GFunction1D, driver: DriverSpec,
     contributions of h and of the z-slope of g, and the dx^2-scaled
     zero-order Lipschitz rates of g and f.
     """
+    return _cfl_bound(grid, G, _driver_bounds(grid, driver), safety)
+
+
+def _cfl_bound(grid: Grid1D, G: GFunction1D, bb: dict, safety: float) -> float:
+    """``cfl_timestep`` from the sampled bounds ``bb`` of the driver."""
     if not (0.0 < safety <= 1.0):
         raise DomainError(f"need 0 < safety <= 1, got {safety}")
-    bb = _driver_bounds(grid, driver)
     dx = grid.dx
     sh2 = G.sigma_high ** 2
     denom = (bb["sig_max"] ** 2 * sh2
@@ -207,9 +223,11 @@ def _time_steps(grid: Grid1D, Gs, driver: DriverSpec, safety: float,
 
     Raises :class:`NumericalError` if the pinned ``nt`` is too small, or if
     stepping ``rows`` rows (one per generator by default) would exceed
-    ``NODE_STEPS_MAX`` node-steps.
+    ``NODE_STEPS_MAX`` node-steps, each step charged at least
+    ``STEP_NODES_MIN`` nodes.
     """
-    bound = min(cfl_timestep(grid, G, driver, safety) for G in Gs)
+    bb = _driver_bounds(grid, driver)  # sampled once for every generator
+    bound = min(_cfl_bound(grid, G, bb, safety) for G in Gs)
     nt_needed = max(1, math.ceil(grid.T / bound - 1e-12))
     if grid.nt is None:
         nt = nt_needed
@@ -220,11 +238,12 @@ def _time_steps(grid: Grid1D, Gs, driver: DriverSpec, safety: float,
                 f"CFL violation: grid.nt={nt} gives dt={grid.T / nt:.6g} "
                 f"above the stable bound {bound:.6g} (needs nt >= {nt_needed})")
     rows = len(Gs) if rows is None else rows
-    work = rows * nt * grid.nx
+    work = max(rows * grid.nx, STEP_NODES_MIN) * nt
     if work > NODE_STEPS_MAX:
         raise NumericalError(
             f"solve needs {work:.3g} node-steps for nt={nt}, nx={grid.nx}, "
-            f"{rows} row(s); the limit is {NODE_STEPS_MAX:.3g}")
+            f"{rows} row(s), each step charged at least {STEP_NODES_MIN} "
+            f"nodes; the limit is {NODE_STEPS_MAX:.3g}")
     return nt, grid.T / nt, bound
 
 

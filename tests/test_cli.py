@@ -282,6 +282,36 @@ def test_work_budget_exits_two(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    # CFL asks for about 4.1M time levels at nx=51: 8.4e8 node-steps for
+    # the four eps levels, under the budget counted by nodes alone, yet
+    # about 165 s of stepping; the family is streamed, so no dense-field
+    # limit stops it either
+    ["gbsde", "--preset", "sine-gz", "--param", "c=1e6", "--nx", "51"],
+    ["convergence", "--preset", "sine-gz", "--param", "c=1e6", "--nx", "51"],
+    ["curvature", "--preset", "sine-gz", "--param", "c=1e6", "--nx", "51"],
+    # every level is under the budget counted by nodes alone (2.1e7, 8.2e7
+    # and 3.3e8 node-steps), yet the three levels take about 2.5 min
+    ["stability", "--shift", "0.1", "--preset", "sine-gz", "--param",
+     "c=1e5", "--nx", "51"],
+], ids=["gbsde", "convergence", "curvature", "stability"])
+def test_per_step_floor_refuses_long_narrow_solves(tmp_path, argv):
+    script = textwrap.dedent(f"""
+        import sys
+        from gbmlab.cli import _main
+        sys.exit(_main({argv!r} + ["--output-dir", {str(tmp_path)!r}]))
+        """)
+    src = os.path.dirname(os.path.dirname(gbmlab.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert "node-steps" in proc.stderr
+
+
 def test_path_time_outside_the_horizon_exits_one(tmp_path):
     for argv in (["sensitivity-x", "--t", "nan"],
                  ["sensitivity-t", "--t", "nan"],

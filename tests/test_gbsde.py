@@ -115,6 +115,59 @@ def test_family_honours_a_stable_pinned_nt():
         _family(preset_driver("quadratic"), grid=_grid(101).with_nt(nt - 1))
 
 
+def _pinned_grid():
+    nt = _family(preset_driver("quadratic"), grid=_grid(101)).diagnostics["nt"]
+    return _grid(101).with_nt(nt + 7)
+
+
+@pytest.mark.parametrize("preset, grid", [
+    ("quadratic", None), ("linear-h", None), ("smooth-bump", None),
+    ("sine-gz", None), ("sine-gz", "pinned")])
+def test_streamed_family_equals_dense_family(preset, grid):
+    grid = _pinned_grid() if grid == "pinned" else _grid(201)
+    problem = gbsde.BsdeProblem(grid, preset_driver(preset), G01,
+                                PdeForm.REGULARIZED_BSDE)
+    dense = gbsde.solve_gbsde(problem, SCHEDULE)
+    streamed = gbsde.stream_gbsde(problem, SCHEDULE, curvature=True)
+    assert streamed.nt == dense.diagnostics["nt"]
+    assert np.array_equal(streamed.u, [sol.u[0] for sol in dense.solutions])
+    assert np.array_equal(streamed.u0, dense.u0[0])
+    assert streamed.deltas == dense.deltas
+    assert streamed.deltas == tuple(dense.diagnostics["deltas"])
+    assert streamed.min_uxx == dense.min_uxx
+    # the dense reduction equals the scan over the full derivative fields
+    nx = grid.nx
+    lo, hi = nx // 3, max(nx // 3 + 1, nx - nx // 3)
+    assert dense.min_uxx == tuple(
+        float(_pde.derivatives(sol).uxx[:, lo:hi].min())
+        for sol in dense.solutions)
+    assert (gbsde.convergence_report(streamed).rows
+            == gbsde.convergence_report(dense).rows)
+    assert gbsde.convergence_report(streamed) == \
+        gbsde.convergence_report(dense)
+    assert gbsde.second_derivative_scan(streamed) == \
+        gbsde.second_derivative_scan(dense)
+    for i in range(len(SCHEDULE)):
+        assert streamed.u_at(i, 0.3) == dense.solution(i).value(0.0, 0.3)
+    assert streamed.u0_at(0.3) == dense.u0_value(0.0, 0.3)
+
+
+def test_streamed_family_checks_like_the_dense_one():
+    quad = preset_driver("quadratic")
+    problem = gbsde.BsdeProblem(_grid(101), quad, G01,
+                                PdeForm.REGULARIZED_BSDE)
+    for schedule in ((0.1,), (0.1, 0.2), (0.2, 0.0)):
+        with pytest.raises(DomainError):
+            gbsde.stream_gbsde(problem, schedule)
+    # without the curvature minimum the scan has nothing to read
+    with pytest.raises(DomainError):
+        gbsde.second_derivative_scan(gbsde.stream_gbsde(problem, (0.2, 0.1)))
+    nt = gbsde.stream_gbsde(problem, (0.2, 0.1)).nt
+    with pytest.raises(NumericalError):
+        gbsde.stream_gbsde(dataclasses.replace(
+            problem, grid=_grid(101).with_nt(nt - 1)), (0.2, 0.1))
+
+
 # ---- reconstruct_K ----
 
 def test_k_zero_under_extremal_control():
