@@ -517,31 +517,21 @@ def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
     if t2 <= t1 + 1e-15:
         return DpCheckReport(t1=t1, t2=t2, x0=x0, u_t1=u_t1,
                              lattice_value=u_t1, residual=0.0)
-    G = problem.G
-    horizon = t2 - t1
-    dt = horizon / steps
-    dxl = G.sigma_high * math.sqrt(dt)
-    offs = np.arange(-steps, steps + 1)
-    nodes = x0 + offs * dxl
+    spec = LatticeSpec.for_horizon(t2 - t1, steps, problem.G)
+    dt = spec.dt
+    nodes = x0 + np.arange(-steps, steps + 1) * spec.dx
+    inner = nodes[1:-1]
     fields = FieldInterpolator(sol)
-    V = fields.u_at(t2, nodes)
-    probs = [s * s * dt / (2.0 * dxl * dxl)
-             for s in (G.sigma_low, G.sigma_high)]
-    sigmas = (G.sigma_low, G.sigma_high)
+    V = fields.u_at(t2, nodes)[None]
     for k in range(steps - 1, -1, -1):
         t = t1 + k * dt
-        y = fields.u_at(t, nodes[1:-1])
-        z = fields.z_at(t, nodes[1:-1])
-        fval = np.asarray(d.f(t, nodes[1:-1], y), dtype=float)
-        gval = np.asarray(d.g(t, nodes[1:-1], y, z), dtype=float)
-        best = None
-        for pr, sg in zip(probs, sigmas):
-            cand = (pr * (V[2:] + V[:-2]) + (1.0 - 2.0 * pr) * V[1:-1]
-                    + (fval + gval * sg * sg) * dt)
-            best = cand if best is None else np.maximum(best, cand)
-        V = V.copy()
-        V[1:-1] = best
-    lattice_value = float(V[steps])
+        y = fields.u_at(t, inner)
+        z = fields.z_at(t, inner)
+        fval = np.asarray(d.f(t, inner, y), dtype=float)
+        gval = np.asarray(d.g(t, inner, y, z), dtype=float)
+        V = _gexpect._sup_step(V, spec.probs, [(fval + gval * sg * sg) * dt
+                                               for sg in spec.sigma_choices])
+    lattice_value = float(V[0, steps])
     return DpCheckReport(t1=t1, t2=t2, x0=x0, u_t1=u_t1,
                          lattice_value=lattice_value,
                          residual=abs(lattice_value - u_t1))

@@ -520,13 +520,12 @@ def preset_driver(name: str, params: Mapping | None = None) -> DriverSpec:
     elif name == "sine-gz":
         c = float(p.setdefault("c", 0.5))
 
+        # + 0.0 turns c*sin(-0.0) into +0.0
         def g(t, x, y, z):
-            return c * np.sin(np.asarray(z, dtype=float)) \
-                + _zero4(t, x, y, z)
+            return c * np.sin(np.asarray(z, dtype=float)) + 0.0
 
         def g_z(t, x, y, z):
-            return c * np.cos(np.asarray(z, dtype=float)) \
-                + _zero4(t, x, y, z)
+            return c * np.cos(np.asarray(z, dtype=float)) + 0.0
 
         coeffs.update(g=g, g_z=g_z)
         payoff = p.get("phi", "bump")

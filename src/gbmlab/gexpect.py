@@ -66,6 +66,12 @@ class LatticeSpec:
     def T(self) -> float:
         return self.steps * self.dt
 
+    @property
+    def probs(self) -> tuple:
+        """Side-move probability sigma^2 dt / (2 dx^2) of each choice."""
+        return tuple(sig ** 2 * self.dt / (2.0 * self.dx ** 2)
+                     for sig in self.sigma_choices)
+
     @classmethod
     def for_horizon(cls, T: float, steps: int, G: GFunction1D,
                     sigma_choices: tuple | None = None) -> "LatticeSpec":
@@ -117,17 +123,56 @@ def _terminal_tab(X: CylinderFunctional, s: list[int], dx: float) -> np.ndarray:
         np.broadcast_to(tab, tuple(2 * k + 1 for k in s)), dtype=float)
 
 
+def _lattice_steps(s: list[int]):
+    """The backward steps k = s[-1]-1, ..., 0 over the stage steps ``s``,
+    each paired with the stage ``(s_prev, s_cur)`` to contract after step k
+    (k = s_prev, the start of every stage but the first), else None."""
+    sb = [0] + list(s)
+    for i in range(len(s), 0, -1):
+        for k in range(sb[i] - 1, sb[i - 1] - 1, -1):
+            yield k, (sb[i - 1], sb[i]) if k == sb[i - 1] and i > 1 else None
+
+
 def _contract(V: np.ndarray, s_prev: int, s_cur: int) -> np.ndarray:
     """Collapse the just-finished stage: at its start step the current node
-    equals the newest recorded boundary position, so take that diagonal."""
+    equals the newest recorded boundary position, so take that diagonal.
+    Axes after the node axis are kept."""
     r_prev = 2 * s_prev + 1
-    P = V.shape[0] // r_prev
-    V3 = V.reshape(P, r_prev, V.shape[1])
+    V3 = V.reshape((V.shape[0] // r_prev, r_prev) + V.shape[1:])
     a = np.arange(r_prev)
     return V3[:, a, a - s_prev + s_cur]
 
 
-def _sup_dp(tab: np.ndarray, s: list[int], probs: list[float],
+def _sup_step(V: np.ndarray, probs, rewards=None, policy: bool = False):
+    """One backward step over axis 1 of ``V[P, nodes, ...]``.
+
+    Each interior node takes the largest over the volatility choices of
+    p (up + down) + (1 - 2p) mid, plus that choice's ``rewards`` entry if
+    given; the end nodes keep their values.  Ties go to the later, larger
+    sigma.  With ``policy``, also returns the chosen index (int8) per
+    interior node.
+    """
+    up, dn, mid = V[:, 2:], V[:, :-2], V[:, 1:-1]
+    best = arg = None
+    for ci, pr in enumerate(probs):
+        cand = pr * (up + dn) + (1.0 - 2.0 * pr) * mid
+        if rewards is not None:
+            cand += rewards[ci]
+        if best is None:
+            best = cand
+            if policy:
+                arg = np.zeros(cand.shape, dtype=np.int8)
+        else:
+            take = cand >= best  # ties prefer the larger sigma
+            np.copyto(best, cand, where=take)
+            if policy:
+                arg[take] = ci
+    V = V.copy()
+    V[:, 1:-1] = best
+    return (V, arg) if policy else V
+
+
+def _sup_dp(tab: np.ndarray, s: list[int], probs,
             record: dict | None = None, policy: dict | None = None):
     """Backward maximizing DP over the augmented lattice.
 
@@ -136,34 +181,20 @@ def _sup_dp(tab: np.ndarray, s: list[int], probs: list[float],
     in its minimal layout; ``policy[k]`` is (interior offsets, chosen-sigma
     index array) per step.
     """
-    N = len(s)
     V = tab.reshape(-1, 2 * s[-1] + 1)
     if record is not None:
         record[s[-1]] = V.copy()
-    sb = [0] + list(s)
-    for i in range(N, 0, -1):
-        for k in range(sb[i] - 1, sb[i - 1] - 1, -1):
-            up, dn, mid = V[:, 2:], V[:, :-2], V[:, 1:-1]
-            best = None
-            arg = None
-            for ci, pr in enumerate(probs):
-                cand = pr * (up + dn) + (1.0 - 2.0 * pr) * mid
-                if best is None:
-                    best = cand
-                    arg = np.zeros(cand.shape, dtype=np.int8)
-                else:
-                    take = cand >= best  # ties prefer the larger sigma
-                    best = np.where(take, cand, best)
-                    arg[take] = ci
-            V = V.copy()
-            V[:, 1:-1] = best
-            if policy is not None:
-                half = (V.shape[1] - 1) // 2
-                policy[k] = (np.arange(-half + 1, half), arg)
-            if k == sb[i - 1] and i > 1:
-                V = _contract(V, sb[i - 1], sb[i])
-            if record is not None:
-                record[k] = V.copy()
+    for k, stage in _lattice_steps(s):
+        if policy is None:
+            V = _sup_step(V, probs)
+        else:
+            V, arg = _sup_step(V, probs, policy=True)
+            half = V.shape[1] // 2
+            policy[k] = (np.arange(-half + 1, half), arg)
+        if stage is not None:
+            V = _contract(V, *stage)
+        if record is not None:
+            record[k] = V.copy()
     return V
 
 
@@ -171,11 +202,9 @@ def lattice_oracle(X: CylinderFunctional, G: GFunction1D, spec: LatticeSpec,
                    *, return_policy: bool = False):
     """Worst-case lattice expectation of the cylinder payoff."""
     s = _stage_bounds(X, spec)
-    probs = [sig ** 2 * spec.dt / (2.0 * spec.dx ** 2)
-             for sig in spec.sigma_choices]
     tab = _terminal_tab(X, s, spec.dx)
     policy: dict | None = {} if return_policy else None
-    V = _sup_dp(tab, s, probs, policy=policy)
+    V = _sup_dp(tab, s, spec.probs, policy=policy)
     value = float(V[0, s[0]])
     if return_policy:
         return value, policy
@@ -349,7 +378,7 @@ def doob_constant(p: float, p_prime: float) -> float:
     return (1.0 + p / (p_prime - p)) ** (1.0 / p)
 
 
-def _running_max_lhs(records: dict, s: list[int], probs: list[float],
+def _running_max_lhs(records: dict, s: list[int], probs,
                      pw: float) -> float:
     """E-hat[ (sup_k M_k)^pw ] by DP over (lattice state, running max), the
     running max ranging over the exact finite set of recorded M values."""
@@ -357,36 +386,20 @@ def _running_max_lhs(records: dict, s: list[int], probs: list[float],
     mvals = np.concatenate([[-np.inf], mvals])
     powv = mvals ** pw
     powv[0] = 0.0  # sentinel, never selected
-    n_m = len(mvals)
+    m_axis = np.arange(len(mvals))
 
-    def ranks(arr: np.ndarray) -> np.ndarray:
-        return np.searchsorted(mvals, arr).astype(np.int64)
+    def raised(rec: np.ndarray) -> np.ndarray:
+        """Per (node, running-max rank): the rank after meeting ``rec``."""
+        ranks = np.searchsorted(mvals, rec).astype(np.int64)
+        return np.maximum(m_axis[None, None, :], ranks[:, :, None])
 
-    sb = [0] + list(s)
-    N = len(s)
-    top = s[-1]
-    r_top = ranks(records[top])
-    m_axis = np.arange(n_m)
-    W = powv[np.maximum(m_axis[None, None, :], r_top[:, :, None])]
-    for i in range(N, 0, -1):
-        for k in range(sb[i] - 1, sb[i - 1] - 1, -1):
-            up, dn, mid = W[:, 2:, :], W[:, :-2, :], W[:, 1:-1, :]
-            best = None
-            for pr in probs:
-                cand = pr * (up + dn) + (1.0 - 2.0 * pr) * mid
-                best = cand if best is None else np.maximum(best, cand)
-            C = W.copy()
-            C[:, 1:-1, :] = best
-            if k == sb[i - 1] and i > 1:
-                r_prev = 2 * sb[i - 1] + 1
-                P = C.shape[0] // r_prev
-                C4 = C.reshape(P, r_prev, C.shape[1], n_m)
-                a = np.arange(r_prev)
-                C = C4[:, a, a - sb[i - 1] + sb[i], :]
-            rk = ranks(records[k])
-            idx = np.broadcast_to(np.maximum(m_axis[None, None, :],
-                                             rk[:, :, None]), C.shape)
-            W = np.take_along_axis(C, idx, axis=2)
+    W = powv[raised(records[s[-1]])]
+    for k, stage in _lattice_steps(s):
+        C = _sup_step(W, probs)
+        if stage is not None:
+            C = _contract(C, *stage)
+        W = np.take_along_axis(C, np.broadcast_to(raised(records[k]), C.shape),
+                               axis=2)
     return float(W[0, s[0], 0])
 
 
@@ -400,8 +413,7 @@ def doob_check(xi: CylinderFunctional, p: float, p_prime: float,
     if not (1.0 <= p < p_prime):
         raise DomainError(f"need 1 <= p < p_prime, got ({p}, {p_prime})")
     s = _stage_bounds(xi, spec)
-    probs = [sig ** 2 * spec.dt / (2.0 * spec.dx ** 2)
-             for sig in spec.sigma_choices]
+    probs = spec.probs
     tab = np.abs(_terminal_tab(xi, s, spec.dx))
     records: dict = {}
     _sup_dp(tab, s, probs, record=records)

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -159,8 +158,7 @@ class PdeSolution:
 
     ``u[n, j]`` approximates u(t_n, x_j) with t_n = n*dt; ``a_field[n, j]``
     is the generator argument sigma^2 d_xx u + 2 h d_x u + 2 g evaluated from
-    the same slice.  ``metadata`` holds CFL and timing diagnostics (kept out
-    of file exports so artifacts stay byte-reproducible).
+    the same slice.
     """
 
     u: np.ndarray
@@ -171,7 +169,6 @@ class PdeSolution:
     form: PdeForm
     dx: float
     dt: float
-    metadata: dict = field(default_factory=dict)
 
     @property
     def nt(self) -> int:
@@ -208,7 +205,10 @@ class ControlField:
 
 
 def _time_index(ts: np.ndarray, t: float) -> int:
-    n = int(np.searchsorted(ts, t + 1e-12, side="right") - 1)
+    # the slack absorbs rounding in t; below half a level spacing it cannot
+    # move a read onto the next level
+    slack = min(1e-12, 0.5 * (ts[1] - ts[0])) if len(ts) > 1 else 1e-12
+    n = int(np.searchsorted(ts, t + slack, side="right") - 1)
     return min(max(n, 0), len(ts) - 1)
 
 
@@ -372,14 +372,13 @@ def _solve_levels(grid: Grid1D, driver: DriverSpec, Gs, form: PdeForm,
     """Dense solutions of one driver under each generator in ``Gs``, on one
     shared time grid, as views of one stacked array."""
     xs, dx = grid.xs, grid.dx
-    nt, dt, bound = _time_steps(grid, Gs, driver, safety)
+    nt, dt, _ = _time_steps(grid, Gs, driver, safety)
     dense = 2 * 8 * len(Gs) * (nt + 1) * grid.nx
     if dense > DENSE_BYTES_MAX:
         raise NumericalError(
             f"dense solution needs {dense / 2 ** 30:.3g} GiB for nt={nt}, "
             f"nx={grid.nx}, {len(Gs)} row(s); the limit is "
             f"{DENSE_BYTES_MAX / 2 ** 30:.3g} GiB")
-    t_start = time.perf_counter()
     u = np.empty((len(Gs), nt + 1, grid.nx))
     a_field = np.empty_like(u)
     u[:, nt] = _terminal_data(driver, xs)
@@ -388,13 +387,9 @@ def _solve_levels(grid: Grid1D, driver: DriverSpec, Gs, form: PdeForm,
         u[:, n] = un
     a_field[:, 0] = _generator_arg(driver, 0.0, xs, dx, u[:, 0],
                                    _Work(u[:, 0].shape))
-
-    meta = dict(cfl_dt_bound=bound, dt=dt, nt=nt, safety=safety,
-                wall_time=time.perf_counter() - t_start)
     grid = grid.with_nt(nt)
     return tuple(PdeSolution(u=u[i], a_field=a_field[i], grid=grid,
-                             driver=driver, G=G, form=form, dx=dx, dt=dt,
-                             metadata=dict(meta))
+                             driver=driver, G=G, form=form, dx=dx, dt=dt)
                  for i, G in enumerate(Gs))
 
 

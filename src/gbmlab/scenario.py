@@ -446,6 +446,14 @@ def k_increments(fields: FieldInterpolator, G: GFunction1D,
     return out
 
 
+def _residual(mean: float, se: float, u_ref: float) -> tuple:
+    """(residual, its SE, accepted): E[K_T] and its SE scaled by
+    max(1, |u_ref|), accepted iff |residual| <= 3 SE + 1e-2."""
+    scale = max(1.0, abs(u_ref))
+    residual, residual_se = mean / scale, se / scale
+    return residual, residual_se, abs(residual) <= 3.0 * residual_se + 1e-2
+
+
 @dataclass(frozen=True)
 class MeasureCheck:
     control_label: str
@@ -474,13 +482,10 @@ def verify_measure_in_Ptx(control: VolatilityControl, driver: DriverSpec,
     kt = k_increments(fields, G, bundle, X).sum(axis=1)
     mean, se = mean_and_se(kt)
     u_ref = sol.value(t, x)
-    scale = max(1.0, abs(u_ref))
-    residual = mean / scale
-    residual_se = se / scale
+    residual, residual_se, accepted = _residual(mean, se, u_ref)
     return MeasureCheck(control_label=control.label, mean_KT=mean, se=se,
                         u_ref=u_ref, residual=residual,
-                        residual_se=residual_se,
-                        accepted=abs(residual) <= 3.0 * residual_se + 1e-2)
+                        residual_se=residual_se, accepted=accepted)
 
 
 # ---------------------------------------------------------------------------
@@ -721,17 +726,15 @@ def _estimate(kind: str, driver: DriverSpec, t: float, x: float,
         xT[w.idx], weight[w.idx], acc[w.idx] = w.x, w.weight(kind), w.acc
         kt_f[w.idx] = _k_totals(dk, w.idx, fork.dk)
         walks.append((xT, weight, acc, kt_f))
-    scale = max(1.0, abs(sol.value(t, x)))
+    u_ref = sol.value(t, x)
     results = []
     for control, (xT, weight, acc, kt) in zip(controls, walks):
         mp, sp = mean_and_se(_phi_sided(driver, xT, "plus") * weight + acc)
         mm, sm = mean_and_se(_phi_sided(driver, xT, "minus") * weight + acc)
-        kmean, kse = mean_and_se(kt)
+        residual, residual_se, accepted = _residual(*mean_and_se(kt), u_ref)
         results.append(dict(label=control.label, plus=mp, se_plus=sp,
-                            minus=mm, se_minus=sm,
-                            residual=kmean / scale, residual_se=kse / scale,
-                            accepted=abs(kmean / scale)
-                            <= 3.0 * kse / scale + 1e-2))
+                            minus=mm, se_minus=sm, residual=residual,
+                            residual_se=residual_se, accepted=accepted))
     best_p = max(results, key=lambda r: r["plus"])
     best_m = min(results, key=lambda r: r["minus"])
     return SensitivityEstimate(t=t, x=x, plus=best_p["plus"],

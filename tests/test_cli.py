@@ -80,6 +80,18 @@ def test_solve_pde_artifacts(tmp_path):
     assert values["form"] == "gheat"
 
 
+def test_solve_pde_probe_reads_level_zero_below_the_time_slack(tmp_path):
+    # dt = 5e-14: an absolute 1e-12 slack would read the terminal level
+    rc = _main(["solve-pde", "--T", "1e-13", "--nx", "21",
+                "--output-dir", str(tmp_path)])
+    assert rc == 0
+    rows = (tmp_path / "solution.csv").read_text().splitlines()[1:]
+    u00 = [r.split(",")[2] for r in rows
+           if r.startswith("0.000000000000e+00,0.000000000000e+00,")]
+    assert u00 == [format(_summary(tmp_path)["values"]["u_at_probe"], ".12e")]
+    assert float(u00[0]) > 0.0  # the terminal value at x = 0 is 0
+
+
 def test_gbsde_from_config_file(tmp_path):
     config = _config_file(tmp_path)
     out = tmp_path / "from-config"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -166,6 +167,18 @@ def test_streamed_family_checks_like_the_dense_one():
     with pytest.raises(NumericalError):
         gbsde.stream_gbsde(dataclasses.replace(
             problem, grid=_grid(101).with_nt(nt - 1)), (0.2, 0.1))
+
+
+def test_dense_and_streamed_start_agree_below_the_time_slack():
+    # dt < 1e-12: an absolute 1e-12 slack would read the terminal level
+    grid = Grid1D.default_for(0.0, 1e-13, G01, nx=21)
+    problem = gbsde.BsdeProblem(grid, preset_driver("quadratic"), G01,
+                                PdeForm.REGULARIZED_BSDE)
+    dense = gbsde.solve_gbsde(problem, (0.2, 0.1))
+    streamed = gbsde.stream_gbsde(problem, (0.2, 0.1))
+    for x in (0.0, 0.05, -0.3):
+        assert dense.u0_value(0.0, x) == streamed.u0_at(x)
+    assert dense.solution(0).value(0.0, 0.0) > 0.0
 
 
 # ---- reconstruct_K ----
@@ -513,6 +526,59 @@ def test_dp_rejections():
         gbsde.dynamic_programming_check(pure, 0.5, 0.25)
     with pytest.raises(DomainError):
         gbsde.dynamic_programming_check(pure, 0.5, 1.5)
+
+
+def _ref_dp_lattice_value(problem, sol, t1, t2, x0, steps):
+    """The dp check's lattice with its own probabilities and step."""
+    d, G = problem.driver, problem.G
+    horizon = t2 - t1
+    dt = horizon / steps
+    dxl = G.sigma_high * math.sqrt(dt)
+    offs = np.arange(-steps, steps + 1)
+    nodes = x0 + offs * dxl
+    fields = FieldInterpolator(sol)
+    V = fields.u_at(t2, nodes)
+    probs = [s * s * dt / (2.0 * dxl * dxl)
+             for s in (G.sigma_low, G.sigma_high)]
+    sigmas = (G.sigma_low, G.sigma_high)
+    for k in range(steps - 1, -1, -1):
+        t = t1 + k * dt
+        y = fields.u_at(t, nodes[1:-1])
+        z = fields.z_at(t, nodes[1:-1])
+        fval = np.asarray(d.f(t, nodes[1:-1], y), dtype=float)
+        gval = np.asarray(d.g(t, nodes[1:-1], y, z), dtype=float)
+        best = None
+        for pr, sg in zip(probs, sigmas):
+            cand = (pr * (V[2:] + V[:-2]) + (1.0 - 2.0 * pr) * V[1:-1]
+                    + (fval + gval * sg * sg) * dt)
+            best = cand if best is None else np.maximum(best, cand)
+        V = V.copy()
+        V[1:-1] = best
+    return float(V[steps])
+
+
+@pytest.mark.parametrize("preset, sigma_low, t1, t2, steps", [
+    ("quadratic", 0.0, 0.0, 0.5, 64), ("linear-h", 0.1, 0.25, 0.75, 64),
+    ("sine-gz", 0.5, 0.1, 0.37, 13), ("sine-gz", 1.0, 0.3, 0.9, 8)])
+def test_dp_lattice_equals_its_own_loop(preset, sigma_low, t1, t2, steps):
+    G = make_gfunction(sigma_low, 1.0)
+    problem = gbsde.BsdeProblem(_grid(161), preset_driver(preset), G,
+                                PdeForm.MARKOVIAN_FBSDE)
+    sol = solve_terminal_pde(PdeProblem(problem.grid, problem.driver, G,
+                                        problem.form))
+    report = gbsde.dynamic_programming_check(problem, t1, t2, x0=0.1,
+                                             steps=steps, sol=sol)
+    want = _ref_dp_lattice_value(problem, sol, t1, t2, 0.1, steps)
+    assert (np.float64(report.lattice_value).tobytes()
+            == np.float64(want).tobytes())
+
+
+def test_dp_rejects_too_few_steps():
+    problem = gbsde.BsdeProblem(_grid(101), preset_driver("quadratic"), G01,
+                                PdeForm.MARKOVIAN_FBSDE)
+    for steps in (0, -2):
+        with pytest.raises(DomainError):
+            gbsde.dynamic_programming_check(problem, 0.0, 0.5, steps=steps)
 
 
 # ---- counterexample demo ----

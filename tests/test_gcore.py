@@ -17,6 +17,7 @@ from gbmlab.gcore import (
     parse_config,
     payoff_driver,
     preset_driver,
+    _zero4,
     regularize,
 )
 
@@ -179,6 +180,22 @@ def test_default_derivative_of_a_replaced_coefficient_is_checked():
     with pytest.raises(DomainError, match="b_x"):
         dataclasses.replace(preset_driver("quadratic"),
                             b=lambda t, x: 0.5 * np.asarray(x, dtype=float))
+
+
+@pytest.mark.parametrize("c", [0.5, -1.5, 0.0])
+def test_sine_gz_coefficients_equal_the_broadcast_zero_form(c):
+    d = preset_driver("sine-gz", {"c": c})
+    z = np.array([[0.0, -0.0, 1e-300, -2.5], [np.pi, -np.pi, 3.0, -0.0]])
+    x, y = np.linspace(-1.0, 1.0, 4), np.zeros((2, 4))
+    cases = [(0.3, x, y, z), (0.0, 0.5, -0.25, 0.0), (0.0, 0.5, -0.25, -0.0),
+             (1.0, -1.0, 2.0, 1.25)]
+    for t, xv, yv, zv in cases:
+        zf = np.asarray(zv, dtype=float)
+        for got, want in (
+                (d.g(t, xv, yv, zv), c * np.sin(zf) + _zero4(t, xv, yv, zv)),
+                (d.g_z(t, xv, yv, zv), c * np.cos(zf) + _zero4(t, xv, yv, zv))):
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # ---------------------------------------------------------------------------

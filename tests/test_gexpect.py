@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from gbmlab import gexpect
 from gbmlab.gcore import (
     CylinderFunctional,
     DomainError,
@@ -226,3 +227,143 @@ def test_doob_csv_single_line(tmp_path):
     assert lines[0] == "p,p_prime,C,lhs,rhs,margin"
     assert len(lines) == 2
     assert len(lines[1].split(",")) == 6
+
+
+# ---------------------------------------------------------------------------
+# the folded trinomial step against the loops it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_contract(V, s_prev, s_cur):
+    r_prev = 2 * s_prev + 1
+    P = V.shape[0] // r_prev
+    V3 = V.reshape(P, r_prev, V.shape[1])
+    a = np.arange(r_prev)
+    return V3[:, a, a - s_prev + s_cur]
+
+
+def _ref_sup_dp(tab, s, probs, record=None, policy=None):
+    """The lattice DP with its own step, stage walk and contraction."""
+    N = len(s)
+    V = tab.reshape(-1, 2 * s[-1] + 1)
+    if record is not None:
+        record[s[-1]] = V.copy()
+    sb = [0] + list(s)
+    for i in range(N, 0, -1):
+        for k in range(sb[i] - 1, sb[i - 1] - 1, -1):
+            up, dn, mid = V[:, 2:], V[:, :-2], V[:, 1:-1]
+            best = None
+            arg = None
+            for ci, pr in enumerate(probs):
+                cand = pr * (up + dn) + (1.0 - 2.0 * pr) * mid
+                if best is None:
+                    best = cand
+                    arg = np.zeros(cand.shape, dtype=np.int8)
+                else:
+                    take = cand >= best  # ties prefer the larger sigma
+                    best = np.where(take, cand, best)
+                    arg[take] = ci
+            V = V.copy()
+            V[:, 1:-1] = best
+            if policy is not None:
+                half = (V.shape[1] - 1) // 2
+                policy[k] = (np.arange(-half + 1, half), arg)
+            if k == sb[i - 1] and i > 1:
+                V = _ref_contract(V, sb[i - 1], sb[i])
+            if record is not None:
+                record[k] = V.copy()
+    return V
+
+
+def _ref_running_max_lhs(records, s, probs, pw):
+    """The running-max DP with its own step, stage walk and contraction."""
+    mvals = np.unique(np.concatenate([v.ravel() for v in records.values()]))
+    mvals = np.concatenate([[-np.inf], mvals])
+    powv = mvals ** pw
+    powv[0] = 0.0  # sentinel, never selected
+    n_m = len(mvals)
+
+    def ranks(arr):
+        return np.searchsorted(mvals, arr).astype(np.int64)
+
+    sb = [0] + list(s)
+    N = len(s)
+    top = s[-1]
+    r_top = ranks(records[top])
+    m_axis = np.arange(n_m)
+    W = powv[np.maximum(m_axis[None, None, :], r_top[:, :, None])]
+    for i in range(N, 0, -1):
+        for k in range(sb[i] - 1, sb[i - 1] - 1, -1):
+            up, dn, mid = W[:, 2:, :], W[:, :-2, :], W[:, 1:-1, :]
+            best = None
+            for pr in probs:
+                cand = pr * (up + dn) + (1.0 - 2.0 * pr) * mid
+                best = cand if best is None else np.maximum(best, cand)
+            C = W.copy()
+            C[:, 1:-1, :] = best
+            if k == sb[i - 1] and i > 1:
+                r_prev = 2 * sb[i - 1] + 1
+                P = C.shape[0] // r_prev
+                C4 = C.reshape(P, r_prev, C.shape[1], n_m)
+                a = np.arange(r_prev)
+                C = C4[:, a, a - sb[i - 1] + sb[i], :]
+            rk = ranks(records[k])
+            idx = np.broadcast_to(np.maximum(m_axis[None, None, :],
+                                             rk[:, :, None]), C.shape)
+            W = np.take_along_axis(C, idx, axis=2)
+    return float(W[0, s[0], 0])
+
+
+FOLD_PAYOFFS = {
+    "one-stage": CylinderFunctional(times=(1.0,),
+                                    psi=lambda a: a * a - np.abs(a)),
+    # -0.0 wherever a == b
+    "signed-zero": CylinderFunctional(times=(0.5, 1.0),
+                                      psi=lambda a, b: -np.abs(a - b)),
+    "three-stage": CylinderFunctional(
+        times=(0.25, 0.5, 1.0),
+        psi=lambda a, b, c: np.cos(a + 2.0 * b) - c * c + np.abs(b)),
+}
+
+
+@pytest.mark.parametrize("payoff", sorted(FOLD_PAYOFFS))
+@pytest.mark.parametrize("sigma_low", [0.0, 0.5, 1.0])
+def test_folded_lattice_equals_the_separate_loops(payoff, sigma_low):
+    X, G = FOLD_PAYOFFS[payoff], make_gfunction(sigma_low, 1.0)
+    spec = LatticeSpec.for_horizon(1.0, 8, G)
+    s = gexpect._stage_bounds(X, spec)
+    probs = [sig ** 2 * spec.dt / (2.0 * spec.dx ** 2)
+             for sig in spec.sigma_choices]
+    assert spec.probs == tuple(probs)
+    tab = gexpect._terminal_tab(X, s, spec.dx)
+    if payoff == "signed-zero":
+        assert np.signbit(tab[tab == 0.0]).all()
+
+    ref_policy: dict = {}
+    ref = _ref_sup_dp(tab, s, probs, policy=ref_policy)
+    value, policy = lattice_oracle(X, G, spec, return_policy=True)
+    assert np.float64(value).tobytes() == ref[0, s[0]].tobytes()
+    assert sorted(policy) == sorted(ref_policy)
+    for k, (offs, arg) in ref_policy.items():
+        assert policy[k][0].tobytes() == offs.tobytes()
+        assert policy[k][1].dtype == arg.dtype
+        assert policy[k][1].shape == arg.shape
+        assert policy[k][1].tobytes() == arg.tobytes()
+
+    absx = np.abs(tab)
+    records, ref_records = {}, {}
+    assert (gexpect._sup_dp(absx, s, spec.probs, record=records).tobytes()
+            == _ref_sup_dp(absx, s, probs, record=ref_records).tobytes())
+    assert sorted(records) == sorted(ref_records)
+    for k, rec in ref_records.items():
+        assert records[k].shape == rec.shape
+        assert records[k].tobytes() == rec.tobytes()
+    for p, pp in ((1.0, 2.0), (1.5, 3.0)):
+        lhs = gexpect._running_max_lhs(records, s, spec.probs, p)
+        assert (np.float64(lhs).tobytes() == np.float64(
+            _ref_running_max_lhs(ref_records, s, probs, p)).tobytes())
+        rep = doob_check(X, p, pp, G, spec)
+        want_lhs = _ref_running_max_lhs(ref_records, s, probs, p) ** (1.0 / p)
+        want_rhs = doob_constant(p, pp) * float(
+            _ref_sup_dp(absx ** pp, s, probs)[0, s[0]]) ** (1.0 / pp)
+        assert np.float64(rep.lhs).tobytes() == np.float64(want_lhs).tobytes()
+        assert np.float64(rep.rhs).tobytes() == np.float64(want_rhs).tobytes()
