@@ -96,6 +96,10 @@ class RunConfig:
                               f"{', '.join(PRESET_NAMES)}")
         if self.preset_b is not None and self.preset_b not in PRESET_NAMES:
             raise ConfigError(f"unknown preset '{self.preset_b}'")
+        if (self.x_min is None) != (self.x_max is None):
+            raise ConfigError("--x-min and --x-max (x_min and x_max in "
+                              "[grid]) set the domain together; give both "
+                              "or neither")
 
     # -- derived objects ----------------------------------------------------
 

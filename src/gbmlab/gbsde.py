@@ -510,14 +510,16 @@ def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
         if np.max(np.abs(np.asarray(d.sigma(t, xs_probe), dtype=float)
                          - 1.0)) > 1e-14:
             raise DomainError("dp check supports sigma == 1 only")
+    # an empty window needs no lattice; otherwise refuse bad steps unsolved
+    spec = (LatticeSpec.for_horizon(t2 - t1, steps, problem.G)
+            if t2 > t1 + 1e-15 else None)
     if sol is None:
         sol = _pde.solve_terminal_pde(
             PdeProblem(grid, d, problem.G, problem.form), safety=safety)
     u_t1 = sol.value(t1, x0)
-    if t2 <= t1 + 1e-15:
+    if spec is None:
         return DpCheckReport(t1=t1, t2=t2, x0=x0, u_t1=u_t1,
                              lattice_value=u_t1, residual=0.0)
-    spec = LatticeSpec.for_horizon(t2 - t1, steps, problem.G)
     dt = spec.dt
     nodes = x0 + np.arange(-steps, steps + 1) * spec.dx
     inner = nodes[1:-1]

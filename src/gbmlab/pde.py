@@ -558,36 +558,122 @@ def fit_time_modulus(sol: PdeSolution, m: int | None = None,
 # CSV export
 # ---------------------------------------------------------------------------
 
+# A cell is the ASCII text of format(v, ".12e") in a CELL-byte slot, padded
+# with zero bytes; the widest text is "-d.dddddddddddde-ddd".  A fast-path
+# cell is five little-endian words: "\0", the sign, the lead digit and ".";
+# three groups of four digits; "e", the exponent sign and two digits.
+CELL = 20
+# Solution rows are laid out and written about this many bytes at a time
+# (at least one time level).
+_BLOCK_BYTES = 2 ** 20
+_POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10**k, exact for k <= 22
+
+
+def _words(*columns) -> np.ndarray:
+    """Rows of four byte values as little-endian uint32 words."""
+    return np.stack(np.broadcast_arrays(*columns), axis=-1).astype(np.uint8) \
+        .view("<u4").ravel()
+
+
+_LEAD = _words(0, 0, ord("0"), ord("."))[0]
+_DIGITS4 = _words(*(np.arange(10_000) // 10 ** k % 10 + ord("0")
+                    for k in (3, 2, 1, 0)))                # "0000" .. "9999"
+_EXPONENT = _words(ord("e"), np.where(np.arange(-99, 100) < 0, ord("-"),
+                                      ord("+")),
+                   *(np.abs(np.arange(-99, 100)) // 10 ** k % 10 + ord("0")
+                     for k in (1, 0)))                     # "e-99" .. "e+99"
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """a * 10**(12 - e) by one multiply or divide by an exact power of ten
+    (valid where |12 - e| <= 22)."""
+    k = np.clip(12 - e, -22, 22)
+    p = _POW10[np.abs(k)]
+    m = a / p
+    np.multiply(a, p, out=m, where=k >= 0)
+    return m
+
+
+def _e12_cells(v: np.ndarray, out: np.ndarray) -> int:
+    """Write the text of ``format(x, ".12e")`` for each x of the 1-D float
+    array ``v`` into the rows of the C-contiguous uint8 array
+    ``out[len(v), CELL]``, as ASCII padded with zero bytes; returns how many
+    cells were formatted by ``format`` itself."""
+    a = np.abs(v)
+    zero = a == 0.0
+    normal = (a >= np.finfo(float).tiny) & (a <= np.finfo(float).max)
+    a = np.where(normal, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    with np.errstate(under="ignore"):
+        m = _scaled(a, e)
+        off = np.flatnonzero((m < 1e12) | (m >= 1e13))
+        if off.size:  # log10 can leave e one off next to a power of ten
+            e[off] += (m[off] >= 1e13).astype(np.int64) - (m[off] < 1e12)
+            m[off] = _scaled(a[off], e[off])
+    # With |12 - e| <= 22 the power of ten is exact, so m carries one
+    # rounding: |m - a 10**(12-e)| <= ulp(m)/2 <= 2**-10 for m < 2**44.
+    # Where m is farther than that from a half-integer, that is where
+    # |m - rint(m)| < 1/2 - 2**-10 (the difference is exact), the exact
+    # value rounds to the same integer rint(m), as ``format`` rounds it.
+    # Rounding to 10**13 would carry into the exponent: m < 10**13 - 1 keeps
+    # clear of it.  An exact value just below 10**12 (m within 2**-10 above
+    # it) has the text of 10**12 at exponent e, which it is given.
+    mant = np.rint(m)
+    fast = (normal & (np.abs(12 - e) <= 22) & (m >= 1e12) & (m < 1e13 - 1.0)
+            & (np.abs(m - mant) < 0.5 - 2.0 ** -10))
+    mant *= fast  # a zero cell reads 0.000000000000e+00, and the other
+    e *= fast     # cells off the fast path are overwritten below
+    fast |= zero
+    hi = mant.astype(np.int64)
+    lo = hi % 10 ** 8
+    hi //= 10 ** 8
+    words = out.view("<u4")
+    words[:, 0] = _LEAD + ((hi // 10 ** 4).astype(np.uint32) << 16) \
+        + np.signbit(v) * np.uint32(ord("-") << 8)
+    words[:, 1] = _DIGITS4.take(hi % 10 ** 4)
+    words[:, 2] = _DIGITS4.take(lo // 10 ** 4)
+    words[:, 3] = _DIGITS4.take(lo % 10 ** 4)
+    words[:, 4] = _EXPONENT.take(e + 99)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = [format(x, ".12e") for x in v[slow].tolist()]
+        out[slow] = np.array(text, dtype=f"S{CELL}").view(np.uint8) \
+            .reshape(-1, CELL)
+    return int(slow.size)
+
+
 def export_solution_csv(sol: PdeSolution, path: str,
                         control: ControlField | None = None) -> None:
     """Write the dense solution as CSV rows (t, x, u, ux, uxx, a, sigma_star)
     with 13 significant digits and a mandatory header.
 
-    Every cell reads ``format(v, ".12e")``.  One ``%`` per time level fills
-    a template of the level's rows: x is pre-formatted into it, t and
-    sigma_star go in as strings formatted once per distinct value (keyed by
-    the bit pattern, so -0.0 and NaN keep their own text), and the four
-    fields are formatted by ``%.12e``, which gives the same text.
+    Every cell reads ``format(v, ".12e")`` (see ``_e12_cells``).  A block of
+    time levels is laid out in fixed CELL-byte slots, each followed by its
+    separator, and written without the padding; t and x are formatted once.
     """
     d = derivatives(sol)
     if control is None:
         control = extremal_control(sol, sol.G)
-    sigma = np.asarray(control.sigma_star, dtype=float)
-    bits, where = np.unique(sigma.view(np.int64), return_inverse=True)
-    sigma_text = np.array([format(v, ".12e")
-                           for v in bits.view(np.float64).tolist()],
-                          dtype=object)[where.reshape(sigma.shape)]
-    nx = sol.u.shape[1]
-    level = "".join(f"%s,{format(x, '.12e')},%.12e,%.12e,%.12e,%.12e,%s\n"
-                    for x in sol.xs.tolist())
-    cells = [None] * (6 * nx)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,x,u,ux,uxx,a,sigma_star\n")
-        for n, t in enumerate(sol.ts.tolist()):
-            cells[0::6] = [format(t, ".12e")] * nx
-            cells[1::6] = sol.u[n].tolist()
-            cells[2::6] = d.ux[n].tolist()
-            cells[3::6] = d.uxx[n].tolist()
-            cells[4::6] = sol.a_field[n].tolist()
-            cells[5::6] = sigma_text[n].tolist()
-            fh.write(level % tuple(cells))
+    fields = (sol.u, d.ux, d.uxx, sol.a_field,
+              np.asarray(control.sigma_star, dtype=float))
+    nlev, nx = sol.u.shape
+    levels = min(nlev, max(1, _BLOCK_BYTES // (7 * (CELL + 1) * nx)))
+    buf = np.empty((levels, nx, 7, CELL + 1), dtype=np.uint8)
+    buf[..., CELL] = ord(",")
+    buf[:, :, -1, CELL] = ord("\n")
+    cells = np.empty((levels * nx * len(fields), CELL), dtype=np.uint8)
+    t_cells = np.empty((nlev, CELL), dtype=np.uint8)
+    _e12_cells(sol.ts, t_cells)
+    x_cells = np.empty((nx, CELL), dtype=np.uint8)
+    _e12_cells(sol.xs, x_cells)
+    with open(path, "wb") as fh:
+        fh.write(b"t,x,u,ux,uxx,a,sigma_star\n")
+        for n0 in range(0, nlev, levels):
+            n1 = min(n0 + levels, nlev)
+            block = buf[:n1 - n0]
+            block[:, :, 0, :CELL] = t_cells[n0:n1, None]
+            block[:, :, 1, :CELL] = x_cells
+            v = np.stack([f[n0:n1] for f in fields], axis=-1)
+            _e12_cells(v.ravel(), cells[:v.size])
+            block[:, :, 2:, :CELL] = cells[:v.size].reshape(v.shape + (CELL,))
+            fh.write(block[block != 0])

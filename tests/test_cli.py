@@ -212,6 +212,35 @@ def test_stability_exponent_below_one_or_infinite_exits_one(tmp_path):
         assert rc == 1, p
 
 
+def test_lone_domain_bound_exits_one(tmp_path):
+    # a lone bound sets no domain, so it is refused rather than echoed into
+    # summary.json next to the default domain (inf as the token Infinity)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("[grid]\nx_max = 3.0\n")
+    for i, bound in enumerate((["--x-max", "inf"], ["--x-min", "-2"],
+                               ["--config", str(cfg)])):
+        for dry in ([], ["--dry-run"]):
+            out = tmp_path / f"lone{i}{len(dry)}"
+            rc = _main(["solve-pde", "--nx", "21", *bound, *dry,
+                        "--output-dir", str(out)])
+            assert rc == 1, (bound, dry)
+            assert not (out / "summary.json").exists()
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    out = tmp_path / "both"
+    assert _main(["solve-pde", "--nx", "21", "--config", str(cfg),
+                  "--x-min", "-2", "--output-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=refuse)
+    assert (summary["parameters"]["x_min"],
+            summary["parameters"]["x_max"]) == (-2.0, 3.0)
+    xs = [float(row.split(",")[1]) for row in
+          (out / "solution.csv").read_text().splitlines()[1:22]]
+    assert (xs[0], xs[-1]) == (-2.0, 3.0)
+
+
 def test_cfl_refusal_exits_two(tmp_path):
     # a pinned nt below the CFL bound is refused, for one level, for the
     # eps family and for the refined grids of semiconvexity and stability

@@ -581,6 +581,24 @@ def test_dp_rejects_too_few_steps():
             gbsde.dynamic_programming_check(problem, 0.0, 0.5, steps=steps)
 
 
+def test_dp_refuses_too_few_steps_before_solving(monkeypatch):
+    problem = gbsde.BsdeProblem(_grid(101), preset_driver("quadratic"), G01,
+                                PdeForm.MARKOVIAN_FBSDE)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the steps check")
+
+    with monkeypatch.context() as m:
+        m.setattr(_pde, "solve_terminal_pde", no_solve)
+        for steps in (0, -2):
+            with pytest.raises(DomainError, match="steps"):
+                gbsde.dynamic_programming_check(problem, 0.0, 0.5,
+                                                steps=steps)
+    # an empty window needs no lattice, so any steps value still reports
+    report = gbsde.dynamic_programming_check(problem, 0.5, 0.5, steps=0)
+    assert report.residual == 0.0 and report.lattice_value == report.u_t1
+
+
 # ---- counterexample demo ----
 
 def test_counterexample_bound_values():

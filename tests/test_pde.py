@@ -522,3 +522,68 @@ def test_export_equals_the_cell_by_cell_writer_on_a_solve(tmp_path):
     export_solution_csv(sol, str(got))
     _cell_by_cell_csv(sol, str(ref))
     assert got.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("nt", [2, 7, 8])
+def test_export_equals_the_cell_by_cell_writer_across_blocks(tmp_path,
+                                                             monkeypatch, nt):
+    # nt + 1 = 3, 8 and 9 time levels: below one 4-level block, an exact
+    # multiple of it, one more than a multiple; then 1-level blocks, and a
+    # block size below one level, which still writes whole levels
+    grid = Grid1D(-2.0, 2.0, 11, 0.2, nt=nt)
+    sol = solve_terminal_pde(PdeProblem(grid, _cos_driver(), G01,
+                                        PdeForm.GHEAT))
+    assert sol.nt == nt
+    ref = tmp_path / "ref.csv"
+    _cell_by_cell_csv(sol, str(ref))
+    level_bytes = 7 * (pde.CELL + 1) * grid.nx
+    for block in (4 * level_bytes, level_bytes, 1):
+        monkeypatch.setattr(pde, "_BLOCK_BYTES", block)
+        got = tmp_path / f"got{block}.csv"
+        export_solution_csv(sol, str(got))
+        assert got.read_bytes() == ref.read_bytes(), block
+
+
+def _cell_texts(values):
+    v = np.asarray(values, dtype=float)
+    out = np.full((v.size, pde.CELL), ord("?"), dtype=np.uint8)
+    slow = pde._e12_cells(v, out)
+    return [bytes(row).replace(b"\0", b"").decode("ascii")
+            for row in out], slow
+
+
+def test_cell_formatter_equals_format():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    bits = st.integers(-2 ** 63, 2 ** 63 - 1).map(
+        lambda b: float(np.int64(b).view(np.float64)))
+    # k + 0.5 is exact for 13-digit k; scaled, it lands next to a tie
+    ties = st.builds(lambda k, p: (k + 0.5) * 10.0 ** p,
+                     st.integers(10 ** 12, 10 ** 13 - 1),
+                     st.integers(-24, 24))
+    powers = st.builds(lambda p, side, steps: float(np.nextafter(
+        10.0 ** p, side * np.inf) if steps else 10.0 ** p),
+        st.integers(-320, 308), st.sampled_from((-1, 1)), st.booleans())
+    values = st.one_of(bits, ties, powers).flatmap(
+        lambda v: st.sampled_from((v, -v)))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.lists(values, min_size=1, max_size=40))
+    def check(vs):
+        texts, _ = _cell_texts(vs)
+        assert texts == [format(v, ".12e") for v in vs]
+
+    check()
+
+
+def test_cell_formatter_leaves_few_cells_to_format():
+    # the fast path covers the exponents -10 to 34 except within 2**-10 of
+    # a rounding tie, about 0.2% of such cells; zero is fast too
+    rng = np.random.default_rng(3)
+    v = (rng.choice([-1.0, 1.0], 20_000) * rng.uniform(1.0, 10.0, 20_000)
+         * 10.0 ** rng.integers(-10, 35, 20_000))
+    v[::100] = 0.0
+    texts, slow = _cell_texts(v)
+    assert texts == [format(x, ".12e") for x in v.tolist()]
+    assert slow < 100
+    assert _cell_texts([-0.0, 0.0])[1] == 0
