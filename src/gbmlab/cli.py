@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gcore import (ConfigError, CylinderFunctional, DomainError, DriverSpec,
-                    GbmlabError, GFunction1D, Grid1D, NumericalError,
-                    PRESET_NAMES, _coerce, make_gfunction, parse_config,
-                    preset_driver, regularize)
+                    GFunction1D, Grid1D, NumericalError, PRESET_NAMES,
+                    _coerce, make_gfunction, parse_config, preset_driver,
+                    preset_keys, regularize)
 from . import pde as _pde
 from .pde import PdeForm, PdeProblem
 from . import gexpect as _gexpect
@@ -84,10 +84,9 @@ class RunConfig:
     n_paths: int = 10_000
     n_steps: int = 256
     seed: int = 0
-    output_dir: str = "runs"
+    output_dir: str | None = None  # None: runs/<subcommand>
 
     def __post_init__(self) -> None:
-        self.seed = int(self.seed)
         if not (0 <= self.seed < 2 ** 64):
             raise ConfigError(f"seed must be a 64-bit unsigned value, "
                               f"got {self.seed}")
@@ -100,6 +99,8 @@ class RunConfig:
             raise ConfigError("--x-min and --x-max (x_min and x_max in "
                               "[grid]) set the domain together; give both "
                               "or neither")
+        if not self.eps_schedule:
+            raise ConfigError("the eps schedule needs at least one value")
 
     # -- derived objects ----------------------------------------------------
 
@@ -135,6 +136,27 @@ _SECTION_KEYS = {
     "output": ("output_dir",),
 }
 
+# the value types a config file may give a RunConfig field of each type
+# (a bool is never a number), and how an error names them
+_CONFIG_TYPES = {"float": ((int, float), "a number"),
+                 "int": (int, "an integer"),
+                 "tuple": (tuple, "a comma-separated list of numbers"),
+                 "str": (str, "a name")}
+
+
+def _typed(section: str, key: str, value):
+    """``value`` checked against the type of the RunConfig field ``key``; a
+    number becomes a one-element tuple for a tuple field."""
+    # the annotation is its source text here, such as "float | None"
+    kind = RunConfig.__dataclass_fields__[key].type.split(" |")[0]
+    types, name = _CONFIG_TYPES[kind]
+    if kind == "tuple" and isinstance(value, (int, float)) \
+            and not isinstance(value, bool):
+        value = (float(value),)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"[{section}] {key} must be {name}, got {value!r}")
+    return value
+
 
 def _merge_config(path: str | None, flags: argparse.Namespace) -> RunConfig:
     merged: dict = {}
@@ -145,7 +167,7 @@ def _merge_config(path: str | None, flags: argparse.Namespace) -> RunConfig:
                 if key not in keys:
                     raise ConfigError(
                         f"unknown key '{key}' in section [{section}]")
-                merged[key] = value
+                merged[key] = _typed(section, key, value)
         driver_sec = dict(sections.get("driver", {}))
         if "preset" in driver_sec:
             merged["preset"] = driver_sec.pop("preset")
@@ -163,11 +185,23 @@ def _merge_config(path: str | None, flags: argparse.Namespace) -> RunConfig:
             k, v = item.split("=", 1)
             params[k.strip()] = _coerce(v.strip())
         merged["params"] = params
-    if "eps_schedule" in merged and not isinstance(merged["eps_schedule"],
-                                                   tuple):
-        merged["eps_schedule"] = tuple(
-            float(v) for v in np.atleast_1d(merged["eps_schedule"]))
     return RunConfig(**merged)
+
+
+def _check_params(cfg: RunConfig, subcommand: str) -> None:
+    """Refuse driver parameters that neither the preset nor, for
+    ``stability``, the second preset reads (``counterexample`` reads
+    ``exponent`` itself)."""
+    keys = preset_keys(cfg.preset, cfg.params)
+    if subcommand == "stability" and cfg.preset_b is not None:
+        keys |= preset_keys(cfg.preset_b, cfg.params)
+    if subcommand == "counterexample":
+        keys.add("exponent")
+    unread = sorted(set(cfg.params) - keys)
+    if unread:
+        raise ConfigError(f"no preset of this run reads the parameter(s) "
+                          f"{', '.join(unread)}; it reads "
+                          f"{', '.join(sorted(keys)) or 'none'}")
 
 
 def _csv_floats(text: str) -> tuple:
@@ -338,7 +372,7 @@ def _run_gbsde(cfg: RunConfig):
 
 def _run_convergence(cfg: RunConfig):
     fam = _family(cfg)
-    rep = _gbsde.convergence_report(fam, cfg.p)
+    rep = _gbsde.convergence_report(fam)
     values = dict(rate_exponent=rep.rate_exponent, fitted_C=rep.fitted_C)
     verdicts = dict(no_violation=not rep.any_violation)
     table = (("eps_hi", "eps_lo", "delta", "bound", "ratio"),
@@ -384,16 +418,13 @@ def _sensitivity_common(cfg: RunConfig, kind: str):
                     matches_pde=bool(matches))
     residual = min((c["residual"] for c in est.controls), key=abs) \
         if est.controls else float("nan")
-    rows = [dict(t=est.t, x=est.x, dx_plus=est.plus, dx_minus=est.minus,
-                 se_plus=est.se_plus, se_minus=est.se_minus,
-                 residual_of_control=residual, n_paths=cfg.n_paths,
-                 seed=cfg.seed)]
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    _scenario.export_sensitivity_csv(
-        os.path.join(cfg.output_dir, "sensitivity.csv"), rows)
+    table = (("t", "x", "dx_plus", "dx_minus", "se_plus", "se_minus",
+              "residual_of_control", "n_paths", "seed"),
+             [(est.t, est.x, est.plus, est.minus, est.se_plus, est.se_minus,
+               residual, cfg.n_paths, cfg.seed)])
     line = (f"d{kind}={mid:+.4f}+-{se:.4f} pde={oracle:+.4f} "
             f"matches={matches}")
-    return values, verdicts, {}, line
+    return values, verdicts, {"sensitivity": table}, line
 
 
 def _run_sensitivity_x(cfg: RunConfig):
@@ -589,8 +620,7 @@ def _build_parser() -> _Parser:
                                "two-stage"))])
     add("solve-pde", "solve one terminal-value PDE and export the fields")
     add("gbsde", "solve the eps family and extrapolate the limit")
-    add("convergence", "consecutive-level deltas against the eps bound",
-        [(("--p",), dict(type=float))])
+    add("convergence", "consecutive-level deltas against the eps bound")
     add("curvature", "per-eps minimum of the second space derivative")
     add("sensitivity-x", "MC one-sided space derivatives at a probe point",
         [(("--t",), dict(type=float)), (("--x",), dict(type=float))])
@@ -623,10 +653,10 @@ def run(argv) -> int:
     if ns.subcommand is None:
         raise _UsageError(parser.format_usage())
     cfg = _merge_config(ns.config, ns)
-    if getattr(ns, "output_dir", None) is None and \
-            "output_dir" not in _config_keys(ns):
+    if cfg.output_dir is None:
         cfg.output_dir = os.path.join("runs", ns.subcommand)
     # validate the derived objects before any computation
+    _check_params(cfg, ns.subcommand)
     cfg.gfunction()
     if ns.subcommand not in ("counterexample",):
         cfg.driver()
@@ -644,16 +674,6 @@ def run(argv) -> int:
               file=sys.stderr)
         return 3
     return 0
-
-
-def _config_keys(ns) -> set:
-    if ns.config is None:
-        return set()
-    try:
-        sections = parse_config(ns.config)
-    except GbmlabError:
-        return set()
-    return {k for sec in sections.values() for k in sec}
 
 
 def main() -> None:

@@ -139,14 +139,13 @@ def _start_deltas(rows) -> list:
 
 
 def _central_uxx(u: np.ndarray, dx: float) -> np.ndarray:
-    """d_xx of ``u[..., nx]`` over the central third of the nodes, in the
-    expression order of ``pde.derivatives`` (no boundary node lies there
-    once nx >= 3)."""
+    """d_xx of ``u[..., nx]`` over the central third of the nodes, as
+    ``pde.derivatives`` computes it (no boundary node lies there once
+    nx >= 3)."""
     nx = u.shape[-1]
     lo = nx // 3
     hi = max(lo + 1, nx - nx // 3)
-    return (u[..., lo + 1:hi + 1] - 2.0 * u[..., lo:hi]
-            + u[..., lo - 1:hi - 1]) / (dx * dx)
+    return _pde._second_diff(u[..., lo - 1:hi + 1], dx)
 
 
 def solve_gbsde(problem: BsdeProblem, eps_schedule, *,
@@ -226,12 +225,13 @@ class KPath:
 
 
 def reconstruct_K(family: BsdeSolutionFamily, eps_index: int,
-                  bundle: PathBundle, x0: float | None = None,
-                  check: bool = True) -> KPath:
+                  bundle: PathBundle, x0: float | None = None) -> KPath:
     """Integrate dK = 0.5 a dQV - G_eps(a) dt along the bundle's paths.
 
     ``x0`` defaults to the bundle's own start state (FEEDBACK bundles carry
     it); the increments read the curvature field of the chosen eps level.
+    Raises :class:`NumericalError` where K increases by more than its
+    rounding tolerance.
     """
     sol = family.solutions[eps_index]
     if x0 is None:
@@ -244,7 +244,7 @@ def reconstruct_K(family: BsdeSolutionFamily, eps_index: int,
     K = np.zeros((bundle.n_paths, bundle.n_steps + 1))
     np.cumsum(dk, axis=1, out=K[:, 1:])
     tol = 1e-10 * (1.0 + float(np.max(np.abs(K))))
-    if check and np.any(np.diff(K, axis=1) > tol):
+    if np.any(np.diff(K, axis=1) > tol):
         i, k = np.unravel_index(int(np.argmax(np.diff(K, axis=1))),
                                 dk.shape)
         raise NumericalError(
@@ -260,7 +260,6 @@ def reconstruct_K(family: BsdeSolutionFamily, eps_index: int,
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    p: float
     rows: tuple          # (eps_k, eps_{k+1}, delta, bound, ratio)
     rate_exponent: float
     fitted_C: float
@@ -268,8 +267,8 @@ class ConvergenceReport:
     any_violation: bool
 
 
-def convergence_report(family: BsdeSolutionFamily | FamilyAtStart,
-                       p: float = 1.0) -> ConvergenceReport:
+def convergence_report(family: BsdeSolutionFamily | FamilyAtStart
+                       ) -> ConvergenceReport:
     """Consecutive-level sup deltas at t=0 against |e-e'| + e^2 + e'^2.
 
     A power law C * bound^r is fitted by log-log least squares; a pair is
@@ -293,7 +292,7 @@ def convergence_report(family: BsdeSolutionFamily | FamilyAtStart,
         fitted_c = float(np.exp(logc))
         violations = tuple(bool(d > 1.2 * fitted_c * b ** rate)
                            for d, b in zip(deltas, bounds))
-    return ConvergenceReport(p=p, rows=tuple(rows), rate_exponent=float(rate),
+    return ConvergenceReport(rows=tuple(rows), rate_exponent=float(rate),
                              fitted_C=fitted_c, violations=violations,
                              any_violation=any(violations))
 
@@ -336,8 +335,7 @@ class SemiconvexityReport:
     m: int
 
 
-def semiconvexity_scan(problem, sol: PdeSolution | None = None, *,
-                       safety: float = 0.9) -> SemiconvexityReport:
+def semiconvexity_scan(problem, *, safety: float = 0.9) -> SemiconvexityReport:
     """Fit the smallest C with second differences >= -C (1 + |x|^{2m}).
 
     The probe increment is the grid step itself:
@@ -348,14 +346,12 @@ def semiconvexity_scan(problem, sol: PdeSolution | None = None, *,
     if driver.phi_xx is None:
         raise DomainError("semiconvexity scan needs second derivatives "
                           "(driver.phi_xx missing)")
-    if sol is None:
-        sol = _pde.solve_terminal_pde(
-            PdeProblem(problem.grid, driver, problem.G, problem.form),
-            safety=safety)
-    u = sol.u
+    sol = _pde.solve_terminal_pde(
+        PdeProblem(problem.grid, driver, problem.G, problem.form),
+        safety=safety)
     dx = sol.dx
     xs = sol.xs[:-2]
-    second = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / (dx * dx)
+    second = _pde._second_diff(sol.u, dx)
     weight = 1.0 + np.abs(xs) ** (2 * driver.m)
     ratio = second / weight[None, :]
     C = max(0.0, -float(ratio.min()))
@@ -619,8 +615,7 @@ def path_norms(eta, p: float, bundles) -> dict:
     H = max over bundles of E[(sum eta^2 dQV)^{p/2}]^{1/p}; M is the dt
     analogue.  The inner exponent is 2 (the natural Z-space form), so the
     comparison constant between the two is sigma_high itself.
-    ``eta`` is an array broadcastable to (n_paths, n_steps) or a callable
-    of the step times.
+    ``eta`` is an array broadcastable to (n_paths, n_steps).
     """
     if p <= 0:
         raise DomainError(f"need p > 0, got {p}")
@@ -630,11 +625,8 @@ def path_norms(eta, p: float, bundles) -> dict:
     sigma_high = None
     for bundle in bundles:
         sigma_high = bundle.control.G.sigma_high
-        if callable(eta):
-            eta_arr = np.asarray(eta(bundle.times[:-1]), dtype=float)
-        else:
-            eta_arr = np.asarray(eta, dtype=float)
-        eta2 = np.broadcast_to(eta_arr ** 2, bundle.dB.shape)
+        eta2 = np.broadcast_to(np.asarray(eta, dtype=float) ** 2,
+                               bundle.dB.shape)
         dqv = np.broadcast_to(bundle.dQV, bundle.dB.shape)
         h_p = float(np.mean(np.sum(eta2 * dqv, axis=1) ** (p / 2.0)))
         m_p = float(np.mean(np.sum(eta2 * bundle.dt, axis=1) ** (p / 2.0)))

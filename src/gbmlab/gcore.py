@@ -12,8 +12,8 @@ from __future__ import annotations
 import configparser
 import inspect
 import math
-from dataclasses import dataclass, field, fields
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -144,13 +144,13 @@ class Grid1D:
         return Grid1D(self.x_min, self.x_max, self.nx, self.T, nt)
 
     @classmethod
-    def default_for(cls, x0: float, T: float, G: GFunction1D, nx: int = 401,
-                    pad: float = 1.0) -> "Grid1D":
+    def default_for(cls, x0: float, T: float, G: GFunction1D,
+                    nx: int = 401) -> "Grid1D":
         """Domain wide enough that boundary influence at (0, x0) is negligible
-        (six standard deviations plus padding)."""
+        (six standard deviations plus one)."""
         if not T > 0.0:  # before sqrt; NaN too
             raise DomainError(f"need T > 0, got {T}")
-        span = 6.0 * G.sigma_high * math.sqrt(T) + pad
+        span = 6.0 * G.sigma_high * math.sqrt(T) + 1.0
         return cls(x0 - span, x0 + span, nx, T)
 
 
@@ -303,7 +303,6 @@ class DriverSpec:
     m: int = 1
     phi_kinks: tuple = ()
     params: Mapping = field(default_factory=dict)
-    check_box: tuple = (-3.0, 3.0)
     skip_self_check: bool = False
 
     def __post_init__(self) -> None:
@@ -326,9 +325,8 @@ class DriverSpec:
     # -- construction self-check ------------------------------------------
 
     def _sample_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        lo, hi = self.check_box
         ts = rng.uniform(0.0, 2.0, n)
-        xs = rng.uniform(lo, hi, n)
+        xs = rng.uniform(-3.0, 3.0, n)
         for k in self.phi_kinks:
             bad = np.abs(xs - k) < 1e-3
             xs[bad] += 2e-3
@@ -386,9 +384,8 @@ class DriverSpec:
                               f"self-check: " + "; ".join(errs))
 
         # sampled polynomial-growth Lipschitz envelope for phi
-        lo, hi = self.check_box
-        xa = rng.uniform(lo, hi, 40)
-        xb = rng.uniform(lo, hi, 40)
+        xa = rng.uniform(-3.0, 3.0, 40)
+        xb = rng.uniform(-3.0, 3.0, 40)
         lhs = np.abs(np.asarray(self.phi(xa), dtype=float)
                      - np.asarray(self.phi(xb), dtype=float))
         rhs = self.L1 * (1.0 + np.abs(xa) ** self.m + np.abs(xb) ** self.m) \
@@ -499,6 +496,13 @@ def _payoff(kind: str, params: Mapping):
 PRESET_NAMES = ("zero", "quadratic", "abs", "smooth-bump", "linear-h",
                 "sine-gz", "kinked", "counterexample-weight")
 
+# the ``params`` keys each payoff reads, and the payoff the ``phi`` key of
+# the presets with a driver term chooses by default
+_PAYOFF_KEYS = {"abs": ("smoothing",),
+                "bump": ("amplitude", "width", "center"),
+                "smooth-bump": ("amplitude", "width", "center")}
+_DEFAULT_PHI = {"linear-h": "quadratic", "sine-gz": "bump"}
+
 
 def preset_driver(name: str, params: Mapping | None = None) -> DriverSpec:
     """Build a catalog driver.
@@ -516,7 +520,7 @@ def preset_driver(name: str, params: Mapping | None = None) -> DriverSpec:
         payoff = name
     elif name == "linear-h":
         coeffs["g"] = _const4(float(p.setdefault("c", 0.5)))
-        payoff = p.get("phi", "quadratic")
+        payoff = p.get("phi", _DEFAULT_PHI[name])
     elif name == "sine-gz":
         c = float(p.setdefault("c", 0.5))
 
@@ -528,7 +532,7 @@ def preset_driver(name: str, params: Mapping | None = None) -> DriverSpec:
             return c * np.cos(np.asarray(z, dtype=float)) + 0.0
 
         coeffs.update(g=g, g_z=g_z)
-        payoff = p.get("phi", "bump")
+        payoff = p.get("phi", _DEFAULT_PHI[name])
     elif name == "kinked":
         coeffs["sigma"] = _zero2
         payoff = "abs"
@@ -542,16 +546,22 @@ def preset_driver(name: str, params: Mapping | None = None) -> DriverSpec:
                       phi_kinks=kinks, L1=L1, m=m, params=p, **coeffs)
 
 
+def preset_keys(name: str, params: Mapping) -> set:
+    """The keys of ``params`` that ``preset_driver(name, params)`` reads."""
+    if name in _DEFAULT_PHI:
+        payoff = params.get("phi", _DEFAULT_PHI[name])
+        return {"c", "phi", *_PAYOFF_KEYS.get(payoff, ())}
+    if name == "counterexample-weight":
+        return {"exponent"}
+    return set(_PAYOFF_KEYS.get("abs" if name == "kinked" else name, ()))
+
+
 def payoff_driver(phi: Callable, phi_x: Callable | None = None,
                   phi_xx: Callable | None = None, *, name: str = "custom",
-                  kinks: tuple = (), L1: float = 1.0, m: int = 1,
-                  sigma_const: float = 1.0) -> DriverSpec:
-    """Pure driver (b=h=f=g=0, constant sigma) around a terminal payoff."""
-    sig = _one2 if sigma_const == 1.0 else (
-        lambda t, x, _c=float(sigma_const): np.full_like(
-            np.asarray(x, dtype=float), _c))
-    return DriverSpec(name=name, sigma=sig, phi=phi, phi_x=phi_x,
-                      phi_xx=phi_xx, phi_kinks=kinks, L1=L1, m=m)
+                  kinks: tuple = (), L1: float = 1.0, m: int = 1) -> DriverSpec:
+    """Pure driver (b=h=f=g=0, sigma=1) around a terminal payoff."""
+    return DriverSpec(name=name, phi=phi, phi_x=phi_x, phi_xx=phi_xx,
+                      phi_kinks=kinks, L1=L1, m=m)
 
 
 # ---------------------------------------------------------------------------

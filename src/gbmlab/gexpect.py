@@ -73,15 +73,13 @@ class LatticeSpec:
                      for sig in self.sigma_choices)
 
     @classmethod
-    def for_horizon(cls, T: float, steps: int, G: GFunction1D,
-                    sigma_choices: tuple | None = None) -> "LatticeSpec":
+    def for_horizon(cls, T: float, steps: int, G: GFunction1D) -> "LatticeSpec":
+        """``steps`` steps over [0, T] choosing between the interval ends."""
         if steps < 1:
             raise DomainError(f"need steps >= 1, got {steps}")
         dt = T / steps
-        dx = G.sigma_high * math.sqrt(dt)
-        if sigma_choices is None:
-            sigma_choices = (G.sigma_low, G.sigma_high)
-        return cls(steps=steps, dt=dt, dx=dx, sigma_choices=sigma_choices)
+        return cls(steps=steps, dt=dt, dx=G.sigma_high * math.sqrt(dt),
+                   sigma_choices=(G.sigma_low, G.sigma_high))
 
 
 # ---------------------------------------------------------------------------
@@ -231,32 +229,22 @@ def _resolve_payoff(phi) -> DriverSpec:
     return payoff_driver(phi, name="terminal", L1=l1)
 
 
-def gexpect_terminal(phi, T: float, G: GFunction1D, *,
-                     grid: Grid1D | None = None, nx: int = 401,
+def gexpect_terminal(phi, T: float, G: GFunction1D, *, nx: int = 401,
                      safety: float = 0.9) -> float:
     """Worst-case expectation of phi at horizon T, via the nonlinear heat
-    equation; returns u(0, 0)."""
+    equation on ``Grid1D.default_for``; returns u(0, 0)."""
     driver = _resolve_payoff(phi)
-    if grid is None:
-        grid = Grid1D.default_for(0.0, T, G, nx=nx)
-    elif grid.T != T:
-        raise DomainError(f"grid.T={grid.T} does not match horizon T={T}")
+    grid = Grid1D.default_for(0.0, T, G, nx=nx)
     problem = _pde.PdeProblem(grid, driver, G, _pde.PdeForm.GHEAT)
     sol = _pde.solve_terminal_pde(problem, safety=safety)
     return sol.value(0.0, 0.0)
 
 
-def default_stage_grids(X: CylinderFunctional, G: GFunction1D, nx: int = 201,
-                        pad: float = 1.0) -> tuple:
+def default_stage_grids(X: CylinderFunctional, G: GFunction1D,
+                        nx: int = 201) -> tuple:
     """Per-stage increment grids sized to the stage horizons."""
-    grids = []
-    prev = 0.0
-    for t in X.times:
-        dt_stage = t - prev
-        span = 6.0 * G.sigma_high * math.sqrt(dt_stage) + pad
-        grids.append(Grid1D(-span, span, nx, dt_stage))
-        prev = t
-    return tuple(grids)
+    return tuple(Grid1D.default_for(0.0, t - prev, G, nx=nx)
+                 for prev, t in zip((0.0,) + X.times, X.times))
 
 
 def _rows_at_zero(xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -269,22 +257,18 @@ def _rows_at_zero(xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _cylinder_recursion(X: CylinderFunctional, G: GFunction1D, grids,
                         down_to: int, safety: float) -> np.ndarray:
-    """Peel stages N..down_to+1; returns the table over grids[:down_to]."""
+    """Peel stages N..down_to+1 on the ``default_stage_grids`` ``grids``;
+    returns the table over grids[:down_to]."""
     N = X.n_stages
     if N > 4:
         raise DomainError(f"cylinder recursion supports N <= 4, got {N}")
-    if len(grids) != N:
-        raise DomainError(f"need one grid per stage: {N} != {len(grids)}")
     f = _as_vectorized(X.psi, N)
     mesh = np.meshgrid(*[g.xs for g in grids], indexing="ij", sparse=True)
     tab = np.ascontiguousarray(
         np.broadcast_to(np.asarray(f(*mesh), dtype=float),
                         tuple(g.nx for g in grids)), dtype=float)
-    times = (0.0,) + tuple(X.times)
     for i in range(N, down_to, -1):
-        # the stage horizon comes from X, the space mesh from the grid
-        g = grids[i - 1]
-        grid = Grid1D(g.x_min, g.x_max, g.nx, times[i] - times[i - 1])
+        grid = grids[i - 1]
         rows = tab.reshape(-1, grid.nx)
         nt, dt, _ = _pde._time_steps(grid, (G,), _HEAT, safety,
                                      rows=rows.shape[0])
@@ -295,14 +279,12 @@ def _cylinder_recursion(X: CylinderFunctional, G: GFunction1D, grids,
     return tab
 
 
-def gexpect_cylinder(X: CylinderFunctional, G: GFunction1D, grids=None, *,
+def gexpect_cylinder(X: CylinderFunctional, G: GFunction1D, *,
                      nx: int = 201, safety: float = 0.9) -> float:
     """Worst-case expectation of a cylinder payoff (N <= 4 stages) via one
     backward heat solve per stage, vectorized over the outer tabulation."""
-    if grids is None:
-        grids = default_stage_grids(X, G, nx=nx)
-    tab = _cylinder_recursion(X, G, grids, 0, safety)
-    return float(tab)
+    grids = default_stage_grids(X, G, nx=nx)
+    return float(_cylinder_recursion(X, G, grids, 0, safety))
 
 
 @dataclass(frozen=True)
@@ -311,7 +293,6 @@ class TableFunction:
 
     grids: tuple
     values: np.ndarray
-    times: tuple
 
     def __call__(self, *args):
         if len(args) != len(self.grids):
@@ -334,9 +315,8 @@ def _bilinear(xs, ys, table, x, y):
             + (1 - wx) * wy * table[i, j + 1] + wx * wy * table[i + 1, j + 1])
 
 
-def conditional_gexpect(X: CylinderFunctional, stage: int, G: GFunction1D,
-                        grids=None, *, nx: int = 201,
-                        safety: float = 0.9) -> TableFunction:
+def conditional_gexpect(X: CylinderFunctional, stage: int, G: GFunction1D, *,
+                        nx: int = 201, safety: float = 0.9) -> TableFunction:
     """Conditional worst-case expectation at stage time t_stage, tabulated
     over the first ``stage`` increments.
 
@@ -346,11 +326,9 @@ def conditional_gexpect(X: CylinderFunctional, stage: int, G: GFunction1D,
     """
     if not (1 <= stage < X.n_stages):
         raise DomainError(f"need 1 <= stage < {X.n_stages}, got {stage}")
-    if grids is None:
-        grids = default_stage_grids(X, G, nx=nx)
+    grids = default_stage_grids(X, G, nx=nx)
     tab = _cylinder_recursion(X, G, grids, stage, safety)
-    return TableFunction(grids=tuple(grids[:stage]), values=tab,
-                         times=tuple(X.times[:stage]))
+    return TableFunction(grids=grids[:stage], values=tab)
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +345,6 @@ class DoobReport:
     lhs: float
     rhs: float
     margin: float
-
-    def csv_line(self) -> str:
-        return ",".join(format(v, ".12e") for v in
-                        (self.p, self.p_prime, self.C, self.lhs, self.rhs,
-                         self.margin))
 
 
 def doob_constant(p: float, p_prime: float) -> float:
@@ -423,9 +396,3 @@ def doob_check(xi: CylinderFunctional, p: float, p_prime: float,
     rhs = C * rhs_e ** (1.0 / p_prime)
     return DoobReport(p=p, p_prime=p_prime, C=C, lhs=lhs, rhs=rhs,
                       margin=rhs - lhs)
-
-
-def export_doob_csv(report: DoobReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("p,p_prime,C,lhs,rhs,margin\n")
-        fh.write(report.csv_line() + "\n")

@@ -266,11 +266,8 @@ def _generator_arg(driver: DriverSpec, t: float, xs: np.ndarray, dx: float,
     skipped."""
     # the stencil runs along the flattened rows; the values it leaves at
     # the row ends mix two rows and are overwritten by the zero closure
-    a, flat, inner = work.a, u.reshape(-1), work.a.reshape(-1)[1:-1]
-    np.multiply(2.0, flat[1:-1], out=inner)
-    np.subtract(flat[2:], inner, out=inner)
-    np.add(inner, flat[:-2], out=inner)
-    np.divide(inner, dx * dx, out=inner)
+    a = work.a
+    _second_diff(u.reshape(-1), dx, out=a.reshape(-1)[1:-1])
     a[..., 0] = a[..., -1] = 0.0
     one = driver.sigma is _one2
     if not one:
@@ -422,28 +419,42 @@ def _ux(u: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
     return ux
 
 
+def _second_diff(u: np.ndarray, dx: float,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """(u[j+1] - 2 u[j] + u[j-1]) / dx^2 for the interior nodes j along the
+    last axis (into ``out`` if given)."""
+    out = np.multiply(2.0, u[..., 1:-1], out=out)
+    np.subtract(u[..., 2:], out, out=out)
+    np.add(out, u[..., :-2], out=out)
+    return np.divide(out, dx * dx, out=out)
+
+
+def _uxx(u: np.ndarray, dx: float) -> np.ndarray:
+    """Central d_xx along the last axis; each boundary node takes the value
+    of its inner neighbour, the second difference over the first (last)
+    three nodes."""
+    uxx = np.empty_like(u)
+    _second_diff(u, dx, out=uxx[..., 1:-1])
+    uxx[..., 0] = uxx[..., 1]
+    uxx[..., -1] = uxx[..., -2]
+    return uxx
+
+
 def derivatives(sol: PdeSolution) -> DerivativeFields:
     """Central d_x and d_xx (one-sided at boundaries), forward d_t."""
     u, dx, dt = sol.u, sol.dx, sol.dt
-    ux = _ux(u, dx)
-    uxx = np.empty_like(u)
-    uxx[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / (dx * dx)
-    uxx[:, 0] = (u[:, 2] - 2.0 * u[:, 1] + u[:, 0]) / (dx * dx)
-    uxx[:, -1] = (u[:, -1] - 2.0 * u[:, -2] + u[:, -3]) / (dx * dx)
     ut = np.empty_like(u)
     ut[:-1] = (u[1:] - u[:-1]) / dt
     ut[-1] = ut[-2]
-    return DerivativeFields(ux=ux, uxx=uxx, ut=ut)
+    return DerivativeFields(ux=_ux(u, dx), uxx=_uxx(u, dx), ut=ut)
 
 
-def extremal_control(sol: PdeSolution, G: GFunction1D,
-                     tie_tol: float | None = None) -> ControlField:
+def extremal_control(sol: PdeSolution, G: GFunction1D) -> ControlField:
     """Pointwise maximizing volatility: sigma_high where the generator
     argument is positive, sigma_low where negative, sigma_high (flagged) at
-    ties within ``tie_tol``."""
+    ties, |a| <= 1e-10 max |a|."""
     a = sol.a_field
-    if tie_tol is None:
-        tie_tol = 1e-10 * max(float(np.max(np.abs(a))), 1e-300)
+    tie_tol = 1e-10 * max(float(np.max(np.abs(a))), 1e-300)
     ambiguous = np.abs(a) <= tie_tol
     sigma_star = np.where(a > tie_tol, G.sigma_high, G.sigma_low)
     sigma_star[ambiguous] = G.sigma_high
@@ -519,16 +530,14 @@ class FieldInterpolator:
 # regularity moduli
 # ---------------------------------------------------------------------------
 
-def fit_space_modulus(sol: PdeSolution, m: int | None = None,
-                      fractions=(0.0, 1 / 16, 1 / 4)) -> float:
+def fit_space_modulus(sol: PdeSolution) -> float:
     """Smallest C with |u(t,x1)-u(t,x2)| <= C(1+|x1|^m+|x2|^m)|x1-x2|
-    over node pairs separated by one node and by fixed fractions of the
-    domain (comparable across refinements)."""
-    if m is None:
-        m = sol.driver.m
+    (m of the driver) over node pairs separated by one node and by 1/16
+    and 1/4 of the domain (comparable across refinements)."""
+    m = sol.driver.m
     u, xs = sol.u, sol.xs
     c = 0.0
-    for frac in fractions:
+    for frac in (0.0, 1 / 16, 1 / 4):
         k = min(sol.grid.nx - 1, max(1, round(frac * (sol.grid.nx - 1))))
         num = np.abs(u[:, k:] - u[:, :-k])
         den = (1.0 + np.abs(xs[k:]) ** m + np.abs(xs[:-k]) ** m) \
@@ -537,17 +546,15 @@ def fit_space_modulus(sol: PdeSolution, m: int | None = None,
     return c
 
 
-def fit_time_modulus(sol: PdeSolution, m: int | None = None,
-                     fractions=(1 / 64, 1 / 16, 1 / 4, 1.0)) -> float:
+def fit_time_modulus(sol: PdeSolution) -> float:
     """Smallest C with |u(t1,x)-u(t2,x)| <= C(1+|x|^{m+1})sqrt(t2-t1)
-    over level pairs separated by fixed fractions of T (so the fit is
-    comparable across grid refinements)."""
-    if m is None:
-        m = sol.driver.m
+    (m of the driver) over level pairs separated by 1/64, 1/16, 1/4 and
+    all of T (so the fit is comparable across grid refinements)."""
+    m = sol.driver.m
     u, xs = sol.u, sol.xs
     weight = 1.0 + np.abs(xs) ** (m + 1)
     c = 0.0
-    for frac in fractions:
+    for frac in (1 / 64, 1 / 16, 1 / 4, 1.0):
         k = min(sol.nt, max(1, round(frac * sol.nt)))
         num = np.abs(u[k:] - u[:-k])
         c = max(c, float(np.max(num / (weight[None, :] * math.sqrt(k * sol.dt)))))
@@ -651,10 +658,9 @@ def export_solution_csv(sol: PdeSolution, path: str,
     time levels is laid out in fixed CELL-byte slots, each followed by its
     separator, and written without the padding; t and x are formatted once.
     """
-    d = derivatives(sol)
     if control is None:
         control = extremal_control(sol, sol.G)
-    fields = (sol.u, d.ux, d.uxx, sol.a_field,
+    fields = (sol.u, _ux(sol.u, sol.dx), _uxx(sol.u, sol.dx), sol.a_field,
               np.asarray(control.sigma_star, dtype=float))
     nlev, nx = sol.u.shape
     levels = min(nlev, max(1, _BLOCK_BYTES // (7 * (CELL + 1) * nx)))

@@ -141,18 +141,16 @@ class VolatilityControl:
     ambiguous_frac: float = 0.0
 
     @classmethod
-    def constant(cls, sigma: float, G: GFunction1D,
-                 label: str | None = None) -> "VolatilityControl":
+    def constant(cls, sigma: float, G: GFunction1D) -> "VolatilityControl":
         sigma = float(sigma)
         if not (G.sigma_low <= sigma <= G.sigma_high):
             raise DomainError(f"sigma={sigma} outside "
                               f"[{G.sigma_low}, {G.sigma_high}]")
         return cls(kind=ControlKind.CONSTANT, G=G, value=sigma,
-                   label=label or f"const[{sigma:g}]")
+                   label=f"const[{sigma:g}]")
 
     @classmethod
-    def piecewise(cls, times, values, G: GFunction1D,
-                  label: str | None = None) -> "VolatilityControl":
+    def piecewise(cls, times, values, G: GFunction1D) -> "VolatilityControl":
         times = tuple(float(t) for t in times)
         values = tuple(float(v) for v in values)
         if len(times) != len(values) or not times:
@@ -162,21 +160,19 @@ class VolatilityControl:
         if any(not (G.sigma_low <= v <= G.sigma_high) for v in values):
             raise DomainError("piecewise values leave the volatility interval")
         return cls(kind=ControlKind.PIECEWISE, G=G, times=times, values=values,
-                   label=label or "piecewise")
+                   label="piecewise")
 
     @classmethod
     def feedback(cls, sol: PdeSolution, G: GFunction1D, *,
-                 flip_ambiguous: bool = False, tie_tol: float | None = None,
-                 label: str | None = None) -> "VolatilityControl":
-        cf = extremal_control(sol, G, tie_tol)
+                 flip_ambiguous: bool = False) -> "VolatilityControl":
+        cf = extremal_control(sol, G)
         sigma = cf.sigma_star.copy()
         if flip_ambiguous:
             sigma[cf.ambiguous] = G.sigma_low
         return cls(kind=ControlKind.FEEDBACK, G=G, field_sigma=sigma,
                    field_ts=sol.ts, field_xs=sol.xs,
                    ambiguous_frac=float(cf.ambiguous.mean()),
-                   label=label or ("feedback-flip" if flip_ambiguous
-                                   else "feedback"))
+                   label="feedback-flip" if flip_ambiguous else "feedback")
 
     def sigma_at(self, t: float, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -296,7 +292,6 @@ class PathBundle:
     dt: float
     dB: np.ndarray
     sigma: np.ndarray
-    seed: int
     control: VolatilityControl
     x_paths: np.ndarray | None = None
     x0: float | None = None
@@ -341,8 +336,7 @@ def simulate_paths(control: VolatilityControl, n_paths: int, n_steps: int,
         sig = np.array([control.sigma_at(t, np.zeros(1))[0] for t in tgrid])
         dB = sig[None, :] * sqdt * xi
         return PathBundle(t0=t0, t_end=T, n_paths=n_paths, n_steps=n_steps,
-                          dt=dt, dB=dB, sigma=sig, seed=int(seed),
-                          control=control)
+                          dt=dt, dB=dB, sigma=sig, control=control)
 
     if driver is None:
         raise DomainError("FEEDBACK controls need the forward driver")
@@ -359,8 +353,8 @@ def simulate_paths(control: VolatilityControl, n_paths: int, n_steps: int,
         X[:, k + 1] = _forward_step(driver, t, xk, dt, s * s * dt, dB[:, k])
     _check_forward(X)
     return PathBundle(t0=t0, t_end=T, n_paths=n_paths, n_steps=n_steps,
-                      dt=dt, dB=dB, sigma=sig, seed=int(seed),
-                      control=control, x_paths=X, x0=float(x0))
+                      dt=dt, dB=dB, sigma=sig, control=control, x_paths=X,
+                      x0=float(x0))
 
 
 def forward_sde(driver: DriverSpec, t: float, x: float,
@@ -765,19 +759,3 @@ def estimate_dt(driver: DriverSpec, t: float, x: float, G: GFunction1D,
     if not (0.0 < t < sol.grid.T):
         raise DomainError(f"time sensitivity needs 0 < t < T, got t={t}")
     return _estimate("t", driver, t, x, G, sol, mc)
-
-
-def export_sensitivity_csv(path: str, rows: list[dict]) -> None:
-    """Rows: dicts with t, x, dx_plus, dx_minus, se_plus, se_minus,
-    residual_of_control, n_paths, seed."""
-    cols = ("t", "x", "dx_plus", "dx_minus", "se_plus", "se_minus",
-            "residual_of_control", "n_paths", "seed")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            cells = []
-            for c in cols:
-                v = row[c]
-                cells.append(str(v) if isinstance(v, int)
-                             else format(float(v), ".12e"))
-            fh.write(",".join(cells) + "\n")

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -179,10 +181,12 @@ def test_remaining_subcommands_smoke(tmp_path):
 
 # ---- failure modes ----
 
-def test_usage_errors_exit_one():
+def test_usage_errors_exit_one(tmp_path):
     assert _main([]) == 1
     assert _main(["frobnicate"]) == 1
     assert _main(["gbsde", "--eps", "a,b"]) == 1
+    assert _main(["convergence", "--p", "2", "--output-dir",
+                  str(tmp_path)]) == 1
 
 
 def test_unknown_preset_exits_one(tmp_path):
@@ -385,3 +389,110 @@ def test_assert_maps_failed_verdict_to_exit_three(tmp_path):
             "--output-dir", str(tmp_path)]
     assert _main(argv) == 0
     assert _main(argv + ["--assert"]) == 3
+
+
+# ---- typed config values, driver parameters, table CSVs ----
+
+@pytest.mark.parametrize("argv, config", [
+    (["solve-pde"], "[grid]\nnt = abc\n"),
+    (["solve-pde"], "[mc]\nseed = abc\n"),
+    (["sensitivity-x"], "[mc]\nn_paths = abc\n"),
+    (["sensitivity-x"], "[schedule]\nt = abc\n"),
+    (["cylinder"], "[schedule]\ntimes = abc\n"),
+    (["dp-check"], "[schedule]\ntol = abc\n"),
+    (["stability"], "[schedule]\nshift = abc\n"),
+    (["solve-pde", "--eps", ","], None),
+], ids=["nt", "seed", "n_paths", "t", "times", "tol", "shift", "empty-eps"])
+def test_badly_typed_setting_exits_one(tmp_path, capsys, argv, config):
+    extra = []
+    if config is not None:
+        path = tmp_path / "bad.cfg"
+        path.write_text(config)
+        extra = ["--config", str(path)]
+    for dry in ([], ["--dry-run"]):
+        out = tmp_path / f"out{len(dry)}"
+        rc = _main([*argv, "--nx", "21", "--n-paths", "10", *extra, *dry,
+                    "--output-dir", str(out)])
+        assert rc == 1, dry
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_config_scalars_fill_tuple_fields_and_ints_stay_ints(tmp_path):
+    cfg = tmp_path / "scalar.cfg"
+    cfg.write_text("[schedule]\ntimes = 0.5\nx = 0\n")
+    out = tmp_path / "out"
+    assert _main(["cylinder", "--nx", "51", "--config", str(cfg),
+                  "--output-dir", str(out)]) == 0
+    params = _summary(out)["parameters"]
+    assert params["times"] == [0.5]
+    assert params["x"] == 0 and isinstance(params["x"], int)
+
+
+@pytest.mark.parametrize("dry", [[], ["--dry-run"]], ids=["run", "dry-run"])
+def test_param_no_preset_reads_exits_one(tmp_path, capsys, dry):
+    # quadratic reads no parameter, so c=inf would only be echoed
+    out = tmp_path / "out"
+    rc = _main(["solve-pde", "--nx", "21", "--param", "c=inf", *dry,
+                "--output-dir", str(out)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_params_are_checked_against_the_run_presets():
+    # a typo is refused; the second preset's keys count for stability, and
+    # counterexample reads exponent whatever the preset
+    assert _main(["solve-pde", "--preset", "smooth-bump", "--param",
+                  "widht=2", "--dry-run"]) == 1
+    assert _main(["stability", "--preset", "abs", "--preset-b",
+                  "smooth-bump", "--param", "width=2", "--dry-run"]) == 0
+    assert _main(["gexpect", "--preset", "abs", "--param", "width=2",
+                  "--dry-run"]) == 1
+    assert _main(["gbsde", "--preset", "sine-gz", "--param",
+                  "phi=abs", "--param", "smoothing=0.1", "--dry-run"]) == 0
+    assert _main(["counterexample", "--param", "exponent=-0.3",
+                  "--dry-run"]) == 0
+
+
+def test_benchmark_command_lines_validate(tmp_path):
+    # every argv of the benchmark workloads passes the flag and parameter
+    # checks, so no removed option or key check can refuse one
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look the module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    argvs = [c.argv for cmds in workloads.WORKLOADS.values() for c in cmds]
+    assert argvs
+    for argv in argvs:
+        assert _main([*argv, "--dry-run", "--assert", "--seed", "1",
+                      "--output-dir", str(tmp_path)]) == 0, argv
+
+
+def test_sensitivity_csv_is_one_reproducible_row(tmp_path):
+    argv = ["sensitivity-x", "--n-paths", "200", "--n-steps", "16",
+            "--nx", "51", "--output-dir", str(tmp_path)]
+    assert _main(argv) == 0
+    first = (tmp_path / "sensitivity.csv").read_bytes()
+    lines = first.decode("utf-8").splitlines()
+    assert lines[0] == ("t,x,dx_plus,dx_minus,se_plus,se_minus,"
+                        "residual_of_control,n_paths,seed")
+    assert len(lines) == 2
+    row = lines[1].split(",")
+    assert len(row) == 9 and row[-2:] == ["200", "0"]
+    assert _main(argv) == 0
+    assert (tmp_path / "sensitivity.csv").read_bytes() == first
+
+
+def test_doob_csv_is_one_row(tmp_path):
+    assert _main(["doob", "--steps", "8", "--output-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "doob.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "p,p_prime,C,lhs,rhs,margin"
+    assert len(lines) == 2
+    values = [float(v) for v in lines[1].split(",")]
+    assert values[:2] == [2.0, 4.0]
+    assert values[2] == pytest.approx(math.sqrt(2.0), rel=1e-12)

@@ -21,7 +21,6 @@ from gbmlab.gexpect import (
     conditional_gexpect,
     doob_check,
     doob_constant,
-    export_doob_csv,
     gexpect_cylinder,
     gexpect_terminal,
     lattice_oracle,
@@ -216,17 +215,6 @@ def test_doob_randomized_battery():
             rep = doob_check(xi, p, pp, G01, spec)
             assert rep.margin >= 0.0, (times, p, pp)
     assert time.perf_counter() - start < 60.0
-
-
-def test_doob_csv_single_line(tmp_path):
-    xi = CylinderFunctional(times=(1.0,), psi=lambda a: np.abs(a))
-    rep = doob_check(xi, 2.0, 4.0, G01, LatticeSpec.for_horizon(1.0, 8, G01))
-    path = tmp_path / "doob.csv"
-    export_doob_csv(rep, str(path))
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "p,p_prime,C,lhs,rhs,margin"
-    assert len(lines) == 2
-    assert len(lines[1].split(",")) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from gbmlab.scenario import (
     VolatilityControl,
     estimate_dt,
     estimate_dx,
-    export_sensitivity_csv,
     forward_sde,
     k_increments,
     mean_and_se,
@@ -541,20 +540,3 @@ def test_measure_frozen_control_optimal_on_concave_payoff():
     assert abs(chk.residual) <= 1e-12
     assert chk.accepted
 
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def test_export_sensitivity_csv(tmp_path):
-    rows = [dict(t=0.0, x=0.5, dx_plus=1.01, dx_minus=0.99, se_plus=0.01,
-                 se_minus=0.01, residual_of_control=0.0, n_paths=1000,
-                 seed=0)]
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    export_sensitivity_csv(str(p1), rows)
-    export_sensitivity_csv(str(p2), rows)
-    lines = p1.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == ("t,x,dx_plus,dx_minus,se_plus,se_minus,"
-                        "residual_of_control,n_paths,seed")
-    assert len(lines) == 2
-    assert p1.read_bytes() == p2.read_bytes()
