@@ -344,7 +344,7 @@ def _run_solve_pde(cfg: RunConfig):
 
 
 def _family(cfg: RunConfig, *, curvature: bool = False
-            ) -> _gbsde.FamilyAtStart:
+            ) -> _gbsde.BsdeSolutionFamily:
     """The configured eps family at t = 0, streamed (no dense fields)."""
     p = _problem(cfg, cfg.gfunction())
     form = PdeForm.REGULARIZED_BSDE if p.form is PdeForm.GHEAT else p.form

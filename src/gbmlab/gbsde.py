@@ -2,8 +2,8 @@
 
 A degenerate interval [0, sigma_high] is replaced by the elliptic family
 [eps, sqrt(sigma_high^2 + eps^2)] over a decreasing eps schedule; each level
-is solved with the monotone PDE scheme and the limit field ``u0`` is the
-first-order Richardson extrapolation of the two finest levels.  The module
+is solved with the monotone PDE scheme and the limit ``u0`` at t = 0 is
+the first-order Richardson extrapolation of the two finest levels.  The module
 also houses the experiment battery: K-path reconstruction, convergence and
 curvature scans, semiconvexity and stability checks, a dynamic-programming
 consistency test, the singular-weight counterexample demo and empirical
@@ -58,51 +58,24 @@ class BsdeProblem:
 
 @dataclass(frozen=True)
 class BsdeSolutionFamily:
-    """Solutions along the eps schedule plus the extrapolated limit field."""
+    """The eps family at t = 0, plus the dense levels when they were kept.
 
-    problem: BsdeProblem
-    eps_schedule: tuple
-    solutions: tuple
-    u0: np.ndarray
-    diagnostics: dict
-
-    def solution(self, i: int) -> PdeSolution:
-        return self.solutions[i]
-
-    def u0_value(self, t: float, x: float) -> float:
-        sol = self.solutions[-1]
-        n = _pde._time_index(sol.ts, t)
-        return float(np.interp(x, sol.xs, self.u0[n]))
-
-    @property
-    def deltas(self) -> tuple:
-        """sup_x |u_k - u_{k+1}|(0, .) over consecutive levels."""
-        return tuple(self.diagnostics["deltas"])
-
-    @property
-    def min_uxx(self) -> tuple:
-        """Per level, the minimum of d_xx u over the central third of the
-        nodes and over all time levels."""
-        return tuple(float(_central_uxx(sol.u, sol.dx).min())
-                     for sol in self.solutions)
-
-
-@dataclass(frozen=True)
-class FamilyAtStart:
-    """The eps family reduced while it is stepped (``stream_gbsde``).
-
-    ``u[k]`` is u_eps(0, .) of level k and ``u0`` the extrapolated limit at
-    t = 0; ``deltas`` and ``min_uxx`` mean what they mean on
-    :class:`BsdeSolutionFamily` (``min_uxx`` is None unless asked for).
+    ``u[k]`` is u_eps(0, .) of level k, ``u0`` the extrapolated limit at
+    t = 0, ``deltas`` the sup gaps between consecutive rows of ``u`` and
+    ``min_uxx`` the per-level minimum of d_xx u over the central third of
+    the nodes and all time levels (None when streamed without
+    ``curvature``).  ``solutions`` holds the dense levels of
+    ``solve_gbsde``; it is ``()`` for ``stream_gbsde``.
     """
 
     problem: BsdeProblem
     eps_schedule: tuple
+    nt: int
     u: np.ndarray
     u0: np.ndarray
     deltas: tuple
     min_uxx: tuple | None
-    nt: int
+    solutions: tuple
 
     def u_at(self, i: int, x: float) -> float:
         """u of level ``i`` at (0, x), linear in x."""
@@ -133,9 +106,15 @@ def _extrapolate(eps: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return u2 + (u2 - u1) * (e2 / (e1 - e2))
 
 
-def _start_deltas(rows) -> list:
-    """max |u_k - u_{k+1}| over consecutive rows of u(0, .)."""
-    return [float(np.max(np.abs(a - b))) for a, b in zip(rows, rows[1:])]
+def _new_family(problem: BsdeProblem, eps: tuple, nt: int, u: np.ndarray,
+                min_uxx, solutions=()) -> BsdeSolutionFamily:
+    """The family from its t = 0 rows ``u``: the limit and the deltas are
+    reduced from them here, for both solvers."""
+    return BsdeSolutionFamily(
+        problem=problem, eps_schedule=eps, nt=nt, u=u,
+        u0=_extrapolate(eps, u[-2], u[-1]),
+        deltas=tuple(float(np.max(np.abs(a - b))) for a, b in zip(u, u[1:])),
+        min_uxx=min_uxx, solutions=solutions)
 
 
 def _central_uxx(u: np.ndarray, dx: float) -> np.ndarray:
@@ -158,28 +137,25 @@ def solve_gbsde(problem: BsdeProblem, eps_schedule, *,
     node by node.  Requires a degenerate generator and a strictly
     decreasing schedule with at least two levels.
 
-    The family is dense: u and the generator argument of every level at
-    every time level, each (levels, nt+1, nx), because ``reconstruct_K``
-    and ``FieldInterpolator`` read the fields along paths.  A caller that
-    needs only t = 0 and the per-level reductions uses ``stream_gbsde``.
+    The family keeps the dense levels in ``solutions``: u and the
+    generator argument of every level at every time level, because
+    ``reconstruct_K`` and ``FieldInterpolator`` read the fields along
+    paths.  A caller that needs only t = 0 and the per-level reductions
+    uses ``stream_gbsde``.
     """
     eps, gs = _eps_generators(problem, eps_schedule)
     solutions = _pde._solve_levels(problem.grid, problem.driver, gs,
                                    problem.form, safety)
-    u0 = _extrapolate(eps, solutions[-2].u, solutions[-1].u)
-    deltas = _start_deltas([sol.u[0] for sol in solutions])
-    diagnostics = dict(deltas=deltas, nt=solutions[0].nt,
-                       terminal_identical=bool(
-                           np.array_equal(solutions[0].u[-1],
-                                          solutions[-1].u[-1])))
-    return BsdeSolutionFamily(problem=problem, eps_schedule=eps,
-                              solutions=solutions, u0=u0,
-                              diagnostics=diagnostics)
+    min_uxx = tuple(float(_central_uxx(sol.u, sol.dx).min())
+                    for sol in solutions)
+    return _new_family(problem, eps, solutions[0].nt,
+                       np.array([sol.u[0] for sol in solutions]), min_uxx,
+                       solutions)
 
 
 def stream_gbsde(problem: BsdeProblem, eps_schedule, *, safety: float = 0.9,
-                 curvature: bool = False) -> FamilyAtStart:
-    """The family of ``solve_gbsde`` at t = 0, without dense storage.
+                 curvature: bool = False) -> BsdeSolutionFamily:
+    """The family of ``solve_gbsde`` without its dense levels.
 
     The levels are stepped on the same time grid, under the same checks
     (schedule, pin-or-CFL rule, node-step budget, finiteness), but only
@@ -198,12 +174,9 @@ def stream_gbsde(problem: BsdeProblem, eps_schedule, *, safety: float = 0.9,
     for _n, _a, u in _pde._backward_steps(driver, grid, gs, nt, dt, u):
         if curvature:
             np.minimum(mins, _central_uxx(u, grid.dx).min(axis=-1), out=mins)
-    u = u.copy()  # the step overwrites its level in place
-    return FamilyAtStart(problem=problem, eps_schedule=eps, u=u,
-                         u0=_extrapolate(eps, u[-2], u[-1]),
-                         deltas=tuple(_start_deltas(u)),
-                         min_uxx=tuple(mins.tolist()) if curvature else None,
-                         nt=nt)
+    # the step overwrites its level in place, hence the copy
+    return _new_family(problem, eps, nt, u.copy(),
+                       tuple(mins.tolist()) if curvature else None)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +189,6 @@ class KPath:
 
     K: np.ndarray
     eps: float
-    control_label: str
-    monotone_tol: float
 
     @property
     def K_T(self) -> np.ndarray:
@@ -231,8 +202,12 @@ def reconstruct_K(family: BsdeSolutionFamily, eps_index: int,
     ``x0`` defaults to the bundle's own start state (FEEDBACK bundles carry
     it); the increments read the curvature field of the chosen eps level.
     Raises :class:`NumericalError` where K increases by more than its
-    rounding tolerance.
+    rounding tolerance, and :class:`DomainError` for a streamed family,
+    which keeps no fields to read.
     """
+    if not family.solutions:
+        raise DomainError("K reconstruction needs the dense levels of "
+                          "solve_gbsde; the family was streamed")
     sol = family.solutions[eps_index]
     if x0 is None:
         if bundle.x0 is None:
@@ -250,8 +225,7 @@ def reconstruct_K(family: BsdeSolutionFamily, eps_index: int,
         raise NumericalError(
             f"K increased by {np.diff(K, axis=1).max():.3g} > tol {tol:.3g} "
             f"on path {i}, step {k}")
-    return KPath(K=K, eps=family.eps_schedule[eps_index],
-                 control_label=bundle.control.label, monotone_tol=tol)
+    return KPath(K=K, eps=family.eps_schedule[eps_index])
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +241,7 @@ class ConvergenceReport:
     any_violation: bool
 
 
-def convergence_report(family: BsdeSolutionFamily | FamilyAtStart
-                       ) -> ConvergenceReport:
+def convergence_report(family: BsdeSolutionFamily) -> ConvergenceReport:
     """Consecutive-level sup deltas at t=0 against |e-e'| + e^2 + e'^2.
 
     A power law C * bound^r is fitted by log-log least squares; a pair is
@@ -304,8 +277,7 @@ class CurvatureScan:
     bounded: bool
 
 
-def second_derivative_scan(family: BsdeSolutionFamily | FamilyAtStart
-                           ) -> CurvatureScan:
+def second_derivative_scan(family: BsdeSolutionFamily) -> CurvatureScan:
     """Minimum of d_xx u_eps over the interior grid per level.
 
     Interior means the central third of the space nodes: the
@@ -327,7 +299,6 @@ def second_derivative_scan(family: BsdeSolutionFamily | FamilyAtStart
 
 @dataclass(frozen=True)
 class SemiconvexityReport:
-    delta: float
     C: float
     min_second_diff: float
     max_second_diff: float
@@ -346,9 +317,7 @@ def semiconvexity_scan(problem, *, safety: float = 0.9) -> SemiconvexityReport:
     if driver.phi_xx is None:
         raise DomainError("semiconvexity scan needs second derivatives "
                           "(driver.phi_xx missing)")
-    sol = _pde.solve_terminal_pde(
-        PdeProblem(problem.grid, driver, problem.G, problem.form),
-        safety=safety)
+    sol = _pde.solve_terminal_pde(problem, safety=safety)
     dx = sol.dx
     xs = sol.xs[:-2]
     second = _pde._second_diff(sol.u, dx)
@@ -356,7 +325,7 @@ def semiconvexity_scan(problem, *, safety: float = 0.9) -> SemiconvexityReport:
     ratio = second / weight[None, :]
     C = max(0.0, -float(ratio.min()))
     viol = int(np.sum(second < -C * weight[None, :] - 1e-9 * (1.0 + C)))
-    return SemiconvexityReport(delta=dx, C=C,
+    return SemiconvexityReport(C=C,
                                min_second_diff=float(second.min()),
                                max_second_diff=float(second.max()),
                                violations=viol, m=driver.m)
@@ -383,13 +352,12 @@ def _refine(grid: Grid1D, factor: int) -> Grid1D:
 
 
 def _streamed(problem: PdeProblem, nt: int, dt: float):
-    """``(phi, steps)`` of one problem solved in ``nt`` steps of ``dt``
-    without dense storage: ``steps`` is the solver's step generator from
-    ``phi``."""
+    """The solver's step generator for one problem solved in ``nt`` steps
+    of ``dt`` from phi, without dense storage."""
     grid, driver = problem.grid, problem.driver
     phi = _pde._terminal_data(driver, grid.xs)
-    return phi, _pde._backward_steps(driver, grid, (problem.G,), nt, dt,
-                                     phi[None])
+    return _pde._backward_steps(driver, grid, (problem.G,), nt, dt,
+                                phi[None])
 
 
 def stability_check(problem1, problem2, p: float = 1.0, *,
@@ -429,14 +397,15 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
     rows = []
     for grid, (nt1, dt1), (nt, dt) in levels:
         xs, dx = grid.xs, grid.dx
-        steps = _streamed(PdeProblem(grid, d1, G, problem1.form), nt1, dt1)[1]
+        steps = _streamed(PdeProblem(grid, d1, G, problem1.form), nt1, dt1)
         for _n, _a, u1 in steps:
             pass  # only u(0, .) is kept
-        phi, steps = _streamed(PdeProblem(grid, d2, G, problem2.form), nt, dt)
-        fhat = np.zeros(nt + 1)
-        ghat = np.zeros(nt + 1)
-
-        def record(n, y):
+        # the differences at t = T would carry weight 0 in the integrals
+        fhat = np.zeros(nt)
+        ghat = np.zeros(nt)
+        steps = _streamed(PdeProblem(grid, d2, G, problem2.form), nt, dt)
+        for n, _a, u2 in steps:
+            y = u2[0]
             if not same_f:
                 fhat[n] = np.max(np.abs(
                     np.asarray(d1.f(n * dt, xs, y), dtype=float)
@@ -446,9 +415,6 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
                 ghat[n] = np.max(np.abs(
                     np.asarray(d1.g(n * dt, xs, y, z), dtype=float)
                     - np.asarray(d2.g(n * dt, xs, y, z), dtype=float)))
-        record(nt, phi)
-        for n, _a, u2 in steps:
-            record(n, u2[0])
         delta = float(np.max(np.abs(u1[0] - u2[0])))
         lhs = delta ** p
 
@@ -461,10 +427,9 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
             CylinderFunctional((grid.T,), psi), G, spec)
         fint = 0.0
         gint = 0.0
-        for n in range(nt + 1):
-            wt = dt if n < nt else 0.0
-            fint += fhat[n] * wt
-            gint += ghat[n] * wt * G.sigma_high ** 2
+        for n in range(nt):
+            fint += fhat[n] * dt
+            gint += ghat[n] * dt * G.sigma_high ** 2
         rhs = terminal + fint ** p + gint ** p
         constant = lhs / rhs if rhs > 0 else 0.0
         rows.append((grid.nx, delta, lhs, rhs, constant))
@@ -510,8 +475,7 @@ def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
     spec = (LatticeSpec.for_horizon(t2 - t1, steps, problem.G)
             if t2 > t1 + 1e-15 else None)
     if sol is None:
-        sol = _pde.solve_terminal_pde(
-            PdeProblem(grid, d, problem.G, problem.form), safety=safety)
+        sol = _pde.solve_terminal_pde(problem, safety=safety)
     u_t1 = sol.value(t1, x0)
     if spec is None:
         return DpCheckReport(t1=t1, t2=t2, x0=x0, u_t1=u_t1,

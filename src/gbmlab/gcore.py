@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -302,7 +302,6 @@ class DriverSpec:
     L1: float = 1.0
     m: int = 1
     phi_kinks: tuple = ()
-    params: Mapping = field(default_factory=dict)
     skip_self_check: bool = False
 
     def __post_init__(self) -> None:
@@ -543,7 +542,7 @@ def preset_driver(name: str, params: Mapping | None = None) -> DriverSpec:
         raise DomainError(f"unknown preset '{name}'; choose from {PRESET_NAMES}")
     phi, phi_x, phi_xx, kinks, L1, m = _payoff(payoff, p)
     return DriverSpec(name=name, phi=phi, phi_x=phi_x, phi_xx=phi_xx,
-                      phi_kinks=kinks, L1=L1, m=m, params=p, **coeffs)
+                      phi_kinks=kinks, L1=L1, m=m, **coeffs)
 
 
 def preset_keys(name: str, params: Mapping) -> set:
@@ -615,18 +614,4 @@ def parse_config(source: str) -> dict:
             raise ConfigError(f"unknown config section [{section}]; "
                               f"expected one of {_KNOWN_SECTIONS}")
         out[section] = {k: _coerce(v) for k, v in cp.items(section)}
-
-    gen = out.get("generator", {})
-    for key in ("sigma_low", "sigma_high"):
-        if key in gen and not isinstance(gen[key], (int, float)):
-            raise ConfigError(f"[generator] {key} must be a number, "
-                              f"got {gen[key]!r}")
-    if "eps_schedule" in gen and isinstance(gen["eps_schedule"], (int, float)):
-        gen["eps_schedule"] = (float(gen["eps_schedule"]),)
-    grid = out.get("grid", {})
-    for key in ("x_min", "x_max", "T", "cfl_safety"):
-        if key in grid and not isinstance(grid[key], (int, float)):
-            raise ConfigError(f"[grid] {key} must be a number, got {grid[key]!r}")
-    if "nx" in grid and not isinstance(grid["nx"], int):
-        raise ConfigError(f"[grid] nx must be an integer, got {grid['nx']!r}")
     return out

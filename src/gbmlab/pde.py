@@ -197,7 +197,7 @@ class DerivativeFields:
 
 @dataclass(frozen=True)
 class ControlField:
-    """Bang-bang volatility field sigma*(t, x) with tie diagnostics."""
+    """Bang-bang volatility field sigma*(t, x) with its tie mask."""
 
     sigma_star: np.ndarray
     ambiguous: np.ndarray

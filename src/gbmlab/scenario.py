@@ -450,12 +450,9 @@ def _residual(mean: float, se: float, u_ref: float) -> tuple:
 
 @dataclass(frozen=True)
 class MeasureCheck:
-    control_label: str
     mean_KT: float
     se: float
-    u_ref: float
     residual: float
-    residual_se: float
     accepted: bool
 
 
@@ -475,11 +472,9 @@ def verify_measure_in_Ptx(control: VolatilityControl, driver: DriverSpec,
     fields = FieldInterpolator(sol)
     kt = k_increments(fields, G, bundle, X).sum(axis=1)
     mean, se = mean_and_se(kt)
-    u_ref = sol.value(t, x)
-    residual, residual_se, accepted = _residual(mean, se, u_ref)
-    return MeasureCheck(control_label=control.label, mean_KT=mean, se=se,
-                        u_ref=u_ref, residual=residual,
-                        residual_se=residual_se, accepted=accepted)
+    residual, _se, accepted = _residual(mean, se, sol.value(t, x))
+    return MeasureCheck(mean_KT=mean, se=se, residual=residual,
+                        accepted=accepted)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +483,7 @@ def verify_measure_in_Ptx(control: VolatilityControl, driver: DriverSpec,
 
 @dataclass(frozen=True)
 class SensitivityEstimate:
-    """One-sided derivative estimates with per-control diagnostics."""
+    """One-sided derivative estimates with the results of each control."""
 
     t: float
     x: float

@@ -241,7 +241,7 @@ def test_criterion_12_property_suites(tmp_path):
     fam = gbsde.solve_gbsde(
         gbsde.BsdeProblem(_grid(), quad, G01, PdeForm.REGULARIZED_BSDE),
         (0.2, 0.1))
-    feedback = VolatilityControl.feedback(fam.solution(0),
+    feedback = VolatilityControl.feedback(fam.solutions[0],
                                           regularize(G01, 0.2))
     bundle = simulate_paths(feedback, 500, 128, 1.0, seed=3, driver=quad)
     kp = gbsde.reconstruct_K(fam, 0, bundle)

@@ -401,8 +401,11 @@ def test_assert_maps_failed_verdict_to_exit_three(tmp_path):
     (["cylinder"], "[schedule]\ntimes = abc\n"),
     (["dp-check"], "[schedule]\ntol = abc\n"),
     (["stability"], "[schedule]\nshift = abc\n"),
+    (["solve-pde"], "[grid]\nnx = many\n"),
+    (["solve-pde"], "[generator]\nsigma_high = tall\n"),
     (["solve-pde", "--eps", ","], None),
-], ids=["nt", "seed", "n_paths", "t", "times", "tol", "shift", "empty-eps"])
+], ids=["nt", "seed", "n_paths", "t", "times", "tol", "shift", "nx",
+        "sigma_high", "empty-eps"])
 def test_badly_typed_setting_exits_one(tmp_path, capsys, argv, config):
     extra = []
     if config is not None:
@@ -420,11 +423,13 @@ def test_badly_typed_setting_exits_one(tmp_path, capsys, argv, config):
 
 def test_config_scalars_fill_tuple_fields_and_ints_stay_ints(tmp_path):
     cfg = tmp_path / "scalar.cfg"
-    cfg.write_text("[schedule]\ntimes = 0.5\nx = 0\n")
+    cfg.write_text("[generator]\neps_schedule = 0.1\n"
+                   "[schedule]\ntimes = 0.5\nx = 0\n")
     out = tmp_path / "out"
     assert _main(["cylinder", "--nx", "51", "--config", str(cfg),
                   "--output-dir", str(out)]) == 0
     params = _summary(out)["parameters"]
+    assert params["eps_schedule"] == [0.1]
     assert params["times"] == [0.5]
     assert params["x"] == 0 and isinstance(params["x"], int)
 

@@ -43,12 +43,12 @@ def _neg_quadratic_driver():
 def test_solve_regularized_level_value():
     fam = _family(preset_driver("quadratic"), (0.2, 0.1))
     assert fam.eps_schedule == (0.2, 0.1)
-    assert fam.solution(1).value(0.0, 0.0) == pytest.approx(1.01, abs=1e-2)
+    assert fam.solutions[1].value(0.0, 0.0) == pytest.approx(1.01, abs=1e-2)
 
 
 def test_solve_richardson_constant_h():
     fam = _family(preset_driver("linear-h"))
-    u0 = fam.u0_value(0.0, 0.0)
+    u0 = fam.u0_at(0.0)
     assert u0 == pytest.approx(1.5, abs=2e-2)
     # each level solves to x^2 + (1 + eps^2)(1 + c)(T - t) up to boundary
     # contamination, so the two-finest-level extrapolation lands on
@@ -61,7 +61,7 @@ def test_solve_u0_matches_direct_degenerate_solve():
     fam = _family(driver)
     direct = solve_terminal_pde(
         PdeProblem(_grid(), driver, G01, PdeForm.REGULARIZED_BSDE))
-    assert np.max(np.abs(fam.u0[0] - direct.u[0])) <= 2e-2
+    assert np.max(np.abs(fam.u0 - direct.u[0])) <= 2e-2
 
 
 def test_solve_rejects_bad_schedules():
@@ -81,15 +81,15 @@ def test_solve_rejects_bad_schedules():
         gbsde.solve_gbsde(elliptic, (0.2, 0.1))
 
 
-def test_family_diagnostics():
+def test_family_reductions():
     fam = _family(preset_driver("quadratic"))
     assert len(fam.solutions) == len(SCHEDULE)
-    assert fam.diagnostics["terminal_identical"] is True
-    deltas = np.asarray(fam.diagnostics["deltas"])
+    assert np.array_equal(fam.solutions[0].u[-1], fam.solutions[-1].u[-1])
+    deltas = np.asarray(fam.deltas)
     assert np.all(np.isfinite(deltas))
     assert np.all(np.diff(deltas) < 0.0)
     for sol in fam.solutions:
-        assert sol.nt == fam.diagnostics["nt"]
+        assert sol.nt == fam.nt
 
 
 @pytest.mark.parametrize("preset", ["linear-h", "sine-gz"])
@@ -99,7 +99,7 @@ def test_stacked_family_equals_single_level_solves(preset):
     fam = _family(driver, grid=grid)
     # the levels are views of one stacked array, not copies
     assert fam.solutions[0].u.base is fam.solutions[-1].u.base
-    pinned = grid.with_nt(fam.diagnostics["nt"])
+    pinned = grid.with_nt(fam.nt)
     for eps, sol in zip(SCHEDULE, fam.solutions):
         single = solve_terminal_pde(PdeProblem(
             pinned, driver, regularize(G01, eps), PdeForm.REGULARIZED_BSDE))
@@ -108,16 +108,16 @@ def test_stacked_family_equals_single_level_solves(preset):
 
 
 def test_family_honours_a_stable_pinned_nt():
-    nt = _family(preset_driver("quadratic"), grid=_grid(101)).diagnostics["nt"]
+    nt = _family(preset_driver("quadratic"), grid=_grid(101)).nt
     fam = _family(preset_driver("quadratic"),
                   grid=_grid(101).with_nt(nt + 7))
-    assert fam.diagnostics["nt"] == nt + 7
+    assert fam.nt == nt + 7
     with pytest.raises(NumericalError):
         _family(preset_driver("quadratic"), grid=_grid(101).with_nt(nt - 1))
 
 
 def _pinned_grid():
-    nt = _family(preset_driver("quadratic"), grid=_grid(101)).diagnostics["nt"]
+    nt = _family(preset_driver("quadratic"), grid=_grid(101)).nt
     return _grid(101).with_nt(nt + 7)
 
 
@@ -130,11 +130,12 @@ def test_streamed_family_equals_dense_family(preset, grid):
                                 PdeForm.REGULARIZED_BSDE)
     dense = gbsde.solve_gbsde(problem, SCHEDULE)
     streamed = gbsde.stream_gbsde(problem, SCHEDULE, curvature=True)
-    assert streamed.nt == dense.diagnostics["nt"]
-    assert np.array_equal(streamed.u, [sol.u[0] for sol in dense.solutions])
-    assert np.array_equal(streamed.u0, dense.u0[0])
+    assert streamed.nt == dense.nt
+    assert streamed.solutions == ()
+    assert np.array_equal(dense.u, [sol.u[0] for sol in dense.solutions])
+    assert np.array_equal(streamed.u, dense.u)
+    assert np.array_equal(streamed.u0, dense.u0)
     assert streamed.deltas == dense.deltas
-    assert streamed.deltas == tuple(dense.diagnostics["deltas"])
     assert streamed.min_uxx == dense.min_uxx
     # the dense reduction equals the scan over the full derivative fields
     nx = grid.nx
@@ -149,8 +150,8 @@ def test_streamed_family_equals_dense_family(preset, grid):
     assert gbsde.second_derivative_scan(streamed) == \
         gbsde.second_derivative_scan(dense)
     for i in range(len(SCHEDULE)):
-        assert streamed.u_at(i, 0.3) == dense.solution(i).value(0.0, 0.3)
-    assert streamed.u0_at(0.3) == dense.u0_value(0.0, 0.3)
+        assert streamed.u_at(i, 0.3) == dense.solutions[i].value(0.0, 0.3)
+    assert streamed.u0_at(0.3) == dense.u0_at(0.3)
 
 
 def test_streamed_family_checks_like_the_dense_one():
@@ -177,15 +178,15 @@ def test_dense_and_streamed_start_agree_below_the_time_slack():
     dense = gbsde.solve_gbsde(problem, (0.2, 0.1))
     streamed = gbsde.stream_gbsde(problem, (0.2, 0.1))
     for x in (0.0, 0.05, -0.3):
-        assert dense.u0_value(0.0, x) == streamed.u0_at(x)
-    assert dense.solution(0).value(0.0, 0.0) > 0.0
+        assert dense.u0_at(x) == streamed.u0_at(x)
+    assert dense.solutions[0].value(0.0, 0.0) > 0.0
 
 
 # ---- reconstruct_K ----
 
 def test_k_zero_under_extremal_control():
     fam = _family(preset_driver("quadratic"), (0.2, 0.1))
-    ctrl = VolatilityControl.feedback(fam.solution(0), regularize(G01, 0.2))
+    ctrl = VolatilityControl.feedback(fam.solutions[0], regularize(G01, 0.2))
     bundle = simulate_paths(ctrl, 200, 128, 1.0, seed=3,
                             driver=preset_driver("quadratic"))
     kp = gbsde.reconstruct_K(fam, 0, bundle)
@@ -212,10 +213,21 @@ def test_k_flags_raised_increment():
         gbsde.reconstruct_K(fam, 0, outside, x0=0.0)
 
 
+def test_k_refuses_a_streamed_family():
+    quad = preset_driver("quadratic")
+    problem = gbsde.BsdeProblem(_grid(101), quad, G01,
+                                PdeForm.REGULARIZED_BSDE)
+    fam = gbsde.stream_gbsde(problem, (0.2, 0.1))
+    bundle = simulate_paths(VolatilityControl.constant(0.5, G01), 20, 16,
+                            1.0, seed=2)
+    with pytest.raises(DomainError):
+        gbsde.reconstruct_K(fam, 0, bundle, x0=0.0)
+
+
 def test_k_terminal_mean_under_extremal_control():
     driver = preset_driver("smooth-bump")
     fam = _family(driver, (0.2, 0.1))
-    ctrl = VolatilityControl.feedback(fam.solution(0), regularize(G01, 0.2))
+    ctrl = VolatilityControl.feedback(fam.solutions[0], regularize(G01, 0.2))
     bundle = simulate_paths(ctrl, 4000, 256, 1.0, seed=0, driver=driver)
     kp = gbsde.reconstruct_K(fam, 0, bundle)
     assert np.all(np.diff(kp.K, axis=1) <= 1e-10)
@@ -225,7 +237,7 @@ def test_k_terminal_mean_under_extremal_control():
 
 def test_value_field_matches_interpolation_along_paths():
     fam = _family(preset_driver("quadratic"), (0.2, 0.1))
-    sol = fam.solution(0)
+    sol = fam.solutions[0]
     ctrl = VolatilityControl.feedback(sol, regularize(G01, 0.2))
     bundle = simulate_paths(ctrl, 200, 128, 1.0, seed=3,
                             driver=preset_driver("quadratic"))
@@ -671,7 +683,12 @@ def test_family_monotone_in_payoff():
     fam_hi = _family(preset_driver("quadratic"), (0.2, 0.1))
     for lo, hi in zip(fam_lo.solutions, fam_hi.solutions):
         assert np.min(hi.u - lo.u) >= -1e-12
-    assert np.min(fam_hi.u0 - fam_lo.u0) >= -1e-12
+    # the limit at every time level, not only the t = 0 row the family keeps
+    eps = fam_hi.eps_schedule
+    sols_lo, sols_hi = fam_lo.solutions, fam_hi.solutions
+    assert np.min(gbsde._extrapolate(eps, sols_hi[-2].u, sols_hi[-1].u)
+                  - gbsde._extrapolate(eps, sols_lo[-2].u, sols_lo[-1].u)
+                  ) >= -1e-12
 
 
 def test_family_preserves_constants():
@@ -683,7 +700,10 @@ def test_family_preserves_constants():
     fam = _family(const, (0.2, 0.1))
     for sol in fam.solutions:
         assert np.all(sol.u == 3.7)
-    assert np.all(fam.u0 == 3.7)
+    # the limit at every time level, not only the t = 0 row the family keeps
+    sols = fam.solutions
+    assert np.all(gbsde._extrapolate(fam.eps_schedule, sols[-2].u,
+                                     sols[-1].u) == 3.7)
 
 
 # ---- report writers ----

@@ -284,15 +284,3 @@ def test_parse_config_from_file(tmp_path):
 def test_parse_config_rejects_unknown_section():
     with pytest.raises(ConfigError):
         parse_config("[plotting]\nstyle = fancy\n")
-
-
-def test_parse_config_rejects_bad_types():
-    with pytest.raises(ConfigError):
-        parse_config("[grid]\nnx = many\n")
-    with pytest.raises(ConfigError):
-        parse_config("[generator]\nsigma_high = tall\n")
-
-
-def test_parse_config_scalar_schedule_promoted():
-    cfg = parse_config("[generator]\neps_schedule = 0.1\n")
-    assert cfg["generator"]["eps_schedule"] == (0.1,)
