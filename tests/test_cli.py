@@ -423,15 +423,22 @@ def test_badly_typed_setting_exits_one(tmp_path, capsys, argv, config):
 
 def test_config_scalars_fill_tuple_fields_and_ints_stay_ints(tmp_path):
     cfg = tmp_path / "scalar.cfg"
-    cfg.write_text("[generator]\neps_schedule = 0.1\n"
-                   "[schedule]\ntimes = 0.5\nx = 0\n")
+    cfg.write_text("[schedule]\ntimes = 0.5\nx = 0\n")
     out = tmp_path / "out"
     assert _main(["cylinder", "--nx", "51", "--config", str(cfg),
                   "--output-dir", str(out)]) == 0
     params = _summary(out)["parameters"]
-    assert params["eps_schedule"] == [0.1]
     assert params["times"] == [0.5]
     assert params["x"] == 0 and isinstance(params["x"], int)
+
+
+def test_config_scalar_eps_schedule_is_promoted(tmp_path):
+    cfg = tmp_path / "scalar.cfg"
+    cfg.write_text("[generator]\neps_schedule = 0.1\n")
+    out = tmp_path / "out"
+    assert _main(["solve-pde", "--nx", "21", "--config", str(cfg),
+                  "--output-dir", str(out)]) == 0
+    assert _summary(out)["parameters"]["eps_schedule"] == [0.1]
 
 
 @pytest.mark.parametrize("dry", [[], ["--dry-run"]], ids=["run", "dry-run"])
