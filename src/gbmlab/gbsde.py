@@ -19,6 +19,7 @@ three-argument signature at construction.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -372,7 +373,10 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
     comparison has f1=f2 and g1=g2 so only the terminal term is active).
     Pass iff the fitted constant lhs/rhs moves by < 2x across levels.
     Needs a finite p >= 1.  Both solves are streamed: only u(0, .) of the
-    first and the per-level driver differences of the second are kept.
+    first and the per-level driver differences of the second are kept.  A
+    pair whose drivers differ only in ``name`` and ``phi`` (every other
+    field the same object) is stepped as one two-row sweep, each row bit
+    for bit the row of its own sweep; any other pair gets two sweeps.
     """
     if not (math.isfinite(p) and p >= 1.0):
         raise DomainError(f"stability check needs a finite p >= 1, got {p}")
@@ -386,6 +390,11 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
     # a driver difference is identically zero when both are the shared zero
     same_f = d1.f is _zero3 and d2.f is _zero3
     same_g = d1.g is _zero4 and d2.g is _zero4
+    # a pair that differs only in phi shares every step, and the time steps
+    # (which read no phi): both rows go through one sweep
+    stacked = all(getattr(d1, fd.name) is getattr(d2, fd.name)
+                  for fd in dataclasses.fields(DriverSpec)
+                  if fd.name not in ("name", "phi"))
     xc = 0.5 * (g1.x_min + g1.x_max)
     # the time steps of every level, and with them the work budget of
     # every solve, are settled before the first solve
@@ -397,15 +406,20 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
     rows = []
     for grid, (nt1, dt1), (nt, dt) in levels:
         xs, dx = grid.xs, grid.dx
-        steps = _streamed(PdeProblem(grid, d1, G, problem1.form), nt1, dt1)
-        for _n, _a, u1 in steps:
-            pass  # only u(0, .) is kept
+        pr1 = PdeProblem(grid, d1, G, problem1.form)
+        pr2 = PdeProblem(grid, d2, G, problem2.form)
+        if stacked:
+            phi = np.stack([_pde._terminal_data(d, xs) for d in (d1, d2)])
+            steps = _pde._backward_steps(d1, grid, (G,), nt, dt, phi)
+        else:
+            for _n, _a, u1 in _streamed(pr1, nt1, dt1):
+                pass  # only u(0, .) is kept
+            steps = _streamed(pr2, nt, dt)
         # the differences at t = T would carry weight 0 in the integrals
         fhat = np.zeros(nt)
         ghat = np.zeros(nt)
-        steps = _streamed(PdeProblem(grid, d2, G, problem2.form), nt, dt)
         for n, _a, u2 in steps:
-            y = u2[0]
+            y = u2[-1]
             if not same_f:
                 fhat[n] = np.max(np.abs(
                     np.asarray(d1.f(n * dt, xs, y), dtype=float)
@@ -415,7 +429,9 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
                 ghat[n] = np.max(np.abs(
                     np.asarray(d1.g(n * dt, xs, y, z), dtype=float)
                     - np.asarray(d2.g(n * dt, xs, y, z), dtype=float)))
-        delta = float(np.max(np.abs(u1[0] - u2[0])))
+        if stacked:
+            u1 = u2
+        delta = float(np.max(np.abs(u1[0] - u2[-1])))
         lhs = delta ** p
 
         def psi(bt):
@@ -534,8 +550,8 @@ def counterexample_demo(T: float, eps_list, mc: dict | None = None,
     if not (0.0 < q < 0.5):
         raise DomainError(f"weight exponent must lie in (-0.5, 0), got {exponent}")
     eps = tuple(float(e) for e in eps_list)
-    if not eps or any(e <= 0 for e in eps):
-        raise DomainError("eps values must be positive")
+    if not eps or not all(math.isfinite(e) and e > 0 for e in eps):
+        raise DomainError(f"eps values must be finite and positive, got {eps}")
     mc = dict(mc or {})
     n_paths = int(mc.get("n_paths", 100_000))
     n_steps = int(mc.get("n_steps", 256))

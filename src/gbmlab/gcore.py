@@ -61,6 +61,10 @@ class GFunction1D:
         sl, sh = self.sigma_low, self.sigma_high
         if not (np.isfinite(sl) and np.isfinite(sh)):
             raise DomainError("volatility bounds must be finite")
+        # regularize adds eps^2 < sigma_high^2 to the square, so twice the
+        # square must stay finite too
+        if not math.isfinite(2.0 * sh * sh):
+            raise DomainError(f"sigma_high^2 overflows, got sigma_high={sh}")
         if sl < 0.0:
             raise DomainError(f"sigma_low must be >= 0, got {sl}")
         if sh <= 0.0:

@@ -48,8 +48,11 @@ class LatticeSpec:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise DomainError(f"need steps >= 1, got {self.steps}")
-        if self.dt <= 0 or self.dx <= 0:
-            raise DomainError("need dt > 0 and dx > 0")
+        if not all(math.isfinite(v) and v > 0 for v in (self.dt, self.dx)):
+            raise DomainError(f"need finite dt > 0 and dx > 0, got "
+                              f"dt={self.dt}, dx={self.dx}")
+        if self.dx * self.dx == 0.0:
+            raise DomainError(f"dx^2 underflows to 0, got dx={self.dx}")
         choices = tuple(sorted(float(s) for s in self.sigma_choices))
         object.__setattr__(self, "sigma_choices", choices)
         if not choices:

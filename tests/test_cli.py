@@ -379,6 +379,30 @@ def test_negative_horizon_exits_one(tmp_path):
                   str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    # sigma_high ** 2 overflows
+    ["gexpect", "--sigma-high", "1e300", "--nx", "41"],
+    ["stability", "--shift", "0.1", "--sigma-high", "1e160", "--nx", "21"],
+    # sigma_high ** 2 is finite, the regularized bound's square is not
+    ["solve-pde", "--sigma-high", "1.2e154", "--nx", "21"],
+    # a non-finite lattice step, and one whose square underflows
+    ["doob", "--T", "nan"],
+    ["doob", "--T", "inf"],
+    ["doob", "--sigma-high", "1e-300"],
+    ["counterexample", "--eps", "nan,0.1", "--n-paths", "256",
+     "--n-steps", "16"],
+], ids=["sigma-high-1e300", "sigma-high-1e160", "sigma-high-1.2e154",
+        "doob-T-nan", "doob-T-inf", "doob-sigma-high-1e-300",
+        "counterexample-eps-nan"])
+def test_hostile_argv_exits_one_without_traceback(tmp_path, capfd, argv):
+    # capfd, not capsys: LAPACK writes its complaints to the file descriptor
+    rc = _main([*argv, "--output-dir", str(tmp_path)])
+    err = capfd.readouterr().err
+    assert rc == 1, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_workers_flag_is_gone(tmp_path):
     assert _main(["gbsde", "--workers", "2", "--output-dir",
                   str(tmp_path)]) == 1

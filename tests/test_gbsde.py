@@ -464,15 +464,23 @@ def _fg_driver(name, f, g):
         f_y=None, g_x=None, g_y=None, g_z=None)
 
 
+def _shifted(driver, shift=0.1):
+    # what `stability --shift` builds: a new phi, every other field shared
+    return dataclasses.replace(
+        driver, name=f"{driver.name}+{shift:g}",
+        phi=lambda x, _p=driver.phi: np.asarray(_p(x)) + shift)
+
+
 def _stability_pair(case):
     grid = Grid1D(-6.0, 6.0, 41, 0.5)
     Geps = regularize(G01, 0.1)
     if case == "shift":
         quad = preset_driver("quadratic")
-        shifted = dataclasses.replace(
-            quad, name="quad-shift",
-            phi=lambda x: np.asarray(x, dtype=float) ** 2 + 0.1)
-        pair, form = (quad, shifted), PdeForm.REGULARIZED_BSDE
+        pair, form = (quad, _shifted(quad)), PdeForm.REGULARIZED_BSDE
+    elif case == "shift-sine-gz":
+        # a shared non-zero g: its difference loop reads the stacked row
+        sine = preset_driver("sine-gz")
+        pair, form = (sine, _shifted(sine)), PdeForm.REGULARIZED_BSDE
     elif case == "f-and-g":
         pair = (_fg_driver("fg-1", lambda t, x, y: 0.3 * np.cos(x) - 0.2 * y,
                            lambda t, x, y, z: 0.25 * np.sin(z)),
@@ -486,7 +494,8 @@ def _stability_pair(case):
     return tuple(gbsde.BsdeProblem(grid, d, Geps, form) for d in pair)
 
 
-@pytest.mark.parametrize("case", ["shift", "f-and-g", "preset-b"])
+@pytest.mark.parametrize("case", ["shift", "shift-sine-gz", "f-and-g",
+                                  "preset-b"])
 def test_streamed_stability_equals_dense_solves(case):
     problem1, problem2 = _stability_pair(case)
     if case == "preset-b":
@@ -499,6 +508,83 @@ def test_streamed_stability_equals_dense_solves(case):
         assert np.array(report.rows).tobytes() == np.array(ref).tobytes()
         if case == "f-and-g":
             assert all(r[3] > 1e-3 for r in ref)  # the f and g terms count
+
+
+def _count_sweeps(monkeypatch):
+    calls = []
+    steps = _pde._backward_steps
+
+    def counted(driver, grid, Gs, nt, dt, u):
+        calls.append(np.shape(u)[0])
+        return steps(driver, grid, Gs, nt, dt, u)
+    monkeypatch.setattr(_pde, "_backward_steps", counted)
+    return calls
+
+
+def test_phi_only_stability_pair_is_one_sweep_per_level(monkeypatch):
+    calls = _count_sweeps(monkeypatch)
+    problem1, problem2 = _stability_pair("shift-sine-gz")
+    stacked = gbsde.stability_check(problem1, problem2, refinements=3)
+    assert calls == [2, 2, 2]
+    # the same pair with an equal but distinct g callable gets two sweeps,
+    # and the same rows
+    calls.clear()
+    g = problem2.driver.g
+    distinct = dataclasses.replace(problem2.driver,
+                                   g=lambda t, x, y, z: g(t, x, y, z))
+    report = gbsde.stability_check(
+        problem1, dataclasses.replace(problem2, driver=distinct),
+        refinements=3)
+    assert calls == [1, 1] * 3
+    assert np.array(report.rows).tobytes() == \
+        np.array(stacked.rows).tobytes()
+
+
+def test_other_stability_pairs_keep_two_sweeps(monkeypatch):
+    calls = _count_sweeps(monkeypatch)
+    gbsde.stability_check(*_stability_pair("preset-b"), refinements=3)
+    assert calls == [1, 1] * 3
+    calls.clear()
+    def f(t, x, y):
+        return 0.0 * np.asarray(y, dtype=float)
+    d1 = dataclasses.replace(preset_driver("quadratic"), f=f, f_x=None,
+                             f_y=None)
+    d2 = dataclasses.replace(_shifted(d1),
+                             f=lambda t, x, y: f(t, x, y))
+    grid = Grid1D(-6.0, 6.0, 41, 0.5)
+    Geps = regularize(G01, 0.1)
+    gbsde.stability_check(
+        *(gbsde.BsdeProblem(grid, d, Geps, PdeForm.MARKOVIAN_FBSDE)
+          for d in (d1, d2)), refinements=3)
+    assert calls == [1, 1] * 3
+
+
+def test_stacked_stability_keeps_a_nan_driver_difference(monkeypatch):
+    # f is 0 except at x = 0 at t = 0: the sweep never reads it there (it
+    # evaluates f at the known level, t >= dt), the difference loop does
+    def f(t, x, y):
+        bad = (t == 0.0) & (np.abs(np.asarray(x, dtype=float)) < 1e-9)
+        return np.where(bad, np.nan, 0.0) * np.ones_like(y)
+    bump = dataclasses.replace(preset_driver("smooth-bump"), name="nan-f",
+                               f=f, f_x=None, f_y=None)
+    grid = Grid1D(-6.0, 6.0, 41, 0.5)
+    Geps = regularize(G01, 0.1)
+    problem1, problem2 = (
+        gbsde.BsdeProblem(grid, d, Geps, PdeForm.MARKOVIAN_FBSDE)
+        for d in (bump, _shifted(bump)))
+    calls = _count_sweeps(monkeypatch)
+    stacked = gbsde.stability_check(problem1, problem2, refinements=3)
+    assert calls == [2, 2, 2]
+    # the two-sweep reference: the same f behind a distinct callable
+    distinct = dataclasses.replace(problem2.driver,
+                                   f=lambda t, x, y: f(t, x, y))
+    reference = gbsde.stability_check(
+        problem1, dataclasses.replace(problem2, driver=distinct),
+        refinements=3)
+    assert calls == [2, 2, 2] + [1, 1] * 3
+    np.testing.assert_array_equal(np.array(stacked.rows),
+                                  np.array(reference.rows))
+    assert all(math.isnan(r[3]) and r[4] == 0.0 for r in stacked.rows)
 
 
 # ---- dynamic programming check ----
