@@ -1,8 +1,12 @@
 """Command-line entry point: every experiment as a subcommand.
 
-Precedence for every setting is defaults < config file < flags; the
-effective configuration is echoed into the JSON summary so a run can be
-reproduced from its artifacts alone.  Identical argv + config + seed
+Each setting is declared once, as a ``RunConfig`` field with its type,
+default, config-file section, the subcommands that read it and its flag.
+A subcommand accepts, as flags and as config keys, exactly the settings
+it reads (``gbmlab <subcommand> --help`` lists them); any other setting
+exits 1.  Precedence for every setting is defaults < config file <
+flags; the effective configuration is echoed into the JSON summary so a
+run can be reproduced from its artifacts alone.  Identical argv + config + seed
 produce byte-identical artifacts (no timestamps in outputs).
 
 Exit codes: 0 success, 1 domain or config error, 2 numerical failure,
@@ -31,11 +35,6 @@ from . import scenario as _scenario
 from . import gbsde as _gbsde
 from .gbsde import BsdeProblem, write_report
 
-SUBCOMMANDS = ("gexpect", "cylinder", "doob", "solve-pde", "gbsde",
-               "convergence", "curvature", "sensitivity-x", "sensitivity-t",
-               "kink", "semiconvexity", "dp-check", "counterexample",
-               "stability")
-
 _DEFAULT_EPS = (0.2, 0.1, 0.05, 0.025)
 
 
@@ -48,53 +47,129 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
+def _csv_floats(text: str) -> tuple:
+    try:
+        return tuple(float(v) for v in text.split(",") if v.strip())
+    except ValueError as exc:
+        raise _UsageError(f"expected comma-separated floats, got '{text}'") \
+            from exc
+
+
+def _key_value(item: str) -> tuple:
+    """(key, value) of one ``--param KEY=VALUE``."""
+    if "=" not in item:
+        raise ConfigError(f"--param needs KEY=VALUE, got '{item}'")
+    k, v = item.split("=", 1)
+    return k.strip(), _coerce(v.strip())
+
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
+
+_FORMS = {"gheat": PdeForm.GHEAT,
+          "regularized-bsde": PdeForm.REGULARIZED_BSDE,
+          "markovian-fbsde": PdeForm.MARKOVIAN_FBSDE}
+
+
+def _prod(*stages):
+    out = np.asarray(stages[0])
+    for v in stages[1:]:
+        out = out * np.asarray(v)
+    return out
+
+
+_PSI_CATALOG = {
+    "sum": lambda *s: sum(s),
+    "sum-sq": lambda *s: sum(np.asarray(v) ** 2 for v in s),
+    "product": _prod,
+    "max": lambda *s: np.maximum.reduce([np.asarray(v) for v in s]),
+}
+
+# xi name: (its fixing times as fractions of T, its psi)
+_XI_CATALOG = {
+    "abs-terminal": ((1.0,), lambda b: np.abs(b)),
+    "quadratic-terminal": ((1.0,), lambda b: np.asarray(b) ** 2),
+    "two-stage": ((0.5, 1.0), lambda a, b: np.abs(a) + np.abs(b)),
+}
+
+# groups of readers: the subcommands that solve on the space grid, those of
+# them that also draw Monte Carlo paths, and the G-expectation oracles
+_GRID = ("solve-pde", "gbsde", "convergence", "curvature", "sensitivity-x",
+         "sensitivity-t", "kink", "semiconvexity", "dp-check", "stability")
+_PATHS = ("sensitivity-x", "sensitivity-t", "kink")
+_ORACLES = ("gexpect", "cylinder", "doob")
+
+
+def _setting(default, section: str, readers: tuple, *flags: str,
+             choices=(), **flag_options):
+    """A RunConfig field with its config ``section``, the subcommands that
+    read it, its ``flags`` (by default the name as ``--x-min`` for x_min)
+    and, unless ``choices`` is empty, the names it may take."""
+    meta = dict(section=section, readers=frozenset(readers), flags=flags,
+                choices=tuple(choices), flag_options=flag_options)
+    if default is dict:
+        return field(default_factory=dict, metadata=meta)
+    return field(default=default, metadata=meta)
+
 
 @dataclass
 class RunConfig:
     """Effective settings for one run, merged from defaults, file, flags."""
 
-    sigma_low: float = 0.0
-    sigma_high: float = 1.0
-    eps_schedule: tuple = _DEFAULT_EPS
-    x_min: float | None = None
-    x_max: float | None = None
-    nx: int = 401
-    nt: int | None = None
-    T: float = 1.0
-    cfl_safety: float = 0.9
-    preset: str = "quadratic"
-    params: dict = field(default_factory=dict)
-    p: float = 2.0
-    p_prime: float = 4.0
-    steps: int = 8
-    t: float = 0.5
-    x: float = 0.0
-    t1: float = 0.25
-    t2: float = 0.75
-    tol: float = 2e-2
-    times: tuple = (0.5, 1.0)
-    psi: str = "sum"
-    xi: str = "abs-terminal"
-    form: str = "auto"
-    preset_b: str | None = None
-    shift: float | None = None
-    n_paths: int = 10_000
-    n_steps: int = 256
-    seed: int = 0
-    output_dir: str | None = None  # None: runs/<subcommand>
+    sigma_low: float = _setting(0.0, "generator", _GRID + _ORACLES)
+    sigma_high: float = _setting(1.0, "generator", _GRID + _ORACLES)
+    eps_schedule: tuple = _setting(
+        _DEFAULT_EPS, "generator", _GRID + ("counterexample",), "--eps",
+        metavar="E1,E2,...", help="eps schedule")
+    x_min: float | None = _setting(None, "grid", _GRID)
+    x_max: float | None = _setting(None, "grid", _GRID)
+    nx: int = _setting(401, "grid", _GRID + ("gexpect", "cylinder"),
+                       help="space nodes")
+    nt: int | None = _setting(None, "grid", _GRID, help="pinned time levels")
+    T: float = _setting(1.0, "grid",
+                        _GRID + ("gexpect", "doob", "counterexample"),
+                        help="horizon")
+    cfl_safety: float = _setting(0.9, "grid", _GRID + ("gexpect", "cylinder"))
+    preset: str = _setting("quadratic", "driver", _GRID + ("gexpect",),
+                           "--preset", "--payoff", choices=PRESET_NAMES,
+                           help="driver preset")
+    params: dict = _setting(dict, "driver",
+                            _GRID + ("gexpect", "counterexample"), "--param",
+                            action="append", type=_key_value,
+                            metavar="KEY=VALUE",
+                            help="driver parameter, repeatable")
+    p: float = _setting(2.0, "schedule", ("doob", "stability"))
+    p_prime: float = _setting(4.0, "schedule", ("doob",))
+    steps: int = _setting(8, "schedule", ("doob", "dp-check", "stability"))
+    t: float = _setting(0.5, "schedule", _PATHS)
+    x: float = _setting(0.0, "schedule", _GRID)
+    t1: float = _setting(0.25, "schedule", ("dp-check",))
+    t2: float = _setting(0.75, "schedule", ("dp-check",))
+    tol: float = _setting(2e-2, "schedule", ("dp-check",))
+    times: tuple = _setting((0.5, 1.0), "schedule", ("cylinder",),
+                            metavar="T1,T2,...")
+    psi: str = _setting("sum", "schedule", ("cylinder",),
+                        choices=_PSI_CATALOG)
+    xi: str = _setting("abs-terminal", "schedule", ("doob",),
+                       choices=_XI_CATALOG)
+    form: str = _setting("auto", "schedule", _GRID,
+                         choices=("auto", *_FORMS))
+    preset_b: str | None = _setting(None, "schedule", ("stability",),
+                                    choices=PRESET_NAMES)
+    shift: float | None = _setting(None, "schedule", ("stability",))
+    n_paths: int = _setting(10_000, "mc", _PATHS + ("counterexample",))
+    n_steps: int = _setting(256, "mc", _PATHS + ("counterexample",))
+    seed: int = _setting(0, "mc", _PATHS + ("counterexample",),
+                         help="64-bit unsigned seed")
+    output_dir: str | None = _setting(
+        None, "output", _GRID + _ORACLES + ("counterexample",),
+        help="artifact directory (default runs/<subcommand>)")
 
     def __post_init__(self) -> None:
         if not (0 <= self.seed < 2 ** 64):
             raise ConfigError(f"seed must be a 64-bit unsigned value, "
                               f"got {self.seed}")
-        if self.preset not in PRESET_NAMES:
-            raise ConfigError(f"unknown preset '{self.preset}'; choices: "
-                              f"{', '.join(PRESET_NAMES)}")
-        if self.preset_b is not None and self.preset_b not in PRESET_NAMES:
-            raise ConfigError(f"unknown preset '{self.preset_b}'")
         if (self.x_min is None) != (self.x_max is None):
             raise ConfigError("--x-min and --x-max (x_min and x_max in "
                               "[grid]) set the domain together; give both "
@@ -127,21 +202,18 @@ class RunConfig:
         return out
 
 
-_SECTION_KEYS = {
-    "generator": ("sigma_low", "sigma_high", "eps_schedule"),
-    "grid": ("x_min", "x_max", "nx", "nt", "T", "cfl_safety"),
-    "schedule": ("p", "p_prime", "steps", "t", "x", "t1", "t2", "tol",
-                 "times", "psi", "xi", "form", "preset_b", "shift"),
-    "mc": ("n_paths", "n_steps", "seed"),
-    "output": ("output_dir",),
-}
+def _settings(subcommand: str) -> dict:
+    """The RunConfig fields that ``subcommand`` reads, by name."""
+    return {f.name: f for f in dataclasses.fields(RunConfig)
+            if subcommand in f.metadata["readers"]}
 
-# the value types a config file may give a RunConfig field of each type
-# (a bool is never a number), and how an error names them
-_CONFIG_TYPES = {"float": ((int, float), "a number"),
-                 "int": (int, "an integer"),
-                 "tuple": (tuple, "a comma-separated list of numbers"),
-                 "str": (str, "a name")}
+
+# per RunConfig field type: the values a config file may give it (a bool
+# is never a number), how an error names them, and how a flag parses one
+_TYPES = {"float": ((int, float), "a number", float),
+          "int": (int, "an integer", int),
+          "tuple": (tuple, "a comma-separated list of numbers", _csv_floats),
+          "str": (str, "a name", str)}
 
 
 def _typed(section: str, key: str, value):
@@ -149,7 +221,7 @@ def _typed(section: str, key: str, value):
     number becomes a one-element tuple for a tuple field."""
     # the annotation is its source text here, such as "float | None"
     kind = RunConfig.__dataclass_fields__[key].type.split(" |")[0]
-    types, name = _CONFIG_TYPES[kind]
+    types, name, _ = _TYPES[kind]
     if kind == "tuple" and isinstance(value, (int, float)) \
             and not isinstance(value, bool):
         value = (float(value),)
@@ -158,58 +230,52 @@ def _typed(section: str, key: str, value):
     return value
 
 
-def _merge_config(path: str | None, flags: argparse.Namespace) -> RunConfig:
+def _merge_config(path: str | None, flags: argparse.Namespace,
+                  subcommand: str) -> RunConfig:
+    """Defaults < config file < flags for the settings ``subcommand`` reads;
+    any other config key, or a name outside the choices, is refused."""
+    settings = _settings(subcommand)
     merged: dict = {}
     if path is not None:
-        sections = parse_config(path)
-        for section, keys in _SECTION_KEYS.items():
-            for key, value in sections.get(section, {}).items():
-                if key not in keys:
-                    raise ConfigError(
-                        f"unknown key '{key}' in section [{section}]")
-                merged[key] = _typed(section, key, value)
-        driver_sec = dict(sections.get("driver", {}))
-        if "preset" in driver_sec:
-            merged["preset"] = driver_sec.pop("preset")
-        merged["params"] = driver_sec
-    for key in RunConfig.__dataclass_fields__:
-        val = getattr(flags, key, None)
-        if val is not None:
-            merged[key] = val
-    flag_params = getattr(flags, "param", None) or []
-    if flag_params:
-        params = dict(merged.get("params", {}))
-        for item in flag_params:
-            if "=" not in item:
-                raise ConfigError(f"--param needs KEY=VALUE, got '{item}'")
-            k, v = item.split("=", 1)
-            params[k.strip()] = _coerce(v.strip())
-        merged["params"] = params
+        for section, entries in parse_config(path).items():
+            for key, value in entries.items():
+                # every [driver] key but preset is a driver parameter
+                name = "params" if section == "driver" \
+                    and key != "preset" else key
+                if name not in settings \
+                        or settings[name].metadata["section"] != section:
+                    raise ConfigError(f"{subcommand} reads no key '{key}' "
+                                      f"in section [{section}]")
+                if name == "params":
+                    merged.setdefault("params", {})[key] = value
+                else:
+                    merged[name] = _typed(section, key, value)
+    for name in settings:
+        value = getattr(flags, name)
+        if value is not None:
+            merged[name] = {**merged.get("params", {}), **dict(value)} \
+                if name == "params" else value
+    for name, value in merged.items():
+        choices = settings[name].metadata["choices"]
+        if choices and value not in choices:
+            raise ConfigError(f"unknown {name} '{value}'; choices: "
+                              f"{', '.join(choices)}")
     return RunConfig(**merged)
 
 
 def _check_params(cfg: RunConfig, subcommand: str) -> None:
-    """Refuse driver parameters that neither the preset nor, for
-    ``stability``, the second preset reads (``counterexample`` reads
-    ``exponent`` itself)."""
-    keys = preset_keys(cfg.preset, cfg.params)
+    """Refuse driver parameters that no preset of the run reads, for
+    ``stability`` the second preset included; ``counterexample`` reads
+    only ``exponent``, itself."""
+    keys = {"exponent"} if subcommand == "counterexample" \
+        else preset_keys(cfg.preset, cfg.params)
     if subcommand == "stability" and cfg.preset_b is not None:
         keys |= preset_keys(cfg.preset_b, cfg.params)
-    if subcommand == "counterexample":
-        keys.add("exponent")
     unread = sorted(set(cfg.params) - keys)
     if unread:
         raise ConfigError(f"no preset of this run reads the parameter(s) "
                           f"{', '.join(unread)}; it reads "
                           f"{', '.join(sorted(keys)) or 'none'}")
-
-
-def _csv_floats(text: str) -> tuple:
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError as exc:
-        raise _UsageError(f"expected comma-separated floats, got '{text}'") \
-            from exc
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +286,9 @@ def _pick_form(grid: Grid1D, driver: DriverSpec, G: GFunction1D,
                requested: str) -> PdeProblem:
     """The problem in the requested form, or in the first form the driver
     fits when ``requested`` is "auto"."""
-    names = {"gheat": PdeForm.GHEAT,
-             "regularized-bsde": PdeForm.REGULARIZED_BSDE,
-             "markovian-fbsde": PdeForm.MARKOVIAN_FBSDE}
     if requested != "auto":
-        if requested not in names:
-            raise ConfigError(f"unknown form '{requested}'; choices: auto, "
-                              f"{', '.join(names)}")
-        return PdeProblem(grid, driver, G, names[requested])
-    for form in names.values():
+        return PdeProblem(grid, driver, G, _FORMS[requested])
+    for form in _FORMS.values():
         try:
             return PdeProblem(grid, driver, G, form)
         except DomainError:
@@ -254,36 +314,6 @@ def _solve(cfg: RunConfig):
     return problem, _pde.solve_terminal_pde(problem, safety=cfg.cfl_safety)
 
 
-def _prod(*stages):
-    out = np.asarray(stages[0])
-    for v in stages[1:]:
-        out = out * np.asarray(v)
-    return out
-
-
-_PSI_CATALOG = {
-    "sum": lambda *s: sum(s),
-    "sum-sq": lambda *s: sum(np.asarray(v) ** 2 for v in s),
-    "product": _prod,
-    "max": lambda *s: np.maximum.reduce([np.asarray(v) for v in s]),
-}
-
-
-def _xi_functional(name: str, T: float) -> CylinderFunctional:
-    if name == "abs-terminal":
-        return CylinderFunctional((T,), lambda b: np.abs(b),
-                                  name="abs-terminal")
-    if name == "quadratic-terminal":
-        return CylinderFunctional((T,), lambda b: np.asarray(b) ** 2,
-                                  name="quadratic-terminal")
-    if name == "two-stage":
-        return CylinderFunctional(
-            (0.5 * T, T), lambda a, b: np.abs(a) + np.abs(b),
-            name="two-stage")
-    raise ConfigError(f"unknown xi '{name}'; choices: abs-terminal, "
-                      f"quadratic-terminal, two-stage")
-
-
 # ---------------------------------------------------------------------------
 # experiment implementations: each returns (values, verdicts, tables, line)
 # ---------------------------------------------------------------------------
@@ -301,9 +331,6 @@ def _run_gexpect(cfg: RunConfig):
 
 def _run_cylinder(cfg: RunConfig):
     G = cfg.gfunction()
-    if cfg.psi not in _PSI_CATALOG:
-        raise ConfigError(f"unknown psi '{cfg.psi}'; choices: "
-                          f"{', '.join(_PSI_CATALOG)}")
     X = CylinderFunctional(cfg.times, _PSI_CATALOG[cfg.psi], name=cfg.psi)
     value = _gexpect.gexpect_cylinder(X, G, nx=cfg.nx,
                                       safety=cfg.cfl_safety)
@@ -316,7 +343,9 @@ def _run_cylinder(cfg: RunConfig):
 
 def _run_doob(cfg: RunConfig):
     G = cfg.gfunction()
-    xi = _xi_functional(cfg.xi, cfg.T)
+    fractions, psi = _XI_CATALOG[cfg.xi]
+    xi = CylinderFunctional(tuple(f * cfg.T for f in fractions), psi,
+                            name=cfg.xi)
     spec = LatticeSpec.for_horizon(cfg.T, cfg.steps, G)
     report = _gexpect.doob_check(xi, cfg.p, cfg.p_prime, G, spec)
     values = dict(C=report.C, lhs=report.lhs, rhs=report.rhs,
@@ -427,14 +456,6 @@ def _sensitivity_common(cfg: RunConfig, kind: str):
     return values, verdicts, {"sensitivity": table}, line
 
 
-def _run_sensitivity_x(cfg: RunConfig):
-    return _sensitivity_common(cfg, "x")
-
-
-def _run_sensitivity_t(cfg: RunConfig):
-    return _sensitivity_common(cfg, "t")
-
-
 def _run_kink(cfg: RunConfig):
     problem, sol = _solve(cfg)
     driver, grid = problem.driver, problem.grid
@@ -543,104 +564,71 @@ def _run_stability(cfg: RunConfig):
         f"constants={['%.4g' % r[4] for r in rep.rows]} stable={rep.stable}"
 
 
-_RUNNERS = {
-    "gexpect": _run_gexpect,
-    "cylinder": _run_cylinder,
-    "doob": _run_doob,
-    "solve-pde": _run_solve_pde,
-    "gbsde": _run_gbsde,
-    "convergence": _run_convergence,
-    "curvature": _run_curvature,
-    "sensitivity-x": _run_sensitivity_x,
-    "sensitivity-t": _run_sensitivity_t,
-    "kink": _run_kink,
-    "semiconvexity": _run_semiconvexity,
-    "dp-check": _run_dp_check,
-    "counterexample": _run_counterexample,
-    "stability": _run_stability,
+# name: (runner, help); the CLI lists the subcommands in this order
+_SUBCOMMANDS = {
+    "gexpect": (_run_gexpect, "worst-case expectation of a terminal payoff"),
+    "cylinder": (_run_cylinder,
+                 "worst-case expectation of a multi-time functional"),
+    "doob": (_run_doob, "maximal-inequality check on the lattice"),
+    "solve-pde": (_run_solve_pde,
+                  "solve one terminal-value PDE and export the fields"),
+    "gbsde": (_run_gbsde, "solve the eps family and extrapolate the limit"),
+    "convergence": (_run_convergence,
+                    "consecutive-level deltas against the eps bound"),
+    "curvature": (_run_curvature,
+                  "per-eps minimum of the second space derivative"),
+    "sensitivity-x": (lambda cfg: _sensitivity_common(cfg, "x"),
+                      "MC one-sided space derivatives at a probe point"),
+    "sensitivity-t": (lambda cfg: _sensitivity_common(cfg, "t"),
+                      "MC time derivative at a probe point"),
+    "kink": (_run_kink, "one-sided derivative gap at a payoff kink"),
+    "semiconvexity": (_run_semiconvexity,
+                      "fitted lower second-difference constant"),
+    "dp-check": (_run_dp_check,
+                 "lattice re-derivation of u(t1, x0) on [t1, t2]"),
+    "counterexample": (_run_counterexample,
+                       "singular-weight moment bound and MC estimate"),
+    "stability": (_run_stability,
+                  "continuity of the value in the terminal data"),
 }
+
+SUBCOMMANDS = tuple(_SUBCOMMANDS)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> _Parser:
+def _build_parser(subcommand: str | None) -> tuple[_Parser, _Parser | None]:
+    """The parser, and that of ``subcommand`` with a flag for each setting
+    it reads; no other subcommand's flags are built, as none are parsed."""
     parser = _Parser(prog="gbmlab",
                      description="Worst-case expectation experiments under "
                                  "volatility uncertainty.")
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="plain-text key=value config file")
-    common.add_argument("--output-dir", dest="output_dir",
-                        help="artifact directory (default runs/<subcommand>)")
-    common.add_argument("--seed", type=int, help="64-bit unsigned seed")
-    common.add_argument("--sigma-low", dest="sigma_low", type=float)
-    common.add_argument("--sigma-high", dest="sigma_high", type=float)
-    common.add_argument("--T", dest="T", type=float, help="horizon")
-    common.add_argument("--x-min", dest="x_min", type=float)
-    common.add_argument("--x-max", dest="x_max", type=float)
-    common.add_argument("--nx", type=int, help="space nodes")
-    common.add_argument("--nt", type=int, help="pinned time levels")
-    common.add_argument("--cfl-safety", dest="cfl_safety", type=float)
-    common.add_argument("--preset", "--payoff", dest="preset",
-                        help=f"driver preset ({', '.join(PRESET_NAMES)})")
-    common.add_argument("--param", action="append", metavar="KEY=VALUE",
-                        help="driver parameter, repeatable")
-    common.add_argument("--eps", dest="eps_schedule", type=_csv_floats,
-                        metavar="E1,E2,...", help="eps schedule")
-    common.add_argument("--form", choices=("auto", "gheat",
-                                           "regularized-bsde",
-                                           "markovian-fbsde"))
-    common.add_argument("--n-paths", dest="n_paths", type=int)
-    common.add_argument("--n-steps", dest="n_steps", type=int)
-    common.add_argument("--dry-run", dest="dry_run", action="store_true",
-                        help="validate configuration, compute nothing")
-    common.add_argument("--assert", dest="assert_verdicts",
-                        action="store_true",
-                        help="exit 3 when any verdict fails")
-
-    def add(name, helptext, extra=()):
-        p = sub.add_parser(name, parents=[common], help=helptext,
-                           description=helptext)
-        for args, kwargs in extra:
-            p.add_argument(*args, **kwargs)
-        return p
-
-    add("gexpect", "worst-case expectation of a terminal payoff")
-    add("cylinder", "worst-case expectation of a multi-time functional",
-        [(("--times",), dict(type=_csv_floats, metavar="T1,T2,...")),
-         (("--psi",), dict(choices=tuple(_PSI_CATALOG)))])
-    add("doob", "maximal-inequality check on the lattice",
-        [(("--p",), dict(type=float)),
-         (("--p-prime",), dict(dest="p_prime", type=float)),
-         (("--steps",), dict(type=int)),
-         (("--xi",), dict(help="abs-terminal, quadratic-terminal, "
-                               "two-stage"))])
-    add("solve-pde", "solve one terminal-value PDE and export the fields")
-    add("gbsde", "solve the eps family and extrapolate the limit")
-    add("convergence", "consecutive-level deltas against the eps bound")
-    add("curvature", "per-eps minimum of the second space derivative")
-    add("sensitivity-x", "MC one-sided space derivatives at a probe point",
-        [(("--t",), dict(type=float)), (("--x",), dict(type=float))])
-    add("sensitivity-t", "MC time derivative at a probe point",
-        [(("--t",), dict(type=float)), (("--x",), dict(type=float))])
-    add("kink", "one-sided derivative gap at a payoff kink",
-        [(("--t",), dict(type=float)), (("--x",), dict(type=float))])
-    add("semiconvexity", "fitted lower second-difference constant",
-        [])
-    add("dp-check", "lattice re-derivation of u(t1, x0) on [t1, t2]",
-        [(("--t1",), dict(type=float)), (("--t2",), dict(type=float)),
-         (("--steps",), dict(type=int)), (("--tol",), dict(type=float)),
-         (("--x",), dict(type=float))])
-    add("counterexample", "singular-weight moment bound and MC estimate")
-    add("stability", "continuity of the value in the terminal data",
-        [(("--preset-b",), dict(dest="preset_b")),
-         (("--shift",), dict(type=float)),
-         (("--p",), dict(type=float)),
-         (("--steps",), dict(type=int))])
-    return parser
+    for name, (_, helptext) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=helptext, description=helptext,
+                       allow_abbrev=False)
+    p = sub.choices.get(subcommand)
+    if p is None:
+        return parser, None
+    p.add_argument("--config", help="plain-text key=value config file")
+    for f in _settings(subcommand).values():
+        meta = f.metadata
+        options = dict(meta["flag_options"])
+        kind = f.type.split(" |")[0]  # as in _typed
+        if kind in _TYPES:
+            options["type"] = _TYPES[kind][2]
+        if meta["choices"]:
+            options["help"] = (f"{options.get('help', f.name)}: "
+                               f"{', '.join(meta['choices'])}")
+        flags = meta["flags"] or [f"--{f.name.replace('_', '-')}"]
+        p.add_argument(*flags, dest=f.name, **options)
+    p.add_argument("--dry-run", dest="dry_run", action="store_true",
+                   help="validate configuration, compute nothing")
+    p.add_argument("--assert", dest="assert_verdicts", action="store_true",
+                   help="exit 3 when any verdict fails")
+    return parser, p
 
 
 # ---------------------------------------------------------------------------
@@ -648,23 +636,28 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 def run(argv) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    # the parser has no option of its own, so a subcommand comes first
+    parser, own = _build_parser(argv[0] if argv else None)
+    ns, unread = parser.parse_known_args(argv)
     if ns.subcommand is None:
         raise _UsageError(parser.format_usage())
-    cfg = _merge_config(ns.config, ns)
+    if unread:
+        own.error(f"unrecognized arguments: {' '.join(unread)}")
+    cfg = _merge_config(ns.config, ns, ns.subcommand)
     if cfg.output_dir is None:
         cfg.output_dir = os.path.join("runs", ns.subcommand)
     # validate the derived objects before any computation
-    _check_params(cfg, ns.subcommand)
-    cfg.gfunction()
-    if ns.subcommand not in ("counterexample",):
+    settings = _settings(ns.subcommand)
+    if "params" in settings:
+        _check_params(cfg, ns.subcommand)
+    if "sigma_high" in settings:
+        cfg.gfunction()
+    if "preset" in settings:
         cfg.driver()
     if ns.dry_run:
-        print(f"{ns.subcommand}: dry-run ok (preset={cfg.preset}, "
-              f"sigma=[{cfg.sigma_low:g},{cfg.sigma_high:g}], T={cfg.T:g})")
+        print(f"{ns.subcommand}: dry-run ok")
         return 0
-    values, verdicts, tables, line = _RUNNERS[ns.subcommand](cfg)
+    values, verdicts, tables, line = _SUBCOMMANDS[ns.subcommand][0](cfg)
     write_report(cfg.output_dir, ns.subcommand, cfg.echo(ns.subcommand),
                  values, verdicts, tables)
     print(f"{ns.subcommand}: {line} [artifacts in {cfg.output_dir}]")

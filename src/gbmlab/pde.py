@@ -129,7 +129,8 @@ def cfl_timestep(grid: Grid1D, G: GFunction1D, driver: DriverSpec,
     The denominator collects every first-order update coefficient:
     diffusion max sigma^2 * sigma_high^2, drift dx*|b|, the dx-scaled
     contributions of h and of the z-slope of g, and the dx^2-scaled
-    zero-order Lipschitz rates of g and f.
+    zero-order Lipschitz rates of g and f.  Raises :class:`DomainError`
+    if the bound is not finite and positive.
     """
     return _cfl_bound(grid, G, _driver_bounds(grid, driver), safety)
 
@@ -145,7 +146,11 @@ def _cfl_bound(grid: Grid1D, G: GFunction1D, bb: dict, safety: float) -> float:
              + dx * sh2 * (bb["h_max"] + bb["g_z_lip"] * bb["sig_max"])
              + dx * dx * (sh2 * bb["g_y_lip"] + bb["f_y_lip"]))
     denom = max(denom, dx * dx / grid.T)  # all-zero coefficients: dt <= T
-    return safety * dx * dx / denom
+    bound = safety * dx * dx / denom
+    if not 0.0 < bound < math.inf:  # NaN: dx * sh2 overflows, times zero
+        raise DomainError(f"no finite positive CFL bound for sigma_high="
+                          f"{G.sigma_high:g} and dx={dx:g}")
+    return bound
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import gbmlab
+from gbmlab import cli
 from gbmlab.cli import _main
 
 
@@ -37,6 +38,15 @@ def _config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(CONFIG_TEXT)
     return str(path)
+
+
+def _config_args(tmp_path, text):
+    """``--config`` and a file holding ``text``, or nothing for None."""
+    if text is None:
+        return []
+    path = tmp_path / "given.cfg"
+    path.write_text(text)
+    return ["--config", str(path)]
 
 
 # ---- happy paths ----
@@ -391,9 +401,13 @@ def test_negative_horizon_exits_one(tmp_path):
     ["doob", "--sigma-high", "1e-300"],
     ["counterexample", "--eps", "nan,0.1", "--n-paths", "256",
      "--n-steps", "16"],
+    # dx * sigma_high ** 2 overflows, and the CFL bound is NaN
+    ["solve-pde", "--sigma-high", "1e150", "--nx", "21"],
+    ["gexpect", "--sigma-high", "1e150", "--nx", "21"],
 ], ids=["sigma-high-1e300", "sigma-high-1e160", "sigma-high-1.2e154",
         "doob-T-nan", "doob-T-inf", "doob-sigma-high-1e-300",
-        "counterexample-eps-nan"])
+        "counterexample-eps-nan", "solve-pde-sigma-high-1e150",
+        "gexpect-sigma-high-1e150"])
 def test_hostile_argv_exits_one_without_traceback(tmp_path, capfd, argv):
     # capfd, not capsys: LAPACK writes its complaints to the file descriptor
     rc = _main([*argv, "--output-dir", str(tmp_path)])
@@ -401,6 +415,100 @@ def test_hostile_argv_exits_one_without_traceback(tmp_path, capfd, argv):
     assert rc == 1, err
     assert "Traceback" not in err
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["gexpect", "--seed", "7"], None),
+    (["cylinder", "--T", "1"], None),
+    (["counterexample", "--preset", "abs"], None),
+    (["gexpect"], "[mc]\nseed = 7\n"),
+    (["counterexample"], "[driver]\npreset = abs\n"),
+], ids=["gexpect-seed", "cylinder-T", "counterexample-preset",
+        "gexpect-config-seed", "counterexample-config-preset"])
+def test_setting_the_subcommand_does_not_read_exits_one(tmp_path, capsys,
+                                                        argv, config):
+    extra = _config_args(tmp_path, config)
+    for dry in ([], ["--dry-run"]):
+        out = tmp_path / f"out{len(dry)}"
+        assert _main([*argv, *extra, *dry, "--output-dir", str(out)]) == 1
+        assert not (out / "summary.json").exists()
+        # the refusal names the subcommand; for a flag, its usage line
+        # lists the flags it reads
+        err = capsys.readouterr().err
+        assert argv[0] in err
+        if config is None:
+            usage = err.split(f"usage: gbmlab {argv[0]} ")[1]
+            assert "--output-dir" in usage and f"{argv[1]} " not in usage
+
+
+def test_grid_subcommands_take_the_probe_point(tmp_path):
+    # x centres the default domain, so every grid user reads it
+    assert _main(["convergence", "--x", "0.5", "--nx", "21",
+                  "--output-dir", str(tmp_path)]) == 0
+    assert _summary(tmp_path)["parameters"]["x"] == 0.5
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["doob", "--xi", "bogus"], None),
+    (["cylinder"], "[schedule]\npsi = bogus\n"),
+    (["solve-pde"], "[schedule]\nform = bogus\n"),
+], ids=["xi-flag", "psi-config", "form-config"])
+def test_unknown_name_exits_one_under_dry_run(tmp_path, argv, config):
+    extra = _config_args(tmp_path, config)
+    assert _main([*argv, *extra, "--dry-run"]) == 1
+
+
+_TINY = {
+    "gexpect": ["--nx", "21"],
+    "cylinder": ["--nx", "21"],
+    "doob": ["--steps", "2"],
+    "solve-pde": ["--nx", "21"],
+    "gbsde": ["--nx", "21"],
+    "convergence": ["--nx", "21"],
+    "curvature": ["--nx", "21"],
+    "sensitivity-x": ["--nx", "21", "--n-paths", "64", "--n-steps", "8"],
+    "sensitivity-t": ["--nx", "21", "--n-paths", "64", "--n-steps", "8"],
+    "kink": ["--nx", "21", "--n-paths", "64", "--n-steps", "8"],
+    "semiconvexity": ["--nx", "21"],
+    "dp-check": ["--nx", "21"],
+    "counterexample": ["--n-paths", "64", "--n-steps", "8"],
+    "stability": ["--shift", "0.1", "--nx", "21"],
+}
+
+
+@pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+def test_runs_read_only_the_declared_settings(tmp_path, monkeypatch,
+                                              subcommand):
+    # a setting a run reads but does not declare would be refused as a
+    # flag and as a config key; construction and the summary echo read
+    # every field, so they are not recorded
+    fields = set(cli.RunConfig.__dataclass_fields__)
+    read, recording = set(), [True]
+    getattribute = cli.RunConfig.__getattribute__
+
+    def spy(self, name):
+        if recording[0] and name in fields:
+            read.add(name)
+        return getattribute(self, name)
+
+    def unrecorded(method):
+        def wrapper(self, *args):
+            recording[0] = False
+            try:
+                return method(self, *args)
+            finally:
+                recording[0] = True
+        return wrapper
+
+    monkeypatch.setattr(cli.RunConfig, "__getattribute__", spy)
+    for name in ("__post_init__", "echo"):
+        monkeypatch.setattr(cli.RunConfig, name,
+                            unrecorded(getattr(cli.RunConfig, name)))
+    assert _main([subcommand, *_TINY[subcommand],
+                  "--output-dir", str(tmp_path)]) == 0
+    assert "output_dir" in read
+    assert read <= set(cli._settings(subcommand)), \
+        read - set(cli._settings(subcommand))
 
 
 def test_workers_flag_is_gone(tmp_path):
@@ -419,9 +527,9 @@ def test_assert_maps_failed_verdict_to_exit_three(tmp_path):
 
 @pytest.mark.parametrize("argv, config", [
     (["solve-pde"], "[grid]\nnt = abc\n"),
-    (["solve-pde"], "[mc]\nseed = abc\n"),
-    (["sensitivity-x"], "[mc]\nn_paths = abc\n"),
-    (["sensitivity-x"], "[schedule]\nt = abc\n"),
+    (["sensitivity-x", "--n-paths", "10"], "[mc]\nseed = abc\n"),
+    (["sensitivity-x", "--n-paths", "10"], "[mc]\nn_paths = abc\n"),
+    (["sensitivity-x", "--n-paths", "10"], "[schedule]\nt = abc\n"),
     (["cylinder"], "[schedule]\ntimes = abc\n"),
     (["dp-check"], "[schedule]\ntol = abc\n"),
     (["stability"], "[schedule]\nshift = abc\n"),
@@ -431,14 +539,10 @@ def test_assert_maps_failed_verdict_to_exit_three(tmp_path):
 ], ids=["nt", "seed", "n_paths", "t", "times", "tol", "shift", "nx",
         "sigma_high", "empty-eps"])
 def test_badly_typed_setting_exits_one(tmp_path, capsys, argv, config):
-    extra = []
-    if config is not None:
-        path = tmp_path / "bad.cfg"
-        path.write_text(config)
-        extra = ["--config", str(path)]
+    extra = _config_args(tmp_path, config)
     for dry in ([], ["--dry-run"]):
         out = tmp_path / f"out{len(dry)}"
-        rc = _main([*argv, "--nx", "21", "--n-paths", "10", *extra, *dry,
+        rc = _main([*argv, "--nx", "21", *extra, *dry,
                     "--output-dir", str(out)])
         assert rc == 1, dry
         assert "error:" in capsys.readouterr().err
@@ -446,13 +550,18 @@ def test_badly_typed_setting_exits_one(tmp_path, capsys, argv, config):
 
 
 def test_config_scalars_fill_tuple_fields_and_ints_stay_ints(tmp_path):
-    cfg = tmp_path / "scalar.cfg"
-    cfg.write_text("[schedule]\ntimes = 0.5\nx = 0\n")
+    cfg = tmp_path / "times.cfg"
+    cfg.write_text("[schedule]\ntimes = 0.5\n")
     out = tmp_path / "out"
     assert _main(["cylinder", "--nx", "51", "--config", str(cfg),
                   "--output-dir", str(out)]) == 0
+    assert _summary(out)["parameters"]["times"] == [0.5]
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text("[schedule]\nx = 0\n")
+    out = tmp_path / "out-x"
+    assert _main(["solve-pde", "--nx", "21", "--config", str(cfg),
+                  "--output-dir", str(out)]) == 0
     params = _summary(out)["parameters"]
-    assert params["times"] == [0.5]
     assert params["x"] == 0 and isinstance(params["x"], int)
 
 
@@ -502,10 +611,12 @@ def test_benchmark_command_lines_validate(tmp_path):
         spec.loader.exec_module(workloads)
     finally:
         del sys.modules[spec.name]
-    argvs = [c.argv for cmds in workloads.WORKLOADS.values() for c in cmds]
+    # the benchmark appends --seed to the seeded commands only
+    argvs = [[*c.argv, *(["--seed", "1"] if c.seeded else [])]
+             for cmds in workloads.WORKLOADS.values() for c in cmds]
     assert argvs
     for argv in argvs:
-        assert _main([*argv, "--dry-run", "--assert", "--seed", "1",
+        assert _main([*argv, "--dry-run", "--assert",
                       "--output-dir", str(tmp_path)]) == 0, argv
 
 
