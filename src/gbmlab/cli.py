@@ -7,7 +7,9 @@ it reads (``gbmlab <subcommand> --help`` lists them); any other setting
 exits 1.  Precedence for every setting is defaults < config file <
 flags; the effective configuration is echoed into the JSON summary so a
 run can be reproduced from its artifacts alone.  Identical argv + config + seed
-produce byte-identical artifacts (no timestamps in outputs).
+produce byte-identical artifacts (no timestamps in outputs).  No setting
+names the equation form: it is derived from the driver
+(``pde.PdeProblem.form``), and ``solve-pde`` reports it.
 
 Exit codes: 0 success, 1 domain or config error, 2 numerical failure,
 3 verdict failure under --assert.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -28,12 +31,12 @@ from .gcore import (ConfigError, CylinderFunctional, DomainError, DriverSpec,
                     _coerce, make_gfunction, parse_config, preset_driver,
                     preset_keys, regularize)
 from . import pde as _pde
-from .pde import PdeForm, PdeProblem
+from .pde import PdeProblem
 from . import gexpect as _gexpect
 from .gexpect import LatticeSpec
 from . import scenario as _scenario
 from . import gbsde as _gbsde
-from .gbsde import BsdeProblem, write_report
+from .gbsde import write_report
 
 _DEFAULT_EPS = (0.2, 0.1, 0.05, 0.025)
 
@@ -67,11 +70,6 @@ def _key_value(item: str) -> tuple:
 # configuration
 # ---------------------------------------------------------------------------
 
-_FORMS = {"gheat": PdeForm.GHEAT,
-          "regularized-bsde": PdeForm.REGULARIZED_BSDE,
-          "markovian-fbsde": PdeForm.MARKOVIAN_FBSDE}
-
-
 def _prod(*stages):
     out = np.asarray(stages[0])
     for v in stages[1:]:
@@ -83,7 +81,7 @@ _PSI_CATALOG = {
     "sum": lambda *s: sum(s),
     "sum-sq": lambda *s: sum(np.asarray(v) ** 2 for v in s),
     "product": _prod,
-    "max": lambda *s: np.maximum.reduce([np.asarray(v) for v in s]),
+    "max": lambda *s: functools.reduce(np.maximum, s),
 }
 
 # xi name: (its fixing times as fractions of T, its psi)
@@ -153,8 +151,6 @@ class RunConfig:
                         choices=_PSI_CATALOG)
     xi: str = _setting("abs-terminal", "schedule", ("doob",),
                        choices=_XI_CATALOG)
-    form: str = _setting("auto", "schedule", _GRID,
-                         choices=("auto", *_FORMS))
     preset_b: str | None = _setting(None, "schedule", ("stability",),
                                     choices=PRESET_NAMES)
     shift: float | None = _setting(None, "schedule", ("stability",))
@@ -282,20 +278,6 @@ def _check_params(cfg: RunConfig, subcommand: str) -> None:
 # shared pieces
 # ---------------------------------------------------------------------------
 
-def _pick_form(grid: Grid1D, driver: DriverSpec, G: GFunction1D,
-               requested: str) -> PdeProblem:
-    """The problem in the requested form, or in the first form the driver
-    fits when ``requested`` is "auto"."""
-    if requested != "auto":
-        return PdeProblem(grid, driver, G, _FORMS[requested])
-    for form in _FORMS.values():
-        try:
-            return PdeProblem(grid, driver, G, form)
-        except DomainError:
-            continue
-    raise DomainError("driver fits no PDE form")
-
-
 def _regularized_G(cfg: RunConfig) -> GFunction1D:
     G = cfg.gfunction()
     if G.degenerate:
@@ -304,8 +286,8 @@ def _regularized_G(cfg: RunConfig) -> GFunction1D:
 
 
 def _problem(cfg: RunConfig, G: GFunction1D) -> PdeProblem:
-    """The configured driver and grid under ``G``, in the requested form."""
-    return _pick_form(cfg.grid(), cfg.driver(), G, cfg.form)
+    """The configured driver and grid under ``G``."""
+    return PdeProblem(cfg.grid(), cfg.driver(), G)
 
 
 def _solve(cfg: RunConfig):
@@ -375,9 +357,7 @@ def _run_solve_pde(cfg: RunConfig):
 def _family(cfg: RunConfig, *, curvature: bool = False
             ) -> _gbsde.BsdeSolutionFamily:
     """The configured eps family at t = 0, streamed (no dense fields)."""
-    p = _problem(cfg, cfg.gfunction())
-    form = PdeForm.REGULARIZED_BSDE if p.form is PdeForm.GHEAT else p.form
-    return _gbsde.stream_gbsde(BsdeProblem(p.grid, p.driver, p.G, form),
+    return _gbsde.stream_gbsde(_problem(cfg, cfg.gfunction()),
                                cfg.eps_schedule, safety=cfg.cfl_safety,
                                curvature=curvature)
 
@@ -488,8 +468,7 @@ def _run_semiconvexity(cfg: RunConfig):
     rows = []
     reports = []
     for factor in (1, 2):
-        problem = _pick_form(_gbsde._refine(cfg.grid(), factor), driver, G,
-                             cfg.form)
+        problem = PdeProblem(_gbsde._refine(cfg.grid(), factor), driver, G)
         rep = _gbsde.semiconvexity_scan(problem, safety=cfg.cfl_safety)
         reports.append(rep)
         rows.append((problem.grid.nx, rep.C, rep.min_second_diff,
@@ -510,7 +489,7 @@ def _run_semiconvexity(cfg: RunConfig):
 def _run_dp_check(cfg: RunConfig):
     problem = _problem(cfg, _regularized_G(cfg))
     rep = _gbsde.dynamic_programming_check(problem, cfg.t1, cfg.t2,
-                                           x0=cfg.x, steps=max(cfg.steps, 8),
+                                           x0=cfg.x, steps=cfg.steps,
                                            safety=cfg.cfl_safety)
     values = dict(u_t1=rep.u_t1, lattice_value=rep.lattice_value,
                   residual=rep.residual)
@@ -551,9 +530,9 @@ def _run_stability(cfg: RunConfig):
             phi=lambda xv, _p=phi1, _s=shift: np.asarray(_p(xv)) + _s)
     else:
         raise ConfigError("stability needs --preset-b or --shift")
-    p1 = _pick_form(grid, d1, G, cfg.form)
-    p2 = _pick_form(grid, d2, G, cfg.form)
-    rep = _gbsde.stability_check(p1, p2, cfg.p, lattice_steps=cfg.steps * 8,
+    rep = _gbsde.stability_check(PdeProblem(grid, d1, G),
+                                 PdeProblem(grid, d2, G), cfg.p,
+                                 lattice_steps=cfg.steps * 8,
                                  safety=cfg.cfl_safety)
     values = dict(constants=[r[4] for r in rep.rows],
                   deltas=[r[1] for r in rep.rows])

@@ -3,11 +3,13 @@
 A degenerate interval [0, sigma_high] is replaced by the elliptic family
 [eps, sqrt(sigma_high^2 + eps^2)] over a decreasing eps schedule; each level
 is solved with the monotone PDE scheme and the limit ``u0`` at t = 0 is
-the first-order Richardson extrapolation of the two finest levels.  The module
-also houses the experiment battery: K-path reconstruction, convergence and
-curvature scans, semiconvexity and stability checks, a dynamic-programming
-consistency test, the singular-weight counterexample demo and empirical
-path-space norms.
+the first-order Richardson extrapolation of the two finest levels.  A family
+takes a ``pde.PdeProblem`` whatever form its driver fits (the regularized
+G-BSDE and the Markovian G-FBSDE are stepped alike); its one precondition is
+a degenerate generator.  The module also houses the experiment battery:
+K-path reconstruction, convergence and curvature scans, semiconvexity and
+stability checks, a dynamic-programming consistency test, the
+singular-weight counterexample demo and empirical path-space norms.
 
 ``f`` is restricted to f(t, x, y) throughout: a z-dependent f cannot be
 absorbed into the quadratic-variation driver g, and ``counterexample_demo``
@@ -30,7 +32,7 @@ import numpy as np
 from .gcore import (CylinderFunctional, DomainError, DriverSpec, GFunction1D,
                     Grid1D, NumericalError, _zero3, _zero4, regularize)
 from . import pde as _pde
-from .pde import PdeForm, PdeProblem, PdeSolution, FieldInterpolator
+from .pde import PdeProblem, FieldInterpolator
 from . import gexpect as _gexpect
 from .gexpect import LatticeSpec
 from . import scenario as _scenario
@@ -38,24 +40,8 @@ from .scenario import PathBundle, mean_and_se, path_normals
 
 
 # ---------------------------------------------------------------------------
-# problems and solution families
+# solution families
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BsdeProblem:
-    """Backward problem under a degenerate volatility interval."""
-
-    grid: Grid1D
-    driver: DriverSpec
-    G: GFunction1D
-    form: PdeForm
-
-    def __post_init__(self) -> None:
-        if self.form not in (PdeForm.REGULARIZED_BSDE, PdeForm.MARKOVIAN_FBSDE):
-            raise DomainError(f"unsupported backward form {self.form}")
-        # delegate coefficient-shape validation to the PDE container
-        PdeProblem(self.grid, self.driver, self.G, self.form)
-
 
 @dataclass(frozen=True)
 class BsdeSolutionFamily:
@@ -69,7 +55,7 @@ class BsdeSolutionFamily:
     ``solve_gbsde``; it is ``()`` for ``stream_gbsde``.
     """
 
-    problem: BsdeProblem
+    problem: PdeProblem
     eps_schedule: tuple
     nt: int
     u: np.ndarray
@@ -87,7 +73,7 @@ class BsdeSolutionFamily:
         return float(np.interp(x, self.problem.grid.xs, self.u0))
 
 
-def _eps_generators(problem: BsdeProblem, eps_schedule) -> tuple:
+def _eps_generators(problem: PdeProblem, eps_schedule) -> tuple:
     """(eps, generators): the schedule, checked, and one regularized
     generator per level."""
     eps = tuple(float(e) for e in eps_schedule)
@@ -107,7 +93,7 @@ def _extrapolate(eps: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return u2 + (u2 - u1) * (e2 / (e1 - e2))
 
 
-def _new_family(problem: BsdeProblem, eps: tuple, nt: int, u: np.ndarray,
+def _new_family(problem: PdeProblem, eps: tuple, nt: int, u: np.ndarray,
                 min_uxx, solutions=()) -> BsdeSolutionFamily:
     """The family from its t = 0 rows ``u``: the limit and the deltas are
     reduced from them here, for both solvers."""
@@ -128,7 +114,7 @@ def _central_uxx(u: np.ndarray, dx: float) -> np.ndarray:
     return _pde._second_diff(u[..., lo - 1:hi + 1], dx)
 
 
-def solve_gbsde(problem: BsdeProblem, eps_schedule, *,
+def solve_gbsde(problem: PdeProblem, eps_schedule, *,
                 safety: float = 0.9) -> BsdeSolutionFamily:
     """Solve one elliptic level per eps and extrapolate the limit.
 
@@ -145,8 +131,7 @@ def solve_gbsde(problem: BsdeProblem, eps_schedule, *,
     uses ``stream_gbsde``.
     """
     eps, gs = _eps_generators(problem, eps_schedule)
-    solutions = _pde._solve_levels(problem.grid, problem.driver, gs,
-                                   problem.form, safety)
+    solutions = _pde._solve_levels(problem.grid, problem.driver, gs, safety)
     min_uxx = tuple(float(_central_uxx(sol.u, sol.dx).min())
                     for sol in solutions)
     return _new_family(problem, eps, solutions[0].nt,
@@ -154,7 +139,7 @@ def solve_gbsde(problem: BsdeProblem, eps_schedule, *,
                        solutions)
 
 
-def stream_gbsde(problem: BsdeProblem, eps_schedule, *, safety: float = 0.9,
+def stream_gbsde(problem: PdeProblem, eps_schedule, *, safety: float = 0.9,
                  curvature: bool = False) -> BsdeSolutionFamily:
     """The family of ``solve_gbsde`` without its dense levels.
 
@@ -352,17 +337,20 @@ def _refine(grid: Grid1D, factor: int) -> Grid1D:
                   nt)
 
 
-def _streamed(problem: PdeProblem, nt: int, dt: float):
-    """The solver's step generator for one problem solved in ``nt`` steps
-    of ``dt`` from phi, without dense storage."""
-    grid, driver = problem.grid, problem.driver
+def _streamed(driver: DriverSpec, grid: Grid1D, G: GFunction1D, nt: int,
+              dt: float):
+    """The solver's step generator for one driver solved under ``G`` in
+    ``nt`` steps of ``dt`` from phi, without dense storage."""
     phi = _pde._terminal_data(driver, grid.xs)
-    return _pde._backward_steps(driver, grid, (problem.G,), nt, dt,
-                                phi[None])
+    return _pde._backward_steps(driver, grid, (G,), nt, dt, phi[None])
+
+
+# grids per stability check: the problems' own and two refinements by 2
+_STABILITY_LEVELS = 3
 
 
 def stability_check(problem1, problem2, p: float = 1.0, *,
-                    refinements: int = 3, lattice_steps: int = 64,
+                    lattice_steps: int = 64,
                     safety: float = 0.9) -> StabilityReport:
     """Continuity of u in the data (phi, f, g).
 
@@ -399,22 +387,20 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
     # the time steps of every level, and with them the work budget of
     # every solve, are settled before the first solve
     levels = []
-    for level in range(refinements):
+    for level in range(_STABILITY_LEVELS):
         grid = _refine(g1, 2 ** level)
         levels.append((grid, *(_pde._time_steps(grid, (G,), d, safety)[:2]
                                for d in (d1, d2))))
     rows = []
     for grid, (nt1, dt1), (nt, dt) in levels:
         xs, dx = grid.xs, grid.dx
-        pr1 = PdeProblem(grid, d1, G, problem1.form)
-        pr2 = PdeProblem(grid, d2, G, problem2.form)
         if stacked:
             phi = np.stack([_pde._terminal_data(d, xs) for d in (d1, d2)])
             steps = _pde._backward_steps(d1, grid, (G,), nt, dt, phi)
         else:
-            for _n, _a, u1 in _streamed(pr1, nt1, dt1):
+            for _n, _a, u1 in _streamed(d1, grid, G, nt1, dt1):
                 pass  # only u(0, .) is kept
-            steps = _streamed(pr2, nt, dt)
+            steps = _streamed(d2, grid, G, nt, dt)
         # the differences at t = T would carry weight 0 in the integrals
         fhat = np.zeros(nt)
         ghat = np.zeros(nt)
@@ -469,8 +455,8 @@ class DpCheckReport:
 
 
 def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
-                              steps: int = 64, safety: float = 0.9,
-                              sol: PdeSolution | None = None) -> DpCheckReport:
+                              steps: int = 64, safety: float = 0.9
+                              ) -> DpCheckReport:
     """Re-derive u(t1, x0) by lattice DP on [t1, t2] with terminal data
     u(t2, .) and per-step rewards f dt + g sigma^2 dt read from the solved
     fields.  Supports b = h = 0, sigma = 1 problems (the state is
@@ -490,8 +476,7 @@ def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
     # an empty window needs no lattice; otherwise refuse bad steps unsolved
     spec = (LatticeSpec.for_horizon(t2 - t1, steps, problem.G)
             if t2 > t1 + 1e-15 else None)
-    if sol is None:
-        sol = _pde.solve_terminal_pde(problem, safety=safety)
+    sol = _pde.solve_terminal_pde(problem, safety=safety)
     u_t1 = sol.value(t1, x0)
     if spec is None:
         return DpCheckReport(t1=t1, t2=t2, x0=x0, u_t1=u_t1,

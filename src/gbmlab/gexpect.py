@@ -235,10 +235,15 @@ def _resolve_payoff(phi) -> DriverSpec:
 def gexpect_terminal(phi, T: float, G: GFunction1D, *, nx: int = 401,
                      safety: float = 0.9) -> float:
     """Worst-case expectation of phi at horizon T, via the nonlinear heat
-    equation on ``Grid1D.default_for``; returns u(0, 0)."""
+    equation on ``Grid1D.default_for``; returns u(0, 0).  Raises
+    :class:`DomainError` for a driver that is not a pure payoff, whose
+    form is not ``GHEAT``."""
     driver = _resolve_payoff(phi)
     grid = Grid1D.default_for(0.0, T, G, nx=nx)
-    problem = _pde.PdeProblem(grid, driver, G, _pde.PdeForm.GHEAT)
+    problem = _pde.PdeProblem(grid, driver, G)
+    if problem.form is not _pde.PdeForm.GHEAT:
+        raise DomainError(f"driver '{driver.name}' is not a pure payoff: it "
+                          f"fits {problem.form.value}, not gheat")
     sol = _pde.solve_terminal_pde(problem, safety=safety)
     return sol.value(0.0, 0.0)
 

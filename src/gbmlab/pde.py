@@ -9,6 +9,11 @@ argument, upwinding for the drift b, and a zero-second-derivative closure at
 the two boundary nodes.  Under the CFL bound every update coefficient is
 nonnegative, which gives discrete monotonicity, constant preservation and
 sublinearity (the properties the cross-checks in tests rely on).
+
+The G-heat equation, the regularized G-BSDE and the Markovian G-FBSDE are
+views of this one equation and are stepped by the same code;
+``PdeProblem.form`` names the narrowest of them a driver fits, derived from
+its coefficients.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -59,39 +63,37 @@ class PdeForm(enum.Enum):
 # problem container
 # ---------------------------------------------------------------------------
 
-def _sampled_zero(fn: Callable, args: tuple, name: str, what: str) -> None:
-    vals = np.asarray(fn(*args), dtype=float)
-    if np.max(np.abs(vals)) > 1e-14:
-        raise DomainError(f"{what} requires {name} == 0, sampled "
-                          f"max |{name}| = {np.max(np.abs(vals)):.3g}")
+def _vanishes(vals) -> bool:
+    """Whether sampled values are zero to 1e-14; NaN counts as zero."""
+    return not np.max(np.abs(np.asarray(vals, dtype=float))) > 1e-14
 
 
 @dataclass(frozen=True)
 class PdeProblem:
-    """A grid, a driver and a generator, tagged with the equation form."""
+    """A grid, a driver and a generator; the equation form is derived from
+    the driver (``form``), not declared."""
 
     grid: Grid1D
     driver: DriverSpec
     G: GFunction1D
-    form: PdeForm
 
-    def __post_init__(self) -> None:
+    @property
+    def form(self) -> PdeForm:
+        """The narrowest form the driver fits, from its coefficients sampled
+        at about 16 grid nodes: ``GHEAT`` when b, h, f and g vanish and
+        sigma is one, else ``REGULARIZED_BSDE`` when only g is nonzero, else
+        ``MARKOVIAN_FBSDE``, which every driver fits."""
         xs = self.grid.xs[:: max(1, self.grid.nx // 16)]
-        ys = np.linspace(-1.0, 1.0, 5)
-        d = self.driver
-        if self.form in (PdeForm.GHEAT, PdeForm.REGULARIZED_BSDE):
-            for t in (0.0, 0.5 * self.grid.T, self.grid.T):
-                _sampled_zero(d.b, (t, xs), "b", self.form.value)
-                _sampled_zero(d.h, (t, xs), "h", self.form.value)
-                sig = np.asarray(d.sigma(t, xs), dtype=float)
-                if np.max(np.abs(sig - 1.0)) > 1e-14:
-                    raise DomainError(f"{self.form.value} requires sigma == 1")
-                for y in ys:
-                    _sampled_zero(d.f, (t, xs, np.full_like(xs, y)), "f",
-                                  self.form.value)
-        if self.form is PdeForm.GHEAT:
-            for t in (0.0, self.grid.T):
-                _sampled_zero(d.g, (t, xs, xs, xs), "g", self.form.value)
+        d, T = self.driver, self.grid.T
+        if not all(_vanishes(d.b(t, xs)) and _vanishes(d.h(t, xs))
+                   and _vanishes(np.asarray(d.sigma(t, xs), dtype=float) - 1.0)
+                   and all(_vanishes(d.f(t, xs, np.full_like(xs, y)))
+                           for y in np.linspace(-1.0, 1.0, 5))
+                   for t in (0.0, 0.5 * T, T)):
+            return PdeForm.MARKOVIAN_FBSDE
+        if all(_vanishes(d.g(t, xs, xs, xs)) for t in (0.0, T)):
+            return PdeForm.GHEAT
+        return PdeForm.REGULARIZED_BSDE
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +173,6 @@ class PdeSolution:
     grid: Grid1D
     driver: DriverSpec
     G: GFunction1D
-    form: PdeForm
     dx: float
     dt: float
 
@@ -369,8 +370,8 @@ def _terminal_data(driver: DriverSpec, xs: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _solve_levels(grid: Grid1D, driver: DriverSpec, Gs, form: PdeForm,
-                  safety: float) -> tuple[PdeSolution, ...]:
+def _solve_levels(grid: Grid1D, driver: DriverSpec, Gs, safety: float
+                  ) -> tuple[PdeSolution, ...]:
     """Dense solutions of one driver under each generator in ``Gs``, on one
     shared time grid, as views of one stacked array."""
     xs, dx = grid.xs, grid.dx
@@ -391,7 +392,7 @@ def _solve_levels(grid: Grid1D, driver: DriverSpec, Gs, form: PdeForm,
                                    _Work(u[:, 0].shape))
     grid = grid.with_nt(nt)
     return tuple(PdeSolution(u=u[i], a_field=a_field[i], grid=grid,
-                             driver=driver, G=G, form=form, dx=dx, dt=dt)
+                             driver=driver, G=G, dx=dx, dt=dt)
                  for i, G in enumerate(Gs))
 
 
@@ -402,8 +403,7 @@ def solve_terminal_pde(problem: PdeProblem, *, safety: float = 0.9) -> PdeSoluti
     bound, or if any slice turns non-finite (with the offending node and
     time level in the message).
     """
-    return _solve_levels(problem.grid, problem.driver, (problem.G,),
-                         problem.form, safety)[0]
+    return _solve_levels(problem.grid, problem.driver, (problem.G,), safety)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from gbmlab.gcore import (CylinderFunctional, Grid1D, make_gfunction,
                           payoff_driver, preset_driver, regularize)
 from gbmlab.gexpect import (LatticeSpec, doob_check, gexpect_cylinder,
                             gexpect_terminal, lattice_oracle)
-from gbmlab.pde import (PdeForm, PdeProblem, derivatives, fit_space_modulus,
+from gbmlab.pde import (PdeProblem, derivatives, fit_space_modulus,
                         fit_time_modulus, solve_terminal_pde)
 from gbmlab.scenario import (VolatilityControl, estimate_dx, forward_sde,
                              simulate_paths, variational_paths,
@@ -35,8 +35,7 @@ def _grid(nx: int = 401) -> Grid1D:
 
 @functools.lru_cache(maxsize=None)
 def _family(preset: str):
-    problem = gbsde.BsdeProblem(_grid(), preset_driver(preset), G01,
-                                PdeForm.REGULARIZED_BSDE)
+    problem = PdeProblem(_grid(), preset_driver(preset), G01)
     return gbsde.solve_gbsde(problem, SCHEDULE)
 
 
@@ -134,7 +133,7 @@ def test_criterion_06_derivative_representation():
     Geps = regularize(G01, 0.2)
     driver = preset_driver("smooth-bump", {"width": 2.0})
     sol = solve_terminal_pde(
-        PdeProblem(_grid(), driver, Geps, PdeForm.REGULARIZED_BSDE))
+        PdeProblem(_grid(), driver, Geps))
     d = derivatives(sol)
     start = time.perf_counter()
     ok = True
@@ -149,7 +148,7 @@ def test_criterion_06_derivative_representation():
 
 def test_criterion_07_measure_membership():
     quad = preset_driver("quadratic")
-    sol = solve_terminal_pde(PdeProblem(_grid(), quad, G01, PdeForm.GHEAT))
+    sol = solve_terminal_pde(PdeProblem(_grid(), quad, G01))
     mc = dict(n_paths=2000, n_steps=64, seed=0)
     extremal = verify_measure_in_Ptx(VolatilityControl.feedback(sol, G01),
                                      quad, 0.0, 0.0, G01, sol, mc=mc)
@@ -163,14 +162,14 @@ def test_criterion_07_measure_membership():
 
 def test_criterion_08_kink_dichotomy():
     absd = preset_driver("abs")
-    sol = solve_terminal_pde(PdeProblem(_grid(), absd, G01, PdeForm.GHEAT))
+    sol = solve_terminal_pde(PdeProblem(_grid(), absd, G01))
     est = estimate_dx(absd, 0.0, 0.0, G01, sol,
                       mc=dict(n_paths=10_000, n_steps=256, seed=0))
     closes = abs(est.plus - est.minus) <= \
         3.0 * (est.se_plus + est.se_minus) + 2e-2
     kinked = preset_driver("kinked")
     frozen_sol = solve_terminal_pde(
-        PdeProblem(_grid(), kinked, G01, PdeForm.MARKOVIAN_FBSDE))
+        PdeProblem(_grid(), kinked, G01))
     frozen = estimate_dx(kinked, 0.0, 0.0, G01, frozen_sol,
                          mc=dict(n_paths=500, n_steps=32, seed=0))
     keeps = abs((frozen.plus - frozen.minus) - 2.0) <= 5e-2
@@ -195,8 +194,7 @@ def test_criterion_10_semiconvexity_refinement():
     driver = preset_driver("abs", {"smoothing": 0.1})
     G11 = make_gfunction(1.0, 1.0)
     reports = [gbsde.semiconvexity_scan(
-        gbsde.BsdeProblem(Grid1D(-7.0, 7.0, nx, 1.0), driver, G11,
-                          PdeForm.MARKOVIAN_FBSDE))
+        PdeProblem(Grid1D(-7.0, 7.0, nx, 1.0), driver, G11))
         for nx in (281, 561)]
     cs = [r.C for r in reports]
     ok = all(r.violations == 0 for r in reports)
@@ -211,8 +209,7 @@ def test_criterion_11_regularity_moduli():
         space, timec = [], []
         for nx in (151, 301, 601):
             sol = solve_terminal_pde(
-                PdeProblem(_grid(nx), preset_driver(preset), G01,
-                           PdeForm.GHEAT))
+                PdeProblem(_grid(nx), preset_driver(preset), G01))
             space.append(fit_space_modulus(sol))
             timec.append(fit_time_modulus(sol))
         for constants in (space, timec):
@@ -239,7 +236,7 @@ def test_criterion_12_property_suites(tmp_path):
     # K paths: start at zero, never increase
     quad = preset_driver("quadratic")
     fam = gbsde.solve_gbsde(
-        gbsde.BsdeProblem(_grid(), quad, G01, PdeForm.REGULARIZED_BSDE),
+        PdeProblem(_grid(), quad, G01),
         (0.2, 0.1))
     feedback = VolatilityControl.feedback(fam.solutions[0],
                                           regularize(G01, 0.2))

@@ -16,6 +16,9 @@ import pytest
 import gbmlab
 from gbmlab import cli
 from gbmlab.cli import _main
+from gbmlab.gbsde import dynamic_programming_check
+from gbmlab.gcore import Grid1D, make_gfunction, preset_driver, regularize
+from gbmlab.pde import PdeProblem
 
 
 CONFIG_TEXT = """
@@ -70,6 +73,26 @@ def test_cylinder_sum(tmp_path):
                                                                   abs=1e-2)
 
 
+@pytest.mark.parametrize("psi", sorted(cli._PSI_CATALOG))
+def test_every_psi_runs_on_one_to_three_times(tmp_path, psi):
+    # the stage meshes broadcast against each other but differ in shape
+    for times in ("1", "0.5,1", "0.25,0.5,1"):
+        out = tmp_path / times
+        assert _main(["cylinder", "--psi", psi, "--times", times, "--nx", "41",
+                      "--output-dir", str(out)]) == 0, times
+        assert math.isfinite(_summary(out)["values"]["value"])
+
+
+def test_cylinder_max_of_two_half_unit_stages(tmp_path):
+    # psi reads the stage increments a, b ~ N(0, 1/2) under sigma = 1;
+    # max(a, b) is convex, so sigma = 1 throughout is the worst case, and
+    # E[max(a, b)] = E|a - b| / 2 = 1 / sqrt(2 pi)
+    assert _main(["cylinder", "--psi", "max",
+                  "--output-dir", str(tmp_path)]) == 0
+    assert _summary(tmp_path)["values"]["value"] == pytest.approx(
+        1.0 / math.sqrt(2.0 * math.pi), abs=1e-2)
+
+
 def test_doob_certificate(tmp_path):
     rc = _main(["doob", "--p", "2", "--p-prime", "4", "--steps", "8",
                 "--xi", "abs-terminal", "--output-dir", str(tmp_path)])
@@ -90,6 +113,13 @@ def test_solve_pde_artifacts(tmp_path):
     # degenerate generator is regularized with the leading eps 0.2
     assert values["u_at_probe"] == pytest.approx(1.04, abs=1e-2)
     assert values["form"] == "gheat"
+
+
+@pytest.mark.parametrize("preset", ["linear-h", "sine-gz", "kinked"])
+def test_gexpect_refuses_a_driver_that_is_not_a_payoff(tmp_path, preset):
+    assert _main(["gexpect", "--preset", preset, "--nx", "41",
+                  "--output-dir", str(tmp_path)]) == 1
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_solve_pde_probe_reads_level_zero_below_the_time_slack(tmp_path):
@@ -306,8 +336,24 @@ def test_infinite_horizon_exits_one(tmp_path):
 
 
 def test_zero_lattice_steps_exits_one(tmp_path):
-    assert _main(["doob", "--steps", "0", "--output-dir",
-                  str(tmp_path)]) == 1
+    for argv in (["doob", "--steps", "0"], ["dp-check", "--steps", "0"],
+                 ["dp-check", "--steps", "-5"]):
+        assert _main([*argv, "--output-dir", str(tmp_path)]) == 1, argv
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_dp_check_runs_the_steps_it_echoes(tmp_path):
+    assert _main(["dp-check", "--steps", "2", "--nx", "101",
+                  "--output-dir", str(tmp_path)]) == 0
+    summary = _summary(tmp_path)
+    assert summary["parameters"]["steps"] == 2
+    # the domain is sized by the configured band, the solve regularized
+    # with the leading eps
+    G = make_gfunction(0.0, 1.0)
+    problem = PdeProblem(Grid1D.default_for(0.0, 1.0, G, nx=101),
+                         preset_driver("quadratic"), regularize(G, 0.2))
+    report = dynamic_programming_check(problem, 0.25, 0.75, steps=2)
+    assert summary["values"]["lattice_value"] == report.lattice_value
 
 
 def test_zero_path_steps_exits_one(tmp_path):
@@ -423,8 +469,11 @@ def test_hostile_argv_exits_one_without_traceback(tmp_path, capfd, argv):
     (["counterexample", "--preset", "abs"], None),
     (["gexpect"], "[mc]\nseed = 7\n"),
     (["counterexample"], "[driver]\npreset = abs\n"),
+    (["solve-pde", "--form", "gheat"], None),
+    (["solve-pde"], "[schedule]\nform = auto\n"),
 ], ids=["gexpect-seed", "cylinder-T", "counterexample-preset",
-        "gexpect-config-seed", "counterexample-config-preset"])
+        "gexpect-config-seed", "counterexample-config-preset",
+        "solve-pde-form", "solve-pde-config-form"])
 def test_setting_the_subcommand_does_not_read_exits_one(tmp_path, capsys,
                                                         argv, config):
     extra = _config_args(tmp_path, config)
@@ -451,8 +500,8 @@ def test_grid_subcommands_take_the_probe_point(tmp_path):
 @pytest.mark.parametrize("argv, config", [
     (["doob", "--xi", "bogus"], None),
     (["cylinder"], "[schedule]\npsi = bogus\n"),
-    (["solve-pde"], "[schedule]\nform = bogus\n"),
-], ids=["xi-flag", "psi-config", "form-config"])
+    (["stability"], "[schedule]\npreset_b = bogus\n"),
+], ids=["xi-flag", "psi-config", "preset-b-config"])
 def test_unknown_name_exits_one_under_dry_run(tmp_path, argv, config):
     extra = _config_args(tmp_path, config)
     assert _main([*argv, *extra, "--dry-run"]) == 1

@@ -13,8 +13,8 @@ from gbmlab import gbsde
 from gbmlab import pde as _pde
 from gbmlab.gcore import (DomainError, Grid1D, make_gfunction, payoff_driver,
                           preset_driver, regularize)
-from gbmlab.pde import (FieldInterpolator, NumericalError, PdeForm,
-                        PdeProblem, solve_terminal_pde)
+from gbmlab.pde import (FieldInterpolator, NumericalError, PdeProblem,
+                        solve_terminal_pde)
 from gbmlab.scenario import VolatilityControl, mean_and_se, simulate_paths
 
 G01 = make_gfunction(0.0, 1.0)
@@ -25,10 +25,9 @@ def _grid(nx: int = 401) -> Grid1D:
     return Grid1D.default_for(0.0, 1.0, G01, nx=nx)
 
 
-def _family(driver, schedule=SCHEDULE, *, grid=None, G=G01,
-            form=PdeForm.REGULARIZED_BSDE):
+def _family(driver, schedule=SCHEDULE, *, grid=None, G=G01):
     grid = _grid() if grid is None else grid
-    return gbsde.solve_gbsde(gbsde.BsdeProblem(grid, driver, G, form), schedule)
+    return gbsde.solve_gbsde(PdeProblem(grid, driver, G), schedule)
 
 
 def _neg_quadratic_driver():
@@ -60,13 +59,13 @@ def test_solve_u0_matches_direct_degenerate_solve():
     driver = preset_driver("sine-gz")
     fam = _family(driver)
     direct = solve_terminal_pde(
-        PdeProblem(_grid(), driver, G01, PdeForm.REGULARIZED_BSDE))
+        PdeProblem(_grid(), driver, G01))
     assert np.max(np.abs(fam.u0 - direct.u[0])) <= 2e-2
 
 
 def test_solve_rejects_bad_schedules():
     quad = preset_driver("quadratic")
-    problem = gbsde.BsdeProblem(_grid(), quad, G01, PdeForm.REGULARIZED_BSDE)
+    problem = PdeProblem(_grid(), quad, G01)
     with pytest.raises(DomainError):
         gbsde.solve_gbsde(problem, (0.1,))
     with pytest.raises(DomainError):
@@ -75,8 +74,7 @@ def test_solve_rejects_bad_schedules():
         gbsde.solve_gbsde(problem, (1.2, 0.6))
     with pytest.raises(DomainError):
         gbsde.solve_gbsde(problem, (0.2, 0.0))
-    elliptic = gbsde.BsdeProblem(_grid(), quad, make_gfunction(0.5, 1.0),
-                                 PdeForm.REGULARIZED_BSDE)
+    elliptic = PdeProblem(_grid(), quad, make_gfunction(0.5, 1.0))
     with pytest.raises(DomainError):
         gbsde.solve_gbsde(elliptic, (0.2, 0.1))
 
@@ -102,7 +100,7 @@ def test_stacked_family_equals_single_level_solves(preset):
     pinned = grid.with_nt(fam.nt)
     for eps, sol in zip(SCHEDULE, fam.solutions):
         single = solve_terminal_pde(PdeProblem(
-            pinned, driver, regularize(G01, eps), PdeForm.REGULARIZED_BSDE))
+            pinned, driver, regularize(G01, eps)))
         assert np.array_equal(sol.u, single.u)
         assert np.array_equal(sol.a_field, single.a_field)
 
@@ -126,8 +124,7 @@ def _pinned_grid():
     ("sine-gz", None), ("sine-gz", "pinned")])
 def test_streamed_family_equals_dense_family(preset, grid):
     grid = _pinned_grid() if grid == "pinned" else _grid(201)
-    problem = gbsde.BsdeProblem(grid, preset_driver(preset), G01,
-                                PdeForm.REGULARIZED_BSDE)
+    problem = PdeProblem(grid, preset_driver(preset), G01)
     dense = gbsde.solve_gbsde(problem, SCHEDULE)
     streamed = gbsde.stream_gbsde(problem, SCHEDULE, curvature=True)
     assert streamed.nt == dense.nt
@@ -156,8 +153,7 @@ def test_streamed_family_equals_dense_family(preset, grid):
 
 def test_streamed_family_checks_like_the_dense_one():
     quad = preset_driver("quadratic")
-    problem = gbsde.BsdeProblem(_grid(101), quad, G01,
-                                PdeForm.REGULARIZED_BSDE)
+    problem = PdeProblem(_grid(101), quad, G01)
     for schedule in ((0.1,), (0.1, 0.2), (0.2, 0.0)):
         with pytest.raises(DomainError):
             gbsde.stream_gbsde(problem, schedule)
@@ -173,8 +169,7 @@ def test_streamed_family_checks_like_the_dense_one():
 def test_dense_and_streamed_start_agree_below_the_time_slack():
     # dt < 1e-12: an absolute 1e-12 slack would read the terminal level
     grid = Grid1D.default_for(0.0, 1e-13, G01, nx=21)
-    problem = gbsde.BsdeProblem(grid, preset_driver("quadratic"), G01,
-                                PdeForm.REGULARIZED_BSDE)
+    problem = PdeProblem(grid, preset_driver("quadratic"), G01)
     dense = gbsde.solve_gbsde(problem, (0.2, 0.1))
     streamed = gbsde.stream_gbsde(problem, (0.2, 0.1))
     for x in (0.0, 0.05, -0.3):
@@ -215,8 +210,7 @@ def test_k_flags_raised_increment():
 
 def test_k_refuses_a_streamed_family():
     quad = preset_driver("quadratic")
-    problem = gbsde.BsdeProblem(_grid(101), quad, G01,
-                                PdeForm.REGULARIZED_BSDE)
+    problem = PdeProblem(_grid(101), quad, G01)
     fam = gbsde.stream_gbsde(problem, (0.2, 0.1))
     bundle = simulate_paths(VolatilityControl.constant(0.5, G01), 20, 16,
                             1.0, seed=2)
@@ -302,8 +296,7 @@ def test_scan_bump_uniform_across_levels():
 
 def test_semiconvexity_quadratic():
     report = gbsde.semiconvexity_scan(
-        gbsde.BsdeProblem(_grid(), preset_driver("quadratic"), G01,
-                          PdeForm.MARKOVIAN_FBSDE))
+        PdeProblem(_grid(), preset_driver("quadratic"), G01))
     assert report.C == 0.0
     assert report.violations == 0
     assert report.min_second_diff >= 0.0
@@ -313,11 +306,9 @@ def test_semiconvexity_smoothed_abs_stable_under_refinement():
     driver = preset_driver("abs", {"smoothing": 0.1})
     G11 = make_gfunction(1.0, 1.0)
     coarse = gbsde.semiconvexity_scan(
-        gbsde.BsdeProblem(Grid1D(-7.0, 7.0, 281, 1.0), driver, G11,
-                          PdeForm.MARKOVIAN_FBSDE))
+        PdeProblem(Grid1D(-7.0, 7.0, 281, 1.0), driver, G11))
     fine = gbsde.semiconvexity_scan(
-        gbsde.BsdeProblem(Grid1D(-7.0, 7.0, 561, 1.0), driver, G11,
-                          PdeForm.MARKOVIAN_FBSDE))
+        PdeProblem(Grid1D(-7.0, 7.0, 561, 1.0), driver, G11))
     assert coarse.violations == 0 and fine.violations == 0
     assert fine.C <= 2.0 * coarse.C + 1e-12
     assert coarse.C <= 2.0 * fine.C + 1e-12
@@ -326,8 +317,7 @@ def test_semiconvexity_smoothed_abs_stable_under_refinement():
 def test_semiconvexity_convex_kink_degenerate():
     grid = Grid1D(-7.0, 7.0, 281, 1.0)
     report = gbsde.semiconvexity_scan(
-        gbsde.BsdeProblem(grid, preset_driver("kinked"), G01,
-                          PdeForm.MARKOVIAN_FBSDE))
+        PdeProblem(grid, preset_driver("kinked"), G01))
     # sigma == 0 freezes u at |x|, whose kink gives a +2/dx second difference;
     # the bound is one-sided from below, so the fit stays at zero
     assert report.max_second_diff == pytest.approx(2.0 / grid.dx, rel=1e-10)
@@ -341,16 +331,15 @@ def test_semiconvexity_needs_second_derivatives():
                          name="no-curvature", kinks=())
     with pytest.raises(DomainError):
         gbsde.semiconvexity_scan(
-            gbsde.BsdeProblem(_grid(), flat, G01, PdeForm.MARKOVIAN_FBSDE))
+            PdeProblem(_grid(), flat, G01))
 
 
 # ---- stability_check ----
 
 def test_stability_identical_problems():
-    problem = gbsde.BsdeProblem(Grid1D(-7.0, 7.0, 101, 1.0),
-                                preset_driver("quadratic"),
-                                regularize(G01, 0.1), PdeForm.REGULARIZED_BSDE)
-    report = gbsde.stability_check(problem, problem, p=1.0, refinements=3)
+    problem = PdeProblem(Grid1D(-7.0, 7.0, 101, 1.0),
+                         preset_driver("quadratic"), regularize(G01, 0.1))
+    report = gbsde.stability_check(problem, problem, p=1.0)
     assert all(row[2] == 0.0 for row in report.rows)
     assert report.stable
 
@@ -362,10 +351,8 @@ def test_stability_constant_shift():
     shifted = dataclasses.replace(
         quad, name="quad-shift",
         phi=lambda x: np.asarray(x, dtype=float) ** 2 + 0.1)
-    report = gbsde.stability_check(
-        gbsde.BsdeProblem(grid, quad, Geps, PdeForm.REGULARIZED_BSDE),
-        gbsde.BsdeProblem(grid, shifted, Geps, PdeForm.REGULARIZED_BSDE),
-        p=1.0, refinements=3)
+    report = gbsde.stability_check(PdeProblem(grid, quad, Geps),
+                                   PdeProblem(grid, shifted, Geps), p=1.0)
     for _nx, delta, _lhs, rhs, constant in report.rows:
         assert delta == pytest.approx(0.1, abs=1e-12)
         assert rhs == pytest.approx(0.1, abs=1e-14)
@@ -384,10 +371,8 @@ def test_stability_bump_perturbation():
         phi_x=lambda x: 2.0 * np.asarray(x, dtype=float) + bump.phi_x(x),
         phi_xx=lambda x: 2.0 + bump.phi_xx(x),
         L1=5.0)
-    report = gbsde.stability_check(
-        gbsde.BsdeProblem(grid, quad, Geps, PdeForm.REGULARIZED_BSDE),
-        gbsde.BsdeProblem(grid, perturbed, Geps, PdeForm.REGULARIZED_BSDE),
-        p=1.0, refinements=3)
+    report = gbsde.stability_check(PdeProblem(grid, quad, Geps),
+                                   PdeProblem(grid, perturbed, Geps), p=1.0)
     constants = [row[4] for row in report.rows]
     assert max(constants) < 2.0 * min(constants)
     assert report.stable
@@ -396,21 +381,18 @@ def test_stability_bump_perturbation():
 def test_stability_rejects_mismatched_inputs():
     Geps = regularize(G01, 0.1)
     quad = preset_driver("quadratic")
-    base = gbsde.BsdeProblem(Grid1D(-7.0, 7.0, 101, 1.0), quad, Geps,
-                             PdeForm.REGULARIZED_BSDE)
-    other_grid = gbsde.BsdeProblem(Grid1D(-7.0, 7.0, 201, 1.0), quad, Geps,
-                                   PdeForm.REGULARIZED_BSDE)
+    base = PdeProblem(Grid1D(-7.0, 7.0, 101, 1.0), quad, Geps)
+    other_grid = PdeProblem(Grid1D(-7.0, 7.0, 201, 1.0), quad, Geps)
     with pytest.raises(DomainError):
         gbsde.stability_check(base, other_grid, p=1.0)
-    other_G = gbsde.BsdeProblem(Grid1D(-7.0, 7.0, 101, 1.0), quad,
-                                regularize(G01, 0.2),
-                                PdeForm.REGULARIZED_BSDE)
+    other_G = PdeProblem(Grid1D(-7.0, 7.0, 101, 1.0), quad,
+                         regularize(G01, 0.2))
     with pytest.raises(DomainError):
         gbsde.stability_check(base, other_G, p=1.0)
 
 
-def _dense_stability_rows(problem1, problem2, p, refinements=3,
-                          lattice_steps=64, safety=0.9):
+def _dense_stability_rows(problem1, problem2, p, lattice_steps=64,
+                          safety=0.9):
     # two dense solves per level and the level-by-level f/g sums, as the
     # reference for the streamed check
     from gbmlab.gcore import CylinderFunctional
@@ -420,12 +402,10 @@ def _dense_stability_rows(problem1, problem2, p, refinements=3,
     g1 = problem1.grid
     xc = 0.5 * (g1.x_min + g1.x_max)
     rows = []
-    for level in range(refinements):
+    for level in range(3):  # the problems' grid and two refinements
         grid = gbsde._refine(g1, 2 ** level)
-        s1 = solve_terminal_pde(PdeProblem(grid, d1, G, problem1.form),
-                                safety=safety)
-        s2 = solve_terminal_pde(PdeProblem(grid, d2, G, problem2.form),
-                                safety=safety)
+        s1 = solve_terminal_pde(PdeProblem(grid, d1, G), safety=safety)
+        s2 = solve_terminal_pde(PdeProblem(grid, d2, G), safety=safety)
         delta = float(np.max(np.abs(s1.u[0] - s2.u[0])))
 
         def psi(bt):
@@ -476,22 +456,20 @@ def _stability_pair(case):
     Geps = regularize(G01, 0.1)
     if case == "shift":
         quad = preset_driver("quadratic")
-        pair, form = (quad, _shifted(quad)), PdeForm.REGULARIZED_BSDE
+        pair = (quad, _shifted(quad))
     elif case == "shift-sine-gz":
         # a shared non-zero g: its difference loop reads the stacked row
         sine = preset_driver("sine-gz")
-        pair, form = (sine, _shifted(sine)), PdeForm.REGULARIZED_BSDE
+        pair = (sine, _shifted(sine))
     elif case == "f-and-g":
         pair = (_fg_driver("fg-1", lambda t, x, y: 0.3 * np.cos(x) - 0.2 * y,
                            lambda t, x, y, z: 0.25 * np.sin(z)),
                 _fg_driver("fg-2", lambda t, x, y: 0.1 * np.sin(y),
                            lambda t, x, y, z: 0.1 * z + 0.05 * y))
-        form = PdeForm.MARKOVIAN_FBSDE
     else:  # two presets whose CFL steps differ
         pair = (preset_driver("quadratic"),
                 preset_driver("sine-gz", {"c": 2.0}))
-        form = PdeForm.REGULARIZED_BSDE
-    return tuple(gbsde.BsdeProblem(grid, d, Geps, form) for d in pair)
+    return tuple(PdeProblem(grid, d, Geps) for d in pair)
 
 
 @pytest.mark.parametrize("case", ["shift", "shift-sine-gz", "f-and-g",
@@ -524,7 +502,7 @@ def _count_sweeps(monkeypatch):
 def test_phi_only_stability_pair_is_one_sweep_per_level(monkeypatch):
     calls = _count_sweeps(monkeypatch)
     problem1, problem2 = _stability_pair("shift-sine-gz")
-    stacked = gbsde.stability_check(problem1, problem2, refinements=3)
+    stacked = gbsde.stability_check(problem1, problem2)
     assert calls == [2, 2, 2]
     # the same pair with an equal but distinct g callable gets two sweeps,
     # and the same rows
@@ -533,8 +511,7 @@ def test_phi_only_stability_pair_is_one_sweep_per_level(monkeypatch):
     distinct = dataclasses.replace(problem2.driver,
                                    g=lambda t, x, y, z: g(t, x, y, z))
     report = gbsde.stability_check(
-        problem1, dataclasses.replace(problem2, driver=distinct),
-        refinements=3)
+        problem1, dataclasses.replace(problem2, driver=distinct))
     assert calls == [1, 1] * 3
     assert np.array(report.rows).tobytes() == \
         np.array(stacked.rows).tobytes()
@@ -542,7 +519,7 @@ def test_phi_only_stability_pair_is_one_sweep_per_level(monkeypatch):
 
 def test_other_stability_pairs_keep_two_sweeps(monkeypatch):
     calls = _count_sweeps(monkeypatch)
-    gbsde.stability_check(*_stability_pair("preset-b"), refinements=3)
+    gbsde.stability_check(*_stability_pair("preset-b"))
     assert calls == [1, 1] * 3
     calls.clear()
     def f(t, x, y):
@@ -553,9 +530,7 @@ def test_other_stability_pairs_keep_two_sweeps(monkeypatch):
                              f=lambda t, x, y: f(t, x, y))
     grid = Grid1D(-6.0, 6.0, 41, 0.5)
     Geps = regularize(G01, 0.1)
-    gbsde.stability_check(
-        *(gbsde.BsdeProblem(grid, d, Geps, PdeForm.MARKOVIAN_FBSDE)
-          for d in (d1, d2)), refinements=3)
+    gbsde.stability_check(*(PdeProblem(grid, d, Geps) for d in (d1, d2)))
     assert calls == [1, 1] * 3
 
 
@@ -570,17 +545,16 @@ def test_stacked_stability_keeps_a_nan_driver_difference(monkeypatch):
     grid = Grid1D(-6.0, 6.0, 41, 0.5)
     Geps = regularize(G01, 0.1)
     problem1, problem2 = (
-        gbsde.BsdeProblem(grid, d, Geps, PdeForm.MARKOVIAN_FBSDE)
+        PdeProblem(grid, d, Geps)
         for d in (bump, _shifted(bump)))
     calls = _count_sweeps(monkeypatch)
-    stacked = gbsde.stability_check(problem1, problem2, refinements=3)
+    stacked = gbsde.stability_check(problem1, problem2)
     assert calls == [2, 2, 2]
     # the two-sweep reference: the same f behind a distinct callable
     distinct = dataclasses.replace(problem2.driver,
                                    f=lambda t, x, y: f(t, x, y))
     reference = gbsde.stability_check(
-        problem1, dataclasses.replace(problem2, driver=distinct),
-        refinements=3)
+        problem1, dataclasses.replace(problem2, driver=distinct))
     assert calls == [2, 2, 2] + [1, 1] * 3
     np.testing.assert_array_equal(np.array(stacked.rows),
                                   np.array(reference.rows))
@@ -590,21 +564,19 @@ def test_stacked_stability_keeps_a_nan_driver_difference(monkeypatch):
 # ---- dynamic programming check ----
 
 def test_dp_empty_interval():
-    problem = gbsde.BsdeProblem(_grid(), preset_driver("quadratic"), G01,
-                                PdeForm.MARKOVIAN_FBSDE)
+    problem = PdeProblem(_grid(), preset_driver("quadratic"), G01)
     assert gbsde.dynamic_programming_check(problem, 0.4, 0.4).residual == 0.0
 
 
 def test_dp_pure_quadratic():
-    problem = gbsde.BsdeProblem(_grid(), preset_driver("quadratic"), G01,
-                                PdeForm.MARKOVIAN_FBSDE)
+    problem = PdeProblem(_grid(), preset_driver("quadratic"), G01)
     report = gbsde.dynamic_programming_check(problem, 0.0, 0.5)
     assert report.residual <= 2e-2
 
 
 def test_dp_linear_h():
-    problem = gbsde.BsdeProblem(_grid(), preset_driver("linear-h"),
-                                regularize(G01, 0.1), PdeForm.MARKOVIAN_FBSDE)
+    problem = PdeProblem(_grid(), preset_driver("linear-h"),
+                         regularize(G01, 0.1))
     report = gbsde.dynamic_programming_check(problem, 0.25, 0.75)
     assert report.residual <= 3e-2
 
@@ -615,11 +587,10 @@ def test_dp_rejections():
         quad, name="geometric",
         sigma=lambda t, x: np.asarray(x, dtype=float),
         sigma_x=lambda t, x: np.ones_like(np.asarray(x, dtype=float)))
-    problem = gbsde.BsdeProblem(_grid(), geometric, G01,
-                                PdeForm.MARKOVIAN_FBSDE)
+    problem = PdeProblem(_grid(), geometric, G01)
     with pytest.raises(DomainError):
         gbsde.dynamic_programming_check(problem, 0.0, 0.5)
-    pure = gbsde.BsdeProblem(_grid(), quad, G01, PdeForm.MARKOVIAN_FBSDE)
+    pure = PdeProblem(_grid(), quad, G01)
     with pytest.raises(DomainError):
         gbsde.dynamic_programming_check(pure, 0.5, 0.25)
     with pytest.raises(DomainError):
@@ -660,28 +631,24 @@ def _ref_dp_lattice_value(problem, sol, t1, t2, x0, steps):
     ("sine-gz", 0.5, 0.1, 0.37, 13), ("sine-gz", 1.0, 0.3, 0.9, 8)])
 def test_dp_lattice_equals_its_own_loop(preset, sigma_low, t1, t2, steps):
     G = make_gfunction(sigma_low, 1.0)
-    problem = gbsde.BsdeProblem(_grid(161), preset_driver(preset), G,
-                                PdeForm.MARKOVIAN_FBSDE)
-    sol = solve_terminal_pde(PdeProblem(problem.grid, problem.driver, G,
-                                        problem.form))
+    problem = PdeProblem(_grid(161), preset_driver(preset), G)
+    sol = solve_terminal_pde(problem)
     report = gbsde.dynamic_programming_check(problem, t1, t2, x0=0.1,
-                                             steps=steps, sol=sol)
+                                             steps=steps)
     want = _ref_dp_lattice_value(problem, sol, t1, t2, 0.1, steps)
     assert (np.float64(report.lattice_value).tobytes()
             == np.float64(want).tobytes())
 
 
 def test_dp_rejects_too_few_steps():
-    problem = gbsde.BsdeProblem(_grid(101), preset_driver("quadratic"), G01,
-                                PdeForm.MARKOVIAN_FBSDE)
+    problem = PdeProblem(_grid(101), preset_driver("quadratic"), G01)
     for steps in (0, -2):
         with pytest.raises(DomainError):
             gbsde.dynamic_programming_check(problem, 0.0, 0.5, steps=steps)
 
 
 def test_dp_refuses_too_few_steps_before_solving(monkeypatch):
-    problem = gbsde.BsdeProblem(_grid(101), preset_driver("quadratic"), G01,
-                                PdeForm.MARKOVIAN_FBSDE)
+    problem = PdeProblem(_grid(101), preset_driver("quadratic"), G01)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the steps check")

@@ -44,7 +44,7 @@ G01 = make_gfunction(0.0, 1.0)
 def _gheat(driver, G=G01, grid=None, nx=401, T=1.0, safety=0.9):
     if grid is None:
         grid = Grid1D.default_for(0.0, T, G, nx=nx)
-    return solve_terminal_pde(PdeProblem(grid, driver, G, PdeForm.GHEAT),
+    return solve_terminal_pde(PdeProblem(grid, driver, G),
                               safety=safety)
 
 
@@ -121,8 +121,7 @@ def test_solve_cos_matches_lattice():
 def test_solve_refuses_cfl_violation():
     grid = Grid1D.default_for(0.0, 1.0, G01, nx=401).with_nt(10)
     with pytest.raises(NumericalError):
-        solve_terminal_pde(PdeProblem(grid, preset_driver("quadratic"),
-                                      G01, PdeForm.GHEAT))
+        solve_terminal_pde(PdeProblem(grid, preset_driver("quadratic"), G01))
 
 
 def test_solve_reports_nonfinite_terminal():
@@ -148,10 +147,13 @@ def test_bare_driver_solves_like_its_preset():
         assert np.array_equal(ref.a_field, sol.a_field)
 
 
-def test_gheat_form_rejects_nonzero_coefficients():
+@pytest.mark.parametrize("preset, form", [
+    ("quadratic", PdeForm.GHEAT), ("linear-h", PdeForm.REGULARIZED_BSDE),
+    ("sine-gz", PdeForm.REGULARIZED_BSDE), ("kinked", PdeForm.MARKOVIAN_FBSDE),
+], ids=["quadratic", "linear-h", "sine-gz", "kinked"])
+def test_form_is_the_narrowest_the_driver_fits(preset, form):
     grid = Grid1D.default_for(0.0, 1.0, G01)
-    with pytest.raises(DomainError):
-        PdeProblem(grid, preset_driver("linear-h"), G01, PdeForm.GHEAT)
+    assert PdeProblem(grid, preset_driver(preset), G01).form is form
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +164,7 @@ def _static_solution(values: np.ndarray, grid: Grid1D) -> PdeSolution:
     u = np.tile(values, (4, 1))
     return PdeSolution(u=u, a_field=np.zeros_like(u), grid=grid.with_nt(3),
                        driver=preset_driver("zero"), G=G01,
-                       form=PdeForm.GHEAT, dx=grid.dx, dt=grid.T / 3)
+                       dx=grid.dx, dt=grid.T / 3)
 
 
 def test_derivatives_exact_on_quadratic_field():
@@ -298,8 +300,7 @@ def test_gradient_bound_uniform_across_regularizations():
 
 def test_export_solution_csv(tmp_path):
     grid = Grid1D(-1.0, 1.0, 11, 0.1)
-    sol = solve_terminal_pde(PdeProblem(grid, preset_driver("quadratic"),
-                                        G01, PdeForm.GHEAT))
+    sol = solve_terminal_pde(PdeProblem(grid, preset_driver("quadratic"), G01))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     export_solution_csv(sol, str(p1))
     export_solution_csv(sol, str(p2))
@@ -354,8 +355,7 @@ def test_grid_points_keep_the_shape_of_x():
 def test_field_interpolator_matches_np_interp():
     G = regularize(G01, 0.2)
     sol = solve_terminal_pde(PdeProblem(
-        Grid1D.default_for(0.0, 1.0, G, nx=101), preset_driver("sine-gz"), G,
-        PdeForm.REGULARIZED_BSDE))
+        Grid1D.default_for(0.0, 1.0, G, nx=101), preset_driver("sine-gz"), G))
     fields = FieldInterpolator(sol)
     x = np.random.default_rng(2).normal(scale=3.0, size=300)
     for t in (0.0, 0.37, 1.0):
@@ -501,7 +501,7 @@ def test_export_equals_the_cell_by_cell_writer_on_edge_values(tmp_path):
     a_field = rng.choice(edge, size=(4, grid.nx))
     sol = PdeSolution(u=u, a_field=a_field, grid=grid.with_nt(3),
                       driver=preset_driver("zero"), G=G01,
-                      form=PdeForm.GHEAT, dx=grid.dx, dt=grid.T / 3)
+                      dx=grid.dx, dt=grid.T / 3)
     sigma = rng.choice([-0.0, 0.0, np.nan, -np.nan, 1.0, 5e-324, np.inf],
                        size=u.shape)
     control = ControlField(sigma_star=sigma, ambiguous=np.zeros(u.shape, bool),
@@ -531,8 +531,7 @@ def test_export_equals_the_cell_by_cell_writer_across_blocks(tmp_path,
     # multiple of it, one more than a multiple; then 1-level blocks, and a
     # block size below one level, which still writes whole levels
     grid = Grid1D(-2.0, 2.0, 11, 0.2, nt=nt)
-    sol = solve_terminal_pde(PdeProblem(grid, _cos_driver(), G01,
-                                        PdeForm.GHEAT))
+    sol = solve_terminal_pde(PdeProblem(grid, _cos_driver(), G01))
     assert sol.nt == nt
     ref = tmp_path / "ref.csv"
     _cell_by_cell_csv(sol, str(ref))

@@ -1,4 +1,5 @@
-"""The README's examples run as written.
+"""The README's examples run as written, and its lists of settings match
+the CLI.
 
 Each ``python`` block is executed, the ``ini`` block is written as
 ``run.cfg`` in a temporary working directory, and each ``gbmlab`` line of
@@ -7,11 +8,12 @@ the ``sh`` blocks is validated through the CLI with ``--dry-run``.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import shlex
 from pathlib import Path
 
-from gbmlab.cli import _main
+from gbmlab.cli import RunConfig, _main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,3 +37,12 @@ def test_readme_examples_run(tmp_path, monkeypatch):
     assert lines
     for line in lines:
         assert _main([*shlex.split(line)[1:], "--dry-run"]) == 0, line
+
+
+def test_readme_names_the_settings_with_choices():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = re.search(r"A name \(([^)]*)\) outside its choices", text)
+    assert listed, "README no longer lists the settings with choices"
+    named = set(re.findall(r"`(\w+)`", listed.group(1)))
+    assert named == {f.name for f in dataclasses.fields(RunConfig)
+                     if f.metadata["choices"]}

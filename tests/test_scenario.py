@@ -19,7 +19,6 @@ from gbmlab.gcore import (
 )
 from gbmlab.pde import (
     FieldInterpolator,
-    PdeForm,
     PdeProblem,
     derivatives,
     solve_terminal_pde,
@@ -54,9 +53,9 @@ def _linear_driver():
                          name="linear", L1=1.0, m=1)
 
 
-def _solve(driver, G=G01, form=PdeForm.GHEAT, nx=401, T=1.0):
+def _solve(driver, G=G01, nx=401, T=1.0):
     grid = Grid1D.default_for(0.0, T, G, nx=nx)
-    return solve_terminal_pde(PdeProblem(grid, driver, G, form))
+    return solve_terminal_pde(PdeProblem(grid, driver, G))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +265,7 @@ def test_dx_linear_payoff():
 
 def test_dx_frozen_kink_one_sided():
     kinked = preset_driver("kinked")
-    sol = _solve(kinked, form=PdeForm.MARKOVIAN_FBSDE)
+    sol = _solve(kinked)
     est = estimate_dx(kinked, 0.0, 0.0, G01, sol,
                       mc=dict(n_paths=500, n_steps=32, seed=0))
     assert est.plus == pytest.approx(1.0, abs=1e-12)
@@ -375,8 +374,7 @@ def test_one_pass_estimates_equal_whole_bundle_passes(preset, params, kind,
                                                       t, x):
     G = regularize(G01, 0.2)
     driver = preset_driver(preset, params)
-    form = PdeForm.GHEAT if preset != "sine-gz" else PdeForm.REGULARIZED_BSDE
-    sol = _solve(driver, G=G, form=form, nx=201)
+    sol = _solve(driver, G=G, nx=201)
     mc = dict(n_paths=400, n_steps=48, seed=5)
     estimate = estimate_dx if kind == "x" else estimate_dt
     est = estimate(driver, t, x, G, sol, mc=mc)
@@ -455,8 +453,7 @@ def test_paths_forked_mid_run_equal_whole_bundle_passes(preset, G, kind, t,
     # coarse solves tie away from the start late in the run; the abs
     # paths' K increments vanish before the fork, the sine-gz ones do not
     driver = preset_driver(preset)
-    form = PdeForm.GHEAT if preset == "abs" else PdeForm.REGULARIZED_BSDE
-    sol = _solve(driver, G=G, form=form, nx=41)
+    sol = _solve(driver, G=G, nx=41)
     first = _first_fork_steps(driver, t, 0.0, G, sol, FORK_MC)
     assert np.mean((first > 0) & (first < FORK_MC["n_steps"])) > share
     _assert_estimates_equal_whole_bundle_passes(kind, driver, t, 0.0, G, sol,
@@ -487,7 +484,7 @@ def test_dt_linear_payoff_vanishes():
 
 def test_dt_bump_with_driver_matches_pde():
     driver = preset_driver("linear-h", {"phi": "smooth-bump"})
-    sol = _solve(driver, form=PdeForm.MARKOVIAN_FBSDE)
+    sol = _solve(driver)
     est = estimate_dt(driver, 0.5, 0.0, G01, sol,
                       mc=dict(n_paths=10_000, n_steps=512, seed=0))
     d = derivatives(sol)
