@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gcore import (CylinderFunctional, DomainError, DriverSpec, GFunction1D,
-                    Grid1D, NumericalError, _zero3, _zero4, regularize)
+from .gcore import (CylinderFunctional, DomainError, DriverSpec, Grid1D,
+                    NumericalError, _zero3, _zero4, regularize)
 from . import pde as _pde
 from .pde import PdeProblem, FieldInterpolator
 from . import gexpect as _gexpect
@@ -156,13 +156,14 @@ def stream_gbsde(problem: PdeProblem, eps_schedule, *, safety: float = 0.9,
     nt, dt, _ = _pde._time_steps(grid, gs, driver, safety)
     phi = _pde._terminal_data(driver, grid.xs)
     u = np.broadcast_to(phi, (len(gs), grid.nx))
+    if not curvature:
+        return _new_family(problem, eps, nt,
+                           _pde._last_level(driver, grid, gs, nt, dt, u), None)
     mins = np.full(len(gs), _central_uxx(phi, grid.dx).min())
     for _n, _a, u in _pde._backward_steps(driver, grid, gs, nt, dt, u):
-        if curvature:
-            np.minimum(mins, _central_uxx(u, grid.dx).min(axis=-1), out=mins)
+        np.minimum(mins, _central_uxx(u, grid.dx).min(axis=-1), out=mins)
     # the step overwrites its level in place, hence the copy
-    return _new_family(problem, eps, nt, u.copy(),
-                       tuple(mins.tolist()) if curvature else None)
+    return _new_family(problem, eps, nt, u.copy(), tuple(mins.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +338,6 @@ def _refine(grid: Grid1D, factor: int) -> Grid1D:
                   nt)
 
 
-def _streamed(driver: DriverSpec, grid: Grid1D, G: GFunction1D, nt: int,
-              dt: float):
-    """The solver's step generator for one driver solved under ``G`` in
-    ``nt`` steps of ``dt`` from phi, without dense storage."""
-    phi = _pde._terminal_data(driver, grid.xs)
-    return _pde._backward_steps(driver, grid, (G,), nt, dt, phi[None])
-
-
 # grids per stability check: the problems' own and two refinements by 2
 _STABILITY_LEVELS = 3
 
@@ -394,27 +387,30 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
     rows = []
     for grid, (nt1, dt1), (nt, dt) in levels:
         xs, dx = grid.xs, grid.dx
+        # the rows of the second solve: [phi1, phi2] when stacked
         if stacked:
             phi = np.stack([_pde._terminal_data(d, xs) for d in (d1, d2)])
-            steps = _pde._backward_steps(d1, grid, (G,), nt, dt, phi)
         else:
-            for _n, _a, u1 in _streamed(d1, grid, G, nt1, dt1):
-                pass  # only u(0, .) is kept
-            steps = _streamed(d2, grid, G, nt, dt)
+            u1 = _pde._last_level(d1, grid, (G,), nt1, dt1,
+                                  _pde._terminal_data(d1, xs)[None])
+            phi = _pde._terminal_data(d2, xs)[None]
         # the differences at t = T would carry weight 0 in the integrals
         fhat = np.zeros(nt)
         ghat = np.zeros(nt)
-        for n, _a, u2 in steps:
-            y = u2[-1]
-            if not same_f:
-                fhat[n] = np.max(np.abs(
-                    np.asarray(d1.f(n * dt, xs, y), dtype=float)
-                    - np.asarray(d2.f(n * dt, xs, y), dtype=float)))
-            if not same_g:
-                z = _pde._ux(y, dx)
-                ghat[n] = np.max(np.abs(
-                    np.asarray(d1.g(n * dt, xs, y, z), dtype=float)
-                    - np.asarray(d2.g(n * dt, xs, y, z), dtype=float)))
+        if same_f and same_g:
+            u2 = _pde._last_level(d2, grid, (G,), nt, dt, phi)
+        else:
+            for n, _a, u2 in _pde._backward_steps(d2, grid, (G,), nt, dt, phi):
+                y = u2[-1]
+                if not same_f:
+                    fhat[n] = np.max(np.abs(
+                        np.asarray(d1.f(n * dt, xs, y), dtype=float)
+                        - np.asarray(d2.f(n * dt, xs, y), dtype=float)))
+                if not same_g:
+                    z = _pde._ux(y, dx)
+                    ghat[n] = np.max(np.abs(
+                        np.asarray(d1.g(n * dt, xs, y, z), dtype=float)
+                        - np.asarray(d2.g(n * dt, xs, y, z), dtype=float)))
         if stacked:
             u1 = u2
         delta = float(np.max(np.abs(u1[0] - u2[-1])))

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcore import (CylinderFunctional, DomainError, DriverSpec, GFunction1D,
-                    Grid1D, _as_vectorized, payoff_driver, preset_driver)
+                    Grid1D, NumericalError, _as_vectorized, payoff_driver,
+                    preset_driver)
 from . import pde as _pde
 
 _MAX_STATE_NODES = 250_000
@@ -270,19 +271,27 @@ def _cylinder_recursion(X: CylinderFunctional, G: GFunction1D, grids,
     N = X.n_stages
     if N > 4:
         raise DomainError(f"cylinder recursion supports N <= 4, got {N}")
+    shape = tuple(g.nx for g in grids)
+    # the time steps of every stage, and with them the work budget of every
+    # stage, and the table's bytes are settled before the table is built
+    steps = {i: _pde._time_steps(grids[i - 1], (G,), _HEAT, safety,
+                                 rows=math.prod(shape[:i - 1]))[:2]
+             for i in range(N, down_to, -1)}
+    nbytes = 8 * math.prod(shape)
+    if nbytes > _pde.DENSE_BYTES_MAX:
+        raise NumericalError(
+            f"cylinder table needs {nbytes / 2 ** 30:.3g} GiB for nx={shape}; "
+            f"the limit is {_pde.DENSE_BYTES_MAX / 2 ** 30:.3g} GiB")
     f = _as_vectorized(X.psi, N)
     mesh = np.meshgrid(*[g.xs for g in grids], indexing="ij", sparse=True)
     tab = np.ascontiguousarray(
-        np.broadcast_to(np.asarray(f(*mesh), dtype=float),
-                        tuple(g.nx for g in grids)), dtype=float)
+        np.broadcast_to(np.asarray(f(*mesh), dtype=float), shape),
+        dtype=float)
     for i in range(N, down_to, -1):
         grid = grids[i - 1]
-        rows = tab.reshape(-1, grid.nx)
-        nt, dt, _ = _pde._time_steps(grid, (G,), _HEAT, safety,
-                                     rows=rows.shape[0])
-        for _n, _a, rows in _pde._backward_steps(_HEAT, grid, (G,), nt, dt,
-                                                  rows):
-            pass  # only the level at the stage start is kept
+        # only the level at the stage start is kept
+        rows = _pde._last_level(_HEAT, grid, (G,), *steps[i],
+                                tab.reshape(-1, grid.nx))
         tab = _rows_at_zero(grid.xs, rows).reshape(tab.shape[:-1])
     return tab
 

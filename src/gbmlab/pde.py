@@ -44,13 +44,27 @@ NODE_STEPS_MAX = 2 ** 31
 # Fewest nodes one step is charged.  A step of ``_backward_steps`` costs
 # about c0 + c1 * (rows x nx): a least-squares fit of the best-of-3 per-step
 # time over rows 1, 4, 16 and nx 51 to 3201 (2-core Intel Xeon VM, numpy
-# 2.4) gave c0 = 18 us and c1 = 6.8 ns for ``quadratic`` and
-# ``smooth-bump``, c0 = 43 us and c1 = 15 ns for ``sine-gz``; c0 / c1 is
-# 2700 to 2900.  With a floor F >= c0 / c1 a charged node-step costs at most
-# c1 + c0 / F <= 2 c1, whatever the row width (25 ns for sine-gz at
-# F = 4096, so about 55 s for the whole budget), where counting nodes alone
-# lets one 51-node row cost 790 ns per node-step (28 min for the budget).
-STEP_NODES_MIN = 4096
+# 2.4, sigma_low = 0, three fits) gave c0 = 18 to 22 us and c1 = 4.0 to
+# 4.5 ns for ``quadratic`` and ``smooth-bump`` (c0 / c1 = 4200 to 5400, up
+# from 3700 to 4000 before the G-heat step dropped its sigma_low term and
+# folded 0.5 * dt), and c0 = 34 to 47 us, c1 = 15.6 to 16.5 ns for
+# ``sine-gz`` (c0 / c1 = 2100 to 3000).  With a floor F >= c0 / c1 a
+# charged node-step costs at most c1 + c0 / F <= 2 c1, whatever the row
+# width (22 ns for sine-gz at F = 8192, so about 47 s for the whole
+# budget), where counting nodes alone lets one 51-node row cost 790 ns per
+# node-step (28 min for the budget).
+STEP_NODES_MIN = 8192
+
+# Most nodes ``_last_level`` steps at once.  A G-heat step touches u, a and
+# the rate (8 bytes a node each) and the finite mask (1 byte): 25 bytes a
+# node, 1.2 MB for a block of 3 * 2^14 nodes, about 60% of the 2 MiB L2 of
+# a core (2-core Intel Xeon VM), so a block's buffers stay in L2 across
+# the step's passes.  Stepping the 401 rows x 401 nodes cylinder stage
+# (nt = 809) in blocks of 8, 16, 32, 64, 80 to 163 and 201 rows took 1.5,
+# 0.9 to 1.1, 0.70 to 0.79, 0.63 to 0.67, 0.58 to 0.68 and 0.63 to 0.68 s
+# (two rounds), against 0.81 to 0.85 s unblocked; this block holds 122
+# such rows.
+BLOCK_NODES = 3 * 2 ** 14
 
 
 class PdeForm(enum.Enum):
@@ -308,6 +322,28 @@ def _upwind(u: np.ndarray, dx: float, b: np.ndarray, work: _Work) -> np.ndarray:
     return work.tmp
 
 
+def _lower_term(driver: DriverSpec, sh2: np.ndarray, sl2: np.ndarray,
+                u: np.ndarray, dx: float, dt: float) -> bool:
+    """Whether the step must compute the sigma_low term sl2 * min(a, 0).
+
+    With every sl2 zero the term is a zero, and dropping it leaves every
+    bit unchanged except where a = -inf, which the term turns into NaN.
+    For the G-heat driver (no b, f, h, g, unit sigma) a is the second
+    difference, |a| <= 4 max|u| / dx^2, and a step with dt sh2 <= dx^2 is
+    a convex combination, so max|u| stays at most the terminal max|u| (up
+    to rounding, hence the factor 8): while that bound is finite, a is
+    finite and the term may go.
+    """
+    if sl2.any() or not (driver.b is _zero2 and driver.f is _zero3
+                         and driver.sigma is _one2 and driver.h is _zero2
+                         and driver.g is _zero4):
+        return True
+    dx2 = dx * dx
+    bound = 8.0 * float(np.max(np.abs(u), initial=0.0))
+    return not (dt * float(np.max(sh2)) <= dx2
+                and dx2 > 0.0 and math.isfinite(bound / dx2))
+
+
 def _backward_steps(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
                     u: np.ndarray):
     """Explicit monotone steps from stacked terminal rows ``u[rows, nx]``.
@@ -329,26 +365,36 @@ def _backward_steps(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
     u = np.array(u, dtype=float, order="C")
     work = _Work(u.shape)
     rate, tmp = work.rate, work.tmp
+    # without b and f the rate is only ever scaled: 0.5 * rate * dt equals
+    # (0.5 * dt) * rate, as halving is exact (unless 0.5 * rate is
+    # subnormal, which can move u only where |u| < 1e-290 dt)
+    fold = driver.b is _zero2 and driver.f is _zero3
+    lower = _lower_term(driver, sh2, sl2, u, dx, dt)
     for n in range(nt - 1, -1, -1):
         t_known = (n + 1) * dt
         a = _generator_arg(driver, t_known, xs, dx, u, work)
-        # rate = 0.5 * (sh2 * max(a, 0) - sl2 * max(-a, 0))
+        # rate = 0.5 * (sh2 * max(a, 0) - sl2 * max(-a, 0)), with
+        # -max(-a, 0) computed as min(a, 0): the same bits, zeros included
         np.maximum(a, 0.0, out=rate)
         np.multiply(sh2, rate, out=rate)
-        np.negative(a, out=tmp)
-        np.maximum(tmp, 0.0, out=tmp)
-        np.multiply(sl2, tmp, out=tmp)
-        np.subtract(rate, tmp, out=rate)
-        np.multiply(0.5, rate, out=rate)
-        if driver.b is not _zero2:
-            b = np.asarray(driver.b(t_known, xs), dtype=float)
-            if np.any(b):
-                np.multiply(b, _upwind(u, dx, b, work), out=tmp)
-                np.add(rate, tmp, out=rate)
-        if driver.f is not _zero3:
-            np.add(rate, np.asarray(driver.f(t_known, xs, u), dtype=float),
-                   out=rate)
-        np.multiply(dt, rate, out=rate)
+        if lower:
+            np.minimum(a, 0.0, out=tmp)
+            np.multiply(sl2, tmp, out=tmp)
+            np.add(rate, tmp, out=rate)
+        if fold:
+            np.multiply(0.5 * dt, rate, out=rate)
+        else:
+            np.multiply(0.5, rate, out=rate)
+            if driver.b is not _zero2:
+                b = np.asarray(driver.b(t_known, xs), dtype=float)
+                if np.any(b):
+                    np.multiply(b, _upwind(u, dx, b, work), out=tmp)
+                    np.add(rate, tmp, out=rate)
+            if driver.f is not _zero3:
+                np.add(rate,
+                       np.asarray(driver.f(t_known, xs, u), dtype=float),
+                       out=rate)
+            np.multiply(dt, rate, out=rate)
         np.add(u, rate, out=u)
         if not np.isfinite(u, out=work.finite).all():
             finite = work.finite.all(axis=0)
@@ -357,6 +403,35 @@ def _backward_steps(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
                 f"solution turned non-finite at time level {n} "
                 f"(t={n * dt:.6g}), node {j} (x={xs[j]:.6g})")
         yield n, a, u
+
+
+def _last_level(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
+                u: np.ndarray) -> np.ndarray:
+    """u(0, .) of ``_backward_steps`` from the rows ``u[rows, nx]``, as a
+    new array, the same bits as the last level of one sweep.
+
+    The rows are independent, so they are stepped through all ``nt`` steps
+    in blocks of at most ``BLOCK_NODES`` nodes, whose work buffers stay in
+    cache.  The caller has charged the work budget for the whole stack
+    (``_time_steps(rows=...)``).  If a block turns non-finite, the stack is
+    stepped again unblocked, which raises the error of one sweep: the first
+    level, and at it the first node, at which any row fails.
+    """
+    out = np.array(u, dtype=float, order="C")
+    per_block = max(1, BLOCK_NODES // grid.nx)
+    try:
+        for lo in range(0, out.shape[0], per_block):
+            block = slice(lo, lo + per_block)
+            for _n, _a, level in _backward_steps(
+                    driver, grid, Gs if len(Gs) == 1 else Gs[block], nt, dt,
+                    out[block]):
+                pass
+            out[block] = level
+    except NumericalError:
+        for _ in _backward_steps(driver, grid, Gs, nt, dt, u):
+            pass
+        raise
+    return out
 
 
 def _terminal_data(driver: DriverSpec, xs: np.ndarray) -> np.ndarray:

@@ -330,6 +330,31 @@ def test_dense_memory_guard_exits_two(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_cylinder_table_guard_exits_two(tmp_path):
+    # nx=20001 would tabulate 2.98 GiB and nx=3000000 65.5 TiB before the
+    # first stage; every stage's work budget and the table's bytes are
+    # checked first.  The address-space cap turns a missing guard into a
+    # MemoryError.
+    script = textwrap.dedent(f"""
+        import resource, sys
+        cap = 3 * 2 ** 29  # 1.5 GiB of address space
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        from gbmlab.cli import _main
+        print(*(_main(["cylinder", "--psi", "sum-sq", "--nx", nx,
+                       "--output-dir", {str(tmp_path)!r}])
+                for nx in ("20001", "3000000")))
+        """)
+    src = os.path.dirname(os.path.dirname(gbmlab.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["2", "2"], proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+
+
 def test_infinite_horizon_exits_one(tmp_path):
     assert _main(["gexpect", "--T", "inf", "--output-dir",
                   str(tmp_path)]) == 1

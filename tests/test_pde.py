@@ -430,16 +430,32 @@ _STEP_DRIVERS = {
                 g=lambda t, x, y, z: 0.25 * np.cos(_x(x))),
     # a constant drift: one upwind side only
     "b": dict(b=lambda t, x: np.full_like(_x(x), -0.7)),
+    # the G-heat driver: with every sigma_low zero the sigma_low term is
+    # skipped (without b and f, as in "h-g", 0.5 * dt is folded)
+    "heat": dict(),
+}
+
+# generators per row: every sigma_low zero, and mixed
+_STEP_GENERATORS = {
+    "zero-low": (make_gfunction(0.0, 1.0), make_gfunction(0.0, 1.2),
+                 make_gfunction(0.0, 0.8)),
+    "mixed": (make_gfunction(0.0, 1.0), make_gfunction(0.5, 1.2),
+              make_gfunction(0.2, 0.8)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_STEP_DRIVERS))
-def test_backward_steps_equal_the_allocating_step(name):
-    driver = DriverSpec(name=name, phi=np.cos, skip_self_check=True,
-                        **_STEP_DRIVERS[name])
+def _step_driver(name):
+    return DriverSpec(name=name, phi=np.cos, skip_self_check=True,
+                      **_STEP_DRIVERS[name])
+
+
+@pytest.mark.parametrize("name, gens", [
+    pytest.param(name, gens, id=name if gens == "mixed" else f"{name}-{gens}")
+    for name in sorted(_STEP_DRIVERS) for gens in sorted(_STEP_GENERATORS)])
+def test_backward_steps_equal_the_allocating_step(name, gens):
+    driver = _step_driver(name)
     grid = Grid1D(-3.0, 3.0, 61, 0.5)
-    Gs = (make_gfunction(0.0, 1.0), make_gfunction(0.5, 1.2),
-          make_gfunction(0.2, 0.8))
+    Gs = _STEP_GENERATORS[gens]
     xs = grid.xs
     stack = np.zeros((4, 3, grid.nx))
     stack[1] = np.stack([np.cos(xs), 0.5 * np.sin(2.0 * xs), xs ** 2 / 9.0])
@@ -455,6 +471,86 @@ def test_backward_steps_equal_the_allocating_step(name):
         levels += 1
     assert levels == 40
     assert stack.tobytes() == before
+    # the heat rows under zero sigma_low take the step without that term
+    sh2 = np.array([[G.sigma_high ** 2] for G in Gs])
+    sl2 = np.array([[G.sigma_low ** 2] for G in Gs])
+    assert pde._lower_term(driver, sh2, sl2, rows, grid.dx, 2e-4) \
+        == (name != "heat" or gens != "zero-low")
+
+
+def _first_failure(driver, grid, Gs, nt, dt, rows):
+    """(level, node) at which the allocating step first turns non-finite:
+    the first node at which any row fails."""
+    for n, _a, un in _reference_steps(driver, grid, Gs, nt, dt, rows):
+        bad = ~np.isfinite(un).all(axis=0)
+        if bad.any():
+            return n, int(np.argmax(bad))
+    raise AssertionError("the reference step stayed finite")
+
+
+@pytest.mark.parametrize("gens", sorted(_STEP_GENERATORS))
+def test_backward_steps_fail_where_the_allocating_step_fails(gens):
+    # near 1e308, 2 u overflows inside the second difference: a = -inf at
+    # the crest, where only the sigma_low term (0 * inf with sigma_low = 0)
+    # turns the rate into NaN; without it the step would stay finite
+    driver = _step_driver("heat")
+    grid = Grid1D(-3.0, 3.0, 61, 0.5)
+    Gs = _STEP_GENERATORS[gens]
+    rows = np.stack([np.cos(grid.xs), 1e308 * np.exp(-grid.xs ** 2),
+                     np.sin(grid.xs)])
+    with np.errstate(all="ignore"):
+        n, j = _first_failure(driver, grid, Gs, 40, 2e-4, rows)
+        with pytest.raises(NumericalError,
+                           match=rf"time level {n} .*, node {j} "):
+            for _ in pde._backward_steps(driver, grid, Gs, 40, 2e-4, rows):
+                pass
+
+
+def _one_sweep(driver, grid, Gs, nt, dt, rows):
+    for _n, _a, un in pde._backward_steps(driver, grid, Gs, nt, dt, rows):
+        pass
+    return un
+
+
+@pytest.mark.parametrize("name", ["heat", "all"])
+def test_last_level_in_blocks_equals_one_sweep(monkeypatch, name):
+    # 10 rows in blocks of 3: three full blocks and a ragged one; the
+    # "all" driver steps each row under its own generator
+    driver = _step_driver(name)
+    grid = Grid1D(-3.0, 3.0, 61, 0.5)
+    monkeypatch.setattr(pde, "BLOCK_NODES", 3 * grid.nx + 2)
+    k = np.arange(10.0)[:, None]
+    rows = np.cos((1.0 + 0.1 * k) * grid.xs) + 0.05 * k * grid.xs
+    Gs = ((G01,) if name == "heat" else
+          tuple(make_gfunction(0.05 * i, 0.8 + 0.05 * i) for i in range(10)))
+    before = rows.tobytes()
+    got = pde._last_level(driver, grid, Gs, 40, 2e-4, rows)
+    assert got.tobytes() == _one_sweep(driver, grid, Gs, 40, 2e-4,
+                                       rows).tobytes()
+    assert rows.tobytes() == before
+
+
+def test_last_level_block_failure_raises_the_error_of_one_sweep(monkeypatch):
+    # f grows u by about 1 + 50 dt a step: the 1e306 row (last block)
+    # overflows at an earlier level than the 1e300 row (second block),
+    # which is stepped first
+    driver = DriverSpec(name="growth", phi=np.cos, skip_self_check=True,
+                        f=lambda t, x, y: 50.0 * y)
+    grid = Grid1D(-3.0, 3.0, 61, 0.5)
+    monkeypatch.setattr(pde, "BLOCK_NODES", 3 * grid.nx)
+    rows = np.tile(np.cos(grid.xs), (7, 1))
+    rows[4] *= 1e300
+    rows[6] *= 1e306
+    nt, dt = 400, 2e-3
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError) as sweep:
+            _one_sweep(driver, grid, (G01,), nt, dt, rows)
+        with pytest.raises(NumericalError) as second_block:
+            _one_sweep(driver, grid, (G01,), nt, dt, rows[3:6])
+        with pytest.raises(NumericalError) as blocked:
+            pde._last_level(driver, grid, (G01,), nt, dt, rows)
+    assert str(second_block.value) != str(sweep.value)
+    assert str(blocked.value) == str(sweep.value)
 
 
 def test_gheat_solve_with_zero_sigma_low_equals_the_allocating_step():
