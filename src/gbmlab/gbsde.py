@@ -536,14 +536,17 @@ def counterexample_demo(T: float, eps_list, mc: dict | None = None,
     mc = dict(mc or {})
     n_paths = int(mc.get("n_paths", 100_000))
     n_steps = int(mc.get("n_steps", 256))
-    _scenario._check_path_counts(n_paths, n_steps)
+    chunk = 16_384
+    # a chunk of normals and its scaled copy
+    _scenario._check_path_work(n_paths, n_steps,
+                               16 * min(n_paths, chunk) * n_steps,
+                               draws=len(eps))
     seed = int(mc.get("seed", 0))
     dt = T / n_steps
     w = ((np.arange(n_steps) + 0.5) * dt) ** (-q)
     q_det = dt ** (1.0 - q) / (1.0 - q) + float(w[1:].sum()) * dt
     sqdt = math.sqrt(dt)
     rows = []
-    chunk = 16_384
     for li, e in enumerate(eps):
         bound = T ** (1.0 - q) * e ** (-2.0 * q) / (1.0 - q)
         level_seed = seed + 1_000_003 * li

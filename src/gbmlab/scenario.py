@@ -14,10 +14,16 @@ use a deterministic pairwise reduction.
 
 ``estimate_dx`` and ``estimate_dt`` draw the normals once per estimate,
 stored step by step, and walk the paths in one loop over the steps.  Each
-step finds every path's grid position once, reads u, u_x, the generator
-argument and the feedback volatility there, advances X, log Gamma, Xhat
-(and Xbar for the time derivative) as running per-path vectors,
-accumulates the estimator integrand and writes the K increment.
+step finds every path's grid position once and reads the generator
+argument and the feedback volatility there, and u and u_x only if a live
+term of f or g takes them.  It evaluates each live driver coefficient
+once, advances X, log Gamma, Xhat (and Xbar for the time derivative) as
+running per-path vectors, accumulates the estimator integrand and writes
+the K increment; which terms are live (not the shared zero or one of
+``DriverSpec``) is decided once per estimate (``_Pass``), and Gamma and
+Xhat stay 1 when none of theirs is.  An estimate first checks its path
+arrays' bytes and its path-step charge (``PATH_BYTES_MAX``,
+``PATH_STEPS_MAX``).
 
 The candidate controls share that walk.  The base feedback control walks
 every path.  The tie-flipped control differs from it only at some tied
@@ -28,8 +34,10 @@ only forked paths.  Every operation is elementwise in the path, so the
 flipped control's results are those of a walk over all paths, bit for bit.
 
 ``simulate_paths``, ``forward_sde``, ``variational_paths`` and
-``k_increments`` run the same step helpers over a whole bundle, one
-stochastic process per call.
+``k_increments`` run the plain step helpers (``_forward_step``,
+``_Variations.step``, ``_k_step``), which evaluate every term, over a
+whole bundle, one stochastic process per call: they are the reference the
+estimates equal bit for bit.
 """
 
 from __future__ import annotations
@@ -52,10 +60,59 @@ from .pde import (FieldInterpolator, GridPoints, PdeSolution, _time_index,
 # paths per block of the step-major (n_steps, n_paths) buffers
 _BLOCK = 1024
 
+# Largest path arrays one run may allocate: an estimate's normals and K
+# increments (8 bytes a path-step each), or a counterexample chunk and its
+# scaled copy.  The biggest in the test suite is 82 MB (a 10k x 512
+# estimate), in the benchmark 41 MB (10k x 256); a run that asks for more
+# than this exits with a NumericalError before its first draw instead of
+# meeting the OOM killer.
+PATH_BYTES_MAX = 2 ** 30
+
+# Most path-steps one run may charge before its first draw.  Measured on a
+# 2-core Intel Xeon VM (numpy 2.4): ``counterexample_demo`` costs about
+# 3.8 us a path (re-keying Philox) plus 32 ns a path-step (48 ns at 256
+# steps); a step of ``_estimate`` costs c0 + c1 * paths, normals included,
+# with c0 = 63 to 220 us and c1 = 94 to 470 ns (the high ends for
+# ``sine-gz``'s time derivative with most paths forked onto the
+# tie-flipped walk).  So each path is charged at least PATH_STEPS_MIN
+# steps (> 3.8 us / 32 ns), each estimate step at least STEP_PATHS_MIN
+# paths (> c0 / c1), and each of an estimate's path-steps WALK_COST
+# path-steps (about 470 / 48 ns).  Runs charged the whole budget took 14 s
+# (counterexample, 4 draws x 262144 x 256) and 16 s (that forked
+# ``sine-gz`` estimate, 1024 x 32768).  The biggest charge in the test
+# suite is criterion 09's counterexample, 4 x 100k x 256 = 1.0e8 (a 10k x
+# 512 estimate charges 4.1e7); in the benchmark 2.0e7 (each estimate, 10k
+# x 256) and 1.0e7 (counterexample).
+PATH_STEPS_MAX = 2 ** 28
+PATH_STEPS_MIN = 256
+STEP_PATHS_MIN = 1024
+WALK_COST = 8
+
 
 def _check_path_counts(n_paths: int, n_steps: int) -> None:
     if n_paths < 1 or n_steps < 1:
         raise DomainError("need n_paths >= 1 and n_steps >= 1")
+
+
+def _check_path_work(n_paths: int, n_steps: int, nbytes: int, *,
+                     draws: int = 1, walk: bool = False) -> None:
+    """Refuse, before the first draw, a run of ``draws`` draws of
+    (n_paths, n_steps) normals, walked as an estimate's paths if ``walk``,
+    whose path arrays need more than ``PATH_BYTES_MAX`` bytes or whose
+    charge exceeds ``PATH_STEPS_MAX`` path-steps."""
+    _check_path_counts(n_paths, n_steps)
+    if nbytes > PATH_BYTES_MAX:
+        raise NumericalError(
+            f"path arrays need {nbytes / 2 ** 30:.3g} GiB for "
+            f"n_paths={n_paths}, n_steps={n_steps}; the limit is "
+            f"{PATH_BYTES_MAX / 2 ** 30:.3g} GiB")
+    work = draws * max(n_steps, PATH_STEPS_MIN) * (
+        WALK_COST * max(n_paths, STEP_PATHS_MIN) if walk else n_paths)
+    if work > PATH_STEPS_MAX:
+        raise NumericalError(
+            f"run charges {work} path-steps for n_paths={n_paths}, "
+            f"n_steps={n_steps}, {draws} draw(s); the limit is "
+            f"{PATH_STEPS_MAX}")
 
 
 def path_normals(seed: int, n_paths: int, n_steps: int,
@@ -544,54 +601,168 @@ class _Walk:
             * self.var.Gamma
 
 
-@dataclass(frozen=True)
+# the driver coefficients and derivatives a path step reads, by estimate,
+# and the arguments each takes: (t, x), (t, x, y) or (t, x, y, z)
+_STEP_READS = {"x": ("b", "h", "sigma", "b_x", "h_x", "sigma_x", "f_y", "g_y",
+                     "g_z", "f_x", "g_x")}
+_STEP_READS["t"] = _STEP_READS["x"] + ("b_t", "h_t", "sigma_t", "f", "f_t",
+                                       "g", "g_t")
+_ARITY = {"b": 2, "h": 2, "sigma": 2, "f": 3, "g": 4}
+
+
+def _live_terms(driver: DriverSpec, names) -> tuple:
+    """Those of ``names`` whose callable on ``driver`` is neither None nor
+    the shared default (the zero, or the one for sigma)."""
+    defaults = DriverSpec.__dataclass_fields__
+    return tuple(nm for nm in names
+                 if getattr(driver, nm) is not None
+                 and getattr(driver, nm) is not defaults[nm].default)
+
+
+def _samples_finite(field: np.ndarray, dx: float) -> bool:
+    """Whether ``GridPoints.sample`` of every row of ``field`` is finite at
+    every finite point: with M = max|field|, a slope is at most 2 M / dx
+    and a sample at most 3 M, up to rounding (hence the factor 8)."""
+    bound = 8.0 * float(np.max(np.abs(field), initial=0.0))
+    return math.isfinite(bound) and math.isfinite(bound / dx)
+
+
+def _times(a, b):
+    return None if a is None else a * b
+
+
+def _over(a, b):
+    return None if a is None else a / b
+
+
+def _sum(*terms):
+    """Left-to-right sum of the terms that are not None (None if none is)."""
+    out = None
+    for term in terms:
+        if term is not None:
+            out = term if out is None else out + term
+    return out
+
+
 class _Pass:
     """What the walks of one estimate share: the derivative (``kind`` "x"
-    or "t"), driver, generator, fields and time grid."""
+    or "t"), driver, generator, fields and time grid, and which of the
+    step's terms are live.
 
-    kind: str
-    driver: DriverSpec
-    G: GFunction1D
-    fields: FieldInterpolator
-    t0: float
-    dt: float
+    ``step`` computes what ``_k_step``, ``_Variations.step`` and
+    ``_forward_step`` compute, bit for bit, but evaluates each live
+    coefficient once (``calls``) and skips each term whose coefficient is
+    the shared zero or one of ``DriverSpec`` (or a None time derivative).
+    Such a term is an exact zero (+0.0 in the forward step).  Each sum it
+    drops out of starts at a running value that is never -0.0 (X after
+    the ``+ 0.0`` the step keeps when b or h is dead; log Gamma, Xbar and
+    the integral, which only ever add to +0.0) or is an increment of one,
+    so only the sign of a zero increment can differ.  A dead term times a
+    state that is not finite is NaN, not zero, but the estimate then
+    raises anyway.  Two dead terms multiply a sampled field, the sigma_low
+    term of G(a) and g_z Z in the time integrand; each is skipped only
+    when no sample of its field can be infinite (``_samples_finite``).
+    """
+
+    def __init__(self, kind: str, driver: DriverSpec, G: GFunction1D,
+                 fields: FieldInterpolator, t0: float, dt: float):
+        self.kind, self.driver, self.G, self.fields = kind, driver, G, fields
+        self.t0, self.dt, self.sqdt = t0, dt, math.sqrt(dt)
+        sol = fields.sol
+        self.T = sol.grid.T
+        self.horizon = self.T - t0
+        live = _live_terms(driver, _STEP_READS[kind])
+        self.gamma = any(nm in live for nm in ("f_y", "g_y", "g_z"))
+        self.xhat = any(nm in live for nm in ("b_x", "h_x", "sigma_x"))
+        if kind == "t" and "g_z" not in live \
+                and not _samples_finite(fields.ux, sol.dx):
+            live += ("g_z",)  # g_z Z is NaN where Z is infinite
+        self.calls = tuple((nm, _ARITY[nm.split("_")[0]]) for nm in live)
+        self.reads_y = any(arity > 2 for _nm, arity in self.calls)
+        self.reads_z = any(arity > 3 for _nm, arity in self.calls)
+        self.lower = G.sigma_low != 0.0 \
+            or not _samples_finite(sol.a_field, sol.dx)
+        self.sh2 = G.sigma_high ** 2
 
     def step(self, walk: _Walk, k: int, n: int, pts: GridPoints,
              s: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """Advance ``walk`` over step k with volatility ``s`` and normals
         ``xi`` per path (``n`` is the field level, ``pts`` where the paths
         are).  Returns the step's K increments."""
-        driver, fields, x, var = self.driver, self.fields, walk.x, walk.var
-        sol, dt = fields.sol, self.dt
-        T, tk = sol.grid.T, self.t0 + k * dt
-        y, z, a = (pts.sample(sol.u[n]), pts.sample(fields.ux[n]),
-                   pts.sample(sol.a_field[n]))
-        db = s * math.sqrt(dt) * xi
+        fields, x, dt = self.fields, walk.x, self.dt
+        sol, tk = fields.sol, self.t0 + k * dt
+        y = pts.sample(sol.u[n]) if self.reads_y else None
+        z = pts.sample(fields.ux[n]) if self.reads_z else None
+        a = pts.sample(sol.a_field[n])
+        db = s * self.sqdt * xi
         dq = s * s * dt
-        gam = var.Gamma
-        if self.kind == "x":
-            w = var.Xhat * gam
-            walk.acc += np.asarray(driver.f_x(tk, x, y), dtype=float) * w * dt
-            walk.acc += np.asarray(driver.g_x(tk, x, y, z),
-                                   dtype=float) * w * dq
-        else:
-            horizon = T - self.t0
-            tau = (T - tk) / horizon
-            xb = var.Xbar
-            fterm = (np.asarray(driver.f_x(tk, x, y), dtype=float) * xb
-                     + tau * _opt(driver.f_t, tk, x, y)
-                     - np.asarray(driver.f(tk, x, y), dtype=float) / horizon)
-            gterm = (np.asarray(driver.g_z(tk, x, y, z), dtype=float) * z
-                     / (2.0 * horizon)
-                     + np.asarray(driver.g_x(tk, x, y, z), dtype=float) * xb
-                     + tau * _opt(driver.g_t, tk, x, y, z)
-                     - np.asarray(driver.g(tk, x, y, z), dtype=float)
-                     / horizon)
-            walk.acc += fterm * gam * dt + gterm * gam * dq
-        dk = _k_step(self.G, a, dq, dt)
-        var.step(driver, tk, x, y, z, dt, dq, db)
-        walk.x = _forward_step(driver, tk, x, dt, dq, db)
+        args = (tk, x, y, z)
+        c = {nm: np.asarray(getattr(self.driver, nm)(*args[:arity]),
+                            dtype=float)
+             for nm, arity in self.calls}
+        self._integrand(walk, c, tk, z, dq)
+        g = self.G.eval(a) if self.lower \
+            else 0.5 * (self.sh2 * np.maximum(a, 0.0))
+        dk = 0.5 * a * dq - g * dt
+        self._variations(walk.var, c, tk, dq, db)
+        start = x if "b" in c and "h" in c else x + 0.0
+        walk.x = _sum(start, _times(c.get("b"), dt), _times(c.get("h"), dq),
+                      db if "sigma" not in c else c["sigma"] * db)
         return dk
+
+    def _integrand(self, walk: _Walk, c: dict, tk: float, z, dq) -> None:
+        """Add the step's estimator integrand to ``walk.acc``."""
+        var, dt = walk.var, self.dt
+        if self.kind == "x":
+            if "f_x" in c or "g_x" in c:
+                w = var.Xhat * var.Gamma
+                if "f_x" in c:
+                    walk.acc += c["f_x"] * w * dt
+                if "g_x" in c:
+                    walk.acc += c["g_x"] * w * dq
+            return
+        horizon, xb, gam = self.horizon, var.Xbar, var.Gamma
+        tau = (self.T - tk) / horizon
+        # a - b is a + (-b), and b / -h is -(b / h), bit for bit
+        fterm = _sum(_times(c.get("f_x"), xb), _times(c.get("f_t"), tau),
+                     _over(c.get("f"), -horizon))
+        gterm = _sum(_over(_times(c.get("g_z"), z), 2.0 * horizon),
+                     _times(c.get("g_x"), xb), _times(c.get("g_t"), tau),
+                     _over(c.get("g"), -horizon))
+        inc = _sum(_times(_times(fterm, gam), dt),
+                   _times(_times(gterm, gam), dq))
+        if inc is not None:
+            walk.acc += inc
+
+    def _variations(self, var: _Variations, c: dict, tk: float, dq,
+                    db) -> None:
+        """Advance log Gamma, Xhat and Xbar over the step."""
+        dt, checks = self.dt, []
+        if self.gamma:
+            gz = c.get("g_z")
+            q = _sum(c.get("g_y"), _times(_times(gz, -0.5), gz))
+            var.logG = _sum(var.logG, _times(c.get("f_y"), dt), _times(q, dq),
+                            _times(gz, db))
+            var.Gamma = np.exp(var.logG)
+            checks.append(var.Gamma)
+        if var.Xbar is not None:
+            xb, horizon = var.Xbar, self.horizon
+            tau = (self.T - tk) / horizon
+            var.Xbar = _sum(xb, *(
+                _times(_sum(_times(c.get(nm + "_x"), xb),
+                            _times(c.get(nm + "_t"), tau),
+                            _over(c.get(nm, one), div)), inc)
+                for nm, one, div, inc in (
+                    ("b", None, -horizon, dt), ("h", None, -horizon, dq),
+                    ("sigma", 1.0, -2.0 * horizon, db))))
+            checks.append(var.Xbar)
+        if self.xhat:
+            var.Xhat = var.Xhat * _sum(1.0, _times(c.get("b_x"), dt),
+                                       _times(c.get("h_x"), dq),
+                                       _times(c.get("sigma_x"), db))
+            checks.append(var.Xhat)
+        var.finite = var.finite and all(bool(np.isfinite(p).all())
+                                        for p in checks)
 
 
 class _Fork:
@@ -684,8 +855,9 @@ def _estimate(kind: str, driver: DriverSpec, t: float, x: float,
     seed = int(mc.get("seed", 0))
     fields = FieldInterpolator(sol)
     controls = _candidate_controls(sol, G)
-    # refuse a bad horizon before drawing
+    # refuse a bad horizon, and too big a walk, before drawing
     dt = _step_size(t, sol.grid.T, n_steps)
+    _check_path_work(n_paths, n_steps, 16 * n_paths * n_steps, walk=True)
     xi = _normals_by_step(seed, n_paths, n_steps)
     run = _Pass(kind, driver, G, fields, t, dt)
     t_end = sol.grid.T if kind == "t" else None

@@ -37,6 +37,17 @@ def _summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
 
 
+def _child(script: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this gbmlab, with
+    one BLAS thread."""
+    src = os.path.dirname(os.path.dirname(gbmlab.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def _config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(CONFIG_TEXT)
@@ -320,12 +331,7 @@ def test_dense_memory_guard_exits_two(tmp_path):
                         "c=1e6", "--nx", "51", "--output-dir",
                         {str(tmp_path)!r}]))
         """)
-    src = os.path.dirname(os.path.dirname(gbmlab.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _child(script, timeout=120)
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr
 
@@ -344,15 +350,53 @@ def test_cylinder_table_guard_exits_two(tmp_path):
                        "--output-dir", {str(tmp_path)!r}])
                 for nx in ("20001", "3000000")))
         """)
-    src = os.path.dirname(os.path.dirname(gbmlab.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _child(script, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == ["2", "2"], proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    # the normals and the K increments would take 5.72 GiB each
+    ["sensitivity-x", "--preset", "smooth-bump", "--nx", "41", "--n-paths",
+     "256", "--n-steps", "3000000"],
+    # a chunk of 256 x 3M normals and its scaled copy, 5.72 GiB each
+    ["counterexample", "--n-paths", "256", "--n-steps", "3000000"],
+], ids=["sensitivity-x", "counterexample"])
+def test_path_memory_guard_exits_two(tmp_path, argv):
+    # the path arrays' bytes are checked before the first draw; the
+    # address-space cap turns a missing guard into a MemoryError
+    script = textwrap.dedent(f"""
+        import resource, sys
+        cap = 2 ** 31  # 2 GiB of address space
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        from gbmlab.cli import _main
+        sys.exit(_main({argv!r} + ["--output-dir", {str(tmp_path)!r}]))
+        """)
+    proc = _child(script, timeout=120)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert "GiB" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    # 4.8e10 normals in chunks under the byte guard: minutes of drawing
+    ["counterexample", "--n-paths", "3000000", "--n-steps", "4000"],
+    # one path over 3M steps, 48 MB of path arrays, but each step's fixed
+    # cost of some 60 us adds up to minutes
+    ["sensitivity-x", "--preset", "smooth-bump", "--nx", "41", "--n-paths",
+     "1", "--n-steps", "3000000"],
+], ids=["counterexample", "sensitivity-x-one-path"])
+def test_path_work_budget_exits_two(tmp_path, argv):
+    script = textwrap.dedent(f"""
+        import sys
+        from gbmlab.cli import _main
+        sys.exit(_main({argv!r} + ["--output-dir", {str(tmp_path)!r}]))
+        """)
+    proc = _child(script, timeout=60)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert "path-steps" in proc.stderr
 
 
 def test_infinite_horizon_exits_one(tmp_path):
@@ -398,12 +442,7 @@ def test_work_budget_exits_two(tmp_path):
                         "--param", "c=1e6", "--nx", "51", "--output-dir",
                         {str(tmp_path)!r}]))
         """)
-    src = os.path.dirname(os.path.dirname(gbmlab.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = _child(script, timeout=60)
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr
 
@@ -427,12 +466,7 @@ def test_per_step_floor_refuses_long_narrow_solves(tmp_path, argv):
         from gbmlab.cli import _main
         sys.exit(_main({argv!r} + ["--output-dir", {str(tmp_path)!r}]))
         """)
-    src = os.path.dirname(os.path.dirname(gbmlab.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = _child(script, timeout=60)
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr
     assert "node-steps" in proc.stderr

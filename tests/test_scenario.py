@@ -11,6 +11,7 @@ import pytest
 from gbmlab import scenario
 from gbmlab.gcore import (
     DomainError,
+    DriverSpec,
     Grid1D,
     make_gfunction,
     payoff_driver,
@@ -19,6 +20,7 @@ from gbmlab.gcore import (
 )
 from gbmlab.pde import (
     FieldInterpolator,
+    GridPoints,
     PdeProblem,
     derivatives,
     solve_terminal_pde,
@@ -458,6 +460,124 @@ def test_paths_forked_mid_run_equal_whole_bundle_passes(preset, G, kind, t,
     assert np.mean((first > 0) & (first < FORK_MC["n_steps"])) > share
     _assert_estimates_equal_whole_bundle_passes(kind, driver, t, 0.0, G, sol,
                                                 FORK_MC)
+
+
+def _all_live_driver():
+    """The smooth-bump payoff with every coefficient and derivative live
+    (none is the shared zero or one of ``DriverSpec``), so that a path step
+    computes every term.  f and g vanish at y = z = 0, so the generator
+    argument is tiny where the bump's value is: the far field ties."""
+    def arr(v):
+        return np.asarray(v, dtype=float)
+
+    def g_z(t, x, y, z):  # g = g_z z
+        return 0.2 + 0.1 * np.cos(x) + 0.05 * t + 0.1 * arr(y) + 0.0 * arr(z)
+
+    return dataclasses.replace(
+        preset_driver("smooth-bump"), name="all-live",
+        b=lambda t, x: 0.2 * np.sin(x) + 0.1 * t,
+        b_x=lambda t, x: 0.2 * np.cos(x),
+        b_t=lambda t, x: 0.1 + 0.0 * arr(x),
+        h=lambda t, x: 0.1 * np.cos(x) * (1.0 + t),
+        h_x=lambda t, x: -0.1 * np.sin(x) * (1.0 + t),
+        h_t=lambda t, x: 0.1 * np.cos(x),
+        sigma=lambda t, x: 1.0 + 0.2 * np.sin(x) + 0.1 * t,
+        sigma_x=lambda t, x: 0.2 * np.cos(x),
+        sigma_t=lambda t, x: 0.1 + 0.0 * arr(x),
+        f=lambda t, x, y: (0.1 * np.sin(x) + 0.05 * t) * y,
+        f_x=lambda t, x, y: 0.1 * np.cos(x) * y,
+        f_y=lambda t, x, y: 0.1 * np.sin(x) + 0.05 * t + 0.0 * arr(y),
+        f_t=lambda t, x, y: 0.05 * arr(y) + 0.0 * arr(x),
+        g=lambda t, x, y, z: g_z(t, x, y, z) * z,
+        g_x=lambda t, x, y, z: -0.1 * np.sin(x) * z + 0.0 * arr(y),
+        g_y=lambda t, x, y, z: 0.1 * arr(z) + 0.0 * arr(x) * arr(y),
+        g_z=g_z,
+        g_t=lambda t, x, y, z: 0.05 * arr(z) + 0.0 * arr(x) * arr(y))
+
+
+_TIME_DERIVATIVES = ("b_t", "h_t", "sigma_t", "f_t", "g_t")
+
+
+@pytest.mark.parametrize("kind, t", [("x", 0.25), ("t", 0.5)])
+@pytest.mark.parametrize("G, untimed", [
+    (regularize(G01, 0.2), False),
+    (make_gfunction(1.0, 1.0), False),
+    (regularize(G01, 0.2), True),
+], ids=["forked", "unforked", "forked-no-time-derivatives"])
+def test_every_live_term_equals_whole_bundle_passes(kind, t, G, untimed):
+    # the presets leave b, h, f and most derivatives at the shared zero and
+    # sigma at the shared one; here every one of them is a live term that
+    # the step must compute (a None time derivative is a dead one)
+    driver = _all_live_driver()
+    if untimed:
+        driver = dataclasses.replace(
+            driver, **dict.fromkeys(_TIME_DERIVATIVES))
+    sol = _solve(driver, G=G, nx=201)
+    run = scenario._Pass(kind, driver, G, FieldInterpolator(sol), t, 0.01)
+    live = set(scenario._STEP_READS[kind])
+    if untimed:
+        live -= set(_TIME_DERIVATIVES)
+    assert {nm for nm, _arity in run.calls} == live
+    first = _first_fork_steps(driver, t, 0.0, G, sol, FORK_MC)
+    forked = (first > 0) & (first < FORK_MC["n_steps"])
+    # equal volatility bounds: the tie-flipped field is the base field
+    assert forked.any() == (G.sigma_low < G.sigma_high)
+    _assert_estimates_equal_whole_bundle_passes(kind, driver, t, 0.0, G, sol,
+                                                FORK_MC)
+
+
+def test_negative_zero_start_equals_whole_bundle_passes():
+    # a concave payoff under sigma_low = 0: every path stands nearest the
+    # middle node, where the control picks s = 0, so dB = -0.0 wherever the
+    # normal is negative, and X = (-0.0 + 0 dt + 0 dQV) + 1 (-0.0) = +0.0
+    # after the first step; phi_x tells the two zeros apart
+    driver = payoff_driver(lambda x: -np.abs(np.asarray(x, dtype=float)),
+                           lambda x: -np.copysign(1.0, x), name="neg-abs")
+    sol = _solve(driver, G=G01, nx=41)
+    mc = dict(n_paths=400, n_steps=3, seed=5)
+    base = scenario._candidate_controls(sol, G01)[0]
+    bundle = simulate_paths(base, mc["n_paths"], mc["n_steps"], 1.0,
+                            mc["seed"], driver=driver, x0=-0.0)
+    assert np.all(bundle.dB == 0.0) and np.signbit(bundle.dB[:, 0]).any()
+    assert not np.signbit(bundle.x_paths[:, 1:]).any()
+    assert not scenario._Pass("x", driver, G01, FieldInterpolator(sol), 0.0,
+                              0.01).lower
+    est = estimate_dx(driver, 0.0, -0.0, G01, sol, mc=mc)
+    ref = _reference_estimate("x", driver, 0.0, -0.0, G01, sol, mc)
+    assert est.plus == -1.0
+    assert list(est.controls) == ref
+
+
+@pytest.mark.parametrize("preset, params, kind, calls", [
+    ("smooth-bump", {"width": 2.0}, "x", ()),
+    ("abs", {}, "x", ()),
+    ("sine-gz", {}, "t", ("g_z", "g")),
+])
+def test_benchmark_presets_skip_their_dead_terms(preset, params, kind,
+                                                 calls):
+    # the presets of sensitivity-x, kink and sensitivity-t: only sine-gz's
+    # g and g_z are evaluated, and only they read Y and Z and move Gamma;
+    # Xhat stays 1, and eps > 0 keeps the sigma_low term of G(a)
+    G = regularize(G01, 0.2)
+    driver = preset_driver(preset, params)
+    sol = _solve(driver, G=G, nx=201)
+    run = scenario._Pass(kind, driver, G, FieldInterpolator(sol), 0.0, 0.01)
+    assert tuple(nm for nm, _arity in run.calls) == calls
+    assert run.reads_y == run.reads_z == run.gamma == bool(calls)
+    assert not run.xhat
+    assert run.lower
+
+
+def test_sampled_fields_checked_finite_before_a_term_is_dropped():
+    xs = np.linspace(0.0, 1.0, 11)
+    assert scenario._samples_finite(np.array([[1.0, -2.0], [3.0, 0.0]]), 0.1)
+    # finite nodes whose slope overflows: the interpolated sample is not
+    # finite, so a term that multiplies it by zero is NaN, not zero
+    row = np.where(np.arange(11) % 2, 1e307, -1e307)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(GridPoints(xs, [0.05]).sample(row)).all()
+    assert not scenario._samples_finite(row[None, :], 0.1)
+    assert not scenario._samples_finite(np.array([[0.0, np.nan]]), 0.1)
 
 
 # ---------------------------------------------------------------------------
