@@ -28,8 +28,8 @@ import numpy as np
 
 from .gcore import (ConfigError, CylinderFunctional, DomainError, DriverSpec,
                     GFunction1D, Grid1D, NumericalError, PRESET_NAMES,
-                    _coerce, make_gfunction, parse_config, preset_driver,
-                    preset_keys, regularize)
+                    _coerce, check_param, make_gfunction, parse_config,
+                    preset_driver, preset_keys, regularize)
 from . import pde as _pde
 from .pde import PdeProblem
 from . import gexpect as _gexpect
@@ -261,8 +261,8 @@ def _merge_config(path: str | None, flags: argparse.Namespace,
 
 def _check_params(cfg: RunConfig, subcommand: str) -> None:
     """Refuse driver parameters that no preset of the run reads, for
-    ``stability`` the second preset included; ``counterexample`` reads
-    only ``exponent``, itself."""
+    ``stability`` the second preset included (``counterexample`` reads
+    only ``exponent``, itself), and values outside a parameter's domain."""
     keys = {"exponent"} if subcommand == "counterexample" \
         else preset_keys(cfg.preset, cfg.params)
     if subcommand == "stability" and cfg.preset_b is not None:
@@ -272,6 +272,8 @@ def _check_params(cfg: RunConfig, subcommand: str) -> None:
         raise ConfigError(f"no preset of this run reads the parameter(s) "
                           f"{', '.join(unread)}; it reads "
                           f"{', '.join(sorted(keys)) or 'none'}")
+    for key, value in cfg.params.items():
+        check_param(key, value)
 
 
 # ---------------------------------------------------------------------------

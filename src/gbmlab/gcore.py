@@ -410,6 +410,8 @@ def _const4(c):
         shape = np.broadcast(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
                              np.asarray(z, dtype=float)).shape
         return np.full(shape, float(c))
+    # the explicit step reads the constant instead of calling fn
+    fn.constant = float(c)
     return fn
 
 
@@ -557,6 +559,34 @@ def preset_keys(name: str, params: Mapping) -> set:
     if name == "counterexample-weight":
         return {"exponent"}
     return set(_PAYOFF_KEYS.get("abs" if name == "kinked" else name, ()))
+
+
+# The domain of each preset parameter but ``phi`` (a payoff name, checked
+# where the payoff is built): a finite number, with a narrower rule for the
+# keys below.  A width and a smoothing enter the payoff squared as Python
+# floats (``w ** 2``, ``delta ** 2``), which raises OverflowError once the
+# square leaves the float range, so the square must be finite too.
+_PARAM_DOMAINS = {
+    "width": (lambda v: v > 0.0 and math.isfinite(v * v),
+              "a number > 0 with a finite square"),
+    "smoothing": (lambda v: v >= 0.0 and math.isfinite(v * v),
+                  "a number >= 0 with a finite square"),
+}
+
+
+def check_param(key: str, value) -> None:
+    """Raise :class:`DomainError` unless ``value`` lies in the domain of the
+    preset parameter ``key``."""
+    if key == "phi":
+        return
+    ok, rule = _PARAM_DOMAINS.get(key, (math.isfinite, "a finite number"))
+    try:
+        fine = isinstance(value, (int, float)) \
+            and not isinstance(value, bool) and ok(float(value))
+    except OverflowError:  # an int beyond the float range
+        fine = False
+    if not fine:
+        raise DomainError(f"parameter {key} must be {rule}, got {value!r}")
 
 
 def payoff_driver(phi: Callable, phi_x: Callable | None = None,

@@ -44,15 +44,14 @@ NODE_STEPS_MAX = 2 ** 31
 # Fewest nodes one step is charged.  A step of ``_backward_steps`` costs
 # about c0 + c1 * (rows x nx): a least-squares fit of the best-of-3 per-step
 # time over rows 1, 4, 16 and nx 51 to 3201 (2-core Intel Xeon VM, numpy
-# 2.4, sigma_low = 0, three fits) gave c0 = 18 to 22 us and c1 = 4.0 to
-# 4.5 ns for ``quadratic`` and ``smooth-bump`` (c0 / c1 = 4200 to 5400, up
-# from 3700 to 4000 before the G-heat step dropped its sigma_low term and
-# folded 0.5 * dt), and c0 = 34 to 47 us, c1 = 15.6 to 16.5 ns for
-# ``sine-gz`` (c0 / c1 = 2100 to 3000).  With a floor F >= c0 / c1 a
+# 2.4, sigma_low = 0, two fits, with the per-sweep ``_Plan``) gave c0 = 13
+# to 17 us and c1 = 4.0 to 5.2 ns for ``quadratic`` and ``smooth-bump``
+# (c0 / c1 = 2800 to 3700), and c0 = 23 to 36 us, c1 = 17 to 19 ns for
+# ``sine-gz`` (c0 / c1 = 1200 to 2100).  With a floor F >= c0 / c1 a
 # charged node-step costs at most c1 + c0 / F <= 2 c1, whatever the row
-# width (22 ns for sine-gz at F = 8192, so about 47 s for the whole
-# budget), where counting nodes alone lets one 51-node row cost 790 ns per
-# node-step (28 min for the budget).
+# width (about 23 ns for sine-gz at F = 8192, so about 50 s for the whole
+# budget), where counting nodes alone lets one 51-node row cost 500 ns per
+# node-step (18 min for the budget).
 STEP_NODES_MIN = 8192
 
 # Most nodes ``_last_level`` steps at once.  A G-heat step touches u, a and
@@ -267,59 +266,103 @@ def _time_steps(grid: Grid1D, Gs, driver: DriverSpec, safety: float,
     return nt, grid.T / nt, bound
 
 
-class _Work:
-    """Work buffers of the explicit step for rows of one shape, allocated
-    once and overwritten by every step."""
+class _Plan:
+    """The explicit step of one sweep over rows ``u[rows, nx]``: the work
+    buffers, the stencil's views into them and the constants of the step,
+    built once and used by every step.
 
-    def __init__(self, shape):
-        self.a, self.d1, self.tmp, self.rate = (np.empty(shape)
-                                                for _ in range(4))
-        self.finite = np.empty(shape, dtype=bool)
-        self.slopes = np.empty(shape[:-1] + (shape[-1] + 1,))  # upwinding
+    ``u`` is copied once and never written.  Which driver terms are live is
+    decided here: a coefficient that is ``DriverSpec``'s shared zero (or
+    one, for sigma) is skipped, and a ``g`` that carries a ``constant``
+    (``gcore._const4``) adds ``2 * constant`` without a slope or a call.
+    Every live term keeps the operations and the order of the allocating
+    step, so every level has its bits.
+    """
 
+    def __init__(self, driver: DriverSpec, grid: Grid1D, Gs, dt: float,
+                 u: np.ndarray):
+        self.driver, self.xs, self.dx = driver, grid.xs, grid.dx
+        self.sh2 = np.array([[G.sigma_high ** 2] for G in Gs])
+        self.sl2 = np.array([[G.sigma_low ** 2] for G in Gs])
+        self.u = u = np.array(u, dtype=float, order="C")
+        nx = u.shape[-1]
+        self.a, self.rate, self.tmp = (np.empty(u.shape) for _ in range(3))
+        self.finite = np.empty(u.shape, dtype=bool)
+        # the stencil runs along the flattened rows; the values it leaves at
+        # the row ends mix two rows and are overwritten by the end views
+        flat = u.reshape(-1)
+        self.right, self.mid, self.left = flat[2:], flat[1:-1], flat[:-2]
+        self.a_inner = self.a.reshape(-1)[1:-1]
+        self.a_ends = self.a[..., ::nx - 1]
+        self.dx2, self.two_dx = self.dx * self.dx, 2.0 * self.dx
+        self.half_dt = 0.5 * dt
+        self.one = driver.sigma is _one2
+        self.h = driver.h is not _zero2
+        g = None if driver.g is _zero4 else driver.g
+        c = getattr(g, "constant", None)
+        self.g, self.two_c = (g, None) if c is None else (None, 2.0 * c)
+        if self.h or self.g is not None:
+            self.d1 = np.empty(u.shape)
+            self.d1_inner = self.d1.reshape(-1)[1:-1]
+            self.d1_ends = self.d1[..., ::nx - 1]
+            # u[..., (1, nx-1)] and u[..., (0, nx-2)]: the one-sided slopes
+            self.u_hi, self.u_lo = u[..., 1::nx - 2], u[..., ::nx - 2][..., :2]
+        self.b, self.f = driver.b is not _zero2, driver.f is not _zero3
+        if self.b:
+            self.slopes = np.empty(u.shape[:-1] + (nx + 1,))
+        # without b and f the rate is only ever scaled: 0.5 * rate * dt
+        # equals (0.5 * dt) * rate, as halving is exact (unless 0.5 * rate
+        # is subnormal, which can move u only where |u| < 1e-290 dt)
+        self.fold = not (self.b or self.f)
+        self.lower = _lower_term(driver, self.sh2, self.sl2, u, self.dx, dt)
 
-def _generator_arg(driver: DriverSpec, t: float, xs: np.ndarray, dx: float,
-                   u: np.ndarray, work: _Work) -> np.ndarray:
-    """sigma^2 d_xx u + 2 h d_x u + 2 g(t, x, u, sigma d_x u) for each row of
-    ``u[..., nx]``, with the lagged central slope d_x u, computed into and
-    returned as ``work.a``; terms whose coefficient is the shared zero are
-    skipped."""
-    # the stencil runs along the flattened rows; the values it leaves at
-    # the row ends mix two rows and are overwritten by the zero closure
-    a = work.a
-    _second_diff(u.reshape(-1), dx, out=a.reshape(-1)[1:-1])
-    a[..., 0] = a[..., -1] = 0.0
-    one = driver.sigma is _one2
-    if not one:
-        sig = np.asarray(driver.sigma(t, xs), dtype=float)
-        np.multiply(sig * sig, a, out=a)
-    if driver.h is _zero2 and driver.g is _zero4:
+    def generator_arg(self, t: float) -> np.ndarray:
+        """sigma^2 d_xx u + 2 h d_x u + 2 g(t, x, u, sigma d_x u) for each
+        row of ``u``, with the lagged central slope d_x u, computed into and
+        returned as ``a``."""
+        a, a_inner, u, xs, driver = self.a, self.a_inner, self.u, self.xs, \
+            self.driver
+        # _second_diff, then the zero closure at the row ends
+        np.multiply(2.0, self.mid, out=a_inner)
+        np.subtract(self.right, a_inner, out=a_inner)
+        np.add(a_inner, self.left, out=a_inner)
+        np.divide(a_inner, self.dx2, out=a_inner)
+        self.a_ends.fill(0.0)
+        if not self.one:
+            sig = np.asarray(driver.sigma(t, xs), dtype=float)
+            np.multiply(sig * sig, a, out=a)
+        if self.h or self.g is not None:
+            # _ux: central inside, one-sided at the row ends
+            d1, inner, ends = self.d1, self.d1_inner, self.d1_ends
+            np.subtract(self.right, self.left, out=inner)
+            np.divide(inner, self.two_dx, out=inner)
+            np.subtract(self.u_hi, self.u_lo, out=ends)
+            np.divide(ends, self.dx, out=ends)
+            if self.h:
+                np.multiply(2.0 * np.asarray(driver.h(t, xs), dtype=float),
+                            d1, out=self.tmp)
+                np.add(a, self.tmp, out=a)
+            if self.g is not None:
+                # the rate buffer is free until the step computes the rate
+                z = d1 if self.one else np.multiply(sig, d1, out=self.rate)
+                np.multiply(2.0, np.asarray(self.g(t, xs, u, z), dtype=float),
+                            out=self.tmp)
+                np.add(a, self.tmp, out=a)
+        if self.two_c is not None:  # a + 2 * full(c), the same bits
+            np.add(a, self.two_c, out=a)
         return a
-    d1 = _ux(u, dx, out=work.d1)
-    if driver.h is not _zero2:
-        np.multiply(2.0 * np.asarray(driver.h(t, xs), dtype=float), d1,
-                    out=work.tmp)
-        np.add(a, work.tmp, out=a)
-    if driver.g is not _zero4:
-        # the rate buffer is free until the step computes the rate
-        z = d1 if one else np.multiply(sig, d1, out=work.rate)
-        np.multiply(2.0, np.asarray(driver.g(t, xs, u, z), dtype=float),
-                    out=work.tmp)
-        np.add(a, work.tmp, out=a)
-    return a
 
-
-def _upwind(u: np.ndarray, dx: float, b: np.ndarray, work: _Work) -> np.ndarray:
-    """One-sided slopes along the drift ``b`` into ``work.tmp``: forward
-    where b > 0, backward elsewhere, the end slopes copied at the ends."""
-    s, inner = work.slopes, work.slopes[..., 1:-1]
-    np.subtract(u[..., 1:], u[..., :-1], out=inner)
-    np.divide(inner, dx, out=inner)
-    s[..., 0] = s[..., 1]
-    s[..., -1] = s[..., -2]
-    np.copyto(work.tmp, s[..., :-1])
-    np.copyto(work.tmp, s[..., 1:], where=b > 0.0)
-    return work.tmp
+    def upwind(self, b: np.ndarray) -> np.ndarray:
+        """One-sided slopes along the drift ``b`` into ``tmp``: forward
+        where b > 0, backward elsewhere, the end slopes copied at the ends."""
+        s, inner, u = self.slopes, self.slopes[..., 1:-1], self.u
+        np.subtract(u[..., 1:], u[..., :-1], out=inner)
+        np.divide(inner, self.dx, out=inner)
+        s[..., 0] = s[..., 1]
+        s[..., -1] = s[..., -2]
+        np.copyto(self.tmp, s[..., :-1])
+        np.copyto(self.tmp, s[..., 1:], where=b > 0.0)
+        return self.tmp
 
 
 def _lower_term(driver: DriverSpec, sh2: np.ndarray, sl2: np.ndarray,
@@ -354,25 +397,18 @@ def _backward_steps(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
     generator argument of the known level n+1 and ``u_n`` the new level.
     Raises :class:`NumericalError` at the first level that turns non-finite.
 
-    ``u`` is copied once and never written.  The step computes in work
-    buffers allocated once, so the yielded ``a`` and ``u_n`` are valid only
-    until the next step overwrites them: a caller that keeps a level copies
-    it.
+    ``u`` is copied once and never written.  The step computes in the
+    buffers of one :class:`_Plan`, so the yielded ``a`` and ``u_n`` are
+    valid only until the next step overwrites them: a caller that keeps a
+    level copies it.
     """
-    xs, dx = grid.xs, grid.dx
-    sh2 = np.array([[G.sigma_high ** 2] for G in Gs])
-    sl2 = np.array([[G.sigma_low ** 2] for G in Gs])
-    u = np.array(u, dtype=float, order="C")
-    work = _Work(u.shape)
-    rate, tmp = work.rate, work.tmp
-    # without b and f the rate is only ever scaled: 0.5 * rate * dt equals
-    # (0.5 * dt) * rate, as halving is exact (unless 0.5 * rate is
-    # subnormal, which can move u only where |u| < 1e-290 dt)
-    fold = driver.b is _zero2 and driver.f is _zero3
-    lower = _lower_term(driver, sh2, sl2, u, dx, dt)
+    plan = _Plan(driver, grid, Gs, dt, u)
+    u, rate, tmp, finite = plan.u, plan.rate, plan.tmp, plan.finite
+    sh2, sl2, lower, fold = plan.sh2, plan.sl2, plan.lower, plan.fold
+    xs, half_dt, step_b, step_f = grid.xs, plan.half_dt, plan.b, plan.f
     for n in range(nt - 1, -1, -1):
         t_known = (n + 1) * dt
-        a = _generator_arg(driver, t_known, xs, dx, u, work)
+        a = plan.generator_arg(t_known)
         # rate = 0.5 * (sh2 * max(a, 0) - sl2 * max(-a, 0)), with
         # -max(-a, 0) computed as min(a, 0): the same bits, zeros included
         np.maximum(a, 0.0, out=rate)
@@ -382,23 +418,22 @@ def _backward_steps(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
             np.multiply(sl2, tmp, out=tmp)
             np.add(rate, tmp, out=rate)
         if fold:
-            np.multiply(0.5 * dt, rate, out=rate)
+            np.multiply(half_dt, rate, out=rate)
         else:
             np.multiply(0.5, rate, out=rate)
-            if driver.b is not _zero2:
+            if step_b:
                 b = np.asarray(driver.b(t_known, xs), dtype=float)
                 if np.any(b):
-                    np.multiply(b, _upwind(u, dx, b, work), out=tmp)
+                    np.multiply(b, plan.upwind(b), out=tmp)
                     np.add(rate, tmp, out=rate)
-            if driver.f is not _zero3:
+            if step_f:
                 np.add(rate,
                        np.asarray(driver.f(t_known, xs, u), dtype=float),
                        out=rate)
             np.multiply(dt, rate, out=rate)
         np.add(u, rate, out=u)
-        if not np.isfinite(u, out=work.finite).all():
-            finite = work.finite.all(axis=0)
-            j = int(np.argmin(finite))
+        if not np.logical_and.reduce(np.isfinite(u, out=finite), axis=None):
+            j = int(np.argmin(finite.all(axis=0)))
             raise NumericalError(
                 f"solution turned non-finite at time level {n} "
                 f"(t={n * dt:.6g}), node {j} (x={xs[j]:.6g})")
@@ -463,8 +498,7 @@ def _solve_levels(grid: Grid1D, driver: DriverSpec, Gs, safety: float
     for n, a, un in _backward_steps(driver, grid, Gs, nt, dt, u[:, nt]):
         a_field[:, n + 1] = a
         u[:, n] = un
-    a_field[:, 0] = _generator_arg(driver, 0.0, xs, dx, u[:, 0],
-                                   _Work(u[:, 0].shape))
+    a_field[:, 0] = _Plan(driver, grid, Gs, dt, u[:, 0]).generator_arg(0.0)
     grid = grid.with_nt(nt)
     return tuple(PdeSolution(u=u[i], a_field=a_field[i], grid=grid,
                              driver=driver, G=G, dx=dx, dt=dt)
@@ -489,7 +523,7 @@ def _ux(u: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
     """Central d_x along the last axis, one-sided at the two boundaries
     (into ``out``, C-contiguous, if given)."""
     ux = np.empty_like(u, order="C") if out is None else out
-    # along the flattened rows, as in ``_generator_arg``: the row ends are
+    # along the flattened rows, as in ``_Plan``: the row ends are
     # overwritten below
     flat, inner = u.reshape(-1), ux.reshape(-1)[1:-1]
     np.subtract(flat[2:], flat[:-2], out=inner)

@@ -49,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcore import DomainError, DriverSpec, GFunction1D, NumericalError
-from .pde import (FieldInterpolator, GridPoints, PdeSolution, _time_index,
-                  extremal_control)
+from .pde import (ControlField, FieldInterpolator, GridPoints, PdeSolution,
+                  _time_index, extremal_control)
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +220,24 @@ class VolatilityControl:
                    label="piecewise")
 
     @classmethod
-    def feedback(cls, sol: PdeSolution, G: GFunction1D, *,
-                 flip_ambiguous: bool = False) -> "VolatilityControl":
-        cf = extremal_control(sol, G)
-        sigma = cf.sigma_star.copy()
-        if flip_ambiguous:
-            sigma[cf.ambiguous] = G.sigma_low
-        return cls(kind=ControlKind.FEEDBACK, G=G, field_sigma=sigma,
-                   field_ts=sol.ts, field_xs=sol.xs,
-                   ambiguous_frac=float(cf.ambiguous.mean()),
-                   label="feedback-flip" if flip_ambiguous else "feedback")
+    def feedback(cls, sol: PdeSolution, G: GFunction1D) -> "VolatilityControl":
+        """The extremal control of ``sol``, sigma_high at its ties."""
+        return cls._feedbacks(sol, G, extremal_control(sol, G), False)[0]
+
+    @classmethod
+    def _feedbacks(cls, sol: PdeSolution, G: GFunction1D, cf: ControlField,
+                   flip: bool) -> list:
+        """The feedback control on the field ``cf`` and, if ``flip``, the
+        one with the tied nodes at sigma_low: one field, both controls."""
+        frac = float(cf.ambiguous.mean())
+        sigmas = [cf.sigma_star]
+        if flip:
+            sigmas.append(cf.sigma_star.copy())
+            sigmas[1][cf.ambiguous] = G.sigma_low
+        return [cls(kind=ControlKind.FEEDBACK, G=G, field_sigma=sigma,
+                    field_ts=sol.ts, field_xs=sol.xs, ambiguous_frac=frac,
+                    label=label)
+                for sigma, label in zip(sigmas, ("feedback", "feedback-flip"))]
 
     def sigma_at(self, t: float, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -566,11 +574,10 @@ def _phi_sided(driver: DriverSpec, xT: np.ndarray, side: str) -> np.ndarray:
 
 
 def _candidate_controls(sol: PdeSolution, G: GFunction1D) -> list:
-    base = VolatilityControl.feedback(sol, G)
-    controls = [base]
-    if base.ambiguous_frac > 0.0:
-        controls.append(VolatilityControl.feedback(sol, G, flip_ambiguous=True))
-    return controls
+    """The feedback control and, if any node ties, its tie-flipped twin,
+    from one ``extremal_control`` pass."""
+    cf = extremal_control(sol, G)
+    return VolatilityControl._feedbacks(sol, G, cf, bool(cf.ambiguous.any()))
 
 
 class _Walk:

@@ -399,6 +399,21 @@ def test_path_work_budget_exits_two(tmp_path, argv):
     assert "path-steps" in proc.stderr
 
 
+def test_dp_check_lattice_work_budget_exits_two(tmp_path):
+    # 2 * 3M + 1 nodes over 3M levels: about 1.8e13 node-steps, which ran
+    # on for minutes behind a finished PDE solve
+    script = textwrap.dedent(f"""
+        import sys
+        from gbmlab.cli import _main
+        sys.exit(_main(["dp-check", "--steps", "3000000", "--nx", "41",
+                        "--output-dir", {str(tmp_path)!r}]))
+        """)
+    proc = _child(script, timeout=60)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert "node-steps" in proc.stderr
+
+
 def test_infinite_horizon_exits_one(tmp_path):
     assert _main(["gexpect", "--T", "inf", "--output-dir",
                   str(tmp_path)]) == 1
@@ -706,6 +721,31 @@ def test_params_are_checked_against_the_run_presets():
                   "phi=abs", "--param", "smoothing=0.1", "--dry-run"]) == 0
     assert _main(["counterexample", "--param", "exponent=-0.3",
                   "--dry-run"]) == 0
+
+
+_SMALL_PATHS = ["--nx", "41", "--n-paths", "256", "--n-steps", "16"]
+
+
+@pytest.mark.parametrize("argv", [
+    # not a number: float() raised ValueError
+    ["gexpect", "--preset", "smooth-bump", "--param", "amplitude=abc"],
+    ["counterexample", "--param", "exponent=abc"],
+    # a zero width: ZeroDivisionError in the bump
+    ["gbsde", "--preset", "sine-gz", "--param", "width=0", "--nx", "41"],
+    # squares that leave the float range: OverflowError
+    ["gexpect", "--preset", "smooth-bump", "--param", "width=1e300"],
+    ["solve-pde", "--preset", "abs", "--param", "smoothing=1e300"],
+    # a center at infinity ran, and wrote Infinity into summary.json
+    ["sensitivity-x", "--preset", "smooth-bump", "--param", "center=inf",
+     *_SMALL_PATHS],
+], ids=["not-a-number", "exponent-not-a-number", "zero-width",
+        "width-square-overflows", "smoothing-square-overflows",
+        "infinite-center"])
+def test_preset_param_outside_its_domain_exits_one(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert _main([*argv, "--output-dir", str(out)]) == 1
+    assert "must be" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def test_benchmark_command_lines_validate(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from gbmlab.gcore import (
     regularize,
 )
 from gbmlab import pde
-from gbmlab.gcore import _one2, _zero2, _zero3, _zero4
+from gbmlab.gcore import _const4, _one2, _zero2, _zero3, _zero4
 from gbmlab.gexpect import LatticeSpec, lattice_oracle
 from gbmlab.pde import (
     ControlField,
@@ -433,6 +434,12 @@ _STEP_DRIVERS = {
     # the G-heat driver: with every sigma_low zero the sigma_low term is
     # skipped (without b and f, as in "h-g", 0.5 * dt is folded)
     "heat": dict(),
+    # a constant g as linear-h builds it: the step adds 2 c without d_x u
+    # or a call of g, alone and after a live sigma and h term
+    "const-g": dict(g=_const4(0.5)),
+    "const-g-sigma-h": dict(sigma=lambda t, x: 1.0 + 0.25 * np.sin(_x(x)),
+                            h=lambda t, x: 0.3 * np.cos(_x(x)) + t,
+                            g=_const4(0.5)),
 }
 
 # generators per row: every sigma_low zero, and mixed
@@ -449,12 +456,17 @@ def _step_driver(name):
                       **_STEP_DRIVERS[name])
 
 
-@pytest.mark.parametrize("name, gens", [
-    pytest.param(name, gens, id=name if gens == "mixed" else f"{name}-{gens}")
-    for name in sorted(_STEP_DRIVERS) for gens in sorted(_STEP_GENERATORS)])
-def test_backward_steps_equal_the_allocating_step(name, gens):
+@pytest.mark.parametrize("name, gens, nx", [
+    pytest.param(name, gens, 61,
+                 id=name if gens == "mixed" else f"{name}-{gens}")
+    for name in sorted(_STEP_DRIVERS) for gens in sorted(_STEP_GENERATORS)
+] + [
+    # the narrowest rows, where the end views of the step overlap most
+    pytest.param(name, "mixed", nx, id=f"{name}-nx{nx}")
+    for name in sorted(_STEP_DRIVERS) for nx in (3, 4)])
+def test_backward_steps_equal_the_allocating_step(name, gens, nx):
     driver = _step_driver(name)
-    grid = Grid1D(-3.0, 3.0, 61, 0.5)
+    grid = Grid1D(-3.0, 3.0, nx, 0.5)
     Gs = _STEP_GENERATORS[gens]
     xs = grid.xs
     stack = np.zeros((4, 3, grid.nx))
@@ -476,6 +488,39 @@ def test_backward_steps_equal_the_allocating_step(name, gens):
     sl2 = np.array([[G.sigma_low ** 2] for G in Gs])
     assert pde._lower_term(driver, sh2, sl2, rows, grid.dx, 2e-4) \
         == (name != "heat" or gens != "zero-low")
+    # the dense solve's generator argument at t = 0, taken after the sweep
+    sols = pde._solve_levels(grid, driver, Gs, 0.9)
+    u0 = np.array([sol.u[0] for sol in sols])
+    a0 = _reference_generator_arg(driver, 0.0, xs, grid.dx, u0)
+    assert np.array([sol.a_field[0] for sol in sols]).tobytes() \
+        == a0.tobytes()
+
+
+def test_constant_g_is_never_called_in_a_sweep():
+    # the step reads the constant of a _const4 g; a profile hook counts
+    # the calls of that very function
+    driver = preset_driver("linear-h")
+    grid = Grid1D(-3.0, 3.0, 61, 0.5)
+    Gs = _STEP_GENERATORS["mixed"]
+    rows = np.stack([np.cos(grid.xs)] * 3)
+    code, calls = driver.g.__code__, []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame.f_locals["t"])
+
+    sys.setprofile(count)
+    try:
+        for _ in pde._backward_steps(driver, grid, Gs, 40, 2e-4, rows):
+            pass
+        pde._last_level(driver, grid, Gs, 40, 2e-4, rows)
+        pde._solve_levels(grid, driver, Gs, 0.9)
+        for _ in _reference_steps(driver, grid, Gs, 3, 2e-4, rows):
+            pass
+    finally:
+        sys.setprofile(None)
+    # the allocating step calls g at every step: the hook sees the calls
+    assert calls == [3 * 2e-4, 2 * 2e-4, 1 * 2e-4]
 
 
 def _first_failure(driver, grid, Gs, nt, dt, rows):
