@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcore import (DomainError, DriverSpec, GFunction1D, Grid1D,
-                    NumericalError, _one2, _zero2, _zero3, _zero4)
+                    NumericalError)
 
 
 # Largest dense storage (u and a_field, every time level) one solve may
@@ -220,7 +220,6 @@ class ControlField:
 
     sigma_star: np.ndarray
     ambiguous: np.ndarray
-    tie_tol: float
 
 
 def _time_index(ts: np.ndarray, t: float) -> int:
@@ -271,9 +270,8 @@ class _Plan:
     buffers, the stencil's views into them and the constants of the step,
     built once and used by every step.
 
-    ``u`` is copied once and never written.  Which driver terms are live is
-    decided here: a coefficient that is ``DriverSpec``'s shared zero (or
-    one, for sigma) is skipped, and a ``g`` that carries a ``constant``
+    ``u`` is copied once and never written.  Only the terms in
+    ``driver.live`` are evaluated, and a ``g`` that carries a ``constant``
     (``gcore._const4``) adds ``2 * constant`` without a slope or a call.
     Every live term keeps the operations and the order of the allocating
     step, so every level has its bits.
@@ -296,9 +294,10 @@ class _Plan:
         self.a_ends = self.a[..., ::nx - 1]
         self.dx2, self.two_dx = self.dx * self.dx, 2.0 * self.dx
         self.half_dt = 0.5 * dt
-        self.one = driver.sigma is _one2
-        self.h = driver.h is not _zero2
-        g = None if driver.g is _zero4 else driver.g
+        live = driver.live
+        self.one = "sigma" not in live
+        self.h = "h" in live
+        g = live.get("g")
         c = getattr(g, "constant", None)
         self.g, self.two_c = (g, None) if c is None else (None, 2.0 * c)
         if self.h or self.g is not None:
@@ -307,7 +306,7 @@ class _Plan:
             self.d1_ends = self.d1[..., ::nx - 1]
             # u[..., (1, nx-1)] and u[..., (0, nx-2)]: the one-sided slopes
             self.u_hi, self.u_lo = u[..., 1::nx - 2], u[..., ::nx - 2][..., :2]
-        self.b, self.f = driver.b is not _zero2, driver.f is not _zero3
+        self.b, self.f = "b" in live, "f" in live
         if self.b:
             self.slopes = np.empty(u.shape[:-1] + (nx + 1,))
         # without b and f the rate is only ever scaled: 0.5 * rate * dt
@@ -377,9 +376,8 @@ def _lower_term(driver: DriverSpec, sh2: np.ndarray, sl2: np.ndarray,
     to rounding, hence the factor 8): while that bound is finite, a is
     finite and the term may go.
     """
-    if sl2.any() or not (driver.b is _zero2 and driver.f is _zero3
-                         and driver.sigma is _one2 and driver.h is _zero2
-                         and driver.g is _zero4):
+    live = driver.live
+    if sl2.any() or any(nm in live for nm in ("b", "h", "sigma", "f", "g")):
         return True
     dx2 = dx * dx
     bound = 8.0 * float(np.max(np.abs(u), initial=0.0))
@@ -519,10 +517,9 @@ def solve_terminal_pde(problem: PdeProblem, *, safety: float = 0.9) -> PdeSoluti
 # derivative fields and the extremal control
 # ---------------------------------------------------------------------------
 
-def _ux(u: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Central d_x along the last axis, one-sided at the two boundaries
-    (into ``out``, C-contiguous, if given)."""
-    ux = np.empty_like(u, order="C") if out is None else out
+def _ux(u: np.ndarray, dx: float) -> np.ndarray:
+    """Central d_x along the last axis, one-sided at the two boundaries."""
+    ux = np.empty_like(u, order="C")
     # along the flattened rows, as in ``_Plan``: the row ends are
     # overwritten below
     flat, inner = u.reshape(-1), ux.reshape(-1)[1:-1]
@@ -570,10 +567,9 @@ def extremal_control(sol: PdeSolution, G: GFunction1D) -> ControlField:
     a = sol.a_field
     tie_tol = 1e-10 * max(float(np.max(np.abs(a))), 1e-300)
     ambiguous = np.abs(a) <= tie_tol
-    sigma_star = np.where(a > tie_tol, G.sigma_high, G.sigma_low)
-    sigma_star[ambiguous] = G.sigma_high
-    return ControlField(sigma_star=sigma_star, ambiguous=ambiguous,
-                        tie_tol=float(tie_tol))
+    # a > tie_tol or a tie: sigma_high; a NaN gets sigma_low either way
+    sigma_star = np.where(a >= -tie_tol, G.sigma_high, G.sigma_low)
+    return ControlField(sigma_star=sigma_star, ambiguous=ambiguous)
 
 
 class GridPoints:

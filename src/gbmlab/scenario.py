@@ -19,11 +19,10 @@ argument and the feedback volatility there, and u and u_x only if a live
 term of f or g takes them.  It evaluates each live driver coefficient
 once, advances X, log Gamma, Xhat (and Xbar for the time derivative) as
 running per-path vectors, accumulates the estimator integrand and writes
-the K increment; which terms are live (not the shared zero or one of
-``DriverSpec``) is decided once per estimate (``_Pass``), and Gamma and
-Xhat stay 1 when none of theirs is.  An estimate first checks its path
-arrays' bytes and its path-step charge (``PATH_BYTES_MAX``,
-``PATH_STEPS_MAX``).
+the K increment; which terms are live (``DriverSpec.live``) is decided
+once per estimate (``_Pass``), and Gamma and Xhat stay 1 when none of
+theirs is.  An estimate first checks its path arrays' bytes and its
+path-step charge (``PATH_BYTES_MAX``, ``PATH_STEPS_MAX``).
 
 The candidate controls share that walk.  The base feedback control walks
 every path.  The tie-flipped control differs from it only at some tied
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gcore import DomainError, DriverSpec, GFunction1D, NumericalError
+from .gcore import ARITY, DomainError, DriverSpec, GFunction1D, NumericalError
 from .pde import (ControlField, FieldInterpolator, GridPoints, PdeSolution,
                   _time_index, extremal_control)
 
@@ -162,13 +161,18 @@ def pairwise_sum(values: np.ndarray) -> float:
 
 
 def mean_and_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of ``values``.  Raises
+    :class:`NumericalError` if either is not finite, as when the squared
+    deviations of finite values overflow."""
     v = np.asarray(values, dtype=float).ravel()
     n = v.size
     mean = pairwise_sum(v) / n
-    if n < 2:
-        return mean, 0.0
-    var = pairwise_sum((v - mean) ** 2) / (n - 1)
-    return mean, math.sqrt(var / n)
+    var = pairwise_sum((v - mean) ** 2) / (n - 1) if n > 1 else 0.0
+    se = math.sqrt(var / n)
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise NumericalError(f"Monte Carlo estimate is not finite: "
+                             f"mean {mean}, standard error {se}")
+    return mean, se
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +199,6 @@ class VolatilityControl:
     field_sigma: np.ndarray | None = None
     field_ts: np.ndarray | None = None
     field_xs: np.ndarray | None = None
-    ambiguous_frac: float = 0.0
 
     @classmethod
     def constant(cls, sigma: float, G: GFunction1D) -> "VolatilityControl":
@@ -229,14 +232,12 @@ class VolatilityControl:
                    flip: bool) -> list:
         """The feedback control on the field ``cf`` and, if ``flip``, the
         one with the tied nodes at sigma_low: one field, both controls."""
-        frac = float(cf.ambiguous.mean())
         sigmas = [cf.sigma_star]
         if flip:
             sigmas.append(cf.sigma_star.copy())
             sigmas[1][cf.ambiguous] = G.sigma_low
         return [cls(kind=ControlKind.FEEDBACK, G=G, field_sigma=sigma,
-                    field_ts=sol.ts, field_xs=sol.xs, ambiguous_frac=frac,
-                    label=label)
+                    field_ts=sol.ts, field_xs=sol.xs, label=label)
                 for sigma, label in zip(sigmas, ("feedback", "feedback-flip"))]
 
     def sigma_at(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -608,22 +609,11 @@ class _Walk:
             * self.var.Gamma
 
 
-# the driver coefficients and derivatives a path step reads, by estimate,
-# and the arguments each takes: (t, x), (t, x, y) or (t, x, y, z)
+# the driver coefficients and derivatives a path step reads, by estimate
 _STEP_READS = {"x": ("b", "h", "sigma", "b_x", "h_x", "sigma_x", "f_y", "g_y",
                      "g_z", "f_x", "g_x")}
 _STEP_READS["t"] = _STEP_READS["x"] + ("b_t", "h_t", "sigma_t", "f", "f_t",
                                        "g", "g_t")
-_ARITY = {"b": 2, "h": 2, "sigma": 2, "f": 3, "g": 4}
-
-
-def _live_terms(driver: DriverSpec, names) -> tuple:
-    """Those of ``names`` whose callable on ``driver`` is neither None nor
-    the shared default (the zero, or the one for sigma)."""
-    defaults = DriverSpec.__dataclass_fields__
-    return tuple(nm for nm in names
-                 if getattr(driver, nm) is not None
-                 and getattr(driver, nm) is not defaults[nm].default)
 
 
 def _samples_finite(field: np.ndarray, dx: float) -> bool:
@@ -659,16 +649,16 @@ class _Pass:
     ``step`` computes what ``_k_step``, ``_Variations.step`` and
     ``_forward_step`` compute, bit for bit, but evaluates each live
     coefficient once (``calls``) and skips each term whose coefficient is
-    the shared zero or one of ``DriverSpec`` (or a None time derivative).
+    not in ``driver.live`` (the shared zero or one, or a None derivative).
     Such a term is an exact zero (+0.0 in the forward step).  Each sum it
     drops out of starts at a running value that is never -0.0 (X after
     the ``+ 0.0`` the step keeps when b or h is dead; log Gamma, Xbar and
     the integral, which only ever add to +0.0) or is an increment of one,
     so only the sign of a zero increment can differ.  A dead term times a
     state that is not finite is NaN, not zero, but the estimate then
-    raises anyway.  Two dead terms multiply a sampled field, the sigma_low
-    term of G(a) and g_z Z in the time integrand; each is skipped only
-    when no sample of its field can be infinite (``_samples_finite``).
+    raises anyway.  One dead term multiplies a sampled field, g_z Z in the
+    time integrand; it is skipped only when no sample of Z can be infinite
+    (``_samples_finite``).
     """
 
     def __init__(self, kind: str, driver: DriverSpec, G: GFunction1D,
@@ -678,18 +668,15 @@ class _Pass:
         sol = fields.sol
         self.T = sol.grid.T
         self.horizon = self.T - t0
-        live = _live_terms(driver, _STEP_READS[kind])
+        live = tuple(filter(driver.live.__contains__, _STEP_READS[kind]))
         self.gamma = any(nm in live for nm in ("f_y", "g_y", "g_z"))
         self.xhat = any(nm in live for nm in ("b_x", "h_x", "sigma_x"))
         if kind == "t" and "g_z" not in live \
                 and not _samples_finite(fields.ux, sol.dx):
             live += ("g_z",)  # g_z Z is NaN where Z is infinite
-        self.calls = tuple((nm, _ARITY[nm.split("_")[0]]) for nm in live)
+        self.calls = tuple((nm, ARITY[nm.split("_")[0]]) for nm in live)
         self.reads_y = any(arity > 2 for _nm, arity in self.calls)
         self.reads_z = any(arity > 3 for _nm, arity in self.calls)
-        self.lower = G.sigma_low != 0.0 \
-            or not _samples_finite(sol.a_field, sol.dx)
-        self.sh2 = G.sigma_high ** 2
 
     def step(self, walk: _Walk, k: int, n: int, pts: GridPoints,
              s: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -708,14 +695,11 @@ class _Pass:
                             dtype=float)
              for nm, arity in self.calls}
         self._integrand(walk, c, tk, z, dq)
-        g = self.G.eval(a) if self.lower \
-            else 0.5 * (self.sh2 * np.maximum(a, 0.0))
-        dk = 0.5 * a * dq - g * dt
         self._variations(walk.var, c, tk, dq, db)
         start = x if "b" in c and "h" in c else x + 0.0
         walk.x = _sum(start, _times(c.get("b"), dt), _times(c.get("h"), dq),
                       db if "sigma" not in c else c["sigma"] * db)
-        return dk
+        return _k_step(self.G, a, dq, dt)
 
     def _integrand(self, walk: _Walk, c: dict, tk: float, z, dq) -> None:
         """Add the step's estimator integrand to ``walk.acc``."""

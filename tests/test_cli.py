@@ -748,6 +748,23 @@ def test_preset_param_outside_its_domain_exits_one(tmp_path, capsys, argv):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["kink", "sensitivity-x",
+                                        "sensitivity-t"])
+def test_overflowing_monte_carlo_estimate_exits_two(tmp_path, capsys,
+                                                    subcommand):
+    # amplitude=1e300 lies in its domain, but the squared deviations of the
+    # estimator overflow: the standard error was written as Infinity
+    out = tmp_path / "out"
+    argv = [subcommand, "--preset", "smooth-bump", "--param",
+            "amplitude=1e300", *_SMALL_PATHS, "--output-dir", str(out)]
+    assert _main(argv) == 2
+    assert "not finite" in capsys.readouterr().err
+    files = [p for p in out.rglob("*") if p.is_file()] if out.exists() else []
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        assert "NaN" not in text and "Infinity" not in text, path.name
+
+
 def test_benchmark_command_lines_validate(tmp_path):
     # every argv of the benchmark workloads passes the flag and parameter
     # checks, so no removed option or key check can refuse one

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gbmlab.gcore import (
+    ARITY,
+    DERIVATIVES,
     PRESET_NAMES,
     ConfigError,
     CylinderFunctional,
     DomainError,
+    DriverSpec,
     Grid1D,
     make_gfunction,
     parse_config,
@@ -196,6 +201,91 @@ def test_sine_gz_coefficients_equal_the_broadcast_zero_form(c):
                 (d.g_z(t, xv, yv, zv), c * np.cos(zf) + _zero4(t, xv, yv, zv))):
             assert np.shape(got) == np.shape(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# ---- which driver terms are live: decided in gcore alone ----
+
+_DRIVER_FIELDS = [
+    "name", "b", "h", "sigma", "f", "g", "phi", "b_x", "h_x", "sigma_x",
+    "phi_x", "f_x", "f_y", "g_x", "g_y", "g_z", "b_t", "h_t", "sigma_t",
+    "f_t", "g_t", "phi_xx", "L1", "m", "phi_kinks", "skip_self_check"]
+
+
+def test_driver_fields_are_unchanged_and_each_term_has_a_table_row():
+    assert [fd.name for fd in dataclasses.fields(DriverSpec)] \
+        == _DRIVER_FIELDS
+    # every callable field is a coefficient or a row of the derivative table
+    rows = [nm for nm, _base, _pos in DERIVATIVES]
+    assert len(rows) == len(set(rows)) == 15
+    assert [nm for nm in _DRIVER_FIELDS if nm in ARITY or nm in rows] \
+        == _DRIVER_FIELDS[1:22]
+    assert all(base.split("_")[0] in ARITY for _nm, base, _pos in DERIVATIVES)
+
+
+@pytest.mark.parametrize("preset, live", [
+    ("quadratic", ("phi", "phi_x", "phi_xx")),
+    ("linear-h", ("g", "phi", "phi_x", "phi_xx")),
+    ("sine-gz", ("g", "phi", "phi_x", "g_z", "phi_xx")),
+    # the shared zero is live where it is not the field's default
+    ("kinked", ("sigma", "phi", "phi_x", "phi_xx")),
+])
+def test_live_terms_of_the_presets(preset, live):
+    driver = preset_driver(preset)
+    assert tuple(driver.live) == live
+    assert all(fn is getattr(driver, nm) for nm, fn in driver.live.items())
+
+
+def test_a_none_time_derivative_is_not_live():
+    def arr(v):
+        return np.asarray(v, dtype=float)
+    driver = dataclasses.replace(
+        preset_driver("quadratic"), f=lambda t, x, y: t * arr(y),
+        f_y=lambda t, x, y: t + 0.0 * arr(y), f_t=lambda t, x, y: arr(y))
+    assert tuple(driver.live) == ("f", "phi", "phi_x", "f_y", "f_t", "phi_xx")
+    untimed = dataclasses.replace(driver, f_t=None)
+    assert untimed.f_t is None
+    assert tuple(untimed.live) == ("f", "phi", "phi_x", "f_y", "phi_xx")
+
+
+_SENTINELS = {"_zero2", "_one2", "_zero3", "_zero4"}
+
+
+def _reads_driver_defaults(tree) -> bool:
+    """Whether a function or statement both reaches DriverSpec's dataclass
+    fields and reads a ``.default``."""
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.FunctionDef, ast.Assign, ast.Return)):
+            continue
+        nodes = list(ast.walk(scope))
+        driver_fields = any(
+            isinstance(n, ast.Attribute) and n.attr == "__dataclass_fields__"
+            and isinstance(n.value, ast.Name) and n.value.id == "DriverSpec"
+            or isinstance(n, ast.Call) and any(
+                isinstance(arg, ast.Name) and arg.id == "DriverSpec"
+                for arg in n.args)
+            for n in nodes)
+        default = any(isinstance(n, ast.Attribute) and n.attr == "default"
+                      for n in nodes)
+        if driver_fields and default:
+            return True
+    return False
+
+
+def test_only_gcore_decides_which_driver_terms_are_live():
+    src = Path(__file__).resolve().parents[1] / "src" / "gbmlab"
+    modules = sorted(src.glob("*.py"))
+    assert {p.stem for p in modules} >= {"gcore", "pde", "scenario", "gbsde"}
+    for path in modules:
+        if path.stem == "gcore":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree)
+                  if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert not names & _SENTINELS, path.name
+        assert not _reads_driver_defaults(tree), path.name
 
 
 # ---------------------------------------------------------------------------

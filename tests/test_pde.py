@@ -645,8 +645,7 @@ def test_export_equals_the_cell_by_cell_writer_on_edge_values(tmp_path):
                       dx=grid.dx, dt=grid.T / 3)
     sigma = rng.choice([-0.0, 0.0, np.nan, -np.nan, 1.0, 5e-324, np.inf],
                        size=u.shape)
-    control = ControlField(sigma_star=sigma, ambiguous=np.zeros(u.shape, bool),
-                           tie_tol=0.0)
+    control = ControlField(sigma_star=sigma, ambiguous=np.zeros(u.shape, bool))
     with np.errstate(all="ignore"):
         for ctl in (None, control):
             got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"

@@ -13,6 +13,7 @@ from gbmlab.gcore import (
     DomainError,
     DriverSpec,
     Grid1D,
+    NumericalError,
     make_gfunction,
     payoff_driver,
     preset_driver,
@@ -540,8 +541,6 @@ def test_negative_zero_start_equals_whole_bundle_passes():
                             mc["seed"], driver=driver, x0=-0.0)
     assert np.all(bundle.dB == 0.0) and np.signbit(bundle.dB[:, 0]).any()
     assert not np.signbit(bundle.x_paths[:, 1:]).any()
-    assert not scenario._Pass("x", driver, G01, FieldInterpolator(sol), 0.0,
-                              0.01).lower
     est = estimate_dx(driver, 0.0, -0.0, G01, sol, mc=mc)
     ref = _reference_estimate("x", driver, 0.0, -0.0, G01, sol, mc)
     assert est.plus == -1.0
@@ -557,7 +556,7 @@ def test_benchmark_presets_skip_their_dead_terms(preset, params, kind,
                                                  calls):
     # the presets of sensitivity-x, kink and sensitivity-t: only sine-gz's
     # g and g_z are evaluated, and only they read Y and Z and move Gamma;
-    # Xhat stays 1, and eps > 0 keeps the sigma_low term of G(a)
+    # Xhat stays 1
     G = regularize(G01, 0.2)
     driver = preset_driver(preset, params)
     sol = _solve(driver, G=G, nx=201)
@@ -565,7 +564,47 @@ def test_benchmark_presets_skip_their_dead_terms(preset, params, kind,
     assert tuple(nm for nm, _arity in run.calls) == calls
     assert run.reads_y == run.reads_z == run.gamma == bool(calls)
     assert not run.xhat
-    assert run.lower
+
+
+def test_fork_defers_a_non_finite_state_to_finish():
+    # paths 1, 3 and 6 start on the first node, a tie at step 0, and fork;
+    # the others start at 0.5, where no path reaches a tie; the normals of
+    # paths 5 (unforked), 6 and 3 are infinite
+    G = regularize(G01, 0.2)
+    driver = preset_driver("smooth-bump", {"width": 2.0})
+    sol = _solve(driver, G=G, nx=201)
+    fields = FieldInterpolator(sol)
+    base_control, flip = scenario._candidate_controls(sol, G)
+    run = scenario._Pass("x", driver, G, fields, 0.0, 0.01)
+    n_paths, forked = 8, [1, 3, 6]
+    base = scenario._Walk(np.arange(n_paths), 0.5, 0.0, None)
+    base.x[forked] = sol.xs[0]
+    n, nearest = fields.level(0.0), GridPoints(fields.xs, base.x).nearest()
+
+    def fork():
+        return scenario._Fork(flip, base_control,
+                              scenario._Walk(base.idx[:0], 0.5, 0.0, None),
+                              n_paths)
+
+    bad = fork()
+    xi = np.zeros(n_paths)
+    xi[[5, 6, 3]] = np.inf
+    bad.step(run, base, 0, n, nearest, xi)
+    assert bad.walk.idx.tolist() == forked
+    assert np.isfinite(bad.walk.x).tolist() == [True, False, False]
+    assert isinstance(bad.error, NumericalError)
+    # the stopped walk takes no further step; the error waits for finish
+    bad.step(run, base, 1, n, nearest, np.zeros(n_paths))
+    assert [k for k, _dk in bad.dk] == [0]
+    with pytest.raises(NumericalError, match="non-finite on path 3$"):
+        bad.finish()
+    good = fork()
+    good.step(run, base, 0, n, nearest, np.zeros(n_paths))
+    assert good.error is None and np.isfinite(good.walk.x).all()
+    good.finish()
+    good.walk.var.finite = False
+    with pytest.raises(NumericalError, match="variational process"):
+        good.finish()
 
 
 def test_sampled_fields_checked_finite_before_a_term_is_dropped():
