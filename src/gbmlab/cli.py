@@ -513,8 +513,8 @@ def _run_counterexample(cfg: RunConfig):
     verdicts = dict(slope_ok=bool(rep.slope_ok), mc_ok=bool(rep.mc_ok))
     table = (("eps", "bound", "estimate", "se", "ratio"),
              [tuple(r) for r in rep.rows])
-    line = (f"slope={rep.slope:.4f} (target {rep.slope_target:+.1f}) "
-            f"mc_ok={rep.mc_ok}")
+    slope = "none" if rep.slope is None else f"{rep.slope:.4f}"
+    line = f"slope={slope} (target {rep.slope_target:+.1f}) mc_ok={rep.mc_ok}"
     return values, verdicts, {"rows": table}, line
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .gcore import (CylinderFunctional, DomainError, DriverSpec, Grid1D,
                     NumericalError, regularize)
 from . import pde as _pde
-from .pde import PdeProblem, FieldInterpolator
+from .pde import PdeProblem, FieldInterpolator, GridPoints
 from . import gexpect as _gexpect
 from .gexpect import LatticeSpec
 from . import scenario as _scenario
@@ -508,10 +508,13 @@ def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
     inner = nodes[1:-1]
     fields = FieldInterpolator(sol)
     V = fields.u_at(t2, nodes)[None]
+    # every level reads u and z at the same inner nodes
+    at_inner = GridPoints(sol.xs, inner)
     for k in range(steps - 1, -1, -1):
         t = t1 + k * dt
-        y = fields.u_at(t, inner)
-        z = fields.z_at(t, inner)
+        n = fields.level(t)
+        y = at_inner.sample(sol.u[n])
+        z = at_inner.sample(fields.ux[n])
         fval = np.asarray(d.f(t, inner, y), dtype=float)
         gval = np.asarray(d.g(t, inner, y, z), dtype=float)
         V = _gexpect._sup_step(V, spec.probs, [(fval + gval * sg * sg) * dt
@@ -531,7 +534,7 @@ class CounterexampleReport:
     exponent: float
     T: float
     rows: tuple            # (eps, bound, estimate, se, ratio)
-    slope: float
+    slope: float | None    # None with one eps: no fit
     slope_target: float
     slope_ok: bool
     mc_ok: bool
@@ -586,7 +589,7 @@ def counterexample_demo(T: float, eps_list, mc: dict | None = None,
         est, se = mean_and_se(vals)
         rows.append((e, bound, est, se, est / bound))
     slope = float(np.polyfit(np.log(eps), np.log([r[1] for r in rows]), 1)[0]) \
-        if len(eps) >= 2 else float("nan")
+        if len(eps) >= 2 else None
     slope_target = -2.0 * q
     slope_ok = (len(eps) < 2) or abs(slope - slope_target) <= 0.02
     mc_ok = all(r[4] >= 0.95 for r in rows)
@@ -634,15 +637,18 @@ def path_norms(eta, p: float, bundles) -> dict:
 # report files
 # ---------------------------------------------------------------------------
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+def _jsonable(obj, key: str):
+    """``obj`` in plain JSON types; :class:`NumericalError` for a number
+    that is not finite, which standard JSON cannot hold, named by ``key``."""
+    if isinstance(obj, (np.floating, np.integer, np.ndarray)):
+        obj = obj.tolist()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise NumericalError(f"{key} is {obj}; summary.json holds finite "
+                             f"numbers only")
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: _jsonable(v, f"{key}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_jsonable(v, f"{key}[{i}]") for i, v in enumerate(obj)]
     return obj
 
 
@@ -668,13 +674,16 @@ def write_report(output_dir: str, experiment: str, parameters: dict,
                  values: dict, verdicts: dict, tables: dict | None = None
                  ) -> str:
     """summary.json {experiment, parameters, values, verdicts} plus one CSV
-    per named table; returns the summary path."""
+    per named table; returns the summary path.
+
+    The summary is standard JSON: a value that is not finite raises
+    :class:`NumericalError` before any file is written."""
+    summary = _jsonable(dict(experiment=experiment, parameters=parameters,
+                             values=values, verdicts=verdicts), "summary")
     os.makedirs(output_dir, exist_ok=True)
-    summary = dict(experiment=experiment, parameters=_jsonable(parameters),
-                   values=_jsonable(values), verdicts=_jsonable(verdicts))
     spath = os.path.join(output_dir, "summary.json")
     with open(spath, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     for name, (header, rows) in (tables or {}).items():
         write_csv(os.path.join(output_dir, f"{name}.csv"), header, rows)

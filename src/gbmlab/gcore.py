@@ -530,12 +530,19 @@ def preset_driver(name: str, params: Mapping | None = None) -> DriverSpec:
     elif name == "sine-gz":
         c = float(p.setdefault("c", 0.5))
 
-        # + 0.0 turns c*sin(-0.0) into +0.0
+        # c * sin(z) + 0.0 in one array: the product commutes, and + 0.0
+        # turns c*sin(-0.0) into +0.0
         def g(t, x, y, z):
-            return c * np.sin(np.asarray(z, dtype=float)) + 0.0
+            out = np.sin(np.asarray(z, dtype=float))
+            out *= c
+            out += 0.0
+            return out
 
         def g_z(t, x, y, z):
-            return c * np.cos(np.asarray(z, dtype=float)) + 0.0
+            out = np.cos(np.asarray(z, dtype=float))
+            out *= c
+            out += 0.0
+            return out
 
         coeffs.update(g=g, g_z=g_z)
         payoff = p.get("phi", _DEFAULT_PHI[name])

@@ -44,25 +44,26 @@ NODE_STEPS_MAX = 2 ** 31
 # Fewest nodes one step is charged.  A step of ``_backward_steps`` costs
 # about c0 + c1 * (rows x nx): a least-squares fit of the best-of-3 per-step
 # time over rows 1, 4, 16 and nx 51 to 3201 (2-core Intel Xeon VM, numpy
-# 2.4, sigma_low = 0, two fits, with the per-sweep ``_Plan``) gave c0 = 13
-# to 17 us and c1 = 4.0 to 5.2 ns for ``quadratic`` and ``smooth-bump``
-# (c0 / c1 = 2800 to 3700), and c0 = 23 to 36 us, c1 = 17 to 19 ns for
-# ``sine-gz`` (c0 / c1 = 1200 to 2100).  With a floor F >= c0 / c1 a
+# 2.4, sigma_low = 0, sigma_high = 1, two fits, with the per-sweep ``_Plan``
+# and a deferred finiteness check) gave c0 = 10 to 11 us and c1 = 3.5 to
+# 3.9 ns for ``quadratic`` and ``smooth-bump`` (c0 / c1 = 2600 to 3200),
+# and c0 = 31 to 34 us, c1 = 17.6 to 18.1 ns for ``sine-gz``, which checks
+# every step (c0 / c1 = 1700 to 1900).  With a floor F >= c0 / c1 a
 # charged node-step costs at most c1 + c0 / F <= 2 c1, whatever the row
-# width (about 23 ns for sine-gz at F = 8192, so about 50 s for the whole
+# width (about 22 ns for sine-gz at F = 8192, so about 47 s for the whole
 # budget), where counting nodes alone lets one 51-node row cost 500 ns per
 # node-step (18 min for the budget).
 STEP_NODES_MIN = 8192
 
 # Most nodes ``_last_level`` steps at once.  A G-heat step touches u, a and
-# the rate (8 bytes a node each) and the finite mask (1 byte): 25 bytes a
-# node, 1.2 MB for a block of 3 * 2^14 nodes, about 60% of the 2 MiB L2 of
-# a core (2-core Intel Xeon VM), so a block's buffers stay in L2 across
+# the rate, 8 bytes a node each (its deferred finiteness check needs no
+# mask): 1.2 MB for a block of 3 * 2^14 nodes, about 56% of the 2 MiB L2
+# of a core (2-core Intel Xeon VM), so a block's buffers stay in L2 across
 # the step's passes.  Stepping the 401 rows x 401 nodes cylinder stage
-# (nt = 809) in blocks of 8, 16, 32, 64, 80 to 163 and 201 rows took 1.5,
-# 0.9 to 1.1, 0.70 to 0.79, 0.63 to 0.67, 0.58 to 0.68 and 0.63 to 0.68 s
-# (two rounds), against 0.81 to 0.85 s unblocked; this block holds 122
-# such rows.
+# (nt = 809) in blocks of 8, 16, 32, 64, 80, 122, 163 and 201 rows took
+# 0.96 to 1.0, 0.71, 0.54 to 0.62, 0.50 to 0.52, 0.48 to 0.50, 0.46 to
+# 0.48, 0.47 to 0.48 and 0.52 to 0.53 s (best of 2, two rounds), against
+# 0.72 to 0.74 s unblocked; this block holds 122 such rows.
 BLOCK_NODES = 3 * 2 ** 14
 
 
@@ -274,7 +275,8 @@ class _Plan:
     ``driver.live`` are evaluated, and a ``g`` that carries a ``constant``
     (``gcore._const4``) adds ``2 * constant`` without a slope or a call.
     Every live term keeps the operations and the order of the allocating
-    step, so every level has its bits.
+    step, so every level has its bits; the scaling by sigma_high^2 is
+    skipped when it is 1 on every row.
     """
 
     def __init__(self, driver: DriverSpec, grid: Grid1D, Gs, dt: float,
@@ -285,7 +287,6 @@ class _Plan:
         self.u = u = np.array(u, dtype=float, order="C")
         nx = u.shape[-1]
         self.a, self.rate, self.tmp = (np.empty(u.shape) for _ in range(3))
-        self.finite = np.empty(u.shape, dtype=bool)
         # the stencil runs along the flattened rows; the values it leaves at
         # the row ends mix two rows and are overwritten by the end views
         flat = u.reshape(-1)
@@ -307,12 +308,17 @@ class _Plan:
             # u[..., (1, nx-1)] and u[..., (0, nx-2)]: the one-sided slopes
             self.u_hi, self.u_lo = u[..., 1::nx - 2], u[..., ::nx - 2][..., :2]
         self.b, self.f = "b" in live, "f" in live
+        # whether a step calls a driver callable on u (b, h and sigma take
+        # only t and x)
+        self.reads_u = self.f or self.g is not None
         if self.b:
             self.slopes = np.empty(u.shape[:-1] + (nx + 1,))
         # without b and f the rate is only ever scaled: 0.5 * rate * dt
         # equals (0.5 * dt) * rate, as halving is exact (unless 0.5 * rate
         # is subnormal, which can move u only where |u| < 1e-290 dt)
         self.fold = not (self.b or self.f)
+        # 1.0 * x == x bit for bit (zeros, infinities and NaN included)
+        self.scale = bool((self.sh2 != 1.0).any())
         self.lower = _lower_term(driver, self.sh2, self.sl2, u, self.dx, dt)
 
     def generator_arg(self, t: float) -> np.ndarray:
@@ -386,7 +392,7 @@ def _lower_term(driver: DriverSpec, sh2: np.ndarray, sl2: np.ndarray,
 
 
 def _backward_steps(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
-                    u: np.ndarray):
+                    u: np.ndarray, *, deferred: bool = False):
     """Explicit monotone steps from stacked terminal rows ``u[rows, nx]``.
 
     Row r is stepped under the generator ``Gs[r]`` (every row under
@@ -395,22 +401,32 @@ def _backward_steps(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
     generator argument of the known level n+1 and ``u_n`` the new level.
     Raises :class:`NumericalError` at the first level that turns non-finite.
 
+    With ``deferred`` the caller looks at no level before the sweep ends
+    and checks the last one instead (``_raise_sweep_error``): then a step
+    that calls no driver callable on u (no live f, no g other than a
+    ``gcore._const4`` constant) skips the per-step check.  A step that
+    does keeps it, so that no f or g is ever called on a non-finite level.
+
     ``u`` is copied once and never written.  The step computes in the
     buffers of one :class:`_Plan`, so the yielded ``a`` and ``u_n`` are
     valid only until the next step overwrites them: a caller that keeps a
     level copies it.
     """
     plan = _Plan(driver, grid, Gs, dt, u)
-    u, rate, tmp, finite = plan.u, plan.rate, plan.tmp, plan.finite
+    u, rate, tmp = plan.u, plan.rate, plan.tmp
     sh2, sl2, lower, fold = plan.sh2, plan.sl2, plan.lower, plan.fold
     xs, half_dt, step_b, step_f = grid.xs, plan.half_dt, plan.b, plan.f
+    scale = plan.scale
+    check = plan.reads_u or not deferred
+    finite = np.empty(u.shape, dtype=bool) if check else None
     for n in range(nt - 1, -1, -1):
         t_known = (n + 1) * dt
         a = plan.generator_arg(t_known)
         # rate = 0.5 * (sh2 * max(a, 0) - sl2 * max(-a, 0)), with
         # -max(-a, 0) computed as min(a, 0): the same bits, zeros included
         np.maximum(a, 0.0, out=rate)
-        np.multiply(sh2, rate, out=rate)
+        if scale:
+            np.multiply(sh2, rate, out=rate)
         if lower:
             np.minimum(a, 0.0, out=tmp)
             np.multiply(sl2, tmp, out=tmp)
@@ -430,12 +446,30 @@ def _backward_steps(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
                        out=rate)
             np.multiply(dt, rate, out=rate)
         np.add(u, rate, out=u)
-        if not np.logical_and.reduce(np.isfinite(u, out=finite), axis=None):
+        if check and not np.logical_and.reduce(np.isfinite(u, out=finite),
+                                               axis=None):
             j = int(np.argmin(finite.all(axis=0)))
             raise NumericalError(
                 f"solution turned non-finite at time level {n} "
                 f"(t={n * dt:.6g}), node {j} (x={xs[j]:.6g})")
         yield n, a, u
+
+
+def _raise_sweep_error(driver: DriverSpec, grid: Grid1D, Gs, nt: int,
+                       dt: float, u: np.ndarray):
+    """Raise the error of one checked sweep from the rows ``u``, whose
+    deferred sweep ended in a non-finite level.
+
+    Each step ends with u + rate on the node's own previous value, so a
+    node that turns non-finite stays non-finite at every later level,
+    whatever the driver: a finite last level proves every level finite,
+    and a non-finite one means the sweep failed.  Stepping ``u`` again
+    with the per-step check raises the error of the first level, and at it
+    the first node, at which any row fails.
+    """
+    for _ in _backward_steps(driver, grid, Gs, nt, dt, u):
+        pass
+    raise NumericalError("solution turned non-finite")
 
 
 def _last_level(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
@@ -446,9 +480,11 @@ def _last_level(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
     The rows are independent, so they are stepped through all ``nt`` steps
     in blocks of at most ``BLOCK_NODES`` nodes, whose work buffers stay in
     cache.  The caller has charged the work budget for the whole stack
-    (``_time_steps(rows=...)``).  If a block turns non-finite, the stack is
-    stepped again unblocked, which raises the error of one sweep: the first
-    level, and at it the first node, at which any row fails.
+    (``_time_steps(rows=...)``).  The blocks defer the finiteness check
+    (``_backward_steps(deferred=True)``): the stack's last level is
+    checked once.  If it is not finite, or a block that checks every step
+    fails, the stack is stepped again unblocked with the per-step check,
+    which raises the error of one sweep (``_raise_sweep_error``).
     """
     out = np.array(u, dtype=float, order="C")
     per_block = max(1, BLOCK_NODES // grid.nx)
@@ -457,13 +493,13 @@ def _last_level(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
             block = slice(lo, lo + per_block)
             for _n, _a, level in _backward_steps(
                     driver, grid, Gs if len(Gs) == 1 else Gs[block], nt, dt,
-                    out[block]):
+                    out[block], deferred=True):
                 pass
             out[block] = level
     except NumericalError:
-        for _ in _backward_steps(driver, grid, Gs, nt, dt, u):
-            pass
-        raise
+        _raise_sweep_error(driver, grid, Gs, nt, dt, u)
+    if not np.isfinite(out).all():
+        _raise_sweep_error(driver, grid, Gs, nt, dt, u)
     return out
 
 
@@ -481,7 +517,12 @@ def _terminal_data(driver: DriverSpec, xs: np.ndarray) -> np.ndarray:
 def _solve_levels(grid: Grid1D, driver: DriverSpec, Gs, safety: float
                   ) -> tuple[PdeSolution, ...]:
     """Dense solutions of one driver under each generator in ``Gs``, on one
-    shared time grid, as views of one stacked array."""
+    shared time grid, as views of one stacked array.
+
+    No level is read before the sweep ends, so the sweep defers its
+    finiteness check (``_backward_steps(deferred=True)``) to one check of
+    the last level, which proves every level finite; a failed sweep is
+    stepped again with the per-step check (``_raise_sweep_error``)."""
     xs, dx = grid.xs, grid.dx
     nt, dt, _ = _time_steps(grid, Gs, driver, safety)
     dense = 2 * 8 * len(Gs) * (nt + 1) * grid.nx
@@ -493,9 +534,12 @@ def _solve_levels(grid: Grid1D, driver: DriverSpec, Gs, safety: float
     u = np.empty((len(Gs), nt + 1, grid.nx))
     a_field = np.empty_like(u)
     u[:, nt] = _terminal_data(driver, xs)
-    for n, a, un in _backward_steps(driver, grid, Gs, nt, dt, u[:, nt]):
+    for n, a, un in _backward_steps(driver, grid, Gs, nt, dt, u[:, nt],
+                                    deferred=True):
         a_field[:, n + 1] = a
         u[:, n] = un
+    if not np.isfinite(u[:, 0]).all():
+        _raise_sweep_error(driver, grid, Gs, nt, dt, u[:, nt])
     a_field[:, 0] = _Plan(driver, grid, Gs, dt, u[:, 0]).generator_arg(0.0)
     grid = grid.with_nt(nt)
     return tuple(PdeSolution(u=u[i], a_field=a_field[i], grid=grid,
@@ -508,7 +552,9 @@ def solve_terminal_pde(problem: PdeProblem, *, safety: float = 0.9) -> PdeSoluti
 
     Raises :class:`NumericalError` if the grid pins an ``nt`` above the CFL
     bound, or if any slice turns non-finite (with the offending node and
-    time level in the message).
+    time level in the message).  Unless the driver's f or g reads u, the
+    check runs once, on u(0, .), as a non-finite node stays non-finite
+    (``_solve_levels``); the message is the per-step check's.
     """
     return _solve_levels(problem.grid, problem.driver, (problem.G,), safety)[0]
 

@@ -210,6 +210,40 @@ def test_counterexample_assert_run(tmp_path):
     assert summary["verdicts"] == {"slope_ok": True, "mc_ok": True}
 
 
+def _strict_json(text):
+    """json.loads that refuses the NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"not standard JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_counterexample_with_one_eps_writes_a_null_slope(tmp_path):
+    rc = _main(["counterexample", "--eps", "0.1", "--n-paths", "256",
+                "--n-steps", "16", "--output-dir", str(tmp_path)])
+    assert rc == 0
+    summary = _strict_json((tmp_path / "summary.json").read_text())
+    assert summary["values"]["slope"] is None
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_summary_value_exits_two_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, bad):
+    run, helptext = cli._SUBCOMMANDS["gexpect"]
+
+    def patched(cfg):
+        values, verdicts, tables, line = run(cfg)
+        values["value"] = [1.0, bad]
+        return values, verdicts, tables, line
+    monkeypatch.setitem(cli._SUBCOMMANDS, "gexpect", (patched, helptext))
+    out = tmp_path / "out"
+    assert _main(["gexpect", "--nx", "41", "--output-dir", str(out)]) == 2
+    assert "values.value[1]" in capsys.readouterr().err
+    for path in out.rglob("*"):
+        text = path.read_text()
+        assert "NaN" not in text and "Infinity" not in text, path.name
+    assert not (out / "summary.json").exists()
+
+
 def test_remaining_subcommands_smoke(tmp_path):
     invocations = {
         "convergence": ["--eps", "0.2,0.1,0.05", "--nx", "201"],

@@ -492,9 +492,9 @@ def _count_sweeps(monkeypatch):
     calls = []
     steps = _pde._backward_steps
 
-    def counted(driver, grid, Gs, nt, dt, u):
+    def counted(driver, grid, Gs, nt, dt, u, **kw):
         calls.append(np.shape(u)[0])
-        return steps(driver, grid, Gs, nt, dt, u)
+        return steps(driver, grid, Gs, nt, dt, u, **kw)
     monkeypatch.setattr(_pde, "_backward_steps", counted)
     return calls
 

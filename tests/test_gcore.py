@@ -203,6 +203,22 @@ def test_sine_gz_coefficients_equal_the_broadcast_zero_form(c):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+@pytest.mark.parametrize("c", [0.5, -1.5, 0.0])
+def test_sine_gz_in_one_array_equals_the_allocating_expression(c):
+    # g and g_z write sin (cos), the scaling by c and the + 0.0 into one
+    # array; the allocating expression c * sin(z) + 0.0 is the reference
+    d = preset_driver("sine-gz", {"c": c})
+    z = np.concatenate([
+        [0.0, -0.0, 1e-300, -1e-300, np.pi, -np.pi, np.inf, -np.inf, np.nan],
+        np.random.default_rng(5).normal(scale=4.0, size=64)])
+    with np.errstate(invalid="ignore"):
+        for fn, trig in ((d.g, np.sin), (d.g_z, np.cos)):
+            assert fn(0.0, z, z, z).tobytes() == (c * trig(z) + 0.0).tobytes()
+            for zk in z[:9]:  # one scalar at a time
+                assert np.asarray(fn(0.0, 0.0, 0.0, zk)).tobytes() \
+                    == np.asarray(c * trig(zk) + 0.0).tobytes()
+
+
 # ---- which driver terms are live: decided in gcore alone ----
 
 _DRIVER_FIELDS = [

@@ -442,12 +442,15 @@ _STEP_DRIVERS = {
                             g=_const4(0.5)),
 }
 
-# generators per row: every sigma_low zero, and mixed
+# generators per row: every sigma_low zero, mixed, and sigma_high = 1 on
+# every row (the step skips its scaling by sigma_high^2)
 _STEP_GENERATORS = {
     "zero-low": (make_gfunction(0.0, 1.0), make_gfunction(0.0, 1.2),
                  make_gfunction(0.0, 0.8)),
     "mixed": (make_gfunction(0.0, 1.0), make_gfunction(0.5, 1.2),
               make_gfunction(0.2, 0.8)),
+    "unit": (make_gfunction(0.0, 1.0), make_gfunction(0.5, 1.0),
+             make_gfunction(0.2, 1.0)),
 }
 
 
@@ -596,6 +599,72 @@ def test_last_level_block_failure_raises_the_error_of_one_sweep(monkeypatch):
             pde._last_level(driver, grid, (G01,), nt, dt, rows)
     assert str(second_block.value) != str(sweep.value)
     assert str(blocked.value) == str(sweep.value)
+
+
+def _spike_driver(t_lo, t_hi):
+    """h overflows 2 h inside the time window [t_lo, t_hi], near x = 1.
+    No f or g reads u, so a sweep defers its finiteness check."""
+    def h(t, x):
+        x = _x(x)
+        spike = (t_lo <= t <= t_hi) & (np.abs(x - 1.0) < 0.15)
+        return np.where(spike, 1e308, 0.1)
+    return DriverSpec(name="spike", phi=np.cos, skip_self_check=True, h=h)
+
+
+@pytest.mark.parametrize("level", [39, 0])
+def test_deferred_last_level_raises_the_error_of_one_checked_sweep(level):
+    # one block; the sweep fails at its first step (level 39) or its last
+    nt, dt = 40, 2e-4
+    t = (level + 1) * dt  # the known time of the step to level ``level``
+    driver = _spike_driver(t - 0.5 * dt, t + 0.5 * dt)
+    grid = Grid1D(-3.0, 3.0, 61, 0.5)
+    Gs = _STEP_GENERATORS["unit"]
+    rows = np.stack([np.cos(grid.xs), np.sin(grid.xs), grid.xs ** 2 / 9.0])
+    assert rows.size <= pde.BLOCK_NODES
+    with np.errstate(all="ignore"):
+        n, j = _first_failure(driver, grid, Gs, nt, dt, rows)
+        assert n == level
+        with pytest.raises(NumericalError,
+                           match=rf"time level {n} .*, node {j} ") as sweep:
+            _one_sweep(driver, grid, Gs, nt, dt, rows)
+        with pytest.raises(NumericalError) as deferred:
+            pde._last_level(driver, grid, Gs, nt, dt, rows)
+    assert str(deferred.value) == str(sweep.value)
+
+
+def test_solve_raises_the_error_of_one_checked_sweep_on_a_mid_sweep_overflow():
+    # the window misses the CFL samples of h at t = 0, T/2 and T
+    grid = Grid1D(-3.0, 3.0, 61, 0.5)
+    driver = _spike_driver(0.1, 0.11)
+    nt, dt, _ = pde._time_steps(grid, (G01,), driver, 0.9)
+    with np.errstate(all="ignore"):
+        n, j = _first_failure(driver, grid, (G01,), nt, dt,
+                              np.cos(grid.xs)[None])
+        assert 0 < n < nt - 1
+        with pytest.raises(NumericalError,
+                           match=rf"time level {n} .*, node {j} "):
+            solve_terminal_pde(PdeProblem(grid, driver, G01))
+
+
+def test_a_live_f_is_never_called_on_a_non_finite_level():
+    # f grows u by about 1 + 50 dt a step until it overflows; an f that
+    # refuses a non-finite y keeps the step's per-step check, so the solve
+    # ends in the NumericalError, not in f's ValueError
+    def f(t, x, y):
+        y = _x(y)
+        if not np.isfinite(y).all():
+            raise ValueError("f called on a non-finite level")
+        return 50.0 * y
+
+    driver = DriverSpec(name="growth", phi=lambda x: 1e306 * np.cos(_x(x)),
+                        skip_self_check=True, f=f)
+    grid = Grid1D(-3.0, 3.0, 61, 0.5)
+    rows = np.tile(1e306 * np.cos(grid.xs), (3, 1))
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError, match="non-finite at time level"):
+            pde._last_level(driver, grid, (G01,), 400, 2e-3, rows)
+        with pytest.raises(NumericalError, match="non-finite at time level"):
+            solve_terminal_pde(PdeProblem(grid, driver, G01))
 
 
 def test_gheat_solve_with_zero_sigma_low_equals_the_allocating_step():
