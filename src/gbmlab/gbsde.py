@@ -473,22 +473,18 @@ def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
                               ) -> DpCheckReport:
     """Re-derive u(t1, x0) by lattice DP on [t1, t2] with terminal data
     u(t2, .) and per-step rewards f dt + g sigma^2 dt read from the solved
-    fields.  Supports b = h = 0, sigma = 1 problems (the state is
-    x0 + noise); anything else raises.  A lattice over the
+    fields.  Supports drivers that leave b, h and sigma at their defaults
+    (none in ``DriverSpec.live``; the state is x0 + noise); anything else
+    raises :class:`DomainError`.  A lattice over the
     ``DP_NODE_STEPS_MAX`` work budget raises :class:`NumericalError` before
     the PDE solve."""
     grid = problem.grid
     if not (0.0 <= t1 <= t2 <= grid.T):
         raise DomainError(f"need 0 <= t1 <= t2 <= T, got ({t1}, {t2})")
     d = problem.driver
-    xs_probe = np.linspace(grid.x_min, grid.x_max, 7)
-    for t in (t1, t2):
-        for nm, fn in (("b", d.b), ("h", d.h)):
-            if np.max(np.abs(np.asarray(fn(t, xs_probe), dtype=float))) > 1e-14:
-                raise DomainError(f"dp check supports {nm} == 0 only")
-        if np.max(np.abs(np.asarray(d.sigma(t, xs_probe), dtype=float)
-                         - 1.0)) > 1e-14:
-            raise DomainError("dp check supports sigma == 1 only")
+    for nm, default in (("b", 0), ("h", 0), ("sigma", 1)):
+        if nm in d.live:
+            raise DomainError(f"dp check supports {nm} == {default} only")
     # an empty window needs no lattice; otherwise refuse bad steps unsolved
     spec = (LatticeSpec.for_horizon(t2 - t1, steps, problem.G)
             if t2 > t1 + 1e-15 else None)

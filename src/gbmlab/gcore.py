@@ -473,8 +473,6 @@ def _payoff(kind: str, params: Mapping):
                 (), 1.0, 1)
     if kind == "abs":
         delta = float(params.get("smoothing", 0.0))
-        if delta < 0:
-            raise DomainError(f"smoothing must be >= 0, got {delta}")
         if delta == 0.0:
             return (lambda x: np.abs(np.asarray(x, dtype=float)),
                     lambda x: np.sign(np.asarray(x, dtype=float)),
@@ -500,7 +498,7 @@ def _payoff(kind: str, params: Mapping):
 
 
 PRESET_NAMES = ("zero", "quadratic", "abs", "smooth-bump", "linear-h",
-                "sine-gz", "kinked", "counterexample-weight")
+                "sine-gz", "kinked")
 
 # the ``params`` keys each payoff reads, and the payoff the ``phi`` key of
 # the presets with a driver term chooses by default
@@ -517,10 +515,12 @@ def preset_driver(name: str, params: Mapping | None = None) -> DriverSpec:
     smoothing), ``smooth-bump`` (compactly supported payoff), ``linear-h``
     (constant quadratic-variation driver g=c), ``sine-gz`` (g=c*sin(z),
     exercises the adjoint weight), ``kinked`` (phi=|x| with frozen flow
-    sigma=0), ``counterexample-weight`` (zero coefficients; carries the
-    singular weight exponent used by the moment-bound demo).
+    sigma=0).  Each parameter the preset reads must lie in its domain
+    (``check_param``).
     """
     p = dict(params or {})
+    for key in preset_keys(name, p) & p.keys():
+        check_param(key, p[key])
     coeffs = {}
     if name in ("zero", "quadratic", "abs", "smooth-bump"):
         payoff = name
@@ -549,9 +549,6 @@ def preset_driver(name: str, params: Mapping | None = None) -> DriverSpec:
     elif name == "kinked":
         coeffs["sigma"] = _zero2
         payoff = "abs"
-    elif name == "counterexample-weight":
-        p.setdefault("exponent", -0.2)
-        payoff = "zero"
     else:
         raise DomainError(f"unknown preset '{name}'; choose from {PRESET_NAMES}")
     phi, phi_x, phi_xx, kinks, L1, m = _payoff(payoff, p)
@@ -562,10 +559,10 @@ def preset_driver(name: str, params: Mapping | None = None) -> DriverSpec:
 def preset_keys(name: str, params: Mapping) -> set:
     """The keys of ``params`` that ``preset_driver(name, params)`` reads."""
     if name in _DEFAULT_PHI:
-        payoff = params.get("phi", _DEFAULT_PHI[name])
+        # a phi that names no payoff (an unhashable one too) adds no key
+        # and is refused where the payoff is built
+        payoff = str(params.get("phi", _DEFAULT_PHI[name]))
         return {"c", "phi", *_PAYOFF_KEYS.get(payoff, ())}
-    if name == "counterexample-weight":
-        return {"exponent"}
     return set(_PAYOFF_KEYS.get("abs" if name == "kinked" else name, ()))
 
 

@@ -241,12 +241,15 @@ def gexpect_terminal(phi, T: float, G: GFunction1D, *, nx: int = 401,
     form is not ``GHEAT``."""
     driver = _resolve_payoff(phi)
     grid = Grid1D.default_for(0.0, T, G, nx=nx)
-    problem = _pde.PdeProblem(grid, driver, G)
-    if problem.form is not _pde.PdeForm.GHEAT:
+    form = _pde._form(driver)
+    if form is not _pde.PdeForm.GHEAT:
         raise DomainError(f"driver '{driver.name}' is not a pure payoff: it "
-                          f"fits {problem.form.value}, not gheat")
-    sol = _pde.solve_terminal_pde(problem, safety=safety)
-    return sol.value(0.0, 0.0)
+                          f"fits {form.value}, not gheat")
+    # only u(0, .) is read: one row stepped to t = 0, no dense field
+    nt, dt, _ = _pde._time_steps(grid, (G,), driver, safety)
+    u0 = _pde._last_level(driver, grid, (G,), nt, dt,
+                          _pde._terminal_data(driver, grid.xs)[None])
+    return float(np.interp(0.0, grid.xs, u0[0]))
 
 
 def default_stage_grids(X: CylinderFunctional, G: GFunction1D,

@@ -13,7 +13,7 @@ sublinearity (the properties the cross-checks in tests rely on).
 The G-heat equation, the regularized G-BSDE and the Markovian G-FBSDE are
 views of this one equation and are stepped by the same code;
 ``PdeProblem.form`` names the narrowest of them a driver fits, derived from
-its coefficients.
+the terms it sets (``DriverSpec.live``).
 """
 
 from __future__ import annotations
@@ -77,9 +77,14 @@ class PdeForm(enum.Enum):
 # problem container
 # ---------------------------------------------------------------------------
 
-def _vanishes(vals) -> bool:
-    """Whether sampled values are zero to 1e-14; NaN counts as zero."""
-    return not np.max(np.abs(np.asarray(vals, dtype=float))) > 1e-14
+def _form(driver: DriverSpec) -> PdeForm:
+    """The narrowest form ``driver`` fits, read from ``driver.live``:
+    ``MARKOVIAN_FBSDE`` if b, h, sigma or f is live, else
+    ``REGULARIZED_BSDE`` if g is, else ``GHEAT``."""
+    live = driver.live
+    if any(nm in live for nm in ("b", "h", "sigma", "f")):
+        return PdeForm.MARKOVIAN_FBSDE
+    return PdeForm.REGULARIZED_BSDE if "g" in live else PdeForm.GHEAT
 
 
 @dataclass(frozen=True)
@@ -93,21 +98,10 @@ class PdeProblem:
 
     @property
     def form(self) -> PdeForm:
-        """The narrowest form the driver fits, from its coefficients sampled
-        at about 16 grid nodes: ``GHEAT`` when b, h, f and g vanish and
-        sigma is one, else ``REGULARIZED_BSDE`` when only g is nonzero, else
-        ``MARKOVIAN_FBSDE``, which every driver fits."""
-        xs = self.grid.xs[:: max(1, self.grid.nx // 16)]
-        d, T = self.driver, self.grid.T
-        if not all(_vanishes(d.b(t, xs)) and _vanishes(d.h(t, xs))
-                   and _vanishes(np.asarray(d.sigma(t, xs), dtype=float) - 1.0)
-                   and all(_vanishes(d.f(t, xs, np.full_like(xs, y)))
-                           for y in np.linspace(-1.0, 1.0, 5))
-                   for t in (0.0, 0.5 * T, T)):
-            return PdeForm.MARKOVIAN_FBSDE
-        if all(_vanishes(d.g(t, xs, xs, xs)) for t in (0.0, T)):
-            return PdeForm.GHEAT
-        return PdeForm.REGULARIZED_BSDE
+        """The narrowest form the driver fits, from the terms it sets
+        (``DriverSpec.live``): a coefficient set to anything but its
+        default counts, even one that returns zeros."""
+        return _form(self.driver)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +376,7 @@ def _lower_term(driver: DriverSpec, sh2: np.ndarray, sl2: np.ndarray,
     to rounding, hence the factor 8): while that bound is finite, a is
     finite and the term may go.
     """
-    live = driver.live
-    if sl2.any() or any(nm in live for nm in ("b", "h", "sigma", "f", "g")):
+    if sl2.any() or _form(driver) is not PdeForm.GHEAT:
         return True
     dx2 = dx * dx
     bound = 8.0 * float(np.max(np.abs(u), initial=0.0))

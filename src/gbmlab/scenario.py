@@ -562,8 +562,7 @@ class SensitivityEstimate:
 
 
 def _phi_sided(driver: DriverSpec, xT: np.ndarray, side: str) -> np.ndarray:
-    analytic = (driver.phi_x is not None
-                and not getattr(driver.phi_x, "_fd_backed", False)
+    analytic = (not getattr(driver.phi_x, "_fd_backed", False)
                 and not driver.phi_kinks)
     if analytic:
         return np.asarray(driver.phi_x(xT), dtype=float)

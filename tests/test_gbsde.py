@@ -597,6 +597,21 @@ def test_dp_rejections():
         gbsde.dynamic_programming_check(pure, 0.5, 1.5)
 
 
+def test_dp_refuses_a_drift_between_sample_points():
+    # a drift bump at x = 1.2, far below 1e-14 at every one of seven
+    # evenly spaced points of the grid, is a drift all the same
+    grid = _grid()
+    assert np.min(np.abs(np.linspace(grid.x_min, grid.x_max, 7) - 1.2)) > 0.4
+    bumped = dataclasses.replace(
+        preset_driver("quadratic"), name="hidden-b",
+        b=lambda t, x: np.exp(-((np.asarray(x, dtype=float) - 1.2)
+                                / 0.05) ** 2),
+        b_x=None)
+    with pytest.raises(DomainError, match="supports b == 0 only"):
+        gbsde.dynamic_programming_check(PdeProblem(grid, bumped, G01),
+                                        0.0, 0.5)
+
+
 def _ref_dp_lattice_value(problem, sol, t1, t2, x0, steps):
     """The dp check's lattice with its own probabilities and step."""
     d, G = problem.driver, problem.G

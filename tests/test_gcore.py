@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,26 @@ def test_unknown_preset_rejected():
         preset_driver("cubic")
     with pytest.raises(DomainError):
         preset_driver("abs", {"smoothing": -1.0})
+    with pytest.raises(DomainError, match="unknown payoff"):
+        preset_driver("linear-h", {"phi": [1]})
+
+
+@pytest.mark.parametrize("name, params", [
+    ("smooth-bump", {"amplitude": "abc"}),
+    ("sine-gz", {"c": "abc"}),
+    ("sine-gz", {"width": 0.0}),
+    ("smooth-bump", {"width": 0.0}),
+    ("smooth-bump", {"width": 1e300}),
+    ("abs", {"smoothing": 1e300}),
+    ("smooth-bump", {"center": math.inf}),
+], ids=["not-a-number", "c-not-a-number", "zero-width-sine-gz", "zero-width",
+        "width-square-overflows", "smoothing-square-overflows",
+        "infinite-center"])
+def test_preset_driver_checks_its_own_parameters(name, params):
+    # the values the CLI refuses before a run; the library raised
+    # ValueError, ZeroDivisionError or OverflowError, or built the driver
+    with pytest.raises(DomainError, match="must be"):
+        preset_driver(name, params)
 
 
 def test_lipschitz_envelope_violation_rejected():

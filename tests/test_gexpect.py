@@ -12,6 +12,8 @@ from gbmlab import gexpect
 from gbmlab.gcore import (
     CylinderFunctional,
     DomainError,
+    DriverSpec,
+    Grid1D,
     NumericalError,
     make_gfunction,
     payoff_driver,
@@ -26,6 +28,7 @@ from gbmlab.gexpect import (
     gexpect_terminal,
     lattice_oracle,
 )
+from gbmlab.pde import PdeProblem, solve_terminal_pde
 
 G01 = make_gfunction(0.0, 1.0)
 
@@ -59,6 +62,30 @@ def test_terminal_monotone_and_sublinear():
         lambda x: np.cos(np.asarray(x, dtype=float)) + 0.5, 1.0, G01)
     assert both <= cos_v + abs_v + 1e-10
     assert cos_v <= shifted + 1e-12
+
+
+@pytest.mark.parametrize("preset, nx", [
+    ("quadratic", 401), ("smooth-bump", 801), ("abs", 401)])
+def test_terminal_equals_the_dense_solution(preset, nx):
+    # gexpect_terminal steps one row to t = 0; the dense solve keeps every
+    # level and reads the same u(0, 0)
+    driver = preset_driver(preset)
+    grid = Grid1D.default_for(0.0, 1.0, G01, nx=nx)
+    sol = solve_terminal_pde(PdeProblem(grid, driver, G01))
+    assert gexpect_terminal(driver, 1.0, G01, nx=nx) == sol.value(0.0, 0.0)
+
+
+def test_terminal_refuses_a_driver_whose_f_vanishes_on_small_y():
+    # f is zero for |y| <= 1 only: a driver term all the same, so the
+    # equation is no G-heat equation and u(0, 0) is no G-expectation
+    quad = preset_driver("quadratic")
+    driver = DriverSpec(
+        name="hidden-f", phi=quad.phi, phi_x=quad.phi_x,
+        f=lambda t, x, y: np.maximum(np.abs(np.asarray(y, dtype=float))
+                                     - 1.0, 0.0),
+        f_y=None)
+    with pytest.raises(DomainError, match="not a pure payoff"):
+        gexpect_terminal(driver, 1.0, G01)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +128,18 @@ def test_conditional_measurable_stage():
     tab = conditional_gexpect(X, 1, G01)
     xs = tab.grids[0].xs
     assert np.array_equal(tab(xs), xs)
+
+
+def test_conditional_two_stage_table():
+    # a table over two increments is read back bilinearly
+    X = CylinderFunctional(times=(1 / 3, 2 / 3, 1.0),
+                           psi=lambda a, b, c: a + b)
+    tab = conditional_gexpect(X, 2, G01, nx=41)
+    xa, xb = np.meshgrid(tab.grids[0].xs, tab.grids[1].xs, indexing="ij")
+    assert np.array_equal(tab(xa, xb), xa + xb)
+    pa, pb = np.meshgrid(np.linspace(-1.23, 1.17, 7),
+                         np.linspace(-0.91, 1.37, 5), indexing="ij")
+    assert np.max(np.abs(tab(pa, pb) - (pa + pb))) <= 1e-12
 
 
 def test_conditional_product_vanishes():

@@ -157,6 +157,21 @@ def test_form_is_the_narrowest_the_driver_fits(preset, form):
     assert PdeProblem(grid, preset_driver(preset), G01).form is form
 
 
+@pytest.mark.parametrize("terms", [
+    dict(f=lambda t, x, y: np.maximum(np.abs(np.asarray(y, dtype=float))
+                                      - 1.0, 0.0), f_y=None),
+    dict(b=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)), b_x=None),
+    dict(sigma=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
+         sigma_x=None),
+], ids=["f-zero-for-small-y", "b-returns-zeros", "sigma-returns-ones"])
+def test_a_set_term_widens_the_form(terms):
+    # the form names the terms a step evaluates, whatever values they take
+    driver = dataclasses.replace(preset_driver("quadratic"), name="set-term",
+                                 **terms)
+    grid = Grid1D.default_for(0.0, 1.0, G01)
+    assert PdeProblem(grid, driver, G01).form is PdeForm.MARKOVIAN_FBSDE
+
+
 # ---------------------------------------------------------------------------
 # derivative fields
 # ---------------------------------------------------------------------------
