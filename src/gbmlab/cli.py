@@ -358,10 +358,10 @@ def _run_solve_pde(cfg: RunConfig):
 
 def _family(cfg: RunConfig, *, curvature: bool = False
             ) -> _gbsde.BsdeSolutionFamily:
-    """The configured eps family at t = 0, streamed (no dense fields)."""
-    return _gbsde.stream_gbsde(_problem(cfg, cfg.gfunction()),
-                               cfg.eps_schedule, safety=cfg.cfl_safety,
-                               curvature=curvature)
+    """The configured eps family at t = 0 (no dense fields)."""
+    return _gbsde.solve_gbsde(_problem(cfg, cfg.gfunction()),
+                              cfg.eps_schedule, safety=cfg.cfl_safety,
+                              curvature=curvature)
 
 
 def _run_gbsde(cfg: RunConfig):

@@ -32,7 +32,7 @@ import numpy as np
 from .gcore import (CylinderFunctional, DomainError, DriverSpec, Grid1D,
                     NumericalError, regularize)
 from . import pde as _pde
-from .pde import PdeProblem, FieldInterpolator, GridPoints
+from .pde import PdeProblem, PdeSolution, FieldInterpolator, GridPoints
 from . import gexpect as _gexpect
 from .gexpect import LatticeSpec
 from . import scenario as _scenario
@@ -45,14 +45,12 @@ from .scenario import PathBundle, mean_and_se, path_normals
 
 @dataclass(frozen=True)
 class BsdeSolutionFamily:
-    """The eps family at t = 0, plus the dense levels when they were kept.
+    """The eps family at t = 0.
 
     ``u[k]`` is u_eps(0, .) of level k, ``u0`` the extrapolated limit at
     t = 0, ``deltas`` the sup gaps between consecutive rows of ``u`` and
     ``min_uxx`` the per-level minimum of d_xx u over the central third of
-    the nodes and all time levels (None when streamed without
-    ``curvature``).  ``solutions`` holds the dense levels of
-    ``solve_gbsde``; it is ``()`` for ``stream_gbsde``.
+    the nodes and all time levels (None without ``curvature``).
     """
 
     problem: PdeProblem
@@ -62,7 +60,6 @@ class BsdeSolutionFamily:
     u0: np.ndarray
     deltas: tuple
     min_uxx: tuple | None
-    solutions: tuple
 
     def u_at(self, i: int, x: float) -> float:
         """u of level ``i`` at (0, x), linear in x."""
@@ -73,35 +70,10 @@ class BsdeSolutionFamily:
         return float(np.interp(x, self.problem.grid.xs, self.u0))
 
 
-def _eps_generators(problem: PdeProblem, eps_schedule) -> tuple:
-    """(eps, generators): the schedule, checked, and one regularized
-    generator per level."""
-    eps = tuple(float(e) for e in eps_schedule)
-    if len(eps) < 2:
-        raise DomainError("need at least two eps levels")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise DomainError(f"eps schedule must be strictly decreasing: {eps}")
-    if not problem.G.degenerate:
-        raise DomainError("vanishing-viscosity family needs a degenerate "
-                          "generator (sigma_low = 0)")
-    return eps, [regularize(problem.G, e) for e in eps]
-
-
 def _extrapolate(eps: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """First-order extrapolation to eps = 0 from the two finest levels."""
     e1, e2 = eps[-2], eps[-1]
     return u2 + (u2 - u1) * (e2 / (e1 - e2))
-
-
-def _new_family(problem: PdeProblem, eps: tuple, nt: int, u: np.ndarray,
-                min_uxx, solutions=()) -> BsdeSolutionFamily:
-    """The family from its t = 0 rows ``u``: the limit and the deltas are
-    reduced from them here, for both solvers."""
-    return BsdeSolutionFamily(
-        problem=problem, eps_schedule=eps, nt=nt, u=u,
-        u0=_extrapolate(eps, u[-2], u[-1]),
-        deltas=tuple(float(np.max(np.abs(a - b))) for a, b in zip(u, u[1:])),
-        min_uxx=min_uxx, solutions=solutions)
 
 
 def _central_uxx(u: np.ndarray, dx: float) -> np.ndarray:
@@ -114,56 +86,49 @@ def _central_uxx(u: np.ndarray, dx: float) -> np.ndarray:
     return _pde._second_diff(u[..., lo - 1:hi + 1], dx)
 
 
-def solve_gbsde(problem: PdeProblem, eps_schedule, *,
-                safety: float = 0.9) -> BsdeSolutionFamily:
+def solve_gbsde(problem: PdeProblem, eps_schedule, *, safety: float = 0.9,
+                curvature: bool = False) -> BsdeSolutionFamily:
     """Solve one elliptic level per eps and extrapolate the limit.
 
     All levels are stepped together on one time grid (the step forced by
     the coarsest, most diffusive level, or the grid's pinned ``nt`` if that
-    is stable for every level) so fields can be compared and extrapolated
+    is stable for every level) so rows can be compared and extrapolated
     node by node.  Requires a degenerate generator and a strictly
     decreasing schedule with at least two levels.
 
-    The family keeps the dense levels in ``solutions``: u and the
-    generator argument of every level at every time level, because
-    ``reconstruct_K`` and ``FieldInterpolator`` read the fields along
-    paths.  A caller that needs only t = 0 and the per-level reductions
-    uses ``stream_gbsde``.
+    Only u(0, .) of each level is kept, plus, with ``curvature``, a
+    running per-level minimum of the central-third d_xx from phi on:
+    memory is O(levels x nx).  A caller that reads the fields along paths
+    (``reconstruct_K``, ``FieldInterpolator``) solves the level it needs
+    alone: ``solve_terminal_pde`` on ``grid.with_nt(family.nt)`` under
+    ``regularize(G, eps)`` gives that level's dense fields, bit for bit.
     """
-    eps, gs = _eps_generators(problem, eps_schedule)
-    solutions = _pde._solve_levels(problem.grid, problem.driver, gs, safety)
-    min_uxx = tuple(float(_central_uxx(sol.u, sol.dx).min())
-                    for sol in solutions)
-    return _new_family(problem, eps, solutions[0].nt,
-                       np.array([sol.u[0] for sol in solutions]), min_uxx,
-                       solutions)
-
-
-def stream_gbsde(problem: PdeProblem, eps_schedule, *, safety: float = 0.9,
-                 curvature: bool = False) -> BsdeSolutionFamily:
-    """The family of ``solve_gbsde`` without its dense levels.
-
-    The levels are stepped on the same time grid, under the same checks
-    (schedule, pin-or-CFL rule, node-step budget, finiteness), but only
-    the last level is kept, plus, with ``curvature``, a running per-level
-    minimum of the central-third d_xx from phi on.  Memory is O(levels x
-    nx) instead of O(levels x nt x nx).  Every value equals the dense
-    family's bit for bit: the minima and maxima are exact and the
-    extrapolation is elementwise.
-    """
-    eps, gs = _eps_generators(problem, eps_schedule)
+    eps = tuple(float(e) for e in eps_schedule)
+    if len(eps) < 2:
+        raise DomainError("need at least two eps levels")
+    if any(b >= a for a, b in zip(eps, eps[1:])):
+        raise DomainError(f"eps schedule must be strictly decreasing: {eps}")
+    if not problem.G.degenerate:
+        raise DomainError("vanishing-viscosity family needs a degenerate "
+                          "generator (sigma_low = 0)")
+    gs = [regularize(problem.G, e) for e in eps]
     grid, driver = problem.grid, problem.driver
     nt, dt, _ = _pde._time_steps(grid, gs, driver, safety)
     phi = _pde._terminal_data(driver, grid.xs)
     u = np.broadcast_to(phi, (len(gs), grid.nx))
-    if not curvature:
-        return _new_family(problem, eps, nt,
-                           _pde._last_level(driver, grid, gs, nt, dt, u), None)
-    mins = np.full(len(gs), _central_uxx(phi, grid.dx).min())
-    for _n, _a, u in _pde._backward_steps(driver, grid, gs, nt, dt, u):
-        np.minimum(mins, _central_uxx(u, grid.dx).min(axis=-1), out=mins)
-    # the step overwrites its level in place, hence the copy
-    return _new_family(problem, eps, nt, u.copy(), tuple(mins.tolist()))
+    if curvature:
+        mins = np.full(len(gs), _central_uxx(phi, grid.dx).min())
+        for _n, _a, u in _pde._backward_steps(driver, grid, gs, nt, dt, u):
+            np.minimum(mins, _central_uxx(u, grid.dx).min(axis=-1), out=mins)
+        # the step overwrites its level in place, hence the copy
+        u, min_uxx = u.copy(), tuple(mins.tolist())
+    else:
+        u, min_uxx = _pde._last_level(driver, grid, gs, nt, dt, u), None
+    return BsdeSolutionFamily(
+        problem=problem, eps_schedule=eps, nt=nt, u=u,
+        u0=_extrapolate(eps, u[-2], u[-1]),
+        deltas=tuple(float(np.max(np.abs(a - b))) for a, b in zip(u, u[1:])),
+        min_uxx=min_uxx)
 
 
 # ---------------------------------------------------------------------------
@@ -175,32 +140,28 @@ class KPath:
     """Cumulative defect K along paths: K_0 = 0, non-increasing pathwise."""
 
     K: np.ndarray
-    eps: float
 
     @property
     def K_T(self) -> np.ndarray:
         return self.K[:, -1]
 
 
-def reconstruct_K(family: BsdeSolutionFamily, eps_index: int,
-                  bundle: PathBundle, x0: float | None = None) -> KPath:
-    """Integrate dK = 0.5 a dQV - G_eps(a) dt along the bundle's paths.
+def reconstruct_K(sol: PdeSolution, bundle: PathBundle,
+                  x0: float | None = None) -> KPath:
+    """Integrate dK = 0.5 a dQV - G(a) dt along the bundle's paths.
 
-    ``x0`` defaults to the bundle's own start state (FEEDBACK bundles carry
-    it); the increments read the curvature field of the chosen eps level.
+    ``sol`` is the dense solution whose curvature field the increments
+    read, under its own driver and generator (``sol.driver``, ``sol.G``);
+    for an eps level, solve it as ``solve_gbsde`` describes.  ``x0``
+    defaults to the bundle's own start state (FEEDBACK bundles carry it).
     Raises :class:`NumericalError` where K increases by more than its
-    rounding tolerance, and :class:`DomainError` for a streamed family,
-    which keeps no fields to read.
+    rounding tolerance.
     """
-    if not family.solutions:
-        raise DomainError("K reconstruction needs the dense levels of "
-                          "solve_gbsde; the family was streamed")
-    sol = family.solutions[eps_index]
     if x0 is None:
         if bundle.x0 is None:
             raise DomainError("bundle carries no start state; pass x0")
         x0 = bundle.x0
-    X = _scenario.forward_sde(family.problem.driver, bundle.t0, x0, bundle)
+    X = _scenario.forward_sde(sol.driver, bundle.t0, x0, bundle)
     fields = FieldInterpolator(sol)
     dk = _scenario.k_increments(fields, sol.G, bundle, X)
     K = np.zeros((bundle.n_paths, bundle.n_steps + 1))
@@ -212,7 +173,7 @@ def reconstruct_K(family: BsdeSolutionFamily, eps_index: int,
         raise NumericalError(
             f"K increased by {np.diff(K, axis=1).max():.3g} > tol {tol:.3g} "
             f"on path {i}, step {k}")
-    return KPath(K=K, eps=family.eps_schedule[eps_index])
+    return KPath(K=K)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +237,7 @@ def second_derivative_scan(family: BsdeSolutionFamily) -> CurvatureScan:
     """
     mins = family.min_uxx
     if mins is None:
-        raise DomainError("family was streamed without the curvature minimum")
+        raise DomainError("family was solved without the curvature minimum")
     ref = abs(mins[0])
     worst = max(abs(v) for v in mins)
     bounded = worst <= 2.0 * ref + 1e-12
@@ -604,7 +565,8 @@ def path_norms(eta, p: float, bundles) -> dict:
     H = max over bundles of E[(sum eta^2 dQV)^{p/2}]^{1/p}; M is the dt
     analogue.  The inner exponent is 2 (the natural Z-space form), so the
     comparison constant between the two is sigma_high itself.
-    ``eta`` is an array broadcastable to (n_paths, n_steps).
+    ``eta`` is an array broadcastable to (n_paths, n_steps); ``bundles``
+    is a non-empty iterable.
     """
     if p <= 0:
         raise DomainError(f"need p > 0, got {p}")
@@ -624,6 +586,8 @@ def path_norms(eta, p: float, bundles) -> dict:
         per_bundle.append((bundle.control.label, h, m))
         h_norm = max(h_norm, h)
         m_norm = max(m_norm, m)
+    if sigma_high is None:
+        raise DomainError("need at least one bundle")
     consistent = h_norm <= sigma_high * m_norm * (1.0 + 1e-9) + 1e-300
     return dict(h_norm=h_norm, m_norm=m_norm, per_bundle=per_bundle,
                 consistent=bool(consistent))

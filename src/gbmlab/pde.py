@@ -507,49 +507,41 @@ def _terminal_data(driver: DriverSpec, xs: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _solve_levels(grid: Grid1D, driver: DriverSpec, Gs, safety: float
-                  ) -> tuple[PdeSolution, ...]:
-    """Dense solutions of one driver under each generator in ``Gs``, on one
-    shared time grid, as views of one stacked array.
-
-    No level is read before the sweep ends, so the sweep defers its
-    finiteness check (``_backward_steps(deferred=True)``) to one check of
-    the last level, which proves every level finite; a failed sweep is
-    stepped again with the per-step check (``_raise_sweep_error``)."""
-    xs, dx = grid.xs, grid.dx
-    nt, dt, _ = _time_steps(grid, Gs, driver, safety)
-    dense = 2 * 8 * len(Gs) * (nt + 1) * grid.nx
-    if dense > DENSE_BYTES_MAX:
-        raise NumericalError(
-            f"dense solution needs {dense / 2 ** 30:.3g} GiB for nt={nt}, "
-            f"nx={grid.nx}, {len(Gs)} row(s); the limit is "
-            f"{DENSE_BYTES_MAX / 2 ** 30:.3g} GiB")
-    u = np.empty((len(Gs), nt + 1, grid.nx))
-    a_field = np.empty_like(u)
-    u[:, nt] = _terminal_data(driver, xs)
-    for n, a, un in _backward_steps(driver, grid, Gs, nt, dt, u[:, nt],
-                                    deferred=True):
-        a_field[:, n + 1] = a
-        u[:, n] = un
-    if not np.isfinite(u[:, 0]).all():
-        _raise_sweep_error(driver, grid, Gs, nt, dt, u[:, nt])
-    a_field[:, 0] = _Plan(driver, grid, Gs, dt, u[:, 0]).generator_arg(0.0)
-    grid = grid.with_nt(nt)
-    return tuple(PdeSolution(u=u[i], a_field=a_field[i], grid=grid,
-                             driver=driver, G=G, dx=dx, dt=dt)
-                 for i, G in enumerate(Gs))
-
-
 def solve_terminal_pde(problem: PdeProblem, *, safety: float = 0.9) -> PdeSolution:
     """Backward explicit sweep from u(T, .) = phi to u(0, .).
 
     Raises :class:`NumericalError` if the grid pins an ``nt`` above the CFL
-    bound, or if any slice turns non-finite (with the offending node and
-    time level in the message).  Unless the driver's f or g reads u, the
-    check runs once, on u(0, .), as a non-finite node stays non-finite
-    (``_solve_levels``); the message is the per-step check's.
+    bound, if the dense fields would exceed ``DENSE_BYTES_MAX``, or if any
+    slice turns non-finite (with the offending node and time level in the
+    message).  No level is read before the sweep ends, so unless the
+    driver's f or g reads u the sweep defers its finiteness check
+    (``_backward_steps(deferred=True)``) to one check of u(0, .): a
+    non-finite node stays non-finite, so a finite last level proves every
+    level finite, and a failed sweep is stepped again with the per-step
+    check (``_raise_sweep_error``), whose message it raises.
     """
-    return _solve_levels(problem.grid, problem.driver, (problem.G,), safety)[0]
+    grid, driver, Gs = problem.grid, problem.driver, (problem.G,)
+    xs, dx = grid.xs, grid.dx
+    nt, dt, _ = _time_steps(grid, Gs, driver, safety)
+    dense = 2 * 8 * (nt + 1) * grid.nx
+    if dense > DENSE_BYTES_MAX:
+        raise NumericalError(
+            f"dense solution needs {dense / 2 ** 30:.3g} GiB for nt={nt}, "
+            f"nx={grid.nx}, 1 row(s); the limit is "
+            f"{DENSE_BYTES_MAX / 2 ** 30:.3g} GiB")
+    u = np.empty((nt + 1, grid.nx))
+    a_field = np.empty_like(u)
+    u[nt] = _terminal_data(driver, xs)
+    # the sweep steps the one row as a stack of rows, u[nt:] = [phi]
+    for n, a, un in _backward_steps(driver, grid, Gs, nt, dt, u[nt:],
+                                    deferred=True):
+        a_field[n + 1] = a[0]
+        u[n] = un[0]
+    if not np.isfinite(u[0]).all():
+        _raise_sweep_error(driver, grid, Gs, nt, dt, u[nt:])
+    a_field[0] = _Plan(driver, grid, Gs, dt, u[:1]).generator_arg(0.0)[0]
+    return PdeSolution(u=u, a_field=a_field, grid=grid.with_nt(nt),
+                       driver=driver, G=problem.G, dx=dx, dt=dt)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def _grid(nx: int = 401) -> Grid1D:
 @functools.lru_cache(maxsize=None)
 def _family(preset: str):
     problem = PdeProblem(_grid(), preset_driver(preset), G01)
-    return gbsde.solve_gbsde(problem, SCHEDULE)
+    return gbsde.solve_gbsde(problem, SCHEDULE, curvature=True)
 
 
 def _neg_quadratic():
@@ -235,13 +235,11 @@ def test_criterion_12_property_suites(tmp_path):
         ok = ok and np.all(G.eval(a + b) <= G.eval(a) + G.eval(b) + 1e-12)
     # K paths: start at zero, never increase
     quad = preset_driver("quadratic")
-    fam = gbsde.solve_gbsde(
-        PdeProblem(_grid(), quad, G01),
-        (0.2, 0.1))
-    feedback = VolatilityControl.feedback(fam.solutions[0],
-                                          regularize(G01, 0.2))
+    # the coarsest level of the family (0.2, 0.1), which sets its time grid
+    sol = solve_terminal_pde(PdeProblem(_grid(), quad, regularize(G01, 0.2)))
+    feedback = VolatilityControl.feedback(sol, regularize(G01, 0.2))
     bundle = simulate_paths(feedback, 500, 128, 1.0, seed=3, driver=quad)
-    kp = gbsde.reconstruct_K(fam, 0, bundle)
+    kp = gbsde.reconstruct_K(sol, bundle)
     ok = ok and np.all(kp.K[:, 0] == 0.0)
     ok = ok and np.all(np.diff(kp.K, axis=1) <= 1e-10)
     # first-variation process stays positive

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import gbmlab
-from gbmlab import cli
+from gbmlab import cli, gbsde
 from gbmlab.cli import _main
 from gbmlab.gbsde import dynamic_programming_check
 from gbmlab.gcore import Grid1D, make_gfunction, preset_driver, regularize
@@ -155,6 +155,20 @@ def test_gbsde_from_config_file(tmp_path):
     # (1 - eps1*eps2)(1 + c)T = 0.98 * 1.25
     assert values["u0_at_probe"] == pytest.approx(1.225, abs=1e-10)
     assert values["eps_schedule"] == [0.2, 0.1]
+
+
+@pytest.mark.parametrize("sub", ["gbsde", "convergence", "curvature"])
+def test_family_commands_call_solve_gbsde_once(tmp_path, monkeypatch, sub):
+    # the benchmark's gbsde.family span wraps this very function
+    solve, calls = gbsde.solve_gbsde, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("curvature", False))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(gbsde, "solve_gbsde", counted)
+    assert _main([sub, "--nx", "41", "--output-dir", str(tmp_path)]) == 0
+    assert calls == [sub == "curvature"]
 
 
 def test_flags_override_config(tmp_path):

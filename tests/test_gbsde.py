@@ -27,7 +27,21 @@ def _grid(nx: int = 401) -> Grid1D:
 
 def _family(driver, schedule=SCHEDULE, *, grid=None, G=G01):
     grid = _grid() if grid is None else grid
-    return gbsde.solve_gbsde(PdeProblem(grid, driver, G), schedule)
+    return gbsde.solve_gbsde(PdeProblem(grid, driver, G), schedule,
+                             curvature=True)
+
+
+def _level(fam, i):
+    """The dense fields of level ``i`` of ``fam``: that level solved alone
+    on the family's time grid."""
+    p = fam.problem
+    return solve_terminal_pde(PdeProblem(
+        p.grid.with_nt(fam.nt), p.driver,
+        regularize(p.G, fam.eps_schedule[i])))
+
+
+def _levels(fam):
+    return [_level(fam, i) for i in range(len(fam.eps_schedule))]
 
 
 def _neg_quadratic_driver():
@@ -42,7 +56,7 @@ def _neg_quadratic_driver():
 def test_solve_regularized_level_value():
     fam = _family(preset_driver("quadratic"), (0.2, 0.1))
     assert fam.eps_schedule == (0.2, 0.1)
-    assert fam.solutions[1].value(0.0, 0.0) == pytest.approx(1.01, abs=1e-2)
+    assert fam.u_at(1, 0.0) == pytest.approx(1.01, abs=1e-2)
 
 
 def test_solve_richardson_constant_h():
@@ -81,13 +95,14 @@ def test_solve_rejects_bad_schedules():
 
 def test_family_reductions():
     fam = _family(preset_driver("quadratic"))
-    assert len(fam.solutions) == len(SCHEDULE)
-    assert np.array_equal(fam.solutions[0].u[-1], fam.solutions[-1].u[-1])
+    assert fam.u.shape == (len(SCHEDULE), _grid().nx)
+    levels = _levels(fam)
+    # every level starts from phi and ends at the family's row
+    assert np.array_equal(levels[0].u[-1], levels[-1].u[-1])
+    assert np.array_equal(fam.u, [sol.u[0] for sol in levels])
     deltas = np.asarray(fam.deltas)
     assert np.all(np.isfinite(deltas))
     assert np.all(np.diff(deltas) < 0.0)
-    for sol in fam.solutions:
-        assert sol.nt == fam.nt
 
 
 @pytest.mark.parametrize("preset", ["linear-h", "sine-gz"])
@@ -95,14 +110,17 @@ def test_stacked_family_equals_single_level_solves(preset):
     driver = preset_driver(preset)
     grid = _grid(201)
     fam = _family(driver, grid=grid)
-    # the levels are views of one stacked array, not copies
-    assert fam.solutions[0].u.base is fam.solutions[-1].u.base
+    # the levels are stepped as one stack; each row is its own solve's
     pinned = grid.with_nt(fam.nt)
-    for eps, sol in zip(SCHEDULE, fam.solutions):
+    for i, eps in enumerate(SCHEDULE):
         single = solve_terminal_pde(PdeProblem(
             pinned, driver, regularize(G01, eps)))
-        assert np.array_equal(sol.u, single.u)
-        assert np.array_equal(sol.a_field, single.a_field)
+        assert fam.u[i].tobytes() == single.u[0].tobytes()
+    # the coarsest level sets the shared time grid: it needs no pin
+    alone = solve_terminal_pde(PdeProblem(grid, driver,
+                                          regularize(G01, SCHEDULE[0])))
+    assert alone.nt == fam.nt
+    assert fam.u[0].tobytes() == alone.u[0].tobytes()
 
 
 def test_family_honours_a_stable_pinned_nt():
@@ -124,75 +142,75 @@ def _pinned_grid():
     ("sine-gz", None), ("sine-gz", "pinned")])
 def test_streamed_family_equals_dense_family(preset, grid):
     grid = _pinned_grid() if grid == "pinned" else _grid(201)
-    problem = PdeProblem(grid, preset_driver(preset), G01)
-    dense = gbsde.solve_gbsde(problem, SCHEDULE)
-    streamed = gbsde.stream_gbsde(problem, SCHEDULE, curvature=True)
-    assert streamed.nt == dense.nt
-    assert streamed.solutions == ()
-    assert np.array_equal(dense.u, [sol.u[0] for sol in dense.solutions])
-    assert np.array_equal(streamed.u, dense.u)
-    assert np.array_equal(streamed.u0, dense.u0)
-    assert streamed.deltas == dense.deltas
-    assert streamed.min_uxx == dense.min_uxx
-    # the dense reduction equals the scan over the full derivative fields
+    streamed = _family(preset_driver(preset), grid=grid)
+    plain = gbsde.solve_gbsde(streamed.problem, SCHEDULE)
+    assert plain.min_uxx is None
+    assert np.array_equal(plain.u, streamed.u)
+    dense = _levels(streamed)
+    assert np.array_equal(streamed.u, [sol.u[0] for sol in dense])
+    eps = streamed.eps_schedule
+    u0 = gbsde._extrapolate(eps, dense[-2].u[0], dense[-1].u[0])
+    assert np.array_equal(streamed.u0, u0)
+    assert np.array_equal(plain.u0, u0)
+    deltas = tuple(float(np.max(np.abs(a.u[0] - b.u[0])))
+                   for a, b in zip(dense, dense[1:]))
+    assert streamed.deltas == plain.deltas == deltas
+    # the running minimum equals the scan over the full derivative fields
     nx = grid.nx
     lo, hi = nx // 3, max(nx // 3 + 1, nx - nx // 3)
-    assert dense.min_uxx == tuple(
-        float(_pde.derivatives(sol).uxx[:, lo:hi].min())
-        for sol in dense.solutions)
-    assert (gbsde.convergence_report(streamed).rows
-            == gbsde.convergence_report(dense).rows)
+    assert streamed.min_uxx == tuple(
+        float(_pde.derivatives(sol).uxx[:, lo:hi].min()) for sol in dense)
     assert gbsde.convergence_report(streamed) == \
-        gbsde.convergence_report(dense)
-    assert gbsde.second_derivative_scan(streamed) == \
-        gbsde.second_derivative_scan(dense)
+        gbsde.convergence_report(plain)
     for i in range(len(SCHEDULE)):
-        assert streamed.u_at(i, 0.3) == dense.solutions[i].value(0.0, 0.3)
-    assert streamed.u0_at(0.3) == dense.u0_at(0.3)
+        assert streamed.u_at(i, 0.3) == dense[i].value(0.0, 0.3)
 
 
 def test_streamed_family_checks_like_the_dense_one():
     quad = preset_driver("quadratic")
     problem = PdeProblem(_grid(101), quad, G01)
     for schedule in ((0.1,), (0.1, 0.2), (0.2, 0.0)):
-        with pytest.raises(DomainError):
-            gbsde.stream_gbsde(problem, schedule)
+        for curvature in (False, True):
+            with pytest.raises(DomainError):
+                gbsde.solve_gbsde(problem, schedule, curvature=curvature)
     # without the curvature minimum the scan has nothing to read
     with pytest.raises(DomainError):
-        gbsde.second_derivative_scan(gbsde.stream_gbsde(problem, (0.2, 0.1)))
-    nt = gbsde.stream_gbsde(problem, (0.2, 0.1)).nt
-    with pytest.raises(NumericalError):
-        gbsde.stream_gbsde(dataclasses.replace(
-            problem, grid=_grid(101).with_nt(nt - 1)), (0.2, 0.1))
+        gbsde.second_derivative_scan(gbsde.solve_gbsde(problem, (0.2, 0.1)))
+    nt = gbsde.solve_gbsde(problem, (0.2, 0.1)).nt
+    for curvature in (False, True):
+        with pytest.raises(NumericalError):
+            gbsde.solve_gbsde(dataclasses.replace(
+                problem, grid=_grid(101).with_nt(nt - 1)), (0.2, 0.1),
+                curvature=curvature)
 
 
 def test_dense_and_streamed_start_agree_below_the_time_slack():
     # dt < 1e-12: an absolute 1e-12 slack would read the terminal level
     grid = Grid1D.default_for(0.0, 1e-13, G01, nx=21)
-    problem = PdeProblem(grid, preset_driver("quadratic"), G01)
-    dense = gbsde.solve_gbsde(problem, (0.2, 0.1))
-    streamed = gbsde.stream_gbsde(problem, (0.2, 0.1))
+    fam = _family(preset_driver("quadratic"), (0.2, 0.1), grid=grid)
+    dense = _levels(fam)
     for x in (0.0, 0.05, -0.3):
-        assert dense.u0_at(x) == streamed.u0_at(x)
-    assert dense.solutions[0].value(0.0, 0.0) > 0.0
+        for i, sol in enumerate(dense):
+            assert sol.value(0.0, x) == fam.u_at(i, x)
+    assert dense[0].value(0.0, 0.0) > 0.0
 
 
 # ---- reconstruct_K ----
 
 def test_k_zero_under_extremal_control():
-    fam = _family(preset_driver("quadratic"), (0.2, 0.1))
-    ctrl = VolatilityControl.feedback(fam.solutions[0], regularize(G01, 0.2))
+    sol = _level(_family(preset_driver("quadratic"), (0.2, 0.1)), 0)
+    ctrl = VolatilityControl.feedback(sol, regularize(G01, 0.2))
     bundle = simulate_paths(ctrl, 200, 128, 1.0, seed=3,
                             driver=preset_driver("quadratic"))
-    kp = gbsde.reconstruct_K(fam, 0, bundle)
+    kp = gbsde.reconstruct_K(sol, bundle)
     assert np.max(np.abs(kp.K)) == 0.0
 
 
 def test_k_constant_sigma_low_control():
-    fam = _family(preset_driver("quadratic"), (0.2, 0.1))
+    sol = _level(_family(preset_driver("quadratic"), (0.2, 0.1)), 1)
     ctrl = VolatilityControl.constant(0.1, regularize(G01, 0.1))
     bundle = simulate_paths(ctrl, 200, 128, 1.0, seed=5)
-    kp = gbsde.reconstruct_K(fam, 1, bundle, x0=0.0)
+    kp = gbsde.reconstruct_K(sol, bundle, x0=0.0)
     assert np.all(kp.K[:, 0] == 0.0)
     # a = 2 everywhere, so dK = (eps^2 - (1 + eps^2)) dt = -dt exactly
     assert np.max(np.abs(kp.K_T + 1.0)) <= 1e-10
@@ -200,38 +218,27 @@ def test_k_constant_sigma_low_control():
 
 
 def test_k_flags_raised_increment():
-    fam = _family(preset_driver("quadratic"), (0.2, 0.1))
+    sol = _level(_family(preset_driver("quadratic"), (0.2, 0.1)), 0)
     ctrl = VolatilityControl.constant(0.5, regularize(G01, 0.2))
     bundle = simulate_paths(ctrl, 50, 64, 1.0, seed=2)
     outside = dataclasses.replace(bundle, sigma=np.full(64, 2.0))
     with pytest.raises(NumericalError):
-        gbsde.reconstruct_K(fam, 0, outside, x0=0.0)
-
-
-def test_k_refuses_a_streamed_family():
-    quad = preset_driver("quadratic")
-    problem = PdeProblem(_grid(101), quad, G01)
-    fam = gbsde.stream_gbsde(problem, (0.2, 0.1))
-    bundle = simulate_paths(VolatilityControl.constant(0.5, G01), 20, 16,
-                            1.0, seed=2)
-    with pytest.raises(DomainError):
-        gbsde.reconstruct_K(fam, 0, bundle, x0=0.0)
+        gbsde.reconstruct_K(sol, outside, x0=0.0)
 
 
 def test_k_terminal_mean_under_extremal_control():
     driver = preset_driver("smooth-bump")
-    fam = _family(driver, (0.2, 0.1))
-    ctrl = VolatilityControl.feedback(fam.solutions[0], regularize(G01, 0.2))
+    sol = _level(_family(driver, (0.2, 0.1)), 0)
+    ctrl = VolatilityControl.feedback(sol, regularize(G01, 0.2))
     bundle = simulate_paths(ctrl, 4000, 256, 1.0, seed=0, driver=driver)
-    kp = gbsde.reconstruct_K(fam, 0, bundle)
+    kp = gbsde.reconstruct_K(sol, bundle)
     assert np.all(np.diff(kp.K, axis=1) <= 1e-10)
     mean, se = mean_and_se(kp.K_T)
     assert abs(mean) <= 3.0 * se + 1e-2
 
 
 def test_value_field_matches_interpolation_along_paths():
-    fam = _family(preset_driver("quadratic"), (0.2, 0.1))
-    sol = fam.solutions[0]
+    sol = _level(_family(preset_driver("quadratic"), (0.2, 0.1)), 0)
     ctrl = VolatilityControl.feedback(sol, regularize(G01, 0.2))
     bundle = simulate_paths(ctrl, 200, 128, 1.0, seed=3,
                             driver=preset_driver("quadratic"))
@@ -740,6 +747,11 @@ def test_path_norms_needs_positive_p():
         gbsde.path_norms(np.ones(16), 0.0, [unit])
 
 
+def test_path_norms_needs_a_bundle():
+    with pytest.raises(DomainError, match="at least one bundle"):
+        gbsde.path_norms(np.ones(16), 2.0, [])
+
+
 # ---- end-to-end invariants ----
 
 def test_family_monotone_in_payoff():
@@ -749,11 +761,14 @@ def test_family_monotone_in_payoff():
                           name="cos-minus-one", kinks=())
     fam_lo = _family(lower, (0.2, 0.1))
     fam_hi = _family(preset_driver("quadratic"), (0.2, 0.1))
-    for lo, hi in zip(fam_lo.solutions, fam_hi.solutions):
-        assert np.min(hi.u - lo.u) >= -1e-12
-    # the limit at every time level, not only the t = 0 row the family keeps
+    assert np.min(fam_hi.u - fam_lo.u) >= -1e-12
+    assert np.min(fam_hi.u0 - fam_lo.u0) >= -1e-12
+    # every level and the limit at every time level, not only the t = 0
+    # rows the family keeps, each level solved on its family's time grid
     eps = fam_hi.eps_schedule
-    sols_lo, sols_hi = fam_lo.solutions, fam_hi.solutions
+    sols_lo, sols_hi = _levels(fam_lo), _levels(fam_hi)
+    for lo, hi in zip(sols_lo, sols_hi):
+        assert np.min(hi.u - lo.u) >= -1e-12
     assert np.min(gbsde._extrapolate(eps, sols_hi[-2].u, sols_hi[-1].u)
                   - gbsde._extrapolate(eps, sols_lo[-2].u, sols_lo[-1].u)
                   ) >= -1e-12
@@ -766,10 +781,13 @@ def test_family_preserves_constants():
         lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         name="const-3.7", kinks=())
     fam = _family(const, (0.2, 0.1))
-    for sol in fam.solutions:
+    assert np.all(fam.u == 3.7)
+    assert np.all(fam.u0 == 3.7)
+    # every level and the limit at every time level, not only the t = 0
+    # rows the family keeps
+    sols = _levels(fam)
+    for sol in sols:
         assert np.all(sol.u == 3.7)
-    # the limit at every time level, not only the t = 0 row the family keeps
-    sols = fam.solutions
     assert np.all(gbsde._extrapolate(fam.eps_schedule, sols[-2].u,
                                      sols[-1].u) == 3.7)
 

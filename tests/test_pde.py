@@ -489,7 +489,7 @@ def test_backward_steps_equal_the_allocating_step(name, gens, nx):
     xs = grid.xs
     stack = np.zeros((4, 3, grid.nx))
     stack[1] = np.stack([np.cos(xs), 0.5 * np.sin(2.0 * xs), xs ** 2 / 9.0])
-    rows = stack[1]  # a strided view, as the dense solver passes
+    rows = stack[1]  # a strided view, which the step copies once
     before = stack.tobytes()
     got = pde._backward_steps(driver, grid, Gs, 40, 2e-4, rows)
     ref = _reference_steps(driver, grid, Gs, 40, 2e-4, rows.copy())
@@ -507,7 +507,7 @@ def test_backward_steps_equal_the_allocating_step(name, gens, nx):
     assert pde._lower_term(driver, sh2, sl2, rows, grid.dx, 2e-4) \
         == (name != "heat" or gens != "zero-low")
     # the dense solve's generator argument at t = 0, taken after the sweep
-    sols = pde._solve_levels(grid, driver, Gs, 0.9)
+    sols = [pde.solve_terminal_pde(PdeProblem(grid, driver, G)) for G in Gs]
     u0 = np.array([sol.u[0] for sol in sols])
     a0 = _reference_generator_arg(driver, 0.0, xs, grid.dx, u0)
     assert np.array([sol.a_field[0] for sol in sols]).tobytes() \
@@ -532,7 +532,8 @@ def test_constant_g_is_never_called_in_a_sweep():
         for _ in pde._backward_steps(driver, grid, Gs, 40, 2e-4, rows):
             pass
         pde._last_level(driver, grid, Gs, 40, 2e-4, rows)
-        pde._solve_levels(grid, driver, Gs, 0.9)
+        for G in Gs:
+            pde.solve_terminal_pde(PdeProblem(grid, driver, G))
         for _ in _reference_steps(driver, grid, Gs, 3, 2e-4, rows):
             pass
     finally:
