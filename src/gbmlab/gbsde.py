@@ -254,28 +254,70 @@ class SemiconvexityReport:
     m: int
 
 
+# fl(second / w) >= -C at every node proves ``second < -C*w - 1e-9*(1 + C)``
+# false there while C * max(w) * _RATIO_SLACK < 1e-9 * (1 + C).  With unit
+# roundoff e = 2^-53: r = fl(second / w) = (second / w)(1 + d), |d| <= e, so
+# r >= -C gives second >= -C w / (1 - e) (or second >= 0 where r >= 0, and
+# the threshold is negative).  The threshold
+# fl(fl(-C*w) - fl(1e-9 * fl(1 + C))) is a negative difference of two
+# rounded terms, at most -C w (1 - e)^2 - 1e-9 (1 + C)(1 - e)^4 (the
+# double 1e-9 is within e of 1e-9).  So no node counts while
+# 1e-9 (1 + C)(1 - e)^5 >= C w (1 - (1 - e)^3) / (1 - e), which holds once
+# 1e-9 (1 + C) > 8 e C w, that is C w 2^-50 < 1e-9 (1 + C): the factor 8
+# covers 3 e, the rounding of the check itself, and the absolute error
+# w 2^-1075 of a subnormal ratio (at most 5e-16 against a margin above
+# 6e-10).  An overflowing C w, or an infinite weight, makes the check false
+# (so does the NaN ratio inf / inf, which needs an infinite weight).
+_RATIO_SLACK = 2.0 ** -50
+
+
 def semiconvexity_scan(problem, *, safety: float = 0.9) -> SemiconvexityReport:
     """Fit the smallest C with second differences >= -C (1 + |x|^{2m}).
 
     The probe increment is the grid step itself:
     (u(t, x+2dx) - 2u(t, x+dx) + u(t, x)) / dx^2 anchored at x.  Requires
     the driver to carry second derivatives (phi_xx at minimum).
+
+    Each level, from phi at t = T down to t = 0, is folded into running
+    extremes as the sweep steps it (memory O(nx)); the sweep checks its
+    last level once, as ``pde.solve_terminal_pde`` does.  ``violations``
+    counts the nodes below -C w - 1e-9 (1 + C) for the final C: zero by
+    construction unless the weights are large enough for rounding to
+    matter (``_RATIO_SLACK``), when a second sweep counts them.
     """
     driver = problem.driver
     if driver.phi_xx is None:
         raise DomainError("semiconvexity scan needs second derivatives "
                           "(driver.phi_xx missing)")
-    sol = _pde.solve_terminal_pde(problem, safety=safety)
-    dx = sol.dx
-    xs = sol.xs[:-2]
-    second = _pde._second_diff(sol.u, dx)
-    weight = 1.0 + np.abs(xs) ** (2 * driver.m)
-    ratio = second / weight[None, :]
-    C = max(0.0, -float(ratio.min()))
-    viol = int(np.sum(second < -C * weight[None, :] - 1e-9 * (1.0 + C)))
-    return SemiconvexityReport(C=C,
-                               min_second_diff=float(second.min()),
-                               max_second_diff=float(second.max()),
+    grid, Gs, dx = problem.grid, (problem.G,), problem.grid.dx
+    nt, dt, _ = _pde._time_steps(grid, Gs, driver, safety)
+    phi = _pde._terminal_data(driver, grid.xs)[None]
+    weight = 1.0 + np.abs(grid.xs[:-2]) ** (2 * driver.m)
+    second, ratio = np.empty(grid.nx - 2), np.empty(grid.nx - 2)
+
+    def levels():
+        # second differences of phi, then of each level of the sweep
+        yield _pde._second_diff(phi[0], dx, out=second)
+        u = phi
+        for _n, _a, u in _pde._backward_steps(driver, grid, Gs, nt, dt, phi,
+                                              deferred=True):
+            yield _pde._second_diff(u[0], dx, out=second)
+        if not np.isfinite(u).all():
+            _pde._raise_sweep_error(driver, grid, Gs, nt, dt, phi)
+
+    # np.minimum and np.maximum keep a NaN, as .min() and .max() do
+    lo, hi, low_ratio = np.inf, -np.inf, np.inf
+    for sd in levels():
+        lo, hi = np.minimum(lo, sd.min()), np.maximum(hi, sd.max())
+        low_ratio = np.minimum(low_ratio,
+                               np.divide(sd, weight, out=ratio).min())
+    C = max(0.0, -float(low_ratio))
+    viol = 0
+    if not C * float(weight.max()) * _RATIO_SLACK < 1e-9 * (1.0 + C):
+        limit = -C * weight - 1e-9 * (1.0 + C)
+        viol = sum(int(np.count_nonzero(sd < limit)) for sd in levels())
+    return SemiconvexityReport(C=C, min_second_diff=float(lo),
+                               max_second_diff=float(hi),
                                violations=viol, m=driver.m)
 
 

@@ -105,7 +105,7 @@ def _stage_bounds(X: CylinderFunctional, spec: LatticeSpec) -> list[int]:
     past = 1
     for k in s:
         if past * (2 * k + 1) > _MAX_STATE_NODES:
-            raise DomainError(
+            raise NumericalError(
                 "augmented lattice state space exceeds the node guard "
                 f"({_MAX_STATE_NODES}); reduce stages or steps")
         past *= 2 * k + 1

@@ -591,16 +591,30 @@ def derivatives(sol: PdeSolution) -> DerivativeFields:
     return DerivativeFields(ux=_ux(u, dx), uxx=_uxx(u, dx), ut=ut)
 
 
+def _tie_tol(a: np.ndarray) -> float:
+    """The tie tolerance 1e-10 max |a| of a whole generator-argument field.
+
+    max(max a, -min a) is max |a| without an |a| temporary: the same value
+    (NaN if any a is NaN), up to the sign of a zero, which the 1e-300
+    floor erases."""
+    top = max(float(np.max(a)), -float(np.min(a)))
+    return 1e-10 * max(top, 1e-300)
+
+
+def _sigma_star(a: np.ndarray, tie_tol: float, G: GFunction1D) -> np.ndarray:
+    """sigma_high where a >= -tie_tol, sigma_low elsewhere."""
+    # a > tie_tol or a tie: sigma_high; a NaN gets sigma_low either way
+    return np.where(a >= -tie_tol, G.sigma_high, G.sigma_low)
+
+
 def extremal_control(sol: PdeSolution, G: GFunction1D) -> ControlField:
     """Pointwise maximizing volatility: sigma_high where the generator
     argument is positive, sigma_low where negative, sigma_high (flagged) at
     ties, |a| <= 1e-10 max |a|."""
     a = sol.a_field
-    tie_tol = 1e-10 * max(float(np.max(np.abs(a))), 1e-300)
-    ambiguous = np.abs(a) <= tie_tol
-    # a > tie_tol or a tie: sigma_high; a NaN gets sigma_low either way
-    sigma_star = np.where(a >= -tie_tol, G.sigma_high, G.sigma_low)
-    return ControlField(sigma_star=sigma_star, ambiguous=ambiguous)
+    tie_tol = _tie_tol(a)
+    return ControlField(sigma_star=_sigma_star(a, tie_tol, G),
+                        ambiguous=np.abs(a) <= tie_tol)
 
 
 class GridPoints:
@@ -798,17 +812,18 @@ def export_solution_csv(sol: PdeSolution, path: str,
     Every cell reads ``format(v, ".12e")`` (see ``_e12_cells``).  A block of
     time levels is laid out in fixed CELL-byte slots, each followed by its
     separator, and written without the padding; t and x are formatted once.
+    ux, uxx and sigma_star (``extremal_control``'s, unless ``control`` is
+    given) are computed a block at a time, elementwise as over the whole
+    field; only the tie tolerance reads every level, taken once.
     """
     if control is None:
-        control = extremal_control(sol, sol.G)
-    fields = (sol.u, _ux(sol.u, sol.dx), _uxx(sol.u, sol.dx), sol.a_field,
-              np.asarray(control.sigma_star, dtype=float))
+        tie_tol = _tie_tol(sol.a_field)
     nlev, nx = sol.u.shape
     levels = min(nlev, max(1, _BLOCK_BYTES // (7 * (CELL + 1) * nx)))
     buf = np.empty((levels, nx, 7, CELL + 1), dtype=np.uint8)
     buf[..., CELL] = ord(",")
     buf[:, :, -1, CELL] = ord("\n")
-    cells = np.empty((levels * nx * len(fields), CELL), dtype=np.uint8)
+    cells = np.empty((levels * nx * 5, CELL), dtype=np.uint8)
     t_cells = np.empty((nlev, CELL), dtype=np.uint8)
     _e12_cells(sol.ts, t_cells)
     x_cells = np.empty((nx, CELL), dtype=np.uint8)
@@ -820,7 +835,11 @@ def export_solution_csv(sol: PdeSolution, path: str,
             block = buf[:n1 - n0]
             block[:, :, 0, :CELL] = t_cells[n0:n1, None]
             block[:, :, 1, :CELL] = x_cells
-            v = np.stack([f[n0:n1] for f in fields], axis=-1)
+            u, a = sol.u[n0:n1], sol.a_field[n0:n1]
+            sigma = _sigma_star(a, tie_tol, sol.G) if control is None \
+                else np.asarray(control.sigma_star[n0:n1], dtype=float)
+            v = np.stack([u, _ux(u, sol.dx), _uxx(u, sol.dx), a, sigma],
+                         axis=-1)
             _e12_cells(v.ravel(), cells[:v.size])
             block[:, :, 2:, :CELL] = cells[:v.size].reshape(v.shape + (CELL,))
             fh.write(block[block != 0])

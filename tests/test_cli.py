@@ -384,6 +384,25 @@ def test_dense_memory_guard_exits_two(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_semiconvexity_work_budget_exits_two(tmp_path):
+    # the streamed scan holds no dense field, so the work budget alone
+    # refuses the 4.06M levels this CFL bound asks for, before the first
+    # step; the address-space cap turns a missing refusal into a failure
+    script = textwrap.dedent(f"""
+        import resource, sys
+        cap = 3 * 2 ** 29  # 1.5 GiB of address space
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        from gbmlab.cli import _main
+        sys.exit(_main(["semiconvexity", "--preset", "sine-gz", "--param",
+                        "c=1e6", "--nx", "51", "--output-dir",
+                        {str(tmp_path)!r}]))
+        """)
+    proc = _child(script, timeout=120)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert "node-steps" in proc.stderr
+
+
 def test_cylinder_table_guard_exits_two(tmp_path):
     # nx=20001 would tabulate 2.98 GiB and nx=3000000 65.5 TiB before the
     # first stage; every stage's work budget and the table's bytes are
@@ -465,6 +484,17 @@ def test_dp_check_lattice_work_budget_exits_two(tmp_path):
 def test_infinite_horizon_exits_one(tmp_path):
     assert _main(["gexpect", "--T", "inf", "--output-dir",
                   str(tmp_path)]) == 1
+
+
+def test_lattice_state_guard_exits_two(tmp_path, capsys):
+    # two stages of 200 and 400 steps augment the lattice to 401 x 801
+    # states, past the node guard: a work budget, refused like the others
+    rc = _main(["doob", "--xi", "two-stage", "--steps", "400",
+                "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "node guard" in err and "Traceback" not in err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_zero_lattice_steps_exits_one(tmp_path):

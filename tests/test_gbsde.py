@@ -5,14 +5,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gbmlab import gbsde
 from gbmlab import pde as _pde
-from gbmlab.gcore import (DomainError, Grid1D, make_gfunction, payoff_driver,
-                          preset_driver, regularize)
+from gbmlab.gcore import (PRESET_NAMES, DomainError, DriverSpec, Grid1D,
+                          make_gfunction, payoff_driver, preset_driver,
+                          regularize)
 from gbmlab.pde import (FieldInterpolator, NumericalError, PdeProblem,
                         solve_terminal_pde)
 from gbmlab.scenario import VolatilityControl, mean_and_se, simulate_paths
@@ -339,6 +341,108 @@ def test_semiconvexity_needs_second_derivatives():
     with pytest.raises(DomainError):
         gbsde.semiconvexity_scan(
             PdeProblem(_grid(), flat, G01))
+
+
+def _dense_semiconvexity_scan(problem, *, safety: float = 0.9):
+    # the dense scan over every level of solve_terminal_pde, kept as the
+    # reference
+    driver = problem.driver
+    if driver.phi_xx is None:
+        raise DomainError("semiconvexity scan needs second derivatives "
+                          "(driver.phi_xx missing)")
+    sol = _pde.solve_terminal_pde(problem, safety=safety)
+    dx = sol.dx
+    xs = sol.xs[:-2]
+    second = _pde._second_diff(sol.u, dx)
+    weight = 1.0 + np.abs(xs) ** (2 * driver.m)
+    ratio = second / weight[None, :]
+    C = max(0.0, -float(ratio.min()))
+    viol = int(np.sum(second < -C * weight[None, :] - 1e-9 * (1.0 + C)))
+    return gbsde.SemiconvexityReport(C=C,
+                                     min_second_diff=float(second.min()),
+                                     max_second_diff=float(second.max()),
+                                     violations=viol, m=driver.m)
+
+
+def _assert_same_report(got, ref):
+    assert got == ref
+    for name in ("min_second_diff", "max_second_diff"):
+        assert math.copysign(1.0, getattr(got, name)) == \
+            math.copysign(1.0, getattr(ref, name)), name
+
+
+_CURVED_PRESETS = [name for name in PRESET_NAMES
+                   if preset_driver(name).phi_xx is not None]
+
+
+@pytest.mark.parametrize("name", _CURVED_PRESETS)
+def test_streamed_semiconvexity_scan_equals_the_dense_scan(name):
+    driver = preset_driver(name)
+    for G in (G01, make_gfunction(0.5, 1.0), make_gfunction(1.0, 1.0)):
+        for nx in (41, 201):
+            problem = PdeProblem(Grid1D.default_for(0.0, 1.0, G, nx=nx),
+                                 driver, G)
+            _assert_same_report(gbsde.semiconvexity_scan(problem),
+                                _dense_semiconvexity_scan(problem))
+
+
+def test_semiconvexity_second_sweep_counts_as_the_dense_scan(monkeypatch):
+    # with the rounding bound made to fail, every scan counts its
+    # violations in a second sweep
+    monkeypatch.setattr(gbsde, "_RATIO_SLACK", math.inf)
+    for name in ("abs", "smooth-bump", "sine-gz"):
+        problem = PdeProblem(_grid(101), preset_driver(name), G01)
+        _assert_same_report(gbsde.semiconvexity_scan(problem),
+                            _dense_semiconvexity_scan(problem))
+
+
+def test_semiconvexity_counts_rounding_violations_at_large_weights():
+    # phi = -exp(x) is concave, so under sigma_low = 0 every level is phi;
+    # on [38.51, 48.51] the weights 1 + x^16 reach 1e27, the bound on the
+    # rounding fails, and at the least ratio fl(fl(second / w) * w) lands
+    # above second, one node a level below -C w - 1e-9 (1 + C)
+    neg_exp = lambda x: -np.exp(np.asarray(x, dtype=float))  # noqa: E731
+    driver = payoff_driver(neg_exp, neg_exp, neg_exp, m=8, L1=30.0)
+    problem = PdeProblem(Grid1D(38.51, 48.51, 11, 1e-3), driver, G01)
+    ref = _dense_semiconvexity_scan(problem)
+    assert ref.violations == 3  # nt = 2: one node on each of 3 levels
+    _assert_same_report(gbsde.semiconvexity_scan(problem), ref)
+
+
+def test_semiconvexity_scan_raises_the_sweep_error():
+    # phi = +-1.7e308 on alternate nodes: its second differences overflow,
+    # the G-heat sweep (which defers its check) turns non-finite, and the
+    # scan raises the error of the dense solve
+    grid = Grid1D(-1.0, 1.0, 41, 1.0)
+
+    def saw(x):
+        return 1.7e308 * np.cos(np.pi * np.asarray(x, dtype=float) / grid.dx)
+
+    driver = DriverSpec(name="saw", phi=saw, phi_xx=saw,
+                        skip_self_check=True)
+    problem = PdeProblem(grid, driver, G01)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError) as dense:
+            _dense_semiconvexity_scan(problem)
+        with pytest.raises(NumericalError) as streamed:
+            gbsde.semiconvexity_scan(problem)
+    assert "time level" in str(dense.value)
+    assert str(streamed.value) == str(dense.value)
+
+
+def test_semiconvexity_scan_memory_is_below_one_dense_field():
+    # nt = 1000 pinned levels of 101 nodes: the dense scan holds u, a_field
+    # and three more fields of this size, the streamed one a few rows
+    grid = Grid1D(-4.0, 4.0, 101, 1.0, nt=1000)
+    problem = PdeProblem(grid, preset_driver("abs", {"smoothing": 0.1}), G01)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gbsde.semiconvexity_scan(problem)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < (grid.nt + 1) * grid.nx * 8
 
 
 # ---- stability_check ----

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -766,6 +767,49 @@ def test_export_equals_the_cell_by_cell_writer_across_blocks(tmp_path,
         got = tmp_path / f"got{block}.csv"
         export_solution_csv(sol, str(got))
         assert got.read_bytes() == ref.read_bytes(), block
+
+
+def test_export_tie_tolerance_is_global_across_blocks(tmp_path, monkeypatch):
+    # max |a| = 1e3 lies in the last level, so the tie tolerance is 1e-7;
+    # the first level's |a| <= 2e-7 would set a per-block tolerance of
+    # 2e-17, under which its near-ties -5e-8 and -1e-8 would take
+    # sigma_low
+    grid = Grid1D(-1.0, 1.0, 5, 0.2)
+    a_field = np.array([[-5e-8, 5e-8, -2e-7, 0.0, -1e-8],
+                        [1.0, -2.0, 3.0, -4.0, 5.0],
+                        [-1e3, 2.0, -3.0, 4.0, 1e3]])
+    u = np.cos(np.outer([1.0, 2.0, 3.0], grid.xs))
+    sol = PdeSolution(u=u, a_field=a_field, grid=grid.with_nt(2),
+                      driver=preset_driver("zero"),
+                      G=make_gfunction(0.5, 1.0), dx=grid.dx, dt=0.1)
+    ref, got = tmp_path / "ref.csv", tmp_path / "got.csv"
+    _cell_by_cell_csv(sol, str(ref))
+    monkeypatch.setattr(pde, "_BLOCK_BYTES", 7 * (pde.CELL + 1) * grid.nx)
+    export_solution_csv(sol, str(got), control=None)
+    assert got.read_bytes() == ref.read_bytes()
+    sigma = [row.split(",")[-1] for row in
+             ref.read_text(encoding="utf-8").splitlines()[1:grid.nx + 1]]
+    assert sigma == ["1.000000000000e+00"] * 2 + ["5.000000000000e-01"] \
+        + ["1.000000000000e+00"] * 2
+
+
+def test_export_memory_is_below_two_dense_fields(tmp_path, monkeypatch):
+    # ux, uxx and sigma_star over the whole field would be three fields;
+    # the writer holds one block of each.  A 64 KiB block keeps the file
+    # small and the block's buffers well under a field of 1001 levels x
+    # 101 nodes (0.8 MB)
+    monkeypatch.setattr(pde, "_BLOCK_BYTES", 2 ** 16)
+    grid = Grid1D(-4.0, 4.0, 101, 1.0, nt=1000)
+    sol = solve_terminal_pde(PdeProblem(grid, _cos_driver(), G01))
+    field = sol.u.nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        export_solution_csv(sol, str(tmp_path / "solution.csv"))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * field
 
 
 def _cell_texts(values):
