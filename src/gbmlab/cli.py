@@ -417,7 +417,9 @@ def _sensitivity_common(cfg: RunConfig, kind: str):
     else:
         est = _scenario.estimate_dt(driver, cfg.t, float(sol.xs[j]), G, sol,
                                     mc=cfg.mc())
-        oracle = float((sol.u[min(n + 1, sol.nt)][j] - sol.u[n][j]) / sol.dt)
+        # forward difference; a t within half a level of T rounds to nt
+        m = min(n, sol.nt - 1)
+        oracle = float((sol.u[m + 1][j] - sol.u[m][j]) / sol.dt)
     mid = 0.5 * (est.plus + est.minus)
     se = max(est.se_plus, est.se_minus)
     budget = 3.0 * se + (2e-2 if kind == "x" else 5e-2)

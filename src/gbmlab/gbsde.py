@@ -513,7 +513,7 @@ def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
         t = t1 + k * dt
         n = fields.level(t)
         y = at_inner.sample(sol.u[n])
-        z = at_inner.sample(fields.ux[n])
+        z = at_inner.sample(fields.z_row(n))
         fval = np.asarray(d.f(t, inner, y), dtype=float)
         gval = np.asarray(d.g(t, inner, y, z), dtype=float)
         V = _gexpect._sup_step(V, spec.probs, [(fval + gval * sg * sg) * dt
@@ -565,7 +565,8 @@ def counterexample_demo(T: float, eps_list, mc: dict | None = None,
     n_paths = int(mc.get("n_paths", 100_000))
     n_steps = int(mc.get("n_steps", 256))
     chunk = 16_384
-    # a chunk of normals and its scaled copy
+    # charged 16 bytes a path-step, as an estimate is: an over-count, since
+    # one chunk of normals, scaled in place, is all that is held
     _scenario._check_path_work(n_paths, n_steps,
                                16 * min(n_paths, chunk) * n_steps,
                                draws=len(eps))
@@ -583,7 +584,8 @@ def counterexample_demo(T: float, eps_list, mc: dict | None = None,
             stop = min(start + chunk, n_paths)
             xi = path_normals(level_seed, stop - start, n_steps,
                               path_offset=start)
-            vals[start:stop] = (xi * sqdt) @ w
+            vals[start:stop] = np.multiply(xi, sqdt, out=xi) @ w
+            del xi  # not alive through the next draw
         vals = e ** (1.0 - 2.0 * q) * (vals + q_det / e)
         est, se = mean_and_se(vals)
         rows.append((e, bound, est, se, est / bound))

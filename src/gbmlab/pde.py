@@ -19,6 +19,7 @@ the terms it sets (``DriverSpec.live``).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -660,13 +661,24 @@ class GridPoints:
 
 
 class FieldInterpolator:
-    """Left-endpoint-in-time, linear-in-x sampler of a solution's fields."""
+    """Left-endpoint-in-time, linear-in-x sampler of a solution's fields.
+
+    The slope z = u_x is taken one level at a time (``z_row``); ``ux``,
+    the whole field, is computed only when first read."""
 
     def __init__(self, sol: PdeSolution):
         self.sol = sol
         self.ts = sol.ts
         self.xs = sol.xs
-        self.ux = _ux(sol.u, sol.dx)
+
+    @functools.cached_property
+    def ux(self) -> np.ndarray:
+        return _ux(self.sol.u, self.sol.dx)
+
+    def z_row(self, n: int) -> np.ndarray:
+        """u_x at level n; ``_ux`` is elementwise along a row, so this is
+        ``ux[n]`` bit for bit."""
+        return _ux(self.sol.u[n], self.sol.dx)
 
     def level(self, t: float) -> int:
         return _time_index(self.ts, t)
@@ -675,7 +687,7 @@ class FieldInterpolator:
         return GridPoints(self.xs, x).sample(self.sol.u[self.level(t)])
 
     def z_at(self, t: float, x):
-        return GridPoints(self.xs, x).sample(self.ux[self.level(t)])
+        return GridPoints(self.xs, x).sample(self.z_row(self.level(t)))
 
     def a_at(self, t: float, x):
         return GridPoints(self.xs, x).sample(self.sol.a_field[self.level(t)])

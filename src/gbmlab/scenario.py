@@ -19,10 +19,12 @@ argument and the feedback volatility there, and u and u_x only if a live
 term of f or g takes them.  It evaluates each live driver coefficient
 once, advances X, log Gamma, Xhat (and Xbar for the time derivative) as
 running per-path vectors, accumulates the estimator integrand and writes
-the K increment; which terms are live (``DriverSpec.live``) is decided
-once per estimate (``_Pass``), and Gamma and Xhat stay 1 when none of
-theirs is.  An estimate first checks its path arrays' bytes and its
-path-step charge (``PATH_BYTES_MAX``, ``PATH_STEPS_MAX``).
+the K increments over the row of normals it has read, so an estimate
+holds one (n_steps, n_paths) buffer.  Which terms are live
+(``DriverSpec.live``) is decided once per estimate (``_Pass``), and Gamma
+and Xhat stay 1 when none of theirs is.  An estimate first checks its
+path arrays' bytes and its path-step charge (``PATH_BYTES_MAX``,
+``PATH_STEPS_MAX``).
 
 The candidate controls share that walk.  The base feedback control walks
 every path.  The tie-flipped control differs from it only at some tied
@@ -59,12 +61,15 @@ from .pde import (ControlField, FieldInterpolator, GridPoints, PdeSolution,
 # paths per block of the step-major (n_steps, n_paths) buffers
 _BLOCK = 1024
 
-# Largest path arrays one run may allocate: an estimate's normals and K
-# increments (8 bytes a path-step each), or a counterexample chunk and its
-# scaled copy.  The biggest in the test suite is 82 MB (a 10k x 512
-# estimate), in the benchmark 41 MB (10k x 256); a run that asks for more
-# than this exits with a NumericalError before its first draw instead of
-# meeting the OOM killer.
+# Largest path arrays one run may allocate, charged at 16 bytes a
+# path-step.  That bounds an estimate's normals (8 bytes a path-step),
+# whose rows take the K increments once read, plus at worst one fork's K
+# increments (at most 8 more).  A counterexample holds one chunk of
+# normals, scaled in place, so its charge is an over-count.  The biggest
+# charge in the test suite is 82 MB (a 10k x 512 estimate), in the
+# benchmark 41 MB (10k x 256); a run that asks for more than this exits
+# with a NumericalError before its first draw instead of meeting the OOM
+# killer.
 PATH_BYTES_MAX = 2 ** 30
 
 # Most path-steps one run may charge before its first draw.  Measured on a
@@ -479,7 +484,7 @@ def variational_paths(driver: DriverSpec, bundle: PathBundle, X: np.ndarray,
         yk = zk = zeros
         if fields is not None:
             n, pts = fields.level(tk), GridPoints(fields.xs, xk)
-            yk, zk = pts.sample(fields.sol.u[n]), pts.sample(fields.ux[n])
+            yk, zk = pts.sample(fields.sol.u[n]), pts.sample(fields.z_row(n))
         var.step(driver, tk, xk, yk, zk, bundle.dt, dqv[:, k],
                  bundle.dB[:, k])
         Gamma[:, k + 1], Xhat[:, k + 1], Xbar[:, k + 1] = \
@@ -685,7 +690,7 @@ class _Pass:
         fields, x, dt = self.fields, walk.x, self.dt
         sol, tk = fields.sol, self.t0 + k * dt
         y = pts.sample(sol.u[n]) if self.reads_y else None
-        z = pts.sample(fields.ux[n]) if self.reads_z else None
+        z = pts.sample(fields.z_row(n)) if self.reads_z else None
         a = pts.sample(sol.a_field[n])
         db = s * self.sqdt * xi
         dq = s * s * dt
@@ -810,7 +815,8 @@ class _Fork:
 
 def _k_totals(dk: np.ndarray, paths: np.ndarray | None = None,
               tail=()) -> np.ndarray:
-    """K_T per path from the step-major increments ``dk[k, i]``.
+    """K_T per path from the step-major increments ``dk[k, i]`` (the
+    path buffer of ``_estimate``, whose rows took them over the normals).
 
     Blocks of paths are copied to contiguous rows and summed with
     ``.sum(axis=1)``, so every total is the row sum of the path-major
@@ -847,35 +853,37 @@ def _estimate(kind: str, driver: DriverSpec, t: float, x: float,
     controls = _candidate_controls(sol, G)
     # refuse a bad horizon, and too big a walk, before drawing
     dt = _step_size(t, sol.grid.T, n_steps)
+    # 16 bytes a path-step: the path buffer and at worst one fork's K
+    # increments
     _check_path_work(n_paths, n_steps, 16 * n_paths * n_steps, walk=True)
-    xi = _normals_by_step(seed, n_paths, n_steps)
+    # row k holds step k's normals until the forks and the base walk have
+    # read them, then the base walk's K increments of that step
+    buf = _normals_by_step(seed, n_paths, n_steps)
     run = _Pass(kind, driver, G, fields, t, dt)
     t_end = sol.grid.T if kind == "t" else None
     base = _Walk(np.arange(n_paths), x, t, t_end)
     sigma = controls[0].field_sigma
     forks = [_Fork(c, controls[0], _Walk(base.idx[:0], x, t, t_end), n_paths)
              for c in controls[1:]]
-    dk = np.empty((n_steps, n_paths))
     for k in range(n_steps):
         n, pts = fields.level(t + k * dt), GridPoints(fields.xs, base.x)
         nearest = pts.nearest()
         for fork in forks:
-            fork.step(run, base, k, n, nearest, xi[k])
-        dk[k] = run.step(base, k, n, pts, sigma[n, nearest], xi[k])
+            fork.step(run, base, k, n, nearest, buf[k])
+        buf[k] = run.step(base, k, n, pts, sigma[n, nearest], buf[k])
         _check_forward(base.x)
-    del xi  # the K totals' blocks need not stack on the normals' memory
     if not base.var.finite:
         raise NumericalError("variational process turned non-finite")
     for fork in forks:
         fork.finish()
-    kt = _k_totals(dk)
+    kt = _k_totals(buf)
     walks = [(base.x, base.weight(kind), base.acc, kt)]
     for fork in forks:
         xT, weight, acc, kt_f = (base.x.copy(), base.weight(kind),
                                  base.acc.copy(), kt.copy())
         w = fork.walk
         xT[w.idx], weight[w.idx], acc[w.idx] = w.x, w.weight(kind), w.acc
-        kt_f[w.idx] = _k_totals(dk, w.idx, fork.dk)
+        kt_f[w.idx] = _k_totals(buf, w.idx, fork.dk)
         walks.append((xT, weight, acc, kt_f))
     u_ref = sol.value(t, x)
     results = []

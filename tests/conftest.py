@@ -1,8 +1,9 @@
-"""Settings shared by every test module."""
+"""Settings and helpers shared by every test module."""
 
 import atexit
 import shutil
 import tempfile
+import tracemalloc
 
 try:
     import hypothesis
@@ -20,3 +21,15 @@ if hypothesis is not None:
     _home = tempfile.mkdtemp(prefix="hypothesis-")
     atexit.register(shutil.rmtree, _home, ignore_errors=True)
     hypothesis.configuration.set_hypothesis_home_dir(_home)
+
+
+def traced_peak(fn) -> int:
+    """Bytes by which ``fn()``'s peak traced allocation exceeds what was
+    allocated when it started (``tracemalloc``)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

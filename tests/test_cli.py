@@ -878,6 +878,15 @@ def test_sensitivity_csv_is_one_reproducible_row(tmp_path):
     assert (tmp_path / "sensitivity.csv").read_bytes() == first
 
 
+def test_time_oracle_within_half_a_level_of_the_horizon(tmp_path):
+    # t = 0.9995 rounds to the last level nt; the forward difference there
+    # must come from level nt - 1, not read 0 from u[nt] - u[nt]
+    assert _main(["sensitivity-t", "--t", "0.9995", "--n-paths", "400",
+                  "--n-steps", "16", "--output-dir", str(tmp_path)]) == 0
+    summary = _summary(tmp_path)
+    assert summary["values"]["pde_oracle"] == pytest.approx(-1.04, abs=1e-2)
+    assert summary["verdicts"]["matches_pde"]
+
 def test_doob_csv_is_one_row(tmp_path):
     assert _main(["doob", "--steps", "8", "--output-dir", str(tmp_path)]) == 0
     lines = (tmp_path / "doob.csv").read_text(encoding="utf-8").splitlines()

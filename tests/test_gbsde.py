@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +17,8 @@ from gbmlab.gcore import (PRESET_NAMES, DomainError, DriverSpec, Grid1D,
 from gbmlab.pde import (FieldInterpolator, NumericalError, PdeProblem,
                         solve_terminal_pde)
 from gbmlab.scenario import VolatilityControl, mean_and_se, simulate_paths
+
+from conftest import traced_peak
 
 G01 = make_gfunction(0.0, 1.0)
 SCHEDULE = (0.2, 0.1, 0.05, 0.025)
@@ -435,13 +436,7 @@ def test_semiconvexity_scan_memory_is_below_one_dense_field():
     # and three more fields of this size, the streamed one a few rows
     grid = Grid1D(-4.0, 4.0, 101, 1.0, nt=1000)
     problem = PdeProblem(grid, preset_driver("abs", {"smoothing": 0.1}), G01)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        gbsde.semiconvexity_scan(problem)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: gbsde.semiconvexity_scan(problem))
     assert peak < (grid.nt + 1) * grid.nx * 8
 
 
@@ -819,6 +814,15 @@ def test_counterexample_rejections():
         gbsde.counterexample_demo(1.0, [])
     with pytest.raises(DomainError):
         gbsde.counterexample_demo(1.0, [0.5, 0.0])
+
+
+def test_counterexample_holds_one_chunk():
+    # 16384 paths are one chunk of normals, scaled in place; a scaled copy,
+    # or the last chunk kept alive through the next draw, would pass 2
+    mc = {"n_paths": 16384, "n_steps": 128, "seed": 0}
+    peak = traced_peak(
+        lambda: gbsde.counterexample_demo(1.0, [1.0, 0.5, 0.25], mc=mc))
+    assert peak < 1.25 * 8 * mc["n_paths"] * mc["n_steps"]
 
 
 # ---- path norms ----

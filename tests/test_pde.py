@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +38,8 @@ from gbmlab.pde import (
     fit_time_modulus,
     solve_terminal_pde,
 )
+
+from conftest import traced_peak
 
 G01 = make_gfunction(0.0, 1.0)
 
@@ -382,6 +383,28 @@ def test_field_interpolator_matches_np_interp():
                          (fields.z_at(t, x), fields.ux[n]),
                          (fields.a_at(t, x), sol.a_field[n])):
             assert _bits(got) == _bits(np.interp(x, sol.xs, row))
+
+
+@pytest.mark.parametrize("driver, grid", [
+    (preset_driver("quadratic"), Grid1D(-4.0, 4.0, 101, 1.0)),
+    (preset_driver("sine-gz"), Grid1D(-4.0, 4.0, 101, 1.0)),
+    # the kink off-centre: the row ends take the one-sided slopes -1 and 1
+    (preset_driver("abs"), Grid1D(-2.0, 3.0, 101, 1.0)),
+], ids=["quadratic", "sine-gz", "abs"])
+def test_z_row_equals_the_whole_field_row(driver, grid):
+    sol = solve_terminal_pde(PdeProblem(grid, driver, G01))
+    fields = FieldInterpolator(sol)
+    for n in (0, sol.nt // 2, sol.nt):
+        row = fields.z_row(n)
+        assert row.tobytes() == fields.ux[n].tobytes()
+        assert row[0] == (sol.u[n, 1] - sol.u[n, 0]) / sol.dx
+        assert row[-1] == (sol.u[n, -1] - sol.u[n, -2]) / sol.dx
+
+
+def test_field_interpolator_allocates_no_field():
+    grid = Grid1D(-4.0, 4.0, 101, 1.0, nt=1000)
+    sol = solve_terminal_pde(PdeProblem(grid, _cos_driver(), G01))
+    assert traced_peak(lambda: FieldInterpolator(sol)) < sol.u.nbytes
 
 
 # ---- the work-buffer step against the allocating step ----
@@ -802,13 +825,8 @@ def test_export_memory_is_below_two_dense_fields(tmp_path, monkeypatch):
     grid = Grid1D(-4.0, 4.0, 101, 1.0, nt=1000)
     sol = solve_terminal_pde(PdeProblem(grid, _cos_driver(), G01))
     field = sol.u.nbytes
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        export_solution_csv(sol, str(tmp_path / "solution.csv"))
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(
+        lambda: export_solution_csv(sol, str(tmp_path / "solution.csv")))
     assert peak < 2 * field
 
 

@@ -40,6 +40,8 @@ from gbmlab.scenario import (
     verify_measure_in_Ptx,
 )
 
+from conftest import traced_peak
+
 G01 = make_gfunction(0.0, 1.0)
 
 
@@ -696,3 +698,22 @@ def test_measure_frozen_control_optimal_on_concave_payoff():
     assert abs(chk.residual) <= 1e-12
     assert chk.accepted
 
+
+
+# ---------------------------------------------------------------------------
+# memory
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("preset, kind, t", [("abs", "x", 0.0),
+                                             ("sine-gz", "t", 0.5)])
+def test_estimate_holds_one_path_buffer(preset, kind, t):
+    # the normals, whose rows take the K increments once read, plus the
+    # forked paths' increments and O(n_paths) vectors; a second
+    # (n_steps, n_paths) array alone would pass 2 buffers
+    G = regularize(G01, 0.2)
+    driver = preset_driver(preset)
+    sol = _solve(driver, G=G, nx=101)
+    mc = dict(n_paths=8192, n_steps=128, seed=0)
+    estimate = estimate_dx if kind == "x" else estimate_dt
+    peak = traced_peak(lambda: estimate(driver, t, 0.0, G, sol, mc=mc))
+    assert peak < 1.75 * 8 * mc["n_paths"] * mc["n_steps"]
