@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -172,6 +173,8 @@ class RunConfig:
                               "or neither")
         if not self.eps_schedule:
             raise ConfigError("the eps schedule needs at least one value")
+        if not math.isfinite(self.x):
+            raise ConfigError(f"x must be finite, got {self.x}")
 
     # -- derived objects ----------------------------------------------------
 

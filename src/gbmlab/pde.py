@@ -19,7 +19,6 @@ the terms it sets (``DriverSpec.live``).
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -636,14 +635,21 @@ class GridPoints:
         self.xs = xs
         self.q = (x - xs[0]) / (xs[1] - xs[0])
         # truncation is floor once q >= 0; fmax/fmin also send NaN to 0
-        j = np.fmin(np.fmax(self.q, 0.0), last - 1).astype(np.intp)
-        # rounding in q can put a point one cell off near a node
-        j -= x < xs[j]
-        j += x >= xs[j + 1]
-        np.clip(j, 0, last - 1, out=j)
-        left = xs[j]
+        j = np.fmax(self.q, 0.0)
+        np.fmin(j, last - 1, out=j)
+        j = j.astype(np.intp)
+        # rounding in q can put a point one cell off near a node.  The
+        # grid ends are NaN in ``inner`` and fail both tests, so j stays
+        # in [0, last - 1] without a clip.
+        inner = xs.copy()
+        inner[[0, last]] = np.nan
+        j -= x < inner.take(j)
+        j += x >= inner[1:].take(j)
+        left = xs.take(j)
         beyond = x >= xs[last]
-        self.at = np.flatnonzero((x <= left) | beyond)
+        at = x <= left
+        at |= beyond
+        self.at = np.flatnonzero(at)
         self.node = j[self.at] + beyond[self.at]
         self.j = j
         self.offset = x - left
@@ -651,33 +657,32 @@ class GridPoints:
 
     def sample(self, row: np.ndarray) -> np.ndarray:
         slope = (row[1:] - row[:-1]) / (self.xs[1:] - self.xs[:-1])
-        out = slope.take(self.j) * self.offset + row.take(self.j)
+        out = slope.take(self.j)
+        out *= self.offset
+        out += row.take(self.j)
         out[self.at] = row[self.node]
         return out.reshape(self.shape)[()]
 
     def nearest(self) -> np.ndarray:
-        j = np.clip(np.rint(self.q), 0, self.xs.size - 1).astype(np.int64)
-        return j.reshape(self.shape)[()]
+        q = np.rint(self.q)
+        np.maximum(q, 0.0, out=q)
+        np.minimum(q, self.xs.size - 1, out=q)
+        return q.astype(np.int64).reshape(self.shape)[()]
 
 
 class FieldInterpolator:
     """Left-endpoint-in-time, linear-in-x sampler of a solution's fields.
 
-    The slope z = u_x is taken one level at a time (``z_row``); ``ux``,
-    the whole field, is computed only when first read."""
+    The slope z = u_x is taken one level at a time (``z_row``)."""
 
     def __init__(self, sol: PdeSolution):
         self.sol = sol
         self.ts = sol.ts
         self.xs = sol.xs
 
-    @functools.cached_property
-    def ux(self) -> np.ndarray:
-        return _ux(self.sol.u, self.sol.dx)
-
     def z_row(self, n: int) -> np.ndarray:
         """u_x at level n; ``_ux`` is elementwise along a row, so this is
-        ``ux[n]`` bit for bit."""
+        ``_ux(u)[n]`` bit for bit."""
         return _ux(self.sol.u[n], self.sol.dx)
 
     def level(self, t: float) -> int:

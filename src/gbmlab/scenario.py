@@ -74,15 +74,17 @@ PATH_BYTES_MAX = 2 ** 30
 
 # Most path-steps one run may charge before its first draw.  Measured on a
 # 2-core Intel Xeon VM (numpy 2.4): ``counterexample_demo`` costs about
-# 3.8 us a path (re-keying Philox) plus 32 ns a path-step (48 ns at 256
-# steps); a step of ``_estimate`` costs c0 + c1 * paths, normals included,
-# with c0 = 63 to 220 us and c1 = 94 to 470 ns (the high ends for
-# ``sine-gz``'s time derivative with most paths forked onto the
-# tie-flipped walk).  So each path is charged at least PATH_STEPS_MIN
-# steps (> 3.8 us / 32 ns), each estimate step at least STEP_PATHS_MIN
-# paths (> c0 / c1), and each of an estimate's path-steps WALK_COST
-# path-steps (about 470 / 48 ns).  Runs charged the whole budget took 14 s
-# (counterexample, 4 draws x 262144 x 256) and 16 s (that forked
+# 1.3 to 1.6 us a path (re-keying Philox; 2.0 to 3.5 us while the state
+# words were numpy integers) plus 16 to 24 ns a path-step (23 ns at 256
+# steps; earlier 32 ns, 48 ns at 256); a step of ``_estimate`` costs
+# c0 + c1 * paths, normals included, with c0 = 63 to 220 us and c1 = 94 to
+# 470 ns (the high ends for ``sine-gz``'s time derivative with most paths
+# forked onto the tie-flipped walk).  So each path is charged at least
+# PATH_STEPS_MIN steps (> 3.8 us / 32 ns, the earlier costs), each
+# estimate step at least STEP_PATHS_MIN paths (> c0 / c1), and each of an
+# estimate's path-steps WALK_COST path-steps (about 470 / 48 ns).  Runs
+# charged the whole budget took 14 s (counterexample, 4 draws x 262144 x
+# 256; 9.9 s with the cheaper re-keying) and 16 s (that forked
 # ``sine-gz`` estimate, 1024 x 32768).  The biggest charge in the test
 # suite is criterion 09's counterexample, 4 x 100k x 256 = 1.0e8 (a 10k x
 # 512 estimate charges 4.1e7); in the benchmark 2.0e7 (each estimate, 10k
@@ -127,16 +129,23 @@ def path_normals(seed: int, n_paths: int, n_steps: int,
     in chunks while staying bit-identical to the unchunked run.
     """
     _check_path_counts(n_paths, n_steps)
+    if not 0 <= path_offset <= 2 ** 64 - n_paths:
+        raise DomainError(f"path indices {path_offset} to "
+                          f"{path_offset + n_paths - 1} leave [0, 2**64)")
     out = np.empty((n_paths, n_steps))
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
     bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bg)
-    fresh = bg.state  # counter zero, buffer empty; only the key changes
-    key = fresh["state"]["key"]
-    for i in range(n_paths):
-        key[1] = path_offset + i
+    # counter zero, buffer empty; only the key changes.  The state setter
+    # reads Python ints in less than half the time of numpy uint64 words.
+    fresh = bg.state
+    key = [seed, 0]
+    fresh["state"] = {"counter": [0, 0, 0, 0], "key": key}
+    fresh["buffer"] = [0, 0, 0, 0]
+    for i, row in enumerate(out, path_offset):
+        key[1] = i
         bg.state = fresh
-        gen.standard_normal(out=out[i])
+        gen.standard_normal(out=row)
     return out
 
 
@@ -171,8 +180,10 @@ def mean_and_se(values: np.ndarray) -> tuple[float, float]:
     deviations of finite values overflow."""
     v = np.asarray(values, dtype=float).ravel()
     n = v.size
-    mean = pairwise_sum(v) / n
-    var = pairwise_sum((v - mean) ** 2) / (n - 1) if n > 1 else 0.0
+    # an overflow, or an infinity less an infinity, is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = pairwise_sum(v) / n
+        var = pairwise_sum((v - mean) ** 2) / (n - 1) if n > 1 else 0.0
     se = math.sqrt(var / n)
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise NumericalError(f"Monte Carlo estimate is not finite: "
@@ -267,6 +278,11 @@ def _step_size(t0: float, T: float, n_steps: int) -> float:
     if n_steps < 1:
         raise DomainError(f"need n_steps >= 1, got {n_steps}")
     return horizon / n_steps
+
+
+def _check_start(x0: float) -> None:
+    if not math.isfinite(x0):
+        raise DomainError(f"need a finite start point, got x={x0}")
 
 
 def _forward_step(driver: DriverSpec, t: float, x: np.ndarray, dt: float,
@@ -399,6 +415,7 @@ def simulate_paths(control: VolatilityControl, n_paths: int, n_steps: int,
     bundle.
     """
     dt = _step_size(t0, T, n_steps)
+    _check_start(x0)
     xi = path_normals(seed, n_paths, n_steps)
     sqdt = math.sqrt(dt)
 
@@ -620,11 +637,12 @@ _STEP_READS["t"] = _STEP_READS["x"] + ("b_t", "h_t", "sigma_t", "f", "f_t",
                                        "g", "g_t")
 
 
-def _samples_finite(field: np.ndarray, dx: float) -> bool:
-    """Whether ``GridPoints.sample`` of every row of ``field`` is finite at
-    every finite point: with M = max|field|, a slope is at most 2 M / dx
-    and a sample at most 3 M, up to rounding (hence the factor 8)."""
-    bound = 8.0 * float(np.max(np.abs(field), initial=0.0))
+def _samples_finite(bound: float, dx: float) -> bool:
+    """Whether ``GridPoints.sample`` of every row of a field with
+    |field| <= ``bound`` is finite at every finite point: a slope is at
+    most 2 bound / dx and a sample at most 3 bound, up to rounding (hence
+    the factor 8)."""
+    bound = 8.0 * bound
     return math.isfinite(bound) and math.isfinite(bound / dx)
 
 
@@ -662,7 +680,8 @@ class _Pass:
     state that is not finite is NaN, not zero, but the estimate then
     raises anyway.  One dead term multiplies a sampled field, g_z Z in the
     time integrand; it is skipped only when no sample of Z can be infinite
-    (``_samples_finite``).
+    (``_samples_finite`` of the bound |Z| <= 2 max|u| / dx, which reads
+    no slope field).
     """
 
     def __init__(self, kind: str, driver: DriverSpec, G: GFunction1D,
@@ -675,9 +694,10 @@ class _Pass:
         live = tuple(filter(driver.live.__contains__, _STEP_READS[kind]))
         self.gamma = any(nm in live for nm in ("f_y", "g_y", "g_z"))
         self.xhat = any(nm in live for nm in ("b_x", "h_x", "sigma_x"))
-        if kind == "t" and "g_z" not in live \
-                and not _samples_finite(fields.ux, sol.dx):
-            live += ("g_z",)  # g_z Z is NaN where Z is infinite
+        if kind == "t" and "g_z" not in live:
+            u_max = max(float(sol.u.max()), -float(sol.u.min()))
+            if not _samples_finite(2.0 * u_max / sol.dx, sol.dx):
+                live += ("g_z",)  # g_z Z is NaN where Z is infinite
         self.calls = tuple((nm, ARITY[nm.split("_")[0]]) for nm in live)
         self.reads_y = any(arity > 2 for _nm, arity in self.calls)
         self.reads_z = any(arity > 3 for _nm, arity in self.calls)
@@ -692,8 +712,10 @@ class _Pass:
         y = pts.sample(sol.u[n]) if self.reads_y else None
         z = pts.sample(fields.z_row(n)) if self.reads_z else None
         a = pts.sample(sol.a_field[n])
-        db = s * self.sqdt * xi
-        dq = s * s * dt
+        db = s * self.sqdt
+        db *= xi
+        dq = s * s
+        dq *= dt
         args = (tk, x, y, z)
         c = {nm: np.asarray(getattr(self.driver, nm)(*args[:arity]),
                             dtype=float)
@@ -789,7 +811,8 @@ class _Fork:
         if self.error is not None:
             return
         if self.level_differs[n]:
-            new = np.flatnonzero(self.differs[n, nearest] & ~self.forked)
+            new = np.flatnonzero(self.differs[n].take(nearest)
+                                 & ~self.forked)
             if new.size:
                 self.forked[new] = True
                 self.walk.join(base, new)
@@ -797,7 +820,7 @@ class _Fork:
         if walk.idx.size == 0:
             return
         pts = GridPoints(run.fields.xs, walk.x)
-        s = self.control.field_sigma[n, pts.nearest()]
+        s = self.control.field_sigma[n].take(pts.nearest())
         self.dk.append((k, run.step(walk, k, n, pts, s, xi[walk.idx])))
         finite = np.isfinite(walk.x)
         if not finite.all():
@@ -822,19 +845,20 @@ def _k_totals(dk: np.ndarray, paths: np.ndarray | None = None,
     ``.sum(axis=1)``, so every total is the row sum of the path-major
     array, in numpy's pairwise order.  With ``paths`` (indices), the rows
     of those paths, with (k, values) of ``tail`` written over a prefix of
-    them, as ``_Fork.dk`` is laid out.
+    them, as ``_Fork.dk`` is laid out; each block is gathered step-major,
+    so those values go into contiguous rows before the one transpose.
     """
     n = dk.shape[1] if paths is None else paths.size
     out = np.empty(n)
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        cols = slice(lo, hi) if paths is None else paths[lo:hi]
-        rows = np.ascontiguousarray(dk[:, cols].T)
+        steps = dk[:, lo:hi] if paths is None \
+            else dk.take(paths[lo:hi], axis=1)
         for k, values in tail:
             top = min(hi, values.size)
             if top > lo:
-                rows[:top - lo, k] = values[lo:top]
-        out[lo:hi] = rows.sum(axis=1)
+                steps[k, :top - lo] = values[lo:top]
+        out[lo:hi] = np.ascontiguousarray(steps.T).sum(axis=1)
     return out
 
 
@@ -851,8 +875,9 @@ def _estimate(kind: str, driver: DriverSpec, t: float, x: float,
     seed = int(mc.get("seed", 0))
     fields = FieldInterpolator(sol)
     controls = _candidate_controls(sol, G)
-    # refuse a bad horizon, and too big a walk, before drawing
+    # refuse a bad horizon or start, and too big a walk, before drawing
     dt = _step_size(t, sol.grid.T, n_steps)
+    _check_start(x)
     # 16 bytes a path-step: the path buffer and at worst one fork's K
     # increments
     _check_path_work(n_paths, n_steps, 16 * n_paths * n_steps, walk=True)
@@ -870,7 +895,7 @@ def _estimate(kind: str, driver: DriverSpec, t: float, x: float,
         nearest = pts.nearest()
         for fork in forks:
             fork.step(run, base, k, n, nearest, buf[k])
-        buf[k] = run.step(base, k, n, pts, sigma[n, nearest], buf[k])
+        buf[k] = run.step(base, k, n, pts, sigma[n].take(nearest), buf[k])
         _check_forward(base.x)
     if not base.var.finite:
         raise NumericalError("variational process turned non-finite")

@@ -575,6 +575,29 @@ def test_path_time_outside_the_horizon_exits_one(tmp_path):
         assert rc == 1, argv
 
 
+def test_non_finite_x_exits_one_before_any_work(tmp_path):
+    # with an explicit domain, --x nan reached an IndexError in kink's
+    # nearest-node lookup, and the other runs ran to the strict-JSON guard
+    # (exit 2); a fresh interpreter shows any traceback or warning
+    runs = [[cmd, "--x-min", "-5", "--x-max", "5", f"--x={x}",
+             "--n-paths", "64", "--n-steps", "8", "--nx", "51"]
+            for cmd in ("kink", "sensitivity-x", "sensitivity-t")
+            for x in ("nan", "inf", "-inf")]
+    runs.append(["solve-pde", "--x-min", "-5", "--x-max", "5", "--x", "nan",
+                 "--nx", "51"])
+    script = textwrap.dedent(f"""
+        from gbmlab.cli import _main
+        for argv in {runs!r}:
+            print(_main(argv + ["--output-dir", {str(tmp_path)!r}]))
+        """)
+    proc = _child(script, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["1"] * len(runs)
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert proc.stderr.count("x must be finite") == len(runs)
+    assert not any(tmp_path.iterdir())
+
+
 def test_counterexample_bad_inputs_exit_one(tmp_path):
     for argv in (["--n-paths", "0"], ["--n-paths", "-3"],
                  ["--n-steps", "0"], ["--T", "-1"], ["--T", "nan"]):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from gbmlab import scenario
+from gbmlab import pde, scenario
 from gbmlab.gcore import (
     DomainError,
     DriverSpec,
@@ -92,6 +92,20 @@ def test_path_normals_equal_fresh_streams(offset):
         chunks = [path_normals(seed, stop - start, 21, offset + start)
                   for start, stop in ((0, 5), (5, 6), (6, 37))]
         assert np.array_equal(np.concatenate(chunks), ref)
+
+
+def test_path_normals_at_the_top_of_the_key_range():
+    # the key words are held as Python ints; the last path index is 2**64-1
+    for seed in (0, 7, -3):
+        assert np.array_equal(path_normals(seed, 5, 7, 2 ** 64 - 5),
+                              _fresh_stream_normals(seed, 5, 7, 2 ** 64 - 5))
+
+
+@pytest.mark.parametrize("n_paths, offset", [(5, -1), (5, 2 ** 64 - 4),
+                                             (1, 2 ** 64)])
+def test_path_normals_refuses_indices_outside_64_bits(n_paths, offset):
+    with pytest.raises(DomainError, match="path indices"):
+        path_normals(0, n_paths, 3, offset)
 
 
 def test_path_normals_chunk_invariance_property():
@@ -322,6 +336,7 @@ def _reference_estimate(kind, driver, t, x, G, sol, mc):
     T = sol.grid.T
     horizon = T - t
     fields = FieldInterpolator(sol)
+    ux = pde._ux(sol.u, sol.dx)
     scale = max(1.0, abs(sol.value(t, x)))
     results = []
     for control in scenario._candidate_controls(sol, G):
@@ -337,7 +352,7 @@ def _reference_estimate(kind, driver, t, x, G, sol, mc):
             n = min(max(int(np.searchsorted(sol.ts, tk + 1e-12,
                                             side="right")) - 1, 0), sol.nt)
             yk = np.interp(xk, sol.xs, sol.u[n])
-            zk = np.interp(xk, sol.xs, fields.ux[n])
+            zk = np.interp(xk, sol.xs, ux[n])
             if kind == "x":
                 w = var.Xhat[:, k] * var.Gamma[:, k]
                 acc += np.asarray(driver.f_x(tk, xk, yk)) * w * bundle.dt
@@ -611,14 +626,40 @@ def test_fork_defers_a_non_finite_state_to_finish():
 
 def test_sampled_fields_checked_finite_before_a_term_is_dropped():
     xs = np.linspace(0.0, 1.0, 11)
-    assert scenario._samples_finite(np.array([[1.0, -2.0], [3.0, 0.0]]), 0.1)
+    assert scenario._samples_finite(3.0, 0.1)
     # finite nodes whose slope overflows: the interpolated sample is not
     # finite, so a term that multiplies it by zero is NaN, not zero
     row = np.where(np.arange(11) % 2, 1e307, -1e307)
     with np.errstate(over="ignore"):
         assert not np.isfinite(GridPoints(xs, [0.05]).sample(row)).all()
-    assert not scenario._samples_finite(row[None, :], 0.1)
-    assert not scenario._samples_finite(np.array([[0.0, np.nan]]), 0.1)
+    assert not scenario._samples_finite(1e307, 0.1)
+    assert not scenario._samples_finite(np.nan, 0.1)
+
+
+@pytest.mark.parametrize("slope, live", [(1.0, False), (1e306, True)])
+def test_time_pass_decides_a_dead_g_z_from_max_u(slope, live):
+    # g_z is dead for a payoff driver; the bound |u_x| <= 2 max|u| / dx
+    # keeps g_z Z live once it may overflow, here with u_x = 1e306 itself
+    # finite
+    driver = payoff_driver(lambda x: slope * np.asarray(x, dtype=float),
+                           lambda x: np.full_like(np.asarray(x, dtype=float),
+                                                  slope), name="slope",
+                           L1=slope, m=1)
+    G = regularize(G01, 0.2)
+    sol = _solve(driver, G=G, nx=101)
+    run = scenario._Pass("t", driver, G, FieldInterpolator(sol), 0.5, 0.01)
+    assert ("g_z" in dict(run.calls)) == live
+
+
+def test_time_pass_builds_no_slope_field():
+    # the default preset of sensitivity-t: a whole-field u_x, or its
+    # absolute value, would take (nt + 1) x nx doubles
+    G = regularize(G01, 0.2)
+    sol = _solve(preset_driver("quadratic"), G=G)
+    fields = FieldInterpolator(sol)
+    peak = traced_peak(lambda: scenario._Pass(
+        "t", sol.driver, G, fields, 0.5, 0.01))
+    assert peak < sol.u.nbytes / 8
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +702,24 @@ def test_dt_rejects_boundary_times():
     for t in (0.0, 1.0):
         with pytest.raises(DomainError):
             estimate_dt(quad, t, 0.0, G01, sol, mc=dict(n_paths=10))
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_start_point_is_refused_before_drawing(monkeypatch, x):
+    # x = nan reached an IndexError in the nearest-node lookup
+    quad = preset_driver("quadratic")
+    sol = _solve(quad, nx=51)
+    control = VolatilityControl.feedback(sol, G01)
+
+    def no_draw(*args):
+        raise AssertionError("drew normals")
+    monkeypatch.setattr(scenario, "path_normals", no_draw)
+    mc = dict(n_paths=16, n_steps=4)
+    for estimate, t in ((estimate_dx, 0.0), (estimate_dt, 0.5)):
+        with pytest.raises(DomainError, match="finite start point"):
+            estimate(quad, t, x, G01, sol, mc=mc)
+    with pytest.raises(DomainError, match="finite start point"):
+        simulate_paths(control, 16, 4, 1.0, 0, driver=quad, x0=x)
 
 
 # ---------------------------------------------------------------------------
