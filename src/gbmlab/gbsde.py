@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcore import (CylinderFunctional, DomainError, DriverSpec, Grid1D,
-                    NumericalError, regularize)
+                    NumericalError, charge, regularize)
 from . import pde as _pde
 from .pde import PdeProblem, PdeSolution, FieldInterpolator, GridPoints
 from . import gexpect as _gexpect
@@ -298,12 +298,9 @@ def semiconvexity_scan(problem, *, safety: float = 0.9) -> SemiconvexityReport:
     def levels():
         # second differences of phi, then of each level of the sweep
         yield _pde._second_diff(phi[0], dx, out=second)
-        u = phi
         for _n, _a, u in _pde._backward_steps(driver, grid, Gs, nt, dt, phi,
                                               deferred=True):
             yield _pde._second_diff(u[0], dx, out=second)
-        if not np.isfinite(u).all():
-            _pde._raise_sweep_error(driver, grid, Gs, nt, dt, phi)
 
     # np.minimum and np.maximum keep a NaN, as .min() and .max() do
     lo, hi, low_ratio = np.inf, -np.inf, np.inf
@@ -445,22 +442,6 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
 # dynamic-programming consistency
 # ---------------------------------------------------------------------------
 
-# Most node-steps the lattice of ``dynamic_programming_check`` may take:
-# ``steps`` levels of 2 steps + 1 nodes, each level charged at least
-# DP_LEVEL_NODES_MIN nodes.  A level costs about c0 + c1 * nodes (two
-# field reads on every node, f, g and the sup step): on a 2-core Intel Xeon
-# VM (numpy 2.4, nx = 401, ``quadratic`` and ``sine-gz``) c0 = 150 to
-# 250 us and c1 = 100 to 120 ns, so with the floor above c0 / c1 a charged
-# node-step costs at most 2 c1 (16 s for the whole budget); the widest
-# lattice under the budget, steps = 5792, took 6.3 to 6.9 s.  The floor
-# binds only below 2048 steps, whose charge stays under 2^23.  The biggest
-# charge in the test suite is 64 steps (2.6e5, 256x headroom), in the
-# benchmark 8 steps (3.3e4); a run that asks for more than this exits with
-# a NumericalError before the PDE solve.
-DP_NODE_STEPS_MAX = 2 ** 26
-DP_LEVEL_NODES_MIN = 4096
-
-
 @dataclass(frozen=True)
 class DpCheckReport:
     t1: float
@@ -479,8 +460,8 @@ def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
     fields.  Supports drivers that leave b, h and sigma at their defaults
     (none in ``DriverSpec.live``; the state is x0 + noise); anything else
     raises :class:`DomainError`.  A lattice over the
-    ``DP_NODE_STEPS_MAX`` work budget raises :class:`NumericalError` before
-    the PDE solve."""
+    ``gexpect.DP_NODE_STEPS_MAX`` work budget raises
+    :class:`NumericalError` before the PDE solve."""
     grid = problem.grid
     if not (0.0 <= t1 <= t2 <= grid.T):
         raise DomainError(f"need 0 <= t1 <= t2 <= T, got ({t1}, {t2})")
@@ -491,12 +472,11 @@ def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
     # an empty window needs no lattice; otherwise refuse bad steps unsolved
     spec = (LatticeSpec.for_horizon(t2 - t1, steps, problem.G)
             if t2 > t1 + 1e-15 else None)
-    work = steps * max(2 * steps + 1, DP_LEVEL_NODES_MIN)
-    if spec is not None and work > DP_NODE_STEPS_MAX:
-        raise NumericalError(
-            f"dp lattice needs {work:.3g} node-steps for steps={steps}, each "
-            f"level charged at least {DP_LEVEL_NODES_MIN} nodes; the limit "
-            f"is {DP_NODE_STEPS_MAX:.3g}")
+    if spec is not None:
+        charge("dp lattice", _gexpect._node_steps([steps]),
+               _gexpect.DP_NODE_STEPS_MAX, "node-steps", f"steps={steps}, "
+               f"each level charged at least {_gexpect.DP_LEVEL_NODES_MIN} "
+               f"nodes")
     sol = _pde.solve_terminal_pde(problem, safety=safety)
     u_t1 = sol.value(t1, x0)
     if spec is None:

@@ -38,6 +38,18 @@ class NumericalError(GbmlabError):
     """Numerical failure: CFL refusal, non-finite values (CLI exit code 2)."""
 
 
+def charge(what: str, amount, limit, unit: str, detail: str) -> None:
+    """The one check of every work and memory budget: raise
+    :class:`NumericalError`, "<what> needs <amount> <unit> for <detail>;
+    the limit is <limit> <unit>", if ``amount`` exceeds ``limit``.  An
+    amount in bytes is shown in GiB."""
+    if amount > limit:
+        if unit == "bytes":
+            amount, limit, unit = amount / 2 ** 30, limit / 2 ** 30, "GiB"
+        raise NumericalError(f"{what} needs {amount:.3g} {unit} for "
+                             f"{detail}; the limit is {limit:.3g} {unit}")
+
+
 # ---------------------------------------------------------------------------
 # generator
 # ---------------------------------------------------------------------------

@@ -22,11 +22,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcore import (CylinderFunctional, DomainError, DriverSpec, GFunction1D,
-                    Grid1D, NumericalError, _as_vectorized, payoff_driver,
+                    Grid1D, _as_vectorized, charge, payoff_driver,
                     preset_driver)
 from . import pde as _pde
 
 _MAX_STATE_NODES = 250_000
+
+# Most node-steps one lattice DP may take, each step charged at least
+# DP_LEVEL_NODES_MIN nodes; ``_running_max_lhs`` is charged (node x
+# value)-steps, each node carrying its running-max values.  A step costs
+# about c0 + c1 * nodes.  On a 2-core Intel Xeon VM (numpy 2.4):
+# - a level of ``gbsde.dynamic_programming_check`` (two field reads on
+#   every node, f, g and the sup step; nx = 401, ``quadratic`` and
+#   ``sine-gz``): c0 = 150 to 250 us, c1 = 100 to 120 ns;
+# - a step of ``_sup_dp`` (one-stage lattices of 64 to 4096 steps): c0
+#   about 19 us, c1 = 4 to 9 ns;
+# - a step of ``_running_max_lhs`` (``doob``, 8 to 100 steps, one and two
+#   stages): c0 about 45 us, c1 = 19 to 33 ns a (node x value).
+# So a charged unit costs at most c1 + c0 / DP_LEVEL_NODES_MIN: 2 c1 for
+# the dp-check level (16 s for the whole budget; the widest dp-check
+# lattice under it, steps = 5792, took 6.3 to 6.9 s), about 14 ns for
+# ``_sup_dp`` (0.9 s) and 44 ns for ``_running_max_lhs`` (3 s; ``doob
+# --steps 110``, charged 6.5e7, took 1.1 s).  The floor binds a
+# one-stage lattice only below 2048 steps, whose charge stays under 2^23.
+# The biggest charges in the test suite are 2.6e5
+# node-steps (64 steps of dp-check or of ``lattice_oracle``, 256x
+# headroom) and 3.1e6 (node x value)-steps (a three-stage ``doob_check``
+# of 8 steps, 989 values); in the benchmark 2.6e5 (``stability``'s
+# 64-step lattice), 3.3e4 (dp-check, 8 steps) and 4.5e4 (``doob --xi
+# two-stage``, 8 steps, 46 values).  A run that asks for more than this
+# exits with a NumericalError before the DP (before the PDE solve, for
+# dp-check).
+DP_NODE_STEPS_MAX = 2 ** 26
+DP_LEVEL_NODES_MIN = 4096
 
 # the nonlinear heat equation's driver: every coefficient at its default
 _HEAT = DriverSpec(name="gheat", phi=np.zeros_like)
@@ -90,7 +118,24 @@ class LatticeSpec:
 # lattice engine
 # ---------------------------------------------------------------------------
 
-def _stage_bounds(X: CylinderFunctional, spec: LatticeSpec) -> list[int]:
+def _node_steps(s: list[int], depth: int = 1,
+                floor: int = DP_LEVEL_NODES_MIN) -> int:
+    """Node-steps of ``_sup_dp`` over the stage steps ``s``, each node
+    carrying ``depth`` values and each step charged at least ``floor``:
+    stage i steps s_i - s_(i-1) times over the product of the widths
+    2 s_j + 1, j <= i."""
+    total, width, prev = 0, 1, 0
+    for k in s:
+        width *= 2 * k + 1
+        total += (k - prev) * max(width * depth, floor)
+        prev = k
+    return total
+
+
+def _stage_bounds(X: CylinderFunctional, spec: LatticeSpec,
+                  dps: int = 1) -> list[int]:
+    """The lattice steps of the stage times; charges the state count and
+    the node-steps of ``dps`` DPs over them."""
     s = []
     for t in X.times:
         k = round(t / spec.dt)
@@ -102,13 +147,12 @@ def _stage_bounds(X: CylinderFunctional, spec: LatticeSpec) -> list[int]:
         raise DomainError(f"stage steps must be strictly increasing: {s}")
     if s[-1] > spec.steps:
         raise DomainError(f"lattice horizon {spec.T} shorter than t_N={X.times[-1]}")
-    past = 1
-    for k in s:
-        if past * (2 * k + 1) > _MAX_STATE_NODES:
-            raise NumericalError(
-                "augmented lattice state space exceeds the node guard "
-                f"({_MAX_STATE_NODES}); reduce stages or steps")
-        past *= 2 * k + 1
+    charge("augmented lattice (node guard)",
+           math.prod(2 * k + 1 for k in s), _MAX_STATE_NODES, "nodes",
+           f"stage steps {s}")
+    charge("lattice", dps * _node_steps(s), DP_NODE_STEPS_MAX, "node-steps",
+           f"stage steps {s}, {dps} DP(s), each step charged at least "
+           f"{DP_LEVEL_NODES_MIN} nodes")
     return s
 
 
@@ -280,11 +324,8 @@ def _cylinder_recursion(X: CylinderFunctional, G: GFunction1D, grids,
     steps = {i: _pde._time_steps(grids[i - 1], (G,), _HEAT, safety,
                                  rows=math.prod(shape[:i - 1]))[:2]
              for i in range(N, down_to, -1)}
-    nbytes = 8 * math.prod(shape)
-    if nbytes > _pde.DENSE_BYTES_MAX:
-        raise NumericalError(
-            f"cylinder table needs {nbytes / 2 ** 30:.3g} GiB for nx={shape}; "
-            f"the limit is {_pde.DENSE_BYTES_MAX / 2 ** 30:.3g} GiB")
+    charge("cylinder table", 8 * math.prod(shape), _pde.DENSE_BYTES_MAX,
+           "bytes", f"nx={shape}")
     f = _as_vectorized(X.psi, N)
     mesh = np.meshgrid(*[g.xs for g in grids], indexing="ij", sparse=True)
     tab = np.ascontiguousarray(
@@ -377,6 +418,16 @@ def _running_max_lhs(records: dict, s: list[int], probs,
     running max ranging over the exact finite set of recorded M values."""
     mvals = np.unique(np.concatenate([v.ravel() for v in records.values()]))
     mvals = np.concatenate([[-np.inf], mvals])
+    # at most six arrays of 8 bytes a (node, value) are alive at once
+    # (tracemalloc: 40 to 48 bytes from 16 steps up); the biggest charge
+    # in the test suite is 36 MB (three stages, 8 steps), in the
+    # benchmark 0.34 MB (``doob --xi two-stage``)
+    detail = f"stage steps {s} and {len(mvals)} running-max values"
+    charge("running max", 48 * records[s[-1]].size * len(mvals),
+           _pde.DENSE_BYTES_MAX, "bytes", detail)
+    charge("running max", _node_steps(s, len(mvals)), DP_NODE_STEPS_MAX,
+           "(node x value)-steps", f"{detail}, each step charged at least "
+           f"{DP_LEVEL_NODES_MIN} of them")
     powv = mvals ** pw
     powv[0] = 0.0  # sentinel, never selected
     m_axis = np.arange(len(mvals))
@@ -405,9 +456,15 @@ def doob_check(xi: CylinderFunctional, p: float, p_prime: float,
     """
     if not (1.0 <= p < p_prime):
         raise DomainError(f"need 1 <= p < p_prime, got ({p}, {p_prime})")
-    s = _stage_bounds(xi, spec)
+    s = _stage_bounds(xi, spec, dps=2)
     probs = spec.probs
     tab = np.abs(_terminal_tab(xi, s, spec.dx))
+    # the records, their concatenation and np.unique's sorted copy: at
+    # most 4 x 8 bytes a recorded value (tracemalloc: 3.3 to 3.7 x 8); the
+    # biggest charge in the test suite is 126 kB, in the benchmark 26 kB
+    charge("doob record storage",
+           32 * (_node_steps(s, floor=0) + tab.size), _pde.DENSE_BYTES_MAX,
+           "bytes", f"stage steps {s}")
     records: dict = {}
     _sup_dp(tab, s, probs, record=records)
     lhs = _running_max_lhs(records, s, probs, p) ** (1.0 / p)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcore import (DomainError, DriverSpec, GFunction1D, Grid1D,
-                    NumericalError)
+                    NumericalError, charge)
 
 
 # Largest dense storage (u and a_field, every time level) one solve may
@@ -251,12 +251,9 @@ def _time_steps(grid: Grid1D, Gs, driver: DriverSpec, safety: float,
                 f"CFL violation: grid.nt={nt} gives dt={grid.T / nt:.6g} "
                 f"above the stable bound {bound:.6g} (needs nt >= {nt_needed})")
     rows = len(Gs) if rows is None else rows
-    work = max(rows * grid.nx, STEP_NODES_MIN) * nt
-    if work > NODE_STEPS_MAX:
-        raise NumericalError(
-            f"solve needs {work:.3g} node-steps for nt={nt}, nx={grid.nx}, "
-            f"{rows} row(s), each step charged at least {STEP_NODES_MIN} "
-            f"nodes; the limit is {NODE_STEPS_MAX:.3g}")
+    charge("solve", max(rows * grid.nx, STEP_NODES_MIN) * nt, NODE_STEPS_MAX,
+           "node-steps", f"nt={nt}, nx={grid.nx}, {rows} row(s), each step "
+           f"charged at least {STEP_NODES_MIN} nodes")
     return nt, grid.T / nt, bound
 
 
@@ -394,11 +391,13 @@ def _backward_steps(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
     generator argument of the known level n+1 and ``u_n`` the new level.
     Raises :class:`NumericalError` at the first level that turns non-finite.
 
-    With ``deferred`` the caller looks at no level before the sweep ends
-    and checks the last one instead (``_raise_sweep_error``): then a step
-    that calls no driver callable on u (no live f, no g other than a
-    ``gcore._const4`` constant) skips the per-step check.  A step that
-    does keeps it, so that no f or g is ever called on a non-finite level.
+    With ``deferred`` the caller looks at no level before the sweep ends:
+    then a step that calls no driver callable on u (no live f, no g other
+    than a ``gcore._const4`` constant) skips the per-step check, and the
+    sweep checks its last level after the final yield instead, raising the
+    error of one checked sweep (``_raise_sweep_error``).  A step that
+    calls f or g keeps the per-step check, so that no f or g is ever
+    called on a non-finite level.
 
     ``u`` is copied once and never written.  The step computes in the
     buffers of one :class:`_Plan`, so the yielded ``a`` and ``u_n`` are
@@ -406,7 +405,7 @@ def _backward_steps(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
     level copies it.
     """
     plan = _Plan(driver, grid, Gs, dt, u)
-    u, rate, tmp = plan.u, plan.rate, plan.tmp
+    start, u, rate, tmp = u, plan.u, plan.rate, plan.tmp
     sh2, sl2, lower, fold = plan.sh2, plan.sl2, plan.lower, plan.fold
     xs, half_dt, step_b, step_f = grid.xs, plan.half_dt, plan.b, plan.f
     scale = plan.scale
@@ -446,6 +445,8 @@ def _backward_steps(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
                 f"solution turned non-finite at time level {n} "
                 f"(t={n * dt:.6g}), node {j} (x={xs[j]:.6g})")
         yield n, a, u
+    if not check and not np.isfinite(u).all():
+        _raise_sweep_error(driver, grid, Gs, nt, dt, start)
 
 
 def _raise_sweep_error(driver: DriverSpec, grid: Grid1D, Gs, nt: int,
@@ -473,11 +474,10 @@ def _last_level(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
     The rows are independent, so they are stepped through all ``nt`` steps
     in blocks of at most ``BLOCK_NODES`` nodes, whose work buffers stay in
     cache.  The caller has charged the work budget for the whole stack
-    (``_time_steps(rows=...)``).  The blocks defer the finiteness check
-    (``_backward_steps(deferred=True)``): the stack's last level is
-    checked once.  If it is not finite, or a block that checks every step
-    fails, the stack is stepped again unblocked with the per-step check,
-    which raises the error of one sweep (``_raise_sweep_error``).
+    (``_time_steps(rows=...)``).  Each block's sweep defers its finiteness
+    check to its last level (``_backward_steps(deferred=True)``).  If a
+    block fails, the stack is stepped again unblocked with the per-step
+    check, which raises the error of one sweep (``_raise_sweep_error``).
     """
     out = np.array(u, dtype=float, order="C")
     per_block = max(1, BLOCK_NODES // grid.nx)
@@ -490,8 +490,6 @@ def _last_level(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
                 pass
             out[block] = level
     except NumericalError:
-        _raise_sweep_error(driver, grid, Gs, nt, dt, u)
-    if not np.isfinite(out).all():
         _raise_sweep_error(driver, grid, Gs, nt, dt, u)
     return out
 
@@ -515,20 +513,13 @@ def solve_terminal_pde(problem: PdeProblem, *, safety: float = 0.9) -> PdeSoluti
     slice turns non-finite (with the offending node and time level in the
     message).  No level is read before the sweep ends, so unless the
     driver's f or g reads u the sweep defers its finiteness check
-    (``_backward_steps(deferred=True)``) to one check of u(0, .): a
-    non-finite node stays non-finite, so a finite last level proves every
-    level finite, and a failed sweep is stepped again with the per-step
-    check (``_raise_sweep_error``), whose message it raises.
+    (``_backward_steps(deferred=True)``) to one check of u(0, .).
     """
     grid, driver, Gs = problem.grid, problem.driver, (problem.G,)
     xs, dx = grid.xs, grid.dx
     nt, dt, _ = _time_steps(grid, Gs, driver, safety)
-    dense = 2 * 8 * (nt + 1) * grid.nx
-    if dense > DENSE_BYTES_MAX:
-        raise NumericalError(
-            f"dense solution needs {dense / 2 ** 30:.3g} GiB for nt={nt}, "
-            f"nx={grid.nx}, 1 row(s); the limit is "
-            f"{DENSE_BYTES_MAX / 2 ** 30:.3g} GiB")
+    charge("dense solution", 2 * 8 * (nt + 1) * grid.nx, DENSE_BYTES_MAX,
+           "bytes", f"nt={nt}, nx={grid.nx}, 1 row(s)")
     u = np.empty((nt + 1, grid.nx))
     a_field = np.empty_like(u)
     u[nt] = _terminal_data(driver, xs)
@@ -537,8 +528,6 @@ def solve_terminal_pde(problem: PdeProblem, *, safety: float = 0.9) -> PdeSoluti
                                     deferred=True):
         a_field[n + 1] = a[0]
         u[n] = un[0]
-    if not np.isfinite(u[0]).all():
-        _raise_sweep_error(driver, grid, Gs, nt, dt, u[nt:])
     a_field[0] = _Plan(driver, grid, Gs, dt, u[:1]).generator_arg(0.0)[0]
     return PdeSolution(u=u, a_field=a_field, grid=grid.with_nt(nt),
                        driver=driver, G=problem.G, dx=dx, dt=dt)

@@ -49,7 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gcore import ARITY, DomainError, DriverSpec, GFunction1D, NumericalError
+from .gcore import (ARITY, DomainError, DriverSpec, GFunction1D,
+                    NumericalError, charge)
 from .pde import (ControlField, FieldInterpolator, GridPoints, PdeSolution,
                   _time_index, extremal_control)
 
@@ -107,18 +108,11 @@ def _check_path_work(n_paths: int, n_steps: int, nbytes: int, *,
     whose path arrays need more than ``PATH_BYTES_MAX`` bytes or whose
     charge exceeds ``PATH_STEPS_MAX`` path-steps."""
     _check_path_counts(n_paths, n_steps)
-    if nbytes > PATH_BYTES_MAX:
-        raise NumericalError(
-            f"path arrays need {nbytes / 2 ** 30:.3g} GiB for "
-            f"n_paths={n_paths}, n_steps={n_steps}; the limit is "
-            f"{PATH_BYTES_MAX / 2 ** 30:.3g} GiB")
-    work = draws * max(n_steps, PATH_STEPS_MIN) * (
-        WALK_COST * max(n_paths, STEP_PATHS_MIN) if walk else n_paths)
-    if work > PATH_STEPS_MAX:
-        raise NumericalError(
-            f"run charges {work} path-steps for n_paths={n_paths}, "
-            f"n_steps={n_steps}, {draws} draw(s); the limit is "
-            f"{PATH_STEPS_MAX}")
+    detail = f"n_paths={n_paths}, n_steps={n_steps}"
+    charge("path storage", nbytes, PATH_BYTES_MAX, "bytes", detail)
+    charge("run", draws * max(n_steps, PATH_STEPS_MIN) * (
+        WALK_COST * max(n_paths, STEP_PATHS_MIN) if walk else n_paths),
+        PATH_STEPS_MAX, "path-steps", f"{detail}, {draws} draw(s)")
 
 
 def path_normals(seed: int, n_paths: int, n_steps: int,

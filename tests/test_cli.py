@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -17,7 +18,8 @@ import gbmlab
 from gbmlab import cli, gbsde
 from gbmlab.cli import _main
 from gbmlab.gbsde import dynamic_programming_check
-from gbmlab.gcore import Grid1D, make_gfunction, preset_driver, regularize
+from gbmlab.gcore import (PRESET_NAMES, Grid1D, make_gfunction, preset_driver,
+                          preset_keys, regularize)
 from gbmlab.pde import PdeProblem
 
 
@@ -479,6 +481,96 @@ def test_dp_check_lattice_work_budget_exits_two(tmp_path):
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr
     assert "node-steps" in proc.stderr
+
+
+def test_lattice_budgets_exit_two(tmp_path):
+    # doob's running-max DP asked 6.65 GiB for one rank array at 2000 steps,
+    # and its per-step records filled the cap at 20000 steps; the others
+    # ran for 5 s to minutes.  Each is refused before its DP, under the
+    # address-space cap that turns a missing refusal into a MemoryError.
+    argvs = [["doob", "--steps", "2000"], ["doob", "--steps", "20000"],
+             ["doob", "--xi", "two-stage", "--steps", "80"],
+             ["doob", "--steps", "200"],
+             ["doob", "--xi", "two-stage", "--steps", "40"],
+             ["stability", "--shift", "0.1", "--nx", "41", "--steps", "2000"],
+             ["stability", "--shift", "0.1", "--nx", "41", "--steps",
+              "15000"]]
+    script = textwrap.dedent(f"""
+        import resource
+        cap = 3 * 2 ** 30
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        from gbmlab.cli import _main
+        print(*(_main(argv + ["--output-dir", {str(tmp_path)!r}])
+                for argv in {argvs!r}))
+        """)
+    proc = _child(script, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["2"] * len(argvs), proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert "GiB" in proc.stderr and "(node x value)-steps" in proc.stderr
+
+
+# hostile values of each setting type; the mid-size integers reach work
+# that 0, 1, 2 and 3M stop early or refuse outright
+_HOSTILE = {"float": ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300"),
+            "int": ("0", "-1", "1", "2", "80", "2000", "20000", "3000000"),
+            "tuple": ("nan", "inf,1", "-1", "0", "1e300", "1,0.5",
+                      "0.5,0.5")}
+
+
+def _hostile_argvs() -> list:
+    """Each numeric setting at each hostile value, and each preset's
+    parameters at each hostile float, on small base sizes.  Each pair runs
+    once, on the subcommands that read it in turn."""
+    subs = list(cli._SUBCOMMANDS)
+    reads = {sub: cli._settings(sub) for sub in subs}
+    pairs = []
+    for f in dataclasses.fields(cli.RunConfig):
+        flag = (f.metadata["flags"] or (f"--{f.name.replace('_', '-')}",))[0]
+        readers = [sub for sub in subs if f.name in reads[sub]]
+        pairs += [(readers, [f"{flag}={v}"])
+                  for v in _HOSTILE.get(f.type.split(" |")[0], ())]
+    drivers = [sub for sub in subs if {"preset", "params"} <= set(reads[sub])]
+    for preset in PRESET_NAMES:
+        for key in sorted(preset_keys(preset, {}) - {"phi"}):
+            pairs += [(drivers, ["--preset", preset, f"--param={key}={v}"])
+                      for v in _HOSTILE["float"]]
+    argvs = []
+    for i, (readers, extra) in enumerate(pairs):
+        sub = readers[i % len(readers)]
+        sizes = ((["--nx", "41"] if "nx" in reads[sub] else [])
+                 + (["--n-paths", "256", "--n-steps", "16"]
+                    if "n_paths" in reads[sub] else []))
+        argvs.append([sub, *sizes, *extra])
+    return argvs
+
+
+def test_hostile_argvs_exit_cleanly(tmp_path):
+    # every argv ends in an exit code, never a traceback, a MemoryError
+    # under the address-space cap or an escaped exception
+    argvs = _hostile_argvs()
+    assert len(argvs) > 200
+    script = textwrap.dedent(f"""
+        import contextlib, io, json, resource
+        cap = 3 * 2 ** 30
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        from gbmlab.cli import _main
+        bad = []
+        for argv in {argvs!r}:
+            err = io.StringIO()
+            try:
+                with contextlib.redirect_stderr(err), \\
+                        contextlib.redirect_stdout(io.StringIO()):
+                    rc = _main(argv + ["--output-dir", {str(tmp_path)!r}])
+            except Exception as exc:
+                rc = repr(exc)
+            if rc not in (0, 1, 2, 3) or "Traceback" in err.getvalue():
+                bad.append((argv, rc, err.getvalue()[-500:]))
+        print(json.dumps(bad))
+        """)
+    proc = _child(script, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == []
 
 
 def test_infinite_horizon_exits_one(tmp_path):

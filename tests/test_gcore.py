@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gbmlab import gexpect, pde, scenario
+from gbmlab.gbsde import counterexample_demo, dynamic_programming_check
 from gbmlab.gcore import (
     ARITY,
     DERIVATIVES,
@@ -19,6 +21,8 @@ from gbmlab.gcore import (
     DomainError,
     DriverSpec,
     Grid1D,
+    NumericalError,
+    charge,
     make_gfunction,
     parse_config,
     payoff_driver,
@@ -26,6 +30,9 @@ from gbmlab.gcore import (
     _zero4,
     regularize,
 )
+from gbmlab.gexpect import (LatticeSpec, default_stage_grids, doob_check,
+                            gexpect_cylinder, lattice_oracle)
+from gbmlab.pde import PdeProblem, solve_terminal_pde
 
 
 # ---------------------------------------------------------------------------
@@ -411,3 +418,131 @@ def test_parse_config_from_file(tmp_path):
 def test_parse_config_rejects_unknown_section():
     with pytest.raises(ConfigError):
         parse_config("[plotting]\nstyle = fancy\n")
+
+
+# ---------------------------------------------------------------------------
+# work and memory budgets: one charge point
+# ---------------------------------------------------------------------------
+
+G01 = make_gfunction(0.0, 1.0)
+# 21 nodes, 40 pinned levels: well inside the CFL bound
+_PINNED = Grid1D(-3.0, 3.0, 21, 0.5, nt=40)
+_SQUARES = CylinderFunctional((0.5, 1.0), psi=lambda a, b: a ** 2 + b ** 2)
+_ABS = CylinderFunctional((1.0,), psi=np.abs)
+_TWO_STAGE = CylinderFunctional((0.5, 1.0),
+                                psi=lambda a, b: np.abs(a) + np.abs(b))
+_FLAT = CylinderFunctional((1.0,), psi=lambda b: 1.0 + 0.0 * b)
+
+
+def _pinned_solution():
+    return solve_terminal_pde(PdeProblem(_PINNED, preset_driver("quadratic"),
+                                         G01))
+
+
+def _spec(steps):
+    return LatticeSpec.for_horizon(1.0, steps, G01)
+
+
+def _stage_nt(nx):
+    # both stages of _SQUARES span 0.5: one grid, one nt
+    grid = default_stage_grids(_SQUARES, G01, nx=nx)[1]
+    return pde._time_steps(grid, (G01,), gexpect._HEAT, 0.9)[0]
+
+
+def _running_max_values(xi, steps):
+    """1 + the distinct values ``doob_check`` records (the sentinel)."""
+    spec = _spec(steps)
+    s = gexpect._stage_bounds(xi, spec)
+    records = {}
+    gexpect._sup_dp(np.abs(gexpect._terminal_tab(xi, s, spec.dx)), s,
+                    spec.probs, record=records)
+    return 1 + np.unique(np.concatenate([v.ravel()
+                                         for v in records.values()])).size
+
+
+def _budgets():
+    """(id, module, limit, what, unit, run, the exact charge of run)."""
+    fn, fd, walk = pde.STEP_NODES_MIN, gexpect.DP_LEVEL_NODES_MIN, \
+        scenario.WALK_COST
+    m16 = _running_max_values(_TWO_STAGE, 16)
+    quadratic = preset_driver("quadratic")
+    return [
+        ("solve-floor", pde, "NODE_STEPS_MAX", "solve", "node-steps",
+         _pinned_solution, max(21, fn) * 40),
+        ("solve-rows", pde, "NODE_STEPS_MAX", "solve", "node-steps",
+         lambda: gexpect_cylinder(_SQUARES, G01, nx=101),
+         max(101 * 101, fn) * _stage_nt(101)),
+        ("dense-solution", pde, "DENSE_BYTES_MAX", "dense solution", "bytes",
+         _pinned_solution, 2 * 8 * 41 * 21),
+        ("cylinder-table", pde, "DENSE_BYTES_MAX", "cylinder table", "bytes",
+         lambda: gexpect_cylinder(_SQUARES, G01, nx=41), 8 * 41 * 41),
+        ("node-guard", gexpect, "_MAX_STATE_NODES",
+         "augmented lattice (node guard)", "nodes",
+         lambda: lattice_oracle(_SQUARES, G01, _spec(8)), 9 * 17),
+        ("lattice", gexpect, "DP_NODE_STEPS_MAX", "lattice", "node-steps",
+         lambda: lattice_oracle(_SQUARES, G01, _spec(64)),
+         32 * max(65, fd) + 32 * max(65 * 129, fd)),
+        ("doob-lattice", gexpect, "DP_NODE_STEPS_MAX", "lattice",
+         "node-steps", lambda: doob_check(_ABS, 2.0, 4.0, G01, _spec(8)),
+         2 * 8 * max(17, fd)),
+        ("running-max-steps", gexpect, "DP_NODE_STEPS_MAX", "running max",
+         "(node x value)-steps",
+         lambda: doob_check(_TWO_STAGE, 2.0, 4.0, G01, _spec(16)),
+         8 * max(17 * m16, fd) + 8 * max(17 * 33 * m16, fd)),
+        ("running-max-bytes", pde, "DENSE_BYTES_MAX", "running max", "bytes",
+         lambda: doob_check(_TWO_STAGE, 2.0, 4.0, G01, _spec(16)),
+         48 * 17 * 33 * m16),
+        ("doob-records", pde, "DENSE_BYTES_MAX", "doob record storage",
+         "bytes", lambda: doob_check(_FLAT, 2.0, 4.0, G01, _spec(8)),
+         32 * (8 * 17 + 17)),
+        ("path-storage", scenario, "PATH_BYTES_MAX", "path storage", "bytes",
+         lambda: counterexample_demo(1.0, (0.5,), dict(n_paths=64,
+                                                      n_steps=16)),
+         16 * 64 * 16),
+        ("path-steps-draws", scenario, "PATH_STEPS_MAX", "run", "path-steps",
+         lambda: counterexample_demo(1.0, (0.5, 0.25), dict(n_paths=64,
+                                                           n_steps=16)),
+         2 * max(16, scenario.PATH_STEPS_MIN) * 64),
+        ("path-steps-walk", scenario, "PATH_STEPS_MAX", "run", "path-steps",
+         lambda: scenario.estimate_dx(quadratic, 0.25, 0.0, G01,
+                                      _pinned_solution(),
+                                      dict(n_paths=64, n_steps=16)),
+         max(16, scenario.PATH_STEPS_MIN) * walk
+         * max(64, scenario.STEP_PATHS_MIN)),
+        ("dp-lattice", gexpect, "DP_NODE_STEPS_MAX", "dp lattice",
+         "node-steps",
+         lambda: dynamic_programming_check(
+             PdeProblem(_PINNED, quadratic, G01), 0.1, 0.4, steps=8),
+         8 * max(17, fd)),
+    ]
+
+
+def _shown(amount, unit):
+    if unit == "bytes":
+        return f"{amount / 2 ** 30:.3g} GiB"
+    return f"{amount:.3g} {unit}"
+
+
+_BUDGETS = _budgets()
+
+
+@pytest.mark.parametrize("budget", _BUDGETS, ids=[b[0] for b in _BUDGETS])
+def test_each_budget_admits_its_exact_charge(monkeypatch, budget):
+    # a run charged exactly the limit runs; one unit less refuses it with
+    # the amount and the limit, so each charge keeps its formula and floor
+    _id, module, limit, what, unit, run, amount = budget
+    monkeypatch.setattr(module, limit, amount)
+    run()
+    monkeypatch.setattr(module, limit, amount - 1)
+    with pytest.raises(NumericalError) as refused:
+        run()
+    message = str(refused.value)
+    assert message.startswith(f"{what} needs {_shown(amount, unit)} for ")
+    assert message.endswith(f"; the limit is {_shown(amount - 1, unit)}")
+
+
+def test_charge_shows_bytes_in_gib():
+    charge("table", 2 ** 30, 2 ** 30, "bytes", "nothing")
+    with pytest.raises(NumericalError, match=r"^table needs 1\.5 GiB for "
+                       r"x=1; the limit is 1 GiB$"):
+        charge("table", 3 * 2 ** 29, 2 ** 30, "bytes", "x=1")

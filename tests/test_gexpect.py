@@ -14,7 +14,6 @@ from gbmlab.gcore import (
     DomainError,
     DriverSpec,
     Grid1D,
-    NumericalError,
     make_gfunction,
     payoff_driver,
     preset_driver,
@@ -100,15 +99,6 @@ def test_cylinder_linear_sum():
 def test_cylinder_sum_of_squares():
     X = CylinderFunctional(times=(0.5, 1.0), psi=lambda a, b: a ** 2 + b ** 2)
     assert abs(gexpect_cylinder(X, G01) - 1.0) <= 2e-2
-
-
-def test_cylinder_table_over_the_byte_limit_is_refused(monkeypatch):
-    X = CylinderFunctional(times=(0.5, 1.0), psi=lambda a, b: a ** 2 + b ** 2)
-    monkeypatch.setattr(gexpect._pde, "DENSE_BYTES_MAX", 8 * 41 * 41 - 1)
-    with pytest.raises(NumericalError, match="cylinder table needs"):
-        gexpect_cylinder(X, G01, nx=41)
-    monkeypatch.setattr(gexpect._pde, "DENSE_BYTES_MAX", 8 * 41 * 41)
-    assert math.isfinite(gexpect_cylinder(X, G01, nx=41))
 
 
 def test_cylinder_product():

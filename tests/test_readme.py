@@ -1,5 +1,5 @@
-"""The README's examples run as written, and its lists of settings match
-the CLI.
+"""The README's examples run as written, and its lists of settings and
+its budget table match the code.
 
 Each ``python`` block is executed, the ``ini`` block is written as
 ``run.cfg`` in a temporary working directory, and each ``gbmlab`` line of
@@ -13,6 +13,7 @@ import re
 import shlex
 from pathlib import Path
 
+from gbmlab import gbsde, gexpect, pde, scenario
 from gbmlab.cli import RunConfig, _main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -46,3 +47,31 @@ def test_readme_names_the_settings_with_choices():
     named = set(re.findall(r"`(\w+)`", listed.group(1)))
     assert named == {f.name for f in dataclasses.fields(RunConfig)
                      if f.metadata["choices"]}
+
+
+def _shown_values(value: int) -> set:
+    """The ways the budget table may write ``value``: 8192, 250,000, 2^26."""
+    forms = {str(value), f"{value:,}"}
+    if value > 0 and value & (value - 1) == 0:
+        forms.add(f"2^{value.bit_length() - 1}")
+    return forms
+
+
+def test_readme_budget_table_names_every_budget_constant():
+    # every limit (a name with MAX) and floor (MIN) of the budget modules,
+    # written as "`module.NAME` | value" or "`module.NAME` = value"
+    text = README.read_text(encoding="utf-8")
+    table = "\n".join(line for line in text.splitlines()
+                      if line.startswith("| `"))
+    assert "gcore.charge" in text
+    constants = {f"{module.__name__.split('.')[-1]}.{name}": value
+                 for module in (pde, gexpect, scenario, gbsde)
+                 for name, value in vars(module).items()
+                 if re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name)
+                 and re.search(r"(^|_)(MAX|MIN)(_|$)", name)
+                 and isinstance(value, int)}
+    assert len(constants) >= 10
+    for qualified, value in constants.items():
+        shown = re.search(rf"`{re.escape(qualified)}` [|=] ([\w^,]+)", table)
+        assert shown, f"{qualified} is not in README's budget table"
+        assert shown.group(1) in _shown_values(value), (qualified, value)
