@@ -175,6 +175,8 @@ class RunConfig:
             raise ConfigError("the eps schedule needs at least one value")
         if not math.isfinite(self.x):
             raise ConfigError(f"x must be finite, got {self.x}")
+        if self.shift is not None and not math.isfinite(self.shift):
+            raise ConfigError(f"shift must be finite, got {self.shift}")
 
     # -- derived objects ----------------------------------------------------
 
@@ -407,19 +409,15 @@ def _run_curvature(cfg: RunConfig):
 
 
 def _sensitivity_common(cfg: RunConfig, kind: str):
-    if not 0.0 <= cfg.t < cfg.T:
-        raise DomainError(f"need 0 <= t < T={cfg.T}, got t={cfg.t}")
     problem, sol = _solve(cfg)
-    driver, G = problem.driver, problem.G
-    n = int(round(cfg.t / sol.dt))
     j = int(np.argmin(np.abs(sol.xs - cfg.x)))
+    estimate = _scenario.estimate_dx if kind == "x" else _scenario.estimate_dt
+    est = estimate(problem.driver, cfg.t, float(sol.xs[j]), problem.G, sol,
+                   **cfg.mc())
+    n = int(round(cfg.t / sol.dt))
     if kind == "x":
-        est = _scenario.estimate_dx(driver, cfg.t, float(sol.xs[j]), G, sol,
-                                    mc=cfg.mc())
         oracle = float(_pde._ux(sol.u[n], sol.dx)[j])
     else:
-        est = _scenario.estimate_dt(driver, cfg.t, float(sol.xs[j]), G, sol,
-                                    mc=cfg.mc())
         # forward difference; a t within half a level of T rounds to nt
         m = min(n, sol.nt - 1)
         oracle = float((sol.u[m + 1][j] - sol.u[m][j]) / sol.dt)
@@ -447,7 +445,7 @@ def _run_kink(cfg: RunConfig):
     problem, sol = _solve(cfg)
     driver, grid = problem.driver, problem.grid
     est = _scenario.estimate_dx(driver, cfg.t, cfg.x, problem.G, sol,
-                                mc=cfg.mc())
+                                **cfg.mc())
     gap = est.plus - est.minus
     se = est.se_plus + est.se_minus
     probe = np.linspace(grid.x_min, grid.x_max, 7)
@@ -510,9 +508,8 @@ def _run_dp_check(cfg: RunConfig):
 
 
 def _run_counterexample(cfg: RunConfig):
-    exponent = float(cfg.params.get("exponent", -0.2))
-    rep = _gbsde.counterexample_demo(cfg.T, cfg.eps_schedule, mc=cfg.mc(),
-                                     exponent=exponent)
+    rep = _gbsde.counterexample_demo(cfg.T, cfg.eps_schedule, **cfg.mc(),
+                                     **cfg.params)
     values = dict(slope=rep.slope, slope_target=rep.slope_target,
                   exponent=rep.exponent)
     verdicts = dict(slope_ok=bool(rep.slope_ok), mc_ok=bool(rep.mc_ok))

@@ -342,6 +342,19 @@ def _refine(grid: Grid1D, factor: int) -> Grid1D:
 _STABILITY_LEVELS = 3
 
 
+def _power(what: str, base: float, p: float) -> float:
+    """``base ** p``, refused with :class:`NumericalError` when ``base`` is
+    nonzero and its power is 0 or not finite: the verdict would rest on a
+    0 or an infinity, not on the data."""
+    with np.errstate(under="ignore", over="ignore"):
+        power = float(np.float64(base) ** p)
+    if base != 0.0 and not 0.0 < power < math.inf:
+        raise NumericalError(f"{what} {base:.3g} to the power p={p:g} is "
+                             f"{power}; the stability check needs it finite "
+                             f"and nonzero")
+    return power
+
+
 def stability_check(problem1, problem2, p: float = 1.0, *,
                     lattice_steps: int = 64,
                     safety: float = 0.9) -> StabilityReport:
@@ -353,11 +366,13 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
     along the second solution (crude upper Riemann bounds; every catalog
     comparison has f1=f2 and g1=g2 so only the terminal term is active).
     Pass iff the fitted constant lhs/rhs moves by < 2x across levels.
-    Needs a finite p >= 1.  Both solves are streamed: only u(0, .) of the
-    first and the per-level driver differences of the second are kept.  A
-    pair whose drivers differ only in ``name`` and ``phi`` (every other
-    field the same object) is stepped as one two-row sweep, each row bit
-    for bit the row of its own sweep; any other pair gets two sweeps.
+    Needs a finite p >= 1, and refuses a nonzero delta or terminal
+    difference whose p-th power is 0 or not finite.  Both solves are
+    streamed: only u(0, .) of the first and the per-level driver
+    differences of the second are kept.  A pair whose drivers differ only
+    in ``name`` and ``phi`` (every other field the same object) is stepped
+    as one two-row sweep, each row bit for bit the row of its own sweep;
+    any other pair gets two sweeps.
     """
     if not (math.isfinite(p) and p >= 1.0):
         raise DomainError(f"stability check needs a finite p >= 1, got {p}")
@@ -385,15 +400,18 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
         levels.append((grid, *(_pde._time_steps(grid, (G,), d, safety)[:2]
                                for d in (d1, d2))))
 
-    def psi(bt):
+    def diff(bt):
         x = xc + np.asarray(bt, dtype=float)
         return np.abs(np.asarray(d1.phi(x), dtype=float)
-                      - np.asarray(d2.phi(x), dtype=float)) ** p
+                      - np.asarray(d2.phi(x), dtype=float))
     # every level keeps T (``_refine``), so one lattice gives the terminal
     # term of every level
+    spec = LatticeSpec.for_horizon(g1.T, lattice_steps, G)
+    # the largest difference at the lattice's terminal nodes, before the DP
+    nodes = np.arange(-spec.steps, spec.steps + 1) * spec.dx
+    _power("terminal difference", float(np.max(diff(nodes))), p)
     terminal = _gexpect.lattice_oracle(
-        CylinderFunctional((g1.T,), psi), G,
-        LatticeSpec.for_horizon(g1.T, lattice_steps, G))
+        CylinderFunctional((g1.T,), lambda bt: diff(bt) ** p), G, spec)
     rows = []
     for grid, (nt1, dt1), (nt, dt) in levels:
         xs, dx = grid.xs, grid.dx
@@ -424,7 +442,7 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
         if stacked:
             u1 = u2
         delta = float(np.max(np.abs(u1[0] - u2[-1])))
-        lhs = delta ** p
+        lhs = _power("delta", delta, p)
         fint = 0.0
         gint = 0.0
         for n in range(nt):
@@ -519,7 +537,8 @@ class CounterexampleReport:
     mc_ok: bool
 
 
-def counterexample_demo(T: float, eps_list, mc: dict | None = None,
+def counterexample_demo(T: float, eps_list, *, n_paths: int = 100_000,
+                        n_steps: int = 256, seed: int = 0,
                         exponent: float = -0.2) -> CounterexampleReport:
     """Unbounded pairing of a singular quadratic-variation weight with the
     coupled density family.
@@ -531,27 +550,22 @@ def counterexample_demo(T: float, eps_list, mc: dict | None = None,
     The MC column estimates the same expectation after the exact change of
     measure that absorbs X_T (the density of the shifted Brownian motion),
     simulating dW = dW~ + dt/eps; the singular time quadrature integrates
-    the first cell exactly and uses midpoints after.
+    the first cell exactly and uses midpoints after.  The eps values are
+    distinct, so that two or more of them fit a slope.
     """
-    if not (math.isfinite(T) and T > 0.0):
-        raise DomainError(f"need a finite T > 0, got {T}")
     q = -float(exponent)
     if not (0.0 < q < 0.5):
         raise DomainError(f"weight exponent must lie in (-0.5, 0), got {exponent}")
     eps = tuple(float(e) for e in eps_list)
     if not eps or not all(math.isfinite(e) and e > 0 for e in eps):
         raise DomainError(f"eps values must be finite and positive, got {eps}")
-    mc = dict(mc or {})
-    n_paths = int(mc.get("n_paths", 100_000))
-    n_steps = int(mc.get("n_steps", 256))
+    if len(set(eps)) < len(eps):
+        raise DomainError(f"eps values must be distinct, got {eps}")
     chunk = 16_384
     # charged 16 bytes a path-step, as an estimate is: an over-count, since
     # one chunk of normals, scaled in place, is all that is held
-    _scenario._check_path_work(n_paths, n_steps,
-                               16 * min(n_paths, chunk) * n_steps,
-                               draws=len(eps))
-    seed = int(mc.get("seed", 0))
-    dt = T / n_steps
+    n_paths, n_steps, dt = _scenario._check_run(n_paths, n_steps, 0.0, T,
+                                                held=chunk, draws=len(eps))
     w = ((np.arange(n_steps) + 0.5) * dt) ** (-q)
     q_det = dt ** (1.0 - q) / (1.0 - q) + float(w[1:].sum()) * dt
     sqdt = math.sqrt(dt)

@@ -582,12 +582,13 @@ def preset_keys(name: str, params: Mapping) -> set:
 # where the payoff is built): a finite number, with a narrower rule for the
 # keys below.  A width and a smoothing enter the payoff squared as Python
 # floats (``w ** 2``, ``delta ** 2``), which raises OverflowError once the
-# square leaves the float range, so the square must be finite too.
+# square leaves the float range and divides by zero once it underflows to
+# 0, so the square must be finite and nonzero too.
 _PARAM_DOMAINS = {
-    "width": (lambda v: v > 0.0 and math.isfinite(v * v),
-              "a number > 0 with a finite square"),
-    "smoothing": (lambda v: v >= 0.0 and math.isfinite(v * v),
-                  "a number >= 0 with a finite square"),
+    "width": (lambda v: v > 0.0 and 0.0 < v * v < math.inf,
+              "a number > 0 with a finite nonzero square"),
+    "smoothing": (lambda v: v == 0.0 or v > 0.0 and 0.0 < v * v < math.inf,
+                  "0 or a number > 0 with a finite nonzero square"),
 }
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcore import (CylinderFunctional, DomainError, DriverSpec, GFunction1D,
-                    Grid1D, _as_vectorized, charge, payoff_driver,
-                    preset_driver)
+                    Grid1D, NumericalError, _as_vectorized, charge,
+                    payoff_driver, preset_driver)
 from . import pde as _pde
 
 _MAX_STATE_NODES = 250_000
@@ -408,6 +408,17 @@ class DoobReport:
     margin: float
 
 
+def _finite_power(v: np.ndarray, pw: float, name: str) -> np.ndarray:
+    """``v ** pw``, refused with :class:`NumericalError` before the DP that
+    reads it if any entry is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = v ** pw
+    if not np.isfinite(out).all():
+        raise NumericalError(f"the {name} table is not finite: "
+                             f"max {float(np.max(v)):.3g} to the power {pw:g}")
+    return out
+
+
 def doob_constant(p: float, p_prime: float) -> float:
     return (1.0 + p / (p_prime - p)) ** (1.0 / p)
 
@@ -428,8 +439,8 @@ def _running_max_lhs(records: dict, s: list[int], probs,
     charge("running max", _node_steps(s, len(mvals)), DP_NODE_STEPS_MAX,
            "(node x value)-steps", f"{detail}, each step charged at least "
            f"{DP_LEVEL_NODES_MIN} of them")
-    powv = mvals ** pw
-    powv[0] = 0.0  # sentinel, never selected
+    powv = _finite_power(mvals[1:], pw, "M^p")
+    powv = np.concatenate([[0.0], powv])  # sentinel, never selected
     m_axis = np.arange(len(mvals))
 
     def raised(rec: np.ndarray) -> np.ndarray:
@@ -454,11 +465,13 @@ def doob_check(xi: CylinderFunctional, p: float, p_prime: float,
     lhs = E-hat[ sup_k (E-hat_k |xi|)^p ]^(1/p) against
     rhs = C(p, p') * E-hat[ |xi|^p' ]^(1/p').
     """
-    if not (1.0 <= p < p_prime):
-        raise DomainError(f"need 1 <= p < p_prime, got ({p}, {p_prime})")
+    if not (1.0 <= p < p_prime < math.inf):
+        raise DomainError(f"need 1 <= p < p_prime, both finite, got "
+                          f"({p}, {p_prime})")
     s = _stage_bounds(xi, spec, dps=2)
     probs = spec.probs
     tab = np.abs(_terminal_tab(xi, s, spec.dx))
+    tab_pp = _finite_power(tab, p_prime, "|xi|^p'")
     # the records, their concatenation and np.unique's sorted copy: at
     # most 4 x 8 bytes a recorded value (tracemalloc: 3.3 to 3.7 x 8); the
     # biggest charge in the test suite is 126 kB, in the benchmark 26 kB
@@ -468,7 +481,7 @@ def doob_check(xi: CylinderFunctional, p: float, p_prime: float,
     records: dict = {}
     _sup_dp(tab, s, probs, record=records)
     lhs = _running_max_lhs(records, s, probs, p) ** (1.0 / p)
-    rhs_e = float(_sup_dp(tab ** p_prime, s, probs)[0, s[0]])
+    rhs_e = float(_sup_dp(tab_pp, s, probs)[0, s[0]])
     C = doob_constant(p, p_prime)
     rhs = C * rhs_e ** (1.0 / p_prime)
     return DoobReport(p=p, p_prime=p_prime, C=C, lhs=lhs, rhs=rhs,

@@ -734,6 +734,15 @@ CELL = 20
 # Solution rows are laid out and written about this many bytes at a time
 # (at least one time level).
 _BLOCK_BYTES = 2 ** 20
+_HEADER = b"t,x,u,ux,uxx,a,sigma_star\n"
+# Largest ``solution.csv`` one export may write, charged at its upper bound
+# of CELL + 1 bytes a cell, 7 cells a row, (nt + 1) nx rows.  The biggest
+# export in the test suite and the benchmark (``solve-pde``, nx=401,
+# nt=944) is bounded by 53 MiB and writes 48 MiB.  A run at the limit
+# (nx=1074 on the default domain, 0.93 GB written) takes about 5 s on a
+# 2-core Intel Xeon VM; a larger one exits with a NumericalError before
+# the file is opened.
+EXPORT_BYTES_MAX = 2 ** 30
 _POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10**k, exact for k <= 22
 
 
@@ -822,9 +831,11 @@ def export_solution_csv(sol: PdeSolution, path: str,
     given) are computed a block at a time, elementwise as over the whole
     field; only the tie tolerance reads every level, taken once.
     """
+    nlev, nx = sol.u.shape
+    charge("solution export", len(_HEADER) + nlev * nx * 7 * (CELL + 1),
+           EXPORT_BYTES_MAX, "bytes", f"{nlev} levels x {nx} nodes")
     if control is None:
         tie_tol = _tie_tol(sol.a_field)
-    nlev, nx = sol.u.shape
     levels = min(nlev, max(1, _BLOCK_BYTES // (7 * (CELL + 1) * nx)))
     buf = np.empty((levels, nx, 7, CELL + 1), dtype=np.uint8)
     buf[..., CELL] = ord(",")
@@ -835,7 +846,7 @@ def export_solution_csv(sol: PdeSolution, path: str,
     x_cells = np.empty((nx, CELL), dtype=np.uint8)
     _e12_cells(sol.xs, x_cells)
     with open(path, "wb") as fh:
-        fh.write(b"t,x,u,ux,uxx,a,sigma_star\n")
+        fh.write(_HEADER)
         for n0 in range(0, nlev, levels):
             n1 = min(n0 + levels, nlev)
             block = buf[:n1 - n0]

@@ -22,9 +22,9 @@ running per-path vectors, accumulates the estimator integrand and writes
 the K increments over the row of normals it has read, so an estimate
 holds one (n_steps, n_paths) buffer.  Which terms are live
 (``DriverSpec.live``) is decided once per estimate (``_Pass``), and Gamma
-and Xhat stay 1 when none of theirs is.  An estimate first checks its
-path arrays' bytes and its path-step charge (``PATH_BYTES_MAX``,
-``PATH_STEPS_MAX``).
+and Xhat stay 1 when none of theirs is.  Every entry point checks its
+inputs and charges the path budgets once, before any work
+(``_check_run``).
 
 The candidate controls share that walk.  The base feedback control walks
 every path.  The tie-flipped control differs from it only at some tied
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,23 +97,34 @@ STEP_PATHS_MIN = 1024
 WALK_COST = 8
 
 
-def _check_path_counts(n_paths: int, n_steps: int) -> None:
-    if n_paths < 1 or n_steps < 1:
-        raise DomainError("need n_paths >= 1 and n_steps >= 1")
+def _count(name: str, value) -> int:
+    """``value`` as an int; DomainError unless it is an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not (1 <= value < math.inf and value == math.floor(value)):
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
-def _check_path_work(n_paths: int, n_steps: int, nbytes: int, *,
-                     draws: int = 1, walk: bool = False) -> None:
-    """Refuse, before the first draw, a run of ``draws`` draws of
-    (n_paths, n_steps) normals, walked as an estimate's paths if ``walk``,
-    whose path arrays need more than ``PATH_BYTES_MAX`` bytes or whose
-    charge exceeds ``PATH_STEPS_MAX`` path-steps."""
-    _check_path_counts(n_paths, n_steps)
+def _check_run(n_paths, n_steps, t: float, T: float, x: float = 0.0, *,
+               step_bytes: int = 16, held: int | None = None, draws: int = 1,
+               walk: bool = False) -> tuple[int, int, float]:
+    """The one check of a path run, before any work: integral counts >= 1,
+    a finite x, 0 <= t < T < inf, then ``step_bytes`` a path-step of
+    ``held`` (default all) paths against ``PATH_BYTES_MAX`` and ``draws``
+    draws, walked as an estimate's if ``walk``, against ``PATH_STEPS_MAX``.
+    Returns (n_paths, n_steps, dt)."""
+    n_paths, n_steps = _count("n_paths", n_paths), _count("n_steps", n_steps)
+    if not math.isfinite(x):
+        raise DomainError(f"need a finite start point, got x={x}")
+    if not 0.0 <= t < T < math.inf:  # NaN too
+        raise DomainError(f"need 0 <= t < T with T finite, got t={t}, T={T}")
     detail = f"n_paths={n_paths}, n_steps={n_steps}"
-    charge("path storage", nbytes, PATH_BYTES_MAX, "bytes", detail)
+    charge("path storage", step_bytes * min(n_paths, held or n_paths)
+           * n_steps, PATH_BYTES_MAX, "bytes", detail)
     charge("run", draws * max(n_steps, PATH_STEPS_MIN) * (
         WALK_COST * max(n_paths, STEP_PATHS_MIN) if walk else n_paths),
         PATH_STEPS_MAX, "path-steps", f"{detail}, {draws} draw(s)")
+    return n_paths, n_steps, (T - t) / n_steps
 
 
 def path_normals(seed: int, n_paths: int, n_steps: int,
@@ -122,7 +134,7 @@ def path_normals(seed: int, n_paths: int, n_steps: int,
     ``path_offset`` shifts the path indices so a large run can be produced
     in chunks while staying bit-identical to the unchunked run.
     """
-    _check_path_counts(n_paths, n_steps)
+    n_paths, n_steps = _count("n_paths", n_paths), _count("n_steps", n_steps)
     if not 0 <= path_offset <= 2 ** 64 - n_paths:
         raise DomainError(f"path indices {path_offset} to "
                           f"{path_offset + n_paths - 1} leave [0, 2**64)")
@@ -146,7 +158,6 @@ def path_normals(seed: int, n_paths: int, n_steps: int,
 def _normals_by_step(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     """``path_normals`` laid out step-major, ``xi[k, i]``, so that a step
     reads one contiguous row; drawn in blocks of paths."""
-    _check_path_counts(n_paths, n_steps)
     xi = np.empty((n_steps, n_paths))
     for lo in range(0, n_paths, _BLOCK):
         hi = min(lo + _BLOCK, n_paths)
@@ -264,20 +275,6 @@ class VolatilityControl:
 # ---------------------------------------------------------------------------
 # one step along the paths
 # ---------------------------------------------------------------------------
-
-def _step_size(t0: float, T: float, n_steps: int) -> float:
-    horizon = T - t0
-    if not horizon > 0:  # NaN too
-        raise DomainError(f"need t0 < T, got t0={t0}, T={T}")
-    if n_steps < 1:
-        raise DomainError(f"need n_steps >= 1, got {n_steps}")
-    return horizon / n_steps
-
-
-def _check_start(x0: float) -> None:
-    if not math.isfinite(x0):
-        raise DomainError(f"need a finite start point, got x={x0}")
-
 
 def _forward_step(driver: DriverSpec, t: float, x: np.ndarray, dt: float,
                   dq, db) -> np.ndarray:
@@ -408,20 +405,22 @@ def simulate_paths(control: VolatilityControl, n_paths: int, n_steps: int,
     forward state is advanced jointly (requires ``driver``) and stored on the
     bundle.
     """
-    dt = _step_size(t0, T, n_steps)
-    _check_start(x0)
+    feedback = control.kind is ControlKind.FEEDBACK
+    # at most 4.2 (n_paths, n_steps) arrays (tracemalloc), charged as five
+    n_paths, n_steps, dt = _check_run(n_paths, n_steps, t0, T, x0,
+                                      step_bytes=40, walk=feedback)
+    if feedback and driver is None:
+        raise DomainError("FEEDBACK controls need the forward driver")
     xi = path_normals(seed, n_paths, n_steps)
     sqdt = math.sqrt(dt)
 
-    if control.kind is not ControlKind.FEEDBACK:
+    if not feedback:
         tgrid = t0 + dt * np.arange(n_steps)
         sig = np.array([control.sigma_at(t, np.zeros(1))[0] for t in tgrid])
         dB = sig[None, :] * sqdt * xi
         return PathBundle(t0=t0, t_end=T, n_paths=n_paths, n_steps=n_steps,
                           dt=dt, dB=dB, sigma=sig, control=control)
 
-    if driver is None:
-        raise DomainError("FEEDBACK controls need the forward driver")
     sig = np.empty((n_paths, n_steps))
     dB = np.empty((n_paths, n_steps))
     X = np.empty((n_paths, n_steps + 1))
@@ -540,14 +539,12 @@ class MeasureCheck:
 
 def verify_measure_in_Ptx(control: VolatilityControl, driver: DriverSpec,
                           t: float, x: float, G: GFunction1D,
-                          sol: PdeSolution, mc: dict | None = None
-                          ) -> MeasureCheck:
+                          sol: PdeSolution, *, n_paths: int = 10_000,
+                          n_steps: int = 256, seed: int = 0) -> MeasureCheck:
     """Empirical optimality residual of a control: E[K_T] normalized by
     max(1, |u(t, x)|), accepted iff |residual| <= 3 SE + 1e-2."""
-    mc = dict(mc or {})
-    n_paths = int(mc.get("n_paths", 10_000))
-    n_steps = int(mc.get("n_steps", 256))
-    seed = int(mc.get("seed", 0))
+    # at most 5.1 (n_paths, n_steps) arrays (tracemalloc), charged as six
+    _check_run(n_paths, n_steps, t, sol.grid.T, x, step_bytes=48, walk=True)
     bundle = simulate_paths(control, n_paths, n_steps, sol.grid.T, seed,
                             driver=driver, t0=t, x0=x)
     X = forward_sde(driver, t, x, bundle)
@@ -857,24 +854,18 @@ def _k_totals(dk: np.ndarray, paths: np.ndarray | None = None,
 
 
 def _estimate(kind: str, driver: DriverSpec, t: float, x: float,
-              G: GFunction1D, sol: PdeSolution, mc: dict | None
-              ) -> SensitivityEstimate:
+              G: GFunction1D, sol: PdeSolution, n_paths: int, n_steps: int,
+              seed: int) -> SensitivityEstimate:
     """One-sided derivative estimates over the candidate controls, which
     share one seed and so one draw of the normals, in one loop over the
     steps: the base control walks every path, and each other candidate
     forks paths off that walk (``_Fork``)."""
-    mc = dict(mc or {})
-    n_paths = int(mc.get("n_paths", 10_000))
-    n_steps = int(mc.get("n_steps", 256))
-    seed = int(mc.get("seed", 0))
-    fields = FieldInterpolator(sol)
-    controls = _candidate_controls(sol, G)
-    # refuse a bad horizon or start, and too big a walk, before drawing
-    dt = _step_size(t, sol.grid.T, n_steps)
-    _check_start(x)
     # 16 bytes a path-step: the path buffer and at worst one fork's K
     # increments
-    _check_path_work(n_paths, n_steps, 16 * n_paths * n_steps, walk=True)
+    n_paths, n_steps, dt = _check_run(n_paths, n_steps, t, sol.grid.T, x,
+                                      walk=True)
+    fields = FieldInterpolator(sol)
+    controls = _candidate_controls(sol, G)
     # row k holds step k's normals until the forks and the base walk have
     # read them, then the base walk's K increments of that step
     buf = _normals_by_step(seed, n_paths, n_steps)
@@ -925,21 +916,21 @@ def _estimate(kind: str, driver: DriverSpec, t: float, x: float,
 
 
 def estimate_dx(driver: DriverSpec, t: float, x: float, G: GFunction1D,
-                sol: PdeSolution, mc: dict | None = None
-                ) -> SensitivityEstimate:
+                sol: PdeSolution, *, n_paths: int = 10_000,
+                n_steps: int = 256, seed: int = 0) -> SensitivityEstimate:
     """Monte Carlo one-sided space derivatives of the value function at
     (t, x): E[phi'(X_T) Xhat_T Gamma_T + int f_x Xhat Gamma ds +
     int g_x Xhat Gamma dQV] under extremal feedback controls (and the
     tie-flipped variant); plus takes the max over controls, minus the min."""
-    return _estimate("x", driver, t, x, G, sol, mc)
+    return _estimate("x", driver, t, x, G, sol, n_paths, n_steps, seed)
 
 
 def estimate_dt(driver: DriverSpec, t: float, x: float, G: GFunction1D,
-                sol: PdeSolution, mc: dict | None = None
-                ) -> SensitivityEstimate:
+                sol: PdeSolution, *, n_paths: int = 10_000,
+                n_steps: int = 256, seed: int = 0) -> SensitivityEstimate:
     """Monte Carlo one-sided time derivatives at (t, x), 0 < t < T, via the
     time-variation process Xbar and the quadratic-variation correction
     g_z Z / (2 (T-t))."""
     if not (0.0 < t < sol.grid.T):
         raise DomainError(f"time sensitivity needs 0 < t < T, got t={t}")
-    return _estimate("t", driver, t, x, G, sol, mc)
+    return _estimate("t", driver, t, x, G, sol, n_paths, n_steps, seed)

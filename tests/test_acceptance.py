@@ -140,7 +140,7 @@ def test_criterion_06_derivative_representation():
     for x0 in (-1.0, -0.5, 0.0, 0.5, 1.0):
         j = int(np.argmin(np.abs(sol.xs - x0)))
         est = estimate_dx(driver, 0.0, float(sol.xs[j]), Geps, sol,
-                          mc=dict(n_paths=10_000, n_steps=256, seed=0))
+                          n_paths=10_000, n_steps=256, seed=0)
         ok = ok and abs(est.plus - d.ux[0, j]) <= 3.0 * est.se_plus + 2e-2
     ok = ok and (time.perf_counter() - start) < 60.0
     _verdict("criterion 06 (MC flow derivative vs PDE slope, 5 probes)", ok)
@@ -151,9 +151,9 @@ def test_criterion_07_measure_membership():
     sol = solve_terminal_pde(PdeProblem(_grid(), quad, G01))
     mc = dict(n_paths=2000, n_steps=64, seed=0)
     extremal = verify_measure_in_Ptx(VolatilityControl.feedback(sol, G01),
-                                     quad, 0.0, 0.0, G01, sol, mc=mc)
+                                     quad, 0.0, 0.0, G01, sol, **mc)
     low = verify_measure_in_Ptx(VolatilityControl.constant(0.0, G01),
-                                quad, 0.0, 0.0, G01, sol, mc=mc)
+                                quad, 0.0, 0.0, G01, sol, **mc)
     ok = (extremal.accepted
           and abs(extremal.mean_KT) <= 3.0 * extremal.se + 1e-2
           and low.residual <= -0.5 and not low.accepted)
@@ -164,14 +164,14 @@ def test_criterion_08_kink_dichotomy():
     absd = preset_driver("abs")
     sol = solve_terminal_pde(PdeProblem(_grid(), absd, G01))
     est = estimate_dx(absd, 0.0, 0.0, G01, sol,
-                      mc=dict(n_paths=10_000, n_steps=256, seed=0))
+                      n_paths=10_000, n_steps=256, seed=0)
     closes = abs(est.plus - est.minus) <= \
         3.0 * (est.se_plus + est.se_minus) + 2e-2
     kinked = preset_driver("kinked")
     frozen_sol = solve_terminal_pde(
         PdeProblem(_grid(), kinked, G01))
     frozen = estimate_dx(kinked, 0.0, 0.0, G01, frozen_sol,
-                         mc=dict(n_paths=500, n_steps=32, seed=0))
+                         n_paths=500, n_steps=32, seed=0)
     keeps = abs((frozen.plus - frozen.minus) - 2.0) <= 5e-2
     _verdict("criterion 08 (kink closes under diffusion, persists frozen)",
              closes and keeps)
@@ -179,12 +179,12 @@ def test_criterion_08_kink_dichotomy():
 
 def test_criterion_09_singular_weight_example():
     formula = gbsde.counterexample_demo(
-        1.0, [1.0, 0.01], mc=dict(n_paths=1000, n_steps=256, seed=0))
+        1.0, [1.0, 0.01], n_paths=1000, n_steps=256, seed=0)
     ok = formula.rows[0][1] == 1.25
     ok = ok and abs(formula.rows[1][1] - 7.886966806002416) <= 1e-10
     mc = gbsde.counterexample_demo(
         1.0, [1.0, 0.5, 0.25, 0.125],
-        mc=dict(n_paths=100_000, n_steps=256, seed=0))
+        n_paths=100_000, n_steps=256, seed=0)
     ok = ok and abs(mc.slope + 0.4) <= 0.02 and mc.slope_ok and mc.mc_ok
     ok = ok and all(row[4] >= 0.95 for row in mc.rows)
     _verdict("criterion 09 (unbounded-limit example: bounds, slope, MC)", ok)

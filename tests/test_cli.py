@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import gbmlab
-from gbmlab import cli, gbsde
+from gbmlab import cli, gbsde, pde
 from gbmlab.cli import _main
 from gbmlab.gbsde import dynamic_programming_check
 from gbmlab.gcore import (PRESET_NAMES, Grid1D, make_gfunction, preset_driver,
@@ -547,25 +547,30 @@ def _hostile_argvs() -> list:
 
 def test_hostile_argvs_exit_cleanly(tmp_path):
     # every argv ends in an exit code, never a traceback, a MemoryError
-    # under the address-space cap or an escaped exception
+    # under the address-space cap, an escaped exception or a warning
     argvs = _hostile_argvs()
     assert len(argvs) > 200
     script = textwrap.dedent(f"""
-        import contextlib, io, json, resource
+        import contextlib, io, json, resource, warnings
         cap = 3 * 2 ** 30
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
         from gbmlab.cli import _main
         bad = []
         for argv in {argvs!r}:
             err = io.StringIO()
-            try:
-                with contextlib.redirect_stderr(err), \\
-                        contextlib.redirect_stdout(io.StringIO()):
-                    rc = _main(argv + ["--output-dir", {str(tmp_path)!r}])
-            except Exception as exc:
-                rc = repr(exc)
-            if rc not in (0, 1, 2, 3) or "Traceback" in err.getvalue():
-                bad.append((argv, rc, err.getvalue()[-500:]))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    with contextlib.redirect_stderr(err), \\
+                            contextlib.redirect_stdout(io.StringIO()):
+                        rc = _main(argv + ["--output-dir",
+                                           {str(tmp_path)!r}])
+                except Exception as exc:
+                    rc = repr(exc)
+            if rc not in (0, 1, 2, 3) or "Traceback" in err.getvalue() \\
+                    or caught:
+                bad.append((argv, rc, err.getvalue()[-500:],
+                            [str(w.message) for w in caught]))
         print(json.dumps(bad))
         """)
     proc = _child(script, timeout=120)
@@ -661,7 +666,8 @@ def test_path_time_outside_the_horizon_exits_one(tmp_path):
     for argv in (["sensitivity-x", "--t", "nan"],
                  ["sensitivity-t", "--t", "nan"],
                  ["sensitivity-x", "--t", "-0.5"],
-                 ["kink", "--t", "nan"]):
+                 ["kink", "--t", "nan"],
+                 ["kink", "--t", "-0.5"]):
         rc = _main([*argv, "--n-paths", "10", "--nx", "51", "--output-dir",
                     str(tmp_path / argv[0])])
         assert rc == 1, argv
@@ -717,10 +723,23 @@ def test_negative_horizon_exits_one(tmp_path):
     # dx * sigma_high ** 2 overflows, and the CFL bound is NaN
     ["solve-pde", "--sigma-high", "1e150", "--nx", "21"],
     ["gexpect", "--sigma-high", "1e150", "--nx", "21"],
+    # each warned (overflow, inf - inf, divide by zero, a rank warning)
+    # and ran on, to exit 2 or 0
+    ["doob", "--p-prime", "inf"],
+    ["stability", "--shift", "inf", "--nx", "21"],
+    ["stability", "--shift=-inf", "--nx", "21"],
+    ["gexpect", "--nx", "41", "--preset", "smooth-bump", "--param",
+     "width=1e-300"],
+    ["gbsde", "--nx", "41", "--preset", "sine-gz", "--param",
+     "width=1e-300"],
+    ["counterexample", "--eps", "0.5,0.5", "--n-paths", "256",
+     "--n-steps", "16"],
 ], ids=["sigma-high-1e300", "sigma-high-1e160", "sigma-high-1.2e154",
         "doob-T-nan", "doob-T-inf", "doob-sigma-high-1e-300",
         "counterexample-eps-nan", "solve-pde-sigma-high-1e150",
-        "gexpect-sigma-high-1e150"])
+        "gexpect-sigma-high-1e150", "doob-p-prime-inf", "stability-shift-inf",
+        "stability-shift-minus-inf", "gexpect-width-1e-300",
+        "gbsde-width-1e-300", "counterexample-repeated-eps"])
 def test_hostile_argv_exits_one_without_traceback(tmp_path, capfd, argv):
     # capfd, not capsys: LAPACK writes its complaints to the file descriptor
     rc = _main([*argv, "--output-dir", str(tmp_path)])
@@ -728,6 +747,36 @@ def test_hostile_argv_exits_one_without_traceback(tmp_path, capfd, argv):
     assert rc == 1, err
     assert "Traceback" not in err
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    # |xi|^p' overflows: refused before the DP, without a RuntimeWarning
+    (["doob", "--p-prime", "1e300"], "table is not finite"),
+    # 0.1 ** 1e300 underflows to 0, and every constant read 0 (stable)
+    (["stability", "--shift", "0.1", "--p", "1e300", "--nx", "21"],
+     "to the power p=1e+300 is 0.0"),
+    # |phi1 - phi2|^p overflowed in the lattice DP, with RuntimeWarnings
+    (["stability", "--preset", "linear-h", "--preset-b", "sine-gz", "--p",
+      "400", "--nx", "21"], "to the power p=400 is inf"),
+], ids=["doob-p-prime-1e300", "stability-p-1e300", "stability-p-400"])
+def test_vacuous_power_exits_two(tmp_path, capfd, argv, message):
+    rc = _main([*argv, "--output-dir", str(tmp_path)])
+    err = capfd.readouterr().err
+    assert rc == 2, err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_export_over_its_byte_budget_exits_two(tmp_path, capsys,
+                                               monkeypatch):
+    # solve-pde --nx 2000 wrote a 6.3 GB solution.csv; here the limit is
+    # below the bound of any export
+    monkeypatch.setattr(pde, "EXPORT_BYTES_MAX", 0)
+    rc = _main(["solve-pde", "--nx", "21", "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "solution export needs" in err
+    assert not (tmp_path / "solution.csv").exists()
 
 
 @pytest.mark.parametrize("argv, config", [

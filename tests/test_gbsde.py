@@ -789,14 +789,14 @@ def test_dp_refuses_too_few_steps_before_solving(monkeypatch):
 
 def test_counterexample_bound_values():
     mc = {"n_paths": 2000, "n_steps": 256, "seed": 0}
-    report = gbsde.counterexample_demo(1.0, [1.0, 0.01], mc=mc)
+    report = gbsde.counterexample_demo(1.0, [1.0, 0.01], **mc)
     assert report.rows[0][1] == 1.25
     assert report.rows[1][1] == pytest.approx(7.886966806002416, rel=1e-12)
 
 
 def test_counterexample_slope_and_mc_ratios():
     mc = {"n_paths": 20000, "n_steps": 256, "seed": 0}
-    report = gbsde.counterexample_demo(1.0, [1.0, 0.5, 0.25, 0.125], mc=mc)
+    report = gbsde.counterexample_demo(1.0, [1.0, 0.5, 0.25, 0.125], **mc)
     assert report.slope == pytest.approx(-0.4, abs=1e-10)
     assert report.slope_ok
     assert report.mc_ok
@@ -821,7 +821,7 @@ def test_counterexample_holds_one_chunk():
     # or the last chunk kept alive through the next draw, would pass 2
     mc = {"n_paths": 16384, "n_steps": 128, "seed": 0}
     peak = traced_peak(
-        lambda: gbsde.counterexample_demo(1.0, [1.0, 0.5, 0.25], mc=mc))
+        lambda: gbsde.counterexample_demo(1.0, [1.0, 0.5, 0.25], **mc))
     assert peak < 1.25 * 8 * mc["n_paths"] * mc["n_steps"]
 
 

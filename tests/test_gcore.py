@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -185,13 +186,18 @@ def test_unknown_preset_rejected():
     ("smooth-bump", {"width": 0.0}),
     ("smooth-bump", {"width": 1e300}),
     ("abs", {"smoothing": 1e300}),
+    ("smooth-bump", {"width": 1e-300}),
+    ("sine-gz", {"width": 1e-300}),
+    ("abs", {"smoothing": 1e-300}),
     ("smooth-bump", {"center": math.inf}),
 ], ids=["not-a-number", "c-not-a-number", "zero-width-sine-gz", "zero-width",
         "width-square-overflows", "smoothing-square-overflows",
-        "infinite-center"])
+        "width-square-underflows", "width-square-underflows-sine-gz",
+        "smoothing-square-underflows", "infinite-center"])
 def test_preset_driver_checks_its_own_parameters(name, params):
     # the values the CLI refuses before a run; the library raised
     # ValueError, ZeroDivisionError or OverflowError, or built the driver
+    # (a square that underflows to 0 gave phi_xx = -inf or NaN)
     with pytest.raises(DomainError, match="must be"):
         preset_driver(name, params)
 
@@ -474,6 +480,10 @@ def _budgets():
          max(101 * 101, fn) * _stage_nt(101)),
         ("dense-solution", pde, "DENSE_BYTES_MAX", "dense solution", "bytes",
          _pinned_solution, 2 * 8 * 41 * 21),
+        ("solution-export", pde, "EXPORT_BYTES_MAX", "solution export",
+         "bytes",
+         lambda: pde.export_solution_csv(_pinned_solution(), os.devnull),
+         26 + 21 * 41 * 7 * (pde.CELL + 1)),
         ("cylinder-table", pde, "DENSE_BYTES_MAX", "cylinder table", "bytes",
          lambda: gexpect_cylinder(_SQUARES, G01, nx=41), 8 * 41 * 41),
         ("node-guard", gexpect, "_MAX_STATE_NODES",
@@ -496,17 +506,16 @@ def _budgets():
          "bytes", lambda: doob_check(_FLAT, 2.0, 4.0, G01, _spec(8)),
          32 * (8 * 17 + 17)),
         ("path-storage", scenario, "PATH_BYTES_MAX", "path storage", "bytes",
-         lambda: counterexample_demo(1.0, (0.5,), dict(n_paths=64,
-                                                      n_steps=16)),
+         lambda: counterexample_demo(1.0, (0.5,), n_paths=64, n_steps=16),
          16 * 64 * 16),
         ("path-steps-draws", scenario, "PATH_STEPS_MAX", "run", "path-steps",
-         lambda: counterexample_demo(1.0, (0.5, 0.25), dict(n_paths=64,
-                                                           n_steps=16)),
+         lambda: counterexample_demo(1.0, (0.5, 0.25), n_paths=64,
+                                     n_steps=16),
          2 * max(16, scenario.PATH_STEPS_MIN) * 64),
         ("path-steps-walk", scenario, "PATH_STEPS_MAX", "run", "path-steps",
          lambda: scenario.estimate_dx(quadratic, 0.25, 0.0, G01,
-                                      _pinned_solution(),
-                                      dict(n_paths=64, n_steps=16)),
+                                      _pinned_solution(), n_paths=64,
+                                      n_steps=16),
          max(16, scenario.PATH_STEPS_MIN) * walk
          * max(64, scenario.STEP_PATHS_MIN)),
         ("dp-lattice", gexpect, "DP_NODE_STEPS_MAX", "dp lattice",

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from gbmlab import pde, scenario
+from gbmlab import gbsde, pde, scenario
 from gbmlab.gcore import (
     DomainError,
     DriverSpec,
@@ -276,7 +276,7 @@ def test_dx_linear_payoff():
     driver = _linear_driver()
     sol = _solve(driver)
     est = estimate_dx(driver, 0.0, 0.0, G01, sol,
-                      mc=dict(n_paths=2000, n_steps=64, seed=0))
+                      n_paths=2000, n_steps=64, seed=0)
     assert abs(est.plus - 1.0) <= 3.0 * est.se_plus + 1e-10
     assert abs(est.minus - 1.0) <= 3.0 * est.se_minus + 1e-10
     assert est.any_control_accepted
@@ -286,7 +286,7 @@ def test_dx_frozen_kink_one_sided():
     kinked = preset_driver("kinked")
     sol = _solve(kinked)
     est = estimate_dx(kinked, 0.0, 0.0, G01, sol,
-                      mc=dict(n_paths=500, n_steps=32, seed=0))
+                      n_paths=500, n_steps=32, seed=0)
     assert est.plus == pytest.approx(1.0, abs=1e-12)
     assert est.minus == pytest.approx(-1.0, abs=1e-12)
 
@@ -295,7 +295,7 @@ def test_dx_quadratic_off_center():
     quad = preset_driver("quadratic")
     sol = _solve(quad)
     est = estimate_dx(quad, 0.0, 0.5, G01, sol,
-                      mc=dict(n_paths=10_000, n_steps=256, seed=0))
+                      n_paths=10_000, n_steps=256, seed=0)
     assert abs(est.plus - 1.0) <= 3.0 * est.se_plus + 2e-2
     assert est.plus >= est.minus - 1e-12
 
@@ -306,7 +306,7 @@ def test_dx_kink_closure_under_elliptic_flow():
     driver = preset_driver("abs")
     sol = _solve(driver)
     est = estimate_dx(driver, 0.0, 0.0, G01, sol,
-                      mc=dict(n_paths=10_000, n_steps=256, seed=0))
+                      n_paths=10_000, n_steps=256, seed=0)
     gap = abs(est.plus - est.minus)
     assert gap <= 3.0 * (est.se_plus + est.se_minus) + 2e-2
     assert est.plus >= est.minus - 1e-12
@@ -317,7 +317,7 @@ def test_dx_pure_case_matches_pde_slope():
     driver = preset_driver("smooth-bump", {"width": 2.0})
     sol = _solve(driver, G=Geps)
     est = estimate_dx(driver, 0.0, 0.5, Geps, sol,
-                      mc=dict(n_paths=10_000, n_steps=256, seed=0))
+                      n_paths=10_000, n_steps=256, seed=0)
     d = derivatives(sol)
     j = int(np.argmin(np.abs(sol.xs - 0.5)))
     assert abs(est.plus - d.ux[0, j]) <= 3.0 * est.se_plus + 2e-2
@@ -397,7 +397,7 @@ def test_one_pass_estimates_equal_whole_bundle_passes(preset, params, kind,
     sol = _solve(driver, G=G, nx=201)
     mc = dict(n_paths=400, n_steps=48, seed=5)
     estimate = estimate_dx if kind == "x" else estimate_dt
-    est = estimate(driver, t, x, G, sol, mc=mc)
+    est = estimate(driver, t, x, G, sol, **mc)
     ref = _reference_estimate(kind, driver, t, x, G, sol, mc)
     # every case ties somewhere, so the tie-flipped control runs too
     assert len(est.controls) == len(ref) == 2
@@ -429,7 +429,7 @@ def _first_fork_steps(driver, t, x, G, sol, mc):
 def _assert_estimates_equal_whole_bundle_passes(kind, driver, t, x, G, sol,
                                                 mc):
     estimate = estimate_dx if kind == "x" else estimate_dt
-    est = estimate(driver, t, x, G, sol, mc=mc)
+    est = estimate(driver, t, x, G, sol, **mc)
     ref = _reference_estimate(kind, driver, t, x, G, sol, mc)
     assert len(est.controls) == len(ref) == 2
     for got, want in zip(est.controls, ref):
@@ -558,7 +558,7 @@ def test_negative_zero_start_equals_whole_bundle_passes():
                             mc["seed"], driver=driver, x0=-0.0)
     assert np.all(bundle.dB == 0.0) and np.signbit(bundle.dB[:, 0]).any()
     assert not np.signbit(bundle.x_paths[:, 1:]).any()
-    est = estimate_dx(driver, 0.0, -0.0, G01, sol, mc=mc)
+    est = estimate_dx(driver, 0.0, -0.0, G01, sol, **mc)
     ref = _reference_estimate("x", driver, 0.0, -0.0, G01, sol, mc)
     assert est.plus == -1.0
     assert list(est.controls) == ref
@@ -670,7 +670,7 @@ def test_dt_quadratic():
     quad = preset_driver("quadratic")
     sol = _solve(quad)
     est = estimate_dt(quad, 0.5, 0.0, G01, sol,
-                      mc=dict(n_paths=10_000, n_steps=256, seed=0))
+                      n_paths=10_000, n_steps=256, seed=0)
     assert abs(est.plus - (-1.0)) <= 3.0 * est.se_plus + 5e-2
     assert abs(est.minus - (-1.0)) <= 3.0 * est.se_minus + 5e-2
 
@@ -679,7 +679,7 @@ def test_dt_linear_payoff_vanishes():
     driver = _linear_driver()
     sol = _solve(driver)
     est = estimate_dt(driver, 0.5, 0.0, G01, sol,
-                      mc=dict(n_paths=10_000, n_steps=256, seed=0))
+                      n_paths=10_000, n_steps=256, seed=0)
     assert abs(est.plus) <= 3.0 * est.se_plus
     assert abs(est.minus) <= 3.0 * est.se_minus
 
@@ -688,7 +688,7 @@ def test_dt_bump_with_driver_matches_pde():
     driver = preset_driver("linear-h", {"phi": "smooth-bump"})
     sol = _solve(driver)
     est = estimate_dt(driver, 0.5, 0.0, G01, sol,
-                      mc=dict(n_paths=10_000, n_steps=512, seed=0))
+                      n_paths=10_000, n_steps=512, seed=0)
     d = derivatives(sol)
     n = int(round(0.5 / sol.dt))
     j = int(np.argmin(np.abs(sol.xs)))
@@ -701,7 +701,7 @@ def test_dt_rejects_boundary_times():
     sol = _solve(quad)
     for t in (0.0, 1.0):
         with pytest.raises(DomainError):
-            estimate_dt(quad, t, 0.0, G01, sol, mc=dict(n_paths=10))
+            estimate_dt(quad, t, 0.0, G01, sol, n_paths=10)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
@@ -717,9 +717,86 @@ def test_non_finite_start_point_is_refused_before_drawing(monkeypatch, x):
     mc = dict(n_paths=16, n_steps=4)
     for estimate, t in ((estimate_dx, 0.0), (estimate_dt, 0.5)):
         with pytest.raises(DomainError, match="finite start point"):
-            estimate(quad, t, x, G01, sol, mc=mc)
+            estimate(quad, t, x, G01, sol, **mc)
     with pytest.raises(DomainError, match="finite start point"):
         simulate_paths(control, 16, 4, 1.0, 0, driver=quad, x0=x)
+
+
+def _entry_points(sol, quad):
+    """Each Monte Carlo entry point on ``sol`` as a function of the start
+    time and the run sizes."""
+    control = VolatilityControl.feedback(sol, G01)
+    return [
+        lambda t, **sizes: estimate_dx(quad, t, 0.0, G01, sol, **sizes),
+        lambda t, **sizes: estimate_dt(quad, t, 0.0, G01, sol, **sizes),
+        lambda t, **sizes: verify_measure_in_Ptx(control, quad, t, 0.0, G01,
+                                                 sol, **sizes),
+        lambda t, n_paths=16, n_steps=4: simulate_paths(
+            control, n_paths, n_steps, 1.0, 0, driver=quad, t0=t),
+    ]
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    def draw(*args):
+        raise AssertionError("drew normals")
+    monkeypatch.setattr(scenario, "path_normals", draw)
+    monkeypatch.setattr(gbsde, "path_normals", draw)
+
+
+def test_misspelt_size_keyword_is_a_type_error(no_draw):
+    # the sizes are keywords: a misspelt one, or the old dict, is refused
+    # instead of running the default 10 000 paths
+    quad = preset_driver("quadratic")
+    sol = _solve(quad, nx=51)
+    for sizes in (dict(n_path=100), dict(mc=dict(n_paths=100))):
+        for run in _entry_points(sol, quad)[:3]:
+            with pytest.raises(TypeError):
+                run(0.5, **sizes)
+        with pytest.raises(TypeError):
+            gbsde.counterexample_demo(1.0, [0.5], **sizes)
+
+
+@pytest.mark.parametrize("sizes", [dict(n_paths=2.5), dict(n_steps=2.5),
+                                   dict(n_paths=math.nan), dict(n_steps=0),
+                                   dict(n_paths=True), dict(n_steps="8")])
+def test_bad_run_size_is_a_domain_error_before_drawing(no_draw, sizes):
+    # int() truncated 2.5 to 2; an integral float such as 16.0 still runs
+    quad = preset_driver("quadratic")
+    sol = _solve(quad, nx=51)
+    for run in _entry_points(sol, quad):
+        with pytest.raises(DomainError, match="must be an integer >= 1"):
+            run(0.5, **{"n_paths": 16, "n_steps": 4, **sizes})
+    with pytest.raises(DomainError, match="must be an integer >= 1"):
+        gbsde.counterexample_demo(1.0, [0.5],
+                                  **{"n_paths": 16, "n_steps": 4, **sizes})
+
+
+def test_integral_float_sizes_run_as_ints():
+    quad = preset_driver("quadratic")
+    sol = _solve(quad, nx=51)
+    for run in _entry_points(sol, quad)[:3]:
+        assert run(0.5, n_paths=16.0, n_steps=4.0) \
+            == run(0.5, n_paths=16, n_steps=4)
+
+
+@pytest.mark.parametrize("t", [-0.5, 1.0, 1.5, math.nan, -math.inf])
+def test_start_time_outside_the_horizon_is_refused_before_drawing(no_draw,
+                                                                  t):
+    # t = -0.5 walked paths over a 1.5 horizon with every field read
+    # clamped to level 0
+    quad = preset_driver("quadratic")
+    sol = _solve(quad, nx=51)
+    for run in _entry_points(sol, quad):
+        with pytest.raises(DomainError):
+            run(t, n_paths=16, n_steps=4)
+
+
+def test_simulate_paths_is_charged_before_drawing(no_draw):
+    # 10**6 x 10**4 asked for 80 GB of normals before any check ran
+    with pytest.raises(NumericalError, match="path storage needs"):
+        simulate_paths(VolatilityControl.constant(0.5, G01), 10 ** 6,
+                       10 ** 4, 1.0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +808,7 @@ def test_measure_extremal_control_is_exact():
     sol = _solve(quad)
     ctrl = VolatilityControl.feedback(sol, G01)
     chk = verify_measure_in_Ptx(ctrl, quad, 0.0, 0.0, G01, sol,
-                                mc=dict(n_paths=2000, n_steps=64, seed=0))
+                                n_paths=2000, n_steps=64, seed=0)
     assert abs(chk.residual) <= 1e-12
     assert chk.accepted
 
@@ -741,7 +818,7 @@ def test_measure_low_control_rejected_on_convex_payoff():
     sol = _solve(quad)
     ctrl = VolatilityControl.constant(0.0, G01)
     chk = verify_measure_in_Ptx(ctrl, quad, 0.0, 0.0, G01, sol,
-                                mc=dict(n_paths=2000, n_steps=64, seed=0))
+                                n_paths=2000, n_steps=64, seed=0)
     assert chk.residual <= -0.5
     assert not chk.accepted
 
@@ -753,7 +830,7 @@ def test_measure_frozen_control_optimal_on_concave_payoff():
     sol = _solve(neg)
     ctrl = VolatilityControl.constant(0.0, G01)
     chk = verify_measure_in_Ptx(ctrl, neg, 0.0, 0.0, G01, sol,
-                                mc=dict(n_paths=2000, n_steps=64, seed=0))
+                                n_paths=2000, n_steps=64, seed=0)
     assert abs(chk.residual) <= 1e-12
     assert chk.accepted
 
@@ -774,5 +851,5 @@ def test_estimate_holds_one_path_buffer(preset, kind, t):
     sol = _solve(driver, G=G, nx=101)
     mc = dict(n_paths=8192, n_steps=128, seed=0)
     estimate = estimate_dx if kind == "x" else estimate_dt
-    peak = traced_peak(lambda: estimate(driver, t, 0.0, G, sol, mc=mc))
+    peak = traced_peak(lambda: estimate(driver, t, 0.0, G, sol, **mc))
     assert peak < 1.75 * 8 * mc["n_paths"] * mc["n_steps"]
