@@ -349,7 +349,12 @@ def _run_doob(cfg: RunConfig):
 
 
 def _run_solve_pde(cfg: RunConfig):
-    problem, sol = _solve(cfg)
+    problem = _problem(cfg, _regularized_G(cfg))
+    # the export is refused before the solve, from the solve's nt
+    nt = _pde._time_steps(problem.grid, (problem.G,), problem.driver,
+                          cfg.cfl_safety)[0]
+    _pde._charge_export(nt + 1, problem.grid.nx)
+    sol = _pde.solve_terminal_pde(problem, safety=cfg.cfl_safety)
     os.makedirs(cfg.output_dir, exist_ok=True)
     _pde.export_solution_csv(sol, os.path.join(cfg.output_dir,
                                                "solution.csv"))

@@ -8,8 +8,8 @@ takes a ``pde.PdeProblem`` whatever form its driver fits (the regularized
 G-BSDE and the Markovian G-FBSDE are stepped alike); its one precondition is
 a degenerate generator.  The module also houses the experiment battery:
 K-path reconstruction, convergence and curvature scans, semiconvexity and
-stability checks, a dynamic-programming consistency test, the
-singular-weight counterexample demo and empirical path-space norms.
+stability checks, a dynamic-programming consistency test and the
+singular-weight counterexample demo.
 
 ``f`` is restricted to f(t, x, y) throughout: a z-dependent f cannot be
 absorbed into the quadratic-variation driver g, and ``counterexample_demo``
@@ -491,6 +491,7 @@ def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
     spec = (LatticeSpec.for_horizon(t2 - t1, steps, problem.G)
             if t2 > t1 + 1e-15 else None)
     if spec is not None:
+        steps = spec.steps
         charge("dp lattice", _gexpect._node_steps([steps]),
                _gexpect.DP_NODE_STEPS_MAX, "node-steps", f"steps={steps}, "
                f"each level charged at least {_gexpect.DP_LEVEL_NODES_MIN} "
@@ -564,15 +565,15 @@ def counterexample_demo(T: float, eps_list, *, n_paths: int = 100_000,
     chunk = 16_384
     # charged 16 bytes a path-step, as an estimate is: an over-count, since
     # one chunk of normals, scaled in place, is all that is held
-    n_paths, n_steps, dt = _scenario._check_run(n_paths, n_steps, 0.0, T,
-                                                held=chunk, draws=len(eps))
+    n_paths, n_steps, dt = _scenario._check_run(n_paths, n_steps, seed, 0.0,
+                                                T, held=chunk, draws=len(eps))
     w = ((np.arange(n_steps) + 0.5) * dt) ** (-q)
     q_det = dt ** (1.0 - q) / (1.0 - q) + float(w[1:].sum()) * dt
     sqdt = math.sqrt(dt)
     rows = []
     for li, e in enumerate(eps):
         bound = T ** (1.0 - q) * e ** (-2.0 * q) / (1.0 - q)
-        level_seed = seed + 1_000_003 * li
+        level_seed = int(seed) + 1_000_003 * li
         vals = np.empty(n_paths)
         for start in range(0, n_paths, chunk):
             stop = min(start + chunk, n_paths)
@@ -591,44 +592,6 @@ def counterexample_demo(T: float, eps_list, *, n_paths: int = 100_000,
     return CounterexampleReport(exponent=-q, T=T, rows=tuple(rows),
                                 slope=slope, slope_target=slope_target,
                                 slope_ok=slope_ok, mc_ok=mc_ok)
-
-
-# ---------------------------------------------------------------------------
-# path-space norms
-# ---------------------------------------------------------------------------
-
-def path_norms(eta, p: float, bundles) -> dict:
-    """Empirical QV-weighted and dt-weighted norms of a per-step process.
-
-    H = max over bundles of E[(sum eta^2 dQV)^{p/2}]^{1/p}; M is the dt
-    analogue.  The inner exponent is 2 (the natural Z-space form), so the
-    comparison constant between the two is sigma_high itself.
-    ``eta`` is an array broadcastable to (n_paths, n_steps); ``bundles``
-    is a non-empty iterable.
-    """
-    if p <= 0:
-        raise DomainError(f"need p > 0, got {p}")
-    per_bundle = []
-    h_norm = 0.0
-    m_norm = 0.0
-    sigma_high = None
-    for bundle in bundles:
-        sigma_high = bundle.control.G.sigma_high
-        eta2 = np.broadcast_to(np.asarray(eta, dtype=float) ** 2,
-                               bundle.dB.shape)
-        dqv = np.broadcast_to(bundle.dQV, bundle.dB.shape)
-        h_p = float(np.mean(np.sum(eta2 * dqv, axis=1) ** (p / 2.0)))
-        m_p = float(np.mean(np.sum(eta2 * bundle.dt, axis=1) ** (p / 2.0)))
-        h = h_p ** (1.0 / p)
-        m = m_p ** (1.0 / p)
-        per_bundle.append((bundle.control.label, h, m))
-        h_norm = max(h_norm, h)
-        m_norm = max(m_norm, m)
-    if sigma_high is None:
-        raise DomainError("need at least one bundle")
-    consistent = h_norm <= sigma_high * m_norm * (1.0 + 1e-9) + 1e-300
-    return dict(h_norm=h_norm, m_norm=m_norm, per_bundle=per_bundle,
-                consistent=bool(consistent))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import inspect
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
@@ -48,6 +49,21 @@ def charge(what: str, amount, limit, unit: str, detail: str) -> None:
             amount, limit, unit = amount / 2 ** 30, limit / 2 ** 30, "GiB"
         raise NumericalError(f"{what} needs {amount:.3g} {unit} for "
                              f"{detail}; the limit is {limit:.3g} {unit}")
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int; DomainError unless it is an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not (1 <= value < math.inf and value == math.floor(value)):
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _horizon(name: str, value) -> None:
+    """DomainError unless ``value`` is a finite number > 0 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not 0.0 < value < math.inf:  # NaN too
+        raise DomainError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +152,17 @@ class Grid1D:
     nt: int | None = None
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.x_min, self.x_max, self.T))):
-            raise DomainError(f"need finite x_min, x_max and T, got "
-                              f"[{self.x_min}, {self.x_max}], T={self.T}")
+        _horizon("T", self.T)
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise DomainError(f"need finite x_min and x_max, got "
+                              f"[{self.x_min}, {self.x_max}]")
         if not self.x_min < self.x_max:
             raise DomainError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
+        object.__setattr__(self, "nx", _count("nx", self.nx))
         if self.nx < 3:
             raise DomainError(f"need nx >= 3, got {self.nx}")
-        if self.T <= 0.0:
-            raise DomainError(f"need T > 0, got {self.T}")
-        if self.nt is not None and self.nt < 1:
-            raise DomainError(f"need nt >= 1, got {self.nt}")
+        if self.nt is not None:
+            object.__setattr__(self, "nt", _count("nt", self.nt))
 
     @property
     def dx(self) -> float:
@@ -164,8 +180,7 @@ class Grid1D:
                     nx: int = 401) -> "Grid1D":
         """Domain wide enough that boundary influence at (0, x0) is negligible
         (six standard deviations plus one)."""
-        if not T > 0.0:  # before sqrt; NaN too
-            raise DomainError(f"need T > 0, got {T}")
+        _horizon("T", T)  # before sqrt
         span = 6.0 * G.sigma_high * math.sqrt(T) + 1.0
         return cls(x0 - span, x0 + span, nx, T)
 

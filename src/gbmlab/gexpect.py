@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcore import (CylinderFunctional, DomainError, DriverSpec, GFunction1D,
-                    Grid1D, NumericalError, _as_vectorized, charge,
-                    payoff_driver, preset_driver)
+                    Grid1D, NumericalError, _as_vectorized, _count, _horizon,
+                    charge, payoff_driver, preset_driver)
 from . import pde as _pde
 
 _MAX_STATE_NODES = 250_000
@@ -75,8 +75,7 @@ class LatticeSpec:
     sigma_choices: tuple
 
     def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise DomainError(f"need steps >= 1, got {self.steps}")
+        object.__setattr__(self, "steps", _count("steps", self.steps))
         if not all(math.isfinite(v) and v > 0 for v in (self.dt, self.dx)):
             raise DomainError(f"need finite dt > 0 and dx > 0, got "
                               f"dt={self.dt}, dx={self.dx}")
@@ -107,8 +106,8 @@ class LatticeSpec:
     @classmethod
     def for_horizon(cls, T: float, steps: int, G: GFunction1D) -> "LatticeSpec":
         """``steps`` steps over [0, T] choosing between the interval ends."""
-        if steps < 1:
-            raise DomainError(f"need steps >= 1, got {steps}")
+        steps = _count("steps", steps)
+        _horizon("T", T)
         dt = T / steps
         return cls(steps=steps, dt=dt, dx=G.sigma_high * math.sqrt(dt),
                    sigma_choices=(G.sigma_low, G.sigma_high))
@@ -311,19 +310,21 @@ def _rows_at_zero(xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (1.0 - w) * rows[:, j - 1] + w * rows[:, j]
 
 
-def _cylinder_recursion(X: CylinderFunctional, G: GFunction1D, grids,
-                        down_to: int, safety: float) -> np.ndarray:
-    """Peel stages N..down_to+1 on the ``default_stage_grids`` ``grids``;
-    returns the table over grids[:down_to]."""
+def gexpect_cylinder(X: CylinderFunctional, G: GFunction1D, *,
+                     nx: int = 201, safety: float = 0.9) -> float:
+    """Worst-case expectation of a cylinder payoff (N <= 4 stages) via one
+    backward heat solve per stage on the ``default_stage_grids``,
+    vectorized over the outer tabulation."""
     N = X.n_stages
     if N > 4:
         raise DomainError(f"cylinder recursion supports N <= 4, got {N}")
+    grids = default_stage_grids(X, G, nx=nx)
     shape = tuple(g.nx for g in grids)
     # the time steps of every stage, and with them the work budget of every
     # stage, and the table's bytes are settled before the table is built
     steps = {i: _pde._time_steps(grids[i - 1], (G,), _HEAT, safety,
                                  rows=math.prod(shape[:i - 1]))[:2]
-             for i in range(N, down_to, -1)}
+             for i in range(N, 0, -1)}
     charge("cylinder table", 8 * math.prod(shape), _pde.DENSE_BYTES_MAX,
            "bytes", f"nx={shape}")
     f = _as_vectorized(X.psi, N)
@@ -331,65 +332,13 @@ def _cylinder_recursion(X: CylinderFunctional, G: GFunction1D, grids,
     tab = np.ascontiguousarray(
         np.broadcast_to(np.asarray(f(*mesh), dtype=float), shape),
         dtype=float)
-    for i in range(N, down_to, -1):
+    for i in range(N, 0, -1):
         grid = grids[i - 1]
         # only the level at the stage start is kept
         rows = _pde._last_level(_HEAT, grid, (G,), *steps[i],
                                 tab.reshape(-1, grid.nx))
         tab = _rows_at_zero(grid.xs, rows).reshape(tab.shape[:-1])
-    return tab
-
-
-def gexpect_cylinder(X: CylinderFunctional, G: GFunction1D, *,
-                     nx: int = 201, safety: float = 0.9) -> float:
-    """Worst-case expectation of a cylinder payoff (N <= 4 stages) via one
-    backward heat solve per stage, vectorized over the outer tabulation."""
-    grids = default_stage_grids(X, G, nx=nx)
-    return float(_cylinder_recursion(X, G, grids, 0, safety))
-
-
-@dataclass(frozen=True)
-class TableFunction:
-    """Conditional-expectation table over the first ``stage`` increments."""
-
-    grids: tuple
-    values: np.ndarray
-
-    def __call__(self, *args):
-        if len(args) != len(self.grids):
-            raise DomainError(f"expected {len(self.grids)} arguments")
-        if len(self.grids) == 1:
-            return np.interp(args[0], self.grids[0].xs, self.values)
-        if len(self.grids) == 2:
-            return _bilinear(self.grids[0].xs, self.grids[1].xs, self.values,
-                             np.asarray(args[0], dtype=float),
-                             np.asarray(args[1], dtype=float))
-        raise DomainError("table interpolation supports up to 2 stages")
-
-
-def _bilinear(xs, ys, table, x, y):
-    i = np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2)
-    j = np.clip(np.searchsorted(ys, y) - 1, 0, len(ys) - 2)
-    wx = np.clip((x - xs[i]) / (xs[i + 1] - xs[i]), 0.0, 1.0)
-    wy = np.clip((y - ys[j]) / (ys[j + 1] - ys[j]), 0.0, 1.0)
-    return ((1 - wx) * (1 - wy) * table[i, j] + wx * (1 - wy) * table[i + 1, j]
-            + (1 - wx) * wy * table[i, j + 1] + wx * wy * table[i + 1, j + 1])
-
-
-def conditional_gexpect(X: CylinderFunctional, stage: int, G: GFunction1D, *,
-                        nx: int = 201, safety: float = 0.9) -> TableFunction:
-    """Conditional worst-case expectation at stage time t_stage, tabulated
-    over the first ``stage`` increments.
-
-    Feeding the table back through the remaining recursion (as a new
-    cylinder payoff on times[:stage]) reproduces ``gexpect_cylinder(X)``;
-    tests rely on that tower identity.
-    """
-    if not (1 <= stage < X.n_stages):
-        raise DomainError(f"need 1 <= stage < {X.n_stages}, got {stage}")
-    grids = default_stage_grids(X, G, nx=nx)
-    tab = _cylinder_recursion(X, G, grids, stage, safety)
-    return TableFunction(grids=grids[:stage], values=tab)
+    return float(tab)
 
 
 # ---------------------------------------------------------------------------

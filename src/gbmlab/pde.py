@@ -819,23 +819,27 @@ def _e12_cells(v: np.ndarray, out: np.ndarray) -> int:
     return int(slow.size)
 
 
-def export_solution_csv(sol: PdeSolution, path: str,
-                        control: ControlField | None = None) -> None:
+def _charge_export(nlev: int, nx: int) -> None:
+    """Refuse, with :class:`NumericalError`, a ``solution.csv`` of ``nlev``
+    levels x ``nx`` nodes whose upper bound exceeds ``EXPORT_BYTES_MAX``."""
+    charge("solution export", len(_HEADER) + nlev * nx * 7 * (CELL + 1),
+           EXPORT_BYTES_MAX, "bytes", f"{nlev} levels x {nx} nodes")
+
+
+def export_solution_csv(sol: PdeSolution, path: str) -> None:
     """Write the dense solution as CSV rows (t, x, u, ux, uxx, a, sigma_star)
     with 13 significant digits and a mandatory header.
 
     Every cell reads ``format(v, ".12e")`` (see ``_e12_cells``).  A block of
     time levels is laid out in fixed CELL-byte slots, each followed by its
     separator, and written without the padding; t and x are formatted once.
-    ux, uxx and sigma_star (``extremal_control``'s, unless ``control`` is
-    given) are computed a block at a time, elementwise as over the whole
-    field; only the tie tolerance reads every level, taken once.
+    ux, uxx and ``extremal_control``'s sigma_star are computed a block at a
+    time, elementwise as over the whole field; only the tie tolerance reads
+    every level, taken once.
     """
     nlev, nx = sol.u.shape
-    charge("solution export", len(_HEADER) + nlev * nx * 7 * (CELL + 1),
-           EXPORT_BYTES_MAX, "bytes", f"{nlev} levels x {nx} nodes")
-    if control is None:
-        tie_tol = _tie_tol(sol.a_field)
+    _charge_export(nlev, nx)
+    tie_tol = _tie_tol(sol.a_field)
     levels = min(nlev, max(1, _BLOCK_BYTES // (7 * (CELL + 1) * nx)))
     buf = np.empty((levels, nx, 7, CELL + 1), dtype=np.uint8)
     buf[..., CELL] = ord(",")
@@ -853,8 +857,7 @@ def export_solution_csv(sol: PdeSolution, path: str,
             block[:, :, 0, :CELL] = t_cells[n0:n1, None]
             block[:, :, 1, :CELL] = x_cells
             u, a = sol.u[n0:n1], sol.a_field[n0:n1]
-            sigma = _sigma_star(a, tie_tol, sol.G) if control is None \
-                else np.asarray(control.sigma_star[n0:n1], dtype=float)
+            sigma = _sigma_star(a, tie_tol, sol.G)
             v = np.stack([u, _ux(u, sol.dx), _uxx(u, sol.dx), a, sigma],
                          axis=-1)
             _e12_cells(v.ravel(), cells[:v.size])

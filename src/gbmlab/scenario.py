@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcore import (ARITY, DomainError, DriverSpec, GFunction1D,
-                    NumericalError, charge)
+                    NumericalError, _count, _horizon, charge)
 from .pde import (ControlField, FieldInterpolator, GridPoints, PdeSolution,
                   _time_index, extremal_control)
 
@@ -97,27 +97,29 @@ STEP_PATHS_MIN = 1024
 WALK_COST = 8
 
 
-def _count(name: str, value) -> int:
-    """``value`` as an int; DomainError unless it is an integer >= 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not (1 <= value < math.inf and value == math.floor(value)):
-        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+def _seed(value) -> int:
+    """``value`` as an int; DomainError unless it is an integer (a Python
+    or numpy integer, not a bool).  Streams are keyed by it mod 2**64."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"seed must be an integer, got {value!r}")
     return int(value)
 
 
-def _check_run(n_paths, n_steps, t: float, T: float, x: float = 0.0, *,
-               step_bytes: int = 16, held: int | None = None, draws: int = 1,
-               walk: bool = False) -> tuple[int, int, float]:
+def _check_run(n_paths, n_steps, seed, t: float, T: float, x: float = 0.0,
+               *, step_bytes: int = 16, held: int | None = None,
+               draws: int = 1, walk: bool = False) -> tuple[int, int, float]:
     """The one check of a path run, before any work: integral counts >= 1,
-    a finite x, 0 <= t < T < inf, then ``step_bytes`` a path-step of
-    ``held`` (default all) paths against ``PATH_BYTES_MAX`` and ``draws``
-    draws, walked as an estimate's if ``walk``, against ``PATH_STEPS_MAX``.
-    Returns (n_paths, n_steps, dt)."""
+    an integral seed, a finite T > 0, a finite x, 0 <= t < T, then
+    ``step_bytes`` a path-step of ``held`` (default all) paths against
+    ``PATH_BYTES_MAX`` and ``draws`` draws, walked as an estimate's if
+    ``walk``, against ``PATH_STEPS_MAX``.  Returns (n_paths, n_steps, dt)."""
     n_paths, n_steps = _count("n_paths", n_paths), _count("n_steps", n_steps)
+    _seed(seed)
+    _horizon("T", T)
     if not math.isfinite(x):
         raise DomainError(f"need a finite start point, got x={x}")
-    if not 0.0 <= t < T < math.inf:  # NaN too
-        raise DomainError(f"need 0 <= t < T with T finite, got t={t}, T={T}")
+    if not 0.0 <= t < T:  # NaN too
+        raise DomainError(f"need 0 <= t < T, got t={t}, T={T}")
     detail = f"n_paths={n_paths}, n_steps={n_steps}"
     charge("path storage", step_bytes * min(n_paths, held or n_paths)
            * n_steps, PATH_BYTES_MAX, "bytes", detail)
@@ -139,7 +141,7 @@ def path_normals(seed: int, n_paths: int, n_steps: int,
         raise DomainError(f"path indices {path_offset} to "
                           f"{path_offset + n_paths - 1} leave [0, 2**64)")
     out = np.empty((n_paths, n_steps))
-    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    seed = _seed(seed) & 0xFFFFFFFFFFFFFFFF
     bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bg)
     # counter zero, buffer empty; only the key changes.  The state setter
@@ -407,7 +409,7 @@ def simulate_paths(control: VolatilityControl, n_paths: int, n_steps: int,
     """
     feedback = control.kind is ControlKind.FEEDBACK
     # at most 4.2 (n_paths, n_steps) arrays (tracemalloc), charged as five
-    n_paths, n_steps, dt = _check_run(n_paths, n_steps, t0, T, x0,
+    n_paths, n_steps, dt = _check_run(n_paths, n_steps, seed, t0, T, x0,
                                       step_bytes=40, walk=feedback)
     if feedback and driver is None:
         raise DomainError("FEEDBACK controls need the forward driver")
@@ -544,7 +546,8 @@ def verify_measure_in_Ptx(control: VolatilityControl, driver: DriverSpec,
     """Empirical optimality residual of a control: E[K_T] normalized by
     max(1, |u(t, x)|), accepted iff |residual| <= 3 SE + 1e-2."""
     # at most 5.1 (n_paths, n_steps) arrays (tracemalloc), charged as six
-    _check_run(n_paths, n_steps, t, sol.grid.T, x, step_bytes=48, walk=True)
+    _check_run(n_paths, n_steps, seed, t, sol.grid.T, x, step_bytes=48,
+               walk=True)
     bundle = simulate_paths(control, n_paths, n_steps, sol.grid.T, seed,
                             driver=driver, t0=t, x0=x)
     X = forward_sde(driver, t, x, bundle)
@@ -862,8 +865,8 @@ def _estimate(kind: str, driver: DriverSpec, t: float, x: float,
     forks paths off that walk (``_Fork``)."""
     # 16 bytes a path-step: the path buffer and at worst one fork's K
     # increments
-    n_paths, n_steps, dt = _check_run(n_paths, n_steps, t, sol.grid.T, x,
-                                      walk=True)
+    n_paths, n_steps, dt = _check_run(n_paths, n_steps, seed, t, sol.grid.T,
+                                      x, walk=True)
     fields = FieldInterpolator(sol)
     controls = _candidate_controls(sol, G)
     # row k holds step k's normals until the forks and the base walk have

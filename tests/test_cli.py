@@ -769,9 +769,13 @@ def test_vacuous_power_exits_two(tmp_path, capfd, argv, message):
 
 def test_export_over_its_byte_budget_exits_two(tmp_path, capsys,
                                                monkeypatch):
-    # solve-pde --nx 2000 wrote a 6.3 GB solution.csv; here the limit is
-    # below the bound of any export
+    # solve-pde --nx 2000 wrote a 6.3 GB solution.csv, and then solved
+    # first; here the limit is below the bound of any export, charged
+    # before any sweep
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept")
     monkeypatch.setattr(pde, "EXPORT_BYTES_MAX", 0)
+    monkeypatch.setattr(pde, "_backward_steps", no_sweep)
     rc = _main(["solve-pde", "--nx", "21", "--output-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 2, err

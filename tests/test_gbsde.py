@@ -825,41 +825,6 @@ def test_counterexample_holds_one_chunk():
     assert peak < 1.25 * 8 * mc["n_paths"] * mc["n_steps"]
 
 
-# ---- path norms ----
-
-def test_path_norms_unit_integrand():
-    unit = simulate_paths(VolatilityControl.constant(1.0, G01), 300, 128, 1.0,
-                          seed=11)
-    still = simulate_paths(VolatilityControl.constant(0.0, G01), 300, 128, 1.0,
-                           seed=11)
-    norms = gbsde.path_norms(np.ones(128), 2.0, [unit, still])
-    assert norms["h_norm"] == 1.0
-    assert norms["m_norm"] == 1.0
-    assert norms["consistent"]
-    assert len(norms["per_bundle"]) == 2
-
-
-def test_path_norms_zero_volatility():
-    still = simulate_paths(VolatilityControl.constant(0.0, G01), 300, 128, 1.0,
-                           seed=11)
-    norms = gbsde.path_norms(np.ones(128), 2.0, [still])
-    assert norms["h_norm"] == 0.0
-    assert norms["m_norm"] == 1.0
-    assert norms["consistent"]
-
-
-def test_path_norms_needs_positive_p():
-    unit = simulate_paths(VolatilityControl.constant(1.0, G01), 50, 16, 1.0,
-                          seed=1)
-    with pytest.raises(DomainError):
-        gbsde.path_norms(np.ones(16), 0.0, [unit])
-
-
-def test_path_norms_needs_a_bundle():
-    with pytest.raises(DomainError, match="at least one bundle"):
-        gbsde.path_norms(np.ones(16), 2.0, [])
-
-
 # ---- end-to-end invariants ----
 
 def test_family_monotone_in_payoff():

@@ -20,7 +20,6 @@ from gbmlab.gcore import (
 )
 from gbmlab.gexpect import (
     LatticeSpec,
-    conditional_gexpect,
     doob_check,
     doob_constant,
     gexpect_cylinder,
@@ -106,46 +105,22 @@ def test_cylinder_product():
     assert abs(gexpect_cylinder(X, G01)) <= 2e-2
 
 
-def test_conditional_independent_square():
-    X = CylinderFunctional(times=(0.5, 1.0), psi=lambda a, b: b ** 2)
-    tab = conditional_gexpect(X, 1, G01)
-    probe = np.linspace(-1.5, 1.5, 7)
-    assert np.max(np.abs(tab(probe) - 0.5)) <= 2e-2
-
-
-def test_conditional_measurable_stage():
-    X = CylinderFunctional(times=(0.5, 1.0), psi=lambda a, b: a)
-    tab = conditional_gexpect(X, 1, G01)
-    xs = tab.grids[0].xs
-    assert np.array_equal(tab(xs), xs)
-
-
-def test_conditional_two_stage_table():
-    # a table over two increments is read back bilinearly
-    X = CylinderFunctional(times=(1 / 3, 2 / 3, 1.0),
-                           psi=lambda a, b, c: a + b)
-    tab = conditional_gexpect(X, 2, G01, nx=41)
-    xa, xb = np.meshgrid(tab.grids[0].xs, tab.grids[1].xs, indexing="ij")
-    assert np.array_equal(tab(xa, xb), xa + xb)
-    pa, pb = np.meshgrid(np.linspace(-1.23, 1.17, 7),
-                         np.linspace(-0.91, 1.37, 5), indexing="ij")
-    assert np.max(np.abs(tab(pa, pb) - (pa + pb))) <= 1e-12
-
-
-def test_conditional_product_vanishes():
-    X = CylinderFunctional(times=(0.5, 1.0), psi=lambda a, b: a * b)
-    tab = conditional_gexpect(X, 1, G01)
-    probe = np.linspace(-1.5, 1.5, 7)
-    assert np.max(np.abs(tab(probe))) <= 1e-2
-
-
-def test_tower_identity():
-    X = CylinderFunctional(times=(0.5, 1.0), psi=lambda a, b: np.abs(a + b))
-    direct = gexpect_cylinder(X, G01)
-    tab = conditional_gexpect(X, 1, G01)
-    outer = gexpect_cylinder(
-        CylinderFunctional(times=(0.5,), psi=tab, name="stage-1-table"), G01)
-    assert abs(direct - outer) <= 2e-2
+@pytest.mark.parametrize("psi", [
+    lambda a, b, c: np.abs(a + b + c),
+    lambda a, b, c: np.maximum(np.maximum(a, b), c),
+    lambda a, b, c: a ** 2 + b ** 2 + c ** 2,
+], ids=["abs-sum", "max", "sum-of-squares"])
+def test_three_stage_cylinder_matches_the_lattice(psi):
+    # the recursion through three stages, against the independent lattice
+    # at criterion 02's tolerance; more than four stages are refused
+    X = CylinderFunctional(times=(1 / 3, 2 / 3, 1.0), psi=psi)
+    pde_value = gexpect_cylinder(X, G01, nx=41)
+    lattice = lattice_oracle(X, G01, LatticeSpec.for_horizon(1.0, 48, G01))
+    assert abs(pde_value - lattice) <= 2e-2
+    five = CylinderFunctional(times=(0.2, 0.4, 0.6, 0.8, 1.0),
+                              psi=lambda a, b, c, d, e: a)
+    with pytest.raises(DomainError, match="N <= 4"):
+        gexpect_cylinder(five, G01, nx=41)
 
 
 # ---------------------------------------------------------------------------

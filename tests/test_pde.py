@@ -24,7 +24,6 @@ from gbmlab import pde
 from gbmlab.gcore import _const4, _one2, _zero2, _zero3, _zero4
 from gbmlab.gexpect import LatticeSpec, lattice_oracle
 from gbmlab.pde import (
-    ControlField,
     FieldInterpolator,
     GridPoints,
     PdeForm,
@@ -729,11 +728,10 @@ def test_gheat_solve_with_zero_sigma_low_equals_the_allocating_step():
 
 # ---- the level-at-a-time CSV writer against the cell-by-cell writer ----
 
-def _cell_by_cell_csv(sol, path, control=None):
+def _cell_by_cell_csv(sol, path):
     # the cell-by-cell writer, kept as the reference
     d = derivatives(sol)
-    if control is None:
-        control = extremal_control(sol, sol.G)
+    control = extremal_control(sol, sol.G)
     ts, xs = sol.ts, sol.xs
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,x,u,ux,uxx,a,sigma_star\n")
@@ -754,15 +752,11 @@ def test_export_equals_the_cell_by_cell_writer_on_edge_values(tmp_path):
     sol = PdeSolution(u=u, a_field=a_field, grid=grid.with_nt(3),
                       driver=preset_driver("zero"), G=G01,
                       dx=grid.dx, dt=grid.T / 3)
-    sigma = rng.choice([-0.0, 0.0, np.nan, -np.nan, 1.0, 5e-324, np.inf],
-                       size=u.shape)
-    control = ControlField(sigma_star=sigma, ambiguous=np.zeros(u.shape, bool))
+    got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
     with np.errstate(all="ignore"):
-        for ctl in (None, control):
-            got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
-            export_solution_csv(sol, str(got), ctl)
-            _cell_by_cell_csv(sol, str(ref), ctl)
-            assert got.read_bytes() == ref.read_bytes()
+        export_solution_csv(sol, str(got))
+        _cell_by_cell_csv(sol, str(ref))
+    assert got.read_bytes() == ref.read_bytes()
     text = got.read_text(encoding="utf-8")
     assert "-0.000000000000e+00" in text and "nan" in text and "e-200" in text
 
@@ -810,7 +804,7 @@ def test_export_tie_tolerance_is_global_across_blocks(tmp_path, monkeypatch):
     ref, got = tmp_path / "ref.csv", tmp_path / "got.csv"
     _cell_by_cell_csv(sol, str(ref))
     monkeypatch.setattr(pde, "_BLOCK_BYTES", 7 * (pde.CELL + 1) * grid.nx)
-    export_solution_csv(sol, str(got), control=None)
+    export_solution_csv(sol, str(got))
     assert got.read_bytes() == ref.read_bytes()
     sigma = [row.split(",")[-1] for row in
              ref.read_text(encoding="utf-8").splitlines()[1:grid.nx + 1]]

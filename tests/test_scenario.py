@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from gbmlab import gbsde, pde, scenario
+from gbmlab import gbsde, gexpect, pde, scenario
 from gbmlab.gcore import (
     DomainError,
     DriverSpec,
+    GbmlabError,
     Grid1D,
     NumericalError,
     make_gfunction,
@@ -19,6 +21,7 @@ from gbmlab.gcore import (
     preset_driver,
     regularize,
 )
+from gbmlab.gexpect import LatticeSpec
 from gbmlab.pde import (
     FieldInterpolator,
     GridPoints,
@@ -797,6 +800,76 @@ def test_simulate_paths_is_charged_before_drawing(no_draw):
     with pytest.raises(NumericalError, match="path storage needs"):
         simulate_paths(VolatilityControl.constant(0.5, G01), 10 ** 6,
                        10 ** 4, 1.0, 0)
+
+
+# the hostile values of each kind of parameter: 0 and -1 are seeds (a
+# seed keys the streams mod 2**64), and 2.5 is a horizon
+_HOSTILE = {"count": (2.5, math.nan, math.inf, True, "8", 0, -1),
+            "seed": (2.5, math.nan, math.inf, True, "8"),
+            "horizon": (math.nan, math.inf, True, "8", 0, -1)}
+_MC = ("n_paths", "n_steps", "seed")
+_PROBED = {"estimate_dx": _MC, "estimate_dt": _MC,
+           "verify_measure_in_Ptx": _MC, "simulate_paths": _MC + ("T",),
+           "counterexample_demo": _MC + ("T",), "path_normals": _MC,
+           "Grid1D": ("nx", "nt", "T"),
+           "LatticeSpec.for_horizon": ("T", "steps"),
+           "dynamic_programming_check": ("steps",)}
+
+
+def _kind(param):
+    return {"seed": "seed", "T": "horizon"}.get(param, "count")
+
+
+@pytest.fixture(scope="module")
+def probe_solution():
+    return _solve(preset_driver("quadratic"), nx=51)
+
+
+def _probe_call(name, sol, **bad):
+    """``name`` at valid small arguments, with ``bad`` in place of some."""
+    quad = preset_driver("quadratic")
+    control = VolatilityControl.feedback(sol, G01)
+    kw = {"n_paths": 16, "n_steps": 4, "seed": 0, **bad}
+    calls = {
+        "estimate_dx": lambda: estimate_dx(quad, 0.0, 0.0, G01, sol, **kw),
+        "estimate_dt": lambda: estimate_dt(quad, 0.5, 0.0, G01, sol, **kw),
+        "verify_measure_in_Ptx": lambda: verify_measure_in_Ptx(
+            control, quad, 0.0, 0.0, G01, sol, **kw),
+        "simulate_paths": lambda: simulate_paths(
+            control, kw["n_paths"], kw["n_steps"], kw.get("T", 1.0),
+            kw["seed"], driver=quad),
+        "counterexample_demo": lambda: gbsde.counterexample_demo(
+            kw.pop("T", 1.0), [0.5], **kw),
+        "path_normals": lambda: path_normals(kw["seed"], kw["n_paths"],
+                                             kw["n_steps"]),
+        "Grid1D": lambda: Grid1D(-1.0, 1.0, bad.get("nx", 11),
+                                 bad.get("T", 1.0), bad.get("nt")),
+        "LatticeSpec.for_horizon": lambda: LatticeSpec.for_horizon(
+            bad.get("T", 1.0), bad.get("steps", 8), G01),
+        "dynamic_programming_check": lambda: gbsde.dynamic_programming_check(
+            PdeProblem(Grid1D(-3.0, 3.0, 31, 1.0), quad, G01), 0.0, 0.5,
+            **bad),
+    }
+    return calls[name]
+
+
+@pytest.mark.parametrize("name, param, value", [
+    (name, param, value) for name, params in _PROBED.items()
+    for param in params for value in _HOSTILE[_kind(param)]])
+def test_hostile_count_seed_or_horizon_is_refused_before_any_work(
+        monkeypatch, probe_solution, name, param, value):
+    # each ends in a GbmlabError with no warning, before any draw, sweep or
+    # lattice step; none may run as a rounded or cast value
+    def work(*args, **kwargs):
+        raise AssertionError("drew normals or swept")
+    for module, fn in ((scenario, "path_normals"), (gbsde, "path_normals"),
+                       (pde, "_backward_steps"), (gexpect, "_sup_step")):
+        monkeypatch.setattr(module, fn, work)
+    call = _probe_call(name, probe_solution, **{param: value})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GbmlabError):
+            call()
 
 
 # ---------------------------------------------------------------------------
