@@ -124,8 +124,10 @@ class RunConfig:
     x_min: float | None = _setting(None, "grid", _GRID)
     x_max: float | None = _setting(None, "grid", _GRID)
     nx: int = _setting(401, "grid", _GRID + ("gexpect", "cylinder"),
-                       help="space nodes")
-    nt: int | None = _setting(None, "grid", _GRID, help="pinned time levels")
+                       help="space nodes; the finest level of "
+                       "semiconvexity and stability")
+    nt: int | None = _setting(None, "grid", _GRID,
+                              help="pinned time levels, held on every level")
     T: float = _setting(1.0, "grid",
                         _GRID + ("gexpect", "doob", "counterexample"),
                         help="horizon")
@@ -475,10 +477,15 @@ def _run_kink(cfg: RunConfig):
 def _run_semiconvexity(cfg: RunConfig):
     G = _regularized_G(cfg)
     driver = cfg.driver()
+    # the grid coarsened by 2, then the user's; every level's time steps,
+    # and with them its work budget, are settled before the first scan
+    grids = [_gbsde._coarsen(cfg.grid(), f, "semiconvexity") for f in (2, 1)]
+    for grid in reversed(grids):
+        _pde._time_steps(grid, (G,), driver, cfg.cfl_safety)
     rows = []
     reports = []
-    for factor in (1, 2):
-        problem = PdeProblem(_gbsde._refine(cfg.grid(), factor), driver, G)
+    for grid in grids:
+        problem = PdeProblem(grid, driver, G)
         rep = _gbsde.semiconvexity_scan(problem, safety=cfg.cfl_safety)
         reports.append(rep)
         rows.append((problem.grid.nx, rep.C, rep.min_second_diff,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcore import (CylinderFunctional, DomainError, DriverSpec, Grid1D,
-                    NumericalError, charge, regularize)
+                    NumericalError, _real, charge, regularize)
 from . import pde as _pde
 from .pde import PdeProblem, PdeSolution, FieldInterpolator, GridPoints
 from . import gexpect as _gexpect
@@ -329,17 +329,26 @@ class StabilityReport:
     stable: bool
 
 
-def _refine(grid: Grid1D, factor: int) -> Grid1D:
-    """``factor`` times finer in x; a pinned ``nt`` grows by ``factor**2``,
-    as the explicit step's CFL bound shrinks with dx^2, so the solver
-    honours or refuses the pin on every refinement."""
-    nt = None if grid.nt is None else grid.nt * factor ** 2
-    return Grid1D(grid.x_min, grid.x_max, (grid.nx - 1) * factor + 1, grid.T,
-                  nt)
+def _coarsen(grid: Grid1D, factor: int, what: str) -> Grid1D:
+    """``factor`` times coarser in x on the same [x_min, x_max] and T, with
+    (nx - 1) / factor + 1 nodes.  A pinned ``nt`` is kept: the explicit
+    step's CFL bound grows with dx^2, so a pin stable on ``grid`` is stable
+    on every coarser grid.  :class:`DomainError` unless ``factor`` divides
+    nx - 1 and leaves at least 3 nodes."""
+    nx = grid.nx
+    if (nx - 1) % factor or nx < 2 * factor + 1:
+        lo = max(nx - 1 - (nx - 1) % factor, 2 * factor) + 1
+        raise DomainError(f"{what} coarsens nx by {factor}, so nx - 1 must "
+                          f"be a multiple of {factor} and nx >= "
+                          f"{2 * factor + 1}, got nx={nx} (try nx={lo} or "
+                          f"{lo + factor})")
+    return Grid1D(grid.x_min, grid.x_max, (nx - 1) // factor + 1, grid.T,
+                  grid.nt)
 
 
-# grids per stability check: the problems' own and two refinements by 2
-_STABILITY_LEVELS = 3
+# coarsening factors per stability check, coarse to fine: the problems' own
+# grid is the finest level
+_STABILITY_LEVELS = (4, 2, 1)
 
 
 def _power(what: str, base: float, p: float) -> float:
@@ -360,19 +369,24 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
                     safety: float = 0.9) -> StabilityReport:
     """Continuity of u in the data (phi, f, g).
 
-    Per refinement level: lhs = sup_x |u1 - u2|(0, .)^p against rhs =
+    Per level: lhs = sup_x |u1 - u2|(0, .)^p against rhs =
     E-hat[|phi1-phi2|^p at x_c + B_T] + (int sup_x |f1-f2| dt)^p +
     (sigma_high^2 int sup_x |g1-g2| dt)^p, the driver differences evaluated
     along the second solution (crude upper Riemann bounds; every catalog
     comparison has f1=f2 and g1=g2 so only the terminal term is active).
-    Pass iff the fitted constant lhs/rhs moves by < 2x across levels.
-    Needs a finite p >= 1, and refuses a nonzero delta or terminal
-    difference whose p-th power is 0 or not finite.  Both solves are
-    streamed: only u(0, .) of the first and the per-level driver
-    differences of the second are kept.  A pair whose drivers differ only
-    in ``name`` and ``phi`` (every other field the same object) is stepped
-    as one two-row sweep, each row bit for bit the row of its own sweep;
-    any other pair gets two sweeps.
+    The levels are the problems' grid and its coarsenings by 2 and 4
+    (``_coarsen``; nx - 1 must be a multiple of 4), rows coarse to fine,
+    each with its own CFL nt or the problems' pinned nt.  Pass iff the
+    fitted constant lhs/rhs moves by < 2x across levels.  A level whose
+    lhs is at most 1e-14 while another's is above it misses the data and
+    is refused with :class:`DomainError`, as the verdict would rest on the
+    other levels alone.  Needs a finite p >= 1, and refuses a nonzero
+    delta or terminal difference whose p-th power is 0 or not finite.
+    Both solves are streamed: only u(0, .) of the first and the per-level
+    driver differences of the second are kept.  A pair whose drivers
+    differ only in ``name`` and ``phi`` (every other field the same
+    object) is stepped as one two-row sweep, each row bit for bit the row
+    of its own sweep; any other pair gets two sweeps.
     """
     if not (math.isfinite(p) and p >= 1.0):
         raise DomainError(f"stability check needs a finite p >= 1, got {p}")
@@ -392,19 +406,19 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
                   for fd in dataclasses.fields(DriverSpec)
                   if fd.name not in ("name", "phi"))
     xc = 0.5 * (g1.x_min + g1.x_max)
+    grids = [_coarsen(g1, f, "the stability check") for f in _STABILITY_LEVELS]
     # the time steps of every level, and with them the work budget of
-    # every solve, are settled before the first solve
-    levels = []
-    for level in range(_STABILITY_LEVELS):
-        grid = _refine(g1, 2 ** level)
-        levels.append((grid, *(_pde._time_steps(grid, (G,), d, safety)[:2]
-                               for d in (d1, d2))))
+    # every solve, are settled before the first solve; the finest first,
+    # so that a pin or a budget it fails is refused on the problems' grid
+    steps = {grid.nx: [_pde._time_steps(grid, (G,), d, safety)[:2]
+                       for d in (d1, d2)] for grid in reversed(grids)}
+    levels = [(grid, *steps[grid.nx]) for grid in grids]
 
     def diff(bt):
         x = xc + np.asarray(bt, dtype=float)
         return np.abs(np.asarray(d1.phi(x), dtype=float)
                       - np.asarray(d2.phi(x), dtype=float))
-    # every level keeps T (``_refine``), so one lattice gives the terminal
+    # every level keeps T (``_coarsen``), so one lattice gives the terminal
     # term of every level
     spec = LatticeSpec.for_horizon(g1.T, lattice_steps, G)
     # the largest difference at the lattice's terminal nodes, before the DP
@@ -451,8 +465,14 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
         rhs = terminal + fint ** p + gint ** p
         constant = lhs / rhs if rhs > 0 else 0.0
         rows.append((grid.nx, delta, lhs, rhs, constant))
-    consts = [r[4] for r in rows if r[2] > 1e-14]
-    stable = (not consts) or (max(consts) < 2.0 * min(consts))
+    seen = [r[2] > 1e-14 for r in rows]
+    if any(seen) and not all(seen):
+        nx = rows[seen.index(False)][0]
+        raise DomainError(f"the stability check's level nx={nx} does not "
+                          f"see the data difference (lhs <= 1e-14 there, "
+                          f"above it on another level); pass a larger --nx")
+    consts = [r[4] for r in rows]
+    stable = not any(seen) or max(consts) < 2.0 * min(consts)
     return StabilityReport(p=p, rows=tuple(rows), stable=stable)
 
 
@@ -481,6 +501,8 @@ def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
     ``gexpect.DP_NODE_STEPS_MAX`` work budget raises
     :class:`NumericalError` before the PDE solve."""
     grid = problem.grid
+    for name, value in (("t1", t1), ("t2", t2), ("x0", x0)):
+        _real(name, value)
     if not (0.0 <= t1 <= t2 <= grid.T):
         raise DomainError(f"need 0 <= t1 <= t2 <= T, got ({t1}, {t2})")
     d = problem.driver

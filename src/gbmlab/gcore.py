@@ -66,6 +66,14 @@ def _horizon(name: str, value) -> None:
         raise DomainError(f"{name} must be a finite number > 0, got {value!r}")
 
 
+def _real(name: str, value) -> None:
+    """DomainError unless ``value`` is a finite real number (not a bool or
+    a str)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise DomainError(f"need a finite {name}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # generator
 # ---------------------------------------------------------------------------
@@ -153,9 +161,8 @@ class Grid1D:
 
     def __post_init__(self) -> None:
         _horizon("T", self.T)
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise DomainError(f"need finite x_min and x_max, got "
-                              f"[{self.x_min}, {self.x_max}]")
+        _real("x_min", self.x_min)
+        _real("x_max", self.x_max)
         if not self.x_min < self.x_max:
             raise DomainError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
         object.__setattr__(self, "nx", _count("nx", self.nx))

@@ -249,7 +249,8 @@ def _time_steps(grid: Grid1D, Gs, driver: DriverSpec, safety: float,
         if grid.T / nt > bound * (1.0 + 1e-12):
             raise NumericalError(
                 f"CFL violation: grid.nt={nt} gives dt={grid.T / nt:.6g} "
-                f"above the stable bound {bound:.6g} (needs nt >= {nt_needed})")
+                f"above the stable bound {bound:.6g} at nx={grid.nx} (needs "
+                f"nt >= {nt_needed})")
     rows = len(Gs) if rows is None else rows
     charge("solve", max(rows * grid.nx, STEP_NODES_MIN) * nt, NODE_STEPS_MAX,
            "node-steps", f"nt={nt}, nx={grid.nx}, {rows} row(s), each step "

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcore import (ARITY, DomainError, DriverSpec, GFunction1D,
-                    NumericalError, _count, _horizon, charge)
+                    NumericalError, _count, _horizon, _real, charge)
 from .pde import (ControlField, FieldInterpolator, GridPoints, PdeSolution,
                   _time_index, extremal_control)
 
@@ -109,16 +109,16 @@ def _check_run(n_paths, n_steps, seed, t: float, T: float, x: float = 0.0,
                *, step_bytes: int = 16, held: int | None = None,
                draws: int = 1, walk: bool = False) -> tuple[int, int, float]:
     """The one check of a path run, before any work: integral counts >= 1,
-    an integral seed, a finite T > 0, a finite x, 0 <= t < T, then
+    an integral seed, a finite T > 0, finite real t and x, 0 <= t < T, then
     ``step_bytes`` a path-step of ``held`` (default all) paths against
     ``PATH_BYTES_MAX`` and ``draws`` draws, walked as an estimate's if
     ``walk``, against ``PATH_STEPS_MAX``.  Returns (n_paths, n_steps, dt)."""
     n_paths, n_steps = _count("n_paths", n_paths), _count("n_steps", n_steps)
     _seed(seed)
     _horizon("T", T)
-    if not math.isfinite(x):
-        raise DomainError(f"need a finite start point, got x={x}")
-    if not 0.0 <= t < T:  # NaN too
+    _real("start time t", t)
+    _real("start point x", x)
+    if not 0.0 <= t < T:
         raise DomainError(f"need 0 <= t < T, got t={t}, T={T}")
     detail = f"n_paths={n_paths}, n_steps={n_steps}"
     charge("path storage", step_bytes * min(n_paths, held or n_paths)
@@ -347,9 +347,26 @@ class _Variations:
                        and bool(np.isfinite(self.Xhat).all()))
 
 
-def _k_step(G: GFunction1D, a, dq, dt: float):
-    """Increment 0.5 a dQV - G(a) dt of the martingale-defect process K."""
-    return 0.5 * a * dq - G.eval(a) * dt
+def _k_step(G: GFunction1D, a, dq, dt: float, out=None):
+    """Increment 0.5 a dQV - G(a) dt of the martingale-defect process K.
+
+    With ``out``, the operations of ``0.5 * a * dq - G.eval(a) * dt``, in
+    its order, write the increments into ``out`` with no temporary: ``a``
+    and ``dq`` are overwritten as scratch.  Every bit is the same."""
+    if out is None:
+        return 0.5 * a * dq - G.eval(a) * dt
+    np.multiply(a, 0.5, out=out)
+    out *= dq
+    g = np.maximum(a, 0.0, out=dq)
+    g *= G.sigma_high ** 2
+    low = np.negative(a, out=a)
+    np.maximum(low, 0.0, out=low)
+    low *= G.sigma_low ** 2
+    g -= low
+    g *= 0.5
+    g *= dt
+    out -= g
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +717,7 @@ class _Pass:
              s: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """Advance ``walk`` over step k with volatility ``s`` and normals
         ``xi`` per path (``n`` is the field level, ``pts`` where the paths
-        are).  Returns the step's K increments."""
+        are).  Returns the step's K increments, written over ``xi``."""
         fields, x, dt = self.fields, walk.x, self.dt
         sol, tk = fields.sol, self.t0 + k * dt
         y = pts.sample(sol.u[n]) if self.reads_y else None
@@ -719,7 +736,7 @@ class _Pass:
         start = x if "b" in c and "h" in c else x + 0.0
         walk.x = _sum(start, _times(c.get("b"), dt), _times(c.get("h"), dq),
                       db if "sigma" not in c else c["sigma"] * db)
-        return _k_step(self.G, a, dq, dt)
+        return _k_step(self.G, a, dq, dt, out=xi)
 
     def _integrand(self, walk: _Walk, c: dict, tk: float, z, dq) -> None:
         """Add the step's estimator integrand to ``walk.acc``."""
@@ -883,7 +900,7 @@ def _estimate(kind: str, driver: DriverSpec, t: float, x: float,
         nearest = pts.nearest()
         for fork in forks:
             fork.step(run, base, k, n, nearest, buf[k])
-        buf[k] = run.step(base, k, n, pts, sigma[n].take(nearest), buf[k])
+        run.step(base, k, n, pts, sigma[n].take(nearest), buf[k])
         _check_forward(base.x)
     if not base.var.finite:
         raise NumericalError("variational process turned non-finite")
@@ -934,6 +951,7 @@ def estimate_dt(driver: DriverSpec, t: float, x: float, G: GFunction1D,
     """Monte Carlo one-sided time derivatives at (t, x), 0 < t < T, via the
     time-variation process Xbar and the quadratic-variation correction
     g_z Z / (2 (T-t))."""
-    if not (0.0 < t < sol.grid.T):
+    _real("start time t", t)
+    if not 0.0 < t < sol.grid.T:
         raise DomainError(f"time sensitivity needs 0 < t < T, got t={t}")
     return _estimate("t", driver, t, x, G, sol, n_paths, n_steps, seed)

@@ -346,25 +346,87 @@ def test_lone_domain_bound_exits_one(tmp_path):
     assert (xs[0], xs[-1]) == (-2.0, 3.0)
 
 
-def test_cfl_refusal_exits_two(tmp_path):
-    # a pinned nt below the CFL bound is refused, for one level, for the
-    # eps family and for the refined grids of semiconvexity and stability
+def test_cfl_refusal_exits_two(tmp_path, monkeypatch, capsys):
+    # a pinned nt below the CFL bound is refused before any sweep, for one
+    # level, for the eps family and for semiconvexity and stability, whose
+    # coarser levels take it: the user's grid, their finest, refuses it
+    def sweep(*args, **kwargs):
+        raise AssertionError("swept")
+    monkeypatch.setattr(pde, "_backward_steps", sweep)
     for argv in (["solve-pde", "--nt", "10"],
                  ["gbsde", "--nt", "10", "--nx", "101"],
                  ["semiconvexity", "--nt", "10", "--nx", "51"],
-                 ["stability", "--shift", "0.1", "--nt", "10", "--nx", "51"]):
+                 ["stability", "--shift", "0.1", "--nt", "10", "--nx", "53"]):
         rc = _main([*argv, "--output-dir", str(tmp_path / argv[0])])
         assert rc == 2, argv[0]
+        err = capsys.readouterr().err
+        assert "CFL violation: grid.nt=10" in err, argv[0]
+        if "--nx" in argv:
+            assert f"at nx={argv[-1]} " in err, argv[0]
 
 
-def test_refined_grids_scale_a_stable_pinned_nt(tmp_path):
-    # nt=20 is stable at nx=51; the 2x and 4x refinements step at 80 and
-    # 320 levels, as dt must shrink with dx^2 (20 levels there is refused)
-    for argv in (["semiconvexity", "--nt", "20", "--nx", "51"],
-                 ["stability", "--shift", "0.1", "--nt", "20", "--nx", "51"]):
+def test_coarser_levels_keep_a_stable_pin(tmp_path, monkeypatch):
+    # nt=20 is stable at nx=51 and 53, and so on every coarser level, whose
+    # CFL bound grows with dx^2: every sweep steps the pinned 20 levels
+    nts = []
+    steps = pde._backward_steps
+
+    def recorded(driver, grid, Gs, nt, dt, u, **kw):
+        nts.append(nt)
+        return steps(driver, grid, Gs, nt, dt, u, **kw)
+    monkeypatch.setattr(pde, "_backward_steps", recorded)
+    for argv, table, levels in (
+            (["semiconvexity", "--nt", "20", "--nx", "51"], "semiconvexity",
+             [26, 51]),
+            (["stability", "--shift", "0.1", "--nt", "20", "--nx", "53"],
+             "rows", [14, 27, 53])):
+        nts.clear()
         out = tmp_path / argv[0]
         assert _main([*argv, "--output-dir", str(out)]) == 0, argv[0]
         assert _summary(out)["parameters"]["nt"] == 20
+        rows = (out / f"{table}.csv").read_text().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == levels
+        assert nts and set(nts) == {20}, argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", "--shift", "0.1", "--nx", "402"],
+    ["stability", "--shift", "0.1", "--nx", "5"],
+    ["semiconvexity", "--nx", "402"],
+], ids=["stability-402", "stability-5", "semiconvexity-402"])
+def test_grid_the_levels_cannot_coarsen_exits_one_before_any_sweep(
+        tmp_path, monkeypatch, capsys, argv):
+    # stability coarsens the user's grid by 2 and 4, semiconvexity by 2:
+    # nx - 1 must be a multiple of the factor, with 3 nodes left
+    def sweep(*args, **kwargs):
+        raise AssertionError("swept")
+    monkeypatch.setattr(pde, "_backward_steps", sweep)
+    assert _main([*argv, "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"got nx={argv[-1]}" in err and "Traceback" not in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+# the benchmark's stability and semiconvexity commands at nx = 401: the
+# user's grid is their finest level, and its row is pinned byte for byte
+_USER_GRID_ROWS = [
+    (["stability", "--shift", "0.1"], "rows", [101, 201, 401],
+     "401,1.000000000000e-01,1.000000000000e-02,1.000000000000e-02,"
+     "1.000000000000e+00"),
+    (["semiconvexity", "--preset", "abs", "--param", "smoothing=0.1"],
+     "semiconvexity", [201, 401],
+     "401,0.000000000000e+00,1.616652208928e-06,9.711184493201e+00,0"),
+]
+
+
+@pytest.mark.parametrize("argv, table, levels, row", _USER_GRID_ROWS,
+                         ids=["stability", "semiconvexity"])
+def test_user_grid_is_the_finest_level_and_keeps_its_row(tmp_path, argv,
+                                                         table, levels, row):
+    assert _main([*argv, "--assert", "--output-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / f"{table}.csv").read_text().splitlines()[1:]
+    assert [int(r.split(",")[0]) for r in rows] == levels
+    assert rows[-1] == row
 
 
 def test_dense_memory_guard_exits_two(tmp_path):
@@ -542,6 +604,9 @@ def _hostile_argvs() -> list:
                  + (["--n-paths", "256", "--n-steps", "16"]
                     if "n_paths" in reads[sub] else []))
         argvs.append([sub, *sizes, *extra])
+    # grids that the levels of stability and semiconvexity cannot coarsen
+    argvs += [["stability", "--shift", "0.1", "--nx", "402"],
+              ["semiconvexity", "--nx", "402"]]
     return argvs
 
 
@@ -621,20 +686,22 @@ def test_zero_path_steps_exits_one(tmp_path):
 
 
 def test_work_budget_exits_two(tmp_path):
-    # CFL asks for about 4.1M time levels at nx=51 here, and 16.5M at
-    # nx=201 on the last refinement (3.3e9 node-steps); stability streams
-    # its solves, so only the node-step budget, checked for every level
-    # before the first solve, can stop it promptly
+    # CFL asks for about 4.3M time levels at nx=53 here (3.5e10 node-steps
+    # at the per-step floor), and 1.1M and 2.1M on the coarser levels of
+    # 14 and 27 nodes; stability streams its solves, so only the node-step
+    # budget, checked for every level before the first solve and for the
+    # user's grid first, can stop it promptly
     script = textwrap.dedent(f"""
         import sys
         from gbmlab.cli import _main
         sys.exit(_main(["stability", "--shift", "0.1", "--preset", "sine-gz",
-                        "--param", "c=1e6", "--nx", "51", "--output-dir",
+                        "--param", "c=1e6", "--nx", "53", "--output-dir",
                         {str(tmp_path)!r}]))
         """)
     proc = _child(script, timeout=60)
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr
+    assert "nx=53," in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -645,10 +712,11 @@ def test_work_budget_exits_two(tmp_path):
     ["gbsde", "--preset", "sine-gz", "--param", "c=1e6", "--nx", "51"],
     ["convergence", "--preset", "sine-gz", "--param", "c=1e6", "--nx", "51"],
     ["curvature", "--preset", "sine-gz", "--param", "c=1e6", "--nx", "51"],
-    # every level is under the budget counted by nodes alone (2.1e7, 8.2e7
-    # and 3.3e8 node-steps), yet the three levels take about 2.5 min
+    # every level is under the budget counted by nodes alone (3.0e6, 1.2e7
+    # and 4.5e7 node-steps for 14, 27 and 53 nodes), yet the 0.75M steps of
+    # the three levels take about 25 s (about 31 us a step)
     ["stability", "--shift", "0.1", "--preset", "sine-gz", "--param",
-     "c=1e5", "--nx", "51"],
+     "c=1e5", "--nx", "53"],
 ], ids=["gbsde", "convergence", "curvature", "stability"])
 def test_per_step_floor_refuses_long_narrow_solves(tmp_path, argv):
     script = textwrap.dedent(f"""

@@ -466,8 +466,8 @@ def test_stability_constant_shift():
     assert report.stable
 
 
-def test_stability_bump_perturbation():
-    grid = Grid1D(-7.0, 7.0, 101, 1.0)
+def _bump_pair(nx):
+    grid = Grid1D(-7.0, 7.0, nx, 1.0)
     Geps = regularize(G01, 0.1)
     quad = preset_driver("quadratic")
     bump = preset_driver("smooth-bump")
@@ -477,11 +477,23 @@ def test_stability_bump_perturbation():
         phi_x=lambda x: 2.0 * np.asarray(x, dtype=float) + bump.phi_x(x),
         phi_xx=lambda x: 2.0 + bump.phi_xx(x),
         L1=5.0)
-    report = gbsde.stability_check(PdeProblem(grid, quad, Geps),
-                                   PdeProblem(grid, perturbed, Geps), p=1.0)
+    return PdeProblem(grid, quad, Geps), PdeProblem(grid, perturbed, Geps)
+
+
+def test_stability_bump_perturbation():
+    report = gbsde.stability_check(*_bump_pair(401), p=1.0)
+    assert [row[0] for row in report.rows] == [101, 201, 401]
     constants = [row[4] for row in report.rows]
     assert max(constants) < 2.0 * min(constants)
     assert report.stable
+
+
+def test_stability_refuses_a_level_that_misses_the_data():
+    # at nx = 101 the coarsest level has 26 nodes on [-7, 7], none of them
+    # where the bump is nonzero: its delta is 0, and the verdict would rest
+    # on the two finer levels alone
+    with pytest.raises(DomainError, match=r"level nx=26 .*larger --nx"):
+        gbsde.stability_check(*_bump_pair(101), p=1.0)
 
 
 def test_stability_rejects_mismatched_inputs():
@@ -508,8 +520,8 @@ def _dense_stability_rows(problem1, problem2, p, lattice_steps=64,
     g1 = problem1.grid
     xc = 0.5 * (g1.x_min + g1.x_max)
     rows = []
-    for level in range(3):  # the problems' grid and two refinements
-        grid = gbsde._refine(g1, 2 ** level)
+    for factor in (4, 2, 1):  # two coarsenings and the problems' grid
+        grid = gbsde._coarsen(g1, factor, "the reference")
         s1 = solve_terminal_pde(PdeProblem(grid, d1, G), safety=safety)
         s2 = solve_terminal_pde(PdeProblem(grid, d2, G), safety=safety)
         delta = float(np.max(np.abs(s1.u[0] - s2.u[0])))
@@ -558,7 +570,7 @@ def _shifted(driver, shift=0.1):
 
 
 def _stability_pair(case):
-    grid = Grid1D(-6.0, 6.0, 41, 0.5)
+    grid = Grid1D(-6.0, 6.0, 161, 0.5)
     Geps = regularize(G01, 0.1)
     if case == "shift":
         quad = preset_driver("quadratic")

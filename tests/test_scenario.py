@@ -387,6 +387,25 @@ def _reference_estimate(kind, driver, t, x, G, sol, mc):
     return results
 
 
+@pytest.mark.parametrize("G", [G01, regularize(G01, 0.2),
+                               make_gfunction(0.5, 2.0)],
+                         ids=["degenerate", "regularized", "elliptic"])
+@pytest.mark.parametrize("dt", [0.01, 1e-300, 3.0])
+def test_in_place_k_step_equals_the_allocating_expression(G, dt):
+    # every pair of edge values for a and dQV: signed zeros, NaN (both
+    # signs), infinities and subnormals; the in-place step overwrites a
+    # and dq, and its bytes must be the allocating expression's
+    edges = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                      -5e-324, 1e-310, -2.5e-309, 1.0, -2.0, 1e308, -1e308])
+    a, dq = (v.ravel() for v in np.meshgrid(edges, edges))
+    with np.errstate(all="ignore"):
+        ref = 0.5 * a * dq - G.eval(a) * dt
+        out = np.empty_like(a)
+        got = scenario._k_step(G, a.copy(), dq.copy(), dt, out=out)
+    assert got is out
+    assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("preset, params, kind, t, x", [
     ("smooth-bump", {"width": 2.0}, "x", 0.0, 0.5),
     ("abs", {}, "x", 0.0, 0.0),
@@ -806,17 +825,20 @@ def test_simulate_paths_is_charged_before_drawing(no_draw):
 # seed keys the streams mod 2**64), and 2.5 is a horizon
 _HOSTILE = {"count": (2.5, math.nan, math.inf, True, "8", 0, -1),
             "seed": (2.5, math.nan, math.inf, True, "8"),
-            "horizon": (math.nan, math.inf, True, "8", 0, -1)}
+            "horizon": (math.nan, math.inf, True, "8", 0, -1),
+            "real": (math.nan, math.inf, -math.inf, True, "8")}
 _MC = ("n_paths", "n_steps", "seed")
-_PROBED = {"estimate_dx": _MC, "estimate_dt": _MC,
+_PROBED = {"estimate_dx": _MC + ("t", "x"), "estimate_dt": _MC + ("t", "x"),
            "verify_measure_in_Ptx": _MC, "simulate_paths": _MC + ("T",),
            "counterexample_demo": _MC + ("T",), "path_normals": _MC,
-           "Grid1D": ("nx", "nt", "T"),
+           "Grid1D": ("nx", "nt", "T", "x_min", "x_max"),
            "LatticeSpec.for_horizon": ("T", "steps"),
-           "dynamic_programming_check": ("steps",)}
+           "dynamic_programming_check": ("steps", "t1", "t2", "x0")}
 
 
 def _kind(param):
+    if param in ("t", "x", "x_min", "x_max", "t1", "t2", "x0"):
+        return "real"
     return {"seed": "seed", "T": "horizon"}.get(param, "count")
 
 
@@ -831,8 +853,10 @@ def _probe_call(name, sol, **bad):
     control = VolatilityControl.feedback(sol, G01)
     kw = {"n_paths": 16, "n_steps": 4, "seed": 0, **bad}
     calls = {
-        "estimate_dx": lambda: estimate_dx(quad, 0.0, 0.0, G01, sol, **kw),
-        "estimate_dt": lambda: estimate_dt(quad, 0.5, 0.0, G01, sol, **kw),
+        "estimate_dx": lambda: estimate_dx(quad, kw.pop("t", 0.0),
+                                           kw.pop("x", 0.0), G01, sol, **kw),
+        "estimate_dt": lambda: estimate_dt(quad, kw.pop("t", 0.5),
+                                           kw.pop("x", 0.0), G01, sol, **kw),
         "verify_measure_in_Ptx": lambda: verify_measure_in_Ptx(
             control, quad, 0.0, 0.0, G01, sol, **kw),
         "simulate_paths": lambda: simulate_paths(
@@ -842,13 +866,14 @@ def _probe_call(name, sol, **bad):
             kw.pop("T", 1.0), [0.5], **kw),
         "path_normals": lambda: path_normals(kw["seed"], kw["n_paths"],
                                              kw["n_steps"]),
-        "Grid1D": lambda: Grid1D(-1.0, 1.0, bad.get("nx", 11),
+        "Grid1D": lambda: Grid1D(bad.get("x_min", -1.0),
+                                 bad.get("x_max", 1.0), bad.get("nx", 11),
                                  bad.get("T", 1.0), bad.get("nt")),
         "LatticeSpec.for_horizon": lambda: LatticeSpec.for_horizon(
             bad.get("T", 1.0), bad.get("steps", 8), G01),
         "dynamic_programming_check": lambda: gbsde.dynamic_programming_check(
-            PdeProblem(Grid1D(-3.0, 3.0, 31, 1.0), quad, G01), 0.0, 0.5,
-            **bad),
+            PdeProblem(Grid1D(-3.0, 3.0, 31, 1.0), quad, G01),
+            bad.pop("t1", 0.0), bad.pop("t2", 0.5), **bad),
     }
     return calls[name]
 
