@@ -29,8 +29,8 @@ import numpy as np
 
 from .gcore import (ConfigError, CylinderFunctional, DomainError, DriverSpec,
                     GFunction1D, Grid1D, NumericalError, PRESET_NAMES,
-                    _coerce, check_param, make_gfunction, parse_config,
-                    preset_driver, preset_keys, regularize)
+                    _coerce, _count, check_param, make_gfunction,
+                    parse_config, preset_driver, preset_keys, regularize)
 from . import pde as _pde
 from .pde import PdeProblem
 from . import gexpect as _gexpect
@@ -98,6 +98,9 @@ _GRID = ("solve-pde", "gbsde", "convergence", "curvature", "sensitivity-x",
          "sensitivity-t", "kink", "semiconvexity", "dp-check", "stability")
 _PATHS = ("sensitivity-x", "sensitivity-t", "kink")
 _ORACLES = ("gexpect", "cylinder", "doob")
+# the coarsening factors of the levels a check solves on, coarse to fine;
+# every other grid subcommand solves on the configured grid alone (factor 1)
+_LEVELS = {"stability": _gbsde._STABILITY_LEVELS, "semiconvexity": (2, 1)}
 
 
 def _setting(default, section: str, readers: tuple, *flags: str,
@@ -287,6 +290,53 @@ def _check_params(cfg: RunConfig, subcommand: str) -> None:
 # shared pieces
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Built:
+    """What a run builds from its settings before it computes, each once
+    (``_build``); not a setting, so the summary's echo never holds it."""
+
+    driver: DriverSpec | None
+    # the space grids the run solves on, coarse to fine, the last the
+    # configured one; gexpect's grid and a cylinder's stage grids are built
+    # as checks (the oracles build them again from nx)
+    grids: tuple
+    functional: CylinderFunctional | None  # cylinder's and doob's
+    spec: LatticeSpec | None  # doob's lattice
+
+
+def _build(cfg: RunConfig, subcommand: str) -> _Built:
+    """Check the run's settings and build its driver, grids and lattice
+    steps and its path counts, before any computation.  ``--dry-run`` stops
+    here, so it refuses (exit 1) every argv whose grid, coarsened levels,
+    lattice steps or path counts the run refuses; work and memory budgets
+    and CFL pins (exit 2) are the run's."""
+    settings = _settings(subcommand)
+    if "params" in settings:
+        _check_params(cfg, subcommand)
+    G = cfg.gfunction() if "sigma_high" in settings else None
+    driver = cfg.driver() if "preset" in settings else None
+    for name in ("steps", "n_paths", "n_steps"):
+        if name in settings:
+            _count(name, getattr(cfg, name))
+    grids, functional, spec = (), None, None
+    if subcommand in _GRID:
+        grid = cfg.grid()
+        grids = tuple(_gbsde._coarsen(grid, f, subcommand)
+                      for f in _LEVELS.get(subcommand, (1,)))
+    elif subcommand == "gexpect":
+        grids = (Grid1D.default_for(0.0, cfg.T, G, nx=cfg.nx),)
+    elif subcommand == "cylinder":
+        functional = CylinderFunctional(cfg.times, _PSI_CATALOG[cfg.psi],
+                                        name=cfg.psi)
+        grids = _gexpect.default_stage_grids(functional, G, nx=cfg.nx)
+    elif subcommand == "doob":
+        fractions, psi = _XI_CATALOG[cfg.xi]
+        functional = CylinderFunctional(tuple(f * cfg.T for f in fractions),
+                                        psi, name=cfg.xi)
+        spec = LatticeSpec.for_horizon(cfg.T, cfg.steps, G)
+    return _Built(driver, grids, functional, spec)
+
+
 def _regularized_G(cfg: RunConfig) -> GFunction1D:
     G = cfg.gfunction()
     if G.degenerate:
@@ -294,14 +344,14 @@ def _regularized_G(cfg: RunConfig) -> GFunction1D:
     return G
 
 
-def _problem(cfg: RunConfig, G: GFunction1D) -> PdeProblem:
-    """The configured driver and grid under ``G``."""
-    return PdeProblem(cfg.grid(), cfg.driver(), G)
+def _problem(built: _Built, G: GFunction1D) -> PdeProblem:
+    """The run's driver on its configured grid under ``G``."""
+    return PdeProblem(built.grids[-1], built.driver, G)
 
 
-def _solve(cfg: RunConfig):
+def _solve(cfg: RunConfig, built: _Built):
     """(problem, solution) of the configured single-level PDE."""
-    problem = _problem(cfg, _regularized_G(cfg))
+    problem = _problem(built, _regularized_G(cfg))
     return problem, _pde.solve_terminal_pde(problem, safety=cfg.cfl_safety)
 
 
@@ -309,10 +359,9 @@ def _solve(cfg: RunConfig):
 # experiment implementations: each returns (values, verdicts, tables, line)
 # ---------------------------------------------------------------------------
 
-def _run_gexpect(cfg: RunConfig):
+def _run_gexpect(cfg: RunConfig, built: _Built):
     G = cfg.gfunction()
-    driver = cfg.driver()
-    value = _gexpect.gexpect_terminal(driver, cfg.T, G, nx=cfg.nx,
+    value = _gexpect.gexpect_terminal(built.driver, cfg.T, G, nx=cfg.nx,
                                       safety=cfg.cfl_safety)
     values = dict(value=value, payoff=cfg.preset)
     table = (("payoff", "sigma_low", "sigma_high", "T", "value"),
@@ -320,11 +369,9 @@ def _run_gexpect(cfg: RunConfig):
     return values, {}, {"value": table}, f"value={value:.6f}"
 
 
-def _run_cylinder(cfg: RunConfig):
-    G = cfg.gfunction()
-    X = CylinderFunctional(cfg.times, _PSI_CATALOG[cfg.psi], name=cfg.psi)
-    value = _gexpect.gexpect_cylinder(X, G, nx=cfg.nx,
-                                      safety=cfg.cfl_safety)
+def _run_cylinder(cfg: RunConfig, built: _Built):
+    value = _gexpect.gexpect_cylinder(built.functional, cfg.gfunction(),
+                                      nx=cfg.nx, safety=cfg.cfl_safety)
     values = dict(value=value, psi=cfg.psi,
                   times=list(float(t) for t in cfg.times))
     table = (("psi", "times", "value"),
@@ -332,13 +379,9 @@ def _run_cylinder(cfg: RunConfig):
     return values, {}, {"value": table}, f"value={value:.6f}"
 
 
-def _run_doob(cfg: RunConfig):
-    G = cfg.gfunction()
-    fractions, psi = _XI_CATALOG[cfg.xi]
-    xi = CylinderFunctional(tuple(f * cfg.T for f in fractions), psi,
-                            name=cfg.xi)
-    spec = LatticeSpec.for_horizon(cfg.T, cfg.steps, G)
-    report = _gexpect.doob_check(xi, cfg.p, cfg.p_prime, G, spec)
+def _run_doob(cfg: RunConfig, built: _Built):
+    report = _gexpect.doob_check(built.functional, cfg.p, cfg.p_prime,
+                                 cfg.gfunction(), built.spec)
     values = dict(C=report.C, lhs=report.lhs, rhs=report.rhs,
                   margin=report.margin)
     verdicts = dict(margin_nonnegative=bool(report.margin >= 0.0))
@@ -350,8 +393,8 @@ def _run_doob(cfg: RunConfig):
     return values, verdicts, {"doob": table}, line
 
 
-def _run_solve_pde(cfg: RunConfig):
-    problem = _problem(cfg, _regularized_G(cfg))
+def _run_solve_pde(cfg: RunConfig, built: _Built):
+    problem = _problem(built, _regularized_G(cfg))
     # the export is refused before the solve, from the solve's nt
     nt = _pde._time_steps(problem.grid, (problem.G,), problem.driver,
                           cfg.cfl_safety)[0]
@@ -368,16 +411,16 @@ def _run_solve_pde(cfg: RunConfig):
     return values, {}, {}, line
 
 
-def _family(cfg: RunConfig, *, curvature: bool = False
+def _family(cfg: RunConfig, built: _Built, *, curvature: bool = False
             ) -> _gbsde.BsdeSolutionFamily:
     """The configured eps family at t = 0 (no dense fields)."""
-    return _gbsde.solve_gbsde(_problem(cfg, cfg.gfunction()),
+    return _gbsde.solve_gbsde(_problem(built, cfg.gfunction()),
                               cfg.eps_schedule, safety=cfg.cfl_safety,
                               curvature=curvature)
 
 
-def _run_gbsde(cfg: RunConfig):
-    fam = _family(cfg)
+def _run_gbsde(cfg: RunConfig, built: _Built):
+    fam = _family(cfg, built)
     u0 = fam.u0_at(cfg.x)
     deltas = fam.deltas
     rows = []
@@ -393,8 +436,8 @@ def _run_gbsde(cfg: RunConfig):
         f"u0(0,{cfg.x:g})={u0:.6f} levels={len(fam.eps_schedule)}"
 
 
-def _run_convergence(cfg: RunConfig):
-    fam = _family(cfg)
+def _run_convergence(cfg: RunConfig, built: _Built):
+    fam = _family(cfg, built)
     rep = _gbsde.convergence_report(fam)
     values = dict(rate_exponent=rep.rate_exponent, fitted_C=rep.fitted_C)
     verdicts = dict(no_violation=not rep.any_violation)
@@ -405,8 +448,8 @@ def _run_convergence(cfg: RunConfig):
     return values, verdicts, {"pairs": table}, line
 
 
-def _run_curvature(cfg: RunConfig):
-    fam = _family(cfg, curvature=True)
+def _run_curvature(cfg: RunConfig, built: _Built):
+    fam = _family(cfg, built, curvature=True)
     scan = _gbsde.second_derivative_scan(fam)
     values = dict(min_uxx=list(scan.min_uxx))
     verdicts = dict(bounded=bool(scan.bounded))
@@ -415,8 +458,8 @@ def _run_curvature(cfg: RunConfig):
         f"min_uxx={['%.4f' % m for m in scan.min_uxx]} bounded={scan.bounded}"
 
 
-def _sensitivity_common(cfg: RunConfig, kind: str):
-    problem, sol = _solve(cfg)
+def _sensitivity_common(cfg: RunConfig, built: _Built, kind: str):
+    problem, sol = _solve(cfg, built)
     j = int(np.argmin(np.abs(sol.xs - cfg.x)))
     estimate = _scenario.estimate_dx if kind == "x" else _scenario.estimate_dt
     est = estimate(problem.driver, cfg.t, float(sol.xs[j]), problem.G, sol,
@@ -448,8 +491,8 @@ def _sensitivity_common(cfg: RunConfig, kind: str):
     return values, verdicts, {"sensitivity": table}, line
 
 
-def _run_kink(cfg: RunConfig):
-    problem, sol = _solve(cfg)
+def _run_kink(cfg: RunConfig, built: _Built):
+    problem, sol = _solve(cfg, built)
     driver, grid = problem.driver, problem.grid
     est = _scenario.estimate_dx(driver, cfg.t, cfg.x, problem.G, sol,
                                 **cfg.mc())
@@ -474,18 +517,16 @@ def _run_kink(cfg: RunConfig):
     return values, verdicts, {"kink": table}, line
 
 
-def _run_semiconvexity(cfg: RunConfig):
+def _run_semiconvexity(cfg: RunConfig, built: _Built):
     G = _regularized_G(cfg)
-    driver = cfg.driver()
     # the grid coarsened by 2, then the user's; every level's time steps,
     # and with them its work budget, are settled before the first scan
-    grids = [_gbsde._coarsen(cfg.grid(), f, "semiconvexity") for f in (2, 1)]
-    for grid in reversed(grids):
-        _pde._time_steps(grid, (G,), driver, cfg.cfl_safety)
+    for grid in reversed(built.grids):
+        _pde._time_steps(grid, (G,), built.driver, cfg.cfl_safety)
     rows = []
     reports = []
-    for grid in grids:
-        problem = PdeProblem(grid, driver, G)
+    for grid in built.grids:
+        problem = PdeProblem(grid, built.driver, G)
         rep = _gbsde.semiconvexity_scan(problem, safety=cfg.cfl_safety)
         reports.append(rep)
         rows.append((problem.grid.nx, rep.C, rep.min_second_diff,
@@ -503,8 +544,8 @@ def _run_semiconvexity(cfg: RunConfig):
         f"C={c1:.6g} -> {c2:.6g} stable={stable}"
 
 
-def _run_dp_check(cfg: RunConfig):
-    problem = _problem(cfg, _regularized_G(cfg))
+def _run_dp_check(cfg: RunConfig, built: _Built):
+    problem = _problem(built, _regularized_G(cfg))
     rep = _gbsde.dynamic_programming_check(problem, cfg.t1, cfg.t2,
                                            x0=cfg.x, steps=cfg.steps,
                                            safety=cfg.cfl_safety)
@@ -519,7 +560,7 @@ def _run_dp_check(cfg: RunConfig):
         f"residual={rep.residual:.2e}"
 
 
-def _run_counterexample(cfg: RunConfig):
+def _run_counterexample(cfg: RunConfig, built: _Built):
     rep = _gbsde.counterexample_demo(cfg.T, cfg.eps_schedule, **cfg.mc(),
                                      **cfg.params)
     values = dict(slope=rep.slope, slope_target=rep.slope_target,
@@ -532,10 +573,9 @@ def _run_counterexample(cfg: RunConfig):
     return values, verdicts, {"rows": table}, line
 
 
-def _run_stability(cfg: RunConfig):
+def _run_stability(cfg: RunConfig, built: _Built):
     G = _regularized_G(cfg)
-    d1 = cfg.driver()
-    grid = cfg.grid()
+    d1, grid = built.driver, built.grids[-1]
     if cfg.preset_b is not None:
         d2 = cfg.driver(cfg.preset_b)
     elif cfg.shift is not None:
@@ -572,9 +612,9 @@ _SUBCOMMANDS = {
                     "consecutive-level deltas against the eps bound"),
     "curvature": (_run_curvature,
                   "per-eps minimum of the second space derivative"),
-    "sensitivity-x": (lambda cfg: _sensitivity_common(cfg, "x"),
+    "sensitivity-x": (lambda cfg, built: _sensitivity_common(cfg, built, "x"),
                       "MC one-sided space derivatives at a probe point"),
-    "sensitivity-t": (lambda cfg: _sensitivity_common(cfg, "t"),
+    "sensitivity-t": (lambda cfg, built: _sensitivity_common(cfg, built, "t"),
                       "MC time derivative at a probe point"),
     "kink": (_run_kink, "one-sided derivative gap at a payoff kink"),
     "semiconvexity": (_run_semiconvexity,
@@ -641,18 +681,12 @@ def run(argv) -> int:
     cfg = _merge_config(ns.config, ns, ns.subcommand)
     if cfg.output_dir is None:
         cfg.output_dir = os.path.join("runs", ns.subcommand)
-    # validate the derived objects before any computation
-    settings = _settings(ns.subcommand)
-    if "params" in settings:
-        _check_params(cfg, ns.subcommand)
-    if "sigma_high" in settings:
-        cfg.gfunction()
-    if "preset" in settings:
-        cfg.driver()
+    built = _build(cfg, ns.subcommand)
     if ns.dry_run:
         print(f"{ns.subcommand}: dry-run ok")
         return 0
-    values, verdicts, tables, line = _SUBCOMMANDS[ns.subcommand][0](cfg)
+    values, verdicts, tables, line = _SUBCOMMANDS[ns.subcommand][0](cfg,
+                                                                    built)
     write_report(cfg.output_dir, ns.subcommand, cfg.echo(ns.subcommand),
                  values, verdicts, tables)
     print(f"{ns.subcommand}: {line} [artifacts in {cfg.output_dir}]")

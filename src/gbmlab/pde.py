@@ -19,6 +19,7 @@ the terms it sets (``DriverSpec.live``).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -211,10 +212,18 @@ class DerivativeFields:
 
 @dataclass(frozen=True)
 class ControlField:
-    """Bang-bang volatility field sigma*(t, x) with its tie mask."""
+    """Bang-bang volatility field sigma*(t, x) as one-byte masks: ``high``
+    where sigma* is sigma_high, and the tie mask ``ambiguous``."""
 
-    sigma_star: np.ndarray
+    high: np.ndarray
     ambiguous: np.ndarray
+    G: GFunction1D
+
+    @functools.cached_property
+    def sigma_star(self) -> np.ndarray:
+        """sigma* as floats, worked out from ``high`` on first read (8 bytes
+        a node, which no path step reads)."""
+        return sigma_of(self.high, self.G)
 
 
 def _time_index(ts: np.ndarray, t: float) -> int:
@@ -591,20 +600,30 @@ def _tie_tol(a: np.ndarray) -> float:
     return 1e-10 * max(top, 1e-300)
 
 
+def sigma_of(high: np.ndarray, G: GFunction1D) -> np.ndarray:
+    """The volatility of a bang-bang mask: sigma_high where ``high``,
+    sigma_low elsewhere."""
+    return np.where(high, G.sigma_high, G.sigma_low)
+
+
 def _sigma_star(a: np.ndarray, tie_tol: float, G: GFunction1D) -> np.ndarray:
     """sigma_high where a >= -tie_tol, sigma_low elsewhere."""
     # a > tie_tol or a tie: sigma_high; a NaN gets sigma_low either way
-    return np.where(a >= -tie_tol, G.sigma_high, G.sigma_low)
+    return sigma_of(a >= -tie_tol, G)
 
 
 def extremal_control(sol: PdeSolution, G: GFunction1D) -> ControlField:
     """Pointwise maximizing volatility: sigma_high where the generator
     argument is positive, sigma_low where negative, sigma_high (flagged) at
-    ties, |a| <= 1e-10 max |a|."""
+    ties, |a| <= 1e-10 max |a|.  Holds two one-byte masks and makes no
+    float temporary: a tie is -tie_tol <= a <= tie_tol, which is
+    |a| <= tie_tol for every a, NaN and the infinities included."""
     a = sol.a_field
     tie_tol = _tie_tol(a)
-    return ControlField(sigma_star=_sigma_star(a, tie_tol, G),
-                        ambiguous=np.abs(a) <= tie_tol)
+    high = a >= -tie_tol
+    ambiguous = np.less_equal(a, tie_tol)
+    ambiguous &= high
+    return ControlField(high=high, ambiguous=ambiguous, G=G)
 
 
 class GridPoints:

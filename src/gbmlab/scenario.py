@@ -20,7 +20,9 @@ term of f or g takes them.  It evaluates each live driver coefficient
 once, advances X, log Gamma, Xhat (and Xbar for the time derivative) as
 running per-path vectors, accumulates the estimator integrand and writes
 the K increments over the row of normals it has read, so an estimate
-holds one (n_steps, n_paths) buffer.  Which terms are live
+holds one (n_steps, n_paths) buffer.  The feedback controls are one-byte
+masks over the solution's nodes; a step reads the volatility of each
+path's nearest node from its control's mask.  Which terms are live
 (``DriverSpec.live``) is decided once per estimate (``_Pass``), and Gamma
 and Xhat stay 1 when none of theirs is.  Every entry point checks its
 inputs and charges the path budgets once, before any work
@@ -44,6 +46,7 @@ estimates equal bit for bit.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -53,15 +56,22 @@ import numpy as np
 from .gcore import (ARITY, DomainError, DriverSpec, GFunction1D,
                     NumericalError, _count, _horizon, _real, charge)
 from .pde import (ControlField, FieldInterpolator, GridPoints, PdeSolution,
-                  _time_index, extremal_control)
+                  _time_index, extremal_control, sigma_of)
 
 
 # ---------------------------------------------------------------------------
 # PRNG and reductions
 # ---------------------------------------------------------------------------
 
-# paths per block of the step-major (n_steps, n_paths) buffers
-_BLOCK = 1024
+# bytes of one block of paths of the step-major (n_steps, n_paths) buffers
+# (256 paths at 256 steps): a block is copied to or from path-major rows
+_BLOCK_BYTES = 2 ** 19
+
+
+def _block(n_steps: int) -> int:
+    """Paths per block of an (n_steps, n_paths) buffer, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * n_steps))
+
 
 # Largest path arrays one run may allocate, charged at 16 bytes a
 # path-step.  That bounds an estimate's normals (8 bytes a path-step),
@@ -161,8 +171,9 @@ def _normals_by_step(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     """``path_normals`` laid out step-major, ``xi[k, i]``, so that a step
     reads one contiguous row; drawn in blocks of paths."""
     xi = np.empty((n_steps, n_paths))
-    for lo in range(0, n_paths, _BLOCK):
-        hi = min(lo + _BLOCK, n_paths)
+    block = _block(n_steps)
+    for lo in range(0, n_paths, block):
+        hi = min(lo + block, n_paths)
         xi[:, lo:hi] = path_normals(seed, hi - lo, n_steps, lo).T
     return xi
 
@@ -211,7 +222,9 @@ class ControlKind(enum.Enum):
 @dataclass(frozen=True)
 class VolatilityControl:
     """Admissible volatility selection; values stay in [sigma_low, sigma_high]
-    of the governing generator."""
+    of the governing generator.  A FEEDBACK control holds its field as a
+    one-byte mask, ``field_high``: sigma_high where it is set, sigma_low
+    elsewhere."""
 
     kind: ControlKind
     G: GFunction1D
@@ -219,7 +232,7 @@ class VolatilityControl:
     value: float | None = None
     times: tuple | None = None
     values: tuple | None = None
-    field_sigma: np.ndarray | None = None
+    field_high: np.ndarray | None = None
     field_ts: np.ndarray | None = None
     field_xs: np.ndarray | None = None
 
@@ -254,14 +267,24 @@ class VolatilityControl:
     def _feedbacks(cls, sol: PdeSolution, G: GFunction1D, cf: ControlField,
                    flip: bool) -> list:
         """The feedback control on the field ``cf`` and, if ``flip``, the
-        one with the tied nodes at sigma_low: one field, both controls."""
-        sigmas = [cf.sigma_star]
+        one with the tied nodes at sigma_low: one mask each, no float
+        field."""
+        masks = [cf.high]
         if flip:
-            sigmas.append(cf.sigma_star.copy())
-            sigmas[1][cf.ambiguous] = G.sigma_low
-        return [cls(kind=ControlKind.FEEDBACK, G=G, field_sigma=sigma,
+            flipped = np.logical_not(cf.ambiguous)
+            flipped &= cf.high
+            masks.append(flipped)
+        return [cls(kind=ControlKind.FEEDBACK, G=G, field_high=high,
                     field_ts=sol.ts, field_xs=sol.xs, label=label)
-                for sigma, label in zip(sigmas, ("feedback", "feedback-flip"))]
+                for high, label in zip(masks, ("feedback", "feedback-flip"))]
+
+    @functools.cached_property
+    def field_sigma(self) -> np.ndarray | None:
+        """A FEEDBACK control's volatility field as floats (None for the
+        others), worked out on first read; the path steps read the mask."""
+        if self.field_high is None:
+            return None
+        return sigma_of(self.field_high, self.G)
 
     def sigma_at(self, t: float, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -271,7 +294,12 @@ class VolatilityControl:
             i = int(np.searchsorted(self.times, t + 1e-12, side="right") - 1)
             return np.full_like(x, self.values[max(i, 0)])
         n = _time_index(self.field_ts, t)
-        return self.field_sigma[n, GridPoints(self.field_xs, x).nearest()]
+        return self.sigma_near(n, GridPoints(self.field_xs, x).nearest())
+
+    def sigma_near(self, n: int, nearest: np.ndarray) -> np.ndarray:
+        """A FEEDBACK control's volatility at level ``n`` of its field, at
+        the nodes ``nearest``."""
+        return sigma_of(self.field_high[n].take(nearest), self.G)
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +832,12 @@ class _Fork:
     def __init__(self, control: VolatilityControl, base: VolatilityControl,
                  walk: _Walk, n_paths: int):
         self.control = control
-        self.differs = control.field_sigma != base.field_sigma
+        # where the two controls' volatilities differ: where the masks do,
+        # unless the two bounds are one volatility
+        G = control.G
+        self.differs = np.zeros(base.field_high.shape, dtype=bool) \
+            if G.sigma_low == G.sigma_high \
+            else control.field_high != base.field_high
         self.level_differs = self.differs.any(axis=1)
         self.walk = walk
         self.forked = np.zeros(n_paths, dtype=bool)
@@ -831,7 +864,7 @@ class _Fork:
         if walk.idx.size == 0:
             return
         pts = GridPoints(run.fields.xs, walk.x)
-        s = self.control.field_sigma[n].take(pts.nearest())
+        s = self.control.sigma_near(n, pts.nearest())
         self.dk.append((k, run.step(walk, k, n, pts, s, xi[walk.idx])))
         finite = np.isfinite(walk.x)
         if not finite.all():
@@ -861,8 +894,9 @@ def _k_totals(dk: np.ndarray, paths: np.ndarray | None = None,
     """
     n = dk.shape[1] if paths is None else paths.size
     out = np.empty(n)
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
+    block = _block(dk.shape[0])
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
         steps = dk[:, lo:hi] if paths is None \
             else dk.take(paths[lo:hi], axis=1)
         for k, values in tail:
@@ -892,7 +926,6 @@ def _estimate(kind: str, driver: DriverSpec, t: float, x: float,
     run = _Pass(kind, driver, G, fields, t, dt)
     t_end = sol.grid.T if kind == "t" else None
     base = _Walk(np.arange(n_paths), x, t, t_end)
-    sigma = controls[0].field_sigma
     forks = [_Fork(c, controls[0], _Walk(base.idx[:0], x, t, t_end), n_paths)
              for c in controls[1:]]
     for k in range(n_steps):
@@ -900,7 +933,7 @@ def _estimate(kind: str, driver: DriverSpec, t: float, x: float,
         nearest = pts.nearest()
         for fork in forks:
             fork.step(run, base, k, n, nearest, buf[k])
-        run.step(base, k, n, pts, sigma[n].take(nearest), buf[k])
+        run.step(base, k, n, pts, controls[0].sigma_near(n, nearest), buf[k])
         _check_forward(base.x)
     if not base.var.finite:
         raise NumericalError("variational process turned non-finite")

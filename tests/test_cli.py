@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import gbmlab
-from gbmlab import cli, gbsde, pde
+from gbmlab import cli, gbsde, pde, scenario
 from gbmlab.cli import _main
 from gbmlab.gbsde import dynamic_programming_check
 from gbmlab.gcore import (PRESET_NAMES, Grid1D, make_gfunction, preset_driver,
@@ -246,8 +246,8 @@ def test_a_non_finite_summary_value_exits_two_and_writes_nothing(
         tmp_path, monkeypatch, capsys, bad):
     run, helptext = cli._SUBCOMMANDS["gexpect"]
 
-    def patched(cfg):
-        values, verdicts, tables, line = run(cfg)
+    def patched(cfg, built):
+        values, verdicts, tables, line = run(cfg, built)
         values["value"] = [1.0, bad]
         return values, verdicts, tables, line
     monkeypatch.setitem(cli._SUBCOMMANDS, "gexpect", (patched, helptext))
@@ -405,6 +405,30 @@ def test_grid_the_levels_cannot_coarsen_exits_one_before_any_sweep(
     err = capsys.readouterr().err
     assert f"got nx={argv[-1]}" in err and "Traceback" not in err
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", "--shift", "0.1", "--nx", "402"],
+    ["semiconvexity", "--nx", "402"],
+    ["solve-pde", "--nx", "2"],
+    ["gexpect", "--nx", "2"],
+    ["cylinder", "--nx", "2"],
+    ["dp-check", "--steps", "0"],
+    ["doob", "--steps", "0"],
+    ["kink", "--n-paths", "0"],
+    ["counterexample", "--n-paths", "0"],
+], ids=lambda argv: "-".join(argv).replace("--", ""))
+def test_dry_run_refuses_what_the_run_refuses(tmp_path, monkeypatch, argv):
+    # the grid, the coarser levels, the lattice steps and the path counts
+    # are built before --dry-run returns, and before any sweep or draw
+    def work(*args, **kwargs):
+        raise AssertionError("computed")
+    monkeypatch.setattr(pde, "_backward_steps", work)
+    monkeypatch.setattr(scenario, "path_normals", work)
+    for dry in ([], ["--dry-run"]):
+        out = tmp_path / f"out{len(dry)}"
+        assert _main([*argv, *dry, "--output-dir", str(out)]) == 1, dry
+        assert not out.exists()
 
 
 # the benchmark's stability and semiconvexity commands at nx = 401: the
@@ -641,6 +665,23 @@ def test_hostile_argvs_exit_cleanly(tmp_path):
     proc = _child(script, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout) == []
+
+
+def test_estimate_on_a_grid_inside_the_dense_budget_runs(tmp_path):
+    # 46191 levels x 2800 nodes: the dense fields take 1.93 GiB, inside
+    # pde.DENSE_BYTES_MAX; the controls add one-byte masks, where a float
+    # copy of each (0.96 GiB) would pass the address-space cap
+    script = textwrap.dedent(f"""
+        import resource, sys
+        cap = 3 * 2 ** 30
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        from gbmlab.cli import _main
+        sys.exit(_main(["kink", "--nx", "2800", "--n-paths", "64",
+                        "--n-steps", "8", "--output-dir", {str(tmp_path)!r}]))
+        """)
+    proc = _child(script, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
 
 
 def test_infinite_horizon_exits_one(tmp_path):

@@ -684,6 +684,59 @@ def test_time_pass_builds_no_slope_field():
     assert peak < sol.u.nbytes / 8
 
 
+def _edge_fields() -> list:
+    """Generator-argument rows at the edges of the tie rule: +-0, the
+    tolerance 1e-10 max|a| exactly and one ulp either side, subnormals,
+    and, each in a field of its own, infinities (an infinite tolerance)
+    and a NaN (a NaN tolerance)."""
+    def edges(tol):
+        near = [np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0)]
+        return near + [-v for v in near]
+
+    # max|a| = 1, and below 1e-300, where the tolerance's floor holds
+    tiny = 1e-10 * 1e-300
+    return [[0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 5e-324, -5e-324, 1e-310,
+             -2.2e-308, *edges(1e-10)],
+            [0.0, -0.0, 5e-324, -5e-324, 1e-305, -1e-306, *edges(tiny)],
+            [0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 5e-324, -5e-324],
+            [0.0, -0.0, np.nan, 1.0, -1.0, 5e-324, -1e-10]]
+
+
+@pytest.mark.parametrize("G", [G01, make_gfunction(0.3, 1.2),
+                               make_gfunction(1.0, 1.0)],
+                         ids=["degenerate", "band", "equal-bounds"])
+@pytest.mark.parametrize("row", _edge_fields(),
+                         ids=["finite", "below-floor", "inf", "nan"])
+def test_control_masks_equal_the_float_fields_at_the_edges(G, row):
+    # the masks and every volatility worked out from them against the
+    # float expressions they replace, bit for bit
+    a = np.array([row, row[::-1]])
+    grid = Grid1D(-1.0, 1.0, a.shape[1], 1.0)
+    sol = pde.PdeSolution(u=np.zeros_like(a), a_field=a, grid=grid,
+                          driver=preset_driver("quadratic"), G=G,
+                          dx=grid.dx, dt=0.5)
+    tol = pde._tie_tol(a)
+    high = a >= -tol
+    ambiguous = np.abs(a) <= tol
+    sigma = np.where(high, G.sigma_high, G.sigma_low)
+    flip = sigma.copy()
+    flip[ambiguous] = G.sigma_low
+    cf = pde.extremal_control(sol, G)
+    assert cf.high.tobytes() == high.tobytes()
+    assert cf.ambiguous.tobytes() == ambiguous.tobytes()
+    assert cf.sigma_star.tobytes() == sigma.tobytes()
+    controls = VolatilityControl._feedbacks(sol, G, cf, True)
+    x = np.linspace(-1.3, 1.3, 3 * a.shape[1])
+    for control, field in zip(controls, (sigma, flip)):
+        assert control.field_sigma.tobytes() == field.tobytes()
+        for n, t in enumerate(sol.ts):
+            want = field[n, GridPoints(sol.xs, x).nearest()]
+            assert control.sigma_at(t, x).tobytes() == want.tobytes()
+    fork = scenario._Fork(controls[1], controls[0],
+                          scenario._Walk(np.arange(0), 0.0, 0.0, None), 4)
+    assert fork.differs.tobytes() == (flip != sigma).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # time sensitivity
 # ---------------------------------------------------------------------------
@@ -951,3 +1004,19 @@ def test_estimate_holds_one_path_buffer(preset, kind, t):
     estimate = estimate_dx if kind == "x" else estimate_dt
     peak = traced_peak(lambda: estimate(driver, t, 0.0, G, sol, **mc))
     assert peak < 1.75 * 8 * mc["n_paths"] * mc["n_steps"]
+
+
+@pytest.mark.parametrize("preset, kind, t", [("abs", "x", 0.0),
+                                             ("sine-gz", "t", 0.5)])
+def test_estimate_holds_one_byte_controls(preset, kind, t):
+    # a grid large beside the paths: beyond the solution, the path buffer
+    # and the one block of normals drawn at a time (here all paths), the
+    # controls may take four one-byte fields a node-level; a float copy of
+    # one would take eight
+    G = regularize(G01, 0.2)
+    driver = preset_driver(preset)
+    sol = _solve(driver, G=G, nx=401)
+    mc = dict(n_paths=1024, n_steps=16, seed=0)
+    estimate = estimate_dx if kind == "x" else estimate_dt
+    peak = traced_peak(lambda: estimate(driver, t, 0.0, G, sol, **mc))
+    assert peak < 2 * 8 * mc["n_paths"] * mc["n_steps"] + 4 * sol.u.size
