@@ -325,6 +325,7 @@ def _build(cfg: RunConfig, subcommand: str) -> _Built:
                       for f in _LEVELS.get(subcommand, (1,)))
     elif subcommand == "gexpect":
         grids = (Grid1D.default_for(0.0, cfg.T, G, nx=cfg.nx),)
+        _gexpect._pure_payoff(driver)
     elif subcommand == "cylinder":
         functional = CylinderFunctional(cfg.times, _PSI_CATALOG[cfg.psi],
                                         name=cfg.psi)
@@ -334,6 +335,17 @@ def _build(cfg: RunConfig, subcommand: str) -> _Built:
         functional = CylinderFunctional(tuple(f * cfg.T for f in fractions),
                                         psi, name=cfg.xi)
         spec = LatticeSpec.for_horizon(cfg.T, cfg.steps, G)
+        _gexpect._doob_exponents(cfg.p, cfg.p_prime)
+    # the rules the library's entry points check before their work
+    if subcommand in _PATHS:
+        _scenario._start_time(cfg.t, grids[-1].T,
+                              positive=subcommand == "sensitivity-t")
+    elif subcommand == "stability":
+        if cfg.preset_b is None and cfg.shift is None:
+            raise ConfigError("stability needs --preset-b or --shift")
+        _gbsde._stability_exponent(cfg.p)
+    elif subcommand == "dp-check":
+        _gbsde._dp_window(cfg.t1, cfg.t2, grids[-1].T)
     return _Built(driver, grids, functional, spec)
 
 
@@ -578,14 +590,12 @@ def _run_stability(cfg: RunConfig, built: _Built):
     d1, grid = built.driver, built.grids[-1]
     if cfg.preset_b is not None:
         d2 = cfg.driver(cfg.preset_b)
-    elif cfg.shift is not None:
+    else:  # _build refuses a run with neither
         shift = float(cfg.shift)
         phi1 = d1.phi
         d2 = dataclasses.replace(
             d1, name=f"{d1.name}+{shift:g}",
             phi=lambda xv, _p=phi1, _s=shift: np.asarray(_p(xv)) + _s)
-    else:
-        raise ConfigError("stability needs --preset-b or --shift")
     rep = _gbsde.stability_check(PdeProblem(grid, d1, G),
                                  PdeProblem(grid, d2, G), cfg.p,
                                  lattice_steps=cfg.steps * 8,

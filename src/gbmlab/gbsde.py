@@ -364,6 +364,12 @@ def _power(what: str, base: float, p: float) -> float:
     return power
 
 
+def _stability_exponent(p: float) -> None:
+    """DomainError unless p is a finite number >= 1."""
+    if not (math.isfinite(p) and p >= 1.0):
+        raise DomainError(f"stability check needs a finite p >= 1, got {p}")
+
+
 def stability_check(problem1, problem2, p: float = 1.0, *,
                     lattice_steps: int = 64,
                     safety: float = 0.9) -> StabilityReport:
@@ -388,8 +394,7 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
     object) is stepped as one two-row sweep, each row bit for bit the row
     of its own sweep; any other pair gets two sweeps.
     """
-    if not (math.isfinite(p) and p >= 1.0):
-        raise DomainError(f"stability check needs a finite p >= 1, got {p}")
+    _stability_exponent(p)
     g1, g2 = problem1.grid, problem2.grid
     if (g1.x_min, g1.x_max, g1.nx, g1.T) != (g2.x_min, g2.x_max, g2.nx, g2.T):
         raise DomainError("stability check needs both problems on one grid")
@@ -490,6 +495,15 @@ class DpCheckReport:
     residual: float
 
 
+def _dp_window(t1: float, t2: float, T: float) -> None:
+    """DomainError unless t1 and t2 are finite reals with
+    0 <= t1 <= t2 <= T."""
+    _real("t1", t1)
+    _real("t2", t2)
+    if not (0.0 <= t1 <= t2 <= T):
+        raise DomainError(f"need 0 <= t1 <= t2 <= T, got ({t1}, {t2})")
+
+
 def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
                               steps: int = 64, safety: float = 0.9
                               ) -> DpCheckReport:
@@ -500,11 +514,8 @@ def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
     raises :class:`DomainError`.  A lattice over the
     ``gexpect.DP_NODE_STEPS_MAX`` work budget raises
     :class:`NumericalError` before the PDE solve."""
-    grid = problem.grid
-    for name, value in (("t1", t1), ("t2", t2), ("x0", x0)):
-        _real(name, value)
-    if not (0.0 <= t1 <= t2 <= grid.T):
-        raise DomainError(f"need 0 <= t1 <= t2 <= T, got ({t1}, {t2})")
+    _dp_window(t1, t2, problem.grid.T)
+    _real("x0", x0)
     d = problem.driver
     for nm, default in (("b", 0), ("h", 0), ("sigma", 1)):
         if nm in d.live:

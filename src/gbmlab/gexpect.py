@@ -276,6 +276,15 @@ def _resolve_payoff(phi) -> DriverSpec:
     return payoff_driver(phi, name="terminal", L1=l1)
 
 
+def _pure_payoff(driver: DriverSpec) -> None:
+    """DomainError unless ``driver`` is a pure payoff, whose form is
+    ``GHEAT``."""
+    form = _pde._form(driver)
+    if form is not _pde.PdeForm.GHEAT:
+        raise DomainError(f"driver '{driver.name}' is not a pure payoff: it "
+                          f"fits {form.value}, not gheat")
+
+
 def gexpect_terminal(phi, T: float, G: GFunction1D, *, nx: int = 401,
                      safety: float = 0.9) -> float:
     """Worst-case expectation of phi at horizon T, via the nonlinear heat
@@ -284,10 +293,7 @@ def gexpect_terminal(phi, T: float, G: GFunction1D, *, nx: int = 401,
     form is not ``GHEAT``."""
     driver = _resolve_payoff(phi)
     grid = Grid1D.default_for(0.0, T, G, nx=nx)
-    form = _pde._form(driver)
-    if form is not _pde.PdeForm.GHEAT:
-        raise DomainError(f"driver '{driver.name}' is not a pure payoff: it "
-                          f"fits {form.value}, not gheat")
+    _pure_payoff(driver)
     # only u(0, .) is read: one row stepped to t = 0, no dense field
     nt, dt, _ = _pde._time_steps(grid, (G,), driver, safety)
     u0 = _pde._last_level(driver, grid, (G,), nt, dt,
@@ -407,6 +413,13 @@ def _running_max_lhs(records: dict, s: list[int], probs,
     return float(W[0, s[0], 0])
 
 
+def _doob_exponents(p: float, p_prime: float) -> None:
+    """DomainError unless 1 <= p < p_prime < inf."""
+    if not (1.0 <= p < p_prime < math.inf):
+        raise DomainError(f"need 1 <= p < p_prime, both finite, got "
+                          f"({p}, {p_prime})")
+
+
 def doob_check(xi: CylinderFunctional, p: float, p_prime: float,
                G: GFunction1D, spec: LatticeSpec) -> DoobReport:
     """Certify the maximal inequality for |xi| on the lattice.
@@ -414,9 +427,7 @@ def doob_check(xi: CylinderFunctional, p: float, p_prime: float,
     lhs = E-hat[ sup_k (E-hat_k |xi|)^p ]^(1/p) against
     rhs = C(p, p') * E-hat[ |xi|^p' ]^(1/p').
     """
-    if not (1.0 <= p < p_prime < math.inf):
-        raise DomainError(f"need 1 <= p < p_prime, both finite, got "
-                          f"({p}, {p_prime})")
+    _doob_exponents(p, p_prime)
     s = _stage_bounds(xi, spec, dps=2)
     probs = spec.probs
     tab = np.abs(_terminal_tab(xi, s, spec.dx))

@@ -19,7 +19,6 @@ the terms it sets (``DriverSpec.live``).
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -217,13 +216,6 @@ class ControlField:
 
     high: np.ndarray
     ambiguous: np.ndarray
-    G: GFunction1D
-
-    @functools.cached_property
-    def sigma_star(self) -> np.ndarray:
-        """sigma* as floats, worked out from ``high`` on first read (8 bytes
-        a node, which no path step reads)."""
-        return sigma_of(self.high, self.G)
 
 
 def _time_index(ts: np.ndarray, t: float) -> int:
@@ -612,7 +604,7 @@ def _sigma_star(a: np.ndarray, tie_tol: float, G: GFunction1D) -> np.ndarray:
     return sigma_of(a >= -tie_tol, G)
 
 
-def extremal_control(sol: PdeSolution, G: GFunction1D) -> ControlField:
+def extremal_control(sol: PdeSolution) -> ControlField:
     """Pointwise maximizing volatility: sigma_high where the generator
     argument is positive, sigma_low where negative, sigma_high (flagged) at
     ties, |a| <= 1e-10 max |a|.  Holds two one-byte masks and makes no
@@ -623,7 +615,7 @@ def extremal_control(sol: PdeSolution, G: GFunction1D) -> ControlField:
     high = a >= -tie_tol
     ambiguous = np.less_equal(a, tie_tol)
     ambiguous &= high
-    return ControlField(high=high, ambiguous=ambiguous, G=G)
+    return ControlField(high=high, ambiguous=ambiguous)
 
 
 class GridPoints:

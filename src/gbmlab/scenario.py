@@ -36,17 +36,18 @@ K increments so far) moves to the flipped control's own walk, which steps
 only forked paths.  Every operation is elementwise in the path, so the
 flipped control's results are those of a walk over all paths, bit for bit.
 
-``simulate_paths``, ``forward_sde``, ``variational_paths`` and
-``k_increments`` run the plain step helpers (``_forward_step``,
-``_Variations.step``, ``_k_step``), which evaluate every term, over a
-whole bundle, one stochastic process per call: they are the reference the
-estimates equal bit for bit.
+``_Pass`` is the one implementation of the path recurrences.  The
+whole-bundle passes (``simulate_paths``, ``forward_sde``,
+``variational_paths``, ``k_increments``) advance one stochastic process
+per call with it, and ``verify_measure_in_Ptx`` walks one control as an
+estimate walks its base control.  The plain step that evaluates every
+term, and the whole-bundle passes built on it, are the reference in
+``tests/path_reference.py``, which all of these equal bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -115,6 +116,16 @@ def _seed(value) -> int:
     return int(value)
 
 
+def _start_time(t, T: float, *, positive: bool = False) -> None:
+    """DomainError unless ``t`` is a finite real with 0 <= t < T, and
+    t > 0 if ``positive`` (a time derivative)."""
+    _real("start time t", t)
+    if positive and not 0.0 < t < T:
+        raise DomainError(f"time sensitivity needs 0 < t < T, got t={t}")
+    if not 0.0 <= t < T:
+        raise DomainError(f"need 0 <= t < T, got t={t}, T={T}")
+
+
 def _check_run(n_paths, n_steps, seed, t: float, T: float, x: float = 0.0,
                *, step_bytes: int = 16, held: int | None = None,
                draws: int = 1, walk: bool = False) -> tuple[int, int, float]:
@@ -126,10 +137,8 @@ def _check_run(n_paths, n_steps, seed, t: float, T: float, x: float = 0.0,
     n_paths, n_steps = _count("n_paths", n_paths), _count("n_steps", n_steps)
     _seed(seed)
     _horizon("T", T)
-    _real("start time t", t)
+    _start_time(t, T)
     _real("start point x", x)
-    if not 0.0 <= t < T:
-        raise DomainError(f"need 0 <= t < T, got t={t}, T={T}")
     detail = f"n_paths={n_paths}, n_steps={n_steps}"
     charge("path storage", step_bytes * min(n_paths, held or n_paths)
            * n_steps, PATH_BYTES_MAX, "bytes", detail)
@@ -238,6 +247,7 @@ class VolatilityControl:
 
     @classmethod
     def constant(cls, sigma: float, G: GFunction1D) -> "VolatilityControl":
+        _real("volatility", sigma)
         sigma = float(sigma)
         if not (G.sigma_low <= sigma <= G.sigma_high):
             raise DomainError(f"sigma={sigma} outside "
@@ -247,8 +257,12 @@ class VolatilityControl:
 
     @classmethod
     def piecewise(cls, times, values, G: GFunction1D) -> "VolatilityControl":
-        times = tuple(float(t) for t in times)
-        values = tuple(float(v) for v in values)
+        times, values = tuple(times), tuple(values)
+        for t in times:
+            _real("breakpoint", t)
+        for v in values:
+            _real("volatility", v)
+        times, values = tuple(map(float, times)), tuple(map(float, values))
         if len(times) != len(values) or not times:
             raise DomainError("need matching nonempty times and values")
         if any(b <= a for a, b in zip(times, times[1:])):
@@ -261,7 +275,7 @@ class VolatilityControl:
     @classmethod
     def feedback(cls, sol: PdeSolution, G: GFunction1D) -> "VolatilityControl":
         """The extremal control of ``sol``, sigma_high at its ties."""
-        return cls._feedbacks(sol, G, extremal_control(sol, G), False)[0]
+        return cls._feedbacks(sol, G, extremal_control(sol), False)[0]
 
     @classmethod
     def _feedbacks(cls, sol: PdeSolution, G: GFunction1D, cf: ControlField,
@@ -277,14 +291,6 @@ class VolatilityControl:
         return [cls(kind=ControlKind.FEEDBACK, G=G, field_high=high,
                     field_ts=sol.ts, field_xs=sol.xs, label=label)
                 for high, label in zip(masks, ("feedback", "feedback-flip"))]
-
-    @functools.cached_property
-    def field_sigma(self) -> np.ndarray | None:
-        """A FEEDBACK control's volatility field as floats (None for the
-        others), worked out on first read; the path steps read the mask."""
-        if self.field_high is None:
-            return None
-        return sigma_of(self.field_high, self.G)
 
     def sigma_at(self, t: float, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -306,14 +312,6 @@ class VolatilityControl:
 # one step along the paths
 # ---------------------------------------------------------------------------
 
-def _forward_step(driver: DriverSpec, t: float, x: np.ndarray, dt: float,
-                  dq, db) -> np.ndarray:
-    """Euler step dX = b dt + h dQV + sigma dB."""
-    return (x + np.asarray(driver.b(t, x), dtype=float) * dt
-            + np.asarray(driver.h(t, x), dtype=float) * dq
-            + np.asarray(driver.sigma(t, x), dtype=float) * db)
-
-
 def _check_forward(X: np.ndarray) -> None:
     """Raise on the first path (row of ``X``, or entry of a state vector)
     that is not finite."""
@@ -323,66 +321,12 @@ def _check_forward(X: np.ndarray) -> None:
         raise NumericalError(f"forward state turned non-finite on path {i}")
 
 
-def _opt(fn, *args):
-    return 0.0 if fn is None else np.asarray(fn(*args), dtype=float)
-
-
-class _Variations:
-    """Running per-path first-order variation processes.
-
-    Gamma uses the log-Euler form exp(sum f_y dt + (g_y - g_z^2/2) dQV +
-    g_z dB), so positivity is exact; Xhat is the flow derivative
-    (Xhat_t = 1); Xbar, the time-variation process (Xbar_t = 0), is kept
-    only when the horizon end ``t_end`` is given.  ``finite`` records
-    whether every value so far was finite.
-    """
-
-    def __init__(self, n_paths: int, t0: float, t_end: float | None):
-        self.logG = np.zeros(n_paths)
-        self.Gamma = np.ones(n_paths)
-        self.Xhat = np.ones(n_paths)
-        self.Xbar = None if t_end is None else np.zeros(n_paths)
-        self.t_end = t_end
-        self.horizon = None if t_end is None else t_end - t0
-        self.finite = True
-
-    def step(self, driver: DriverSpec, t: float, x, y, z, dt: float,
-             dq, db) -> None:
-        fy = np.asarray(driver.f_y(t, x, y), dtype=float)
-        gy = np.asarray(driver.g_y(t, x, y, z), dtype=float)
-        gz = np.asarray(driver.g_z(t, x, y, z), dtype=float)
-        self.logG = self.logG + fy * dt + (gy - 0.5 * gz * gz) * dq + gz * db
-        self.Gamma = np.exp(self.logG)
-        bx = np.asarray(driver.b_x(t, x), dtype=float)
-        hx = np.asarray(driver.h_x(t, x), dtype=float)
-        sx = np.asarray(driver.sigma_x(t, x), dtype=float)
-        if self.Xbar is not None:
-            horizon, xb = self.horizon, self.Xbar
-            tau = (self.t_end - t) / horizon
-            bv = np.asarray(driver.b(t, x), dtype=float)
-            hv = np.asarray(driver.h(t, x), dtype=float)
-            sv = np.asarray(driver.sigma(t, x), dtype=float)
-            self.Xbar = xb \
-                + (bx * xb + tau * _opt(driver.b_t, t, x)
-                   - bv / horizon) * dt \
-                + (hx * xb + tau * _opt(driver.h_t, t, x)
-                   - hv / horizon) * dq \
-                + (sx * xb + tau * _opt(driver.sigma_t, t, x)
-                   - sv / (2.0 * horizon)) * db
-            self.finite = self.finite and bool(np.isfinite(self.Xbar).all())
-        self.Xhat = self.Xhat * (1.0 + bx * dt + hx * dq + sx * db)
-        self.finite = (self.finite and bool(np.isfinite(self.Gamma).all())
-                       and bool(np.isfinite(self.Xhat).all()))
-
-
-def _k_step(G: GFunction1D, a, dq, dt: float, out=None):
+def _k_step(G: GFunction1D, a, dq, dt: float, out):
     """Increment 0.5 a dQV - G(a) dt of the martingale-defect process K.
 
-    With ``out``, the operations of ``0.5 * a * dq - G.eval(a) * dt``, in
-    its order, write the increments into ``out`` with no temporary: ``a``
-    and ``dq`` are overwritten as scratch.  Every bit is the same."""
-    if out is None:
-        return 0.5 * a * dq - G.eval(a) * dt
+    The operations of ``0.5 * a * dq - G.eval(a) * dt``, in its order,
+    write the increments into ``out`` with no temporary: ``a`` and ``dq``
+    are overwritten as scratch.  Every bit is the same."""
     np.multiply(a, 0.5, out=out)
     out *= dq
     g = np.maximum(a, 0.0, out=dq)
@@ -395,6 +339,203 @@ def _k_step(G: GFunction1D, a, dq, dt: float, out=None):
     g *= dt
     out -= g
     return out
+
+
+class _Walk:
+    """Paths ``idx`` of a bundle under one control: X, the running
+    estimator integral ``acc`` and the first-order variation processes,
+    log Gamma and Gamma = exp(log Gamma), the flow derivative Xhat
+    (Xhat_t = 1) and, if ``xbar``, the time-variation process Xbar
+    (Xbar_t = 0).  ``finite`` records whether every variation so far was
+    finite."""
+
+    def __init__(self, idx: np.ndarray, x0: float, xbar: bool = False):
+        self.idx = idx
+        self.x = np.full(idx.size, float(x0))
+        self.acc, self.logG = np.zeros(idx.size), np.zeros(idx.size)
+        self.Gamma, self.Xhat = np.ones(idx.size), np.ones(idx.size)
+        self.Xbar = np.zeros(idx.size) if xbar else None
+        self.finite = True
+
+    def join(self, other: "_Walk", rows: np.ndarray) -> None:
+        """Append the paths at positions ``rows`` of ``other``, with their
+        whole state."""
+        for name in ("idx", "x", "acc", "logG", "Gamma", "Xhat", "Xbar"):
+            mine = getattr(self, name)
+            if mine is not None:
+                setattr(self, name,
+                        np.concatenate([mine, getattr(other, name)[rows]]))
+
+    def weight(self, kind: str) -> np.ndarray:
+        return (self.Xhat if kind == "x" else self.Xbar) * self.Gamma
+
+
+# the driver coefficients and derivatives a path step reads: for X alone,
+# for X and the variations with Xbar, and for each estimate
+_STEP_READS = {"path": ("b", "h", "sigma")}
+_VARIATIONS = ("b_x", "h_x", "sigma_x", "f_y", "g_y", "g_z")
+_STEP_READS["var"] = _STEP_READS["path"] + _VARIATIONS + ("b_t", "h_t",
+                                                          "sigma_t")
+_STEP_READS["x"] = _STEP_READS["path"] + _VARIATIONS + ("f_x", "g_x")
+_STEP_READS["t"] = _STEP_READS["x"] + ("b_t", "h_t", "sigma_t", "f", "f_t",
+                                       "g", "g_t")
+
+
+def _samples_finite(bound: float, dx: float) -> bool:
+    """Whether ``GridPoints.sample`` of every row of a field with
+    |field| <= ``bound`` is finite at every finite point: a slope is at
+    most 2 bound / dx and a sample at most 3 bound, up to rounding (hence
+    the factor 8)."""
+    bound = 8.0 * bound
+    return math.isfinite(bound) and math.isfinite(bound / dx)
+
+
+def _times(a, b):
+    return None if a is None else a * b
+
+
+def _over(a, b):
+    return None if a is None else a / b
+
+
+def _sum(*terms):
+    """Left-to-right sum of the terms that are not None (None if none is)."""
+    out = None
+    for term in terms:
+        if term is not None:
+            out = term if out is None else out + term
+    return out
+
+
+class _Pass:
+    """What the walks of one run share: what it advances (``kind``: "path"
+    for X alone, "var" for X and the variations with Xbar, "x" or "t" for
+    an estimate of that derivative), the driver, generator, fields and
+    time grid ending at ``T`` (by default the solution's), and which of
+    the step's terms are live.
+
+    ``advance`` computes what the plain step of ``tests/path_reference.py``
+    computes, bit for bit, but evaluates each live coefficient once
+    (``calls``) and skips each term whose coefficient is not in
+    ``driver.live`` (the shared zero or one, or a None derivative).
+    Such a term is an exact zero (+0.0 in the forward step).  Each sum it
+    drops out of starts at a running value that is never -0.0 (X after
+    the ``+ 0.0`` the step keeps when b or h is dead; log Gamma, Xbar and
+    the integral, which only ever add to +0.0) or is an increment of one,
+    so only the sign of a zero increment can differ.  A dead term times a
+    state that is not finite is NaN, not zero, but the run then
+    raises anyway.  One dead term multiplies a sampled field, g_z Z in the
+    time integrand; it is skipped only when no sample of Z can be infinite
+    (``_samples_finite`` of the bound |Z| <= 2 max|u| / dx, which reads
+    no slope field).
+    """
+
+    def __init__(self, kind: str, driver: DriverSpec, G: GFunction1D | None,
+                 fields: FieldInterpolator | None, t0: float, dt: float,
+                 T: float | None = None):
+        self.kind, self.driver, self.G, self.fields = kind, driver, G, fields
+        self.t0, self.dt, self.sqdt = t0, dt, math.sqrt(dt)
+        self.T = fields.sol.grid.T if T is None else T
+        self.horizon = self.T - t0
+        live = tuple(filter(driver.live.__contains__, _STEP_READS[kind]))
+        self.gamma = any(nm in live for nm in ("f_y", "g_y", "g_z"))
+        self.xhat = any(nm in live for nm in ("b_x", "h_x", "sigma_x"))
+        if kind == "t" and "g_z" not in live:
+            sol = fields.sol
+            u_max = max(float(sol.u.max()), -float(sol.u.min()))
+            if not _samples_finite(2.0 * u_max / sol.dx, sol.dx):
+                live += ("g_z",)  # g_z Z is NaN where Z is infinite
+        self.calls = tuple((nm, ARITY[nm.split("_")[0]]) for nm in live)
+        self.reads_y = any(arity > 2 for _nm, arity in self.calls)
+        self.reads_z = any(arity > 3 for _nm, arity in self.calls)
+
+    def step(self, walk: _Walk, k: int, n: int, pts: GridPoints,
+             s: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """Advance ``walk`` over step k with volatility ``s`` and normals
+        ``xi`` per path (``n`` is the field level, ``pts`` where the paths
+        are).  Returns the step's K increments, written over ``xi``."""
+        fields = self.fields
+        y = pts.sample(fields.sol.u[n]) if self.reads_y else None
+        z = pts.sample(fields.z_row(n)) if self.reads_z else None
+        a = pts.sample(fields.sol.a_field[n])
+        db = s * self.sqdt
+        db *= xi
+        dq = s * s
+        dq *= self.dt
+        self.advance(walk, self.t0 + k * self.dt, y, z, dq, db)
+        return _k_step(self.G, a, dq, self.dt, out=xi)
+
+    def advance(self, walk: _Walk, tk: float, y, z, dq, db) -> None:
+        """Advance ``walk`` over the step from ``tk`` with quadratic
+        variation ``dq`` and noise ``db`` per path, Y and Z there ``y`` and
+        ``z``: an estimate's integrand, the variations and X."""
+        x, dt = walk.x, self.dt
+        args = (tk, x, y, z)
+        c = {nm: np.asarray(getattr(self.driver, nm)(*args[:arity]),
+                            dtype=float)
+             for nm, arity in self.calls}
+        if self.kind in ("x", "t"):
+            self._integrand(walk, c, tk, z, dq)
+        self._variations(walk, c, tk, dq, db)
+        start = x if "b" in c and "h" in c else x + 0.0
+        walk.x = _sum(start, _times(c.get("b"), dt), _times(c.get("h"), dq),
+                      db if "sigma" not in c else c["sigma"] * db)
+
+    def _integrand(self, walk: _Walk, c: dict, tk: float, z, dq) -> None:
+        """Add the step's estimator integrand to ``walk.acc``."""
+        dt = self.dt
+        if self.kind == "x":
+            if "f_x" in c or "g_x" in c:
+                w = walk.Xhat * walk.Gamma
+                if "f_x" in c:
+                    walk.acc += c["f_x"] * w * dt
+                if "g_x" in c:
+                    walk.acc += c["g_x"] * w * dq
+            return
+        horizon, xb, gam = self.horizon, walk.Xbar, walk.Gamma
+        tau = (self.T - tk) / horizon
+        # a - b is a + (-b), and b / -h is -(b / h), bit for bit
+        fterm = _sum(_times(c.get("f_x"), xb), _times(c.get("f_t"), tau),
+                     _over(c.get("f"), -horizon))
+        gterm = _sum(_over(_times(c.get("g_z"), z), 2.0 * horizon),
+                     _times(c.get("g_x"), xb), _times(c.get("g_t"), tau),
+                     _over(c.get("g"), -horizon))
+        inc = _sum(_times(_times(fterm, gam), dt),
+                   _times(_times(gterm, gam), dq))
+        if inc is not None:
+            walk.acc += inc
+
+    def _variations(self, walk: _Walk, c: dict, tk: float, dq,
+                    db) -> None:
+        """Advance log Gamma, Xhat and Xbar over the step.  Gamma takes the
+        log-Euler form exp(sum f_y dt + (g_y - g_z^2/2) dQV + g_z dB), so
+        its positivity is exact."""
+        dt, checks = self.dt, []
+        if self.gamma:
+            gz = c.get("g_z")
+            q = _sum(c.get("g_y"), _times(_times(gz, -0.5), gz))
+            walk.logG = _sum(walk.logG, _times(c.get("f_y"), dt),
+                             _times(q, dq), _times(gz, db))
+            walk.Gamma = np.exp(walk.logG)
+            checks.append(walk.Gamma)
+        if walk.Xbar is not None:
+            xb, horizon = walk.Xbar, self.horizon
+            tau = (self.T - tk) / horizon
+            walk.Xbar = _sum(xb, *(
+                _times(_sum(_times(c.get(nm + "_x"), xb),
+                            _times(c.get(nm + "_t"), tau),
+                            _over(c.get(nm, one), div)), inc)
+                for nm, one, div, inc in (
+                    ("b", None, -horizon, dt), ("h", None, -horizon, dq),
+                    ("sigma", 1.0, -2.0 * horizon, db))))
+            checks.append(walk.Xbar)
+        if self.xhat:
+            walk.Xhat = walk.Xhat * _sum(1.0, _times(c.get("b_x"), dt),
+                                         _times(c.get("h_x"), dq),
+                                         _times(c.get("sigma_x"), db))
+            checks.append(walk.Xhat)
+        walk.finite = walk.finite and all(bool(np.isfinite(p).all())
+                                          for p in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +613,14 @@ def simulate_paths(control: VolatilityControl, n_paths: int, n_steps: int,
     dB = np.empty((n_paths, n_steps))
     X = np.empty((n_paths, n_steps + 1))
     X[:, 0] = x0
+    run = _Pass("path", driver, None, None, t0, dt, T)
+    walk = _Walk(np.arange(n_paths), x0)
     for k in range(n_steps):
-        t = t0 + k * dt
-        xk = X[:, k]
-        s = control.sigma_at(t, xk)
-        sig[:, k] = s
+        tk = t0 + k * dt
+        s = sig[:, k] = control.sigma_at(tk, walk.x)
         dB[:, k] = s * sqdt * xi[:, k]
-        X[:, k + 1] = _forward_step(driver, t, xk, dt, s * s * dt, dB[:, k])
+        run.advance(walk, tk, None, None, s * s * dt, dB[:, k])
+        X[:, k + 1] = walk.x
     _check_forward(X)
     return PathBundle(t0=t0, t_end=T, n_paths=n_paths, n_steps=n_steps,
                       dt=dt, dB=dB, sigma=sig, control=control, x_paths=X,
@@ -492,14 +634,16 @@ def forward_sde(driver: DriverSpec, t: float, x: float,
         raise DomainError(f"bundle starts at {bundle.t0}, not {t}")
     if bundle.x_paths is not None and bundle.x0 == float(x):
         return bundle.x_paths
-    n_paths, n_steps = bundle.n_paths, bundle.n_steps
+    n_paths, n_steps, dt = bundle.n_paths, bundle.n_steps, bundle.dt
     dqv = np.broadcast_to(bundle.dQV, bundle.dB.shape)
     X = np.empty((n_paths, n_steps + 1))
     X[:, 0] = x
-    dt = bundle.dt
+    run = _Pass("path", driver, None, None, bundle.t0, dt, bundle.t_end)
+    walk = _Walk(np.arange(n_paths), x)
     for k in range(n_steps):
-        X[:, k + 1] = _forward_step(driver, bundle.t0 + k * dt, X[:, k], dt,
-                                    dqv[:, k], bundle.dB[:, k])
+        run.advance(walk, bundle.t0 + k * dt, None, None, dqv[:, k],
+                    bundle.dB[:, k])
+        X[:, k + 1] = walk.x
     _check_forward(X)
     return X
 
@@ -529,24 +673,24 @@ def variational_paths(driver: DriverSpec, bundle: PathBundle, X: np.ndarray,
     """
     n_paths, n_steps = bundle.n_paths, bundle.n_steps
     dqv = np.broadcast_to(bundle.dQV, bundle.dB.shape)
-    var = _Variations(n_paths, bundle.t0, bundle.t_end)
-    Gamma = np.empty((n_paths, n_steps + 1))
-    Xhat = np.empty((n_paths, n_steps + 1))
-    Xbar = np.empty((n_paths, n_steps + 1))
-    Gamma[:, 0], Xhat[:, 0], Xbar[:, 0] = var.Gamma, var.Xhat, var.Xbar
+    run = _Pass("var", driver, None, fields, bundle.t0, bundle.dt,
+                bundle.t_end)
+    # X is read, not advanced: each step starts the walk from X's column
+    walk = _Walk(np.arange(n_paths), 0.0, xbar=True)
+    Gamma, Xhat, Xbar = (np.empty((n_paths, n_steps + 1)) for _ in range(3))
+    Gamma[:, 0], Xhat[:, 0], Xbar[:, 0] = walk.Gamma, walk.Xhat, walk.Xbar
     zeros = np.zeros(n_paths)
     for k in range(n_steps):
         tk = bundle.t0 + k * bundle.dt
-        xk = X[:, k]
-        yk = zk = zeros
+        walk.x = X[:, k]
+        y = z = zeros
         if fields is not None:
-            n, pts = fields.level(tk), GridPoints(fields.xs, xk)
-            yk, zk = pts.sample(fields.sol.u[n]), pts.sample(fields.z_row(n))
-        var.step(driver, tk, xk, yk, zk, bundle.dt, dqv[:, k],
-                 bundle.dB[:, k])
+            n, pts = fields.level(tk), GridPoints(fields.xs, walk.x)
+            y, z = pts.sample(fields.sol.u[n]), pts.sample(fields.z_row(n))
+        run.advance(walk, tk, y, z, dqv[:, k], bundle.dB[:, k])
         Gamma[:, k + 1], Xhat[:, k + 1], Xbar[:, k + 1] = \
-            var.Gamma, var.Xhat, var.Xbar
-    if not var.finite:
+            walk.Gamma, walk.Xhat, walk.Xbar
+    if not walk.finite:
         raise NumericalError("variational process turned non-finite")
     return VariationalPaths(Gamma=Gamma, Xhat=Xhat, Xbar=Xbar)
 
@@ -564,7 +708,7 @@ def k_increments(fields: FieldInterpolator, G: GFunction1D,
     dt = bundle.dt
     for k in range(bundle.n_steps):
         a = fields.a_at(bundle.t0 + k * dt, X[:, k])
-        out[:, k] = _k_step(G, a, dqv[:, k], dt)
+        _k_step(G, a, dqv[:, k].copy(), dt, out[:, k])
     return out
 
 
@@ -590,15 +734,21 @@ def verify_measure_in_Ptx(control: VolatilityControl, driver: DriverSpec,
                           n_steps: int = 256, seed: int = 0) -> MeasureCheck:
     """Empirical optimality residual of a control: E[K_T] normalized by
     max(1, |u(t, x)|), accepted iff |residual| <= 3 SE + 1e-2."""
-    # at most 5.1 (n_paths, n_steps) arrays (tracemalloc), charged as six
-    _check_run(n_paths, n_steps, seed, t, sol.grid.T, x, step_bytes=48,
-               walk=True)
-    bundle = simulate_paths(control, n_paths, n_steps, sol.grid.T, seed,
-                            driver=driver, t0=t, x0=x)
-    X = forward_sde(driver, t, x, bundle)
+    # one walk over the paths, as an estimate's base walk: row k of the
+    # path buffer holds step k's normals until the step has read them, then
+    # its K increments (16 bytes a path-step charged, as an estimate's)
+    n_paths, n_steps, dt = _check_run(n_paths, n_steps, seed, t, sol.grid.T,
+                                      x, walk=True)
     fields = FieldInterpolator(sol)
-    kt = k_increments(fields, G, bundle, X).sum(axis=1)
-    mean, se = mean_and_se(kt)
+    buf = _normals_by_step(seed, n_paths, n_steps)
+    run = _Pass("path", driver, G, fields, t, dt)
+    walk = _Walk(np.arange(n_paths), x)
+    for k in range(n_steps):
+        tk = t + k * dt
+        run.step(walk, k, fields.level(tk), GridPoints(fields.xs, walk.x),
+                 control.sigma_at(tk, walk.x), buf[k])
+        _check_forward(walk.x)
+    mean, se = mean_and_se(_k_totals(buf))
     residual, _se, accepted = _residual(mean, se, sol.value(t, x))
     return MeasureCheck(mean_KT=mean, se=se, residual=residual,
                         accepted=accepted)
@@ -637,188 +787,8 @@ def _phi_sided(driver: DriverSpec, xT: np.ndarray, side: str) -> np.ndarray:
 def _candidate_controls(sol: PdeSolution, G: GFunction1D) -> list:
     """The feedback control and, if any node ties, its tie-flipped twin,
     from one ``extremal_control`` pass."""
-    cf = extremal_control(sol, G)
+    cf = extremal_control(sol)
     return VolatilityControl._feedbacks(sol, G, cf, bool(cf.ambiguous.any()))
-
-
-class _Walk:
-    """Paths ``idx`` of the bundle under one feedback control: X, the
-    variation processes and the running estimator integral ``acc``."""
-
-    def __init__(self, idx: np.ndarray, x0: float, t0: float,
-                 t_end: float | None):
-        self.idx = idx
-        self.x = np.full(idx.size, float(x0))
-        self.var = _Variations(idx.size, t0, t_end)
-        self.acc = np.zeros(idx.size)
-
-    def join(self, other: "_Walk", rows: np.ndarray) -> None:
-        """Append the paths at positions ``rows`` of ``other``, with their
-        whole state."""
-        for obj, src, names in ((self, other, ("idx", "x", "acc")),
-                                (self.var, other.var,
-                                 ("logG", "Gamma", "Xhat", "Xbar"))):
-            for name in names:
-                mine = getattr(obj, name)
-                if mine is not None:
-                    setattr(obj, name, np.concatenate(
-                        [mine, getattr(src, name)[rows]]))
-
-    def weight(self, kind: str) -> np.ndarray:
-        return (self.var.Xhat if kind == "x" else self.var.Xbar) \
-            * self.var.Gamma
-
-
-# the driver coefficients and derivatives a path step reads, by estimate
-_STEP_READS = {"x": ("b", "h", "sigma", "b_x", "h_x", "sigma_x", "f_y", "g_y",
-                     "g_z", "f_x", "g_x")}
-_STEP_READS["t"] = _STEP_READS["x"] + ("b_t", "h_t", "sigma_t", "f", "f_t",
-                                       "g", "g_t")
-
-
-def _samples_finite(bound: float, dx: float) -> bool:
-    """Whether ``GridPoints.sample`` of every row of a field with
-    |field| <= ``bound`` is finite at every finite point: a slope is at
-    most 2 bound / dx and a sample at most 3 bound, up to rounding (hence
-    the factor 8)."""
-    bound = 8.0 * bound
-    return math.isfinite(bound) and math.isfinite(bound / dx)
-
-
-def _times(a, b):
-    return None if a is None else a * b
-
-
-def _over(a, b):
-    return None if a is None else a / b
-
-
-def _sum(*terms):
-    """Left-to-right sum of the terms that are not None (None if none is)."""
-    out = None
-    for term in terms:
-        if term is not None:
-            out = term if out is None else out + term
-    return out
-
-
-class _Pass:
-    """What the walks of one estimate share: the derivative (``kind`` "x"
-    or "t"), driver, generator, fields and time grid, and which of the
-    step's terms are live.
-
-    ``step`` computes what ``_k_step``, ``_Variations.step`` and
-    ``_forward_step`` compute, bit for bit, but evaluates each live
-    coefficient once (``calls``) and skips each term whose coefficient is
-    not in ``driver.live`` (the shared zero or one, or a None derivative).
-    Such a term is an exact zero (+0.0 in the forward step).  Each sum it
-    drops out of starts at a running value that is never -0.0 (X after
-    the ``+ 0.0`` the step keeps when b or h is dead; log Gamma, Xbar and
-    the integral, which only ever add to +0.0) or is an increment of one,
-    so only the sign of a zero increment can differ.  A dead term times a
-    state that is not finite is NaN, not zero, but the estimate then
-    raises anyway.  One dead term multiplies a sampled field, g_z Z in the
-    time integrand; it is skipped only when no sample of Z can be infinite
-    (``_samples_finite`` of the bound |Z| <= 2 max|u| / dx, which reads
-    no slope field).
-    """
-
-    def __init__(self, kind: str, driver: DriverSpec, G: GFunction1D,
-                 fields: FieldInterpolator, t0: float, dt: float):
-        self.kind, self.driver, self.G, self.fields = kind, driver, G, fields
-        self.t0, self.dt, self.sqdt = t0, dt, math.sqrt(dt)
-        sol = fields.sol
-        self.T = sol.grid.T
-        self.horizon = self.T - t0
-        live = tuple(filter(driver.live.__contains__, _STEP_READS[kind]))
-        self.gamma = any(nm in live for nm in ("f_y", "g_y", "g_z"))
-        self.xhat = any(nm in live for nm in ("b_x", "h_x", "sigma_x"))
-        if kind == "t" and "g_z" not in live:
-            u_max = max(float(sol.u.max()), -float(sol.u.min()))
-            if not _samples_finite(2.0 * u_max / sol.dx, sol.dx):
-                live += ("g_z",)  # g_z Z is NaN where Z is infinite
-        self.calls = tuple((nm, ARITY[nm.split("_")[0]]) for nm in live)
-        self.reads_y = any(arity > 2 for _nm, arity in self.calls)
-        self.reads_z = any(arity > 3 for _nm, arity in self.calls)
-
-    def step(self, walk: _Walk, k: int, n: int, pts: GridPoints,
-             s: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """Advance ``walk`` over step k with volatility ``s`` and normals
-        ``xi`` per path (``n`` is the field level, ``pts`` where the paths
-        are).  Returns the step's K increments, written over ``xi``."""
-        fields, x, dt = self.fields, walk.x, self.dt
-        sol, tk = fields.sol, self.t0 + k * dt
-        y = pts.sample(sol.u[n]) if self.reads_y else None
-        z = pts.sample(fields.z_row(n)) if self.reads_z else None
-        a = pts.sample(sol.a_field[n])
-        db = s * self.sqdt
-        db *= xi
-        dq = s * s
-        dq *= dt
-        args = (tk, x, y, z)
-        c = {nm: np.asarray(getattr(self.driver, nm)(*args[:arity]),
-                            dtype=float)
-             for nm, arity in self.calls}
-        self._integrand(walk, c, tk, z, dq)
-        self._variations(walk.var, c, tk, dq, db)
-        start = x if "b" in c and "h" in c else x + 0.0
-        walk.x = _sum(start, _times(c.get("b"), dt), _times(c.get("h"), dq),
-                      db if "sigma" not in c else c["sigma"] * db)
-        return _k_step(self.G, a, dq, dt, out=xi)
-
-    def _integrand(self, walk: _Walk, c: dict, tk: float, z, dq) -> None:
-        """Add the step's estimator integrand to ``walk.acc``."""
-        var, dt = walk.var, self.dt
-        if self.kind == "x":
-            if "f_x" in c or "g_x" in c:
-                w = var.Xhat * var.Gamma
-                if "f_x" in c:
-                    walk.acc += c["f_x"] * w * dt
-                if "g_x" in c:
-                    walk.acc += c["g_x"] * w * dq
-            return
-        horizon, xb, gam = self.horizon, var.Xbar, var.Gamma
-        tau = (self.T - tk) / horizon
-        # a - b is a + (-b), and b / -h is -(b / h), bit for bit
-        fterm = _sum(_times(c.get("f_x"), xb), _times(c.get("f_t"), tau),
-                     _over(c.get("f"), -horizon))
-        gterm = _sum(_over(_times(c.get("g_z"), z), 2.0 * horizon),
-                     _times(c.get("g_x"), xb), _times(c.get("g_t"), tau),
-                     _over(c.get("g"), -horizon))
-        inc = _sum(_times(_times(fterm, gam), dt),
-                   _times(_times(gterm, gam), dq))
-        if inc is not None:
-            walk.acc += inc
-
-    def _variations(self, var: _Variations, c: dict, tk: float, dq,
-                    db) -> None:
-        """Advance log Gamma, Xhat and Xbar over the step."""
-        dt, checks = self.dt, []
-        if self.gamma:
-            gz = c.get("g_z")
-            q = _sum(c.get("g_y"), _times(_times(gz, -0.5), gz))
-            var.logG = _sum(var.logG, _times(c.get("f_y"), dt), _times(q, dq),
-                            _times(gz, db))
-            var.Gamma = np.exp(var.logG)
-            checks.append(var.Gamma)
-        if var.Xbar is not None:
-            xb, horizon = var.Xbar, self.horizon
-            tau = (self.T - tk) / horizon
-            var.Xbar = _sum(xb, *(
-                _times(_sum(_times(c.get(nm + "_x"), xb),
-                            _times(c.get(nm + "_t"), tau),
-                            _over(c.get(nm, one), div)), inc)
-                for nm, one, div, inc in (
-                    ("b", None, -horizon, dt), ("h", None, -horizon, dq),
-                    ("sigma", 1.0, -2.0 * horizon, db))))
-            checks.append(var.Xbar)
-        if self.xhat:
-            var.Xhat = var.Xhat * _sum(1.0, _times(c.get("b_x"), dt),
-                                       _times(c.get("h_x"), dq),
-                                       _times(c.get("sigma_x"), db))
-            checks.append(var.Xhat)
-        var.finite = var.finite and all(bool(np.isfinite(p).all())
-                                        for p in checks)
 
 
 class _Fork:
@@ -876,7 +846,7 @@ class _Fork:
     def finish(self) -> None:
         if self.error is not None:
             raise self.error
-        if not self.walk.var.finite:
+        if not self.walk.finite:
             raise NumericalError("variational process turned non-finite")
 
 
@@ -924,10 +894,9 @@ def _estimate(kind: str, driver: DriverSpec, t: float, x: float,
     # read them, then the base walk's K increments of that step
     buf = _normals_by_step(seed, n_paths, n_steps)
     run = _Pass(kind, driver, G, fields, t, dt)
-    t_end = sol.grid.T if kind == "t" else None
-    base = _Walk(np.arange(n_paths), x, t, t_end)
-    forks = [_Fork(c, controls[0], _Walk(base.idx[:0], x, t, t_end), n_paths)
-             for c in controls[1:]]
+    base = _Walk(np.arange(n_paths), x, kind == "t")
+    forks = [_Fork(c, controls[0], _Walk(base.idx[:0], x, kind == "t"),
+                   n_paths) for c in controls[1:]]
     for k in range(n_steps):
         n, pts = fields.level(t + k * dt), GridPoints(fields.xs, base.x)
         nearest = pts.nearest()
@@ -935,7 +904,7 @@ def _estimate(kind: str, driver: DriverSpec, t: float, x: float,
             fork.step(run, base, k, n, nearest, buf[k])
         run.step(base, k, n, pts, controls[0].sigma_near(n, nearest), buf[k])
         _check_forward(base.x)
-    if not base.var.finite:
+    if not base.finite:
         raise NumericalError("variational process turned non-finite")
     for fork in forks:
         fork.finish()
@@ -984,7 +953,5 @@ def estimate_dt(driver: DriverSpec, t: float, x: float, G: GFunction1D,
     """Monte Carlo one-sided time derivatives at (t, x), 0 < t < T, via the
     time-variation process Xbar and the quadratic-variation correction
     g_z Z / (2 (T-t))."""
-    _real("start time t", t)
-    if not 0.0 < t < sol.grid.T:
-        raise DomainError(f"time sensitivity needs 0 < t < T, got t={t}")
+    _start_time(t, sol.grid.T, positive=True)
     return _estimate("t", driver, t, x, G, sol, n_paths, n_steps, seed)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import gbmlab
-from gbmlab import cli, gbsde, pde, scenario
+from gbmlab import cli, gbsde, gexpect, pde, scenario
 from gbmlab.cli import _main
 from gbmlab.gbsde import dynamic_programming_check
 from gbmlab.gcore import (PRESET_NAMES, Grid1D, make_gfunction, preset_driver,
@@ -417,13 +417,25 @@ def test_grid_the_levels_cannot_coarsen_exits_one_before_any_sweep(
     ["doob", "--steps", "0"],
     ["kink", "--n-paths", "0"],
     ["counterexample", "--n-paths", "0"],
+    ["gexpect", "--preset", "linear-h"],
+    ["stability", "--shift", "0.1", "--p", "0.5"],
+    ["stability"],
+    ["dp-check", "--t1", "0.9"],
+    ["doob", "--p", "5", "--p-prime", "4"],
+    ["sensitivity-t", "--t", "0"],
+    ["kink", "--t", "1.0"],
+    ["sensitivity-x", "--t", "1.0"],
 ], ids=lambda argv: "-".join(argv).replace("--", ""))
 def test_dry_run_refuses_what_the_run_refuses(tmp_path, monkeypatch, argv):
     # the grid, the coarser levels, the lattice steps and the path counts
-    # are built before --dry-run returns, and before any sweep or draw
+    # are built, and each rule of a library entry point (a pure payoff,
+    # p >= 1, the t1/t2 window, 1 <= p < p' < inf, the start-time window)
+    # is checked from the function that holds it, before --dry-run
+    # returns and before any sweep, lattice step or draw
     def work(*args, **kwargs):
         raise AssertionError("computed")
     monkeypatch.setattr(pde, "_backward_steps", work)
+    monkeypatch.setattr(gexpect, "_sup_step", work)
     monkeypatch.setattr(scenario, "path_normals", work)
     for dry in ([], ["--dry-run"]):
         out = tmp_path / f"out{len(dry)}"

@@ -212,22 +212,22 @@ def test_time_derivative_of_convex_solve():
 
 def test_extremal_control_convex_selects_high():
     sol = _gheat(preset_driver("quadratic"))
-    cf = extremal_control(sol, G01)
-    assert np.all(cf.sigma_star == G01.sigma_high)
+    cf = extremal_control(sol)
+    assert np.all(pde.sigma_of(cf.high, G01) == G01.sigma_high)
 
 
 def test_extremal_control_concave_selects_low():
     sol = _gheat(_neg_quadratic_driver())
-    cf = extremal_control(sol, G01)
+    cf = extremal_control(sol)
     # the boundary closure zeroes the curvature argument there, which the
     # field flags as ambiguous; away from it the choice is sigma_low
-    assert np.all(cf.sigma_star[:, 1:-1] == G01.sigma_low)
+    assert np.all(pde.sigma_of(cf.high, G01)[:, 1:-1] == G01.sigma_low)
     assert not cf.ambiguous[:, 1:-1].any()
 
 
 def test_extremal_control_cos_fraction_matches_lattice_policy():
     sol = _gheat(_cos_driver())
-    cf = extremal_control(sol, G01)
+    sigma_star = pde.sigma_of(extremal_control(sol).high, G01)
     spec = LatticeSpec.for_horizon(1.0, 50, G01)
     _, policy = lattice_oracle(CylinderFunctional(times=(1.0,), psi=np.cos),
                                G01, spec, return_policy=True)
@@ -243,7 +243,7 @@ def test_extremal_control_cos_fraction_matches_lattice_policy():
                     .astype(int), 0, len(sol.xs) - 1)
         lat_hi += int((choices == len(spec.sigma_choices) - 1).sum())
         lat_n += choices.size
-        pde_hi += int((cf.sigma_star[n, j] == G01.sigma_high).sum())
+        pde_hi += int((sigma_star[n, j] == G01.sigma_high).sum())
     assert lat_n > 0
     assert abs(lat_hi / lat_n - pde_hi / lat_n) <= 0.05
 
@@ -731,7 +731,7 @@ def test_gheat_solve_with_zero_sigma_low_equals_the_allocating_step():
 def _cell_by_cell_csv(sol, path):
     # the cell-by-cell writer, kept as the reference
     d = derivatives(sol)
-    control = extremal_control(sol, sol.G)
+    sigma_star = pde.sigma_of(extremal_control(sol).high, sol.G)
     ts, xs = sol.ts, sol.xs
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,x,u,ux,uxx,a,sigma_star\n")
@@ -739,7 +739,7 @@ def _cell_by_cell_csv(sol, path):
             for j in range(sol.u.shape[1]):
                 fh.write(",".join(format(v, ".12e") for v in (
                     ts[n], xs[j], sol.u[n, j], d.ux[n, j], d.uxx[n, j],
-                    sol.a_field[n, j], control.sigma_star[n, j])) + "\n")
+                    sol.a_field[n, j], sigma_star[n, j])) + "\n")
 
 
 def test_export_equals_the_cell_by_cell_writer_on_edge_values(tmp_path):

@@ -43,6 +43,7 @@ from gbmlab.scenario import (
     verify_measure_in_Ptx,
 )
 
+import path_reference
 from conftest import traced_peak
 
 G01 = make_gfunction(0.0, 1.0)
@@ -187,6 +188,15 @@ def test_control_admissibility_enforced():
                                     make_gfunction(0.3, 1.0))
     with pytest.raises(DomainError):
         VolatilityControl.piecewise((0.5, 0.5), (1.0, 1.0), G01)
+    # breakpoints (0.0, nan) ran as the constant 0.5, and True and "0.5"
+    # as numbers
+    for times in ((0.0, math.nan), (math.nan, 0.5), (0.0, math.inf),
+                  ("0", 0.5), (True, 2)):
+        with pytest.raises(DomainError, match="need a finite breakpoint"):
+            VolatilityControl.piecewise(times, (0.5, 1.0), G01)
+    for sigma in (True, "0.5"):
+        with pytest.raises(DomainError, match="need a finite volatility"):
+            VolatilityControl.constant(sigma, G01)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +341,10 @@ def test_dx_pure_case_matches_pde_slope():
 # ---------------------------------------------------------------------------
 
 def _reference_estimate(kind, driver, t, x, G, sol, mc):
-    """Per-control results of the estimators composed from whole-bundle
-    passes: simulate_paths -> forward_sde -> variational_paths ->
-    k_increments, with Y and Z read by np.interp, one simulation per
-    control."""
+    """Per-control results of the estimators composed from the reference
+    whole-bundle passes (``path_reference``): simulate_paths ->
+    forward_sde -> variational_paths -> k_increments, with Y and Z read by
+    np.interp, one simulation per control."""
     n_paths, n_steps, seed = mc["n_paths"], mc["n_steps"], mc["seed"]
     T = sol.grid.T
     horizon = T - t
@@ -343,10 +353,11 @@ def _reference_estimate(kind, driver, t, x, G, sol, mc):
     scale = max(1.0, abs(sol.value(t, x)))
     results = []
     for control in scenario._candidate_controls(sol, G):
-        bundle = simulate_paths(control, n_paths, n_steps, T, seed,
-                                driver=driver, t0=t, x0=x)
-        X = forward_sde(driver, t, x, bundle)
-        var = variational_paths(driver, bundle, X, fields)
+        bundle = path_reference.simulate_paths(control, n_paths, n_steps, T,
+                                               seed, driver=driver, t0=t,
+                                               x0=x)
+        X = path_reference.forward_sde(driver, t, x, bundle)
+        var = path_reference.variational_paths(driver, bundle, X, fields)
         dqv = np.broadcast_to(bundle.dQV, bundle.dB.shape)
         acc = np.zeros(n_paths)
         for k in range(n_steps):
@@ -378,7 +389,7 @@ def _reference_estimate(kind, driver, t, x, G, sol, mc):
         mm, sm = mean_and_se(
             scenario._phi_sided(driver, X[:, -1], "minus") * weight + acc)
         kmean, kse = mean_and_se(
-            k_increments(fields, G, bundle, X).sum(axis=1))
+            path_reference.k_increments(fields, G, bundle, X).sum(axis=1))
         results.append(dict(label=control.label, plus=mp, se_plus=sp,
                             minus=mm, se_minus=sm, residual=kmean / scale,
                             residual_se=kse / scale,
@@ -430,12 +441,15 @@ def test_one_pass_estimates_equal_whole_bundle_passes(preset, params, kind,
 def _first_fork_steps(driver, t, x, G, sol, mc):
     """Per path, the first step at which the base feedback control's path
     is nearest a node where the tie-flipped control differs (n_steps if
-    never), read off a whole-bundle simulation under the base control."""
+    never), read off a reference whole-bundle simulation under the base
+    control."""
     base, flip = scenario._candidate_controls(sol, G)
-    differs = flip.field_sigma != base.field_sigma
+    differs = pde.sigma_of(flip.field_high, G) \
+        != pde.sigma_of(base.field_high, G)
     n_paths, n_steps = mc["n_paths"], mc["n_steps"]
-    bundle = simulate_paths(base, n_paths, n_steps, sol.grid.T, mc["seed"],
-                            driver=driver, t0=t, x0=x)
+    bundle = path_reference.simulate_paths(base, n_paths, n_steps,
+                                           sol.grid.T, mc["seed"],
+                                           driver=driver, t0=t, x0=x)
     xs = sol.xs
     first = np.full(n_paths, n_steps)
     for k in range(n_steps - 1, -1, -1):
@@ -576,14 +590,62 @@ def test_negative_zero_start_equals_whole_bundle_passes():
     sol = _solve(driver, G=G01, nx=41)
     mc = dict(n_paths=400, n_steps=3, seed=5)
     base = scenario._candidate_controls(sol, G01)[0]
-    bundle = simulate_paths(base, mc["n_paths"], mc["n_steps"], 1.0,
-                            mc["seed"], driver=driver, x0=-0.0)
+    bundle = path_reference.simulate_paths(base, mc["n_paths"],
+                                           mc["n_steps"], 1.0, mc["seed"],
+                                           driver=driver, x0=-0.0)
     assert np.all(bundle.dB == 0.0) and np.signbit(bundle.dB[:, 0]).any()
     assert not np.signbit(bundle.x_paths[:, 1:]).any()
     est = estimate_dx(driver, 0.0, -0.0, G01, sol, **mc)
     ref = _reference_estimate("x", driver, 0.0, -0.0, G01, sol, mc)
     assert est.plus == -1.0
     assert list(est.controls) == ref
+
+
+def _reference_bundle_equal(got, want):
+    """Whether two bundles hold equal noise, volatility and state paths."""
+    return (np.array_equal(got.dB, want.dB)
+            and np.array_equal(got.sigma, want.sigma)
+            and (got.x_paths is None) == (want.x_paths is None)
+            and (got.x_paths is None
+                 or np.array_equal(got.x_paths, want.x_paths)))
+
+
+@pytest.mark.parametrize("t, x", [(0.0, 0.0), (0.25, 0.3)])
+@pytest.mark.parametrize("make_driver", [
+    _all_live_driver, lambda: preset_driver("sine-gz"),
+    lambda: preset_driver("kinked")], ids=["all-live", "sine-gz", "kinked"])
+def test_path_passes_equal_the_reference(make_driver, t, x):
+    # the library's passes run _Pass, the reference evaluates every term:
+    # equal up to the sign of a zero, which np.array_equal ignores
+    G = regularize(G01, 0.2)
+    driver = make_driver()
+    sol = _solve(driver, G=G, nx=101)
+    fields = FieldInterpolator(sol)
+    mc = dict(n_paths=200, n_steps=32, seed=5)
+    for control in (VolatilityControl.constant(0.5, G),
+                    VolatilityControl.piecewise((0.0, 0.5), (0.3, 1.0), G),
+                    VolatilityControl.feedback(sol, G)):
+        args = (control, mc["n_paths"], mc["n_steps"], 1.0, mc["seed"])
+        want = path_reference.simulate_paths(*args, driver=driver, t0=t,
+                                             x0=x)
+        assert _reference_bundle_equal(
+            simulate_paths(*args, driver=driver, t0=t, x0=x), want)
+        # without its state paths, forward_sde runs its own pass
+        bundle = dataclasses.replace(want, x_paths=None, x0=None)
+        X = path_reference.forward_sde(driver, t, x, bundle)
+        assert np.array_equal(forward_sde(driver, t, x, bundle), X)
+        for f in (None, fields):
+            got = variational_paths(driver, bundle, X, f)
+            ref = path_reference.variational_paths(driver, bundle, X, f)
+            for name in ("Gamma", "Xhat", "Xbar"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
+        dk = path_reference.k_increments(fields, G, bundle, X)
+        assert np.array_equal(k_increments(fields, G, bundle, X), dk)
+        # the one walk of verify_measure_in_Ptx against the composition
+        chk = verify_measure_in_Ptx(control, driver, t, x, G, sol, **mc)
+        kt = path_reference.k_increments(
+            fields, G, want, path_reference.forward_sde(driver, t, x, want))
+        assert (chk.mean_KT, chk.se) == mean_and_se(kt.sum(axis=1))
 
 
 @pytest.mark.parametrize("preset, params, kind, calls", [
@@ -616,13 +678,13 @@ def test_fork_defers_a_non_finite_state_to_finish():
     base_control, flip = scenario._candidate_controls(sol, G)
     run = scenario._Pass("x", driver, G, fields, 0.0, 0.01)
     n_paths, forked = 8, [1, 3, 6]
-    base = scenario._Walk(np.arange(n_paths), 0.5, 0.0, None)
+    base = scenario._Walk(np.arange(n_paths), 0.5)
     base.x[forked] = sol.xs[0]
     n, nearest = fields.level(0.0), GridPoints(fields.xs, base.x).nearest()
 
     def fork():
         return scenario._Fork(flip, base_control,
-                              scenario._Walk(base.idx[:0], 0.5, 0.0, None),
+                              scenario._Walk(base.idx[:0], 0.5),
                               n_paths)
 
     bad = fork()
@@ -641,7 +703,7 @@ def test_fork_defers_a_non_finite_state_to_finish():
     good.step(run, base, 0, n, nearest, np.zeros(n_paths))
     assert good.error is None and np.isfinite(good.walk.x).all()
     good.finish()
-    good.walk.var.finite = False
+    good.walk.finite = False
     with pytest.raises(NumericalError, match="variational process"):
         good.finish()
 
@@ -721,19 +783,20 @@ def test_control_masks_equal_the_float_fields_at_the_edges(G, row):
     sigma = np.where(high, G.sigma_high, G.sigma_low)
     flip = sigma.copy()
     flip[ambiguous] = G.sigma_low
-    cf = pde.extremal_control(sol, G)
+    cf = pde.extremal_control(sol)
     assert cf.high.tobytes() == high.tobytes()
     assert cf.ambiguous.tobytes() == ambiguous.tobytes()
-    assert cf.sigma_star.tobytes() == sigma.tobytes()
+    assert pde.sigma_of(cf.high, G).tobytes() == sigma.tobytes()
     controls = VolatilityControl._feedbacks(sol, G, cf, True)
     x = np.linspace(-1.3, 1.3, 3 * a.shape[1])
     for control, field in zip(controls, (sigma, flip)):
-        assert control.field_sigma.tobytes() == field.tobytes()
+        assert pde.sigma_of(control.field_high, G).tobytes() \
+            == field.tobytes()
         for n, t in enumerate(sol.ts):
             want = field[n, GridPoints(sol.xs, x).nearest()]
             assert control.sigma_at(t, x).tobytes() == want.tobytes()
     fork = scenario._Fork(controls[1], controls[0],
-                          scenario._Walk(np.arange(0), 0.0, 0.0, None), 4)
+                          scenario._Walk(np.arange(0), 0.0), 4)
     assert fork.differs.tobytes() == (flip != sigma).tobytes()
 
 
@@ -886,11 +949,14 @@ _PROBED = {"estimate_dx": _MC + ("t", "x"), "estimate_dt": _MC + ("t", "x"),
            "counterexample_demo": _MC + ("T",), "path_normals": _MC,
            "Grid1D": ("nx", "nt", "T", "x_min", "x_max"),
            "LatticeSpec.for_horizon": ("T", "steps"),
-           "dynamic_programming_check": ("steps", "t1", "t2", "x0")}
+           "dynamic_programming_check": ("steps", "t1", "t2", "x0"),
+           "VolatilityControl.constant": ("sigma",),
+           "VolatilityControl.piecewise": ("breakpoint", "value")}
 
 
 def _kind(param):
-    if param in ("t", "x", "x_min", "x_max", "t1", "t2", "x0"):
+    if param in ("t", "x", "x_min", "x_max", "t1", "t2", "x0", "sigma",
+                 "breakpoint", "value"):
         return "real"
     return {"seed": "seed", "T": "horizon"}.get(param, "count")
 
@@ -927,6 +993,11 @@ def _probe_call(name, sol, **bad):
         "dynamic_programming_check": lambda: gbsde.dynamic_programming_check(
             PdeProblem(Grid1D(-3.0, 3.0, 31, 1.0), quad, G01),
             bad.pop("t1", 0.0), bad.pop("t2", 0.5), **bad),
+        "VolatilityControl.constant": lambda: VolatilityControl.constant(
+            bad.get("sigma", 0.5), G01),
+        "VolatilityControl.piecewise": lambda: VolatilityControl.piecewise(
+            (0.0, bad.get("breakpoint", 0.5)), (0.5, bad.get("value", 1.0)),
+            G01),
     }
     return calls[name]
 
@@ -1003,6 +1074,22 @@ def test_estimate_holds_one_path_buffer(preset, kind, t):
     mc = dict(n_paths=8192, n_steps=128, seed=0)
     estimate = estimate_dx if kind == "x" else estimate_dt
     peak = traced_peak(lambda: estimate(driver, t, 0.0, G, sol, **mc))
+    assert peak < 1.75 * 8 * mc["n_paths"] * mc["n_steps"]
+
+
+@pytest.mark.parametrize("feedback", [True, False],
+                         ids=["feedback", "constant"])
+def test_verify_measure_holds_one_path_buffer(feedback):
+    # one walk, as an estimate's: the normals, whose rows take the K
+    # increments once read, and O(n_paths) vectors
+    G = regularize(G01, 0.2)
+    driver = preset_driver("sine-gz")
+    sol = _solve(driver, G=G, nx=101)
+    control = VolatilityControl.feedback(sol, G) if feedback \
+        else VolatilityControl.constant(0.5, G)
+    mc = dict(n_paths=8192, n_steps=128, seed=0)
+    peak = traced_peak(lambda: verify_measure_in_Ptx(control, driver, 0.0,
+                                                     0.0, G, sol, **mc))
     assert peak < 1.75 * 8 * mc["n_paths"] * mc["n_steps"]
 
 
