@@ -9,7 +9,10 @@ flags; the effective configuration is echoed into the JSON summary so a
 run can be reproduced from its artifacts alone.  Identical argv + config + seed
 produce byte-identical artifacts (no timestamps in outputs).  No setting
 names the equation form: it is derived from the driver
-(``pde.PdeProblem.form``), and ``solve-pde`` reports it.
+(``pde.PdeProblem.form``), and ``solve-pde`` reports it.  ``--dry-run``
+is the run stopped at its first sweep, lattice step, draw or cylinder
+table (``gcore.work``): it refuses what the run refuses before that
+point and writes nothing.
 
 Exit codes: 0 success, 1 domain or config error, 2 numerical failure,
 3 verdict failure under --assert.
@@ -27,10 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gcore import (ConfigError, CylinderFunctional, DomainError, DriverSpec,
-                    GFunction1D, Grid1D, NumericalError, PRESET_NAMES,
-                    _coerce, _count, check_param, make_gfunction,
-                    parse_config, preset_driver, preset_keys, regularize)
+from .gcore import (DRY_RUN, ConfigError, CylinderFunctional, DomainError,
+                    DriverSpec, DryRunStop, GFunction1D, Grid1D,
+                    NumericalError, PRESET_NAMES, _coerce, _count,
+                    check_param, make_gfunction, parse_config, preset_driver,
+                    preset_keys, regularize)
 from . import pde as _pde
 from .pde import PdeProblem
 from . import gexpect as _gexpect
@@ -98,9 +102,6 @@ _GRID = ("solve-pde", "gbsde", "convergence", "curvature", "sensitivity-x",
          "sensitivity-t", "kink", "semiconvexity", "dp-check", "stability")
 _PATHS = ("sensitivity-x", "sensitivity-t", "kink")
 _ORACLES = ("gexpect", "cylinder", "doob")
-# the coarsening factors of the levels a check solves on, coarse to fine;
-# every other grid subcommand solves on the configured grid alone (factor 1)
-_LEVELS = {"stability": _gbsde._STABILITY_LEVELS, "semiconvexity": (2, 1)}
 
 
 def _setting(default, section: str, readers: tuple, *flags: str,
@@ -182,6 +183,8 @@ class RunConfig:
             raise ConfigError(f"x must be finite, got {self.x}")
         if self.shift is not None and not math.isfinite(self.shift):
             raise ConfigError(f"shift must be finite, got {self.shift}")
+        if not math.isfinite(self.tol):
+            raise ConfigError(f"tol must be finite, got {self.tol}")
 
     # -- derived objects ----------------------------------------------------
 
@@ -296,57 +299,42 @@ class _Built:
     (``_build``); not a setting, so the summary's echo never holds it."""
 
     driver: DriverSpec | None
-    # the space grids the run solves on, coarse to fine, the last the
-    # configured one; gexpect's grid and a cylinder's stage grids are built
-    # as checks (the oracles build them again from nx)
+    # the space grids a grid subcommand solves on, coarse to fine, the last
+    # the configured one
     grids: tuple
-    functional: CylinderFunctional | None  # cylinder's and doob's
-    spec: LatticeSpec | None  # doob's lattice
 
 
 def _build(cfg: RunConfig, subcommand: str) -> _Built:
-    """Check the run's settings and build its driver, grids and lattice
-    steps and its path counts, before any computation.  ``--dry-run`` stops
-    here, so it refuses (exit 1) every argv whose grid, coarsened levels,
-    lattice steps or path counts the run refuses; work and memory budgets
-    and CFL pins (exit 2) are the run's."""
+    """Check the run's driver parameters and counts and build its driver
+    and grids.  Every other setting is refused by the run itself, before
+    its first sweep, lattice step, draw or cylinder table, where a dry run
+    stops (``gcore.work``).  Checked here are only the rules of a runner's
+    second library call, which its first call's sweep precedes: the path
+    run of an estimate and the levels of a convergence report; and a probe
+    point x outside the domain, which every read would clamp to an end."""
     settings = _settings(subcommand)
     if "params" in settings:
         _check_params(cfg, subcommand)
-    G = cfg.gfunction() if "sigma_high" in settings else None
     driver = cfg.driver() if "preset" in settings else None
     for name in ("steps", "n_paths", "n_steps"):
         if name in settings:
             _count(name, getattr(cfg, name))
-    grids, functional, spec = (), None, None
-    if subcommand in _GRID:
-        grid = cfg.grid()
-        grids = tuple(_gbsde._coarsen(grid, f, subcommand)
-                      for f in _LEVELS.get(subcommand, (1,)))
-    elif subcommand == "gexpect":
-        grids = (Grid1D.default_for(0.0, cfg.T, G, nx=cfg.nx),)
-        _gexpect._pure_payoff(driver)
-    elif subcommand == "cylinder":
-        functional = CylinderFunctional(cfg.times, _PSI_CATALOG[cfg.psi],
-                                        name=cfg.psi)
-        grids = _gexpect.default_stage_grids(functional, G, nx=cfg.nx)
-    elif subcommand == "doob":
-        fractions, psi = _XI_CATALOG[cfg.xi]
-        functional = CylinderFunctional(tuple(f * cfg.T for f in fractions),
-                                        psi, name=cfg.xi)
-        spec = LatticeSpec.for_horizon(cfg.T, cfg.steps, G)
-        _gexpect._doob_exponents(cfg.p, cfg.p_prime)
-    # the rules the library's entry points check before their work
+    if subcommand not in _GRID:
+        return _Built(driver, ())
+    grid = cfg.grid()
+    if not grid.x_min <= cfg.x <= grid.x_max:
+        raise DomainError(f"the probe point x={cfg.x:g} lies outside the "
+                          f"domain [{grid.x_min:g}, {grid.x_max:g}]")
+    if subcommand == "sensitivity-t":
+        _scenario._start_time(cfg.t, grid.T, positive=True)
     if subcommand in _PATHS:
-        _scenario._start_time(cfg.t, grids[-1].T,
-                              positive=subcommand == "sensitivity-t")
-    elif subcommand == "stability":
-        if cfg.preset_b is None and cfg.shift is None:
-            raise ConfigError("stability needs --preset-b or --shift")
-        _gbsde._stability_exponent(cfg.p)
-    elif subcommand == "dp-check":
-        _gbsde._dp_window(cfg.t1, cfg.t2, grids[-1].T)
-    return _Built(driver, grids, functional, spec)
+        _scenario._check_run(cfg.n_paths, cfg.n_steps, cfg.seed, cfg.t,
+                             grid.T, cfg.x, walk=True)
+    elif subcommand == "convergence":
+        _gbsde._report_levels(cfg.eps_schedule)
+    elif subcommand == "semiconvexity":
+        return _Built(driver, (_gbsde._coarsen(grid, 2, subcommand), grid))
+    return _Built(driver, (grid,))
 
 
 def _regularized_G(cfg: RunConfig) -> GFunction1D:
@@ -382,7 +370,9 @@ def _run_gexpect(cfg: RunConfig, built: _Built):
 
 
 def _run_cylinder(cfg: RunConfig, built: _Built):
-    value = _gexpect.gexpect_cylinder(built.functional, cfg.gfunction(),
+    functional = CylinderFunctional(cfg.times, _PSI_CATALOG[cfg.psi],
+                                    name=cfg.psi)
+    value = _gexpect.gexpect_cylinder(functional, cfg.gfunction(),
                                       nx=cfg.nx, safety=cfg.cfl_safety)
     values = dict(value=value, psi=cfg.psi,
                   times=list(float(t) for t in cfg.times))
@@ -392,8 +382,12 @@ def _run_cylinder(cfg: RunConfig, built: _Built):
 
 
 def _run_doob(cfg: RunConfig, built: _Built):
-    report = _gexpect.doob_check(built.functional, cfg.p, cfg.p_prime,
-                                 cfg.gfunction(), built.spec)
+    G = cfg.gfunction()
+    fractions, psi = _XI_CATALOG[cfg.xi]
+    functional = CylinderFunctional(tuple(f * cfg.T for f in fractions), psi,
+                                    name=cfg.xi)
+    report = _gexpect.doob_check(functional, cfg.p, cfg.p_prime, G,
+                                 LatticeSpec.for_horizon(cfg.T, cfg.steps, G))
     values = dict(C=report.C, lhs=report.lhs, rhs=report.rhs,
                   margin=report.margin)
     verdicts = dict(margin_nonnegative=bool(report.margin >= 0.0))
@@ -586,11 +580,13 @@ def _run_counterexample(cfg: RunConfig, built: _Built):
 
 
 def _run_stability(cfg: RunConfig, built: _Built):
+    if cfg.preset_b is None and cfg.shift is None:
+        raise ConfigError("stability needs --preset-b or --shift")
     G = _regularized_G(cfg)
     d1, grid = built.driver, built.grids[-1]
     if cfg.preset_b is not None:
         d2 = cfg.driver(cfg.preset_b)
-    else:  # _build refuses a run with neither
+    else:
         shift = float(cfg.shift)
         phi1 = d1.phi
         d2 = dataclasses.replace(
@@ -692,11 +688,19 @@ def run(argv) -> int:
     if cfg.output_dir is None:
         cfg.output_dir = os.path.join("runs", ns.subcommand)
     built = _build(cfg, ns.subcommand)
+    runner = _SUBCOMMANDS[ns.subcommand][0]
     if ns.dry_run:
+        # the run up to its first unit of work, writing nothing
+        token = DRY_RUN.set(True)
+        try:
+            runner(cfg, built)
+        except DryRunStop:
+            pass
+        finally:
+            DRY_RUN.reset(token)
         print(f"{ns.subcommand}: dry-run ok")
         return 0
-    values, verdicts, tables, line = _SUBCOMMANDS[ns.subcommand][0](cfg,
-                                                                    built)
+    values, verdicts, tables, line = runner(cfg, built)
     write_report(cfg.output_dir, ns.subcommand, cfg.echo(ns.subcommand),
                  values, verdicts, tables)
     print(f"{ns.subcommand}: {line} [artifacts in {cfg.output_dir}]")

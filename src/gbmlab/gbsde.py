@@ -189,6 +189,13 @@ class ConvergenceReport:
     any_violation: bool
 
 
+def _report_levels(eps: tuple) -> None:
+    """DomainError unless ``eps`` has the 3 levels a convergence report
+    fits; the family's sweep runs before the report checks it."""
+    if len(eps) < 3:
+        raise DomainError("convergence report needs >= 3 eps levels")
+
+
 def convergence_report(family: BsdeSolutionFamily) -> ConvergenceReport:
     """Consecutive-level sup deltas at t=0 against |e-e'| + e^2 + e'^2.
 
@@ -196,8 +203,7 @@ def convergence_report(family: BsdeSolutionFamily) -> ConvergenceReport:
     flagged when its delta exceeds the fit by more than 20%.
     """
     eps = family.eps_schedule
-    if len(eps) < 3:
-        raise DomainError("convergence report needs >= 3 eps levels")
+    _report_levels(eps)
     rows = []
     for k, delta in enumerate(family.deltas):
         bound = abs(eps[k] - eps[k + 1]) + eps[k] ** 2 + eps[k + 1] ** 2
@@ -346,11 +352,6 @@ def _coarsen(grid: Grid1D, factor: int, what: str) -> Grid1D:
                   grid.nt)
 
 
-# coarsening factors per stability check, coarse to fine: the problems' own
-# grid is the finest level
-_STABILITY_LEVELS = (4, 2, 1)
-
-
 def _power(what: str, base: float, p: float) -> float:
     """``base ** p``, refused with :class:`NumericalError` when ``base`` is
     nonzero and its power is 0 or not finite: the verdict would rest on a
@@ -362,12 +363,6 @@ def _power(what: str, base: float, p: float) -> float:
                              f"{power}; the stability check needs it finite "
                              f"and nonzero")
     return power
-
-
-def _stability_exponent(p: float) -> None:
-    """DomainError unless p is a finite number >= 1."""
-    if not (math.isfinite(p) and p >= 1.0):
-        raise DomainError(f"stability check needs a finite p >= 1, got {p}")
 
 
 def stability_check(problem1, problem2, p: float = 1.0, *,
@@ -394,7 +389,8 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
     object) is stepped as one two-row sweep, each row bit for bit the row
     of its own sweep; any other pair gets two sweeps.
     """
-    _stability_exponent(p)
+    if not (math.isfinite(p) and p >= 1.0):
+        raise DomainError(f"stability check needs a finite p >= 1, got {p}")
     g1, g2 = problem1.grid, problem2.grid
     if (g1.x_min, g1.x_max, g1.nx, g1.T) != (g2.x_min, g2.x_max, g2.nx, g2.T):
         raise DomainError("stability check needs both problems on one grid")
@@ -411,7 +407,7 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
                   for fd in dataclasses.fields(DriverSpec)
                   if fd.name not in ("name", "phi"))
     xc = 0.5 * (g1.x_min + g1.x_max)
-    grids = [_coarsen(g1, f, "the stability check") for f in _STABILITY_LEVELS]
+    grids = [_coarsen(g1, f, "the stability check") for f in (4, 2, 1)]
     # the time steps of every level, and with them the work budget of
     # every solve, are settled before the first solve; the finest first,
     # so that a pin or a budget it fails is refused on the problems' grid
@@ -495,15 +491,6 @@ class DpCheckReport:
     residual: float
 
 
-def _dp_window(t1: float, t2: float, T: float) -> None:
-    """DomainError unless t1 and t2 are finite reals with
-    0 <= t1 <= t2 <= T."""
-    _real("t1", t1)
-    _real("t2", t2)
-    if not (0.0 <= t1 <= t2 <= T):
-        raise DomainError(f"need 0 <= t1 <= t2 <= T, got ({t1}, {t2})")
-
-
 def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
                               steps: int = 64, safety: float = 0.9
                               ) -> DpCheckReport:
@@ -514,7 +501,10 @@ def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
     raises :class:`DomainError`.  A lattice over the
     ``gexpect.DP_NODE_STEPS_MAX`` work budget raises
     :class:`NumericalError` before the PDE solve."""
-    _dp_window(t1, t2, problem.grid.T)
+    _real("t1", t1)
+    _real("t2", t2)
+    if not (0.0 <= t1 <= t2 <= problem.grid.T):
+        raise DomainError(f"need 0 <= t1 <= t2 <= T, got ({t1}, {t2})")
     _real("x0", x0)
     d = problem.driver
     for nm, default in (("b", 0), ("h", 0), ("sigma", 1)):

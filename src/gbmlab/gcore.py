@@ -10,6 +10,7 @@ nonlinearity the PDE and lattice modules ever see.
 from __future__ import annotations
 
 import configparser
+import contextvars
 import inspect
 import math
 import numbers
@@ -49,6 +50,21 @@ def charge(what: str, amount, limit, unit: str, detail: str) -> None:
             amount, limit, unit = amount / 2 ** 30, limit / 2 ** 30, "GiB"
         raise NumericalError(f"{what} needs {amount:.3g} {unit} for "
                              f"{detail}; the limit is {limit:.3g} {unit}")
+
+
+# set for a dry run, which stops at its first unit of work
+DRY_RUN = contextvars.ContextVar("DRY_RUN", default=False)
+
+
+class DryRunStop(Exception):
+    """A dry run reached its first unit of work; it refuses nothing."""
+
+
+def work() -> None:
+    """The start of a sweep, a lattice step, a draw of normals or a
+    cylinder table: a dry run stops here with :class:`DryRunStop`."""
+    if DRY_RUN.get():
+        raise DryRunStop
 
 
 def _count(name: str, value) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .gcore import (CylinderFunctional, DomainError, DriverSpec, GFunction1D,
                     Grid1D, NumericalError, _as_vectorized, _count, _horizon,
-                    charge, payoff_driver, preset_driver)
+                    charge, payoff_driver, preset_driver, work)
 from . import pde as _pde
 
 _MAX_STATE_NODES = 250_000
@@ -197,6 +197,7 @@ def _sup_step(V: np.ndarray, probs, rewards=None, policy: bool = False):
     sigma.  With ``policy``, also returns the chosen index (int8) per
     interior node.
     """
+    work()
     up, dn, mid = V[:, 2:], V[:, :-2], V[:, 1:-1]
     best = arg = None
     for ci, pr in enumerate(probs):
@@ -276,15 +277,6 @@ def _resolve_payoff(phi) -> DriverSpec:
     return payoff_driver(phi, name="terminal", L1=l1)
 
 
-def _pure_payoff(driver: DriverSpec) -> None:
-    """DomainError unless ``driver`` is a pure payoff, whose form is
-    ``GHEAT``."""
-    form = _pde._form(driver)
-    if form is not _pde.PdeForm.GHEAT:
-        raise DomainError(f"driver '{driver.name}' is not a pure payoff: it "
-                          f"fits {form.value}, not gheat")
-
-
 def gexpect_terminal(phi, T: float, G: GFunction1D, *, nx: int = 401,
                      safety: float = 0.9) -> float:
     """Worst-case expectation of phi at horizon T, via the nonlinear heat
@@ -293,7 +285,10 @@ def gexpect_terminal(phi, T: float, G: GFunction1D, *, nx: int = 401,
     form is not ``GHEAT``."""
     driver = _resolve_payoff(phi)
     grid = Grid1D.default_for(0.0, T, G, nx=nx)
-    _pure_payoff(driver)
+    form = _pde._form(driver)
+    if form is not _pde.PdeForm.GHEAT:
+        raise DomainError(f"driver '{driver.name}' is not a pure payoff: it "
+                          f"fits {form.value}, not gheat")
     # only u(0, .) is read: one row stepped to t = 0, no dense field
     nt, dt, _ = _pde._time_steps(grid, (G,), driver, safety)
     u0 = _pde._last_level(driver, grid, (G,), nt, dt,
@@ -333,6 +328,7 @@ def gexpect_cylinder(X: CylinderFunctional, G: GFunction1D, *,
              for i in range(N, 0, -1)}
     charge("cylinder table", 8 * math.prod(shape), _pde.DENSE_BYTES_MAX,
            "bytes", f"nx={shape}")
+    work()
     f = _as_vectorized(X.psi, N)
     mesh = np.meshgrid(*[g.xs for g in grids], indexing="ij", sparse=True)
     tab = np.ascontiguousarray(
@@ -413,13 +409,6 @@ def _running_max_lhs(records: dict, s: list[int], probs,
     return float(W[0, s[0], 0])
 
 
-def _doob_exponents(p: float, p_prime: float) -> None:
-    """DomainError unless 1 <= p < p_prime < inf."""
-    if not (1.0 <= p < p_prime < math.inf):
-        raise DomainError(f"need 1 <= p < p_prime, both finite, got "
-                          f"({p}, {p_prime})")
-
-
 def doob_check(xi: CylinderFunctional, p: float, p_prime: float,
                G: GFunction1D, spec: LatticeSpec) -> DoobReport:
     """Certify the maximal inequality for |xi| on the lattice.
@@ -427,7 +416,9 @@ def doob_check(xi: CylinderFunctional, p: float, p_prime: float,
     lhs = E-hat[ sup_k (E-hat_k |xi|)^p ]^(1/p) against
     rhs = C(p, p') * E-hat[ |xi|^p' ]^(1/p').
     """
-    _doob_exponents(p, p_prime)
+    if not (1.0 <= p < p_prime < math.inf):
+        raise DomainError(f"need 1 <= p < p_prime, both finite, got "
+                          f"({p}, {p_prime})")
     s = _stage_bounds(xi, spec, dps=2)
     probs = spec.probs
     tab = np.abs(_terminal_tab(xi, s, spec.dx))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcore import (DomainError, DriverSpec, GFunction1D, Grid1D,
-                    NumericalError, charge)
+                    NumericalError, charge, work)
 
 
 # Largest dense storage (u and a_field, every time level) one solve may
@@ -406,6 +406,7 @@ def _backward_steps(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
     valid only until the next step overwrites them: a caller that keeps a
     level copies it.
     """
+    work()
     plan = _Plan(driver, grid, Gs, dt, u)
     start, u, rate, tmp = u, plan.u, plan.rate, plan.tmp
     sh2, sl2, lower, fold = plan.sh2, plan.sl2, plan.lower, plan.fold

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcore import (ARITY, DomainError, DriverSpec, GFunction1D,
-                    NumericalError, _count, _horizon, _real, charge)
+                    NumericalError, _count, _horizon, _real, charge, work)
 from .pde import (ControlField, FieldInterpolator, GridPoints, PdeSolution,
                   _time_index, extremal_control, sigma_of)
 
@@ -155,6 +155,7 @@ def path_normals(seed: int, n_paths: int, n_steps: int,
     ``path_offset`` shifts the path indices so a large run can be produced
     in chunks while staying bit-identical to the unchunked run.
     """
+    work()
     n_paths, n_steps = _count("n_paths", n_paths), _count("n_steps", n_steps)
     if not 0 <= path_offset <= 2 ** 64 - n_paths:
         raise DomainError(f"path indices {path_offset} to "

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import gbmlab
-from gbmlab import cli, gbsde, gexpect, pde, scenario
+from gbmlab import cli, gbsde, gcore, gexpect, pde, scenario
 from gbmlab.cli import _main
 from gbmlab.gbsde import dynamic_programming_check
 from gbmlab.gcore import (PRESET_NAMES, Grid1D, make_gfunction, preset_driver,
@@ -208,6 +208,68 @@ def test_dry_run_validates_without_artifacts(tmp_path, capsys):
     assert rc == 0
     assert "dry-run ok" in capsys.readouterr().out
     assert not out.exists()
+    # a dry run, stopped or refused inside the runner, leaves no dry-run
+    # state behind: the next run in the process computes and writes
+    assert _main(["gbsde", "--sigma-low", "0.1", "--dry-run"]) == 1
+    assert not gcore.DRY_RUN.get()
+    assert _main(["gbsde", "--nx", "21", "--output-dir", str(out)]) == 0
+    assert (out / "summary.json").exists()
+
+
+def test_a_dry_run_that_returns_writes_nothing(tmp_path, monkeypatch,
+                                                capsys):
+    # a runner that returns without reaching a unit of work still leaves
+    # no artifact
+    monkeypatch.setitem(cli._SUBCOMMANDS, "gexpect",
+                        (lambda cfg, built: ({}, {}, {}, ""), "stub"))
+    out = tmp_path / "never-created"
+    assert _main(["gexpect", "--dry-run", "--output-dir", str(out)]) == 0
+    assert "dry-run ok" in capsys.readouterr().out
+    assert not out.exists()
+
+
+def _benchmark_argvs() -> list:
+    """Every argv of the benchmark workloads, with ``--seed 1`` appended to
+    the seeded ones as the benchmark does."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look the module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return [[*c.argv, *(["--seed", "1"] if c.seeded else [])]
+            for cmds in workloads.WORKLOADS.values() for c in cmds]
+
+
+def test_a_dry_run_computes_nothing(tmp_path, monkeypatch):
+    # each benchmark command under --dry-run reaches exactly one of the
+    # four units of work, which stops it before its first step
+    argvs = _benchmark_argvs()
+    assert len(argvs) == 19
+    reached = []
+
+    def spy():
+        # the unit of work, and whether the dry run stops it
+        reached.append((sys._getframe(1).f_code.co_name,
+                        gcore.DRY_RUN.get()))
+        real()
+    real = gcore.work
+    for module in (pde, gexpect, scenario):
+        monkeypatch.setattr(module, "work", spy)
+    units = {"_backward_steps", "_sup_step", "path_normals",
+             "gexpect_cylinder"}
+    seen = set()
+    for argv in argvs:
+        reached.clear()
+        out = tmp_path / "never-created"
+        assert _main([*argv, "--dry-run", "--output-dir", str(out)]) == 0, \
+            argv
+        assert not out.exists(), argv
+        assert len(reached) == 1 and reached[0][1], (argv, reached)
+        seen.add(reached[0][0])
+    assert seen == units
 
 
 def test_help_exits_zero(capsys):
@@ -407,39 +469,62 @@ def test_grid_the_levels_cannot_coarsen_exits_one_before_any_sweep(
     assert not (tmp_path / "summary.json").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["stability", "--shift", "0.1", "--nx", "402"],
-    ["semiconvexity", "--nx", "402"],
-    ["solve-pde", "--nx", "2"],
-    ["gexpect", "--nx", "2"],
-    ["cylinder", "--nx", "2"],
-    ["dp-check", "--steps", "0"],
-    ["doob", "--steps", "0"],
-    ["kink", "--n-paths", "0"],
-    ["counterexample", "--n-paths", "0"],
-    ["gexpect", "--preset", "linear-h"],
-    ["stability", "--shift", "0.1", "--p", "0.5"],
-    ["stability"],
-    ["dp-check", "--t1", "0.9"],
-    ["doob", "--p", "5", "--p-prime", "4"],
-    ["sensitivity-t", "--t", "0"],
-    ["kink", "--t", "1.0"],
-    ["sensitivity-x", "--t", "1.0"],
-], ids=lambda argv: "-".join(argv).replace("--", ""))
-def test_dry_run_refuses_what_the_run_refuses(tmp_path, monkeypatch, argv):
-    # the grid, the coarser levels, the lattice steps and the path counts
-    # are built, and each rule of a library entry point (a pure payoff,
-    # p >= 1, the t1/t2 window, 1 <= p < p' < inf, the start-time window)
-    # is checked from the function that holds it, before --dry-run
-    # returns and before any sweep, lattice step or draw
+# argvs that the run refuses before its first unit of work, by exit code
+_REFUSED_BEFORE_WORK = {
+    1: (["stability", "--shift", "0.1", "--nx", "402"],
+        ["semiconvexity", "--nx", "402"],
+        ["solve-pde", "--nx", "2"],
+        ["gexpect", "--nx", "2"],
+        ["cylinder", "--nx", "2"],
+        ["dp-check", "--steps", "0"],
+        ["doob", "--steps", "0"],
+        ["kink", "--n-paths", "0"],
+        ["counterexample", "--n-paths", "0"],
+        ["gexpect", "--preset", "linear-h"],
+        ["stability", "--shift", "0.1", "--p", "0.5"],
+        ["stability"],
+        ["dp-check", "--t1", "0.9"],
+        ["doob", "--p", "5", "--p-prime", "4"],
+        ["sensitivity-t", "--t", "0"],
+        ["kink", "--t", "1.0"],
+        ["sensitivity-x", "--t", "1.0"],
+        ["gbsde", "--eps", "0.1,0.1"],
+        ["convergence", "--eps", "0.1"],
+        ["curvature", "--eps", "-1"],
+        ["semiconvexity", "--eps", "0"],
+        ["counterexample", "--eps", "0.1,0.1"],
+        ["doob", "--xi", "two-stage", "--steps", "3"],
+        ["solve-pde", "--eps", "2"],
+        ["gbsde", "--sigma-low", "0.1"],
+        ["cylinder", "--times", "0.5,1,1.5,2,2.5"],
+        ["gexpect", "--cfl-safety=-inf"],
+        *([sub, "--x-min", "-1", "--x-max", "1", "--x", "5"]
+          for sub in ("solve-pde", "gbsde", "dp-check", "kink")),
+        *(["dp-check", f"--tol={tol}"] for tol in ("nan", "inf", "-inf"))),
+    2: (["solve-pde", "--nt", "3", "--nx", "41"],
+        ["solve-pde", "--nx", "2000"],
+        ["sensitivity-x", "--n-paths", "100000000", "--nx", "41"]),
+}
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(argv, code, id="-".join(argv).replace("--", ""))
+    for code, argvs in _REFUSED_BEFORE_WORK.items() for argv in argvs])
+def test_dry_run_refuses_what_the_run_refuses(tmp_path, monkeypatch, argv,
+                                              code):
+    # a dry run is the run stopped at its first sweep, lattice step, draw
+    # or cylinder table: every refusal before that point is its own, and
+    # the rules of an estimate's path run and a convergence report's
+    # levels, which follow a sweep, are checked by cli._build
     def work(*args, **kwargs):
         raise AssertionError("computed")
     monkeypatch.setattr(pde, "_backward_steps", work)
     monkeypatch.setattr(gexpect, "_sup_step", work)
+    monkeypatch.setattr(gexpect, "work", work)
     monkeypatch.setattr(scenario, "path_normals", work)
     for dry in ([], ["--dry-run"]):
         out = tmp_path / f"out{len(dry)}"
-        assert _main([*argv, *dry, "--output-dir", str(out)]) == 1, dry
+        assert _main([*argv, *dry, "--output-dir", str(out)]) == code, dry
         assert not out.exists()
 
 
@@ -646,9 +731,24 @@ def _hostile_argvs() -> list:
     return argvs
 
 
+# the hostile argvs that the run refuses with exit 2 from a value it
+# computes, which a dry run, stopped before the first unit of work, never
+# reaches
+_REFUSED_FROM_COMPUTED_VALUES = {
+    ("doob", "--steps=2000"):
+        "the running-max budget counts the values the first DP records",
+    ("kink", "--nx", "41", "--n-paths", "256", "--n-steps", "16",
+     "--preset", "smooth-bump", "--param=amplitude=1e300"):
+        "the estimate turns non-finite along the paths",
+}
+
+
 def test_hostile_argvs_exit_cleanly(tmp_path):
     # every argv ends in an exit code, never a traceback, a MemoryError
-    # under the address-space cap, an escaped exception or a warning
+    # under the address-space cap, an escaped exception or a warning, and
+    # so does its dry run, which exits 0 or with the run's code: exit 1
+    # whenever the run exits 1, and 0 for a run's exit 2 only where the
+    # refusal needs a computed value
     argvs = _hostile_argvs()
     assert len(argvs) > 200
     script = textwrap.dedent(f"""
@@ -656,27 +756,37 @@ def test_hostile_argvs_exit_cleanly(tmp_path):
         cap = 3 * 2 ** 30
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
         from gbmlab.cli import _main
-        bad = []
+        bad, codes = [], []
         for argv in {argvs!r}:
-            err = io.StringIO()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    with contextlib.redirect_stderr(err), \\
-                            contextlib.redirect_stdout(io.StringIO()):
-                        rc = _main(argv + ["--output-dir",
-                                           {str(tmp_path)!r}])
-                except Exception as exc:
-                    rc = repr(exc)
-            if rc not in (0, 1, 2, 3) or "Traceback" in err.getvalue() \\
-                    or caught:
-                bad.append((argv, rc, err.getvalue()[-500:],
-                            [str(w.message) for w in caught]))
-        print(json.dumps(bad))
+            pair = []
+            for dry in ([], ["--dry-run"]):
+                err = io.StringIO()
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        with contextlib.redirect_stderr(err), \\
+                                contextlib.redirect_stdout(io.StringIO()):
+                            rc = _main(argv + dry + ["--output-dir",
+                                                     {str(tmp_path)!r}])
+                    except Exception as exc:
+                        rc = repr(exc)
+                if rc not in (0, 1, 2, 3) or "Traceback" in err.getvalue() \\
+                        or caught:
+                    bad.append((argv + dry, rc, err.getvalue()[-500:],
+                                [str(w.message) for w in caught]))
+                pair.append(rc)
+            codes.append(pair)
+        print(json.dumps([bad, codes]))
         """)
     proc = _child(script, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert json.loads(proc.stdout) == []
+    bad, codes = json.loads(proc.stdout)
+    assert bad == []
+    run_only = [tuple(argv) for argv, (run, dry) in zip(argvs, codes)
+                if (run, dry) == (2, 0)]
+    assert sorted(run_only) == sorted(_REFUSED_FROM_COMPUTED_VALUES)
+    assert all(dry in (0, run) and (run != 1 or dry == 1)
+               for run, dry in codes), list(zip(argvs, codes))
 
 
 def test_estimate_on_a_grid_inside_the_dense_budget_runs(tmp_path):
@@ -815,6 +925,20 @@ def test_non_finite_x_exits_one_before_any_work(tmp_path):
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert proc.stderr.count("x must be finite") == len(runs)
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-pde"], ["gbsde"], ["dp-check"],
+    ["kink", "--n-paths", "64", "--n-steps", "8"],
+], ids=lambda argv: argv[0])
+def test_probe_point_at_the_domain_end_runs(tmp_path, argv):
+    # a probe point outside [x_min, x_max] exits 1, as every read would
+    # clamp it to the nearest end (u(0, 5) on [-1, 1] read as u(0, 1)); the
+    # end points themselves are probe points
+    out = tmp_path / "at-the-end"
+    assert _main([*argv, "--x-min", "-1", "--x-max", "1", "--nx", "41",
+                  "--x", "1", "--output-dir", str(out)]) == 0
+    assert _summary(out)["parameters"]["x"] == 1.0
 
 
 def test_counterexample_bad_inputs_exit_one(tmp_path):
@@ -1135,17 +1259,7 @@ def test_overflowing_monte_carlo_estimate_exits_two(tmp_path, capsys,
 def test_benchmark_command_lines_validate(tmp_path):
     # every argv of the benchmark workloads passes the flag and parameter
     # checks, so no removed option or key check can refuse one
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses look the module up
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        del sys.modules[spec.name]
-    # the benchmark appends --seed to the seeded commands only
-    argvs = [[*c.argv, *(["--seed", "1"] if c.seeded else [])]
-             for cmds in workloads.WORKLOADS.values() for c in cmds]
+    argvs = _benchmark_argvs()
     assert argvs
     for argv in argvs:
         assert _main([*argv, "--dry-run", "--assert",
