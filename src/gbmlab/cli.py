@@ -135,7 +135,6 @@ class RunConfig:
     T: float = _setting(1.0, "grid",
                         _GRID + ("gexpect", "doob", "counterexample"),
                         help="horizon")
-    cfl_safety: float = _setting(0.9, "grid", _GRID + ("gexpect", "cylinder"))
     preset: str = _setting("quadratic", "driver", _GRID + ("gexpect",),
                            "--preset", "--payoff", choices=PRESET_NAMES,
                            help="driver preset")
@@ -299,16 +298,15 @@ class _Built:
     (``_build``); not a setting, so the summary's echo never holds it."""
 
     driver: DriverSpec | None
-    # the space grids a grid subcommand solves on, coarse to fine, the last
-    # the configured one
-    grids: tuple
+    grid: Grid1D | None  # the configured grid of a grid subcommand
 
 
 def _build(cfg: RunConfig, subcommand: str) -> _Built:
     """Check the run's driver parameters and counts and build its driver
-    and grids.  Every other setting is refused by the run itself, before
-    its first sweep, lattice step, draw or cylinder table, where a dry run
-    stops (``gcore.work``).  Checked here are only the rules of a runner's
+    and configured grid; a runner builds any coarser level itself.  Every
+    other setting is refused by the run itself, before its first sweep,
+    lattice step, draw or cylinder table, where a dry run stops
+    (``gcore.work``).  Checked here are only the rules of a runner's
     second library call, which its first call's sweep precedes: the path
     run of an estimate and the levels of a convergence report; and a probe
     point x outside the domain, which every read would clamp to an end."""
@@ -320,7 +318,7 @@ def _build(cfg: RunConfig, subcommand: str) -> _Built:
         if name in settings:
             _count(name, getattr(cfg, name))
     if subcommand not in _GRID:
-        return _Built(driver, ())
+        return _Built(driver, None)
     grid = cfg.grid()
     if not grid.x_min <= cfg.x <= grid.x_max:
         raise DomainError(f"the probe point x={cfg.x:g} lies outside the "
@@ -332,9 +330,7 @@ def _build(cfg: RunConfig, subcommand: str) -> _Built:
                              grid.T, cfg.x, walk=True)
     elif subcommand == "convergence":
         _gbsde._report_levels(cfg.eps_schedule)
-    elif subcommand == "semiconvexity":
-        return _Built(driver, (_gbsde._coarsen(grid, 2, subcommand), grid))
-    return _Built(driver, (grid,))
+    return _Built(driver, grid)
 
 
 def _regularized_G(cfg: RunConfig) -> GFunction1D:
@@ -346,13 +342,13 @@ def _regularized_G(cfg: RunConfig) -> GFunction1D:
 
 def _problem(built: _Built, G: GFunction1D) -> PdeProblem:
     """The run's driver on its configured grid under ``G``."""
-    return PdeProblem(built.grids[-1], built.driver, G)
+    return PdeProblem(built.grid, built.driver, G)
 
 
 def _solve(cfg: RunConfig, built: _Built):
     """(problem, solution) of the configured single-level PDE."""
     problem = _problem(built, _regularized_G(cfg))
-    return problem, _pde.solve_terminal_pde(problem, safety=cfg.cfl_safety)
+    return problem, _pde.solve_terminal_pde(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +357,7 @@ def _solve(cfg: RunConfig, built: _Built):
 
 def _run_gexpect(cfg: RunConfig, built: _Built):
     G = cfg.gfunction()
-    value = _gexpect.gexpect_terminal(built.driver, cfg.T, G, nx=cfg.nx,
-                                      safety=cfg.cfl_safety)
+    value = _gexpect.gexpect_terminal(built.driver, cfg.T, G, nx=cfg.nx)
     values = dict(value=value, payoff=cfg.preset)
     table = (("payoff", "sigma_low", "sigma_high", "T", "value"),
              [(cfg.preset, cfg.sigma_low, cfg.sigma_high, cfg.T, value)])
@@ -372,8 +367,7 @@ def _run_gexpect(cfg: RunConfig, built: _Built):
 def _run_cylinder(cfg: RunConfig, built: _Built):
     functional = CylinderFunctional(cfg.times, _PSI_CATALOG[cfg.psi],
                                     name=cfg.psi)
-    value = _gexpect.gexpect_cylinder(functional, cfg.gfunction(),
-                                      nx=cfg.nx, safety=cfg.cfl_safety)
+    value = _gexpect.gexpect_cylinder(functional, cfg.gfunction(), nx=cfg.nx)
     values = dict(value=value, psi=cfg.psi,
                   times=list(float(t) for t in cfg.times))
     table = (("psi", "times", "value"),
@@ -402,10 +396,9 @@ def _run_doob(cfg: RunConfig, built: _Built):
 def _run_solve_pde(cfg: RunConfig, built: _Built):
     problem = _problem(built, _regularized_G(cfg))
     # the export is refused before the solve, from the solve's nt
-    nt = _pde._time_steps(problem.grid, (problem.G,), problem.driver,
-                          cfg.cfl_safety)[0]
+    nt = _pde._time_steps(problem.grid, (problem.G,), problem.driver)[0]
     _pde._charge_export(nt + 1, problem.grid.nx)
-    sol = _pde.solve_terminal_pde(problem, safety=cfg.cfl_safety)
+    sol = _pde.solve_terminal_pde(problem)
     os.makedirs(cfg.output_dir, exist_ok=True)
     _pde.export_solution_csv(sol, os.path.join(cfg.output_dir,
                                                "solution.csv"))
@@ -421,8 +414,7 @@ def _family(cfg: RunConfig, built: _Built, *, curvature: bool = False
             ) -> _gbsde.BsdeSolutionFamily:
     """The configured eps family at t = 0 (no dense fields)."""
     return _gbsde.solve_gbsde(_problem(built, cfg.gfunction()),
-                              cfg.eps_schedule, safety=cfg.cfl_safety,
-                              curvature=curvature)
+                              cfg.eps_schedule, curvature=curvature)
 
 
 def _run_gbsde(cfg: RunConfig, built: _Built):
@@ -524,19 +516,15 @@ def _run_kink(cfg: RunConfig, built: _Built):
 
 
 def _run_semiconvexity(cfg: RunConfig, built: _Built):
+    grids = (_gbsde._coarsen(built.grid, 2, "semiconvexity"), built.grid)
     G = _regularized_G(cfg)
-    # the grid coarsened by 2, then the user's; every level's time steps,
-    # and with them its work budget, are settled before the first scan
-    for grid in reversed(built.grids):
-        _pde._time_steps(grid, (G,), built.driver, cfg.cfl_safety)
-    rows = []
-    reports = []
-    for grid in built.grids:
-        problem = PdeProblem(grid, built.driver, G)
-        rep = _gbsde.semiconvexity_scan(problem, safety=cfg.cfl_safety)
-        reports.append(rep)
-        rows.append((problem.grid.nx, rep.C, rep.min_second_diff,
-                     rep.max_second_diff, rep.violations))
+    # the user's grid first, so a pin or budget is refused before any work;
+    # its coarsening (a larger CFL bound, fewer nodes) passes what it passes
+    fine = _gbsde.semiconvexity_scan(PdeProblem(grids[1], built.driver, G))
+    reports = [_gbsde.semiconvexity_scan(PdeProblem(grids[0], built.driver, G)),
+               fine]
+    rows = [(grid.nx, rep.C, rep.min_second_diff, rep.max_second_diff,
+             rep.violations) for grid, rep in zip(grids, reports)]
     c1, c2 = reports[0].C, reports[1].C
     floor = 1e-9
     stable = (max(c1, c2) <= floor) or \
@@ -553,8 +541,7 @@ def _run_semiconvexity(cfg: RunConfig, built: _Built):
 def _run_dp_check(cfg: RunConfig, built: _Built):
     problem = _problem(built, _regularized_G(cfg))
     rep = _gbsde.dynamic_programming_check(problem, cfg.t1, cfg.t2,
-                                           x0=cfg.x, steps=cfg.steps,
-                                           safety=cfg.cfl_safety)
+                                           x0=cfg.x, steps=cfg.steps)
     values = dict(u_t1=rep.u_t1, lattice_value=rep.lattice_value,
                   residual=rep.residual)
     verdicts = dict(residual_within_tol=bool(rep.residual <= cfg.tol))
@@ -583,7 +570,7 @@ def _run_stability(cfg: RunConfig, built: _Built):
     if cfg.preset_b is None and cfg.shift is None:
         raise ConfigError("stability needs --preset-b or --shift")
     G = _regularized_G(cfg)
-    d1, grid = built.driver, built.grids[-1]
+    d1, grid = built.driver, built.grid
     if cfg.preset_b is not None:
         d2 = cfg.driver(cfg.preset_b)
     else:
@@ -594,8 +581,7 @@ def _run_stability(cfg: RunConfig, built: _Built):
             phi=lambda xv, _p=phi1, _s=shift: np.asarray(_p(xv)) + _s)
     rep = _gbsde.stability_check(PdeProblem(grid, d1, G),
                                  PdeProblem(grid, d2, G), cfg.p,
-                                 lattice_steps=cfg.steps * 8,
-                                 safety=cfg.cfl_safety)
+                                 lattice_steps=cfg.steps * 8)
     values = dict(constants=[r[4] for r in rep.rows],
                   deltas=[r[1] for r in rep.rows])
     verdicts = dict(stable=bool(rep.stable))

@@ -86,7 +86,7 @@ def _central_uxx(u: np.ndarray, dx: float) -> np.ndarray:
     return _pde._second_diff(u[..., lo - 1:hi + 1], dx)
 
 
-def solve_gbsde(problem: PdeProblem, eps_schedule, *, safety: float = 0.9,
+def solve_gbsde(problem: PdeProblem, eps_schedule, *,
                 curvature: bool = False) -> BsdeSolutionFamily:
     """Solve one elliptic level per eps and extrapolate the limit.
 
@@ -113,7 +113,7 @@ def solve_gbsde(problem: PdeProblem, eps_schedule, *, safety: float = 0.9,
                           "generator (sigma_low = 0)")
     gs = [regularize(problem.G, e) for e in eps]
     grid, driver = problem.grid, problem.driver
-    nt, dt, _ = _pde._time_steps(grid, gs, driver, safety)
+    nt, dt, _ = _pde._time_steps(grid, gs, driver)
     phi = _pde._terminal_data(driver, grid.xs)
     u = np.broadcast_to(phi, (len(gs), grid.nx))
     if curvature:
@@ -277,7 +277,7 @@ class SemiconvexityReport:
 _RATIO_SLACK = 2.0 ** -50
 
 
-def semiconvexity_scan(problem, *, safety: float = 0.9) -> SemiconvexityReport:
+def semiconvexity_scan(problem) -> SemiconvexityReport:
     """Fit the smallest C with second differences >= -C (1 + |x|^{2m}).
 
     The probe increment is the grid step itself:
@@ -296,7 +296,7 @@ def semiconvexity_scan(problem, *, safety: float = 0.9) -> SemiconvexityReport:
         raise DomainError("semiconvexity scan needs second derivatives "
                           "(driver.phi_xx missing)")
     grid, Gs, dx = problem.grid, (problem.G,), problem.grid.dx
-    nt, dt, _ = _pde._time_steps(grid, Gs, driver, safety)
+    nt, dt, _ = _pde._time_steps(grid, Gs, driver)
     phi = _pde._terminal_data(driver, grid.xs)[None]
     weight = 1.0 + np.abs(grid.xs[:-2]) ** (2 * driver.m)
     second, ratio = np.empty(grid.nx - 2), np.empty(grid.nx - 2)
@@ -366,8 +366,7 @@ def _power(what: str, base: float, p: float) -> float:
 
 
 def stability_check(problem1, problem2, p: float = 1.0, *,
-                    lattice_steps: int = 64,
-                    safety: float = 0.9) -> StabilityReport:
+                    lattice_steps: int = 64) -> StabilityReport:
     """Continuity of u in the data (phi, f, g).
 
     Per level: lhs = sup_x |u1 - u2|(0, .)^p against rhs =
@@ -411,8 +410,8 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
     # the time steps of every level, and with them the work budget of
     # every solve, are settled before the first solve; the finest first,
     # so that a pin or a budget it fails is refused on the problems' grid
-    steps = {grid.nx: [_pde._time_steps(grid, (G,), d, safety)[:2]
-                       for d in (d1, d2)] for grid in reversed(grids)}
+    steps = {grid.nx: [_pde._time_steps(grid, (G,), d)[:2] for d in (d1, d2)]
+             for grid in reversed(grids)}
     levels = [(grid, *steps[grid.nx]) for grid in grids]
 
     def diff(bt):
@@ -492,15 +491,16 @@ class DpCheckReport:
 
 
 def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
-                              steps: int = 64, safety: float = 0.9
-                              ) -> DpCheckReport:
+                              steps: int = 64) -> DpCheckReport:
     """Re-derive u(t1, x0) by lattice DP on [t1, t2] with terminal data
     u(t2, .) and per-step rewards f dt + g sigma^2 dt read from the solved
     fields.  Supports drivers that leave b, h and sigma at their defaults
     (none in ``DriverSpec.live``; the state is x0 + noise); anything else
     raises :class:`DomainError`.  A lattice over the
     ``gexpect.DP_NODE_STEPS_MAX`` work budget raises
-    :class:`NumericalError` before the PDE solve."""
+    :class:`NumericalError` before the PDE solve, and then one whose nodes
+    x0 +- steps dx leave the grid, where u(t2, .) is not known,
+    :class:`DomainError`."""
     _real("t1", t1)
     _real("t2", t2)
     if not (0.0 <= t1 <= t2 <= problem.grid.T):
@@ -519,7 +519,13 @@ def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
                _gexpect.DP_NODE_STEPS_MAX, "node-steps", f"steps={steps}, "
                f"each level charged at least {_gexpect.DP_LEVEL_NODES_MIN} "
                f"nodes")
-    sol = _pde.solve_terminal_pde(problem, safety=safety)
+        lo, hi, grid = x0 - steps * spec.dx, x0 + steps * spec.dx, problem.grid
+        if lo < grid.x_min or hi > grid.x_max:
+            raise DomainError(f"the dp lattice's nodes [{lo:g}, {hi:g}] "
+                              f"leave the domain [{grid.x_min:g}, "
+                              f"{grid.x_max:g}]; pass fewer --steps or a "
+                              f"wider --x-min/--x-max")
+    sol = _pde.solve_terminal_pde(problem)
     u_t1 = sol.value(t1, x0)
     if spec is None:
         return DpCheckReport(t1=t1, t2=t2, x0=x0, u_t1=u_t1,

@@ -681,7 +681,7 @@ def parse_config(source: str) -> dict:
     """Parse a plain-text key=value run configuration.
 
     ``source`` is a path or raw text.  Sections: [generator] sigma_low,
-    sigma_high, eps_schedule; [grid] x_min, x_max, nx, T, cfl_safety;
+    sigma_high, eps_schedule; [grid] x_min, x_max, nx, nt, T;
     [driver] preset plus preset parameters; optional [schedule], [mc],
     [output].  Values are coerced to int/float/bool/tuple-of-float.
     """

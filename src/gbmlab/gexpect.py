@@ -277,8 +277,8 @@ def _resolve_payoff(phi) -> DriverSpec:
     return payoff_driver(phi, name="terminal", L1=l1)
 
 
-def gexpect_terminal(phi, T: float, G: GFunction1D, *, nx: int = 401,
-                     safety: float = 0.9) -> float:
+def gexpect_terminal(phi, T: float, G: GFunction1D, *,
+                     nx: int = 401) -> float:
     """Worst-case expectation of phi at horizon T, via the nonlinear heat
     equation on ``Grid1D.default_for``; returns u(0, 0).  Raises
     :class:`DomainError` for a driver that is not a pure payoff, whose
@@ -290,7 +290,7 @@ def gexpect_terminal(phi, T: float, G: GFunction1D, *, nx: int = 401,
         raise DomainError(f"driver '{driver.name}' is not a pure payoff: it "
                           f"fits {form.value}, not gheat")
     # only u(0, .) is read: one row stepped to t = 0, no dense field
-    nt, dt, _ = _pde._time_steps(grid, (G,), driver, safety)
+    nt, dt, _ = _pde._time_steps(grid, (G,), driver)
     u0 = _pde._last_level(driver, grid, (G,), nt, dt,
                           _pde._terminal_data(driver, grid.xs)[None])
     return float(np.interp(0.0, grid.xs, u0[0]))
@@ -312,7 +312,7 @@ def _rows_at_zero(xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def gexpect_cylinder(X: CylinderFunctional, G: GFunction1D, *,
-                     nx: int = 201, safety: float = 0.9) -> float:
+                     nx: int = 201) -> float:
     """Worst-case expectation of a cylinder payoff (N <= 4 stages) via one
     backward heat solve per stage on the ``default_stage_grids``,
     vectorized over the outer tabulation."""
@@ -323,7 +323,7 @@ def gexpect_cylinder(X: CylinderFunctional, G: GFunction1D, *,
     shape = tuple(g.nx for g in grids)
     # the time steps of every stage, and with them the work budget of every
     # stage, and the table's bytes are settled before the table is built
-    steps = {i: _pde._time_steps(grids[i - 1], (G,), _HEAT, safety,
+    steps = {i: _pde._time_steps(grids[i - 1], (G,), _HEAT,
                                  rows=math.prod(shape[:i - 1]))[:2]
              for i in range(N, 0, -1)}
     charge("cylinder table", 8 * math.prod(shape), _pde.DENSE_BYTES_MAX,

@@ -66,6 +66,9 @@ STEP_NODES_MIN = 8192
 # 0.72 to 0.74 s unblocked; this block holds 122 such rows.
 BLOCK_NODES = 3 * 2 ** 14
 
+# Share of the stable explicit step a step takes (monotone for any share <= 1)
+CFL_SAFETY = 0.9
+
 
 class PdeForm(enum.Enum):
     GHEAT = "gheat"
@@ -132,9 +135,8 @@ def _driver_bounds(grid: Grid1D, driver: DriverSpec) -> dict:
                 g_z_lip=gz, g_y_lip=gy, f_y_lip=fy)
 
 
-def cfl_timestep(grid: Grid1D, G: GFunction1D, driver: DriverSpec,
-                 safety: float = 0.9) -> float:
-    """Largest stable explicit time step for the monotone scheme.
+def cfl_timestep(grid: Grid1D, G: GFunction1D, driver: DriverSpec) -> float:
+    """``CFL_SAFETY`` of the largest stable explicit step of the scheme.
 
     The denominator collects every first-order update coefficient:
     diffusion max sigma^2 * sigma_high^2, drift dx*|b|, the dx-scaled
@@ -142,13 +144,11 @@ def cfl_timestep(grid: Grid1D, G: GFunction1D, driver: DriverSpec,
     zero-order Lipschitz rates of g and f.  Raises :class:`DomainError`
     if the bound is not finite and positive.
     """
-    return _cfl_bound(grid, G, _driver_bounds(grid, driver), safety)
+    return _cfl_bound(grid, G, _driver_bounds(grid, driver))
 
 
-def _cfl_bound(grid: Grid1D, G: GFunction1D, bb: dict, safety: float) -> float:
+def _cfl_bound(grid: Grid1D, G: GFunction1D, bb: dict) -> float:
     """``cfl_timestep`` from the sampled bounds ``bb`` of the driver."""
-    if not (0.0 < safety <= 1.0):
-        raise DomainError(f"need 0 < safety <= 1, got {safety}")
     dx = grid.dx
     sh2 = G.sigma_high ** 2
     denom = (bb["sig_max"] ** 2 * sh2
@@ -156,7 +156,7 @@ def _cfl_bound(grid: Grid1D, G: GFunction1D, bb: dict, safety: float) -> float:
              + dx * sh2 * (bb["h_max"] + bb["g_z_lip"] * bb["sig_max"])
              + dx * dx * (sh2 * bb["g_y_lip"] + bb["f_y_lip"]))
     denom = max(denom, dx * dx / grid.T)  # all-zero coefficients: dt <= T
-    bound = safety * dx * dx / denom
+    bound = CFL_SAFETY * dx * dx / denom
     if not 0.0 < bound < math.inf:  # NaN: dx * sh2 overflows, times zero
         raise DomainError(f"no finite positive CFL bound for sigma_high="
                           f"{G.sigma_high:g} and dx={dx:g}")
@@ -230,10 +230,10 @@ def _time_index(ts: np.ndarray, t: float) -> int:
 # solver
 # ---------------------------------------------------------------------------
 
-def _time_steps(grid: Grid1D, Gs, driver: DriverSpec, safety: float,
+def _time_steps(grid: Grid1D, Gs, driver: DriverSpec, *,
                 rows: int | None = None) -> tuple[int, float, float]:
-    """(nt, dt, bound): the grid's pinned ``nt`` if it satisfies the CFL
-    bound of every generator in ``Gs``, else the fewest steps that do.
+    """(nt, dt, bound): the grid's pinned ``nt`` if it satisfies the bound
+    ``cfl_timestep`` of every generator in ``Gs``, else the fewest that do.
 
     Raises :class:`NumericalError` if the pinned ``nt`` is too small, or if
     stepping ``rows`` rows (one per generator by default) would exceed
@@ -241,7 +241,7 @@ def _time_steps(grid: Grid1D, Gs, driver: DriverSpec, safety: float,
     ``STEP_NODES_MIN`` nodes.
     """
     bb = _driver_bounds(grid, driver)  # sampled once for every generator
-    bound = min(_cfl_bound(grid, G, bb, safety) for G in Gs)
+    bound = min(_cfl_bound(grid, G, bb) for G in Gs)
     nt_needed = max(1, math.ceil(grid.T / bound - 1e-12))
     if grid.nt is None:
         nt = nt_needed
@@ -508,19 +508,19 @@ def _terminal_data(driver: DriverSpec, xs: np.ndarray) -> np.ndarray:
     return phi
 
 
-def solve_terminal_pde(problem: PdeProblem, *, safety: float = 0.9) -> PdeSolution:
+def solve_terminal_pde(problem: PdeProblem) -> PdeSolution:
     """Backward explicit sweep from u(T, .) = phi to u(0, .).
 
-    Raises :class:`NumericalError` if the grid pins an ``nt`` above the CFL
-    bound, if the dense fields would exceed ``DENSE_BYTES_MAX``, or if any
-    slice turns non-finite (with the offending node and time level in the
-    message).  No level is read before the sweep ends, so unless the
-    driver's f or g reads u the sweep defers its finiteness check
+    Raises :class:`NumericalError` if the grid pins an ``nt`` whose step
+    exceeds ``cfl_timestep``, if the dense fields would exceed
+    ``DENSE_BYTES_MAX``, or if any slice turns non-finite (naming the node
+    and time level).  No level is read before the sweep ends, so unless
+    the driver's f or g reads u the sweep defers its finiteness check
     (``_backward_steps(deferred=True)``) to one check of u(0, .).
     """
     grid, driver, Gs = problem.grid, problem.driver, (problem.G,)
     xs, dx = grid.xs, grid.dx
-    nt, dt, _ = _time_steps(grid, Gs, driver, safety)
+    nt, dt, _ = _time_steps(grid, Gs, driver)
     charge("dense solution", 2 * 8 * (nt + 1) * grid.nx, DENSE_BYTES_MAX,
            "bytes", f"nt={nt}, nx={grid.nx}, 1 row(s)")
     u = np.empty((nt + 1, grid.nx))

@@ -498,8 +498,12 @@ _REFUSED_BEFORE_WORK = {
         ["gbsde", "--sigma-low", "0.1"],
         ["cylinder", "--times", "0.5,1,1.5,2,2.5"],
         ["gexpect", "--cfl-safety=-inf"],
+        ["solve-pde", "--cfl-safety", "0.9"],
         *([sub, "--x-min", "-1", "--x-max", "1", "--x", "5"]
           for sub in ("solve-pde", "gbsde", "dp-check", "kink")),
+        # the dp lattice reaches 2.04 either side of x, beyond [-1, 1]
+        *(["dp-check", "--x-min", "-1", "--x-max", "1", "--nx", "41",
+           f"--x={x}"] for x in ("0", "0.9", "1")),
         *(["dp-check", f"--tol={tol}"] for tol in ("nan", "inf", "-inf"))),
     2: (["solve-pde", "--nt", "3", "--nx", "41"],
         ["solve-pde", "--nx", "2000"],
@@ -704,30 +708,36 @@ _HOSTILE = {"float": ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300"),
 def _hostile_argvs() -> list:
     """Each numeric setting at each hostile value, and each preset's
     parameters at each hostile float, on small base sizes.  Each pair runs
-    once, on the subcommands that read it in turn."""
+    once: a setting's k-th value on the k-th subcommand that reads it (in
+    turn), so that adding or deleting a setting moves no other argv."""
     subs = list(cli._SUBCOMMANDS)
     reads = {sub: cli._settings(sub) for sub in subs}
     pairs = []
     for f in dataclasses.fields(cli.RunConfig):
         flag = (f.metadata["flags"] or (f"--{f.name.replace('_', '-')}",))[0]
         readers = [sub for sub in subs if f.name in reads[sub]]
-        pairs += [(readers, [f"{flag}={v}"])
-                  for v in _HOSTILE.get(f.type.split(" |")[0], ())]
+        pairs += [(k, readers, [f"{flag}={v}"]) for k, v in
+                  enumerate(_HOSTILE.get(f.type.split(" |")[0], ()))]
     drivers = [sub for sub in subs if {"preset", "params"} <= set(reads[sub])]
     for preset in PRESET_NAMES:
         for key in sorted(preset_keys(preset, {}) - {"phi"}):
-            pairs += [(drivers, ["--preset", preset, f"--param={key}={v}"])
-                      for v in _HOSTILE["float"]]
+            pairs += [(k, drivers, ["--preset", preset,
+                                    f"--param={key}={v}"])
+                      for k, v in enumerate(_HOSTILE["float"])]
     argvs = []
-    for i, (readers, extra) in enumerate(pairs):
-        sub = readers[i % len(readers)]
+    for k, readers, extra in pairs:
+        sub = readers[k % len(readers)]
         sizes = ((["--nx", "41"] if "nx" in reads[sub] else [])
                  + (["--n-paths", "256", "--n-steps", "16"]
                     if "n_paths" in reads[sub] else []))
         argvs.append([sub, *sizes, *extra])
-    # grids that the levels of stability and semiconvexity cannot coarsen
+    # grids that the levels of stability and semiconvexity cannot coarsen,
+    # and the refusals from computed values, whatever the rotation gives
     argvs += [["stability", "--shift", "0.1", "--nx", "402"],
-              ["semiconvexity", "--nx", "402"]]
+              ["semiconvexity", "--nx", "402"],
+              ["doob", "--steps=2000"],
+              ["kink", "--nx", "41", "--n-paths", "256", "--n-steps", "16",
+               "--preset", "smooth-bump", "--param=amplitude=1e300"]]
     return argvs
 
 
@@ -739,6 +749,12 @@ _REFUSED_FROM_COMPUTED_VALUES = {
         "the running-max budget counts the values the first DP records",
     ("kink", "--nx", "41", "--n-paths", "256", "--n-steps", "16",
      "--preset", "smooth-bump", "--param=amplitude=1e300"):
+        "the estimate turns non-finite along the paths",
+    ("sensitivity-x", "--nx", "41", "--n-paths", "256", "--n-steps", "16",
+     "--preset", "smooth-bump", "--param=amplitude=1e300"):
+        "the estimate turns non-finite along the paths",
+    ("sensitivity-x", "--nx", "41", "--n-paths", "256", "--n-steps", "16",
+     "--preset", "sine-gz", "--param=amplitude=1e300"):
         "the estimate turns non-finite along the paths",
 }
 
@@ -928,7 +944,8 @@ def test_non_finite_x_exits_one_before_any_work(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["solve-pde"], ["gbsde"], ["dp-check"],
+    # dp-check's window is empty: no lattice to reach past the domain
+    ["solve-pde"], ["gbsde"], ["dp-check", "--t1", "0.75"],
     ["kink", "--n-paths", "64", "--n-steps", "8"],
 ], ids=lambda argv: argv[0])
 def test_probe_point_at_the_domain_end_runs(tmp_path, argv):
@@ -1036,9 +1053,12 @@ def test_export_over_its_byte_budget_exits_two(tmp_path, capsys,
     (["counterexample"], "[driver]\npreset = abs\n"),
     (["solve-pde", "--form", "gheat"], None),
     (["solve-pde"], "[schedule]\nform = auto\n"),
+    # the step's share of the CFL bound is pde.CFL_SAFETY, not a setting
+    (["solve-pde"], "[grid]\ncfl_safety = 0.9\n"),
 ], ids=["gexpect-seed", "cylinder-T", "counterexample-preset",
         "gexpect-config-seed", "counterexample-config-preset",
-        "solve-pde-form", "solve-pde-config-form"])
+        "solve-pde-form", "solve-pde-config-form",
+        "solve-pde-config-cfl-safety"])
 def test_setting_the_subcommand_does_not_read_exits_one(tmp_path, capsys,
                                                         argv, config):
     extra = _config_args(tmp_path, config)

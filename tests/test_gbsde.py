@@ -344,14 +344,14 @@ def test_semiconvexity_needs_second_derivatives():
             PdeProblem(_grid(), flat, G01))
 
 
-def _dense_semiconvexity_scan(problem, *, safety: float = 0.9):
+def _dense_semiconvexity_scan(problem):
     # the dense scan over every level of solve_terminal_pde, kept as the
     # reference
     driver = problem.driver
     if driver.phi_xx is None:
         raise DomainError("semiconvexity scan needs second derivatives "
                           "(driver.phi_xx missing)")
-    sol = _pde.solve_terminal_pde(problem, safety=safety)
+    sol = _pde.solve_terminal_pde(problem)
     dx = sol.dx
     xs = sol.xs[:-2]
     second = _pde._second_diff(sol.u, dx)
@@ -509,8 +509,7 @@ def test_stability_rejects_mismatched_inputs():
         gbsde.stability_check(base, other_G, p=1.0)
 
 
-def _dense_stability_rows(problem1, problem2, p, lattice_steps=64,
-                          safety=0.9):
+def _dense_stability_rows(problem1, problem2, p, lattice_steps=64):
     # two dense solves per level and the level-by-level f/g sums, as the
     # reference for the streamed check
     from gbmlab.gcore import CylinderFunctional
@@ -522,8 +521,8 @@ def _dense_stability_rows(problem1, problem2, p, lattice_steps=64,
     rows = []
     for factor in (4, 2, 1):  # two coarsenings and the problems' grid
         grid = gbsde._coarsen(g1, factor, "the reference")
-        s1 = solve_terminal_pde(PdeProblem(grid, d1, G), safety=safety)
-        s2 = solve_terminal_pde(PdeProblem(grid, d2, G), safety=safety)
+        s1 = solve_terminal_pde(PdeProblem(grid, d1, G))
+        s2 = solve_terminal_pde(PdeProblem(grid, d2, G))
         delta = float(np.max(np.abs(s1.u[0] - s2.u[0])))
 
         def psi(bt):
@@ -595,7 +594,7 @@ def _stability_pair(case):
 def test_streamed_stability_equals_dense_solves(case):
     problem1, problem2 = _stability_pair(case)
     if case == "preset-b":
-        nts = [_pde._time_steps(pr.grid, (pr.G,), pr.driver, 0.9)[0]
+        nts = [_pde._time_steps(pr.grid, (pr.G,), pr.driver)[0]
                for pr in (problem1, problem2)]
         assert nts[0] != nts[1]
     for p in (1.0, 2.0):

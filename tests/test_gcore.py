@@ -391,7 +391,6 @@ x_min = -4.0
 x_max = 4.0
 nx = 201
 T = 1.0
-cfl_safety = 0.9
 
 [driver]
 preset = linear-h
@@ -452,7 +451,7 @@ def _spec(steps):
 def _stage_nt(nx):
     # both stages of _SQUARES span 0.5: one grid, one nt
     grid = default_stage_grids(_SQUARES, G01, nx=nx)[1]
-    return pde._time_steps(grid, (G01,), gexpect._HEAT, 0.9)[0]
+    return pde._time_steps(grid, (G01,), gexpect._HEAT)[0]
 
 
 def _running_max_values(xi, steps):

@@ -11,7 +11,6 @@ import pytest
 
 from gbmlab.gcore import (
     CylinderFunctional,
-    DomainError,
     DriverSpec,
     Grid1D,
     NumericalError,
@@ -43,11 +42,10 @@ from conftest import traced_peak
 G01 = make_gfunction(0.0, 1.0)
 
 
-def _gheat(driver, G=G01, grid=None, nx=401, T=1.0, safety=0.9):
+def _gheat(driver, G=G01, grid=None, nx=401, T=1.0):
     if grid is None:
         grid = Grid1D.default_for(0.0, T, G, nx=nx)
-    return solve_terminal_pde(PdeProblem(grid, driver, G),
-                              safety=safety)
+    return solve_terminal_pde(PdeProblem(grid, driver, G))
 
 
 def _cos_driver():
@@ -73,10 +71,7 @@ def test_cfl_unit_diffusion_frozen():
     grid = Grid1D(-2.0, 2.0, 41, 1.0)
     assert grid.dx == pytest.approx(0.1, abs=1e-15)
     zero = preset_driver("zero")
-    assert cfl_timestep(grid, G01, zero, safety=0.9) == pytest.approx(
-        0.009, abs=1e-15)
-    assert cfl_timestep(grid, G01, zero, safety=1.0) == pytest.approx(
-        0.01, abs=1e-15)
+    assert cfl_timestep(grid, G01, zero) == pytest.approx(0.009, abs=1e-15)
 
 
 def test_cfl_state_dependent_sigma():
@@ -85,15 +80,7 @@ def test_cfl_state_dependent_sigma():
         preset_driver("quadratic"), name="geometric",
         sigma=lambda t, x: np.asarray(x, dtype=float),
         sigma_x=lambda t, x: np.ones_like(np.asarray(x, dtype=float)))
-    assert cfl_timestep(grid, G01, geom, safety=0.9) == pytest.approx(
-        0.00225, abs=1e-15)
-
-
-def test_cfl_safety_validation():
-    grid = Grid1D(-2.0, 2.0, 41, 1.0)
-    for bad in (0.0, -0.5, 1.5):
-        with pytest.raises(DomainError):
-            cfl_timestep(grid, G01, preset_driver("zero"), safety=bad)
+    assert cfl_timestep(grid, G01, geom) == pytest.approx(0.00225, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +664,7 @@ def test_solve_raises_the_error_of_one_checked_sweep_on_a_mid_sweep_overflow():
     # the window misses the CFL samples of h at t = 0, T/2 and T
     grid = Grid1D(-3.0, 3.0, 61, 0.5)
     driver = _spike_driver(0.1, 0.11)
-    nt, dt, _ = pde._time_steps(grid, (G01,), driver, 0.9)
+    nt, dt, _ = pde._time_steps(grid, (G01,), driver)
     with np.errstate(all="ignore"):
         n, j = _first_failure(driver, grid, (G01,), nt, dt,
                               np.cos(grid.xs)[None])
