@@ -113,7 +113,7 @@ def solve_gbsde(problem: PdeProblem, eps_schedule, *,
                           "generator (sigma_low = 0)")
     gs = [regularize(problem.G, e) for e in eps]
     grid, driver = problem.grid, problem.driver
-    nt, dt, _ = _pde._time_steps(grid, gs, driver)
+    nt, dt = _pde._time_steps(grid, gs, driver)
     phi = _pde._terminal_data(driver, grid.xs)
     u = np.broadcast_to(phi, (len(gs), grid.nx))
     if curvature:
@@ -281,8 +281,8 @@ def semiconvexity_scan(problem) -> SemiconvexityReport:
     """Fit the smallest C with second differences >= -C (1 + |x|^{2m}).
 
     The probe increment is the grid step itself:
-    (u(t, x+2dx) - 2u(t, x+dx) + u(t, x)) / dx^2 anchored at x.  Requires
-    the driver to carry second derivatives (phi_xx at minimum).
+    (u(t, x+2dx) - 2u(t, x+dx) + u(t, x)) / dx^2 anchored at x.  It reads
+    the solved levels alone, so any driver will do.
 
     Each level, from phi at t = T down to t = 0, is folded into running
     extremes as the sweep steps it (memory O(nx)); the sweep checks its
@@ -292,11 +292,8 @@ def semiconvexity_scan(problem) -> SemiconvexityReport:
     matter (``_RATIO_SLACK``), when a second sweep counts them.
     """
     driver = problem.driver
-    if driver.phi_xx is None:
-        raise DomainError("semiconvexity scan needs second derivatives "
-                          "(driver.phi_xx missing)")
     grid, Gs, dx = problem.grid, (problem.G,), problem.grid.dx
-    nt, dt, _ = _pde._time_steps(grid, Gs, driver)
+    nt, dt = _pde._time_steps(grid, Gs, driver)
     phi = _pde._terminal_data(driver, grid.xs)[None]
     weight = 1.0 + np.abs(grid.xs[:-2]) ** (2 * driver.m)
     second, ratio = np.empty(grid.nx - 2), np.empty(grid.nx - 2)
@@ -330,7 +327,6 @@ def semiconvexity_scan(problem) -> SemiconvexityReport:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    p: float
     rows: tuple          # (nx, delta, lhs, rhs, constant)
     stable: bool
 
@@ -410,7 +406,7 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
     # the time steps of every level, and with them the work budget of
     # every solve, are settled before the first solve; the finest first,
     # so that a pin or a budget it fails is refused on the problems' grid
-    steps = {grid.nx: [_pde._time_steps(grid, (G,), d)[:2] for d in (d1, d2)]
+    steps = {grid.nx: [_pde._time_steps(grid, (G,), d) for d in (d1, d2)]
              for grid in reversed(grids)}
     levels = [(grid, *steps[grid.nx]) for grid in grids]
 
@@ -473,7 +469,7 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
                           f"above it on another level); pass a larger --nx")
     consts = [r[4] for r in rows]
     stable = not any(seen) or max(consts) < 2.0 * min(consts)
-    return StabilityReport(p=p, rows=tuple(rows), stable=stable)
+    return StabilityReport(rows=tuple(rows), stable=stable)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +555,6 @@ def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
 @dataclass(frozen=True)
 class CounterexampleReport:
     exponent: float
-    T: float
     rows: tuple            # (eps, bound, estimate, se, ratio)
     slope: float | None    # None with one eps: no fit
     slope_target: float
@@ -618,7 +613,7 @@ def counterexample_demo(T: float, eps_list, *, n_paths: int = 100_000,
     slope_target = -2.0 * q
     slope_ok = (len(eps) < 2) or abs(slope - slope_target) <= 0.02
     mc_ok = all(r[4] >= 0.95 for r in rows)
-    return CounterexampleReport(exponent=-q, T=T, rows=tuple(rows),
+    return CounterexampleReport(exponent=-q, rows=tuple(rows),
                                 slope=slope, slope_target=slope_target,
                                 slope_ok=slope_ok, mc_ok=mc_ok)
 

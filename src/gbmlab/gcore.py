@@ -320,12 +320,12 @@ ARITY = {"b": 2, "h": 2, "sigma": 2, "f": 3, "g": 4, "phi": 1}
 # Each derivative of a driver: (name, base, position of the argument it
 # differentiates).  The first nine, the derivatives in x, y and z, fall
 # back to a central difference of their base when passed as None; the time
-# derivatives and phi_xx stay None.
+# derivatives stay None.
 DERIVATIVES = (("b_x", "b", 1), ("h_x", "h", 1), ("sigma_x", "sigma", 1),
                ("phi_x", "phi", 0), ("f_x", "f", 1), ("f_y", "f", 2),
                ("g_x", "g", 1), ("g_y", "g", 2), ("g_z", "g", 3),
                ("b_t", "b", 0), ("h_t", "h", 0), ("sigma_t", "sigma", 0),
-               ("f_t", "f", 0), ("g_t", "g", 0), ("phi_xx", "phi_x", 0))
+               ("f_t", "f", 0), ("g_t", "g", 0))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -339,11 +339,11 @@ class DriverSpec:
     zero (``sigma`` to the shared one), whose terms the solver skips; a
     coefficient set without its derivatives fails the self-check unless
     they are passed as None (first derivatives then fall back to finite
-    differences, as an omitted ``phi_x`` does).  Construction runs a
-    sampled self-check: every analytic derivative is compared against a
-    central difference of its base at relative tolerance 1e-4, and ``phi``
-    is checked against the declared polynomial-growth Lipschitz envelope
-    ``L1 * (1+|x|^m+|x'|^m) * |x-x'|``.
+    differences, as an omitted ``phi_x``, the one payoff derivative, does).
+    Construction runs a sampled self-check: every analytic derivative is
+    compared against a central difference of its base at relative tolerance
+    1e-4, and ``phi`` is checked against the declared polynomial-growth
+    Lipschitz envelope ``L1 * (1+|x|^m+|x'|^m) * |x-x'|``.
     """
 
     name: str
@@ -367,7 +367,6 @@ class DriverSpec:
     sigma_t: Callable | None = _zero2
     f_t: Callable | None = _zero3
     g_t: Callable | None = _zero4
-    phi_xx: Callable | None = None
     L1: float = 1.0
     m: int = 1
     phi_kinks: tuple = ()
@@ -466,9 +465,8 @@ def _const4(c):
     return fn
 
 
-def _bump_callables(amplitude: float, width: float, center: float):
+def _bump_callables(amp: float, w: float, c: float):
     """Compactly supported smooth bump amp*exp(1 - 1/(1-u^2)), u=(x-c)/w."""
-    amp, w, c = float(amplitude), float(width), float(center)
 
     def u_of(x):
         return (np.asarray(x, dtype=float) - c) / w
@@ -483,7 +481,6 @@ def _bump_callables(amplitude: float, width: float, center: float):
 
     def phi_x(x):
         u = u_of(x)
-        out = np.zeros_like(u)
         inside = np.abs(u) < 0.9999999
         ui = np.where(inside, u, 0.0)
         e = np.exp(1.0 - 1.0 / (1.0 - ui ** 2))
@@ -492,58 +489,39 @@ def _bump_callables(amplitude: float, width: float, center: float):
         out = np.where(inside, val, 0.0)
         return out if out.ndim else float(out)
 
-    def phi_xx(x):
-        u = u_of(x)
-        inside = np.abs(u) < 0.9999999
-        ui = np.where(inside, u, 0.0)
-        one = 1.0 - ui ** 2
-        e = np.exp(1.0 - 1.0 / one)
-        q = -2.0 * ui / one ** 2
-        qp = -2.0 / one ** 2 - 8.0 * ui ** 2 / one ** 3
-        val = amp * e * (q * q + qp) / w ** 2
-        out = np.where(inside, val, 0.0)
-        return out if out.ndim else float(out)
-
-    return phi, phi_x, phi_xx
+    return phi, phi_x
 
 
 def _payoff(kind: str, params: Mapping):
-    """(phi, phi_x, phi_xx, kinks, L1, m) for the named terminal payoff."""
+    """(phi, phi_x, kinks, L1, m) for the named terminal payoff."""
     if kind == "smooth-bump":
         kind = "bump"
     if kind == "zero":
         return (lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                 lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                 (), 1.0, 1)
     if kind == "quadratic":
         return (lambda x: np.asarray(x, dtype=float) ** 2,
                 lambda x: 2.0 * np.asarray(x, dtype=float),
-                lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
                 (), 1.0, 1)
     if kind == "abs":
         delta = float(params.get("smoothing", 0.0))
         if delta == 0.0:
             return (lambda x: np.abs(np.asarray(x, dtype=float)),
                     lambda x: np.sign(np.asarray(x, dtype=float)),
-                    lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                     (0.0,), 1.0, 1)
         return (lambda x: np.sqrt(np.asarray(x, dtype=float) ** 2 + delta ** 2),
                 lambda x: np.asarray(x, dtype=float)
                 / np.sqrt(np.asarray(x, dtype=float) ** 2 + delta ** 2),
-                lambda x: delta ** 2
-                / (np.asarray(x, dtype=float) ** 2 + delta ** 2) ** 1.5,
                 (), 1.0, 1)
     if kind == "bump":
         # default width 0.25: narrow enough that the concave cap sits in
         # the kink-dominated regime of the eps families over the standard
         # schedule 0.2 * 2^-k, wide enough for lattice/PDE agreement
-        phi, phi_x, phi_xx = _bump_callables(params.get("amplitude", 1.0),
-                                             params.get("width", 0.25),
-                                             params.get("center", 0.0))
         amp = float(params.get("amplitude", 1.0))
         w = float(params.get("width", 0.25))
-        return phi, phi_x, phi_xx, (), max(1.0, 3.0 * abs(amp) / w), 1
+        phi, phi_x = _bump_callables(amp, w, float(params.get("center", 0.0)))
+        return phi, phi_x, (), max(1.0, 3.0 * abs(amp) / w), 1
     raise DomainError(f"unknown payoff '{kind}'")
 
 
@@ -601,8 +579,8 @@ def preset_driver(name: str, params: Mapping | None = None) -> DriverSpec:
         payoff = "abs"
     else:
         raise DomainError(f"unknown preset '{name}'; choose from {PRESET_NAMES}")
-    phi, phi_x, phi_xx, kinks, L1, m = _payoff(payoff, p)
-    return DriverSpec(name=name, phi=phi, phi_x=phi_x, phi_xx=phi_xx,
+    phi, phi_x, kinks, L1, m = _payoff(payoff, p)
+    return DriverSpec(name=name, phi=phi, phi_x=phi_x,
                       phi_kinks=kinks, L1=L1, m=m, **coeffs)
 
 
@@ -618,10 +596,12 @@ def preset_keys(name: str, params: Mapping) -> set:
 
 # The domain of each preset parameter but ``phi`` (a payoff name, checked
 # where the payoff is built): a finite number, with a narrower rule for the
-# keys below.  A width and a smoothing enter the payoff squared as Python
-# floats (``w ** 2``, ``delta ** 2``), which raises OverflowError once the
-# square leaves the float range and divides by zero once it underflows to
-# 0, so the square must be finite and nonzero too.
+# keys below.  A smoothing enters ``phi`` and ``phi_x`` squared as a Python
+# float (``delta ** 2``), which raises OverflowError once the square leaves
+# the float range and divides by zero once it underflows to 0, so the
+# square must be finite and nonzero too.  A width keeps the rule: the bump's
+# ``3 * abs(amp) / w`` and ``(x - c) / w`` overflow (with a RuntimeWarning)
+# below w = 1.7e-308, far below the 1.5e-162 where its square underflows.
 _PARAM_DOMAINS = {
     "width": (lambda v: v > 0.0 and 0.0 < v * v < math.inf,
               "a number > 0 with a finite nonzero square"),
@@ -645,11 +625,12 @@ def check_param(key: str, value) -> None:
         raise DomainError(f"parameter {key} must be {rule}, got {value!r}")
 
 
-def payoff_driver(phi: Callable, phi_x: Callable | None = None,
-                  phi_xx: Callable | None = None, *, name: str = "custom",
-                  kinks: tuple = (), L1: float = 1.0, m: int = 1) -> DriverSpec:
-    """Pure driver (b=h=f=g=0, sigma=1) around a terminal payoff."""
-    return DriverSpec(name=name, phi=phi, phi_x=phi_x, phi_xx=phi_xx,
+def payoff_driver(phi: Callable, phi_x: Callable | None = None, *,
+                  name: str = "custom", kinks: tuple = (), L1: float = 1.0,
+                  m: int = 1) -> DriverSpec:
+    """Pure driver (b=h=f=g=0, sigma=1) around a terminal payoff ``phi``;
+    an omitted ``phi_x`` falls back to a central difference of ``phi``."""
+    return DriverSpec(name=name, phi=phi, phi_x=phi_x,
                       phi_kinks=kinks, L1=L1, m=m)
 
 

@@ -131,6 +131,14 @@ def _node_steps(s: list[int], depth: int = 1,
     return total
 
 
+def _check_menu(G: GFunction1D, spec: LatticeSpec) -> None:
+    """Refuse a lattice whose volatility menu is not the ends of ``G``: the
+    DP reads its volatilities from ``spec`` alone."""
+    if spec.sigma_choices != (G.sigma_low, G.sigma_high):
+        raise DomainError(f"lattice volatilities {spec.sigma_choices} are not "
+                          f"the ends of G = [{G.sigma_low}, {G.sigma_high}]")
+
+
 def _stage_bounds(X: CylinderFunctional, spec: LatticeSpec,
                   dps: int = 1) -> list[int]:
     """The lattice steps of the stage times; charges the state count and
@@ -246,7 +254,9 @@ def _sup_dp(tab: np.ndarray, s: list[int], probs,
 
 def lattice_oracle(X: CylinderFunctional, G: GFunction1D, spec: LatticeSpec,
                    *, return_policy: bool = False):
-    """Worst-case lattice expectation of the cylinder payoff."""
+    """Worst-case lattice expectation of the cylinder payoff under ``G``,
+    whose ends must be the menu ``spec.sigma_choices`` (else DomainError)."""
+    _check_menu(G, spec)
     s = _stage_bounds(X, spec)
     tab = _terminal_tab(X, s, spec.dx)
     policy: dict | None = {} if return_policy else None
@@ -290,7 +300,7 @@ def gexpect_terminal(phi, T: float, G: GFunction1D, *,
         raise DomainError(f"driver '{driver.name}' is not a pure payoff: it "
                           f"fits {form.value}, not gheat")
     # only u(0, .) is read: one row stepped to t = 0, no dense field
-    nt, dt, _ = _pde._time_steps(grid, (G,), driver)
+    nt, dt = _pde._time_steps(grid, (G,), driver)
     u0 = _pde._last_level(driver, grid, (G,), nt, dt,
                           _pde._terminal_data(driver, grid.xs)[None])
     return float(np.interp(0.0, grid.xs, u0[0]))
@@ -324,7 +334,7 @@ def gexpect_cylinder(X: CylinderFunctional, G: GFunction1D, *,
     # the time steps of every stage, and with them the work budget of every
     # stage, and the table's bytes are settled before the table is built
     steps = {i: _pde._time_steps(grids[i - 1], (G,), _HEAT,
-                                 rows=math.prod(shape[:i - 1]))[:2]
+                                 rows=math.prod(shape[:i - 1]))
              for i in range(N, 0, -1)}
     charge("cylinder table", 8 * math.prod(shape), _pde.DENSE_BYTES_MAX,
            "bytes", f"nx={shape}")
@@ -414,11 +424,13 @@ def doob_check(xi: CylinderFunctional, p: float, p_prime: float,
     """Certify the maximal inequality for |xi| on the lattice.
 
     lhs = E-hat[ sup_k (E-hat_k |xi|)^p ]^(1/p) against
-    rhs = C(p, p') * E-hat[ |xi|^p' ]^(1/p').
+    rhs = C(p, p') * E-hat[ |xi|^p' ]^(1/p'), both under ``G``, whose ends
+    must be the menu ``spec.sigma_choices`` (else DomainError).
     """
     if not (1.0 <= p < p_prime < math.inf):
         raise DomainError(f"need 1 <= p < p_prime, both finite, got "
                           f"({p}, {p_prime})")
+    _check_menu(G, spec)
     s = _stage_bounds(xi, spec, dps=2)
     probs = spec.probs
     tab = np.abs(_terminal_tab(xi, s, spec.dx))

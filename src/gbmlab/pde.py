@@ -231,8 +231,8 @@ def _time_index(ts: np.ndarray, t: float) -> int:
 # ---------------------------------------------------------------------------
 
 def _time_steps(grid: Grid1D, Gs, driver: DriverSpec, *,
-                rows: int | None = None) -> tuple[int, float, float]:
-    """(nt, dt, bound): the grid's pinned ``nt`` if it satisfies the bound
+                rows: int | None = None) -> tuple[int, float]:
+    """(nt, dt): the grid's pinned ``nt`` if it satisfies the bound
     ``cfl_timestep`` of every generator in ``Gs``, else the fewest that do.
 
     Raises :class:`NumericalError` if the pinned ``nt`` is too small, or if
@@ -256,7 +256,7 @@ def _time_steps(grid: Grid1D, Gs, driver: DriverSpec, *,
     charge("solve", max(rows * grid.nx, STEP_NODES_MIN) * nt, NODE_STEPS_MAX,
            "node-steps", f"nt={nt}, nx={grid.nx}, {rows} row(s), each step "
            f"charged at least {STEP_NODES_MIN} nodes")
-    return nt, grid.T / nt, bound
+    return nt, grid.T / nt
 
 
 class _Plan:
@@ -520,7 +520,7 @@ def solve_terminal_pde(problem: PdeProblem) -> PdeSolution:
     """
     grid, driver, Gs = problem.grid, problem.driver, (problem.G,)
     xs, dx = grid.xs, grid.dx
-    nt, dt, _ = _time_steps(grid, Gs, driver)
+    nt, dt = _time_steps(grid, Gs, driver)
     charge("dense solution", 2 * 8 * (nt + 1) * grid.nx, DENSE_BYTES_MAX,
            "bytes", f"nt={nt}, nx={grid.nx}, 1 row(s)")
     u = np.empty((nt + 1, grid.nx))

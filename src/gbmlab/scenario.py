@@ -559,7 +559,6 @@ class PathBundle:
     dt: float
     dB: np.ndarray
     sigma: np.ndarray
-    control: VolatilityControl
     x_paths: np.ndarray | None = None
     x0: float | None = None
 
@@ -608,7 +607,7 @@ def simulate_paths(control: VolatilityControl, n_paths: int, n_steps: int,
         sig = np.array([control.sigma_at(t, np.zeros(1))[0] for t in tgrid])
         dB = sig[None, :] * sqdt * xi
         return PathBundle(t0=t0, t_end=T, n_paths=n_paths, n_steps=n_steps,
-                          dt=dt, dB=dB, sigma=sig, control=control)
+                          dt=dt, dB=dB, sigma=sig)
 
     sig = np.empty((n_paths, n_steps))
     dB = np.empty((n_paths, n_steps))
@@ -624,8 +623,7 @@ def simulate_paths(control: VolatilityControl, n_paths: int, n_steps: int,
         X[:, k + 1] = walk.x
     _check_forward(X)
     return PathBundle(t0=t0, t_end=T, n_paths=n_paths, n_steps=n_steps,
-                      dt=dt, dB=dB, sigma=sig, control=control, x_paths=X,
-                      x0=float(x0))
+                      dt=dt, dB=dB, sigma=sig, x_paths=X, x0=float(x0))
 
 
 def forward_sde(driver: DriverSpec, t: float, x: float,

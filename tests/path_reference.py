@@ -119,7 +119,7 @@ def simulate_paths(control: VolatilityControl, n_paths: int, n_steps: int,
         sig = np.array([control.sigma_at(t, np.zeros(1))[0] for t in tgrid])
         dB = sig[None, :] * sqdt * xi
         return PathBundle(t0=t0, t_end=T, n_paths=n_paths, n_steps=n_steps,
-                          dt=dt, dB=dB, sigma=sig, control=control)
+                          dt=dt, dB=dB, sigma=sig)
 
     sig = np.empty((n_paths, n_steps))
     dB = np.empty((n_paths, n_steps))
@@ -134,8 +134,7 @@ def simulate_paths(control: VolatilityControl, n_paths: int, n_steps: int,
         X[:, k + 1] = _forward_step(driver, t, xk, dt, s * s * dt, dB[:, k])
     _check_forward(X)
     return PathBundle(t0=t0, t_end=T, n_paths=n_paths, n_steps=n_steps,
-                      dt=dt, dB=dB, sigma=sig, control=control, x_paths=X,
-                      x0=float(x0))
+                      dt=dt, dB=dB, sigma=sig, x_paths=X, x0=float(x0))
 
 
 def forward_sde(driver: DriverSpec, t: float, x: float,

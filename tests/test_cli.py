@@ -705,28 +705,37 @@ _HOSTILE = {"float": ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300"),
                       "0.5,0.5")}
 
 
+def _cycle(readers: list, extras: list) -> list:
+    """(reader, extra) for k < max(len(readers), len(extras)): value k mod
+    len(extras) on reader k mod len(readers), so that every value and every
+    reader is tried."""
+    n = max(len(readers), len(extras)) if extras else 0
+    return [(readers[k % len(readers)], extras[k % len(extras)])
+            for k in range(n)]
+
+
 def _hostile_argvs() -> list:
     """Each numeric setting at each hostile value, and each preset's
-    parameters at each hostile float, on small base sizes.  Each pair runs
-    once: a setting's k-th value on the k-th subcommand that reads it (in
-    turn), so that adding or deleting a setting moves no other argv."""
+    parameters at each hostile float, on small base sizes.  A setting's
+    values cycle over the subcommands that read it (``_cycle``), so that
+    every value and every reader is tried, and adding or deleting a setting
+    moves no other argv."""
     subs = list(cli._SUBCOMMANDS)
     reads = {sub: cli._settings(sub) for sub in subs}
     pairs = []
     for f in dataclasses.fields(cli.RunConfig):
         flag = (f.metadata["flags"] or (f"--{f.name.replace('_', '-')}",))[0]
         readers = [sub for sub in subs if f.name in reads[sub]]
-        pairs += [(k, readers, [f"{flag}={v}"]) for k, v in
-                  enumerate(_HOSTILE.get(f.type.split(" |")[0], ()))]
+        pairs += _cycle(readers, [[f"{flag}={v}"] for v in
+                                  _HOSTILE.get(f.type.split(" |")[0], ())])
     drivers = [sub for sub in subs if {"preset", "params"} <= set(reads[sub])]
     for preset in PRESET_NAMES:
         for key in sorted(preset_keys(preset, {}) - {"phi"}):
-            pairs += [(k, drivers, ["--preset", preset,
-                                    f"--param={key}={v}"])
-                      for k, v in enumerate(_HOSTILE["float"])]
+            pairs += _cycle(drivers, [["--preset", preset,
+                                       f"--param={key}={v}"]
+                                      for v in _HOSTILE["float"]])
     argvs = []
-    for k, readers, extra in pairs:
-        sub = readers[k % len(readers)]
+    for sub, extra in pairs:
         sizes = ((["--nx", "41"] if "nx" in reads[sub] else [])
                  + (["--n-paths", "256", "--n-steps", "16"]
                     if "n_paths" in reads[sub] else []))

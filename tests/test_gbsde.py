@@ -50,7 +50,6 @@ def _levels(fam):
 def _neg_quadratic_driver():
     return payoff_driver(lambda x: -np.asarray(x, dtype=float) ** 2,
                          lambda x: -2.0 * np.asarray(x, dtype=float),
-                         lambda x: np.full_like(np.asarray(x, dtype=float), -2.0),
                          name="neg-quadratic", kinks=())
 
 
@@ -335,22 +334,10 @@ def test_semiconvexity_convex_kink_degenerate():
     assert report.violations == 0
 
 
-def test_semiconvexity_needs_second_derivatives():
-    flat = payoff_driver(lambda x: np.asarray(x, dtype=float) ** 2,
-                         lambda x: 2.0 * np.asarray(x, dtype=float),
-                         name="no-curvature", kinks=())
-    with pytest.raises(DomainError):
-        gbsde.semiconvexity_scan(
-            PdeProblem(_grid(), flat, G01))
-
-
 def _dense_semiconvexity_scan(problem):
     # the dense scan over every level of solve_terminal_pde, kept as the
     # reference
     driver = problem.driver
-    if driver.phi_xx is None:
-        raise DomainError("semiconvexity scan needs second derivatives "
-                          "(driver.phi_xx missing)")
     sol = _pde.solve_terminal_pde(problem)
     dx = sol.dx
     xs = sol.xs[:-2]
@@ -372,11 +359,18 @@ def _assert_same_report(got, ref):
             math.copysign(1.0, getattr(ref, name)), name
 
 
-_CURVED_PRESETS = [name for name in PRESET_NAMES
-                   if preset_driver(name).phi_xx is not None]
+def test_semiconvexity_scan_needs_no_payoff_second_derivative():
+    # the scan reads second differences of the solved levels, so a driver
+    # with phi and phi_x alone is scanned as the presets are
+    driver = payoff_driver(lambda x: np.asarray(x, dtype=float) ** 2,
+                           lambda x: 2.0 * np.asarray(x, dtype=float),
+                           name="no-curvature", kinks=())
+    problem = PdeProblem(_grid(), driver, G01)
+    _assert_same_report(gbsde.semiconvexity_scan(problem),
+                        _dense_semiconvexity_scan(problem))
 
 
-@pytest.mark.parametrize("name", _CURVED_PRESETS)
+@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_streamed_semiconvexity_scan_equals_the_dense_scan(name):
     driver = preset_driver(name)
     for G in (G01, make_gfunction(0.5, 1.0), make_gfunction(1.0, 1.0)):
@@ -403,7 +397,7 @@ def test_semiconvexity_counts_rounding_violations_at_large_weights():
     # rounding fails, and at the least ratio fl(fl(second / w) * w) lands
     # above second, one node a level below -C w - 1e-9 (1 + C)
     neg_exp = lambda x: -np.exp(np.asarray(x, dtype=float))  # noqa: E731
-    driver = payoff_driver(neg_exp, neg_exp, neg_exp, m=8, L1=30.0)
+    driver = payoff_driver(neg_exp, neg_exp, m=8, L1=30.0)
     problem = PdeProblem(Grid1D(38.51, 48.51, 11, 1e-3), driver, G01)
     ref = _dense_semiconvexity_scan(problem)
     assert ref.violations == 3  # nt = 2: one node on each of 3 levels
@@ -419,8 +413,7 @@ def test_semiconvexity_scan_raises_the_sweep_error():
     def saw(x):
         return 1.7e308 * np.cos(np.pi * np.asarray(x, dtype=float) / grid.dx)
 
-    driver = DriverSpec(name="saw", phi=saw, phi_xx=saw,
-                        skip_self_check=True)
+    driver = DriverSpec(name="saw", phi=saw, skip_self_check=True)
     problem = PdeProblem(grid, driver, G01)
     with np.errstate(all="ignore"):
         with pytest.raises(NumericalError) as dense:
@@ -475,7 +468,6 @@ def _bump_pair(nx):
         quad, name="quad-plus-bump",
         phi=lambda x: np.asarray(x, dtype=float) ** 2 + bump.phi(x),
         phi_x=lambda x: 2.0 * np.asarray(x, dtype=float) + bump.phi_x(x),
-        phi_xx=lambda x: 2.0 + bump.phi_xx(x),
         L1=5.0)
     return PdeProblem(grid, quad, Geps), PdeProblem(grid, perturbed, Geps)
 
@@ -841,7 +833,6 @@ def test_counterexample_holds_one_chunk():
 def test_family_monotone_in_payoff():
     lower = payoff_driver(lambda x: np.cos(np.asarray(x, dtype=float)) - 1.0,
                           lambda x: -np.sin(np.asarray(x, dtype=float)),
-                          lambda x: -np.cos(np.asarray(x, dtype=float)),
                           name="cos-minus-one", kinks=())
     fam_lo = _family(lower, (0.2, 0.1))
     fam_hi = _family(preset_driver("quadratic"), (0.2, 0.1))
@@ -861,7 +852,6 @@ def test_family_monotone_in_payoff():
 def test_family_preserves_constants():
     const = payoff_driver(
         lambda x: np.full_like(np.asarray(x, dtype=float), 3.7),
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         name="const-3.7", kinks=())
     fam = _family(const, (0.2, 0.1))

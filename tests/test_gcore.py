@@ -138,7 +138,6 @@ def test_quadratic_preset_fields():
     x = np.array([-1.0, 0.0, 3.0])
     assert np.allclose(d.phi(x), x ** 2)
     assert np.allclose(d.phi_x(x), 2.0 * x)
-    assert np.allclose(d.phi_xx(x), 2.0)
     assert np.all(d.b(0.0, x) == 0.0)
     assert np.all(d.sigma(0.0, x) == 1.0)
     assert d.m == 1
@@ -213,6 +212,21 @@ def test_derivative_self_check_rejects_mismatch():
                       lambda x: 3.0 * np.asarray(x), L1=5.0)
 
 
+def test_a_payoff_second_derivative_is_not_accepted():
+    # phi_x is the one payoff derivative: a second one, by keyword or as a
+    # third positional argument, is an error, not ignored
+    def square(x):
+        return np.asarray(x, dtype=float) ** 2
+
+    def twice(x):
+        return 2.0 * np.asarray(x, dtype=float)
+
+    with pytest.raises(TypeError):
+        DriverSpec(name="square", phi=square, phi_x=twice, phi_xx=twice)
+    with pytest.raises(TypeError):
+        payoff_driver(square, twice, twice)
+
+
 def test_default_derivative_of_a_replaced_coefficient_is_checked():
     # b is replaced but b_x keeps its zero default: the self-check must
     # compare them rather than skip the pair
@@ -258,7 +272,7 @@ def test_sine_gz_in_one_array_equals_the_allocating_expression(c):
 _DRIVER_FIELDS = [
     "name", "b", "h", "sigma", "f", "g", "phi", "b_x", "h_x", "sigma_x",
     "phi_x", "f_x", "f_y", "g_x", "g_y", "g_z", "b_t", "h_t", "sigma_t",
-    "f_t", "g_t", "phi_xx", "L1", "m", "phi_kinks", "skip_self_check"]
+    "f_t", "g_t", "L1", "m", "phi_kinks", "skip_self_check"]
 
 
 def test_driver_fields_are_unchanged_and_each_term_has_a_table_row():
@@ -266,18 +280,18 @@ def test_driver_fields_are_unchanged_and_each_term_has_a_table_row():
         == _DRIVER_FIELDS
     # every callable field is a coefficient or a row of the derivative table
     rows = [nm for nm, _base, _pos in DERIVATIVES]
-    assert len(rows) == len(set(rows)) == 15
+    assert len(rows) == len(set(rows)) == 14
     assert [nm for nm in _DRIVER_FIELDS if nm in ARITY or nm in rows] \
-        == _DRIVER_FIELDS[1:22]
+        == _DRIVER_FIELDS[1:21]
     assert all(base.split("_")[0] in ARITY for _nm, base, _pos in DERIVATIVES)
 
 
 @pytest.mark.parametrize("preset, live", [
-    ("quadratic", ("phi", "phi_x", "phi_xx")),
-    ("linear-h", ("g", "phi", "phi_x", "phi_xx")),
-    ("sine-gz", ("g", "phi", "phi_x", "g_z", "phi_xx")),
+    ("quadratic", ("phi", "phi_x")),
+    ("linear-h", ("g", "phi", "phi_x")),
+    ("sine-gz", ("g", "phi", "phi_x", "g_z")),
     # the shared zero is live where it is not the field's default
-    ("kinked", ("sigma", "phi", "phi_x", "phi_xx")),
+    ("kinked", ("sigma", "phi", "phi_x")),
 ])
 def test_live_terms_of_the_presets(preset, live):
     driver = preset_driver(preset)
@@ -291,10 +305,10 @@ def test_a_none_time_derivative_is_not_live():
     driver = dataclasses.replace(
         preset_driver("quadratic"), f=lambda t, x, y: t * arr(y),
         f_y=lambda t, x, y: t + 0.0 * arr(y), f_t=lambda t, x, y: arr(y))
-    assert tuple(driver.live) == ("f", "phi", "phi_x", "f_y", "f_t", "phi_xx")
+    assert tuple(driver.live) == ("f", "phi", "phi_x", "f_y", "f_t")
     untimed = dataclasses.replace(driver, f_t=None)
     assert untimed.f_t is None
-    assert tuple(untimed.live) == ("f", "phi", "phi_x", "f_y", "phi_xx")
+    assert tuple(untimed.live) == ("f", "phi", "phi_x", "f_y")
 
 
 _SENTINELS = {"_zero2", "_one2", "_zero3", "_zero4"}

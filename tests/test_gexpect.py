@@ -133,6 +133,17 @@ def test_lattice_convex_value():
     assert abs(v - 1.0) <= 2e-2
 
 
+def test_lattice_refuses_a_menu_that_is_not_the_ends_of_G():
+    # the DP reads its volatilities from the spec alone, so a G that is not
+    # its menu would go unread: E-hat[B_1^2] is 4 under [0, 2], 1 under [0, 1]
+    X = CylinderFunctional(times=(1.0,), psi=lambda a: a ** 2)
+    G02 = make_gfunction(0.0, 2.0)
+    v = lattice_oracle(X, G02, LatticeSpec.for_horizon(1.0, 64, G02))
+    assert v == pytest.approx(4.0, rel=1e-12)
+    with pytest.raises(DomainError, match="not the ends of G"):
+        lattice_oracle(X, G02, LatticeSpec.for_horizon(1.0, 64, G01))
+
+
 def test_lattice_concave_freezes():
     X = CylinderFunctional(times=(1.0,), psi=lambda a: -(a ** 2))
     v = lattice_oracle(X, G01, LatticeSpec.for_horizon(1.0, 16, G01))
@@ -205,6 +216,15 @@ def test_doob_rejects_bad_exponents():
         doob_check(xi, 4.0, 2.0, G01, spec)
     with pytest.raises(DomainError):
         doob_check(xi, 0.5, 2.0, G01, spec)
+
+
+def test_doob_refuses_a_menu_that_is_not_the_ends_of_G():
+    # both sides run on the spec's menu, so G must be that menu
+    xi = CylinderFunctional(times=(1.0,), psi=lambda a: np.abs(a))
+    G02 = make_gfunction(0.0, 2.0)
+    for G, spec_G in ((G02, G01), (G01, G02)):
+        with pytest.raises(DomainError, match="not the ends of G"):
+            doob_check(xi, 2.0, 4.0, G, LatticeSpec.for_horizon(1.0, 8, spec_G))
 
 
 def test_doob_randomized_battery():

@@ -51,15 +51,12 @@ def _gheat(driver, G=G01, grid=None, nx=401, T=1.0):
 def _cos_driver():
     return payoff_driver(np.cos,
                          lambda x: -np.sin(np.asarray(x, dtype=float)),
-                         lambda x: -np.cos(np.asarray(x, dtype=float)),
                          name="cos", L1=1.0, m=1)
 
 
 def _neg_quadratic_driver():
     return payoff_driver(lambda x: -np.asarray(x, dtype=float) ** 2,
                          lambda x: -2.0 * np.asarray(x, dtype=float),
-                         lambda x: np.full_like(np.asarray(x, dtype=float),
-                                                -2.0),
                          name="neg-quadratic", L1=1.0, m=1)
 
 
@@ -664,7 +661,7 @@ def test_solve_raises_the_error_of_one_checked_sweep_on_a_mid_sweep_overflow():
     # the window misses the CFL samples of h at t = 0, T/2 and T
     grid = Grid1D(-3.0, 3.0, 61, 0.5)
     driver = _spike_driver(0.1, 0.11)
-    nt, dt, _ = pde._time_steps(grid, (G01,), driver)
+    nt, dt = pde._time_steps(grid, (G01,), driver)
     with np.errstate(all="ignore"):
         n, j = _first_failure(driver, grid, (G01,), nt, dt,
                               np.cos(grid.xs)[None])
