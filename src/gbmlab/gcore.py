@@ -61,8 +61,9 @@ class DryRunStop(Exception):
 
 
 def work() -> None:
-    """The start of a sweep, a lattice step, a draw of normals or a
-    cylinder table: a dry run stops here with :class:`DryRunStop`."""
+    """The start of a sweep, a stack of blocks (``pde._last_level``), a
+    lattice step, a draw of normals or a cylinder table: a dry run stops
+    here with :class:`DryRunStop`."""
     if DRY_RUN.get():
         raise DryRunStop
 
@@ -441,9 +442,12 @@ class DriverSpec:
         xb = rng.uniform(-3.0, 3.0, 40)
         lhs = np.abs(np.asarray(self.phi(xa), dtype=float)
                      - np.asarray(self.phi(xb), dtype=float))
-        rhs = self.L1 * (1.0 + np.abs(xa) ** self.m + np.abs(xb) ** self.m) \
-            * np.abs(xa - xb)
-        if np.any(lhs > rhs * (1.0 + 1e-9) + 1e-12):
+        # an envelope that overflows to inf bounds every difference
+        with np.errstate(over="ignore"):
+            rhs = self.L1 * (1.0 + np.abs(xa) ** self.m
+                             + np.abs(xb) ** self.m) * np.abs(xa - xb)
+            bad = lhs > rhs * (1.0 + 1e-9) + 1e-12
+        if np.any(bad):
             j = int(np.argmax(lhs - rhs))
             raise DomainError(
                 f"driver '{self.name}': phi violates its declared Lipschitz "
@@ -469,7 +473,10 @@ def _bump_callables(amp: float, w: float, c: float):
     """Compactly supported smooth bump amp*exp(1 - 1/(1-u^2)), u=(x-c)/w."""
 
     def u_of(x):
-        return (np.asarray(x, dtype=float) - c) / w
+        # a point more than about 1.8e308 widths from the centre gives an
+        # infinite u, outside the bump like any |u| >= 1
+        with np.errstate(over="ignore"):
+            return (np.asarray(x, dtype=float) - c) / w
 
     def phi(x):
         u = u_of(x)
@@ -520,6 +527,10 @@ def _payoff(kind: str, params: Mapping):
         # schedule 0.2 * 2^-k, wide enough for lattice/PDE agreement
         amp = float(params.get("amplitude", 1.0))
         w = float(params.get("width", 0.25))
+        if not math.isfinite(3.0 * abs(amp) / w):
+            raise DomainError(f"parameter width must be a number > 0 with "
+                              f"3 |amplitude| / width finite, got width="
+                              f"{w!r} with amplitude={amp!r}")
         phi, phi_x = _bump_callables(amp, w, float(params.get("center", 0.0)))
         return phi, phi_x, (), max(1.0, 3.0 * abs(amp) / w), 1
     raise DomainError(f"unknown payoff '{kind}'")
@@ -599,12 +610,11 @@ def preset_keys(name: str, params: Mapping) -> set:
 # keys below.  A smoothing enters ``phi`` and ``phi_x`` squared as a Python
 # float (``delta ** 2``), which raises OverflowError once the square leaves
 # the float range and divides by zero once it underflows to 0, so the
-# square must be finite and nonzero too.  A width keeps the rule: the bump's
-# ``3 * abs(amp) / w`` and ``(x - c) / w`` overflow (with a RuntimeWarning)
-# below w = 1.7e-308, far below the 1.5e-162 where its square underflows.
+# square must be finite and nonzero too.  Nothing squares a width: it must
+# be > 0, and the bump's own limit, its Lipschitz bound 3 |amp| / w finite,
+# is checked where the bump is built, with the amplitude (``_payoff``).
 _PARAM_DOMAINS = {
-    "width": (lambda v: v > 0.0 and 0.0 < v * v < math.inf,
-              "a number > 0 with a finite nonzero square"),
+    "width": (lambda v: 0.0 < v < math.inf, "a finite number > 0"),
     "smoothing": (lambda v: v == 0.0 or v > 0.0 and 0.0 < v * v < math.inf,
                   "0 or a number > 0 with a finite nonzero square"),
 }

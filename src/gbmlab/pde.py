@@ -18,8 +18,11 @@ the terms it sets (``DriverSpec.live``).
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,15 +58,21 @@ NODE_STEPS_MAX = 2 ** 31
 # node-step (18 min for the budget).
 STEP_NODES_MIN = 8192
 
-# Most nodes ``_last_level`` steps at once.  A G-heat step touches u, a and
-# the rate, 8 bytes a node each (its deferred finiteness check needs no
-# mask): 1.2 MB for a block of 3 * 2^14 nodes, about 56% of the 2 MiB L2
-# of a core (2-core Intel Xeon VM), so a block's buffers stay in L2 across
-# the step's passes.  Stepping the 401 rows x 401 nodes cylinder stage
-# (nt = 809) in blocks of 8, 16, 32, 64, 80, 122, 163 and 201 rows took
-# 0.96 to 1.0, 0.71, 0.54 to 0.62, 0.50 to 0.52, 0.48 to 0.50, 0.46 to
-# 0.48, 0.47 to 0.48 and 0.52 to 0.53 s (best of 2, two rounds), against
-# 0.72 to 0.74 s unblocked; this block holds 122 such rows.
+# About the most nodes ``_last_level`` steps at once on one core.  A G-heat
+# step touches u, a and the rate, 8 bytes a node each (the deferred
+# finiteness check reads its mask once, after the last step): 1.2 MB for a
+# block of 3 * 2^14 nodes, about 56% of the 2 MiB L2 of a core (2-core
+# Intel Xeon VM), so the buffers of a block stay in the L2 of the core its
+# worker is pinned to across the step's passes, and the step is bound by
+# ufunc throughput (about 2.5 ns a node-step), not by memory.  Stepping the
+# 401 rows x 401 nodes cylinder stage (nt = 809) on one core in blocks of
+# 8, 16, 32, 64, 80, 122, 163 and 201 rows took 0.96 to 1.0, 0.71, 0.54 to
+# 0.62, 0.50 to 0.52, 0.48 to 0.50, 0.46 to 0.48, 0.47 to 0.48 and 0.52 to
+# 0.53 s (best of 2, two rounds, before the per-sweep ``_Plan``), against
+# 0.72 to 0.74 s unblocked.  Split evenly for two workers, the stage is 4
+# blocks of 100 or 101 rows, two at a time: 0.18 to 0.25 s, against 0.33
+# to 0.40 s in 122-row blocks on one core and 0.50 to 0.58 s unblocked
+# (best of 5, several rounds).
 BLOCK_NODES = 3 * 2 ** 14
 
 # Share of the stable explicit step a step takes (monotone for any share <= 1)
@@ -280,6 +289,8 @@ class _Plan:
         self.u = u = np.array(u, dtype=float, order="C")
         nx = u.shape[-1]
         self.a, self.rate, self.tmp = (np.empty(u.shape) for _ in range(3))
+        # the mask of the per-step finiteness check, or of the deferred one
+        self.finite = np.empty(u.shape, dtype=bool)
         # the stencil runs along the flattened rows; the values it leaves at
         # the row ends mix two rows and are overwritten by the end views
         flat = u.reshape(-1)
@@ -384,7 +395,8 @@ def _lower_term(driver: DriverSpec, sh2: np.ndarray, sl2: np.ndarray,
 
 
 def _backward_steps(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
-                    u: np.ndarray, *, deferred: bool = False):
+                    u: np.ndarray, *, deferred: bool = False,
+                    plan: _Plan | None = None):
     """Explicit monotone steps from stacked terminal rows ``u[rows, nx]``.
 
     Row r is stepped under the generator ``Gs[r]`` (every row under
@@ -404,16 +416,18 @@ def _backward_steps(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
     ``u`` is copied once and never written.  The step computes in the
     buffers of one :class:`_Plan`, so the yielded ``a`` and ``u_n`` are
     valid only until the next step overwrites them: a caller that keeps a
-    level copies it.
+    level copies it.  A ``plan`` built for these arguments is used as it
+    is, its buffers allocated by the caller.
     """
     work()
-    plan = _Plan(driver, grid, Gs, dt, u)
+    if plan is None:
+        plan = _Plan(driver, grid, Gs, dt, u)
     start, u, rate, tmp = u, plan.u, plan.rate, plan.tmp
     sh2, sl2, lower, fold = plan.sh2, plan.sl2, plan.lower, plan.fold
     xs, half_dt, step_b, step_f = grid.xs, plan.half_dt, plan.b, plan.f
     scale = plan.scale
     check = plan.reads_u or not deferred
-    finite = np.empty(u.shape, dtype=bool) if check else None
+    finite = plan.finite
     for n in range(nt - 1, -1, -1):
         t_known = (n + 1) * dt
         a = plan.generator_arg(t_known)
@@ -448,7 +462,7 @@ def _backward_steps(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
                 f"solution turned non-finite at time level {n} "
                 f"(t={n * dt:.6g}), node {j} (x={xs[j]:.6g})")
         yield n, a, u
-    if not check and not np.isfinite(u).all():
+    if not check and not np.isfinite(u, out=finite).all():
         _raise_sweep_error(driver, grid, Gs, nt, dt, start)
 
 
@@ -469,31 +483,96 @@ def _raise_sweep_error(driver: DriverSpec, grid: Grid1D, Gs, nt: int,
     raise NumericalError("solution turned non-finite")
 
 
+def _cpus() -> list:
+    """The CPUs in the calling thread's affinity set, in order; ``[None]``
+    where the platform cannot tell, so that no worker starts."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity calls on this platform
+        return [None]
+
+
+def _step_block(driver: DriverSpec, grid: Grid1D, nt: int, dt: float,
+                out: np.ndarray, rows: slice, Gs, plan: _Plan, errors: dict,
+                cpu) -> None:
+    """Step ``out[rows]`` through all ``nt`` steps in ``plan`` and write the
+    last level there, on a thread pinned to ``cpu`` unless it is None; an
+    exception is kept in ``errors[rows.start]``."""
+    if cpu is not None:
+        try:
+            os.sched_setaffinity(0, {cpu})  # this thread only
+        except OSError:  # left unpinned: slower, the same bits
+            pass
+    try:
+        for _n, _a, level in _backward_steps(driver, grid, Gs, nt, dt,
+                                             out[rows], deferred=True,
+                                             plan=plan):
+            pass
+    except Exception as exc:  # raised again on the calling thread
+        errors[rows.start] = exc
+        return
+    out[rows] = level
+
+
 def _last_level(driver: DriverSpec, grid: Grid1D, Gs, nt: int, dt: float,
                 u: np.ndarray) -> np.ndarray:
     """u(0, .) of ``_backward_steps`` from the rows ``u[rows, nx]``, as a
     new array, the same bits as the last level of one sweep.
 
     The rows are independent, so they are stepped through all ``nt`` steps
-    in blocks of at most ``BLOCK_NODES`` nodes, whose work buffers stay in
-    cache.  The caller has charged the work budget for the whole stack
+    in blocks of about ``BLOCK_NODES`` nodes, whose work buffers stay in
+    the cache of one core.  The blocks split the rows evenly, and their
+    number is a multiple of the workers: one for each CPU of the affinity
+    set (``_cpus``), at most one for each block.  The blocks go in rounds
+    of one block a worker, each on a thread pinned to its worker's CPU and
+    run in a copy of the caller's context (a dry run, ``np.errstate``).
+    Numpy releases the interpreter lock inside each step's ufunc loops, so
+    the blocks of a round run in parallel, each writing only its own rows.
+    A round of one block runs on the calling thread.  The work buffers of
+    a round (``_Plan``) are built on the calling thread before it starts.
+    A driver's f and g may be called from two workers at once.
+
+    The caller has charged the work budget for the whole stack
     (``_time_steps(rows=...)``).  Each block's sweep defers its finiteness
     check to its last level (``_backward_steps(deferred=True)``).  If a
     block fails, the stack is stepped again unblocked with the per-step
-    check, which raises the error of one sweep (``_raise_sweep_error``).
+    check, which raises the error of one sweep (``_raise_sweep_error``);
+    any other error of the first failing block is raised as it is.
     """
+    work()
     out = np.array(u, dtype=float, order="C")
-    per_block = max(1, BLOCK_NODES // grid.nx)
-    try:
-        for lo in range(0, out.shape[0], per_block):
-            block = slice(lo, lo + per_block)
-            for _n, _a, level in _backward_steps(
-                    driver, grid, Gs if len(Gs) == 1 else Gs[block], nt, dt,
-                    out[block], deferred=True):
-                pass
-            out[block] = level
-    except NumericalError:
-        _raise_sweep_error(driver, grid, Gs, nt, dt, u)
+    rows = out.shape[0]
+    blocks = max(1, min(rows, -(-rows * grid.nx // BLOCK_NODES)))
+    cpus = _cpus() if blocks > 1 else [None]
+    workers = min(len(cpus), blocks)
+    blocks = min(rows, -(-blocks // workers) * workers)
+    cuts = [k * rows // blocks for k in range(blocks + 1)]
+    errors: dict = {}
+    for first in range(0, blocks, workers):
+        steps = []
+        for lo, hi in zip(cuts[first:first + workers], cuts[first + 1:]):
+            gs = Gs if len(Gs) == 1 else Gs[lo:hi]
+            steps.append((slice(lo, hi), gs,
+                          _Plan(driver, grid, gs, dt, out[lo:hi])))
+        if len(steps) == 1:
+            _step_block(driver, grid, nt, dt, out, *steps[0], errors, None)
+        else:
+            threads = [threading.Thread(
+                target=contextvars.copy_context().run,
+                args=(_step_block, driver, grid, nt, dt, out, *step, errors,
+                      cpu)) for step, cpu in zip(steps, cpus)]
+            try:
+                for thread in threads:
+                    thread.start()
+            finally:
+                for thread in threads:
+                    if thread.ident is not None:  # started
+                        thread.join()
+        if errors:
+            error = errors[min(errors)]
+            if isinstance(error, NumericalError):
+                _raise_sweep_error(driver, grid, Gs, nt, dt, u)
+            raise error
     return out
 
 

@@ -3,7 +3,10 @@
 import atexit
 import shutil
 import tempfile
+import threading
 import tracemalloc
+
+import pytest
 
 try:
     import hypothesis
@@ -33,3 +36,22 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture
+def forced_threads(monkeypatch):
+    """Two workers for ``pde._last_level``, both on the first CPU of the
+    affinity set, whatever the host; the list of every thread started
+    while the test runs."""
+    from gbmlab import pde
+
+    cpu = pde._cpus()[0]
+    monkeypatch.setattr(pde, "_cpus", lambda: [cpu, cpu])
+    started, start = [], threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,16 @@ def test_every_psi_runs_on_one_to_three_times(tmp_path, psi):
         assert _main(["cylinder", "--psi", psi, "--times", times, "--nx", "41",
                       "--output-dir", str(out)]) == 0, times
         assert math.isfinite(_summary(out)["values"]["value"])
+
+
+def test_cylinder_leaves_no_thread_behind(tmp_path, forced_threads):
+    # the 401-row stage of sum-sq is stepped in 4 blocks, two rounds of two
+    # workers; each has ended when the run returns
+    before = threading.active_count()
+    assert cli.run(["cylinder", "--psi", "sum-sq",
+                    "--output-dir", str(tmp_path)]) == 0
+    assert len(forced_threads) == 4
+    assert threading.active_count() == before
 
 
 def test_cylinder_max_of_two_half_unit_stages(tmp_path):
@@ -245,7 +256,7 @@ def _benchmark_argvs() -> list:
 
 def test_a_dry_run_computes_nothing(tmp_path, monkeypatch):
     # each benchmark command under --dry-run reaches exactly one of the
-    # four units of work, which stops it before its first step
+    # five units of work, which stops it before its first step
     argvs = _benchmark_argvs()
     assert len(argvs) == 19
     reached = []
@@ -258,7 +269,7 @@ def test_a_dry_run_computes_nothing(tmp_path, monkeypatch):
     real = gcore.work
     for module in (pde, gexpect, scenario):
         monkeypatch.setattr(module, "work", spy)
-    units = {"_backward_steps", "_sup_step", "path_normals",
+    units = {"_backward_steps", "_last_level", "_sup_step", "path_normals",
              "gexpect_cylinder"}
     seen = set()
     for argv in argvs:
@@ -1000,17 +1011,17 @@ def test_negative_horizon_exits_one(tmp_path):
     ["stability", "--shift", "inf", "--nx", "21"],
     ["stability", "--shift=-inf", "--nx", "21"],
     ["gexpect", "--nx", "41", "--preset", "smooth-bump", "--param",
-     "width=1e-300"],
+     "width=1e-308"],
     ["gbsde", "--nx", "41", "--preset", "sine-gz", "--param",
-     "width=1e-300"],
+     "width=1e-308"],
     ["counterexample", "--eps", "0.5,0.5", "--n-paths", "256",
      "--n-steps", "16"],
 ], ids=["sigma-high-1e300", "sigma-high-1e160", "sigma-high-1.2e154",
         "doob-T-nan", "doob-T-inf", "doob-sigma-high-1e-300",
         "counterexample-eps-nan", "solve-pde-sigma-high-1e150",
         "gexpect-sigma-high-1e150", "doob-p-prime-inf", "stability-shift-inf",
-        "stability-shift-minus-inf", "gexpect-width-1e-300",
-        "gbsde-width-1e-300", "counterexample-repeated-eps"])
+        "stability-shift-minus-inf", "gexpect-width-1e-308",
+        "gbsde-width-1e-308", "counterexample-repeated-eps"])
 def test_hostile_argv_exits_one_without_traceback(tmp_path, capfd, argv):
     # capfd, not capsys: LAPACK writes its complaints to the file descriptor
     rc = _main([*argv, "--output-dir", str(tmp_path)])
@@ -1252,14 +1263,16 @@ _SMALL_PATHS = ["--nx", "41", "--n-paths", "256", "--n-steps", "16"]
     ["counterexample", "--param", "exponent=abc"],
     # a zero width: ZeroDivisionError in the bump
     ["gbsde", "--preset", "sine-gz", "--param", "width=0", "--nx", "41"],
-    # squares that leave the float range: OverflowError
-    ["gexpect", "--preset", "smooth-bump", "--param", "width=1e300"],
+    # the bump's Lipschitz bound 3 |amplitude| / width overflows
+    ["gexpect", "--preset", "smooth-bump", "--param", "amplitude=1e300",
+     "--param", "width=1e-10"],
+    # a square that leaves the float range: OverflowError
     ["solve-pde", "--preset", "abs", "--param", "smoothing=1e300"],
     # a center at infinity ran, and wrote Infinity into summary.json
     ["sensitivity-x", "--preset", "smooth-bump", "--param", "center=inf",
      *_SMALL_PATHS],
 ], ids=["not-a-number", "exponent-not-a-number", "zero-width",
-        "width-square-overflows", "smoothing-square-overflows",
+        "width-lipschitz-overflows", "smoothing-square-overflows",
         "infinite-center"])
 def test_preset_param_outside_its_domain_exits_one(tmp_path, capsys, argv):
     out = tmp_path / "out"

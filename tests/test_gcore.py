@@ -183,15 +183,15 @@ def test_unknown_preset_rejected():
     ("sine-gz", {"c": "abc"}),
     ("sine-gz", {"width": 0.0}),
     ("smooth-bump", {"width": 0.0}),
-    ("smooth-bump", {"width": 1e300}),
+    ("smooth-bump", {"width": math.inf}),
     ("abs", {"smoothing": 1e300}),
-    ("smooth-bump", {"width": 1e-300}),
-    ("sine-gz", {"width": 1e-300}),
+    ("smooth-bump", {"width": 1e-308}),
+    ("sine-gz", {"amplitude": 1e300, "width": 1e-10}),
     ("abs", {"smoothing": 1e-300}),
     ("smooth-bump", {"center": math.inf}),
 ], ids=["not-a-number", "c-not-a-number", "zero-width-sine-gz", "zero-width",
-        "width-square-overflows", "smoothing-square-overflows",
-        "width-square-underflows", "width-square-underflows-sine-gz",
+        "infinite-width", "smoothing-square-overflows",
+        "width-lipschitz-overflows", "width-lipschitz-overflows-sine-gz",
         "smoothing-square-underflows", "infinite-center"])
 def test_preset_driver_checks_its_own_parameters(name, params):
     # the values the CLI refuses before a run; the library raised
@@ -199,6 +199,21 @@ def test_preset_driver_checks_its_own_parameters(name, params):
     # (a square that underflows to 0 gave phi_xx = -inf or NaN)
     with pytest.raises(DomainError, match="must be"):
         preset_driver(name, params)
+
+
+@pytest.mark.parametrize("name", ["smooth-bump", "sine-gz"])
+@pytest.mark.parametrize("width", [1e-300, 2e-308, 1e200])
+def test_bump_width_is_limited_by_its_lipschitz_bound_alone(name, width):
+    # nothing squares a width: a square that leaves the float range is no
+    # limit, 3 |amplitude| / width finite is; the driver passes its
+    # self-check, without a warning, and its payoff reads the same near
+    # and far from the bump
+    driver = preset_driver(name, {"width": width})
+    assert driver.L1 == max(1.0, 3.0 / width)
+    x = np.array([-1e300, -3.0, 0.0, 0.5 * width, 3.0, 1e300])
+    assert np.isfinite(driver.phi(x)).all()
+    assert np.isfinite(driver.phi_x(x)).all()
+    assert driver.phi(0.0) == 1.0
 
 
 def test_lipschitz_envelope_violation_rejected():

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from gbmlab.gcore import (
+    DRY_RUN,
     CylinderFunctional,
     DriverSpec,
+    DryRunStop,
     Grid1D,
     NumericalError,
     make_gfunction,
@@ -603,26 +607,161 @@ def test_last_level_in_blocks_equals_one_sweep(monkeypatch, name):
     assert rows.tobytes() == before
 
 
+@pytest.mark.parametrize("name", ["heat", "all"])
+def test_last_level_on_forced_threads_equals_one_sweep(
+        monkeypatch, name, forced_threads):
+    # 10 rows in 4 blocks of 2, 3, 2 and 3 rows, two rounds of two
+    # threads; the "all" driver steps each row under its own generator,
+    # and its f and g are called on the workers, each pinned to its CPU
+    started = forced_threads
+    grid = Grid1D(-3.0, 3.0, 61, 0.5)
+    monkeypatch.setattr(pde, "BLOCK_NODES", 3 * grid.nx + 2)
+    cpu, callers, pinned = pde._cpus()[0], set(), set()
+
+    def f(t, x, y):
+        callers.add(threading.get_ident())
+        if cpu is not None:
+            pinned.add(frozenset(os.sched_getaffinity(0)))
+        return _STEP_DRIVERS["all"]["f"](t, x, y)
+
+    driver = _step_driver(name)
+    if name == "all":
+        driver = dataclasses.replace(driver, f=f)
+    k = np.arange(10.0)[:, None]
+    rows = np.cos((1.0 + 0.1 * k) * grid.xs) + 0.05 * k * grid.xs
+    Gs = ((G01,) if name == "heat" else
+          tuple(make_gfunction(0.05 * i, 0.8 + 0.05 * i) for i in range(10)))
+    before = rows.tobytes()
+    got = pde._last_level(driver, grid, Gs, 40, 2e-4, rows)
+    assert len(started) == 4
+    assert not any(thread.is_alive() for thread in started)
+    if name == "all":
+        assert callers == {thread.ident for thread in started}
+        assert pinned == ({frozenset({cpu})} if cpu is not None else set())
+    assert got.tobytes() == _one_sweep(driver, grid, Gs, 40, 2e-4,
+                                       rows).tobytes()
+    assert rows.tobytes() == before
+
+
+def test_last_level_on_one_cpu_or_one_block_starts_no_thread(
+        monkeypatch, forced_threads):
+    started = forced_threads
+    grid = Grid1D(-3.0, 3.0, 61, 0.5)
+    rows = np.tile(np.cos(grid.xs), (10, 1))
+    assert rows.size <= pde.BLOCK_NODES
+    pde._last_level(_step_driver("heat"), grid, (G01,), 40, 2e-4, rows)
+    monkeypatch.setattr(pde, "BLOCK_NODES", 3 * grid.nx)
+    monkeypatch.setattr(pde, "_cpus", lambda: [None])
+    pde._last_level(_step_driver("heat"), grid, (G01,), 40, 2e-4, rows)
+    assert started == []
+
+
+def test_dry_run_last_level_builds_no_plan_and_starts_no_thread(
+        monkeypatch, forced_threads):
+    started = forced_threads
+    built = []
+
+    class Plan(pde._Plan):
+        def __init__(self, *args):
+            built.append(threading.get_ident())
+            super().__init__(*args)
+
+    monkeypatch.setattr(pde, "_Plan", Plan)
+    grid = Grid1D(-3.0, 3.0, 61, 0.5)
+    monkeypatch.setattr(pde, "BLOCK_NODES", 3 * grid.nx)
+    rows = np.tile(np.cos(grid.xs), (10, 1))
+    token = DRY_RUN.set(True)
+    try:
+        with pytest.raises(DryRunStop):
+            pde._last_level(_step_driver("heat"), grid, (G01,), 40, 2e-4,
+                            rows)
+    finally:
+        DRY_RUN.reset(token)
+    assert built == [] and started == []
+    # the spies see a run that is not dry, whose plans are all built on
+    # the calling thread
+    pde._last_level(_step_driver("heat"), grid, (G01,), 40, 2e-4, rows)
+    assert built == [threading.get_ident()] * 4 and len(started) == 4
+
+
+def test_last_level_workers_run_under_the_callers_errstate(
+        monkeypatch, forced_threads):
+    # near 1e308, 2 u overflows in the second difference of the last row,
+    # which a worker steps: under the caller's errstate the overflow raises
+    # there, before any deferred finiteness check
+    started = forced_threads
+    grid = Grid1D(-3.0, 3.0, 61, 0.5)
+    monkeypatch.setattr(pde, "BLOCK_NODES", 3 * grid.nx)
+    rows = np.tile(np.cos(grid.xs), (10, 1))
+    rows[-1] *= 1e308
+    with np.errstate(all="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            pde._last_level(_step_driver("heat"), grid, (G01,), 40, 2e-4,
+                            rows)
+    assert len(started) == 4
+
+
+def test_last_level_worker_error_reaches_the_caller_unchanged(
+        monkeypatch, forced_threads):
+    # f refuses the rows of the third and the fourth block, stepped at
+    # once on two workers; the error of the first failing block is raised
+    # as it is, as by blocks stepped one after another
+    started = forced_threads
+    error, raised_on = LookupError("f refuses this row"), []
+
+    def f(t, x, y):
+        y = np.asarray(y)
+        if (y > 5.0).any() or (y < -5.0).any():
+            raised_on.append(threading.get_ident())
+            raise error if (y > 5.0).any() else ValueError("a later block")
+        return -0.3 * y
+
+    driver = DriverSpec(name="refuse", phi=np.cos, skip_self_check=True, f=f)
+    grid = Grid1D(-3.0, 3.0, 61, 0.5)
+    monkeypatch.setattr(pde, "BLOCK_NODES", 3 * grid.nx)
+    rows = np.tile(np.cos(grid.xs), (10, 1))
+    rows[6] += 10.0
+    rows[9] -= 10.0
+    with pytest.raises(LookupError) as caught:
+        pde._last_level(driver, grid, (G01,), 40, 2e-4, rows)
+    assert caught.value is error
+    assert sorted(raised_on) == sorted(t.ident for t in started[2:])
+    assert not any(thread.is_alive() for thread in started)
+
+
 def test_last_level_block_failure_raises_the_error_of_one_sweep(monkeypatch):
+    monkeypatch.setattr(pde, "_cpus", lambda: [None])  # the calling thread
+    _check_block_failure(monkeypatch)
+
+
+def test_last_level_block_failure_on_forced_threads(
+        monkeypatch, forced_threads):
+    started = forced_threads
+    _check_block_failure(monkeypatch)
+    assert len(started) == 4
+
+
+def _check_block_failure(monkeypatch):
     # f grows u by about 1 + 50 dt a step: the 1e306 row (last block)
-    # overflows at an earlier level than the 1e300 row (second block),
-    # which is stepped first
+    # overflows at an earlier level than the 1e300 row, whose block comes
+    # first (rows 2-3 of blocks 0-1, 2-3, 4-6 on one worker; rows 3-4 of
+    # blocks 0, 1-2, 3-4, 5-6 on two)
     driver = DriverSpec(name="growth", phi=np.cos, skip_self_check=True,
                         f=lambda t, x, y: 50.0 * y)
     grid = Grid1D(-3.0, 3.0, 61, 0.5)
     monkeypatch.setattr(pde, "BLOCK_NODES", 3 * grid.nx)
     rows = np.tile(np.cos(grid.xs), (7, 1))
-    rows[4] *= 1e300
+    rows[3] *= 1e300
     rows[6] *= 1e306
     nt, dt = 400, 2e-3
     with np.errstate(all="ignore"):
         with pytest.raises(NumericalError) as sweep:
             _one_sweep(driver, grid, (G01,), nt, dt, rows)
-        with pytest.raises(NumericalError) as second_block:
-            _one_sweep(driver, grid, (G01,), nt, dt, rows[3:6])
+        with pytest.raises(NumericalError) as earlier_block:
+            _one_sweep(driver, grid, (G01,), nt, dt, rows[2:6])
         with pytest.raises(NumericalError) as blocked:
             pde._last_level(driver, grid, (G01,), nt, dt, rows)
-    assert str(second_block.value) != str(sweep.value)
+    assert str(earlier_block.value) != str(sweep.value)
     assert str(blocked.value) == str(sweep.value)
 
 
