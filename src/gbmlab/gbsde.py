@@ -211,8 +211,7 @@ def convergence_report(family: BsdeSolutionFamily) -> ConvergenceReport:
     deltas = np.array([r[2] for r in rows])
     bounds = np.array([r[3] for r in rows])
     if np.any(deltas <= 0.0):
-        rate, logc = 0.0, -np.inf
-        fitted_c = 0.0
+        rate, fitted_c = 0.0, 0.0
         violations = tuple(False for _ in rows)
     else:
         rate, logc = np.polyfit(np.log(bounds), np.log(deltas), 1)
@@ -405,8 +404,11 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
     grids = [_coarsen(g1, f, "the stability check") for f in (4, 2, 1)]
     # the time steps of every level, and with them the work budget of
     # every solve, are settled before the first solve; the finest first,
-    # so that a pin or a budget it fails is refused on the problems' grid
-    steps = {grid.nx: [_pde._time_steps(grid, (G,), d) for d in (d1, d2)]
+    # so that a pin or a budget it fails is refused on the problems' grid.
+    # A stacked pair settles once, for the two rows of its one sweep.
+    steps = {grid.nx: [_pde._time_steps(grid, (G,), d2, rows=2)] * 2
+             if stacked else [_pde._time_steps(grid, (G,), d)
+                              for d in (d1, d2)]
              for grid in reversed(grids)}
     levels = [(grid, *steps[grid.nx]) for grid in grids]
 

@@ -374,8 +374,8 @@ class DriverSpec:
     skip_self_check: bool = False
 
     def __post_init__(self) -> None:
-        if self.L1 <= 0 or self.m < 1:
-            raise DomainError("need L1 > 0 and integer m >= 1")
+        _horizon("L1", self.L1)  # a NaN or infinite L1 bounds every phi
+        _count("m", self.m)
         if len(inspect.signature(self.f).parameters) != 3:
             raise DomainError("f must have signature f(t, x, y); a z argument "
                               "is rejected (see counterexample_demo docs)")

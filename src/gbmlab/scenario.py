@@ -12,35 +12,35 @@ path i is the same no matter how many paths are drawn or in what chunks,
 and estimates are reproducible and extensible.  Means and standard errors
 use a deterministic pairwise reduction.
 
-``estimate_dx`` and ``estimate_dt`` draw the normals once per estimate,
-stored step by step, and walk the paths in one loop over the steps.  Each
-step finds every path's grid position once and reads the generator
-argument and the feedback volatility there, and u and u_x only if a live
-term of f or g takes them.  It evaluates each live driver coefficient
-once, advances X, log Gamma, Xhat (and Xbar for the time derivative) as
-running per-path vectors, accumulates the estimator integrand and writes
-the K increments over the row of normals it has read, so an estimate
-holds one (n_steps, n_paths) buffer.  The feedback controls are one-byte
-masks over the solution's nodes; a step reads the volatility of each
-path's nearest node from its control's mask.  Which terms are live
-(``DriverSpec.live``) is decided once per estimate (``_Pass``), and Gamma
-and Xhat stay 1 when none of theirs is.  Every entry point checks its
-inputs and charges the path budgets once, before any work
-(``_check_run``).
+``estimate_dx``, ``estimate_dt`` and ``verify_measure_in_Ptx`` run one
+walk (``_walk``): it draws the normals once, stored step by step, and
+walks the paths in one loop over the steps.  Each step finds every path's
+grid position and nearest node once and reads there the generator
+argument, the control's volatility (``VolatilityControl.sigma_at`` at
+that level and those nodes), and u and u_x only if a live term of f or g
+takes them.  It evaluates each live driver coefficient once, advances X,
+log Gamma, Xhat (and Xbar for the time derivative) as running per-path
+vectors, accumulates the estimator integrand and writes the K increments
+over the row of normals it has read, so a walk holds one (n_steps,
+n_paths) buffer.  The feedback controls are one-byte masks over the
+solution's nodes.  Which terms are live (``DriverSpec.live``) is decided
+once per walk (``_Pass``), and Gamma and Xhat stay 1 when none of theirs
+is.  Every entry point checks its inputs and charges the path budgets
+once, before any work (``_check_run``).
 
-The candidate controls share that walk.  The base feedback control walks
-every path.  The tie-flipped control differs from it only at some tied
-nodes, so a path follows the base path until it first stands nearest such
-a node; there it forks: its state (X, the variations, the integral and the
-K increments so far) moves to the flipped control's own walk, which steps
-only forked paths.  Every operation is elementwise in the path, so the
-flipped control's results are those of a walk over all paths, bit for bit.
+An estimate walks its candidate controls, ``verify_measure_in_Ptx`` its
+one control and X alone.  The base control walks every path.  The
+tie-flipped control differs from it only at some tied nodes, so a path
+follows the base path until it first stands nearest such a node; there it
+forks: its state (X, the variations, the integral and the K increments so
+far) moves to the flipped control's own walk, which steps only forked
+paths.  Every operation is elementwise in the path, so the flipped
+control's results are those of a walk over all paths, bit for bit.
 
-``_Pass`` is the one implementation of the path recurrences.  The
-whole-bundle passes (``simulate_paths``, ``forward_sde``,
-``variational_paths``, ``k_increments``) advance one stochastic process
-per call with it, and ``verify_measure_in_Ptx`` walks one control as an
-estimate walks its base control.  The plain step that evaluates every
+``_Pass`` is the one implementation of the path recurrences: the walk
+steps with it, and the whole-bundle passes (``simulate_paths``,
+``forward_sde``, ``variational_paths``, ``k_increments``) advance one
+stochastic process per call with it.  The plain step that evaluates every
 term, and the whole-bundle passes built on it, are the reference in
 ``tests/path_reference.py``, which all of these equal bit for bit.
 """
@@ -56,8 +56,8 @@ import numpy as np
 
 from .gcore import (ARITY, DomainError, DriverSpec, GFunction1D,
                     NumericalError, _count, _horizon, _real, charge, work)
-from .pde import (ControlField, FieldInterpolator, GridPoints, PdeSolution,
-                  _time_index, extremal_control, sigma_of)
+from .pde import (FieldInterpolator, GridPoints, PdeSolution, _time_index,
+                  extremal_control, sigma_of)
 
 
 # ---------------------------------------------------------------------------
@@ -276,37 +276,23 @@ class VolatilityControl:
     @classmethod
     def feedback(cls, sol: PdeSolution, G: GFunction1D) -> "VolatilityControl":
         """The extremal control of ``sol``, sigma_high at its ties."""
-        return cls._feedbacks(sol, G, extremal_control(sol), False)[0]
+        return _candidate_controls(sol, G)[0]
 
-    @classmethod
-    def _feedbacks(cls, sol: PdeSolution, G: GFunction1D, cf: ControlField,
-                   flip: bool) -> list:
-        """The feedback control on the field ``cf`` and, if ``flip``, the
-        one with the tied nodes at sigma_low: one mask each, no float
-        field."""
-        masks = [cf.high]
-        if flip:
-            flipped = np.logical_not(cf.ambiguous)
-            flipped &= cf.high
-            masks.append(flipped)
-        return [cls(kind=ControlKind.FEEDBACK, G=G, field_high=high,
-                    field_ts=sol.ts, field_xs=sol.xs, label=label)
-                for high, label in zip(masks, ("feedback", "feedback-flip"))]
-
-    def sigma_at(self, t: float, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.kind is ControlKind.CONSTANT:
-            return np.full_like(x, self.value)
+    def sigma_at(self, t: float, x, n: int | None = None,
+                 nearest: np.ndarray | None = None) -> np.ndarray:
+        """The volatility at time ``t`` of paths at ``x``.  A FEEDBACK
+        control reads its mask at level ``n`` of its field, at the nodes
+        ``nearest`` to ``x``; a walk passes both, else they are found here."""
+        if self.kind is ControlKind.FEEDBACK:
+            if nearest is None:
+                n, nearest = (_time_index(self.field_ts, t),
+                              GridPoints(self.field_xs, x).nearest())
+            return sigma_of(self.field_high[n].take(nearest), self.G)
+        value = self.value
         if self.kind is ControlKind.PIECEWISE:
             i = int(np.searchsorted(self.times, t + 1e-12, side="right") - 1)
-            return np.full_like(x, self.values[max(i, 0)])
-        n = _time_index(self.field_ts, t)
-        return self.sigma_near(n, GridPoints(self.field_xs, x).nearest())
-
-    def sigma_near(self, n: int, nearest: np.ndarray) -> np.ndarray:
-        """A FEEDBACK control's volatility at level ``n`` of its field, at
-        the nodes ``nearest``."""
-        return sigma_of(self.field_high[n].take(nearest), self.G)
+            value = self.values[max(i, 0)]
+        return np.full_like(np.asarray(x, dtype=float), value)
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +436,14 @@ class _Pass:
         self.reads_y = any(arity > 2 for _nm, arity in self.calls)
         self.reads_z = any(arity > 3 for _nm, arity in self.calls)
 
-    def step(self, walk: _Walk, k: int, n: int, pts: GridPoints,
-             s: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """Advance ``walk`` over step k with volatility ``s`` and normals
-        ``xi`` per path (``n`` is the field level, ``pts`` where the paths
-        are).  Returns the step's K increments, written over ``xi``."""
-        fields = self.fields
+    def step(self, walk: _Walk, control: VolatilityControl, k: int, n: int,
+             pts: GridPoints, nearest: np.ndarray,
+             xi: np.ndarray) -> np.ndarray:
+        """Advance ``walk`` over step k under ``control`` with normals
+        ``xi`` (``n`` is the field level, ``pts`` and ``nearest`` where the
+        paths are).  Returns the step's K increments, written over ``xi``."""
+        fields, tk = self.fields, self.t0 + k * self.dt
+        s = control.sigma_at(tk, walk.x, n, nearest)
         y = pts.sample(fields.sol.u[n]) if self.reads_y else None
         z = pts.sample(fields.z_row(n)) if self.reads_z else None
         a = pts.sample(fields.sol.a_field[n])
@@ -463,7 +451,7 @@ class _Pass:
         db *= xi
         dq = s * s
         dq *= self.dt
-        self.advance(walk, self.t0 + k * self.dt, y, z, dq, db)
+        self.advance(walk, tk, y, z, dq, db)
         return _k_step(self.G, a, dq, self.dt, out=xi)
 
     def advance(self, walk: _Walk, tk: float, y, z, dq, db) -> None:
@@ -731,22 +719,17 @@ def verify_measure_in_Ptx(control: VolatilityControl, driver: DriverSpec,
                           t: float, x: float, G: GFunction1D,
                           sol: PdeSolution, *, n_paths: int = 10_000,
                           n_steps: int = 256, seed: int = 0) -> MeasureCheck:
-    """Empirical optimality residual of a control: E[K_T] normalized by
-    max(1, |u(t, x)|), accepted iff |residual| <= 3 SE + 1e-2."""
-    # one walk over the paths, as an estimate's base walk: row k of the
-    # path buffer holds step k's normals until the step has read them, then
-    # its K increments (16 bytes a path-step charged, as an estimate's)
-    n_paths, n_steps, dt = _check_run(n_paths, n_steps, seed, t, sol.grid.T,
-                                      x, walk=True)
-    fields = FieldInterpolator(sol)
-    buf = _normals_by_step(seed, n_paths, n_steps)
-    run = _Pass("path", driver, G, fields, t, dt)
-    walk = _Walk(np.arange(n_paths), x)
-    for k in range(n_steps):
-        tk = t + k * dt
-        run.step(walk, k, fields.level(tk), GridPoints(fields.xs, walk.x),
-                 control.sigma_at(tk, walk.x), buf[k])
-        _check_forward(walk.x)
+    """Empirical optimality residual of a control (a FEEDBACK one built on
+    the grid of ``sol``), from the estimates' walk with no forks: E[K_T]
+    normalized by max(1, |u(t, x)|), accepted iff |residual| <= 3 SE +
+    1e-2."""
+    if control.kind is ControlKind.FEEDBACK and not (
+            np.array_equal(control.field_ts, sol.ts)
+            and np.array_equal(control.field_xs, sol.xs)):
+        raise DomainError("a feedback control must be built on the grid "
+                          "of the solution it is checked against")
+    buf = _walk("path", driver, t, x, G, sol, n_paths, n_steps, seed,
+                control)[3]
     mean, se = mean_and_se(_k_totals(buf))
     residual, _se, accepted = _residual(mean, se, sol.value(t, x))
     return MeasureCheck(mean_KT=mean, se=se, residual=residual,
@@ -784,10 +767,15 @@ def _phi_sided(driver: DriverSpec, xT: np.ndarray, side: str) -> np.ndarray:
 
 
 def _candidate_controls(sol: PdeSolution, G: GFunction1D) -> list:
-    """The feedback control and, if any node ties, its tie-flipped twin,
-    from one ``extremal_control`` pass."""
+    """The feedback control of ``sol`` and, if any node ties, its twin with
+    the ties flipped to sigma_low: one mask each, from one pass."""
     cf = extremal_control(sol)
-    return VolatilityControl._feedbacks(sol, G, cf, bool(cf.ambiguous.any()))
+    masks = [cf.high]
+    if cf.ambiguous.any():
+        masks.append(cf.high > cf.ambiguous)  # high where not tied
+    return [VolatilityControl(kind=ControlKind.FEEDBACK, G=G, field_high=high,
+                              field_ts=sol.ts, field_xs=sol.xs, label=label)
+            for high, label in zip(masks, ("feedback", "feedback-flip"))]
 
 
 class _Fork:
@@ -833,8 +821,8 @@ class _Fork:
         if walk.idx.size == 0:
             return
         pts = GridPoints(run.fields.xs, walk.x)
-        s = self.control.sigma_near(n, pts.nearest())
-        self.dk.append((k, run.step(walk, k, n, pts, s, xi[walk.idx])))
+        self.dk.append((k, run.step(walk, self.control, k, n, pts,
+                                    pts.nearest(), xi[walk.idx])))
         finite = np.isfinite(walk.x)
         if not finite.all():
             # the lowest path index among those that turned non-finite
@@ -852,7 +840,7 @@ class _Fork:
 def _k_totals(dk: np.ndarray, paths: np.ndarray | None = None,
               tail=()) -> np.ndarray:
     """K_T per path from the step-major increments ``dk[k, i]`` (the
-    path buffer of ``_estimate``, whose rows took them over the normals).
+    path buffer of ``_walk``, whose rows took them over the normals).
 
     Blocks of paths are copied to contiguous rows and summed with
     ``.sum(axis=1)``, so every total is the row sum of the path-major
@@ -876,19 +864,19 @@ def _k_totals(dk: np.ndarray, paths: np.ndarray | None = None,
     return out
 
 
-def _estimate(kind: str, driver: DriverSpec, t: float, x: float,
-              G: GFunction1D, sol: PdeSolution, n_paths: int, n_steps: int,
-              seed: int) -> SensitivityEstimate:
-    """One-sided derivative estimates over the candidate controls, which
-    share one seed and so one draw of the normals, in one loop over the
-    steps: the base control walks every path, and each other candidate
-    forks paths off that walk (``_Fork``)."""
+def _walk(kind: str, driver: DriverSpec, t: float, x: float,
+          G: GFunction1D, sol: PdeSolution, n_paths: int, n_steps: int,
+          seed: int, control: VolatilityControl | None = None) -> tuple:
+    """One loop over the steps that walks every path under ``control`` or,
+    if None, under the candidate controls of ``sol``, whose others fork
+    paths off the first one's walk (``_Fork``).  Returns (controls, base
+    walk, forks, path buffer)."""
     # 16 bytes a path-step: the path buffer and at worst one fork's K
     # increments
     n_paths, n_steps, dt = _check_run(n_paths, n_steps, seed, t, sol.grid.T,
                                       x, walk=True)
     fields = FieldInterpolator(sol)
-    controls = _candidate_controls(sol, G)
+    controls = _candidate_controls(sol, G) if control is None else [control]
     # row k holds step k's normals until the forks and the base walk have
     # read them, then the base walk's K increments of that step
     buf = _normals_by_step(seed, n_paths, n_steps)
@@ -901,12 +889,21 @@ def _estimate(kind: str, driver: DriverSpec, t: float, x: float,
         nearest = pts.nearest()
         for fork in forks:
             fork.step(run, base, k, n, nearest, buf[k])
-        run.step(base, k, n, pts, controls[0].sigma_near(n, nearest), buf[k])
+        run.step(base, controls[0], k, n, pts, nearest, buf[k])
         _check_forward(base.x)
     if not base.finite:
         raise NumericalError("variational process turned non-finite")
     for fork in forks:
         fork.finish()
+    return controls, base, forks, buf
+
+
+def _estimate(kind: str, driver: DriverSpec, t: float, x: float,
+              G: GFunction1D, sol: PdeSolution, n_paths: int, n_steps: int,
+              seed: int) -> SensitivityEstimate:
+    """One-sided derivative estimates from the candidate controls' walk."""
+    controls, base, forks, buf = _walk(kind, driver, t, x, G, sol, n_paths,
+                                       n_steps, seed)
     kt = _k_totals(buf)
     walks = [(base.x, base.weight(kind), base.acc, kt)]
     for fork in forks:

@@ -273,6 +273,17 @@ def test_convergence_bump_ratios():
     assert not report.any_violation
 
 
+def test_convergence_report_of_equal_levels():
+    # the zero preset gives every level the same solution: the deltas are
+    # all 0 and there is no power law to fit
+    fam = _family(preset_driver("zero"), (0.2, 0.1, 0.05))
+    report = gbsde.convergence_report(fam)
+    assert [row[2] for row in report.rows] == [0.0, 0.0]
+    assert (report.rate_exponent, report.fitted_C) == (0.0, 0.0)
+    assert report.violations == (False, False)
+    assert not report.any_violation
+
+
 def test_convergence_needs_three_levels():
     fam = _family(preset_driver("quadratic"), (0.2, 0.1))
     with pytest.raises(DomainError):
@@ -668,6 +679,30 @@ def test_stacked_stability_keeps_a_nan_driver_difference(monkeypatch):
     np.testing.assert_array_equal(np.array(stacked.rows),
                                   np.array(reference.rows))
     assert all(math.isnan(r[3]) and r[4] == 0.0 for r in stacked.rows)
+
+
+def test_stacked_stability_is_charged_for_both_rows(monkeypatch):
+    # a budget that a one-row sweep fits and a two-row sweep does not: the
+    # stacked pair is refused before its first sweep, the same pair in two
+    # sweeps (a distinct g) runs
+    quad = preset_driver("quadratic")
+    grid = Grid1D(-6.0, 6.0, 41, 0.5)
+    Geps = regularize(G01, 0.1)
+    nt = _pde._time_steps(grid, (Geps,), quad)[0]
+    monkeypatch.setattr(_pde, "STEP_NODES_MIN", 1)
+    monkeypatch.setattr(_pde, "NODE_STEPS_MAX", 3 * grid.nx * nt // 2)
+    calls = _count_sweeps(monkeypatch)
+    shifted = _shifted(quad)
+    with pytest.raises(NumericalError, match=f"nx=41, 2 row"):
+        gbsde.stability_check(PdeProblem(grid, quad, Geps),
+                              PdeProblem(grid, shifted, Geps))
+    assert calls == []
+    g = shifted.g
+    distinct = dataclasses.replace(shifted,
+                                   g=lambda t, x, y, z: g(t, x, y, z))
+    gbsde.stability_check(PdeProblem(grid, quad, Geps),
+                          PdeProblem(grid, distinct, Geps))
+    assert calls == [1, 1] * 3
 
 
 # ---- dynamic programming check ----

@@ -221,6 +221,18 @@ def test_lipschitz_envelope_violation_rejected():
         payoff_driver(lambda x: 10.0 * np.asarray(x), L1=1.0)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("L1", math.nan), ("L1", math.inf), ("L1", 0.0), ("L1", -1.0),
+    ("m", math.nan), ("m", math.inf), ("m", 1.5), ("m", 0)])
+def test_envelope_constants_are_refused_unless_finite(key, value):
+    # a NaN or infinite envelope let a jump through the Lipschitz check
+    def jump(x):
+        return 5.0 * np.sign(np.asarray(x, dtype=float))
+    for phi in (jump, lambda x: np.asarray(x, dtype=float)):
+        with pytest.raises(DomainError, match=f"{key} must be"):
+            payoff_driver(phi, **{key: value})
+
+
 def test_derivative_self_check_rejects_mismatch():
     with pytest.raises(DomainError):
         payoff_driver(lambda x: np.asarray(x) ** 2,

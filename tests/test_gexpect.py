@@ -100,6 +100,18 @@ def test_cylinder_sum_of_squares():
     assert abs(gexpect_cylinder(X, G01) - 1.0) <= 2e-2
 
 
+def test_cylinder_stage_start_between_nodes_is_second_order():
+    # at even nx no node sits at 0, and each stage starts from the linear
+    # interpolation of the two middle nodes: the error of the sum of
+    # squares (exact value 1) falls fourfold as the spacing halves.  At odd
+    # nx a node sits at 0.
+    X = CylinderFunctional(times=(0.5, 1.0), psi=lambda a, b: a ** 2 + b ** 2)
+    coarse, fine = (gexpect_cylinder(X, G01, nx=nx) - 1.0 for nx in (50, 100))
+    assert 0.0 < fine < coarse < 0.03
+    assert 3.5 <= coarse / fine <= 4.5
+    assert abs(gexpect_cylinder(X, G01, nx=51) - 1.0) <= 1e-12
+
+
 def test_cylinder_product():
     X = CylinderFunctional(times=(0.5, 1.0), psi=lambda a, b: a * b)
     assert abs(gexpect_cylinder(X, G01)) <= 2e-2

@@ -787,17 +787,23 @@ def test_control_masks_equal_the_float_fields_at_the_edges(G, row):
     assert cf.high.tobytes() == high.tobytes()
     assert cf.ambiguous.tobytes() == ambiguous.tobytes()
     assert pde.sigma_of(cf.high, G).tobytes() == sigma.tobytes()
-    controls = VolatilityControl._feedbacks(sol, G, cf, True)
+    # a NaN tolerance ties no node, and then there is no tie-flipped twin
+    controls = scenario._candidate_controls(sol, G)
+    assert len(controls) == 1 + bool(ambiguous.any())
     x = np.linspace(-1.3, 1.3, 3 * a.shape[1])
+    nearest = GridPoints(sol.xs, x).nearest()
     for control, field in zip(controls, (sigma, flip)):
         assert pde.sigma_of(control.field_high, G).tobytes() \
             == field.tobytes()
         for n, t in enumerate(sol.ts):
-            want = field[n, GridPoints(sol.xs, x).nearest()]
-            assert control.sigma_at(t, x).tobytes() == want.tobytes()
-    fork = scenario._Fork(controls[1], controls[0],
-                          scenario._Walk(np.arange(0), 0.0), 4)
-    assert fork.differs.tobytes() == (flip != sigma).tobytes()
+            want = field[n, nearest].tobytes()
+            assert control.sigma_at(t, x).tobytes() == want
+            # at the level and the nodes a walk has found
+            assert control.sigma_at(t, x, n, nearest).tobytes() == want
+    if len(controls) == 2:
+        fork = scenario._Fork(controls[1], controls[0],
+                              scenario._Walk(np.arange(0), 0.0), 4)
+        assert fork.differs.tobytes() == (flip != sigma).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1056,6 +1062,32 @@ def test_measure_frozen_control_optimal_on_concave_payoff():
     assert abs(chk.residual) <= 1e-12
     assert chk.accepted
 
+
+def test_measure_locates_each_path_once_a_step(monkeypatch):
+    # the walk's one GridPoints a step gives the feedback volatility too
+    quad = preset_driver("quadratic")
+    sol = _solve(quad, nx=51)
+    built = []
+
+    class Counted(GridPoints):
+        def __init__(self, xs, x):
+            built.append(xs)
+            super().__init__(xs, x)
+    monkeypatch.setattr(scenario, "GridPoints", Counted)
+    verify_measure_in_Ptx(VolatilityControl.feedback(sol, G01), quad, 0.0,
+                          0.0, G01, sol, n_paths=64, n_steps=8, seed=0)
+    assert len(built) == 8
+
+
+def test_measure_refuses_a_feedback_control_of_another_grid(no_draw):
+    # the walk finds each path's nearest node on the grid of sol
+    quad = preset_driver("quadratic")
+    sol = _solve(quad, nx=51)
+    for other in (_solve(quad, nx=41), _solve(quad, nx=51, T=0.5)):
+        with pytest.raises(DomainError, match="grid of the solution"):
+            verify_measure_in_Ptx(VolatilityControl.feedback(other, G01),
+                                  quad, 0.0, 0.0, G01, sol, n_paths=16,
+                                  n_steps=4)
 
 
 # ---------------------------------------------------------------------------
