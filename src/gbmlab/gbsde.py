@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcore import (CylinderFunctional, DomainError, DriverSpec, Grid1D,
-                    NumericalError, _real, charge, regularize)
+                    NumericalError, _count, _real, charge, regularize)
 from . import pde as _pde
 from .pde import PdeProblem, PdeSolution, FieldInterpolator, GridPoints
 from . import gexpect as _gexpect
@@ -379,9 +379,11 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
     delta or terminal difference whose p-th power is 0 or not finite.
     Both solves are streamed: only u(0, .) of the first and the per-level
     driver differences of the second are kept.  A pair whose drivers
-    differ only in ``name`` and ``phi`` (every other field the same
-    object) is stepped as one two-row sweep, each row bit for bit the row
-    of its own sweep; any other pair gets two sweeps.
+    differ only in ``name`` and the payoff (``phi``, ``phi_x``,
+    ``phi_kinks``, ``L1``, ``m``; every other field the same object) is
+    stepped as one two-row sweep, each row bit for bit the row of its own
+    sweep; any other pair gets two sweeps.  An f or g that is one function
+    in both drivers has a zero difference and is not evaluated.
     """
     if not (math.isfinite(p) and p >= 1.0):
         raise DomainError(f"stability check needs a finite p >= 1, got {p}")
@@ -392,14 +394,14 @@ def stability_check(problem1, problem2, p: float = 1.0, *,
         raise DomainError("stability check needs a shared generator")
     G = problem1.G
     d1, d2 = problem1.driver, problem2.driver
-    # a driver difference is identically zero when both are the shared zero
-    same_f = "f" not in d1.live and "f" not in d2.live
-    same_g = "g" not in d1.live and "g" not in d2.live
-    # a pair that differs only in phi shares every step, and the time steps
-    # (which read no phi): both rows go through one sweep
+    # a driver difference is identically zero when both are one function
+    same_f, same_g = d1.f is d2.f, d1.g is d2.g
+    # a pair that differs only in its payoff shares every step, and the time
+    # steps (which read no payoff field): both rows go through one sweep
     stacked = all(getattr(d1, fd.name) is getattr(d2, fd.name)
                   for fd in dataclasses.fields(DriverSpec)
-                  if fd.name not in ("name", "phi"))
+                  if fd.name not in ("name", "phi", "phi_x", "phi_kinks",
+                                     "L1", "m"))
     xc = 0.5 * (g1.x_min + g1.x_max)
     grids = [_coarsen(g1, f, "the stability check") for f in (4, 2, 1)]
     # the time steps of every level, and with them the work budget of
@@ -528,7 +530,8 @@ def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
     if spec is None:
         return DpCheckReport(t1=t1, t2=t2, x0=x0, u_t1=u_t1,
                              lattice_value=u_t1, residual=0.0)
-    dt = spec.dt
+    dt, G = spec.dt, problem.G
+    probs = spec.probs(G)
     nodes = x0 + np.arange(-steps, steps + 1) * spec.dx
     inner = nodes[1:-1]
     fields = FieldInterpolator(sol)
@@ -542,8 +545,8 @@ def dynamic_programming_check(problem, t1: float, t2: float, *, x0: float = 0.0,
         z = at_inner.sample(fields.z_row(n))
         fval = np.asarray(d.f(t, inner, y), dtype=float)
         gval = np.asarray(d.g(t, inner, y, z), dtype=float)
-        V = _gexpect._sup_step(V, spec.probs, [(fval + gval * sg * sg) * dt
-                                               for sg in spec.sigma_choices])
+        V = _gexpect._sup_step(V, probs, [(fval + gval * sg * sg) * dt
+                                          for sg in (G.sigma_low, G.sigma_high)])
     lattice_value = float(V[0, steps])
     return DpCheckReport(t1=t1, t2=t2, x0=x0, u_t1=u_t1,
                          lattice_value=lattice_value,
@@ -588,11 +591,11 @@ def counterexample_demo(T: float, eps_list, *, n_paths: int = 100_000,
         raise DomainError(f"eps values must be finite and positive, got {eps}")
     if len(set(eps)) < len(eps):
         raise DomainError(f"eps values must be distinct, got {eps}")
-    chunk = 16_384
     # charged 16 bytes a path-step, as an estimate is: an over-count, since
-    # one chunk of normals, scaled in place, is all that is held
+    # one block of normals, scaled in place, is all that is held
+    block = _scenario._block(_count("n_steps", n_steps))
     n_paths, n_steps, dt = _scenario._check_run(n_paths, n_steps, seed, 0.0,
-                                                T, held=chunk, draws=len(eps))
+                                                T, held=block, draws=len(eps))
     w = ((np.arange(n_steps) + 0.5) * dt) ** (-q)
     q_det = dt ** (1.0 - q) / (1.0 - q) + float(w[1:].sum()) * dt
     sqdt = math.sqrt(dt)
@@ -601,8 +604,8 @@ def counterexample_demo(T: float, eps_list, *, n_paths: int = 100_000,
         bound = T ** (1.0 - q) * e ** (-2.0 * q) / (1.0 - q)
         level_seed = int(seed) + 1_000_003 * li
         vals = np.empty(n_paths)
-        for start in range(0, n_paths, chunk):
-            stop = min(start + chunk, n_paths)
+        for start in range(0, n_paths, block):
+            stop = min(start + block, n_paths)
             xi = path_normals(level_seed, stop - start, n_steps,
                               path_offset=start)
             vals[start:stop] = np.multiply(xi, sqdt, out=xi) @ w

@@ -67,12 +67,12 @@ _HEAT = DriverSpec(name="gheat", phi=np.zeros_like)
 @dataclass(frozen=True)
 class LatticeSpec:
     """Trinomial lattice mesh: ``steps`` steps of size ``dt``, space step
-    ``dx``, per-step volatility menu ``sigma_choices`` (sorted ascending)."""
+    ``dx``.  Its volatilities are the ends of the generator it runs under
+    (``probs``)."""
 
     steps: int
     dt: float
     dx: float
-    sigma_choices: tuple
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", _count("steps", self.steps))
@@ -81,36 +81,30 @@ class LatticeSpec:
                               f"dt={self.dt}, dx={self.dx}")
         if self.dx * self.dx == 0.0:
             raise DomainError(f"dx^2 underflows to 0, got dx={self.dx}")
-        choices = tuple(sorted(float(s) for s in self.sigma_choices))
-        object.__setattr__(self, "sigma_choices", choices)
-        if not choices:
-            raise DomainError("sigma_choices must be nonempty")
-        if choices[0] < 0:
-            raise DomainError("volatilities must be >= 0")
-        worst = choices[-1] ** 2 * self.dt
-        if worst > self.dx ** 2 * (1 + 1e-12):
-            raise DomainError(
-                f"lattice explosion: sigma^2 dt = {worst:.6g} exceeds dx^2 = "
-                f"{self.dx ** 2:.6g}")
 
     @property
     def T(self) -> float:
         return self.steps * self.dt
 
-    @property
-    def probs(self) -> tuple:
-        """Side-move probability sigma^2 dt / (2 dx^2) of each choice."""
+    def probs(self, G: GFunction1D) -> tuple:
+        """Side-move probability sigma^2 dt / (2 dx^2) of sigma_low and of
+        sigma_high, in that order; :class:`DomainError` if sigma_high^2 dt
+        exceeds dx^2, where the middle move's probability turns negative."""
+        worst = G.sigma_high ** 2 * self.dt
+        if worst > self.dx ** 2 * (1 + 1e-12):
+            raise DomainError(
+                f"lattice explosion: sigma^2 dt = {worst:.6g} exceeds dx^2 = "
+                f"{self.dx ** 2:.6g}")
         return tuple(sig ** 2 * self.dt / (2.0 * self.dx ** 2)
-                     for sig in self.sigma_choices)
+                     for sig in (G.sigma_low, G.sigma_high))
 
     @classmethod
     def for_horizon(cls, T: float, steps: int, G: GFunction1D) -> "LatticeSpec":
-        """``steps`` steps over [0, T] choosing between the interval ends."""
+        """``steps`` steps over [0, T], dx = sigma_high sqrt(dt) for ``G``."""
         steps = _count("steps", steps)
         _horizon("T", T)
         dt = T / steps
-        return cls(steps=steps, dt=dt, dx=G.sigma_high * math.sqrt(dt),
-                   sigma_choices=(G.sigma_low, G.sigma_high))
+        return cls(steps=steps, dt=dt, dx=G.sigma_high * math.sqrt(dt))
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +123,6 @@ def _node_steps(s: list[int], depth: int = 1,
         total += (k - prev) * max(width * depth, floor)
         prev = k
     return total
-
-
-def _check_menu(G: GFunction1D, spec: LatticeSpec) -> None:
-    """Refuse a lattice whose volatility menu is not the ends of ``G``: the
-    DP reads its volatilities from ``spec`` alone."""
-    if spec.sigma_choices != (G.sigma_low, G.sigma_high):
-        raise DomainError(f"lattice volatilities {spec.sigma_choices} are not "
-                          f"the ends of G = [{G.sigma_low}, {G.sigma_high}]")
 
 
 def _stage_bounds(X: CylinderFunctional, spec: LatticeSpec,
@@ -196,55 +182,43 @@ def _contract(V: np.ndarray, s_prev: int, s_cur: int) -> np.ndarray:
     return V3[:, a, a - s_prev + s_cur]
 
 
-def _sup_step(V: np.ndarray, probs, rewards=None, policy: bool = False):
+def _sup_step(V: np.ndarray, probs, rewards=None) -> np.ndarray:
     """One backward step over axis 1 of ``V[P, nodes, ...]``.
 
     Each interior node takes the largest over the volatility choices of
     p (up + down) + (1 - 2p) mid, plus that choice's ``rewards`` entry if
     given; the end nodes keep their values.  Ties go to the later, larger
-    sigma.  With ``policy``, also returns the chosen index (int8) per
-    interior node.
+    sigma.
     """
     work()
     up, dn, mid = V[:, 2:], V[:, :-2], V[:, 1:-1]
-    best = arg = None
+    best = None
     for ci, pr in enumerate(probs):
         cand = pr * (up + dn) + (1.0 - 2.0 * pr) * mid
         if rewards is not None:
             cand += rewards[ci]
         if best is None:
             best = cand
-            if policy:
-                arg = np.zeros(cand.shape, dtype=np.int8)
         else:
-            take = cand >= best  # ties prefer the larger sigma
-            np.copyto(best, cand, where=take)
-            if policy:
-                arg[take] = ci
+            np.copyto(best, cand, where=cand >= best)  # ties: larger sigma
     V = V.copy()
     V[:, 1:-1] = best
-    return (V, arg) if policy else V
+    return V
 
 
 def _sup_dp(tab: np.ndarray, s: list[int], probs,
-            record: dict | None = None, policy: dict | None = None):
+            record: dict | None = None) -> np.ndarray:
     """Backward maximizing DP over the augmented lattice.
 
     Returns the step-0 array (shape (1, 2*s[0]+1)); the value sits at the
     center column.  ``record[k]``, if requested, is the value array at step k
-    in its minimal layout; ``policy[k]`` is (interior offsets, chosen-sigma
-    index array) per step.
+    in its minimal layout.
     """
     V = tab.reshape(-1, 2 * s[-1] + 1)
     if record is not None:
         record[s[-1]] = V.copy()
     for k, stage in _lattice_steps(s):
-        if policy is None:
-            V = _sup_step(V, probs)
-        else:
-            V, arg = _sup_step(V, probs, policy=True)
-            half = V.shape[1] // 2
-            policy[k] = (np.arange(-half + 1, half), arg)
+        V = _sup_step(V, probs)
         if stage is not None:
             V = _contract(V, *stage)
         if record is not None:
@@ -252,19 +226,15 @@ def _sup_dp(tab: np.ndarray, s: list[int], probs,
     return V
 
 
-def lattice_oracle(X: CylinderFunctional, G: GFunction1D, spec: LatticeSpec,
-                   *, return_policy: bool = False):
+def lattice_oracle(X: CylinderFunctional, G: GFunction1D,
+                   spec: LatticeSpec) -> float:
     """Worst-case lattice expectation of the cylinder payoff under ``G``,
-    whose ends must be the menu ``spec.sigma_choices`` (else DomainError)."""
-    _check_menu(G, spec)
+    each step choosing between G's ends on the mesh ``spec``
+    (:class:`DomainError` if its dx cannot carry sigma_high)."""
+    probs = spec.probs(G)
     s = _stage_bounds(X, spec)
     tab = _terminal_tab(X, s, spec.dx)
-    policy: dict | None = {} if return_policy else None
-    V = _sup_dp(tab, s, spec.probs, policy=policy)
-    value = float(V[0, s[0]])
-    if return_policy:
-        return value, policy
-    return value
+    return float(_sup_dp(tab, s, probs)[0, s[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +394,14 @@ def doob_check(xi: CylinderFunctional, p: float, p_prime: float,
     """Certify the maximal inequality for |xi| on the lattice.
 
     lhs = E-hat[ sup_k (E-hat_k |xi|)^p ]^(1/p) against
-    rhs = C(p, p') * E-hat[ |xi|^p' ]^(1/p'), both under ``G``, whose ends
-    must be the menu ``spec.sigma_choices`` (else DomainError).
+    rhs = C(p, p') * E-hat[ |xi|^p' ]^(1/p'), both under ``G`` on the mesh
+    ``spec`` (:class:`DomainError` if its dx cannot carry sigma_high).
     """
     if not (1.0 <= p < p_prime < math.inf):
         raise DomainError(f"need 1 <= p < p_prime, both finite, got "
                           f"({p}, {p_prime})")
-    _check_menu(G, spec)
+    probs = spec.probs(G)
     s = _stage_bounds(xi, spec, dps=2)
-    probs = spec.probs
     tab = np.abs(_terminal_tab(xi, s, spec.dx))
     tab_pp = _finite_power(tab, p_prime, "|xi|^p'")
     # the records, their concatenation and np.unique's sorted copy: at

@@ -77,12 +77,12 @@ def _block(n_steps: int) -> int:
 # Largest path arrays one run may allocate, charged at 16 bytes a
 # path-step.  That bounds an estimate's normals (8 bytes a path-step),
 # whose rows take the K increments once read, plus at worst one fork's K
-# increments (at most 8 more).  A counterexample holds one chunk of
-# normals, scaled in place, so its charge is an over-count.  The biggest
-# charge in the test suite is 82 MB (a 10k x 512 estimate), in the
-# benchmark 41 MB (10k x 256); a run that asks for more than this exits
-# with a NumericalError before its first draw instead of meeting the OOM
-# killer.
+# increments (at most 8 more).  A counterexample holds one block of
+# normals (``_block``), scaled in place, so its charge is an over-count.
+# The biggest charge in the test suite is 82 MB (a 10k x 512 estimate), in
+# the benchmark 41 MB (10k x 256); a run that asks for more than this
+# exits with a NumericalError before its first draw instead of meeting
+# the OOM killer.
 PATH_BYTES_MAX = 2 ** 30
 
 # Most path-steps one run may charge before its first draw.  Measured on a
@@ -656,21 +656,23 @@ def variational_paths(driver: DriverSpec, bundle: PathBundle, X: np.ndarray,
 
     Y and Z along paths are read from ``fields`` (value and slope of the
     associated PDE solution); drivers whose f and g ignore (y, z) may pass
-    ``fields=None``.
+    ``fields=None``; any other driver then raises :class:`DomainError`.
     """
     n_paths, n_steps = bundle.n_paths, bundle.n_steps
     dqv = np.broadcast_to(bundle.dQV, bundle.dB.shape)
     run = _Pass("var", driver, None, fields, bundle.t0, bundle.dt,
                 bundle.t_end)
+    if fields is None and run.reads_y:  # a pass reading Z reads Y too
+        raise DomainError(f"driver '{driver.name}' reads Y or Z along the "
+                          f"paths: variational_paths needs its fields")
     # X is read, not advanced: each step starts the walk from X's column
     walk = _Walk(np.arange(n_paths), 0.0, xbar=True)
     Gamma, Xhat, Xbar = (np.empty((n_paths, n_steps + 1)) for _ in range(3))
     Gamma[:, 0], Xhat[:, 0], Xbar[:, 0] = walk.Gamma, walk.Xhat, walk.Xbar
-    zeros = np.zeros(n_paths)
     for k in range(n_steps):
         tk = bundle.t0 + k * bundle.dt
         walk.x = X[:, k]
-        y = z = zeros
+        y = z = None  # unread without fields (refused above)
         if fields is not None:
             n, pts = fields.level(tk), GridPoints(fields.xs, walk.x)
             y, z = pts.sample(fields.sol.u[n]), pts.sample(fields.z_row(n))

@@ -627,8 +627,9 @@ def test_cylinder_table_guard_exits_two(tmp_path):
     # the normals and the K increments would take 5.72 GiB each
     ["sensitivity-x", "--preset", "smooth-bump", "--nx", "41", "--n-paths",
      "256", "--n-steps", "3000000"],
-    # a chunk of 256 x 3M normals and its scaled copy, 5.72 GiB each
-    ["counterexample", "--n-paths", "256", "--n-steps", "3000000"],
+    # a block of normals is one path at least: one path of 300M steps
+    # would take 2.24 GiB
+    ["counterexample", "--n-paths", "1", "--n-steps", "300000000"],
 ], ids=["sensitivity-x", "counterexample"])
 def test_path_memory_guard_exits_two(tmp_path, argv):
     # the path arrays' bytes are checked before the first draw; the

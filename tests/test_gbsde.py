@@ -11,6 +11,7 @@ import pytest
 
 from gbmlab import gbsde
 from gbmlab import pde as _pde
+from gbmlab import scenario as _scenario
 from gbmlab.gcore import (PRESET_NAMES, DomainError, DriverSpec, Grid1D,
                           make_gfunction, payoff_driver, preset_driver,
                           regularize)
@@ -581,6 +582,9 @@ def _stability_pair(case):
         # a shared non-zero g: its difference loop reads the stacked row
         sine = preset_driver("sine-gz")
         pair = (sine, _shifted(sine))
+    elif case == "payoff":
+        # what `stability --preset-b abs` builds: the payoff fields differ
+        pair = (preset_driver("quadratic"), preset_driver("abs"))
     elif case == "f-and-g":
         pair = (_fg_driver("fg-1", lambda t, x, y: 0.3 * np.cos(x) - 0.2 * y,
                            lambda t, x, y, z: 0.25 * np.sin(z)),
@@ -592,8 +596,8 @@ def _stability_pair(case):
     return tuple(PdeProblem(grid, d, Geps) for d in pair)
 
 
-@pytest.mark.parametrize("case", ["shift", "shift-sine-gz", "f-and-g",
-                                  "preset-b"])
+@pytest.mark.parametrize("case", ["shift", "shift-sine-gz", "payoff",
+                                  "f-and-g", "preset-b"])
 def test_streamed_stability_equals_dense_solves(case):
     problem1, problem2 = _stability_pair(case)
     if case == "preset-b":
@@ -654,9 +658,49 @@ def test_other_stability_pairs_keep_two_sweeps(monkeypatch):
     assert calls == [1, 1] * 3
 
 
-def test_stacked_stability_keeps_a_nan_driver_difference(monkeypatch):
-    # f is 0 except at x = 0 at t = 0: the sweep never reads it there (it
-    # evaluates f at the known level, t >= dt), the difference loop does
+def test_pure_payoff_stability_pair_is_one_sweep_per_level(monkeypatch):
+    # quadratic against abs differ in phi, phi_x, phi_kinks and m, which no
+    # step and no CFL sample reads
+    calls = _count_sweeps(monkeypatch)
+    problem1, problem2 = _stability_pair("payoff")
+    assert problem1.driver.phi_kinks != problem2.driver.phi_kinks
+    gbsde.stability_check(problem1, problem2)
+    assert calls == [2, 2, 2]
+
+
+def test_shared_g_stability_pair_is_stepped_by_the_last_level(monkeypatch):
+    # linear-h's g is live but one function in both drivers: its difference
+    # is zero, so no level is stepped outside _last_level
+    outside, depth = [], [0]
+    steps, last_level = _pde._backward_steps, _pde._last_level
+
+    def counted(*args, **kw):
+        if not depth[0]:
+            outside.append(args[0].name)
+        return steps(*args, **kw)
+
+    def through(*args, **kw):
+        depth[0] += 1
+        try:
+            return last_level(*args, **kw)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(_pde, "_backward_steps", counted)
+    monkeypatch.setattr(_pde, "_last_level", through)
+    linear_h = preset_driver("linear-h")
+    grid = Grid1D(-6.0, 6.0, 41, 0.5)
+    problems = [PdeProblem(grid, d, regularize(G01, 0.1))
+                for d in (linear_h, _shifted(linear_h))]
+    report = gbsde.stability_check(*problems)
+    assert outside == []
+    assert all(r[3] > 0.0 for r in report.rows)
+
+
+def test_a_shared_nan_f_is_not_differenced(monkeypatch):
+    # f is 0 except at x = 0 at t = 0, where it is NaN: the sweep never
+    # reads it there (it evaluates f at the known level, t >= dt).  One f
+    # shared by both drivers has no difference to take; the same f behind
+    # a distinct callable is differenced, NaN - NaN, along the solution
     def f(t, x, y):
         bad = (t == 0.0) & (np.abs(np.asarray(x, dtype=float)) < 1e-9)
         return np.where(bad, np.nan, 0.0) * np.ones_like(y)
@@ -670,15 +714,14 @@ def test_stacked_stability_keeps_a_nan_driver_difference(monkeypatch):
     calls = _count_sweeps(monkeypatch)
     stacked = gbsde.stability_check(problem1, problem2)
     assert calls == [2, 2, 2]
-    # the two-sweep reference: the same f behind a distinct callable
+    assert all(math.isfinite(r[3]) and r[3] > 0.0 for r in stacked.rows)
     distinct = dataclasses.replace(problem2.driver,
                                    f=lambda t, x, y: f(t, x, y))
     reference = gbsde.stability_check(
         problem1, dataclasses.replace(problem2, driver=distinct))
     assert calls == [2, 2, 2] + [1, 1] * 3
-    np.testing.assert_array_equal(np.array(stacked.rows),
-                                  np.array(reference.rows))
-    assert all(math.isnan(r[3]) and r[4] == 0.0 for r in stacked.rows)
+    assert [r[:3] for r in reference.rows] == [r[:3] for r in stacked.rows]
+    assert all(math.isnan(r[3]) and r[4] == 0.0 for r in reference.rows)
 
 
 def test_stacked_stability_is_charged_for_both_rows(monkeypatch):
@@ -854,13 +897,16 @@ def test_counterexample_rejections():
         gbsde.counterexample_demo(1.0, [0.5, 0.0])
 
 
-def test_counterexample_holds_one_chunk():
-    # 16384 paths are one chunk of normals, scaled in place; a scaled copy,
-    # or the last chunk kept alive through the next draw, would pass 2
+def test_counterexample_holds_one_block():
+    # the normals are drawn in the walk's blocks (512 paths at 128 steps),
+    # each scaled in place; beyond the n_paths results, a scaled copy or
+    # the last block kept alive through the next draw would hold two
     mc = {"n_paths": 16384, "n_steps": 128, "seed": 0}
+    block = 8 * _scenario._block(mc["n_steps"]) * mc["n_steps"]
+    assert block < 8 * mc["n_paths"] * mc["n_steps"] // 16
     peak = traced_peak(
         lambda: gbsde.counterexample_demo(1.0, [1.0, 0.5, 0.25], **mc))
-    assert peak < 1.25 * 8 * mc["n_paths"] * mc["n_steps"]
+    assert peak < 8 * mc["n_paths"] + 1.25 * block
 
 
 # ---- end-to-end invariants ----

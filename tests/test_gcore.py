@@ -501,7 +501,7 @@ def _running_max_values(xi, steps):
     s = gexpect._stage_bounds(xi, spec)
     records = {}
     gexpect._sup_dp(np.abs(gexpect._terminal_tab(xi, s, spec.dx)), s,
-                    spec.probs, record=records)
+                    spec.probs(G01), record=records)
     return 1 + np.unique(np.concatenate([v.ravel()
                                          for v in records.values()])).size
 

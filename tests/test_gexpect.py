@@ -28,6 +28,8 @@ from gbmlab.gexpect import (
 )
 from gbmlab.pde import PdeProblem, solve_terminal_pde
 
+import lattice_reference
+
 G01 = make_gfunction(0.0, 1.0)
 
 
@@ -145,15 +147,28 @@ def test_lattice_convex_value():
     assert abs(v - 1.0) <= 2e-2
 
 
-def test_lattice_refuses_a_menu_that_is_not_the_ends_of_G():
-    # the DP reads its volatilities from the spec alone, so a G that is not
-    # its menu would go unread: E-hat[B_1^2] is 4 under [0, 2], 1 under [0, 1]
+def test_lattice_refuses_a_mesh_that_cannot_carry_G():
+    # a mesh built for [0, 1] has dx^2 = dt: sigma = 2 would give the
+    # middle move a negative probability.  E-hat[B_1^2] is 4 under [0, 2]
     X = CylinderFunctional(times=(1.0,), psi=lambda a: a ** 2)
     G02 = make_gfunction(0.0, 2.0)
     v = lattice_oracle(X, G02, LatticeSpec.for_horizon(1.0, 64, G02))
     assert v == pytest.approx(4.0, rel=1e-12)
-    with pytest.raises(DomainError, match="not the ends of G"):
+    with pytest.raises(DomainError, match="lattice explosion"):
         lattice_oracle(X, G02, LatticeSpec.for_horizon(1.0, 64, G01))
+
+
+def test_lattice_runs_G_on_the_mesh_of_another_G():
+    # the volatilities are G's ends whatever G the mesh was built for: a
+    # mesh for [0, 1] (the same dx) under [0.5, 1] gives the bits of the
+    # mesh built for [0.5, 1], and not the [0, 1] value
+    X = CylinderFunctional(times=(0.5, 1.0),
+                           psi=lambda a, b: np.cos(a + 2.0 * b) - np.abs(b))
+    G = make_gfunction(0.5, 1.0)
+    v = lattice_oracle(X, G, LatticeSpec.for_horizon(1.0, 16, G01))
+    want = lattice_oracle(X, G, LatticeSpec.for_horizon(1.0, 16, G))
+    assert np.float64(v).tobytes() == np.float64(want).tobytes()
+    assert v != lattice_oracle(X, G01, LatticeSpec.for_horizon(1.0, 16, G01))
 
 
 def test_lattice_concave_freezes():
@@ -164,11 +179,10 @@ def test_lattice_concave_freezes():
 
 def test_lattice_spec_validation():
     with pytest.raises(DomainError):
-        LatticeSpec(steps=0, dt=0.1, dx=0.4, sigma_choices=(0.0, 1.0))
-    with pytest.raises(DomainError):
-        LatticeSpec(steps=4, dt=0.25, dx=0.1, sigma_choices=(0.0, 1.0))
-    with pytest.raises(DomainError):
-        LatticeSpec(steps=4, dt=0.25, dx=0.5, sigma_choices=())
+        LatticeSpec(steps=0, dt=0.1, dx=0.4)
+    spec = LatticeSpec(steps=4, dt=0.25, dx=0.1)
+    with pytest.raises(DomainError, match="lattice explosion"):
+        spec.probs(G01)
 
 
 def test_lattice_rejects_unaligned_stage_times():
@@ -230,13 +244,18 @@ def test_doob_rejects_bad_exponents():
         doob_check(xi, 0.5, 2.0, G01, spec)
 
 
-def test_doob_refuses_a_menu_that_is_not_the_ends_of_G():
-    # both sides run on the spec's menu, so G must be that menu
+def test_doob_runs_G_on_any_mesh_that_carries_it():
+    # both sides run under G on the spec's mesh: a mesh for [0, 1] cannot
+    # carry [0, 2]; a mesh for [0, 2] carries [0, 1], whose rhs there is
+    # below that of the wider [0, 2]
     xi = CylinderFunctional(times=(1.0,), psi=lambda a: np.abs(a))
     G02 = make_gfunction(0.0, 2.0)
-    for G, spec_G in ((G02, G01), (G01, G02)):
-        with pytest.raises(DomainError, match="not the ends of G"):
-            doob_check(xi, 2.0, 4.0, G, LatticeSpec.for_horizon(1.0, 8, spec_G))
+    with pytest.raises(DomainError, match="lattice explosion"):
+        doob_check(xi, 2.0, 4.0, G02, LatticeSpec.for_horizon(1.0, 8, G01))
+    spec = LatticeSpec.for_horizon(1.0, 8, G02)
+    narrow = doob_check(xi, 2.0, 4.0, G01, spec)
+    assert narrow.margin >= 0.0
+    assert narrow.rhs < doob_check(xi, 2.0, 4.0, G02, spec).rhs
 
 
 def test_doob_randomized_battery():
@@ -267,86 +286,6 @@ def test_doob_randomized_battery():
 # the folded trinomial step against the loops it replaced
 # ---------------------------------------------------------------------------
 
-def _ref_contract(V, s_prev, s_cur):
-    r_prev = 2 * s_prev + 1
-    P = V.shape[0] // r_prev
-    V3 = V.reshape(P, r_prev, V.shape[1])
-    a = np.arange(r_prev)
-    return V3[:, a, a - s_prev + s_cur]
-
-
-def _ref_sup_dp(tab, s, probs, record=None, policy=None):
-    """The lattice DP with its own step, stage walk and contraction."""
-    N = len(s)
-    V = tab.reshape(-1, 2 * s[-1] + 1)
-    if record is not None:
-        record[s[-1]] = V.copy()
-    sb = [0] + list(s)
-    for i in range(N, 0, -1):
-        for k in range(sb[i] - 1, sb[i - 1] - 1, -1):
-            up, dn, mid = V[:, 2:], V[:, :-2], V[:, 1:-1]
-            best = None
-            arg = None
-            for ci, pr in enumerate(probs):
-                cand = pr * (up + dn) + (1.0 - 2.0 * pr) * mid
-                if best is None:
-                    best = cand
-                    arg = np.zeros(cand.shape, dtype=np.int8)
-                else:
-                    take = cand >= best  # ties prefer the larger sigma
-                    best = np.where(take, cand, best)
-                    arg[take] = ci
-            V = V.copy()
-            V[:, 1:-1] = best
-            if policy is not None:
-                half = (V.shape[1] - 1) // 2
-                policy[k] = (np.arange(-half + 1, half), arg)
-            if k == sb[i - 1] and i > 1:
-                V = _ref_contract(V, sb[i - 1], sb[i])
-            if record is not None:
-                record[k] = V.copy()
-    return V
-
-
-def _ref_running_max_lhs(records, s, probs, pw):
-    """The running-max DP with its own step, stage walk and contraction."""
-    mvals = np.unique(np.concatenate([v.ravel() for v in records.values()]))
-    mvals = np.concatenate([[-np.inf], mvals])
-    powv = mvals ** pw
-    powv[0] = 0.0  # sentinel, never selected
-    n_m = len(mvals)
-
-    def ranks(arr):
-        return np.searchsorted(mvals, arr).astype(np.int64)
-
-    sb = [0] + list(s)
-    N = len(s)
-    top = s[-1]
-    r_top = ranks(records[top])
-    m_axis = np.arange(n_m)
-    W = powv[np.maximum(m_axis[None, None, :], r_top[:, :, None])]
-    for i in range(N, 0, -1):
-        for k in range(sb[i] - 1, sb[i - 1] - 1, -1):
-            up, dn, mid = W[:, 2:, :], W[:, :-2, :], W[:, 1:-1, :]
-            best = None
-            for pr in probs:
-                cand = pr * (up + dn) + (1.0 - 2.0 * pr) * mid
-                best = cand if best is None else np.maximum(best, cand)
-            C = W.copy()
-            C[:, 1:-1, :] = best
-            if k == sb[i - 1] and i > 1:
-                r_prev = 2 * sb[i - 1] + 1
-                P = C.shape[0] // r_prev
-                C4 = C.reshape(P, r_prev, C.shape[1], n_m)
-                a = np.arange(r_prev)
-                C = C4[:, a, a - sb[i - 1] + sb[i], :]
-            rk = ranks(records[k])
-            idx = np.broadcast_to(np.maximum(m_axis[None, None, :],
-                                             rk[:, :, None]), C.shape)
-            W = np.take_along_axis(C, idx, axis=2)
-    return float(W[0, s[0], 0])
-
-
 FOLD_PAYOFFS = {
     "one-stage": CylinderFunctional(times=(1.0,),
                                     psi=lambda a: a * a - np.abs(a)),
@@ -366,38 +305,69 @@ def test_folded_lattice_equals_the_separate_loops(payoff, sigma_low):
     spec = LatticeSpec.for_horizon(1.0, 8, G)
     s = gexpect._stage_bounds(X, spec)
     probs = [sig ** 2 * spec.dt / (2.0 * spec.dx ** 2)
-             for sig in spec.sigma_choices]
-    assert spec.probs == tuple(probs)
+             for sig in (G.sigma_low, G.sigma_high)]
+    assert spec.probs(G) == tuple(probs)
     tab = gexpect._terminal_tab(X, s, spec.dx)
     if payoff == "signed-zero":
         assert np.signbit(tab[tab == 0.0]).all()
 
-    ref_policy: dict = {}
-    ref = _ref_sup_dp(tab, s, probs, policy=ref_policy)
-    value, policy = lattice_oracle(X, G, spec, return_policy=True)
+    ref = lattice_reference.sup_dp(tab, s, probs)
+    value = lattice_oracle(X, G, spec)
     assert np.float64(value).tobytes() == ref[0, s[0]].tobytes()
-    assert sorted(policy) == sorted(ref_policy)
-    for k, (offs, arg) in ref_policy.items():
-        assert policy[k][0].tobytes() == offs.tobytes()
-        assert policy[k][1].dtype == arg.dtype
-        assert policy[k][1].shape == arg.shape
-        assert policy[k][1].tobytes() == arg.tobytes()
 
     absx = np.abs(tab)
     records, ref_records = {}, {}
-    assert (gexpect._sup_dp(absx, s, spec.probs, record=records).tobytes()
-            == _ref_sup_dp(absx, s, probs, record=ref_records).tobytes())
+    assert (gexpect._sup_dp(absx, s, spec.probs(G), record=records).tobytes()
+            == lattice_reference.sup_dp(absx, s, probs,
+                                        record=ref_records).tobytes())
     assert sorted(records) == sorted(ref_records)
     for k, rec in ref_records.items():
         assert records[k].shape == rec.shape
         assert records[k].tobytes() == rec.tobytes()
     for p, pp in ((1.0, 2.0), (1.5, 3.0)):
-        lhs = gexpect._running_max_lhs(records, s, spec.probs, p)
-        assert (np.float64(lhs).tobytes() == np.float64(
-            _ref_running_max_lhs(ref_records, s, probs, p)).tobytes())
+        want_lhs = lattice_reference.running_max_lhs(ref_records, s, probs, p)
+        lhs = gexpect._running_max_lhs(records, s, spec.probs(G), p)
+        assert np.float64(lhs).tobytes() == np.float64(want_lhs).tobytes()
         rep = doob_check(X, p, pp, G, spec)
-        want_lhs = _ref_running_max_lhs(ref_records, s, probs, p) ** (1.0 / p)
-        want_rhs = doob_constant(p, pp) * float(
-            _ref_sup_dp(absx ** pp, s, probs)[0, s[0]]) ** (1.0 / pp)
-        assert np.float64(rep.lhs).tobytes() == np.float64(want_lhs).tobytes()
+        want_rhs = doob_constant(p, pp) * float(lattice_reference.sup_dp(
+            absx ** pp, s, probs)[0, s[0]]) ** (1.0 / pp)
+        assert (np.float64(rep.lhs).tobytes()
+                == np.float64(want_lhs ** (1.0 / p)).tobytes())
         assert np.float64(rep.rhs).tobytes() == np.float64(want_rhs).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# random payoffs: the PDE route against the lattice
+# ---------------------------------------------------------------------------
+
+def test_random_lipschitz_payoffs_pde_against_lattice():
+    # 1-Lipschitz piecewise-linear payoffs: gexpect_terminal at nx = 401
+    # within criterion 02's 2e-2 of the 256-step lattice, under a
+    # degenerate and an elliptic G; and on one mesh, widening the interval
+    # to [0, 1.25] never lowers the lattice value (a few ulps a step)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    wide = make_gfunction(0.0, 1.25)
+    mesh = LatticeSpec.for_horizon(1.0, 256, wide)
+    unit = st.floats(-1.0, 1.0)
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(c=unit, slopes=st.lists(unit, min_size=2, max_size=5),
+                      knots=st.lists(st.floats(-2.5, 2.5), min_size=4,
+                                     max_size=4, unique=True))
+    def check(c, slopes, knots):
+        knots = sorted(knots)[:len(slopes) - 1]
+        jumps = np.diff(slopes)
+
+        def phi(x):
+            x = np.asarray(x, dtype=float)
+            return c + slopes[0] * x + sum(
+                j * np.maximum(x - k, 0.0) for j, k in zip(jumps, knots))
+        X = CylinderFunctional(times=(1.0,), psi=phi)
+        for G in (G01, make_gfunction(0.5, 1.0)):
+            v_lat = lattice_oracle(X, G, LatticeSpec.for_horizon(1.0, 256, G))
+            v_pde = gexpect_terminal(phi, 1.0, G, nx=401)
+            assert abs(v_pde - v_lat) <= 2e-2, (G, v_pde, v_lat)
+            assert (lattice_oracle(X, wide, mesh)
+                    >= lattice_oracle(X, G, mesh) - 1e-12), G
+    check()

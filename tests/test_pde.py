@@ -42,6 +42,7 @@ from gbmlab.pde import (
 )
 
 from conftest import traced_peak
+import lattice_reference
 
 G01 = make_gfunction(0.0, 1.0)
 
@@ -216,9 +217,11 @@ def test_extremal_control_concave_selects_low():
 def test_extremal_control_cos_fraction_matches_lattice_policy():
     sol = _gheat(_cos_driver())
     sigma_star = pde.sigma_of(extremal_control(sol).high, G01)
+    # the lattice's choices, from the reference DP: index 1 is sigma_high
     spec = LatticeSpec.for_horizon(1.0, 50, G01)
-    _, policy = lattice_oracle(CylinderFunctional(times=(1.0,), psi=np.cos),
-                               G01, spec, return_policy=True)
+    policy: dict = {}
+    lattice_reference.sup_dp(np.cos(np.arange(-50, 51) * spec.dx), [50],
+                             spec.probs(G01), policy=policy)
     lat_hi = lat_n = pde_hi = 0
     for k, (offsets, arg) in policy.items():
         off = np.asarray(offsets)
@@ -229,7 +232,7 @@ def test_extremal_control_cos_fraction_matches_lattice_policy():
         n = min(int(round(k * spec.dt / sol.dt)), sol.u.shape[0] - 1)
         j = np.clip(np.rint((off[reach] * spec.dx - sol.xs[0]) / sol.dx)
                     .astype(int), 0, len(sol.xs) - 1)
-        lat_hi += int((choices == len(spec.sigma_choices) - 1).sum())
+        lat_hi += int((choices == 1).sum())
         lat_n += choices.size
         pde_hi += int((sigma_star[n, j] == G01.sigma_high).sum())
     assert lat_n > 0

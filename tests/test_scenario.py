@@ -268,6 +268,21 @@ def test_variational_linear_drift():
     assert np.max(np.abs(var.Xhat[:, -1] - math.e ** 0.5)) <= 1e-2
 
 
+def test_variational_paths_refuses_a_driver_that_reads_y_or_z_unfielded():
+    # sine-gz's g_z = c cos(z): without fields, Y and Z would be taken as
+    # zero and Gamma would come out wrong without a word
+    driver = preset_driver("sine-gz")
+    bundle = simulate_paths(VolatilityControl.constant(1.0, G01),
+                            20, 16, 1.0, seed=1)
+    X = forward_sde(driver, 0.0, 0.0, bundle)
+    with pytest.raises(DomainError, match="reads Y or Z"):
+        variational_paths(driver, bundle, X)
+    grid = Grid1D.default_for(0.0, 1.0, G01, nx=101)
+    fields = FieldInterpolator(solve_terminal_pde(PdeProblem(grid, driver,
+                                                             G01)))
+    assert np.all(variational_paths(driver, bundle, X, fields).Gamma > 0.0)
+
+
 def test_flow_derivative_matches_first_variation():
     bundle = simulate_paths(VolatilityControl.constant(1.0, G01),
                             50, 128, 1.0, seed=7)
@@ -635,6 +650,11 @@ def test_path_passes_equal_the_reference(make_driver, t, x):
         X = path_reference.forward_sde(driver, t, x, bundle)
         assert np.array_equal(forward_sde(driver, t, x, bundle), X)
         for f in (None, fields):
+            if f is None and {"f_y", "g_y", "g_z"} & driver.live.keys():
+                # Y and Z would be read as zero: refused
+                with pytest.raises(DomainError, match="reads Y or Z"):
+                    variational_paths(driver, bundle, X)
+                continue
             got = variational_paths(driver, bundle, X, f)
             ref = path_reference.variational_paths(driver, bundle, X, f)
             for name in ("Gamma", "Xhat", "Xbar"):

@@ -1,5 +1,6 @@
 """Every private function, class and method under src/gbmlab has a caller
-in src/gbmlab outside its own definition."""
+in src/gbmlab outside its own definition, and every private module-level
+name is read there."""
 
 from __future__ import annotations
 
@@ -25,10 +26,23 @@ def _references(node: ast.AST) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
-def test_every_private_definition_is_referenced():
+def _reads(node: ast.AST) -> set:
+    """The names loaded in ``node``, as a name or an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+
+
+def _trees() -> dict:
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert len(trees) > 1
+    return trees
+
+
+def test_every_private_definition_is_referenced():
+    trees = _trees()
     everywhere = sum((_references(tree) for tree in trees.values()),
                      Counter())
     unreferenced = [f"{module}.{node.name}"
@@ -38,3 +52,29 @@ def test_every_private_definition_is_referenced():
                     and everywhere[node.name]
                     == _references(node)[node.name]]
     assert unreferenced == []
+
+
+def test_every_private_module_level_name_is_read():
+    # a constant or table bound at a module's top level is read somewhere
+    # under src/gbmlab (by name, or as an attribute of its module); a
+    # private import is read in the module that imports it
+    trees = _trees()
+    everywhere = set().union(*(_reads(tree) for tree in trees.values()))
+    unread = []
+    for module, tree in trees.items():
+        here = _reads(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [(a.asname or a.name).split(".")[0]
+                         for a in node.names]
+                unread += [f"{module}.{nm}" for nm in names
+                           if _private(nm) and nm not in here]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                unread += [f"{module}.{n.id}" for t in targets
+                           for n in ast.walk(t)
+                           if isinstance(n, ast.Name)
+                           and isinstance(n.ctx, ast.Store)
+                           and _private(n.id) and n.id not in everywhere]
+    assert unread == []
